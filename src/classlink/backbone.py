@@ -2,24 +2,36 @@
 adjacency, neighborhood-aware edge embeddings, and a small fusion MLP that
 can consume class-prior features.
 
+Which nodes feed which candidate pair is one sparse matrix.  A batch of
+``m`` pairs ``(xs, ys)`` carries a CSR *link-incidence* matrix ``M`` of shape
+``(m, n)``: ``M[i, u]`` is the weight of node ``u`` in pair ``i``'s
+neighborhood aggregation.  With ``A`` the 0/1 adjacency of the training graph:
+
+* ncn: ``M = A[xs] ⊙ A[ys]``, the common neighbors with weight 1;
+* ncnc: ``A[xs] + 2·A[ys]`` codes each member of the neighborhood union as 1
+  (``N(x)`` only), 2 (``N(y)`` only) or 3 (both).  The pair's own endpoints
+  are dropped, code 3 weighs 1, and a one-sided member ``u`` weighs the
+  predicted probability of its missing link, ``(y, u)`` for code 1 and
+  ``(x, u)`` for code 2, from one completion-scorer call per batch.
+
 All gradients are derived and implemented by hand (no autodiff):
 
 * propagation  ``H = S · relu(S X W1) · W2`` with the symmetric operator
   ``S = D̂^{-1/2} (A + I) D̂^{-1/2}`` built from training edges only;
-* edge embedding ``e(x,y) = concat(H[x] ⊙ H[y], Σ_u w_uxy · H[u])`` where the
-  sum runs over common neighbors (weights 1) or, in completion mode, over the
-  neighborhood union with predicted weights for the missing links;
-* fusion ``p = σ(relu(z Wh + bh) · wo + bo)`` on ``z = concat(e, priors)``
+* edge embedding ``E = concat(H[xs] ⊙ H[ys], M H)``;
+* fusion ``p = σ(relu(z Wh + bh) · wo + bo)`` on ``z = concat(E, priors)``
   (priors omitted when ``use_priors`` is off);
 * loss: mean binary cross-entropy in its numerically stable softplus form,
   over training positives plus an equal number of freshly resampled
-  negatives per epoch.
+  negatives per epoch;
+* backward: with ``Px``/``Py`` the one-hot endpoint selectors,
+  ``dH = Pxᵀ (dE1 ⊙ H[ys]) + Pyᵀ (dE1 ⊙ H[xs]) + Mᵀ dE2``, so the same matrix
+  drives the forward aggregation and the gradient scatter.
 
-The backprop bookkeeping mirrors the forward caches: ``S X`` is computed once
-and reused by both the forward pass and the ``W1`` gradient, and the scatter
-sums over neighborhood entries use flattened (pair index, node, weight)
-arrays so the same index arrays drive the forward aggregation and the
-gradient accumulation.
+``S X`` is computed once per training graph and reused by the forward pass
+and the ``W1`` gradient.  Propagation is separate from the edge head, so a
+frozen model propagates once: :func:`make_scorer` caches its ``H``, and
+training propagates once per epoch for both validation batches.
 """
 
 from __future__ import annotations
@@ -38,11 +50,11 @@ from scipy.special import expit
 from .errors import (
     ConfigurationError,
     DimensionError,
-    NumericError,
     ParseError,
     TrainingError,
 )
-from .graph import EdgeSplit, Graph, common_neighbors, sample_negatives
+from .evaluation import mrr, rank_positive
+from .graph import EdgeSplit, Graph, sample_negatives
 from .heuristics import Scorer, adjacency_matrix
 from .priors import (
     ClassPriorMatrix,
@@ -175,126 +187,19 @@ def normalized_operator(g: Graph) -> sp.csr_matrix:
     return (scale @ hat @ scale).tocsr()
 
 
-def mpnn_forward(g: Graph, features: np.ndarray, params: BackboneParams) -> np.ndarray:
-    """Node embeddings ``H = S · relu(S X W1) · W2`` (no final nonlinearity)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.n_nodes:
+def propagate(
+    params: BackboneParams, sym: sp.csr_matrix, sx: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Node embeddings ``h = S · relu(S X W1) · W2`` plus the intermediates
+    the backward pass reuses (``z1``, ``h1``, ``q = S h1``)."""
+    if sx.shape[1] != params.w1.shape[0]:
         raise DimensionError(
-            f"feature matrix shape {x.shape} does not match {g.n_nodes} nodes"
+            f"feature width {sx.shape[1]} does not match W1 fan-in {params.w1.shape[0]}"
         )
-    if x.shape[1] != params.w1.shape[0]:
-        raise DimensionError(
-            f"feature width {x.shape[1]} does not match W1 fan-in {params.w1.shape[0]}"
-        )
-    sym = normalized_operator(g)
-    sx = sym @ x
-    h1 = np.maximum(sx @ params.w1, 0.0)
-    return (sym @ h1) @ params.w2
-
-
-# ---------------------------------------------------------------------------
-# Neighborhood index sets
-# ---------------------------------------------------------------------------
-
-
-def cnc_probability(g: Graph, scorer: Scorer, x: int, y: int, u: int) -> float:
-    """Completion weight of node ``u`` for the candidate pair ``(x, y)``.
-
-    1 for a common neighbor; the predicted link probability for the one
-    missing side when ``u`` neighbors exactly one endpoint; 0 otherwise.
-    """
-    near_x = g.has_edge(u, x)
-    near_y = g.has_edge(u, y)
-    if near_x and near_y:
-        return 1.0
-    if near_y:  # u ∈ N(y) \ N(x): weight is the predicted (x, u) link
-        return float(scorer(np.array([[x, u]]))[0])
-    if near_x:  # u ∈ N(x) \ N(y): weight is the predicted (y, u) link
-        return float(scorer(np.array([[y, u]]))[0])
-    return 0.0
-
-
-def _ncn_indices(
-    g: Graph, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (pair index, node, weight=1) entries over common neighbors."""
-    edge_idx: list[np.ndarray] = []
-    u_idx: list[np.ndarray] = []
-    for i, (x, y) in enumerate(pairs.tolist()):
-        cn = common_neighbors(g, int(x), int(y))
-        if cn.size:
-            edge_idx.append(np.full(cn.size, i, dtype=np.int64))
-            u_idx.append(cn)
-    if not edge_idx:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    e = np.concatenate(edge_idx)
-    u = np.concatenate(u_idx)
-    return e, u, np.ones(u.size, dtype=np.float64)
-
-
-def _ncnc_indices(
-    g: Graph, pairs: np.ndarray, scorer: Scorer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened entries over neighborhood unions with completion weights.
-
-    Common neighbors weigh 1; a node adjacent to exactly one endpoint weighs
-    the predicted probability of its missing link, fetched from ``scorer`` in
-    one batch across all pairs.
-    """
-    edge_idx: list[int] = []
-    u_idx: list[int] = []
-    weights: list[float] = []
-    pending_pairs: list[tuple[int, int]] = []  # (x, u) links to predict
-    pending_slots: list[int] = []
-    for i, (x, y) in enumerate(pairs.tolist()):
-        nx, ny = g.neighbors(int(x)), g.neighbors(int(y))
-        union = np.union1d(nx, ny)
-        union = union[(union != int(x)) & (union != int(y))]  # endpoints never complete themselves
-        both = np.intersect1d(nx, ny, assume_unique=True)
-        in_both = np.isin(union, both, assume_unique=True)
-        in_x = np.isin(union, nx, assume_unique=True)
-        for u, common, near_x in zip(
-            union.tolist(), in_both.tolist(), in_x.tolist()
-        ):
-            edge_idx.append(i)
-            u_idx.append(u)
-            if common:
-                weights.append(1.0)
-            else:
-                # one side missing: predict (x,u) if u only neighbors y, else (y,u)
-                missing = (int(x), u) if not near_x else (int(y), u)
-                pending_slots.append(len(weights))
-                weights.append(0.0)
-                pending_pairs.append(missing)
-    if pending_pairs:
-        predicted = np.asarray(scorer(np.array(pending_pairs, dtype=np.int64)))
-        for slot, p in zip(pending_slots, predicted.tolist()):
-            weights[slot] = float(p)
-    return (
-        np.array(edge_idx, dtype=np.int64),
-        np.array(u_idx, dtype=np.int64),
-        np.array(weights, dtype=np.float64),
-    )
-
-
-def ncn_embed(g: Graph, h: np.ndarray, x: int, y: int) -> np.ndarray:
-    """``concat(H[x] ⊙ H[y], Σ_{u ∈ N(x) ∩ N(y)} H[u])`` for one pair."""
-    cn = common_neighbors(g, x, y)
-    agg = h[cn].sum(axis=0) if cn.size else np.zeros(h.shape[1])
-    return np.concatenate([h[x] * h[y], agg])
-
-
-def ncnc_embed(
-    g: Graph, h: np.ndarray, x: int, y: int, scorer: Scorer
-) -> np.ndarray:
-    """Union-aggregated embedding with completion-weighted neighbors."""
-    pairs = np.array([[x, y]], dtype=np.int64)
-    edge_idx, u_idx, w = _ncnc_indices(g, pairs, scorer)
-    agg = np.zeros(h.shape[1])
-    if u_idx.size:
-        agg = (w[:, None] * h[u_idx]).sum(axis=0)
-    return np.concatenate([h[x] * h[y], agg])
+    z1 = sx @ params.w1
+    h1 = np.maximum(z1, 0.0)
+    q = sym @ h1
+    return {"z1": z1, "h1": h1, "q": q, "h": q @ params.w2}
 
 
 # ---------------------------------------------------------------------------
@@ -304,61 +209,69 @@ def ncnc_embed(
 
 @dataclass
 class LinkBatch:
-    """Everything one forward/backward pass needs, with fixed index arrays."""
+    """Everything one forward/backward pass needs, with a fixed incidence."""
 
     sym: sp.csr_matrix  # (n, n) normalized operator over training edges
     sx: np.ndarray  # (n, F) = sym @ X, shared by forward and the W1 gradient
     pairs: np.ndarray  # (m, 2)
     targets: np.ndarray  # (m,) in {0, 1}
-    edge_idx: np.ndarray  # flattened neighborhood entries: which pair
-    u_idx: np.ndarray  # which node
-    u_w: np.ndarray  # with which weight
+    incidence: sp.csr_matrix  # (m, n): weight of node u in pair i's aggregation
     priors: np.ndarray | None  # (m, 2) prior features or None
 
+    @property
+    def u_idx(self) -> np.ndarray:
+        """Node of every neighborhood entry: a read-only view of
+        ``incidence.indices``, from which the benchmark's per-layer trace
+        counts entries."""
+        view = self.incidence.indices.view()
+        view.flags.writeable = False
+        return view
 
-def forward_loss(params: BackboneParams, batch: LinkBatch) -> tuple[float, dict]:
-    """Mean BCE over the batch; returns the cache the backward pass reuses."""
-    z1 = batch.sx @ params.w1
-    h1 = np.maximum(z1, 0.0)
-    q = batch.sym @ h1
-    h = q @ params.w2
 
-    m = batch.pairs.shape[0]
+def _head(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> dict:
+    """Edge embeddings and fusion MLP on precomputed node embeddings."""
     xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
-    e1 = h[xs] * h[ys]
-    e2 = np.zeros((m, params.dim))
-    if batch.u_idx.size:
-        np.add.at(e2, batch.edge_idx, batch.u_w[:, None] * h[batch.u_idx])
-    z = np.concatenate([e1, e2], axis=1)
+    z = np.concatenate([h[xs] * h[ys], batch.incidence @ h], axis=1)
     if params.use_priors:
         if batch.priors is None:
             raise ConfigurationError("batch lacks prior features but use_priors is on")
         z = np.concatenate([z, batch.priors], axis=1)
-
     pre_h = z @ params.wh + params.bh
     act = np.maximum(pre_h, 0.0)
     logits = act @ params.wo + params.bo
+    return {"z": z, "pre_h": pre_h, "act": act, "logits": logits}
+
+
+def forward_loss(params: BackboneParams, batch: LinkBatch) -> tuple[float, dict]:
+    """Mean BCE over the batch; returns the cache the backward pass reuses."""
+    cache = propagate(params, batch.sym, batch.sx)
+    cache.update(_head(params, batch, cache["h"]))
+    logits = cache["logits"]
     # BCE in softplus form: softplus(logit) - target * logit
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
-    cache = {
-        "z1": z1,
-        "h1": h1,
-        "q": q,
-        "h": h,
-        "e1": e1,
-        "z": z,
-        "pre_h": pre_h,
-        "act": act,
-        "logits": logits,
-    }
     return loss, cache
 
 
-def predict_batch(params: BackboneParams, batch: LinkBatch) -> np.ndarray:
-    """Link probabilities for a batch, strictly inside (0, 1)."""
-    _, cache = forward_loss(params, batch)
-    probs = expit(cache["logits"])
+def predict_batch(
+    params: BackboneParams, batch: LinkBatch, h: np.ndarray | None = None
+) -> np.ndarray:
+    """Link probabilities for a batch, strictly inside (0, 1).
+
+    ``h`` is the node embedding matrix of ``params`` when the caller has
+    already propagated; otherwise it is computed here.
+    """
+    if h is None:
+        h = propagate(params, batch.sym, batch.sx)["h"]
+    probs = expit(_head(params, batch, h)["logits"])
     return np.clip(probs, 1e-12, 1.0 - 1e-12)
+
+
+def _selector(nodes: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """One-hot rows: row ``i`` picks node ``nodes[i]``."""
+    m = nodes.size
+    return sp.csr_matrix(
+        (np.ones(m), nodes, np.arange(m + 1)), shape=(m, n_nodes)
+    )
 
 
 def backward(
@@ -382,11 +295,13 @@ def backward(
     de1 = dz[:, :d]
     de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
 
-    dh = np.zeros_like(h)
-    np.add.at(dh, xs, de1 * h[ys])
-    np.add.at(dh, ys, de1 * h[xs])
-    if batch.u_idx.size:
-        np.add.at(dh, batch.u_idx, batch.u_w[:, None] * de2[batch.edge_idx])
+    # dH = Px^T (de1 ⊙ H[ys]) + Py^T (de1 ⊙ H[xs]) + M^T de2, as one product
+    # over the stacked rows so each node sums its terms in batch order.
+    n = h.shape[0]
+    scatter = sp.vstack(
+        [_selector(xs, n), _selector(ys, n), batch.incidence], format="csr"
+    )
+    dh = scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
 
     dw2 = cache["q"].T @ dh
     dq = dh @ params.w2.T
@@ -442,28 +357,6 @@ def gradient_check(
     return worst
 
 
-def fuse_and_predict(
-    e: np.ndarray, priors: tuple[float, float] | None, params: BackboneParams
-) -> float:
-    """MLP head on one edge embedding; probability strictly in (0, 1)."""
-    e = np.asarray(e, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(e)):
-        raise NumericError("edge embedding contains non-finite values")
-    if params.use_priors:
-        if priors is None:
-            raise ConfigurationError("params expect prior features, none given")
-        z = np.concatenate([e, np.asarray(priors, dtype=np.float64)])
-    else:
-        z = e
-    if z.size != params.wh.shape[0]:
-        raise DimensionError(
-            f"fusion input width {z.size} does not match Wh fan-in {params.wh.shape[0]}"
-        )
-    act = np.maximum(z @ params.wh + params.bh, 0.0)
-    logit = float(act @ params.wo + params.bo)
-    return float(np.clip(expit(logit), 1e-12, 1.0 - 1e-12))
-
-
 # ---------------------------------------------------------------------------
 # Batch builder
 # ---------------------------------------------------------------------------
@@ -473,7 +366,7 @@ def fuse_and_predict(
 class BatchBuilder:
     """Assembles :class:`LinkBatch` objects for a fixed training graph."""
 
-    g_train: Graph
+    adj: sp.csr_matrix  # (n, n) 0/1 adjacency over training edges
     sym: sp.csr_matrix
     sx: np.ndarray
     mode: str
@@ -496,11 +389,15 @@ class BatchBuilder:
         if mode == "ncnc" and completion_scorer is None:
             raise ConfigurationError("ncnc batches need a completion scorer")
         x = np.asarray(features, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != g_train.n_nodes:
+            raise DimensionError(
+                f"feature matrix shape {x.shape} does not match {g_train.n_nodes} nodes"
+            )
         if x.shape[1] == 0:
             raise ConfigurationError("backbone needs node features")
         sym = normalized_operator(g_train)
         return cls(
-            g_train=g_train,
+            adj=adjacency_matrix(g_train),
             sym=sym,
             sx=sym @ x,
             mode=mode,
@@ -511,14 +408,16 @@ class BatchBuilder:
 
     def build(self, pairs: np.ndarray, targets: np.ndarray | None = None) -> LinkBatch:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = self.adj.shape[0]
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ConfigurationError(f"pair node id out of range [0, {n})")
         if targets is None:
             targets = np.zeros(len(pairs))
+        xs, ys = pairs[:, 0], pairs[:, 1]
         if self.mode == "ncnc":
-            edge_idx, u_idx, u_w = _ncnc_indices(
-                self.g_train, pairs, self.completion_scorer
-            )
-        else:
-            edge_idx, u_idx, u_w = _ncn_indices(self.g_train, pairs)
+            incidence = self._completion_incidence(xs, ys)
+        else:  # common neighbors, weight 1
+            incidence = self.adj[xs].multiply(self.adj[ys]).tocsr()
         priors = None
         if self.prior is not None and self.labels is not None:
             priors = lookup_prior_batch(self.prior, self.labels, pairs)
@@ -527,27 +426,38 @@ class BatchBuilder:
             sx=self.sx,
             pairs=pairs,
             targets=np.asarray(targets, dtype=np.float64),
-            edge_idx=edge_idx,
-            u_idx=u_idx,
-            u_w=u_w,
+            incidence=incidence,
             priors=priors,
         )
+
+    def _completion_incidence(self, xs: np.ndarray, ys: np.ndarray) -> sp.csr_matrix:
+        """Neighborhood unions with completion weights.
+
+        ``A[xs] + 2 A[ys]`` codes each union member 1 (``N(x)`` only), 2
+        (``N(y)`` only) or 3 (both).  Common neighbors weigh 1; a one-sided
+        member weighs the predicted probability of its missing link, fetched
+        from the completion scorer in one call, in row-major entry order.
+        """
+        code = (self.adj[xs] + 2.0 * self.adj[ys]).tocsr()
+        rows = np.repeat(np.arange(xs.size), np.diff(code.indptr))
+        nodes = code.indices
+        keep = (nodes != xs[rows]) & (nodes != ys[rows])  # endpoints never complete themselves
+        rows, nodes, code_of = rows[keep], nodes[keep], code.data[keep]
+        weights = np.ones(nodes.size)
+        one_sided = code_of != 3.0
+        if one_sided.any():
+            # u only near x (code 1) misses (y, u); u only near y (code 2) misses (x, u)
+            r = rows[one_sided]
+            anchor = np.where(code_of[one_sided] == 1.0, ys[r], xs[r])
+            missing = np.column_stack([anchor, nodes[one_sided]])
+            weights[one_sided] = np.asarray(self.completion_scorer(missing))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=xs.size))])
+        return sp.csr_matrix((weights, nodes, indptr), shape=code.shape)
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-
-def _ranks_against_pool(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Midpoint-tie ranks of each positive against a shared pool."""
-    neg_sorted = np.sort(neg)
-    n = neg.size
-    left = np.searchsorted(neg_sorted, pos, side="left")
-    right = np.searchsorted(neg_sorted, pos, side="right")
-    greater = n - right
-    ties = right - left
-    return 1 + greater + ties // 2
 
 
 def train(
@@ -634,9 +544,10 @@ def train(
         velocity_bo = config.momentum * velocity_bo - config.lr * float(grads["bo"])
         params.bo = float(params.bo) + velocity_bo
 
-        val_pos = predict_batch(params, valid_batch)
-        val_neg = predict_batch(params, valid_pool_batch)
-        val_mrr = float(np.mean(1.0 / _ranks_against_pool(val_pos, val_neg)))
+        h = propagate(params, builder.sym, builder.sx)["h"]
+        val_pos = predict_batch(params, valid_batch, h)
+        val_neg = predict_batch(params, valid_pool_batch, h)
+        val_mrr = mrr(rank_positive(val_pos, val_neg))
 
         log.append(
             {
@@ -666,7 +577,6 @@ def train(
 
 
 def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
-    offset = a.pairs.shape[0]
     priors = None
     if a.priors is not None and b.priors is not None:
         priors = np.concatenate([a.priors, b.priors])
@@ -675,9 +585,7 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
         sx=a.sx,
         pairs=np.concatenate([a.pairs, b.pairs]),
         targets=np.concatenate([a.targets, b.targets]),
-        edge_idx=np.concatenate([a.edge_idx, b.edge_idx + offset]),
-        u_idx=np.concatenate([a.u_idx, b.u_idx]),
-        u_w=np.concatenate([a.u_w, b.u_w]),
+        incidence=sp.vstack([a.incidence, b.incidence], format="csr"),
         priors=priors,
     )
 
@@ -685,7 +593,11 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
 def make_scorer(
     model: TrainedModel, g_train: Graph, features: np.ndarray
 ) -> Scorer:
-    """Batch scorer closing over a trained model and its training graph."""
+    """Batch scorer closing over a trained model and its training graph.
+
+    The model's node embeddings are computed once, here, so the parameters
+    are taken as they are at this call.
+    """
     completion_scorer = None
     if model.mode == "ncnc":
         if model.completion is None:
@@ -705,9 +617,10 @@ def make_scorer(
         model.labels if model.params.use_priors else None,
         completion_scorer,
     )
+    h = propagate(model.params, builder.sym, builder.sx)["h"]
 
     def score(pairs: np.ndarray) -> np.ndarray:
-        return predict_batch(model.params, builder.build(pairs))
+        return predict_batch(model.params, builder.build(pairs), h)
 
     return score
 

@@ -142,8 +142,29 @@ def _cached(cfg: RunConfig, stage: str) -> Path | None:
 # ---------------------------------------------------------------------------
 
 
-def _load_pipeline_graph(cfg: RunConfig) -> Graph:
-    return load_graph_json(_require_stage(cfg, "ingest"))
+class GraphCache:
+    """The parsed graph artifact, re-read only when its file changes.
+
+    ``run-all`` passes one to every stage so the graph JSON is parsed once
+    per process; a stage run on its own gets none and reads the file.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._graph: Graph | None = None
+
+    def load(self, path: Path) -> Graph:
+        stat = path.stat()
+        key = (str(path.resolve()), stat.st_mtime_ns, stat.st_size)
+        if key != self._key:
+            self._graph = load_graph_json(path)
+            self._key = key
+        return self._graph
+
+
+def _load_pipeline_graph(cfg: RunConfig, graphs: GraphCache | None = None) -> Graph:
+    path = _require_stage(cfg, "ingest")
+    return load_graph_json(path) if graphs is None else graphs.load(path)
 
 
 def _load_pipeline_split(cfg: RunConfig) -> EdgeSplit:
@@ -186,12 +207,12 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"ingest: n_nodes={g.n_nodes} n_edges={g.n_edges} -> {path}")
 
 
-def cmd_split(cfg: RunConfig) -> None:
+def cmd_split(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     cached = _cached(cfg, "split")
     if cached is not None:
         print(f"split: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg)
+    g = _load_pipeline_graph(cfg, graphs)
     split = split_edges(g, cfg.ratios, cfg.seed, negatives=cfg.negatives)
     path = Path(cfg.out) / ARTIFACT_NAMES["split"]
     save_split_json(split, path)
@@ -235,7 +256,7 @@ def _cluster_labeling(cfg: RunConfig, g: Graph, split: EdgeSplit) -> PseudoLabel
     )
 
 
-def cmd_cluster(cfg: RunConfig) -> None:
+def cmd_cluster(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     if cfg.label_source == "true":
         raise ConfigurationError(
             "label source 'true' reads the labels file; nothing to cluster"
@@ -244,7 +265,7 @@ def cmd_cluster(cfg: RunConfig) -> None:
     if cached is not None:
         print(f"cluster: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg)
+    g = _load_pipeline_graph(cfg, graphs)
     split = _load_pipeline_split(cfg)
     labeling = _cluster_labeling(cfg, g, split)
     out = Path(cfg.out)
@@ -257,12 +278,12 @@ def cmd_cluster(cfg: RunConfig) -> None:
     print(f"cluster: method={labeling.method} k={labeling.k} -> {path}")
 
 
-def cmd_prior(cfg: RunConfig) -> None:
+def cmd_prior(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     cached = _cached(cfg, "prior")
     if cached is not None:
         print(f"prior: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg)
+    g = _load_pipeline_graph(cfg, graphs)
     split = _load_pipeline_split(cfg)
     labels, n_classes, class_ids = _resolve_labels(cfg, g)
     prior = build_prior_matrix(count_class_links(split.train_edges, labels, n_classes))
@@ -290,12 +311,12 @@ def cmd_heatmap(cfg: RunConfig) -> None:
     print(f"heatmap: {prior.n_classes}x{prior.n_classes} -> {path}")
 
 
-def cmd_train(cfg: RunConfig) -> None:
+def cmd_train(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     cached = _cached(cfg, "train")
     if cached is not None:
         print(f"train: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg)
+    g = _load_pipeline_graph(cfg, graphs)
     split = _load_pipeline_split(cfg)
     labels: np.ndarray | None = None
     if cfg.mode != "backbone_only":
@@ -337,8 +358,8 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
     return make_heuristic_scorer(cfg.scorer, g_train, katz=cfg.katz_config())
 
 
-def cmd_evaluate(cfg: RunConfig) -> None:
-    g = _load_pipeline_graph(cfg)
+def cmd_evaluate(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
+    g = _load_pipeline_graph(cfg, graphs)
     split = _load_pipeline_split(cfg)
     scorer = _build_scorer(cfg, g, split)
     report = evaluate_split(
@@ -354,9 +375,9 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         positives, pool = split.test_edges, split.test_negatives
     else:
         positives, pool = split.valid_edges, split.valid_negatives
-    scores = {"positive": (positives, scorer(positives))}
-    if cfg.per_edge_negatives is None:
-        scores["negative"] = (pool, scorer(pool))
+    scores = {"positive": (positives, report.positive_scores)}
+    if report.negative_scores is not None:
+        scores["negative"] = (pool, report.negative_scores)
     paths = save_report(
         report,
         Path(cfg.out) / "eval",
@@ -392,16 +413,17 @@ def cmd_bench(cfg: RunConfig) -> None:
 
 
 def cmd_run_all(cfg: RunConfig) -> None:
+    graphs = GraphCache()
     cmd_ingest(cfg)
-    cmd_split(cfg)
+    cmd_split(cfg, graphs)
     needs_prior = cfg.mode != "backbone_only" or cfg.scorer == "hc"
     if needs_prior:
         if cfg.label_source != "true":
-            cmd_cluster(cfg)
-        cmd_prior(cfg)
+            cmd_cluster(cfg, graphs)
+        cmd_prior(cfg, graphs)
     if cfg.scorer == "model":
-        cmd_train(cfg)
-    cmd_evaluate(cfg)
+        cmd_train(cfg, graphs)
+    cmd_evaluate(cfg, graphs)
 
 
 COMMANDS = {

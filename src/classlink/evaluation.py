@@ -36,6 +36,8 @@ class EvalReport:
     n_negatives: int
     seed: int
     timings: dict[str, float]
+    positive_scores: np.ndarray | None = None  # aligned with ``ranks``
+    negative_scores: np.ndarray | None = None  # the shared pool's, when one is used
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +45,30 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def rank_positive(positive_score: float, negative_scores: np.ndarray) -> int:
-    """Midpoint-tie rank of a positive among negatives (1 = best)."""
-    negative_scores = np.asarray(negative_scores, dtype=np.float64)
-    if not np.isfinite(positive_score) or not np.all(np.isfinite(negative_scores)):
+def rank_positive(positive_scores, negative_scores: np.ndarray) -> np.ndarray:
+    """Midpoint-tie rank of each positive among negatives (1 = best).
+
+    ``negative_scores`` is either one pool shared by every positive (1-D) or
+    one pool per positive (2-D, row ``i`` for positive ``i``).  A scalar
+    positive gives a scalar rank.
+    """
+    pos = np.asarray(positive_scores, dtype=np.float64)
+    neg = np.asarray(negative_scores, dtype=np.float64)
+    if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(neg)):
         raise NumericError("scores must be finite to be ranked")
-    greater = int(np.sum(negative_scores > positive_score))
-    ties = int(np.sum(negative_scores == positive_score))
+    if neg.ndim == 1:
+        ordered = np.sort(neg)
+        below_or_tied = np.searchsorted(ordered, pos, side="right")
+        ties = below_or_tied - np.searchsorted(ordered, pos, side="left")
+        greater = neg.size - below_or_tied
+    else:
+        if neg.shape[0] != pos.size:
+            raise ConfigurationError(
+                f"{neg.shape[0]} negative pools for {pos.size} positives"
+            )
+        col = pos.reshape(-1, 1)
+        greater = (neg > col).sum(axis=1).reshape(pos.shape)
+        ties = (neg == col).sum(axis=1).reshape(pos.shape)
     return 1 + greater + ties // 2
 
 
@@ -131,7 +150,6 @@ def evaluate_split(
             raise ConfigurationError(f"split has no {which} negatives to rank against")
         neg_scores = _score_batch(scorer, pool, f"{which} negative pool")
         n_negatives = int(len(pool))
-        per_edge_pools = None
     else:
         if graph is None:
             raise ConfigurationError(
@@ -140,21 +158,19 @@ def evaluate_split(
         if per_edge_negatives < 1:
             raise ConfigurationError("per-edge negative count must be >= 1")
         n_negatives = int(per_edge_negatives)
-        per_edge_pools = [
-            sample_negatives(graph, n_negatives, (seed, STREAM_EVAL, idx))
-            for idx in range(len(positives))
-        ]
+        per_edge_pools = np.concatenate(
+            [
+                sample_negatives(graph, n_negatives, (seed, STREAM_EVAL, idx))
+                for idx in range(len(positives))
+            ]
+        )
+        neg_scores = _score_batch(
+            scorer, per_edge_pools, "per-edge negative pools"
+        ).reshape(len(positives), n_negatives)
     t_score = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ranks = np.empty(len(positives), dtype=np.int64)
-    if per_edge_pools is None:
-        for i, s in enumerate(pos_scores):
-            ranks[i] = rank_positive(float(s), neg_scores)
-    else:
-        for i, (s, neg_pairs) in enumerate(zip(pos_scores, per_edge_pools)):
-            neg = _score_batch(scorer, neg_pairs, f"per-edge pool {i}")
-            ranks[i] = rank_positive(float(s), neg)
+    ranks = np.asarray(rank_positive(pos_scores, neg_scores), dtype=np.int64)
     t_rank = time.perf_counter() - t0
 
     return EvalReport(
@@ -164,6 +180,8 @@ def evaluate_split(
         n_negatives=n_negatives,
         seed=int(seed),
         timings={"scoring_s": t_score, "ranking_s": t_rank},
+        positive_scores=pos_scores,
+        negative_scores=neg_scores if per_edge_negatives is None else None,
     )
 
 

@@ -3,23 +3,22 @@ embedding semantics, training behavior, and checkpoints."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from classlink.backbone import (
     BatchBuilder,
     TrainConfig,
-    cnc_probability,
-    fuse_and_predict,
+    TrainedModel,
     gradient_check,
     init_params,
     load_checkpoint,
     make_scorer,
-    mpnn_forward,
-    ncn_embed,
-    ncnc_embed,
     normalized_operator,
     predict_batch,
+    propagate,
     save_checkpoint,
     save_training_log,
     train,
@@ -27,8 +26,16 @@ from classlink.backbone import (
 from classlink.errors import ConfigurationError, DimensionError
 from classlink.evaluation import evaluate_split, mrr
 from classlink.graph import build_graph, split_edges
-from classlink.priors import build_prior_matrix, count_class_links
+from classlink.priors import build_prior_matrix, count_class_links, lookup_prior_batch
 
+from backbone_oracles import (
+    cnc_probability,
+    common_neighbor_set,
+    fuse_and_predict,
+    mpnn_forward,
+    ncn_embed,
+    ncnc_embed,
+)
 from conftest import planted_two_class, random_edges
 from test_graph import brute_adjacency
 
@@ -80,6 +87,10 @@ class TestPropagation:
             params = init_params(6, TrainConfig(dim=5, hidden=4, seed=trial), False)
             s = dense_operator(edges, n)
             expect = s @ np.maximum(s @ feats @ params.w1, 0.0) @ params.w2
+            builder = BatchBuilder.create(g, feats, "backbone_only", None, None)
+            np.testing.assert_allclose(
+                propagate(params, builder.sym, builder.sx)["h"], expect, atol=1e-10
+            )
             np.testing.assert_allclose(
                 mpnn_forward(g, feats, params), expect, atol=1e-10
             )
@@ -93,8 +104,11 @@ class TestPropagation:
 
     def test_feature_width_mismatch(self, path3):
         params = init_params(3, TrainConfig(dim=2, hidden=2, seed=0), False)
+        builder = BatchBuilder.create(path3, np.ones((3, 7)), "backbone_only", None, None)
         with pytest.raises(DimensionError):
-            mpnn_forward(path3, np.ones((3, 7)), params)
+            propagate(params, builder.sym, builder.sx)
+        with pytest.raises(DimensionError):
+            BatchBuilder.create(path3, np.ones((4, 3)), "backbone_only", None, None)
 
 
 class TestGradients:
@@ -209,6 +223,146 @@ class TestEmbeddings:
         e = ncnc_embed(g, h, 0, 2, const_scorer)
         # union of N(0)={1}, N(2)={1,3}: node1 common (w=1), node3 one-sided (w=0.5)
         np.testing.assert_allclose(e[4:], [0.0, 1.0, 0.0, 0.5])
+
+
+def incidence_instance(seed, n=14, n_isolated=3, edge_prob=0.3, n_pairs=40):
+    """A random graph whose last nodes are isolated, and a pair batch that
+    mixes x > y, duplicate pairs, pairs that are edges and isolated nodes."""
+    rng = np.random.default_rng(seed)
+    edges = random_edges(rng, n - n_isolated, edge_prob)
+    feats = rng.standard_normal((n, 5))
+    labels = rng.integers(0, 3, size=n)
+    g = build_graph(n, edges, features=feats, labels=labels)
+    raw = rng.integers(0, n, size=(n_pairs, 2))
+    raw = raw[raw[:, 0] != raw[:, 1]]
+    picked = edges[rng.integers(0, len(edges), size=6)]
+    pairs = np.concatenate(
+        [raw, picked, picked[:, ::-1], raw[:4], [[n - 1, 0], [1, n - 2]]]
+    ).astype(np.int64)
+    return g, feats, labels, pairs
+
+
+def fixed_scorer(pairs):
+    """Deterministic, never-zero link probabilities for completion tests."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return ((7 * pairs[:, 0] + 3 * pairs[:, 1]) % 11 + 1) / 13.0
+
+
+class TestLinkIncidence:
+    def test_ncn_incidence_equals_common_neighbors(self):
+        for seed in range(8):
+            g, feats, _, pairs = incidence_instance(seed)
+            inc = BatchBuilder.create(g, feats, "ncn", None, None).build(pairs).incidence
+            assert inc.shape == (len(pairs), g.n_nodes)
+            for i, (x, y) in enumerate(pairs.tolist()):
+                row = slice(inc.indptr[i], inc.indptr[i + 1])
+                assert inc.indices[row].tolist() == common_neighbor_set(g, x, y)
+                assert inc.data[row].tolist() == [1.0] * (row.stop - row.start)
+
+    def test_ncnc_incidence_matches_cnc_probability(self):
+        for seed in range(8):
+            g, feats, _, pairs = incidence_instance(seed)
+            builder = BatchBuilder.create(
+                g, feats, "ncnc", None, None, completion_scorer=fixed_scorer
+            )
+            inc = builder.build(pairs).incidence
+            assert inc.has_sorted_indices
+            expect = np.zeros((len(pairs), g.n_nodes))
+            for i, (x, y) in enumerate(pairs.tolist()):
+                for u in range(g.n_nodes):
+                    if u not in (x, y):
+                        expect[i, u] = cnc_probability(g, fixed_scorer, x, y, u)
+            np.testing.assert_array_equal(inc.toarray() != 0, expect != 0)
+            np.testing.assert_array_equal(inc.toarray(), expect)
+
+    def test_ncnc_requests_missing_links_in_pair_then_node_order(self):
+        g, feats, _, pairs = incidence_instance(3)
+        calls = []
+
+        def recording(missing):
+            calls.append(np.asarray(missing).tolist())
+            return fixed_scorer(missing)
+
+        BatchBuilder.create(
+            g, feats, "ncnc", None, None, completion_scorer=recording
+        ).build(pairs)
+        expect = []
+        for x, y in pairs.tolist():
+            nx, ny = set(g.neighbors(x).tolist()), set(g.neighbors(y).tolist())
+            for u in sorted((nx | ny) - {x, y}):
+                if u in nx and u not in ny:
+                    expect.append([y, u])
+                elif u in ny and u not in nx:
+                    expect.append([x, u])
+        assert calls == [expect]
+
+    def test_fully_observed_union_never_calls_the_scorer(self):
+        g = build_graph(4, np.array([[i, j] for i in range(4) for j in range(i + 1, 4)]))
+
+        def never_called(pairs):  # pragma: no cover - must not be needed
+            raise AssertionError("no missing links to complete")
+
+        builder = BatchBuilder.create(
+            g, np.ones((4, 2)), "ncnc", None, None, completion_scorer=never_called
+        )
+        inc = builder.build(np.array([[0, 1], [3, 2]])).incidence
+        np.testing.assert_array_equal(inc.toarray(), [[0, 0, 1, 1], [1, 1, 0, 0]])
+
+    def test_out_of_range_pairs_rejected(self, path3):
+        builder = BatchBuilder.create(path3, np.ones((3, 2)), "ncn", None, None)
+        for bad in ([[0, 3]], [[-1, 2]]):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                builder.build(np.array(bad))
+
+    def test_cached_scorer_matches_batch_and_pair_oracles(self):
+        for seed, mode in ((0, "ncn"), (1, "ncnc"), (2, "backbone_only")):
+            g, feats, labels, pairs = incidence_instance(seed)
+            rng = np.random.default_rng(100 + seed)
+            use_priors = mode != "backbone_only"
+            prior = build_prior_matrix(count_class_links(g.undirected_edges(), labels, 3))
+            config = TrainConfig(dim=4, hidden=3, seed=seed)
+            params = init_params(5, config, use_priors)
+            params.bh += 0.1 * rng.standard_normal(params.bh.shape)
+            completion = init_params(5, replace(config, seed=seed + 50), True)
+            model = TrainedModel(
+                params=params,
+                mode=mode,
+                prior=prior,
+                labels=labels,
+                completion=completion if mode == "ncnc" else None,
+            )
+            scores = make_scorer(model, g, feats)(pairs)
+
+            stage1 = None
+            if mode == "ncnc":
+                stage1 = make_scorer(
+                    TrainedModel(params=completion, mode="ncn", prior=prior, labels=labels),
+                    g,
+                    feats,
+                )
+            builder = BatchBuilder.create(
+                g,
+                feats,
+                mode,
+                prior if use_priors else None,
+                labels if use_priors else None,
+                completion_scorer=stage1,
+            )
+            np.testing.assert_allclose(
+                scores, predict_batch(params, builder.build(pairs)), rtol=0, atol=1e-12
+            )
+
+            h = mpnn_forward(g, feats, params)
+            prior_feats = lookup_prior_batch(prior, labels, pairs)
+            for i, (x, y) in enumerate(pairs.tolist()):
+                if mode == "ncnc":
+                    e = ncnc_embed(g, h, x, y, stage1)
+                else:
+                    e = ncn_embed(g, h, x, y)
+                expect = fuse_and_predict(
+                    e, tuple(prior_feats[i]) if use_priors else None, params
+                )
+                assert scores[i] == pytest.approx(expect, rel=0, abs=1e-10)
 
 
 class TestFusion:

@@ -133,6 +133,40 @@ class TestRunAll:
             )
         assert digests[0] == digests[1]
 
+    def test_run_all_parses_the_graph_artifact_once(self, dataset, monkeypatch):
+        import classlink.cli as cli
+
+        calls = []
+        real = cli.load_graph_json
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_graph_json", counting)
+        tmp, _ = dataset
+        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out")
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        # a stage run on its own reads the file each time
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert len(calls) == 3
+
+    def test_graph_cache_rereads_a_changed_file(self, dataset):
+        from classlink.cli import GraphCache
+        from classlink.graph import build_graph, save_graph_json
+
+        tmp, _ = dataset
+        path = tmp / "graph.json"
+        save_graph_json(build_graph(3, np.array([[0, 1]])), path)
+        cache = GraphCache()
+        first = cache.load(path)
+        assert cache.load(path) is first
+        save_graph_json(build_graph(3, np.array([[0, 1], [1, 2]])), path)
+        second = cache.load(path)
+        assert second is not first and second.n_edges == 2
+
     def test_manual_sequence_equals_run_all(self, dataset):
         tmp, _ = dataset
         cfg_all = write_config(tmp / "all.yaml", tmp / "data", tmp / "out_all")
@@ -147,6 +181,7 @@ class TestRunAll:
             "checkpoint.json",
             "eval/report.json",
             "eval/ranks.csv",
+            "eval/scores.csv",
         ):
             assert sha(tmp / "out_all" / name) == sha(tmp / "out_seq" / name), name
 

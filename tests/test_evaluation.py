@@ -20,8 +20,9 @@ from classlink.evaluation import (
     save_bench_csv,
     save_report,
 )
-from classlink.graph import build_graph, split_edges
+from classlink.graph import build_graph, sample_negatives, split_edges
 from classlink.heuristics import make_heuristic_scorer
+from classlink.rand import STREAM_EVAL
 
 from conftest import random_edges
 
@@ -63,6 +64,22 @@ class TestRankPositive:
             rank_positive(float("nan"), np.array([1.0]))
         with pytest.raises(NumericError):
             rank_positive(1.0, np.array([np.inf]))
+        with pytest.raises(NumericError):
+            rank_positive(np.array([1.0, np.nan]), np.array([[1.0], [2.0]]))
+
+    def test_vectorised_forms_match_sort_oracle_with_ties(self):
+        rng = np.random.default_rng(1102)
+        for _ in range(100):
+            n_pos, n_neg = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+            pos = rng.integers(0, 5, size=n_pos) / 4.0
+            shared = rng.integers(0, 5, size=n_neg) / 4.0
+            per_edge = rng.integers(0, 5, size=(n_pos, n_neg)) / 4.0
+            assert rank_positive(pos, shared).tolist() == [
+                oracle_rank(float(p), shared.tolist()) for p in pos
+            ]
+            assert rank_positive(pos, per_edge).tolist() == [
+                oracle_rank(float(p), row.tolist()) for p, row in zip(pos, per_edge)
+            ]
 
 
 class TestMetrics:
@@ -118,6 +135,8 @@ class TestEvaluateSplit:
             float(np.mean([1.0 / r for r in expect]))
         )
         assert report.n_negatives == len(split.test_negatives)
+        assert report.positive_scores.tolist() == pos_scores.tolist()
+        assert report.negative_scores.tolist() == neg_scores.tolist()
 
     def test_valid_part(self):
         g, split = make_split()
@@ -146,6 +165,17 @@ class TestEvaluateSplit:
         )
         assert a.n_negatives == 15
         np.testing.assert_array_equal(a.ranks, b.ranks)
+        pos_scores = scorer(split.test_edges)
+        expect = [
+            oracle_rank(
+                float(s),
+                scorer(sample_negatives(g, 15, (3, STREAM_EVAL, i))).tolist(),
+            )
+            for i, s in enumerate(pos_scores)
+        ]
+        assert a.ranks.tolist() == expect
+        assert a.positive_scores.tolist() == pos_scores.tolist()
+        assert a.negative_scores is None
         with pytest.raises(ConfigurationError, match="graph"):
             evaluate_split(scorer, split, "mrr", seed=3, per_edge_negatives=15)
 

@@ -18,6 +18,7 @@ features or labels, which downstream leakage checks rely on.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -464,8 +465,9 @@ def split_edges(
 
     capacity = g.n_nodes * (g.n_nodes - 1) // 2 - m
     pool = min(int(negatives), capacity)
-    valid_neg = sample_negatives(g, pool, (seed, STREAM_VALID_NEG))
-    test_neg = sample_negatives(g, pool, (seed, STREAM_TEST_NEG))
+    valid_neg, test_neg = sample_negative_pools(
+        g, pool, [(seed, STREAM_VALID_NEG), (seed, STREAM_TEST_NEG)]
+    )
 
     return EdgeSplit(
         n_nodes=g.n_nodes,
@@ -490,6 +492,34 @@ def sample_negatives(
     ``(k, 2)`` array) removes further pairs from the population.  Raises
     :class:`CapacityError` when the population is smaller than ``count``.
     """
+    return sample_negative_pools(g, count, [seed], exclude)[0]
+
+
+# Candidates a generator draws per batch at least; part of the reproducibility
+# contract, since it fixes how far each stream advances.
+_MIN_BATCH = 1024
+# Pools drawn together; bounds the candidate arrays to a few MiB.
+_SEED_CHUNK = 128
+
+
+def sample_negative_pools(
+    g: Graph,
+    count: int,
+    seeds: Sequence[int | tuple[int, ...]] | np.ndarray,
+    exclude: np.ndarray | None = None,
+) -> np.ndarray:
+    """One pool of ``count`` distinct non-edges per seed, ``(len(seeds), count, 2)``.
+
+    Each seed is an int or a tuple of ints (a row of a 2-D int array works
+    too) and gets its own generator.  Pool ``i`` is what sampling on
+    ``seeds[i]`` alone gives: the generator draws batches of
+    ``max(1024, 2 * missing)`` candidates, all ``u`` then all ``v``; self-pairs,
+    edges and ``exclude`` pairs are rejected and new pairs are kept in order
+    of first occurrence.  The sorted key array of the excluded population is
+    built once for all seeds, and each batch is first filtered on a prefix
+    just long enough to fill a pool, falling back to the whole batch only for
+    the pools that prefix leaves short.
+    """
     if count < 0:
         raise ConfigurationError(f"negative sample count must be >= 0, got {count}")
     n = g.n_nodes
@@ -502,29 +532,85 @@ def sample_negatives(
         raise CapacityError(
             f"requested {count} negatives but only {capacity} non-edges exist"
         )
-    if count == 0:
-        return np.empty((0, 2), dtype=np.int64)
 
-    rng = make_rng(seed) if isinstance(seed, (int, np.integer)) else make_rng(*seed)
-    chosen: list[int] = []
-    seen: set[int] = set()
-    while len(chosen) < count:
-        batch = max(1024, 2 * (count - len(chosen)))
-        u = rng.integers(0, n, size=batch)
-        v = rng.integers(0, n, size=batch)
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keys = lo * n + hi
-        ok = (lo != hi) & ~_in_sorted(keys, edge_keys)
-        for key in keys[ok]:
-            k = int(key)
-            if k not in seen:
-                seen.add(k)
-                chosen.append(k)
-                if len(chosen) == count:
-                    break
-    keys_arr = np.array(chosen, dtype=np.int64)
-    return np.column_stack([keys_arr // n, keys_arr % n])
+    rngs = [
+        make_rng(s) if isinstance(s, (int, np.integer)) else make_rng(*s)
+        for s in seeds
+    ]
+    pools = np.zeros((len(rngs), count), dtype=np.int64)
+    for start in range(0, len(rngs), _SEED_CHUNK):
+        chunk = rngs[start : start + _SEED_CHUNK]
+        pools[start : start + len(chunk)] = _draw_pools(chunk, count, n, edge_keys)
+    return np.stack([pools // n, pools % n], axis=-1)
+
+
+def _draw_pools(
+    rngs: list[np.random.Generator], count: int, n: int, edge_keys: np.ndarray
+) -> np.ndarray:
+    """Pair keys of one pool per generator, ``(len(rngs), count)``."""
+    keys = np.zeros((len(rngs), count), dtype=np.int64)
+    have = np.zeros(len(rngs), dtype=np.int64)
+    pending = np.flatnonzero(have < count)
+    while pending.size:
+        missing = count - have[pending]
+        sizes = np.maximum(_MIN_BATCH, 2 * missing)
+        # padding stays (0, 0), a self-pair, so it is never kept
+        u = np.zeros((pending.size, int(sizes.max())), dtype=np.int64)
+        v = np.zeros_like(u)
+        for row, (r, size) in enumerate(zip(pending.tolist(), sizes.tolist())):
+            u[row, :size] = rngs[r].integers(0, n, size=size)
+            v[row, :size] = rngs[r].integers(0, n, size=size)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+
+        # on a sparse graph nearly every candidate is fresh, so a prefix of
+        # twice the missing count almost always fills the pool
+        rows = np.arange(pending.size)
+        prefix = 2 * int(missing.max()) + 32
+        for stop in ((prefix, u.shape[1]) if prefix < u.shape[1] else (u.shape[1],)):
+            last = stop == u.shape[1]
+            block_lo, block_hi = lo[rows, :stop], hi[rows, :stop]
+            block = block_lo * n + block_hi
+            fresh = (block_lo != block_hi) & ~_in_sorted(block, edge_keys)
+            sel = pending[rows]
+            kept = np.arange(count) < have[sel, None]
+            got, found = _first_distinct(
+                np.concatenate([keys[sel], block], axis=1),
+                np.concatenate([kept, fresh], axis=1),
+                count,
+            )
+            done = np.ones(rows.size, dtype=bool) if last else found == count
+            keys[sel[done]] = got[done]
+            have[sel[done]] = found[done]
+            rows = rows[~done]
+            if not rows.size:
+                break
+        pending = np.flatnonzero(have < count)
+    return keys
+
+
+def _first_distinct(
+    cand: np.ndarray, ok: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the first ``count`` distinct ``cand`` entries where ``ok``.
+
+    Returns the ``(rows, count)`` keys in column order (zero-padded) and how
+    many each row found.  First occurrences come from a stable sort of each
+    row, the way ``np.unique(..., return_index=True)`` finds them.
+    """
+    masked = np.where(ok, cand, -1)
+    order = np.argsort(masked, axis=1, kind="stable")
+    ordered = np.take_along_axis(masked, order, axis=1)
+    first_sorted = np.ones(ordered.shape, dtype=bool)
+    first_sorted[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.empty_like(first_sorted)
+    np.put_along_axis(first, order, first_sorted, axis=1)
+    keep = ok & first
+    rank = np.cumsum(keep, axis=1)
+    keep &= rank <= count
+    rows, cols = np.nonzero(keep)
+    got = np.zeros((cand.shape[0], count), dtype=np.int64)
+    got[rows, rank[rows, cols] - 1] = cand[rows, cols]
+    return got, np.minimum(rank[:, -1], count)
 
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -539,11 +625,6 @@ def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_keys, values)
     pos = np.minimum(pos, sorted_keys.size - 1)
     return sorted_keys[pos] == values
-
-
-def common_neighbors(g: Graph, x: int, y: int) -> np.ndarray:
-    """Sorted array of nodes adjacent to both ``x`` and ``y``."""
-    return np.intersect1d(g.neighbors(x), g.neighbors(y), assume_unique=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Structural link-prediction heuristics and class-integrated rescoring.
 
-Classical scores over a training adjacency:
+Classical scores over a training adjacency ``A``:
 
 * common neighbors      ``CN(x, y) = |N(x) ∩ N(y)|``
 * Adamic-Adar           ``AA(x, y) = Σ_{z ∈ CN} 1 / ln d(z)``
@@ -14,11 +14,32 @@ structural score:
 
 where ``Z`` is 1, or (when local normalization is on) the neighborhood sum
 ``Σ_{v ∈ N(x) ∪ N(y)} Σ_{i ∈ {x,y}} ω_1i · P(c_i|c_v) + ω_2i · P(c_v|c_i)``.
+
+Every score is computed for a whole ``(m, 2)`` pair batch at once, from sparse
+row blocks of ``A``; :func:`make_heuristic_scorer` builds ``A`` and the
+per-node weights once per scorer.
+
+* CN/AA/RA are ``A[xs].multiply(A[ys]) @ w``: the pair × node matrix of
+  common neighbours against ``w = 1``, ``1 / ln d`` or ``1 / d``.
+* Katz meets in the middle: ``walks_l(x, y) = ⟨e_x A^⌈l/2⌉, e_y A^⌊l/2⌋⟩``,
+  so horizon ``L`` needs the row blocks ``A^k[xs]`` for ``k ≤ ⌈L/2⌉`` and
+  ``A^k[ys]`` for ``k ≤ ⌊L/2⌋`` instead of ``L`` mat-vecs over the whole graph
+  per pair.  Walk counts are exact integers, and the decayed sum is
+  accumulated as ``decay *= γ; total += decay · walks_l``.
+* ``Z`` counts the classes in each pair's neighbourhood union,
+  ``(A[xs] + A[ys] > 0) @ onehot(labels)``, and weighs the counts with the
+  prior rows and columns of the two endpoint classes.
+
+Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay small.
+Node ids are checked once per batch.  The single-pair functions
+(:func:`cn_score`, :func:`katz_score`, :func:`z_normalizer`, ...) are one-pair
+calls into the same kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,8 +50,8 @@ from .errors import (
     DegenerateNormalizerError,
     MissingLabelError,
 )
-from .graph import Graph, common_neighbors
-from .priors import ClassPriorMatrix, lookup_prior
+from .graph import Graph
+from .priors import ClassPriorMatrix, lookup_prior_batch
 
 Scorer = Callable[[np.ndarray], np.ndarray]
 """Batch scorer: maps an ``(m, 2)`` pair array to ``(m,)`` float scores."""
@@ -81,35 +102,13 @@ class ClassHeuristicParams:
 
 
 # ---------------------------------------------------------------------------
-# Structural scores
+# Batch kernels
 # ---------------------------------------------------------------------------
 
+_CHUNK = 4096
+"""Pairs per block of sparse rows; bounds the memory one batch takes."""
 
-def cn_score(g: Graph, x: int, y: int) -> float:
-    """Number of common neighbors."""
-    return float(common_neighbors(g, x, y).size)
-
-
-def aa_score(g: Graph, x: int, y: int) -> float:
-    """Adamic-Adar: down-weight common neighbors by 1/ln(degree).
-
-    Degree-1 common neighbors are impossible (such a node touches both
-    endpoints), so ln d(z) >= ln 2 and the sum is well defined.
-    """
-    zs = common_neighbors(g, x, y)
-    if zs.size == 0:
-        return 0.0
-    degs = g.degrees()[zs].astype(np.float64)
-    return float(np.sum(1.0 / np.log(degs)))
-
-
-def ra_score(g: Graph, x: int, y: int) -> float:
-    """Resource allocation: down-weight common neighbors by 1/degree."""
-    zs = common_neighbors(g, x, y)
-    if zs.size == 0:
-        return 0.0
-    degs = g.degrees()[zs].astype(np.float64)
-    return float(np.sum(1.0 / degs))
+_STRUCTURAL = ("cn", "aa", "ra", "katz")
 
 
 def adjacency_matrix(g: Graph) -> sp.csr_matrix:
@@ -124,35 +123,182 @@ def adjacency_matrix(g: Graph) -> sp.csr_matrix:
     )
 
 
-def katz_score(
-    g: Graph,
-    x: int,
-    y: int,
-    cfg: GammaDecayConfig = GammaDecayConfig(),
-    _adj: sp.csr_matrix | None = None,
-) -> float:
-    """Truncated Katz index: decayed walk counts up to ``cfg.max_length``.
+def _node_pairs(g: Graph, pairs: np.ndarray) -> np.ndarray:
+    """``pairs`` as an ``(m, 2)`` int64 array with every node id checked."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = (pairs < 0) | (pairs >= g.n_nodes)
+    if bad.any():
+        node = int(pairs.ravel()[np.argmax(bad.ravel())])
+        raise ConfigurationError(f"node id {node} out of range [0, {g.n_nodes})")
+    return pairs
 
-    Walk counts come from repeated sparse mat-vec products against the
-    indicator of ``x``, so a single score costs O(L · E).
-    """
-    g._check_node(x)
-    g._check_node(y)
-    adj = adjacency_matrix(g) if _adj is None else _adj
-    vec = np.zeros(g.n_nodes, dtype=np.float64)
-    vec[x] = 1.0
-    total = 0.0
+
+def _by_chunks(kernel: Callable, pairs: np.ndarray) -> np.ndarray:
+    """``kernel(xs, ys)`` over consecutive chunks of checked pairs, concatenated."""
+    parts = [
+        kernel(pairs[i : i + _CHUNK, 0], pairs[i : i + _CHUNK, 1])
+        for i in range(0, len(pairs), _CHUNK)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _common_neighbor_sum(
+    adj: sp.csr_matrix, weights: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Per pair, the weights of its common neighbours summed in node order."""
+    return adj[xs].multiply(adj[ys]) @ weights
+
+
+def _indicator_rows(nodes: np.ndarray, n: int) -> sp.csr_matrix:
+    """One row ``e_v`` per node ``v``."""
+    return sp.csr_matrix(
+        (np.ones(nodes.size), nodes, np.arange(nodes.size + 1)), shape=(nodes.size, n)
+    )
+
+
+def _katz_sum(
+    adj: sp.csr_matrix, cfg: GammaDecayConfig, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Truncated Katz by meet-in-the-middle walk counts."""
+    n = adj.shape[0]
+    from_x = [_indicator_rows(xs, n)]  # from_x[k] = A^k[xs]
+    from_y = [_indicator_rows(ys, n)]
+    for _ in range((cfg.max_length + 1) // 2):
+        from_x.append(from_x[-1] @ adj)
+    for _ in range(cfg.max_length // 2):
+        from_y.append(from_y[-1] @ adj)
+    total = np.zeros(xs.size)
     decay = 1.0
-    for _ in range(cfg.max_length):
-        vec = adj @ vec
+    for length in range(1, cfg.max_length + 1):
+        meet = from_x[(length + 1) // 2].multiply(from_y[length // 2])
         decay *= cfg.gamma
-        total += decay * vec[y]
-    return float(cfg.eta * total)
+        total += decay * np.asarray(meet.sum(axis=1)).ravel()
+    return cfg.eta * total
+
+
+def _structural_kernel(
+    name: str, g: Graph, katz: GammaDecayConfig | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch kernel of one structural score over checked ``(m, 2)`` pairs."""
+    adj = adjacency_matrix(g)
+    if name == "katz":
+        kernel = partial(_katz_sum, adj, katz or GammaDecayConfig())
+    else:
+        degrees = g.degrees().astype(np.float64)
+        # nodes of degree 0 or 1 are common neighbours of no pair x != y
+        with np.errstate(divide="ignore"):
+            if name == "cn":
+                weights = np.ones(g.n_nodes)
+            elif name == "aa":
+                weights = 1.0 / np.log(degrees)
+            else:
+                weights = 1.0 / degrees
+        kernel = partial(_common_neighbor_sum, adj, weights)
+    return partial(_by_chunks, kernel)
+
+
+class _ClassBonus:
+    """Class-prior bonus ``β (α1 fwd + α2 rev) / Z`` over checked pair batches."""
+
+    def __init__(
+        self,
+        g: Graph,
+        prior: ClassPriorMatrix,
+        labels: np.ndarray,
+        params: ClassHeuristicParams,
+    ) -> None:
+        self.prior = prior
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.params = params
+        if params.normalize_locally:
+            self.usable = (self.labels >= 0) & (self.labels < prior.n_classes)
+            nodes = np.flatnonzero(self.usable)
+            self.adj = adjacency_matrix(g)
+            self.onehot = sp.csr_matrix(
+                (np.ones(nodes.size), (nodes, self.labels[nodes])),
+                shape=(g.n_nodes, prior.n_classes),
+            )
+            self.unusable = (~self.usable).astype(np.float64)
+
+    def normalizer(self, pairs: np.ndarray) -> np.ndarray | float:
+        """``Z`` per pair; 1.0 when local normalization is off."""
+        if not self.params.normalize_locally:
+            return 1.0
+        if self.prior.probs is None:
+            raise ConfigurationError("prior matrix has not been normalized yet")
+        return _by_chunks(self._local_normalizer, pairs)
+
+    def _local_normalizer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        union = (self.adj[xs] + self.adj[ys]).sign()
+        counts = (union @ self.onehot).toarray()  # classes of N(x) ∪ N(y)
+        cx = np.where(self.usable[xs], self.labels[xs], 0)
+        cy = np.where(self.usable[ys], self.labels[ys], 0)
+        probs = self.prior.probs
+        w1x, w2x, w1y, w2y = self.params.omega
+        z = (
+            w1x * (counts * probs.T[cx]).sum(axis=1)
+            + w2x * (counts * probs[cx]).sum(axis=1)
+            + w1y * (counts * probs.T[cy]).sum(axis=1)
+            + w2y * (counts * probs[cy]).sum(axis=1)
+        )
+        unlabeled = ~self.usable[xs] | ~self.usable[ys] | (union @ self.unusable > 0)
+        first_unlabeled = np.flatnonzero(unlabeled)[:1]
+        first_zero = np.flatnonzero((z == 0.0) & ~unlabeled)[:1]
+        if first_unlabeled.size and (
+            not first_zero.size or first_unlabeled[0] < first_zero[0]
+        ):
+            i = int(first_unlabeled[0])
+            involved = np.concatenate([[xs[i], ys[i]], np.sort(union[i].indices)])
+            bad = int(involved[np.argmin(self.usable[involved])])
+            raise MissingLabelError(f"node {bad} lacks a usable class label")
+        if first_zero.size:
+            i = int(first_zero[0])
+            raise DegenerateNormalizerError(
+                f"local normalizer for pair ({xs[i]}, {ys[i]}) is zero; "
+                "cannot apply class-prior rescoring"
+            )
+        return z
+
+    def __call__(self, pairs: np.ndarray, structural: np.ndarray) -> np.ndarray:
+        z = self.normalizer(pairs)
+        fwd, rev = lookup_prior_batch(self.prior, self.labels, pairs).T
+        p = self.params
+        return structural + p.beta * (p.alpha1 * fwd + p.alpha2 * rev) / z
 
 
 # ---------------------------------------------------------------------------
-# Class-integrated rescoring
+# Single pairs
 # ---------------------------------------------------------------------------
+
+
+def _score_one(g: Graph, kernel: Callable, x: int, y: int) -> float:
+    return float(kernel(_node_pairs(g, np.array([[x, y]])))[0])
+
+
+def cn_score(g: Graph, x: int, y: int) -> float:
+    """Number of common neighbors."""
+    return _score_one(g, _structural_kernel("cn", g), x, y)
+
+
+def aa_score(g: Graph, x: int, y: int) -> float:
+    """Adamic-Adar: down-weight common neighbors by 1/ln(degree).
+
+    Degree-1 common neighbors are impossible (such a node touches both
+    endpoints), so ln d(z) >= ln 2 and the sum is well defined.
+    """
+    return _score_one(g, _structural_kernel("aa", g), x, y)
+
+
+def ra_score(g: Graph, x: int, y: int) -> float:
+    """Resource allocation: down-weight common neighbors by 1/degree."""
+    return _score_one(g, _structural_kernel("ra", g), x, y)
+
+
+def katz_score(
+    g: Graph, x: int, y: int, cfg: GammaDecayConfig = GammaDecayConfig()
+) -> float:
+    """Truncated Katz index: decayed walk counts up to ``cfg.max_length``."""
+    return _score_one(g, _structural_kernel("katz", g, cfg), x, y)
 
 
 def z_normalizer(
@@ -172,31 +318,7 @@ def z_normalizer(
     """
     if not params.normalize_locally:
         return 1.0
-    if prior.probs is None:
-        raise ConfigurationError("prior matrix has not been normalized yet")
-    labels = np.asarray(labels, dtype=np.int64)
-    union = np.union1d(g.neighbors(x), g.neighbors(y))
-    involved = np.concatenate([[x, y], union])
-    usable = (labels[involved] >= 0) & (labels[involved] < prior.n_classes)
-    if not usable.all():
-        bad = int(involved[np.argmin(usable)])
-        raise MissingLabelError(f"node {bad} lacks a usable class label")
-    cx, cy = int(labels[x]), int(labels[y])
-    w1x, w2x, w1y, w2y = params.omega
-    cv = labels[union]
-    probs = prior.probs
-    z = float(
-        w1x * probs[cv, cx].sum()
-        + w2x * probs[cx, cv].sum()
-        + w1y * probs[cv, cy].sum()
-        + w2y * probs[cy, cv].sum()
-    )
-    if z == 0.0:
-        raise DegenerateNormalizerError(
-            f"local normalizer for pair ({x}, {y}) is zero; "
-            "cannot apply class-prior rescoring"
-        )
-    return z
+    return _score_one(g, _ClassBonus(g, prior, labels, params).normalizer, x, y)
 
 
 def class_heuristic_score(
@@ -209,20 +331,13 @@ def class_heuristic_score(
     params: ClassHeuristicParams = ClassHeuristicParams(),
 ) -> float:
     """Add the (optionally normalized) class-prior bonus to a structural score."""
-    fwd, rev = lookup_prior(prior, labels, x, y)
-    z = z_normalizer(g, prior, labels, x, y, params)
-    return structural + params.beta * (params.alpha1 * fwd + params.alpha2 * rev) / z
+    bonus = _ClassBonus(g, prior, labels, params)
+    return _score_one(g, lambda pairs: bonus(pairs, np.array([structural])), x, y)
 
 
 # ---------------------------------------------------------------------------
 # Batch scorers
 # ---------------------------------------------------------------------------
-
-_STRUCTURAL = {
-    "cn": cn_score,
-    "aa": aa_score,
-    "ra": ra_score,
-}
 
 
 def make_heuristic_scorer(
@@ -242,22 +357,10 @@ def make_heuristic_scorer(
     """
     name = name.lower()
     if name in _STRUCTURAL:
-        fn = _STRUCTURAL[name]
+        kernel = _structural_kernel(name, g, katz)
 
         def score(pairs: np.ndarray) -> np.ndarray:
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            return np.array([fn(g, int(u), int(v)) for u, v in pairs])
-
-        return score
-    if name == "katz":
-        cfg = katz or GammaDecayConfig()
-        adj = adjacency_matrix(g)
-
-        def score(pairs: np.ndarray) -> np.ndarray:
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            return np.array(
-                [katz_score(g, int(u), int(v), cfg, _adj=adj) for u, v in pairs]
-            )
+            return kernel(_node_pairs(g, pairs))
 
         return score
     if name == "hc":
@@ -265,22 +368,14 @@ def make_heuristic_scorer(
             raise ConfigurationError(
                 "class-integrated scorer needs a prior matrix and labels"
             )
-        if base not in _STRUCTURAL and base != "katz":
+        if base not in _STRUCTURAL:
             raise ConfigurationError(f"unknown structural base '{base}'")
-        structural = make_heuristic_scorer(base, g, katz=katz)
-        hp = params or ClassHeuristicParams()
+        structural = _structural_kernel(base, g, katz)
+        bonus = _ClassBonus(g, prior, labels, params or ClassHeuristicParams())
 
         def score(pairs: np.ndarray) -> np.ndarray:
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            bases = structural(pairs)
-            return np.array(
-                [
-                    class_heuristic_score(
-                        g, prior, labels, int(u), int(v), float(b), hp
-                    )
-                    for (u, v), b in zip(pairs.tolist(), bases)
-                ]
-            )
+            pairs = _node_pairs(g, pairs)
+            return bonus(pairs, structural(pairs))
 
         return score
     raise ConfigurationError(f"unknown heuristic '{name}'")

@@ -78,27 +78,14 @@ def build_prior_matrix(counted: ClassPriorMatrix) -> ClassPriorMatrix:
     return replace(counted, probs=probs)
 
 
-def lookup_prior(
-    prior: ClassPriorMatrix, labels: np.ndarray, x: int, y: int
-) -> tuple[float, float]:
-    """Return ``(P(c_y | c_x), P(c_x | c_y))`` for nodes ``x`` and ``y``."""
-    if prior.probs is None:
-        raise ConfigurationError("prior matrix has not been normalized yet")
-    cx, cy = int(labels[x]), int(labels[y])
-    for node, cls in ((x, cx), (y, cy)):
-        if cls < 0 or cls >= prior.n_classes:
-            raise MissingLabelError(
-                f"node {node} lacks a usable class label (label={cls})"
-            )
-    return float(prior.probs[cx, cy]), float(prior.probs[cy, cx])
-
-
 def lookup_prior_batch(
     prior: ClassPriorMatrix, labels: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`lookup_prior` over a ``(m, 2)`` pair array.
+    """Class priors of a ``(m, 2)`` pair array.
 
     Returns an ``(m, 2)`` float array of ``(P(c_y|c_x), P(c_x|c_y))`` rows.
+    An endpoint without a label in ``[0, n_classes)`` raises
+    :class:`MissingLabelError` naming the first such node in pair order.
     """
     if prior.probs is None:
         raise ConfigurationError("prior matrix has not been normalized yet")

@@ -25,6 +25,7 @@ from classlink.heuristics import make_heuristic_scorer
 from classlink.rand import STREAM_EVAL
 
 from conftest import random_edges
+from test_graph import oracle_sample_negatives
 
 
 def oracle_rank(pos: float, negs) -> int:
@@ -176,8 +177,34 @@ class TestEvaluateSplit:
         assert a.ranks.tolist() == expect
         assert a.positive_scores.tolist() == pos_scores.tolist()
         assert a.negative_scores is None
+        assert a.timings["sampling_s"] > 0.0
         with pytest.raises(ConfigurationError, match="graph"):
             evaluate_split(scorer, split, "mrr", seed=3, per_edge_negatives=15)
+
+    def test_per_edge_pools_equal_per_positive_oracle_pools(self):
+        g, split = make_split(negatives=10)
+        calls = []
+
+        def recording(pairs):
+            calls.append(np.asarray(pairs).copy())
+            return np.zeros(len(pairs))
+
+        evaluate_split(recording, split, "mrr", seed=3, per_edge_negatives=15, graph=g)
+        positives, pools = calls
+        np.testing.assert_array_equal(positives, split.test_edges)
+        expect = np.concatenate(
+            [
+                oracle_sample_negatives(g, 15, (3, STREAM_EVAL, i))
+                for i in range(len(split.test_edges))
+            ]
+        )
+        np.testing.assert_array_equal(pools, expect)
+
+    def test_shared_pool_samples_nothing(self):
+        g, split = make_split()
+        report = evaluate_split(make_heuristic_scorer("cn", g), split, "mrr", seed=1)
+        assert report.timings["sampling_s"] == 0.0
+        assert set(report.timings) == {"sampling_s", "scoring_s", "ranking_s"}
 
     def test_scorer_failure_wrapped_with_context(self):
         g, split = make_split()
@@ -251,6 +278,32 @@ class TestReportArtifacts:
         assert paths["scores"].read_text() == "0,1,pos,2.5\n"
         timings = json.loads(paths["timings"].read_text())
         assert timings["scoring_s"] == 0.1
+
+    def test_csv_rows_match_per_row_formatting(self, tmp_path):
+        rng = np.random.default_rng(12)
+        pairs = rng.integers(0, 10**6, size=(40, 2))
+        values = np.concatenate(
+            [[0.1, 1 / 3, -0.0, 1e-300, 2.5e20, 7.0, 1e16], rng.standard_normal(33)]
+        )
+        ranks = rng.integers(1, 10**5, size=40)
+        report = EvalReport("mrr", 0.1, ranks, 5, 0, {})
+        paths = save_report(
+            report,
+            tmp_path,
+            config_digest="d",
+            positives=pairs,
+            scores={"positive": (pairs, values), "negative": (pairs[:3], values[:3])},
+        )
+        ranks_csv = "".join(f"{u},{v},{r}\n" for (u, v), r in zip(pairs.tolist(), ranks.tolist()))
+        assert paths["ranks"].read_text() == ranks_csv
+        scores_csv = "".join(
+            f"{u},{v},{label},{format(float(x), '.17g')}\n"
+            for label, n in (("positive", 40), ("negative", 3))
+            for (u, v), x in zip(pairs[:n].tolist(), values[:n].tolist())
+        )
+        assert paths["scores"].read_text() == scores_csv
+        bare = save_report(report, tmp_path / "bare", config_digest="d")
+        assert bare["ranks"].read_text() == "".join(f"{r}\n" for r in ranks.tolist())
 
 
 class TestBench:

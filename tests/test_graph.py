@@ -11,17 +11,20 @@ from classlink.errors import (
     DimensionError,
     ParseError,
 )
+from classlink import graph as graph_module
 from classlink.graph import (
     build_graph,
-    common_neighbors,
     load_graph,
     load_graph_json,
     load_split_json,
+    sample_negative_pools,
     sample_negatives,
     save_graph_json,
     save_split_json,
     split_edges,
 )
+from classlink.heuristics import make_heuristic_scorer
+from classlink.rand import STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
 
 from conftest import random_edges
 
@@ -34,6 +37,40 @@ def brute_adjacency(edges: np.ndarray, n: int) -> list[set[int]]:
             adj[u].add(v)
             adj[v].add(u)
     return adj
+
+
+def oracle_sample_negatives(g, count, seed, exclude=None, stats=None):
+    """Reference sampler: one seed, Python sets, one candidate at a time.
+
+    Draws batches of ``max(1024, 2 * missing)`` candidates (all ``u``, then all
+    ``v``) and keeps each new non-edge in order until ``count`` are found.
+    ``stats["batches"]`` receives the number of batches drawn.
+    """
+    n = g.n_nodes
+    taken = {u * n + v for u, v in g.undirected_edges().tolist()}
+    if exclude is not None:
+        taken |= {min(u, v) * n + max(u, v) for u, v in np.asarray(exclude).tolist() if u != v}
+    capacity = n * (n - 1) // 2 - len(taken)
+    if count > capacity:
+        raise CapacityError(f"requested {count} negatives, {capacity} exist")
+    rng = make_rng(seed) if isinstance(seed, int) else make_rng(*seed)
+    chosen: list[int] = []
+    batches = 0
+    while len(chosen) < count:
+        batch = max(1024, 2 * (count - len(chosen)))
+        us = rng.integers(0, n, size=batch).tolist()
+        vs = rng.integers(0, n, size=batch).tolist()
+        batches += 1
+        for u, v in zip(us, vs):
+            key = min(u, v) * n + max(u, v)
+            if u != v and key not in taken:
+                taken.add(key)
+                chosen.append(key)
+                if len(chosen) == count:
+                    break
+    if stats is not None:
+        stats["batches"] = batches
+    return np.array([[k // n, k % n] for k in chosen], dtype=np.int64).reshape(-1, 2)
 
 
 class TestConstruction:
@@ -88,11 +125,12 @@ class TestConstruction:
 
 
 class TestCommonNeighbors:
+    """The CN kernel against per-pair set intersections."""
+
     def test_triangle(self, triangle):
-        np.testing.assert_array_equal(common_neighbors(triangle, 0, 1), [2])
-        np.testing.assert_array_equal(common_neighbors(triangle, 1, 2), [0])
-        np.testing.assert_array_equal(common_neighbors(triangle, 1, 3), [0])
-        assert common_neighbors(triangle, 0, 3).size == 0
+        cn = make_heuristic_scorer("cn", triangle)
+        pairs = np.array([[0, 1], [1, 2], [1, 3], [0, 3]])
+        np.testing.assert_array_equal(cn(pairs), [1, 1, 1, 0])
 
     def test_matches_set_oracle(self):
         rng = np.random.default_rng(703)
@@ -101,10 +139,9 @@ class TestCommonNeighbors:
             edges = random_edges(rng, n, 0.3)
             g = build_graph(n, edges)
             adj = brute_adjacency(edges, n)
-            for _ in range(20):
-                x, y = rng.integers(0, n, size=2)
-                expect = sorted(adj[x] & adj[y])
-                np.testing.assert_array_equal(common_neighbors(g, x, y), expect)
+            pairs = rng.integers(0, n, size=(20, 2))
+            expect = [len(adj[x] & adj[y]) for x, y in pairs.tolist()]
+            assert make_heuristic_scorer("cn", g)(pairs).tolist() == expect
 
 
 class TestIngestion:
@@ -345,3 +382,89 @@ class TestSampleNegatives:
         a = sample_negatives(g, 25, seed=12)
         b = sample_negatives(g, 25, seed=12)
         np.testing.assert_array_equal(a, b)
+
+
+class TestSampleNegativePools:
+    def test_pools_equal_per_seed_oracle(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_SEED_CHUNK", 5)  # several seed chunks
+        rng = np.random.default_rng(709)
+        for trial in range(16):
+            n = int(rng.integers(5, 60))
+            g = build_graph(n, random_edges(rng, n, float(rng.uniform(0.05, 0.6))))
+            exclude = None if trial % 2 else rng.integers(0, n, size=(8, 2))
+            seeds = [(trial, 7, i) for i in range(20)] + [trial, 10_000 + trial]
+            capacity = n * (n - 1) // 2 - g.n_edges - 8
+            count = int(rng.integers(1, max(2, min(capacity, 60))))
+            pools = sample_negative_pools(g, count, seeds, exclude)
+            assert pools.shape == (len(seeds), count, 2)
+            for seed, pool in zip(seeds, pools):
+                expect = oracle_sample_negatives(g, count, seed, exclude)
+                np.testing.assert_array_equal(pool, expect)
+
+    def test_every_count_up_to_capacity_on_a_tiny_graph(self):
+        rng = np.random.default_rng(710)
+        g = build_graph(30, random_edges(rng, 30, 0.1))
+        exclude = np.array([[0, 1], [5, 3], [7, 7]])
+        for excl in (None, exclude):
+            capacity = 30 * 29 // 2 - g.n_edges
+            if excl is not None:
+                capacity -= len(
+                    {(min(u, v), max(u, v)) for u, v in excl.tolist() if u != v}
+                    - {tuple(e) for e in g.undirected_edges().tolist()}
+                )
+            most_batches = 0
+            for count in range(1, capacity + 1):
+                seeds = [(count, 1), (count, 2)]
+                pools = sample_negative_pools(g, count, seeds, excl)
+                for seed, pool in zip(seeds, pools):
+                    stats: dict = {}
+                    expect = oracle_sample_negatives(g, count, seed, excl, stats)
+                    np.testing.assert_array_equal(pool, expect)
+                    most_batches = max(most_batches, stats["batches"])
+            assert most_batches > 1  # the largest pools need several batches
+            with pytest.raises(CapacityError):
+                sample_negative_pools(g, capacity + 1, [0, 1], excl)
+
+    def test_large_pools_draw_twice_the_missing_count(self):
+        rng = np.random.default_rng(714)
+        g = build_graph(70, random_edges(rng, 70, 0.05))
+        capacity = 70 * 69 // 2 - g.n_edges
+        for count in (513, 1500, capacity):  # batches of 2 * missing > 1024
+            pools = sample_negative_pools(g, count, [(count, 1), (count, 2)])
+            for seed, pool in zip([(count, 1), (count, 2)], pools):
+                np.testing.assert_array_equal(
+                    pool, oracle_sample_negatives(g, count, seed)
+                )
+
+    def test_sample_negatives_is_one_pool(self):
+        rng = np.random.default_rng(711)
+        g = build_graph(25, random_edges(rng, 25, 0.2))
+        for seed in (3, (3, 7, 0), (4, 7, 12)):
+            one = sample_negatives(g, 40, seed)
+            np.testing.assert_array_equal(one, sample_negative_pools(g, 40, [seed])[0])
+            np.testing.assert_array_equal(one, oracle_sample_negatives(g, 40, seed))
+
+    def test_seed_rows_of_an_int_array(self):
+        rng = np.random.default_rng(712)
+        g = build_graph(25, random_edges(rng, 25, 0.2))
+        seeds = np.column_stack([np.full(6, 9), np.full(6, 7), np.arange(6)])
+        pools = sample_negative_pools(g, 12, seeds)
+        for i, pool in enumerate(pools):
+            np.testing.assert_array_equal(pool, oracle_sample_negatives(g, 12, (9, 7, i)))
+
+    def test_empty_shapes(self, path3):
+        assert sample_negative_pools(path3, 0, [1, 2, 3]).shape == (3, 0, 2)
+        assert sample_negative_pools(path3, 1, []).shape == (0, 1, 2)
+        with pytest.raises(ConfigurationError):
+            sample_negative_pools(path3, -1, [1])
+
+    def test_split_pools_equal_oracle(self):
+        rng = np.random.default_rng(713)
+        g = build_graph(40, random_edges(rng, 40, 0.15))
+        s = split_edges(g, (0.6, 0.2, 0.2), seed=6, negatives=50)
+        np.testing.assert_array_equal(
+            s.valid_negatives, oracle_sample_negatives(g, 50, (6, STREAM_VALID_NEG))
+        )
+        np.testing.assert_array_equal(
+            s.test_negatives, oracle_sample_negatives(g, 50, (6, STREAM_TEST_NEG))
+        )

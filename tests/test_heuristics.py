@@ -12,6 +12,7 @@ from classlink.errors import (
     DegenerateNormalizerError,
     MissingLabelError,
 )
+from classlink import heuristics
 from classlink.graph import build_graph
 from classlink.heuristics import (
     ClassHeuristicParams,
@@ -64,6 +65,36 @@ def oracle_walk_counts(adj, x, y, max_len):
 def oracle_katz(adj, x, y, gamma, max_len, eta=1.0):
     walks = oracle_walk_counts(adj, x, y, max_len)
     return eta * sum(gamma**l * walks[l] for l in range(1, max_len + 1))
+
+
+def decayed_walk_sum(walks, gamma, eta=1.0):
+    """Katz from walk counts, accumulated in the library's order (bit-exact)."""
+    total, decay = 0.0, 1.0
+    for count in walks[1:]:
+        decay *= gamma
+        total += decay * count
+    return eta * total
+
+
+def oracle_z(adj, labels, probs, x, y, omega):
+    """Brute-force local normalizer over N(x) ∪ N(y)."""
+    w1x, w2x, w1y, w2y = omega
+    cx, cy = labels[x], labels[y]
+    z = 0.0
+    for v in adj[x] | adj[y]:
+        cv = labels[v]
+        z += w1x * probs[cv, cx] + w2x * probs[cx, cv]
+        z += w1y * probs[cv, cy] + w2y * probs[cy, cv]
+    return z
+
+
+def awkward_pairs(rng, edges, n, m):
+    """Random pairs plus duplicates, reversed (x > y) pairs and edges."""
+    pairs = rng.integers(0, n, size=(m, 2))
+    extra = [pairs[: m // 4], pairs[: m // 4, ::-1]]
+    if len(edges):
+        extra += [edges[: m // 4], edges[: m // 4, ::-1]]
+    return np.concatenate([pairs, *extra])
 
 
 class TestFrozenValues:
@@ -248,33 +279,31 @@ class TestClassIntegration:
 
 class TestBatchScorers:
     def test_batch_matches_scalar(self):
+        """Batch scorers against this file's brute-force oracles."""
         rng = np.random.default_rng(904)
         edges = random_edges(rng, 25, 0.3)
         labels = rng.integers(0, 3, size=25)
         g = build_graph(25, edges, labels=labels)
+        adj = brute_adjacency(edges, 25)
         prior = build_prior_matrix(count_class_links(edges, labels, 3))
         pairs = rng.integers(0, 25, size=(30, 2))
-        for name, scalar in (
-            ("cn", cn_score),
-            ("aa", aa_score),
-            ("ra", ra_score),
-        ):
+        for name, oracle in (("cn", oracle_cn), ("aa", oracle_aa), ("ra", oracle_ra)):
             scorer = make_heuristic_scorer(name, g)
             got = scorer(pairs)
-            expect = [scalar(g, int(u), int(v)) for u, v in pairs.tolist()]
+            expect = [oracle(adj, u, v) for u, v in pairs.tolist()]
             np.testing.assert_allclose(got, expect)
-        katz = make_heuristic_scorer("katz", g, katz=GammaDecayConfig())
+        cfg = GammaDecayConfig()
+        katz = make_heuristic_scorer("katz", g, katz=cfg)
         np.testing.assert_allclose(
             katz(pairs),
-            [katz_score(g, int(u), int(v)) for u, v in pairs.tolist()],
+            [oracle_katz(adj, u, v, cfg.gamma, cfg.max_length) for u, v in pairs.tolist()],
         )
         hc = make_heuristic_scorer("hc", g, prior=prior, labels=labels, base="cn")
         np.testing.assert_allclose(
             hc(pairs),
             [
-                class_heuristic_score(
-                    g, prior, labels, int(u), int(v), cn_score(g, int(u), int(v))
-                )
+                oracle_cn(adj, u, v)
+                + (prior.probs[labels[u], labels[v]] + prior.probs[labels[v], labels[u]])
                 for u, v in pairs.tolist()
             ],
         )
@@ -286,3 +315,146 @@ class TestBatchScorers:
     def test_hc_requires_prior(self, path3):
         with pytest.raises(ConfigurationError):
             make_heuristic_scorer("hc", path3)
+
+
+class TestBatchKernels:
+    """CN/AA/RA/Katz kernels on awkward batches: isolated nodes, duplicate
+    pairs, pairs with x > y, pairs that are edges, self-pairs."""
+
+    def graphs(self, seed, count=8):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(6, 16))
+            edges = random_edges(rng, n, float(rng.uniform(0.15, 0.5)))
+            n_total = n + 3  # three isolated nodes
+            yield rng, build_graph(n_total, edges), brute_adjacency(edges, n_total), edges
+
+    def test_cn_aa_ra_match_oracles(self):
+        for rng, g, adj, edges in self.graphs(905):
+            pairs = awkward_pairs(rng, edges, g.n_nodes, 24)
+            cn = make_heuristic_scorer("cn", g)(pairs)
+            assert cn.tolist() == [oracle_cn(adj, u, v) for u, v in pairs.tolist()]
+            ra = make_heuristic_scorer("ra", g)(pairs)
+            expect = [oracle_ra(adj, u, v) for u, v in pairs.tolist()]
+            np.testing.assert_allclose(ra, expect, rtol=0, atol=1e-12)
+            # a self-pair's own degree-1 neighbours make AA infinite; skip them
+            distinct = pairs[pairs[:, 0] != pairs[:, 1]]
+            aa = make_heuristic_scorer("aa", g)(distinct)
+            expect = [oracle_aa(adj, u, v) for u, v in distinct.tolist()]
+            np.testing.assert_allclose(aa, expect, rtol=0, atol=1e-12)
+
+    def test_katz_walk_counts_match_enumeration(self):
+        for rng, g, adj, edges in self.graphs(906):
+            pairs = awkward_pairs(rng, edges, g.n_nodes, 16)
+            for max_length in range(1, 6):
+                cfg = GammaDecayConfig(gamma=0.3, eta=1.5, max_length=max_length)
+                got = make_heuristic_scorer("katz", g, katz=cfg)(pairs)
+                expect = [
+                    decayed_walk_sum(
+                        oracle_walk_counts(adj, u, v, max_length), cfg.gamma, cfg.eta
+                    )
+                    for u, v in pairs.tolist()
+                ]
+                assert got.tolist() == expect
+
+    def test_chunks_do_not_change_scores(self, monkeypatch):
+        rng, g, adj, edges = next(self.graphs(907, count=1))
+        pairs = awkward_pairs(rng, edges, g.n_nodes, 200)
+        labels = rng.integers(0, 2, size=g.n_nodes)
+        prior = build_prior_matrix(count_class_links(edges, labels, 2))
+        params = ClassHeuristicParams(normalize_locally=True)
+        pairs = pairs[np.isin(pairs, np.flatnonzero(g.degrees())).all(axis=1)]
+        scorers = {name: make_heuristic_scorer(name, g) for name in ("cn", "ra", "katz")}
+        scorers["hc"] = make_heuristic_scorer(
+            "hc", g, prior=prior, labels=labels, params=params, base="ra"
+        )
+        whole = {name: scorer(pairs) for name, scorer in scorers.items()}
+        monkeypatch.setattr(heuristics, "_CHUNK", 7)
+        for name, scorer in scorers.items():
+            assert scorer(pairs).tolist() == whole[name].tolist(), name
+
+    def test_empty_batch(self, path3):
+        for name in ("cn", "aa", "ra", "katz"):
+            assert make_heuristic_scorer(name, path3)(np.empty((0, 2))).shape == (0,)
+
+    def test_out_of_range_ids_rejected(self, path3):
+        labels = np.array([0, 0, 1])
+        prior = build_prior_matrix(count_class_links(path3.undirected_edges(), labels, 2))
+        scorers = [make_heuristic_scorer(name, path3) for name in ("cn", "aa", "ra", "katz")]
+        scorers.append(make_heuristic_scorer("hc", path3, prior=prior, labels=labels))
+        for scorer in scorers:
+            for bad in ([[0, 3]], [[-1, 1]], [[0, 1], [5, 0]]):
+                with pytest.raises(ConfigurationError, match="out of range"):
+                    scorer(np.array(bad))
+        with pytest.raises(ConfigurationError, match="out of range"):
+            cn_score(path3, 0, 3)
+
+
+class TestBatchClassScorer:
+    """The ``hc`` batch scorer with local normalization."""
+
+    def test_normalized_matches_oracle(self):
+        rng = np.random.default_rng(908)
+        for _ in range(8):
+            n = int(rng.integers(8, 30))
+            edges = random_edges(rng, n, 0.25)
+            labels = rng.integers(0, 3, size=n + 2)
+            g = build_graph(n + 2, edges, labels=labels)  # two isolated nodes
+            adj = brute_adjacency(edges, n + 2)
+            prior = build_prior_matrix(count_class_links(edges, labels, 3))
+            omega = tuple(float(w) for w in rng.uniform(0.1, 2.0, size=4))
+            params = ClassHeuristicParams(
+                alpha1=float(rng.uniform(0, 2)),
+                alpha2=float(rng.uniform(0, 2)),
+                beta=float(rng.uniform(0.5, 2)),
+                omega=omega,
+                normalize_locally=True,
+            )
+            pairs = awkward_pairs(rng, edges, n + 2, 30)
+            pairs = pairs[[bool(adj[x] | adj[y]) for x, y in pairs.tolist()]]
+            for base, oracle in (("cn", oracle_cn), ("ra", oracle_ra)):
+                hc = make_heuristic_scorer(
+                    "hc", g, prior=prior, labels=labels, params=params, base=base
+                )
+                expect = []
+                for x, y in pairs.tolist():
+                    fwd = prior.probs[labels[x], labels[y]]
+                    rev = prior.probs[labels[y], labels[x]]
+                    z = oracle_z(adj, labels, prior.probs, x, y, omega)
+                    bonus = params.beta * (params.alpha1 * fwd + params.alpha2 * rev) / z
+                    expect.append(oracle(adj, x, y) + bonus)
+                np.testing.assert_allclose(hc(pairs), expect, rtol=0, atol=1e-12)
+
+    def labelled_path(self):
+        """Path 0-1-2-3-4, node 3 unlabeled, isolated labeled nodes 5 and 6."""
+        labels = np.array([0, 1, 0, -1, 1, 0, 1])
+        g = build_graph(7, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]), labels=labels)
+        prior = build_prior_matrix(count_class_links(np.array([[0, 1], [1, 2]]), labels, 2))
+        return g, prior, labels
+
+    def test_degenerate_normalizer_names_first_pair(self):
+        g, prior, labels = self.labelled_path()
+        params = ClassHeuristicParams(normalize_locally=True)
+        hc = make_heuristic_scorer("hc", g, prior=prior, labels=labels, params=params)
+        assert np.isfinite(hc(np.array([[0, 1], [0, 5]]))).all()
+        with pytest.raises(DegenerateNormalizerError, match=r"pair \(5, 6\)"):
+            hc(np.array([[0, 1], [5, 6], [0, 2]]))
+
+    def test_missing_label_names_first_node(self):
+        g, prior, labels = self.labelled_path()
+        params = ClassHeuristicParams(normalize_locally=True)
+        hc = make_heuristic_scorer("hc", g, prior=prior, labels=labels, params=params)
+        # pair (2, 4): both labeled, but their neighbour 3 is not
+        with pytest.raises(MissingLabelError, match="node 3 "):
+            hc(np.array([[0, 1], [2, 4], [6, 3]]))
+        with pytest.raises(MissingLabelError, match="node 3 "):
+            hc(np.array([[0, 1], [3, 0]]))
+        # per pair, the first failure in pair order wins
+        with pytest.raises(DegenerateNormalizerError):
+            hc(np.array([[5, 6], [2, 4]]))
+        with pytest.raises(MissingLabelError):
+            hc(np.array([[2, 4], [5, 6]]))
+        plain = make_heuristic_scorer("hc", g, prior=prior, labels=labels)
+        assert np.isfinite(plain(np.array([[2, 4], [5, 6]]))).all()
+        with pytest.raises(MissingLabelError, match="node 3 "):
+            plain(np.array([[0, 1], [1, 3]]))

@@ -12,7 +12,6 @@ from classlink.priors import (
     count_class_links,
     export_heatmap,
     load_prior_json,
-    lookup_prior,
     lookup_prior_batch,
     save_prior_json,
 )
@@ -123,11 +122,11 @@ class TestLookup:
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         labels = np.array([0, 0, 1, 0])
         p = build_prior_matrix(count_class_links(edges, labels, 2))
-        fwd, rev = lookup_prior(p, labels, 1, 2)  # classes (0, 1)
+        (fwd, rev), swapped = lookup_prior_batch(p, labels, np.array([[1, 2], [2, 1]]))
         assert fwd == pytest.approx(0.2)  # P(c=1 | c=0)
         assert rev == pytest.approx(1.0)  # P(c=0 | c=1)
-        # swapped arguments swap the tuple
-        assert lookup_prior(p, labels, 2, 1) == (rev, fwd)
+        # swapped arguments swap the row
+        assert tuple(swapped) == (rev, fwd)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(805)
@@ -137,19 +136,20 @@ class TestLookup:
         pairs = rng.integers(0, 30, size=(40, 2))
         batch = lookup_prior_batch(p, labels, pairs)
         for i, (x, y) in enumerate(pairs.tolist()):
-            assert tuple(batch[i]) == lookup_prior(p, labels, x, y)
+            expect = (p.probs[labels[x], labels[y]], p.probs[labels[y], labels[x]])
+            assert tuple(batch[i]) == expect
 
     def test_unnormalized_lookup_rejected(self):
         cpm = count_class_links(np.array([[0, 1]]), np.array([0, 1]), 2)
         with pytest.raises(ConfigurationError):
-            lookup_prior(cpm, np.array([0, 1]), 0, 1)
+            lookup_prior_batch(cpm, np.array([0, 1]), np.array([[0, 1]]))
 
     def test_missing_label_in_lookup(self):
         p = build_prior_matrix(
             count_class_links(np.array([[0, 1]]), np.array([0, 1, -1]), 2)
         )
         with pytest.raises(MissingLabelError, match="node 2"):
-            lookup_prior(p, np.array([0, 1, -1]), 0, 2)
+            lookup_prior_batch(p, np.array([0, 1, -1]), np.array([[0, 1], [0, 2]]))
 
 
 class TestLeakage:

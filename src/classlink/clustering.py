@@ -6,7 +6,16 @@ over *pseudo-labels* instead.  Three generators are provided:
 * ``kmeans`` over one-hop aggregated features ``H1 = (A + I) X``, with the
   number of clusters either fixed or chosen by the elbow rule (largest
   perpendicular distance to the chord of the min-max-normalized SSD curve);
-* ``louvain`` greedy modularity maximization over the training adjacency;
+  the squared row norms are computed once per run, and every ``n × d``
+  temporary of a run is written into one scratch array;
+* ``louvain`` greedy modularity maximization (Blondel et al., 2008) over the
+  training adjacency as a CSR matrix: degrees and modularity are array
+  reductions and each level's supernode graph is the sparse product
+  ``CᵀAC``.  The local-move sweep is the one node loop left, because every
+  visit depends on the moves before it; it keeps each node's community links
+  in a dict that changes only when a neighbour moves.  All weights are
+  integers, so every sum is exact in any order, and the labels equal those
+  of a per-visit recount bit for bit;
 * ``mono`` a single-label fallback that makes every prior lookup equal 1.
 
 All routines are deterministic given their seed.
@@ -70,36 +79,55 @@ def aggregate_features(g: Graph, features: np.ndarray | None = None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Points:
+    """C-contiguous points, their squared row norms, and one scratch array.
+
+    ``scratch`` has the shape of ``xy`` and holds every ``n × d`` temporary of
+    a k-means or elbow run in turn, so no step allocates one of its own.
+    """
+
+    xy: np.ndarray
+    sq_norms: np.ndarray
+    scratch: np.ndarray
+
+
+def _sq_dists_to(points: _Points, row: np.ndarray) -> np.ndarray:
+    """``((xy - row) ** 2).sum(axis=1)``, computed in the scratch array."""
+    np.subtract(points.xy, row, out=points.scratch)
+    np.square(points.scratch, out=points.scratch)
+    return points.scratch.sum(axis=1)
+
+
+def _pairwise_sq_dists(points: _Points, centroids: np.ndarray) -> np.ndarray:
+    twice = np.multiply(2.0, points.xy, out=points.scratch)
     d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
+        points.sq_norms[:, None]
+        - twice @ centroids.T
         + (centroids**2).sum(axis=1)[None, :]
     )
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+def _kmeanspp_init(points: _Points, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.xy.shape[0]
+    centroids = np.empty((k, points.xy.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
-    centroids[0] = points[first]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    centroids[0] = points.xy[first]
+    d2 = _sq_dists_to(points, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))  # all points coincide with a centroid
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        centroids[j] = points.xy[idx]
+        d2 = np.minimum(d2, _sq_dists_to(points, centroids[j]))
     return centroids
 
 
 def _lloyd(
-    points: np.ndarray, centroids: np.ndarray, max_iters: int
+    points: _Points, centroids: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Iterate assignment/update steps; returns (labels, centroids, SSD history).
 
@@ -107,7 +135,8 @@ def _lloyd(
     nonincreasing; assignment ties go to the lowest centroid index; an empty
     cluster is re-seeded from the point farthest from its assigned centroid.
     """
-    n, k = points.shape[0], centroids.shape[0]
+    xy, scratch = points.xy, points.scratch
+    n, k = xy.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     prev_assign: np.ndarray | None = None
     history: list[float] = []
@@ -118,30 +147,34 @@ def _lloyd(
         for j in range(k):
             if not np.any(assign == j):
                 far = int(np.argmax(cost))
-                centroids[j] = points[far]
+                centroids[j] = xy[far]
                 assign[far] = j
                 cost[far] = 0.0
         for j in range(k):
-            members = points[assign == j]
+            members = xy[assign == j]
             if members.size:
                 centroids[j] = members.mean(axis=0)
-        history.append(
-            float(((points - centroids[assign]) ** 2).sum())
-        )
+        # every index is in range; "clip" skips the buffered copy of "raise"
+        np.take(centroids, assign, axis=0, out=scratch, mode="clip")
+        np.subtract(xy, scratch, out=scratch)
+        np.square(scratch, out=scratch)
+        history.append(float(scratch.sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
     return assign.astype(np.int64), centroids, history
 
 
-def _prepare_points(features: np.ndarray, normalize_rows: bool) -> np.ndarray:
-    pts = np.asarray(features, dtype=np.float64)
-    if pts.ndim != 2:
-        raise DimensionError(f"expected a 2-D feature matrix, got shape {pts.shape}")
+def _prepare_points(features: np.ndarray, normalize_rows: bool) -> _Points:
+    xy = np.ascontiguousarray(features, dtype=np.float64)
+    if xy.ndim != 2:
+        raise DimensionError(f"expected a 2-D feature matrix, got shape {xy.shape}")
     if normalize_rows:
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        pts = np.divide(pts, norms, out=np.zeros_like(pts), where=norms > 0)
-    return pts
+        norms = np.linalg.norm(xy, axis=1, keepdims=True)
+        xy = np.divide(xy, norms, out=np.zeros_like(xy), where=norms > 0)
+    scratch = np.empty_like(xy)
+    np.square(xy, out=scratch)
+    return _Points(xy=xy, sq_norms=scratch.sum(axis=1), scratch=scratch)
 
 
 def _kmeans_full(
@@ -152,7 +185,7 @@ def _kmeans_full(
     normalize_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     points = _prepare_points(features, normalize_rows)
-    n = points.shape[0]
+    n = points.xy.shape[0]
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
     return _lloyd(points, _kmeanspp_init(points, k, rng), max_iters)
@@ -215,7 +248,7 @@ def _elbow_runs(
     the SSD curve is nonincreasing in k.
     """
     points = _prepare_points(features, normalize_rows)
-    n = points.shape[0]
+    n = points.xy.shape[0]
     ks = list(k_candidates)
     if len(ks) < 3:
         raise ConfigurationError(
@@ -248,16 +281,14 @@ def _elbow_runs(
     return curve, labels_by_k
 
 
-def _extend_centroids(
-    points: np.ndarray, centroids: np.ndarray, k: int
-) -> np.ndarray:
+def _extend_centroids(points: _Points, centroids: np.ndarray, k: int) -> np.ndarray:
     """Grow a centroid set to size ``k`` with farthest-point additions."""
     cents = list(centroids)
     d2 = _pairwise_sq_dists(points, centroids).min(axis=1)
     while len(cents) < k:
         far = int(np.argmax(d2))
-        cents.append(points[far])
-        d2 = np.minimum(d2, ((points - points[far]) ** 2).sum(axis=1))
+        cents.append(points.xy[far])
+        d2 = np.minimum(d2, _sq_dists_to(points, points.xy[far]))
     return np.array(cents[:k])
 
 
@@ -299,6 +330,18 @@ def elbow_kmeans(
 # ---------------------------------------------------------------------------
 # Louvain community detection
 # ---------------------------------------------------------------------------
+#
+# Every edge weight is an integer: the input graph is 0/1 and aggregation only
+# sums weights.  Sums of integers are exact in float64 in any order, so the
+# degrees, community links, ``sigma_tot`` and ``sigma_in`` below are exact
+# however they are accumulated, and every modularity gain is the same float
+# whichever way its terms were summed.  That is what lets the incremental
+# community links of the local move and the sparse aggregation reproduce the
+# labels of a per-visit recount over a dict of dicts bit for bit.
+#
+# A level's graph is a symmetric CSR matrix whose diagonal holds each
+# supernode's internal weight, counting every internal edge once; a node's
+# degree is its row sum plus its diagonal.
 
 
 def louvain(g: Graph, seed: int) -> PseudoLabeling:
@@ -311,19 +354,15 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
     if g.n_edges == 0:
         raise ConfigurationError("modularity is undefined on an edgeless graph")
     rng = make_rng(seed)
-    adj: list[dict[int, float]] = [dict() for _ in range(g.n_nodes)]
-    for u in range(g.n_nodes):
-        for v in g.neighbors(u).tolist():
-            adj[u][v] = 1.0
-
+    adj = adjacency_matrix(g)
     membership = np.arange(g.n_nodes)
-    q_prev = _modularity(adj, list(range(len(adj))))
+    q_prev = _modularity(adj, np.arange(g.n_nodes))
     while True:
         comm = _local_move(adj, rng)
         q_new = _modularity(adj, comm)
-        comm = _renumber(np.asarray(comm))
+        comm = _renumber(comm)
         membership = comm[membership]
-        if q_new - q_prev < 1e-7 or len(set(comm.tolist())) == len(adj):
+        if q_new - q_prev < 1e-7 or int(comm.max()) + 1 == adj.shape[0]:
             break
         adj = _aggregate(adj, comm)
         q_prev = q_new
@@ -338,91 +377,118 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
     )
 
 
-def _degrees(adj: list[dict[int, float]]) -> np.ndarray:
-    return np.array(
-        [
-            sum(w for u, w in row.items() if u != i) + 2.0 * row.get(i, 0.0)
-            for i, row in enumerate(adj)
-        ]
-    )
+def _degrees(adj: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(adj.sum(axis=1)).ravel() + adj.diagonal()
 
 
-def _local_move(adj: list[dict[int, float]], rng: np.random.Generator) -> list[int]:
-    n = len(adj)
-    k = _degrees(adj)
-    m2 = k.sum()
+def _local_move(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
+    """One level of local moves; returns each node's community id.
+
+    Nodes are visited in one seeded permutation, sweep after sweep, until a
+    sweep moves nothing.  A visit takes the node out of its community and puts
+    it into the candidate of largest gain, scanning candidates in ascending id
+    and switching only on a gain larger by more than 1e-12.  That scan can
+    only ever switch to a candidate beating the stay gain by more than 1e-12,
+    and it meets one if any exists, so an unsorted pass first asks whether
+    one does; most visits end there.  ``links[v]`` maps each community
+    adjacent to ``v`` to its link weight and changes only when a neighbour
+    moves; an entry that drops to exactly 0.0 is deleted, so the candidates
+    are exactly the communities of ``v``'s current neighbours.
+    """
+    n = adj.shape[0]
+    deg = _degrees(adj)
+    m2 = float(deg.sum())
+    deg = deg.tolist()
+    sigma_tot = list(deg)
     comm = list(range(n))
-    sigma_tot = k.copy()
     order = rng.permutation(n).tolist()
+    offsets = adj.indptr.tolist()
+    targets = adj.indices.tolist()
+    weights = adj.data.tolist()
+    rows: list[list[tuple[int, float]]] = []
+    links: list[dict[int, float]] = []
+    for v in range(n):
+        lo, hi = offsets[v], offsets[v + 1]
+        row = [(u, w) for u, w in zip(targets[lo:hi], weights[lo:hi]) if u != v]
+        rows.append(row)
+        links.append(dict(row))  # every node starts in its own community
     improved = True
     while improved:
         improved = False
         for v in order:
             cv = comm[v]
-            links: dict[int, float] = {}
-            for u, w in adj[v].items():
-                if u != v:
-                    cu = comm[u]
-                    links[cu] = links.get(cu, 0.0) + w
-            sigma_tot[cv] -= k[v]
+            lv = links[v]
+            if not lv or (len(lv) == 1 and cv in lv):
+                continue  # no other community is adjacent
+            kv = deg[v]
+            stay = sigma_tot[cv] - kv
+            best_gain = lv.get(cv, 0.0) - stay * kv / m2
+            bar = best_gain + 1e-12
+            for c, l in lv.items():
+                if c != cv and l - sigma_tot[c] * kv / m2 > bar:
+                    break
+            else:
+                continue  # no candidate beats staying, in any scan order
             best_c = cv
-            best_gain = links.get(cv, 0.0) - sigma_tot[cv] * k[v] / m2
-            for c in sorted(links):
+            for c in sorted(lv):
                 if c == cv:
                     continue
-                gain = links[c] - sigma_tot[c] * k[v] / m2
+                gain = lv[c] - sigma_tot[c] * kv / m2
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
+            sigma_tot[cv] = stay
+            sigma_tot[best_c] += kv
             comm[v] = best_c
-            sigma_tot[best_c] += k[v]
-            if best_c != cv:
-                improved = True
-    return comm
+            improved = True
+            for u, w in rows[v]:
+                lu = links[u]
+                left = lu[cv] - w
+                if left == 0.0:
+                    del lu[cv]
+                else:
+                    lu[cv] = left
+                lu[best_c] = lu.get(best_c, 0.0) + w
+    return np.array(comm, dtype=np.int64)
 
 
-def _modularity(adj: list[dict[int, float]], comm: list[int]) -> float:
-    k = _degrees(adj)
-    m2 = k.sum()
-    n_comm = max(comm) + 1
-    sigma_tot = np.zeros(n_comm)
-    for i, c in enumerate(comm):
-        sigma_tot[c] += k[i]
-    sigma_in = np.zeros(n_comm)
-    for i, row in enumerate(adj):
-        for j, w in row.items():
-            if comm[i] == comm[j]:
-                sigma_in[comm[i]] += 2.0 * w if i == j else w
+def _modularity(adj: sp.csr_matrix, comm: np.ndarray) -> float:
+    deg = _degrees(adj)
+    m2 = deg.sum()
+    n_comm = int(comm.max()) + 1
+    coo = adj.tocoo()
+    inside = comm[coo.row] == comm[coo.col]
+    w = np.where(coo.row == coo.col, 2.0 * coo.data, coo.data)[inside]
+    sigma_in = np.bincount(comm[coo.row[inside]], weights=w, minlength=n_comm)
+    sigma_tot = np.bincount(comm, weights=deg, minlength=n_comm)
     return float(np.sum(sigma_in / m2 - (sigma_tot / m2) ** 2))
 
 
-def _aggregate(adj: list[dict[int, float]], comm: np.ndarray) -> list[dict[int, float]]:
-    n_comm = int(comm.max()) + 1
-    new_adj: list[dict[int, float]] = [dict() for _ in range(n_comm)]
-    for i, row in enumerate(adj):
-        ci = int(comm[i])
-        for j, w in row.items():
-            cj = int(comm[j])
-            if i == j:
-                new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w
-            elif i < j:
-                if ci == cj:
-                    new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w
-                else:
-                    new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                    new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj
+def _aggregate(adj: sp.csr_matrix, comm: np.ndarray) -> sp.csr_matrix:
+    """Supernode graph ``CᵀAC`` for the one-hot membership ``C``.
+
+    ``diag(CᵀAC)`` counts a community's internal edges twice and its
+    self-loops once; the diagonal is reset to ``(diag(CᵀAC) + Cᵀ diag(A)) / 2``
+    so that every internal edge and self-loop counts once.
+    """
+    n = adj.shape[0]
+    member = sp.csr_matrix(
+        (np.ones(n), (np.arange(n), comm)), shape=(n, int(comm.max()) + 1)
+    )
+    agg = (member.T @ adj @ member).tocsr()
+    twice = agg.diagonal()
+    inner = (twice + member.T @ adj.diagonal()) / 2.0
+    agg = (agg + sp.diags(inner - twice)).tocsr()
+    agg.eliminate_zeros()
+    return agg
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:
     """Relabel to contiguous 0..k-1 in order of first occurrence."""
     labels = np.asarray(labels, dtype=np.int64)
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels.tolist()):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(labels.shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +555,45 @@ def save_labeling_json(labeling: PseudoLabeling, path: str | Path) -> None:
 
 
 def load_labeling_json(path: str | Path) -> PseudoLabeling:
+    """Read a labeling artifact; any malformed payload raises ``ParseError``.
+
+    ``labels`` must be a flat list of integers in ``[0, k)``, ``k`` and
+    ``seed`` integers, ``method`` a string and ``ssd_curve`` absent, null or
+    a list of ``[k, ssd]`` pairs.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if payload.get("kind") != "labeling":
+    if not isinstance(payload, dict) or payload.get("kind") != "labeling":
         raise ParseError(f"{path}: not a labeling artifact")
-    curve = payload.get("ssd_curve")
+    missing = [key for key in ("labels", "k", "method", "seed") if key not in payload]
+    if missing:
+        raise ParseError(f"{path}: labeling artifact lacks {', '.join(missing)}")
+    k, seed, method = payload["k"], payload["seed"], payload["method"]
+    if not all(type(x) is int for x in (k, seed)) or k < 1:
+        raise ParseError(f"{path}: k must be a positive integer and seed an integer")
+    if not isinstance(method, str):
+        raise ParseError(f"{path}: method must be a string")
+    try:
+        labels = np.asarray(payload["labels"])
+        curve = payload.get("ssd_curve")
+        ssd_curve = (
+            tuple((int(c), float(s)) for c, s in curve) if curve is not None else None
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed labeling artifact ({exc})") from exc
+    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
+        raise ParseError(f"{path}: labels must be a flat list of integers")
+    labels = labels.astype(np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ParseError(f"{path}: labels must lie in [0, {k})")
     return PseudoLabeling(
-        labels=np.array(payload["labels"], dtype=np.int64),
-        k=int(payload["k"]),
-        method=str(payload["method"]),
-        ssd_curve=tuple((int(k), float(s)) for k, s in curve)
-        if curve is not None
-        else None,
-        seed=int(payload["seed"]),
+        labels=labels,
+        k=k,
+        method=method,
+        ssd_curve=ssd_curve,
+        seed=seed,
     )

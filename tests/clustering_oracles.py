@@ -1,0 +1,237 @@
+"""Reference implementations of Louvain and Lloyd k-means, used as oracles.
+
+Louvain here keeps the graph as a list of ``{neighbour: weight}`` dicts and
+rebuilds every node's community links on every visit; k-means allocates its
+dense temporaries afresh on every step.  Both are independent of the array
+code in ``classlink.clustering`` and must reproduce its results bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from classlink.errors import ConfigurationError
+from classlink.graph import Graph
+from classlink.rand import STREAM_CLUSTER, make_rng
+
+
+# ---------------------------------------------------------------------------
+# Louvain over a dict of dicts
+# ---------------------------------------------------------------------------
+
+
+def dict_adjacency(g: Graph) -> list[dict[int, float]]:
+    adj: list[dict[int, float]] = [dict() for _ in range(g.n_nodes)]
+    for u in range(g.n_nodes):
+        for v in g.neighbors(u).tolist():
+            adj[u][v] = 1.0
+    return adj
+
+
+def louvain_levels(g: Graph, seed: int) -> tuple[np.ndarray, int]:
+    """Louvain labels and the number of local-move levels that produced them."""
+    if g.n_edges == 0:
+        raise ConfigurationError("modularity is undefined on an edgeless graph")
+    rng = make_rng(seed)
+    adj = dict_adjacency(g)
+    membership = np.arange(g.n_nodes)
+    q_prev = modularity(adj, list(range(len(adj))))
+    levels = 0
+    while True:
+        comm = local_move(adj, rng)
+        levels += 1
+        q_new = modularity(adj, comm)
+        comm = renumber(np.asarray(comm))
+        membership = comm[membership]
+        if q_new - q_prev < 1e-7 or len(set(comm.tolist())) == len(adj):
+            break
+        adj = aggregate(adj, comm)
+        q_prev = q_new
+    return renumber(membership), levels
+
+
+def degrees(adj: list[dict[int, float]]) -> np.ndarray:
+    return np.array(
+        [
+            sum(w for u, w in row.items() if u != i) + 2.0 * row.get(i, 0.0)
+            for i, row in enumerate(adj)
+        ]
+    )
+
+
+def local_move(adj: list[dict[int, float]], rng: np.random.Generator) -> list[int]:
+    n = len(adj)
+    k = degrees(adj)
+    m2 = k.sum()
+    comm = list(range(n))
+    sigma_tot = k.copy()
+    order = rng.permutation(n).tolist()
+    improved = True
+    while improved:
+        improved = False
+        for v in order:
+            cv = comm[v]
+            links: dict[int, float] = {}
+            for u, w in adj[v].items():
+                if u != v:
+                    cu = comm[u]
+                    links[cu] = links.get(cu, 0.0) + w
+            sigma_tot[cv] -= k[v]
+            best_c = cv
+            best_gain = links.get(cv, 0.0) - sigma_tot[cv] * k[v] / m2
+            for c in sorted(links):
+                if c == cv:
+                    continue
+                gain = links[c] - sigma_tot[c] * k[v] / m2
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            comm[v] = best_c
+            sigma_tot[best_c] += k[v]
+            if best_c != cv:
+                improved = True
+    return comm
+
+
+def modularity(adj: list[dict[int, float]], comm: list[int]) -> float:
+    k = degrees(adj)
+    m2 = k.sum()
+    n_comm = max(comm) + 1
+    sigma_tot = np.zeros(n_comm)
+    for i, c in enumerate(comm):
+        sigma_tot[c] += k[i]
+    sigma_in = np.zeros(n_comm)
+    for i, row in enumerate(adj):
+        for j, w in row.items():
+            if comm[i] == comm[j]:
+                sigma_in[comm[i]] += 2.0 * w if i == j else w
+    return float(np.sum(sigma_in / m2 - (sigma_tot / m2) ** 2))
+
+
+def aggregate(adj: list[dict[int, float]], comm: np.ndarray) -> list[dict[int, float]]:
+    n_comm = int(comm.max()) + 1
+    new_adj: list[dict[int, float]] = [dict() for _ in range(n_comm)]
+    for i, row in enumerate(adj):
+        ci = int(comm[i])
+        for j, w in row.items():
+            cj = int(comm[j])
+            if i == j:
+                new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w
+            elif i < j:
+                if ci == cj:
+                    new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w
+                else:
+                    new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                    new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+    return new_adj
+
+
+def renumber(labels: np.ndarray) -> np.ndarray:
+    """Relabel to contiguous 0..k-1 in order of first occurrence."""
+    labels = np.asarray(labels, dtype=np.int64)
+    mapping: dict[int, int] = {}
+    out = np.empty_like(labels)
+    for i, lab in enumerate(labels.tolist()):
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Lloyd k-means and elbow runs with per-step temporaries
+# ---------------------------------------------------------------------------
+
+
+def prepare_points(features: np.ndarray, normalize_rows: bool) -> np.ndarray:
+    pts = np.asarray(features, dtype=np.float64)
+    if normalize_rows:
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = np.divide(pts, norms, out=np.zeros_like(pts), where=norms > 0)
+    return pts
+
+
+def pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = (
+        (points**2).sum(axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + (centroids**2).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = points[first]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def lloyd(
+    points: np.ndarray, centroids: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    n, k = points.shape[0], centroids.shape[0]
+    centroids = centroids.copy()
+    prev_assign: np.ndarray | None = None
+    history: list[float] = []
+    for _ in range(max_iters):
+        d2 = pairwise_sq_dists(points, centroids)
+        assign = d2.argmin(axis=1)
+        cost = d2[np.arange(n), assign]
+        for j in range(k):
+            if not np.any(assign == j):
+                far = int(np.argmax(cost))
+                centroids[j] = points[far]
+                assign[far] = j
+                cost[far] = 0.0
+        for j in range(k):
+            members = points[assign == j]
+            if members.size:
+                centroids[j] = members.mean(axis=0)
+        history.append(float(((points - centroids[assign]) ** 2).sum()))
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+    return assign.astype(np.int64), centroids, history
+
+
+def extend_centroids(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
+    cents = list(centroids)
+    d2 = pairwise_sq_dists(points, centroids).min(axis=1)
+    while len(cents) < k:
+        far = int(np.argmax(d2))
+        cents.append(points[far])
+        d2 = np.minimum(d2, ((points - points[far]) ** 2).sum(axis=1))
+    return np.array(cents[:k])
+
+
+def elbow_runs(
+    features: np.ndarray, ks: list[int], seed: int, max_iters: int, normalize_rows: bool
+) -> tuple[list[tuple[int, float]], dict[int, np.ndarray]]:
+    """The elbow curve and the labels chosen for each candidate ``k``."""
+    points = prepare_points(features, normalize_rows)
+    curve: list[tuple[int, float]] = []
+    labels_by_k: dict[int, np.ndarray] = {}
+    prev_centroids: np.ndarray | None = None
+    for k in ks:
+        rng = make_rng(seed, STREAM_CLUSTER, k)
+        labels, cents, hist = lloyd(points, kmeanspp_init(points, k, rng), max_iters)
+        best = (hist[-1], labels, cents)
+        if prev_centroids is not None:
+            warm = extend_centroids(points, prev_centroids, k)
+            w_labels, w_cents, w_hist = lloyd(points, warm, max_iters)
+            if w_hist[-1] < best[0]:
+                best = (w_hist[-1], w_labels, w_cents)
+        curve.append((k, best[0]))
+        labels_by_k[k] = best[1]
+        prev_centroids = best[2]
+    return curve, labels_by_k

@@ -366,3 +366,29 @@ class TestProcessInterface:
         bad.write_text("edges: e.txt\nlerning_rate: 0.1\n")
         assert main(["split", "--config", str(bad)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+
+class TestCorruptLabeling:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: {k: v for k, v in p.items() if k != "k"},
+            lambda p: {**p, "labels": [p["k"]] * len(p["labels"])},
+            lambda p: [p],
+        ],
+        ids=["missing-k", "label-out-of-range", "not-an-object"],
+    )
+    def test_run_all_reports_parse_error(self, dataset, capsys, corrupt):
+        tmp, _ = dataset
+        cfg = write_config(
+            tmp / "lv.yaml", tmp / "data", tmp / "out",
+            label_source="louvain", scorer="hc",
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        path = tmp / "out" / "labeling.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:")
+        assert "labeling.json" in err

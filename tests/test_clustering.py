@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from classlink import clustering
 from classlink.clustering import (
+    _aggregate,
     _kmeans_full,
+    _local_move,
+    _modularity,
+    _renumber,
     aggregate_features,
     elbow_kmeans,
     elbow_select,
@@ -19,10 +26,12 @@ from classlink.clustering import (
     save_labels_csv,
     save_ssd_curve_csv,
 )
-from classlink.errors import ConfigurationError, DimensionError
+from classlink.errors import ConfigurationError, DimensionError, ParseError
 from classlink.graph import build_graph, split_edges
+from classlink.heuristics import adjacency_matrix
 from classlink.rand import make_rng
 
+import clustering_oracles as oracle
 from conftest import random_edges
 from test_graph import brute_adjacency
 
@@ -330,3 +339,184 @@ class TestArtifacts:
         assert back.method == labeling.method
         assert back.ssd_curve == labeling.ssd_curve
         assert back.seed == labeling.seed
+
+
+def louvain_graphs():
+    """Graphs with isolated nodes, several components, stars and cliques."""
+    rng = np.random.default_rng(1016)
+    sizes = [(30, 0.08), (60, 0.05), (120, 0.04), (200, 0.03)] + [
+        (int(rng.integers(20, 80)), float(rng.uniform(0.02, 0.2))) for _ in range(12)
+    ]
+    graphs = [build_graph(n, random_edges(rng, n, p)) for n, p in sizes]
+    edges, base = [], 0
+    for size in (4, 6, 9):  # cliques
+        edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+        base += size
+    for leaves in (5, 12):  # stars
+        edges += [(base, base + 1 + i) for i in range(leaves)]
+        base += leaves + 1
+    edges += [(base + i, base + i + 1) for i in range(7)]  # a path
+    base += 8
+    edges = np.array(edges)
+    graphs.append(build_graph(base + 5, edges))  # five isolated nodes
+    bridges = rng.integers(0, base, size=(8, 2))
+    graphs.append(build_graph(base + 5, np.concatenate([edges, bridges])))
+    return graphs
+
+
+def dense(adj: list[dict[int, float]]) -> np.ndarray:
+    out = np.zeros((len(adj), len(adj)))
+    for i, row in enumerate(adj):
+        for j, w in row.items():
+            out[i, j] = w
+    return out
+
+
+class TestLouvainMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_labels_and_levels_bit_identical(self, seed, monkeypatch):
+        levels = []
+
+        def counted(adj, rng):
+            levels.append(adj.shape[0])
+            return _local_move(adj, rng)
+
+        monkeypatch.setattr(clustering, "_local_move", counted)
+        for g in louvain_graphs():
+            levels.clear()
+            labeling = louvain(g, seed)
+            want, want_levels = oracle.louvain_levels(g, seed)
+            assert labeling.labels.tobytes() == want.tobytes()
+            assert len(levels) == want_levels
+            assert labeling.k == int(want.max()) + 1
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_each_level_matches_dict_code(self, seed):
+        """Local moves, modularity and aggregation agree level by level."""
+        for g in louvain_graphs():
+            adj = adjacency_matrix(g)
+            adj_dict = oracle.dict_adjacency(g)
+            rng, rng_dict = make_rng(seed), make_rng(seed)
+            while True:
+                np.testing.assert_array_equal(adj.toarray(), dense(adj_dict))
+                comm = _local_move(adj, rng)
+                want = oracle.local_move(adj_dict, rng_dict)
+                assert comm.tolist() == want
+                assert _modularity(adj, comm) == oracle.modularity(adj_dict, want)
+                comm = _renumber(comm)
+                if int(comm.max()) + 1 == adj.shape[0]:
+                    break
+                adj = _aggregate(adj, comm)
+                adj_dict = oracle.aggregate(adj_dict, comm)
+                assert adj.nnz == sum(len(row) for row in adj_dict)
+
+    def test_modularity_of_random_partitions(self):
+        rng = np.random.default_rng(1017)
+        for g in louvain_graphs():
+            adj, adj_dict = adjacency_matrix(g), oracle.dict_adjacency(g)
+            for n_comm in (1, 3, g.n_nodes):
+                comm = rng.integers(0, n_comm, size=g.n_nodes)
+                assert _modularity(adj, comm) == oracle.modularity(
+                    adj_dict, comm.tolist()
+                )
+
+    def test_renumber_matches_dict_oracle(self):
+        rng = np.random.default_rng(1018)
+        for size in (0, 1, 2, 17, 500):
+            for span in (1, 3, 50, 10**9):
+                labels = rng.integers(-span, span, size=size)
+                got = _renumber(labels)
+                assert got.dtype == np.int64
+                assert got.tobytes() == oracle.renumber(labels).tobytes()
+
+
+class TestKmeansMatchesOracle:
+    def features(self):
+        """Blobs, and one-hop sums of sparse 0/1 features on a random graph."""
+        rng = np.random.default_rng(1019)
+        blobs, _ = make_blobs(rng, n_per_blob=40, n_blobs=4, sigma=1.5, dim=5)
+        n = 150
+        feats = (rng.random((n, 40)) < 0.1).astype(np.float64)
+        g = build_graph(n, random_edges(rng, n, 0.04), features=feats)
+        return [blobs, aggregate_features(g)]
+
+    @pytest.mark.parametrize("max_iters", [3, 100])
+    @pytest.mark.parametrize("normalize_rows", [False, True])
+    def test_elbow_curve_byte_identical(self, max_iters, normalize_rows, tmp_path):
+        ks = [1, 2, 3, 5, 8]
+        for i, feats in enumerate(self.features()):
+            labeling = elbow_kmeans(
+                feats, ks, seed=9, max_iters=max_iters, normalize_rows=normalize_rows
+            )
+            curve, labels_by_k = oracle.elbow_runs(feats, ks, 9, max_iters, normalize_rows)
+            assert np.array(labeling.ssd_curve).tobytes() == np.array(curve).tobytes()
+            want = oracle.renumber(labels_by_k[labeling.k])
+            assert labeling.labels.tobytes() == want.tobytes()
+            save_ssd_curve_csv(labeling.ssd_curve, tmp_path / f"new{i}.csv")
+            save_ssd_curve_csv(curve, tmp_path / f"old{i}.csv")
+            assert (tmp_path / f"new{i}.csv").read_bytes() == (
+                tmp_path / f"old{i}.csv"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_lloyd_run_byte_identical(self, k):
+        for feats in self.features():
+            labels, cents, hist = _kmeans_full(feats, k, make_rng(k), max_iters=50)
+            rng = make_rng(k)
+            want = oracle.lloyd(feats, oracle.kmeanspp_init(feats, k, rng), 50)
+            assert labels.tobytes() == want[0].tobytes()
+            assert cents.tobytes() == want[1].tobytes()
+            assert np.array(hist).tobytes() == np.array(want[2]).tobytes()
+
+
+class TestLabelingJsonErrors:
+    def saved(self, tmp_path) -> dict:
+        labeling = kmeans(np.arange(12.0).reshape(6, 2), 3, seed=1)
+        save_labeling_json(labeling, tmp_path / "labeling.json")
+        return json.loads((tmp_path / "labeling.json").read_text())
+
+    def load(self, tmp_path, payload):
+        (tmp_path / "labeling.json").write_text(json.dumps(payload))
+        return load_labeling_json(tmp_path / "labeling.json")
+
+    @pytest.mark.parametrize("key", ["labels", "k", "method", "seed"])
+    def test_missing_key(self, tmp_path, key):
+        payload = self.saved(tmp_path)
+        del payload[key]
+        with pytest.raises(ParseError, match=key):
+            self.load(tmp_path, payload)
+
+    @pytest.mark.parametrize("payload", [[1, 2], "labeling", 3, None])
+    def test_non_object_payload(self, tmp_path, payload):
+        with pytest.raises(ParseError, match="not a labeling artifact"):
+            self.load(tmp_path, payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", [0, 1, 3, 0, 1, 2]),
+            ("labels", [0, -1, 2, 0, 1, 2]),
+            ("labels", [[0, 1], [2, 0]]),
+            ("labels", [0, 1, "a"]),
+            ("labels", [0.0, 1.5, 2.0]),
+            ("labels", 7),
+            ("k", "3"),
+            ("k", 0),
+            ("k", True),
+            ("seed", 1.5),
+            ("method", 4),
+            ("ssd_curve", [[1, 2.0], [3]]),
+            ("ssd_curve", 5),
+        ],
+    )
+    def test_malformed_field(self, tmp_path, field, value):
+        payload = self.saved(tmp_path)
+        payload[field] = value
+        with pytest.raises(ParseError):
+            self.load(tmp_path, payload)
+
+    def test_well_formed_payload_still_loads(self, tmp_path):
+        payload = self.saved(tmp_path)
+        back = self.load(tmp_path, payload)
+        assert back.labels.tolist() == payload["labels"]
+        assert back.k == 3 and back.method == "kmeans" and back.seed == 1

@@ -36,23 +36,16 @@ training propagates once per epoch for both validation batches.
 
 from __future__ import annotations
 
-import base64
-import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    ParseError,
-    TrainingError,
-)
+from . import artifacts
+from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import EdgeSplit, Graph, sample_negatives
 from .heuristics import Scorer, adjacency_matrix
@@ -63,8 +56,6 @@ from .priors import (
     lookup_prior_batch,
 )
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
-
-ARTIFACT_VERSION = 1
 
 N_PRIOR_FEATURES = 2  # (P(c_y|c_x), P(c_x|c_y)) appended to the embedding
 
@@ -310,51 +301,6 @@ def backward(
     dw1 = batch.sx.T @ dz1
 
     return {"w1": dw1, "w2": dw2, "wh": dwh, "bh": dbh, "wo": dwo, "bo": dbo}
-
-
-def gradient_check(
-    params: BackboneParams, batch: LinkBatch, epsilon: float = 1e-5
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error uses ``|a - n| / max(1e-6, |a| + |n|)`` so that entries
-    where both gradients vanish (dead ReLU units) compare at absolute scale.
-    """
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    _, cache = forward_loss(params, batch)
-    grads = backward(params, batch, cache)
-
-    worst = 0.0
-
-    def fd(get: Callable[[], float], put: Callable[[float], None]) -> float:
-        orig = get()
-        put(orig + epsilon)
-        up, _ = forward_loss(params, batch)
-        put(orig - epsilon)
-        down, _ = forward_loss(params, batch)
-        put(orig)
-        return (up - down) / (2.0 * epsilon)
-
-    for name, arr in params.arrays().items():
-        ga = np.asarray(grads[name])
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            numeric = fd(
-                lambda: float(flat[i]),
-                lambda v: flat.__setitem__(i, v),
-            )
-            analytic = float(ga.reshape(-1)[i])
-            denom = max(1e-6, abs(analytic) + abs(numeric))
-            worst = max(worst, abs(analytic - numeric) / denom)
-
-    numeric = fd(
-        lambda: float(params.bo),
-        lambda v: setattr(params, "bo", v),
-    )
-    denom = max(1e-6, abs(float(grads["bo"])) + abs(numeric))
-    worst = max(worst, abs(float(grads["bo"]) - numeric) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -630,101 +576,82 @@ def make_scorer(
 # ---------------------------------------------------------------------------
 
 
-def _encode(arr: np.ndarray) -> dict:
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
+_PARAM_FIELDS = {"bo": float, "use_priors": bool, "dim": int, "hidden": int, "seed": int}
+_PARAM_ARRAYS = {
+    "w1": (artifacts.FLOAT, (None, None)),
+    "w2": (artifacts.FLOAT, (None, None)),
+    "wh": (artifacts.FLOAT, (None, None)),
+    "bh": (artifacts.FLOAT, (None,)),
+    "wo": (artifacts.FLOAT, (None,)),
+}
 
 
-def _decode(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(payload["shape"]).copy()
-
-
-def _params_payload(params: BackboneParams) -> dict:
-    return {
-        "arrays": {name: _encode(arr) for name, arr in params.arrays().items()},
-        "bo": params.bo,
-        "use_priors": params.use_priors,
-        "dim": params.dim,
-        "hidden": params.hidden,
-        "seed": params.seed,
-    }
-
-
-def _params_from_payload(payload: dict) -> BackboneParams:
-    arrays = {name: _decode(blob) for name, blob in payload["arrays"].items()}
-    return BackboneParams(
-        w1=arrays["w1"],
-        w2=arrays["w2"],
-        wh=arrays["wh"],
-        bh=arrays["bh"],
-        wo=arrays["wo"],
-        bo=float(payload["bo"]),
-        use_priors=bool(payload["use_priors"]),
-        dim=int(payload["dim"]),
-        hidden=int(payload["hidden"]),
-        seed=int(payload["seed"]),
+def _params_payload(params: BackboneParams | None) -> dict | None:
+    if params is None:
+        return None
+    return artifacts.encode(
+        {name: getattr(params, name) for name in _PARAM_FIELDS}, params.arrays()
     )
+
+
+def _params_from_payload(path: str | Path, payload: dict | None) -> BackboneParams | None:
+    if payload is None:
+        return None
+    params = BackboneParams(**artifacts.decode(path, payload, _PARAM_FIELDS, _PARAM_ARRAYS))
+    d, h = params.dim, params.hidden
+    z_dim = 2 * d + (N_PRIOR_FEATURES if params.use_priors else 0)
+    shapes = {
+        "w1": (len(params.w1), d), "w2": (d, d), "wh": (z_dim, h), "bh": (h,), "wo": (h,)
+    }
+    bad = [name for name, shape in shapes.items() if getattr(params, name).shape != shape]
+    if bad:
+        raise ParseError(f"{path}: {', '.join(bad)} do not fit dim={d}, hidden={h}")
+    return params
 
 
 def save_checkpoint(
     model: TrainedModel, path: str | Path, *, config_digest: str = ""
 ) -> None:
     """Checkpoint with float64 little-endian base64 weight blobs."""
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": "checkpoint",
-        "seed": model.params.seed,
-        "config_digest": config_digest,
-        "mode": model.mode,
-        "params": _params_payload(model.params),
-        "completion": _params_payload(model.completion)
-        if model.completion is not None
-        else None,
-        "prior_counts": model.prior.joint_counts.tolist()
-        if model.prior is not None
-        else None,
-        "labels": model.labels.tolist() if model.labels is not None else None,
-    }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    artifacts.write(
+        path,
+        "checkpoint",
+        {
+            "config_digest": config_digest,
+            "mode": model.mode,
+            "params": _params_payload(model.params),
+            "completion": _params_payload(model.completion),
+        },
+        {
+            "prior_counts": model.prior.joint_counts if model.prior is not None else None,
+            "labels": model.labels,
+        },
+    )
 
 
 def load_checkpoint(path: str | Path) -> tuple[TrainedModel, str]:
     """Returns the model and the config digest it was trained under."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if payload.get("kind") != "checkpoint":
-        raise ParseError(f"{path}: not a checkpoint artifact")
-    prior = None
-    if payload.get("prior_counts") is not None:
-        counts = np.array(payload["prior_counts"], dtype=np.int64)
-        prior = build_prior_matrix(
-            ClassPriorMatrix(
-                n_classes=counts.shape[0],
-                joint_counts=counts,
-                row_totals=counts.sum(axis=1),
-            )
-        )
-    model = TrainedModel(
-        params=_params_from_payload(payload["params"]),
-        mode=str(payload["mode"]),
-        prior=prior,
-        labels=np.array(payload["labels"], dtype=np.int64)
-        if payload.get("labels") is not None
-        else None,
-        completion=_params_from_payload(payload["completion"])
-        if payload.get("completion") is not None
-        else None,
+    p = artifacts.read(
+        path,
+        "checkpoint",
+        fields={"config_digest": str, "mode": str, "params": dict, "completion": dict},
+        arrays={
+            "prior_counts": (artifacts.INT, (None, None)),
+            "labels": (artifacts.INT, (None,)),
+        },
+        optional=("completion", "prior_counts", "labels"),
     )
-    return model, str(payload.get("config_digest", ""))
+    counts, prior = p["prior_counts"], None
+    if counts is not None:
+        prior = build_prior_matrix(ClassPriorMatrix(len(counts), counts, counts.sum(axis=1)))
+    model = TrainedModel(
+        params=_params_from_payload(path, p["params"]),
+        mode=p["mode"],
+        prior=prior,
+        labels=p["labels"],
+        completion=_params_from_payload(path, p["completion"]),
+    )
+    return model, p["config_digest"]
 
 
 def save_training_log(log: list[dict], path: str | Path) -> None:
@@ -735,5 +662,4 @@ def save_training_log(log: list[dict], path: str | Path) -> None:
             f"{row['epoch']},{format(row['loss'], '.17g')},"
             f"{format(row['val_mrr'], '.17g')}"
         )
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    artifacts.write_text(path, "\n".join(lines) + "\n")

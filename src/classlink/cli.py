@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import json
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .backbone import (
     load_checkpoint,
     make_scorer,
@@ -42,7 +42,7 @@ from .errors import (
     DependencyError,
     StaleArtifactError,
 )
-from .evaluation import bench_prior_runtime, evaluate_split, save_bench_csv, save_report
+from .evaluation import evaluate_split, save_report
 from .graph import (
     Graph,
     EdgeSplit,
@@ -72,7 +72,6 @@ ARTIFACT_NAMES = {
     "heatmap": "heatmap.csv",
     "train": "checkpoint.json",
     "evaluate": "eval/report.json",
-    "bench": "bench.csv",
 }
 
 
@@ -86,31 +85,30 @@ def _manifest_path(cfg: RunConfig) -> Path:
 
 
 def _load_manifest(cfg: RunConfig) -> dict:
+    """The manifest's stage entries (empty before the first stage runs)."""
     path = _manifest_path(cfg)
     if not path.exists():
-        return {"version": 1, "kind": "manifest", "stages": {}}
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise StaleArtifactError(f"{path}: manifest is corrupt ({exc})") from exc
+        return {}
+    stages = artifacts.read(path, "manifest", fields={"stages": dict})["stages"]
+    for entry in stages.values():
+        artifacts.decode(path, entry, fields={"digest": str, "path": str})
+    return stages
 
 
 def _record_stage(cfg: RunConfig, stage: str, **extra) -> None:
-    manifest = _load_manifest(cfg)
-    manifest["stages"][stage] = {
+    stages = _load_manifest(cfg)
+    stages[stage] = {
         "digest": stage_digest(cfg, stage),
         "path": ARTIFACT_NAMES[stage],
         "seed": cfg.seed,
         **extra,
     }
-    path = _manifest_path(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    artifacts.write(_manifest_path(cfg), "manifest", {"stages": stages})
 
 
 def _require_stage(cfg: RunConfig, stage: str) -> Path:
     """Path of an upstream artifact, verified against the current config."""
-    entry = _load_manifest(cfg)["stages"].get(stage)
+    entry = _load_manifest(cfg).get(stage)
     if entry is None:
         raise DependencyError(
             f"missing {stage} artifact; run `classlink {stage}` first"
@@ -130,7 +128,7 @@ def _require_stage(cfg: RunConfig, stage: str) -> Path:
 
 def _cached(cfg: RunConfig, stage: str) -> Path | None:
     """Artifact path when this stage is already up to date, else None."""
-    entry = _load_manifest(cfg)["stages"].get(stage)
+    entry = _load_manifest(cfg).get(stage)
     if entry is None or entry.get("digest") != stage_digest(cfg, stage):
         return None
     path = Path(cfg.out) / entry["path"]
@@ -142,29 +140,8 @@ def _cached(cfg: RunConfig, stage: str) -> Path | None:
 # ---------------------------------------------------------------------------
 
 
-class GraphCache:
-    """The parsed graph artifact, re-read only when its file changes.
-
-    ``run-all`` passes one to every stage so the graph JSON is parsed once
-    per process; a stage run on its own gets none and reads the file.
-    """
-
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._graph: Graph | None = None
-
-    def load(self, path: Path) -> Graph:
-        stat = path.stat()
-        key = (str(path.resolve()), stat.st_mtime_ns, stat.st_size)
-        if key != self._key:
-            self._graph = load_graph_json(path)
-            self._key = key
-        return self._graph
-
-
-def _load_pipeline_graph(cfg: RunConfig, graphs: GraphCache | None = None) -> Graph:
-    path = _require_stage(cfg, "ingest")
-    return load_graph_json(path) if graphs is None else graphs.load(path)
+def _load_pipeline_graph(cfg: RunConfig) -> Graph:
+    return load_graph_json(_require_stage(cfg, "ingest"))
 
 
 def _load_pipeline_split(cfg: RunConfig) -> EdgeSplit:
@@ -207,12 +184,12 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"ingest: n_nodes={g.n_nodes} n_edges={g.n_edges} -> {path}")
 
 
-def cmd_split(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
+def cmd_split(cfg: RunConfig) -> None:
     cached = _cached(cfg, "split")
     if cached is not None:
         print(f"split: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg, graphs)
+    g = _load_pipeline_graph(cfg)
     split = split_edges(g, cfg.ratios, cfg.seed, negatives=cfg.negatives)
     path = Path(cfg.out) / ARTIFACT_NAMES["split"]
     save_split_json(split, path)
@@ -256,7 +233,7 @@ def _cluster_labeling(cfg: RunConfig, g: Graph, split: EdgeSplit) -> PseudoLabel
     )
 
 
-def cmd_cluster(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
+def cmd_cluster(cfg: RunConfig) -> None:
     if cfg.label_source == "true":
         raise ConfigurationError(
             "label source 'true' reads the labels file; nothing to cluster"
@@ -265,7 +242,7 @@ def cmd_cluster(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     if cached is not None:
         print(f"cluster: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg, graphs)
+    g = _load_pipeline_graph(cfg)
     split = _load_pipeline_split(cfg)
     labeling = _cluster_labeling(cfg, g, split)
     out = Path(cfg.out)
@@ -278,12 +255,12 @@ def cmd_cluster(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     print(f"cluster: method={labeling.method} k={labeling.k} -> {path}")
 
 
-def cmd_prior(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
+def cmd_prior(cfg: RunConfig) -> None:
     cached = _cached(cfg, "prior")
     if cached is not None:
         print(f"prior: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg, graphs)
+    g = _load_pipeline_graph(cfg)
     split = _load_pipeline_split(cfg)
     labels, n_classes, class_ids = _resolve_labels(cfg, g)
     prior = build_prior_matrix(count_class_links(split.train_edges, labels, n_classes))
@@ -311,12 +288,12 @@ def cmd_heatmap(cfg: RunConfig) -> None:
     print(f"heatmap: {prior.n_classes}x{prior.n_classes} -> {path}")
 
 
-def cmd_train(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
+def cmd_train(cfg: RunConfig) -> None:
     cached = _cached(cfg, "train")
     if cached is not None:
         print(f"train: up to date ({cached})")
         return
-    g = _load_pipeline_graph(cfg, graphs)
+    g = _load_pipeline_graph(cfg)
     split = _load_pipeline_split(cfg)
     labels: np.ndarray | None = None
     if cfg.mode != "backbone_only":
@@ -358,8 +335,8 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
     return make_heuristic_scorer(cfg.scorer, g_train, katz=cfg.katz_config())
 
 
-def cmd_evaluate(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
-    g = _load_pipeline_graph(cfg, graphs)
+def cmd_evaluate(cfg: RunConfig) -> None:
+    g = _load_pipeline_graph(cfg)
     split = _load_pipeline_split(cfg)
     scorer = _build_scorer(cfg, g, split)
     report = evaluate_split(
@@ -395,35 +372,17 @@ def cmd_evaluate(cfg: RunConfig, graphs: GraphCache | None = None) -> None:
     )
 
 
-def cmd_bench(cfg: RunConfig) -> None:
-    result = bench_prior_runtime(list(cfg.bench_sizes), cfg.seed)
-    path = Path(cfg.out) / ARTIFACT_NAMES["bench"]
-    save_bench_csv(result, path)
-    _record_stage(
-        cfg,
-        "bench",
-        slope=result["slope"],
-        intercept=result["intercept"],
-        r_squared=result["r_squared"],
-    )
-    print(
-        f"bench: sizes={list(cfg.bench_sizes)} slope={result['slope']:.3e} "
-        f"r2={result['r_squared']:.4f} -> {path}"
-    )
-
-
 def cmd_run_all(cfg: RunConfig) -> None:
-    graphs = GraphCache()
     cmd_ingest(cfg)
-    cmd_split(cfg, graphs)
+    cmd_split(cfg)
     needs_prior = cfg.mode != "backbone_only" or cfg.scorer == "hc"
     if needs_prior:
         if cfg.label_source != "true":
-            cmd_cluster(cfg, graphs)
-        cmd_prior(cfg, graphs)
+            cmd_cluster(cfg)
+        cmd_prior(cfg)
     if cfg.scorer == "model":
-        cmd_train(cfg, graphs)
-    cmd_evaluate(cfg, graphs)
+        cmd_train(cfg)
+    cmd_evaluate(cfg)
 
 
 COMMANDS = {
@@ -434,7 +393,6 @@ COMMANDS = {
     "train": (cmd_train, "fit the link predictor with full-batch gradient descent"),
     "evaluate": (cmd_evaluate, "rank positives against sampled negatives"),
     "heatmap": (cmd_heatmap, "export the prior matrix as a CSV heatmap"),
-    "bench": (cmd_bench, "time prior construction across edge counts"),
     "run-all": (cmd_run_all, "run the full pipeline for one config"),
 }
 
@@ -477,10 +435,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, dest) is not None
         }
         cfg = RunConfig.from_mapping(mapping, overrides=overrides)
-        cfg.validate(
-            pipeline=args.command != "bench",
-            check_paths=args.command in ("ingest", "run-all"),
-        )
+        cfg.validate(check_paths=args.command in ("ingest", "run-all"))
         args.func(cfg)
     except ClasslinkError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)

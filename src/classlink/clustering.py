@@ -23,19 +23,17 @@ All routines are deterministic given their seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError
 from .graph import Graph
 from .heuristics import adjacency_matrix
 from .rand import STREAM_CLUSTER, make_rng
-
-ARTIFACT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -524,8 +522,7 @@ def save_labels_csv(
         f"{node_id},{int(lab)}"
         for node_id, lab in zip(node_ids, labeling.labels.tolist())
     ]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    artifacts.write_text(path, "\n".join(lines) + "\n")
 
 
 def save_ssd_curve_csv(
@@ -534,66 +531,49 @@ def save_ssd_curve_csv(
 ) -> None:
     """Write ``k,ssd`` rows (17 significant digits, exact round-trip)."""
     lines = [f"{int(k)},{format(float(s), '.17g')}" for k, s in curve]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    artifacts.write_text(path, "\n".join(lines) + "\n")
 
 
 def save_labeling_json(labeling: PseudoLabeling, path: str | Path) -> None:
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": "labeling",
-        "seed": labeling.seed,
-        "method": labeling.method,
-        "k": labeling.k,
-        "labels": labeling.labels.tolist(),
-        "ssd_curve": [[int(k), float(s)] for k, s in labeling.ssd_curve]
-        if labeling.ssd_curve is not None
-        else None,
-    }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    """``ssd_curve`` is stored as a float ``(m, 2)`` array of ``(k, ssd)`` rows."""
+    curve = labeling.ssd_curve
+    artifacts.write(
+        path,
+        "labeling",
+        {"seed": labeling.seed, "method": labeling.method, "k": labeling.k},
+        {
+            "labels": labeling.labels,
+            "ssd_curve": None if curve is None else np.reshape(curve, (-1, 2)),
+        },
+    )
 
 
 def load_labeling_json(path: str | Path) -> PseudoLabeling:
     """Read a labeling artifact; any malformed payload raises ``ParseError``.
 
-    ``labels`` must be a flat list of integers in ``[0, k)``, ``k`` and
-    ``seed`` integers, ``method`` a string and ``ssd_curve`` absent, null or
-    a list of ``[k, ssd]`` pairs.
+    ``labels`` must be integers in ``[0, k)``, ``k`` a positive integer,
+    ``seed`` an integer, ``method`` a string and ``ssd_curve`` null or a
+    float ``(m, 2)`` array.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("kind") != "labeling":
-        raise ParseError(f"{path}: not a labeling artifact")
-    missing = [key for key in ("labels", "k", "method", "seed") if key not in payload]
-    if missing:
-        raise ParseError(f"{path}: labeling artifact lacks {', '.join(missing)}")
-    k, seed, method = payload["k"], payload["seed"], payload["method"]
-    if not all(type(x) is int for x in (k, seed)) or k < 1:
-        raise ParseError(f"{path}: k must be a positive integer and seed an integer")
-    if not isinstance(method, str):
-        raise ParseError(f"{path}: method must be a string")
-    try:
-        labels = np.asarray(payload["labels"])
-        curve = payload.get("ssd_curve")
-        ssd_curve = (
-            tuple((int(c), float(s)) for c, s in curve) if curve is not None else None
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed labeling artifact ({exc})") from exc
-    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
-        raise ParseError(f"{path}: labels must be a flat list of integers")
-    labels = labels.astype(np.int64)
+    p = artifacts.read(
+        path,
+        "labeling",
+        fields={"seed": int, "method": str, "k": int},
+        arrays={
+            "labels": (artifacts.INT, (None,)),
+            "ssd_curve": (artifacts.FLOAT, (None, 2)),
+        },
+        optional=("ssd_curve",),
+    )
+    k, labels, curve = p["k"], p["labels"], p["ssd_curve"]
+    if k < 1:
+        raise ParseError(f"{path}: k must be a positive integer, found {k}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ParseError(f"{path}: labels must lie in [0, {k})")
     return PseudoLabeling(
         labels=labels,
         k=k,
-        method=method,
-        ssd_curve=ssd_curve,
-        seed=seed,
+        method=p["method"],
+        ssd_curve=None if curve is None else tuple((int(c), s) for c, s in curve.tolist()),
+        seed=p["seed"],
     )

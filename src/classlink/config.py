@@ -62,8 +62,6 @@ class RunConfig:
     katz_length: int = 4
     eval_split: str = "test"
     per_edge_negatives: int | None = None
-    # benchmarking
-    bench_sizes: tuple[int, ...] = (10_000, 100_000, 1_000_000)
 
     # ------------------------------------------------------------------
     # Construction
@@ -123,14 +121,12 @@ class RunConfig:
     # Validation
     # ------------------------------------------------------------------
 
-    def validate(self, *, pipeline: bool = True, check_paths: bool = False) -> None:
+    def validate(self, *, check_paths: bool = False) -> None:
         """Check invariants; raises :class:`ConfigurationError` on the first
-        violation.  ``pipeline=False`` relaxes the input-data requirements
-        (for standalone commands like bench); ``check_paths`` additionally
-        requires the referenced input files to exist (used by commands that
-        read them).
+        violation.  ``check_paths`` additionally requires the referenced input
+        files to exist (used by commands that read them).
         """
-        if pipeline and not self.edges:
+        if not self.edges:
             raise ConfigurationError("config needs an 'edges' path")
         if check_paths:
             for name in ("edges", "features", "labels"):
@@ -173,8 +169,7 @@ class RunConfig:
                 "'k'/'k_grid' only apply when label_source is 'kmeans'"
             )
         if (
-            pipeline
-            and self.label_source == "true"
+            self.label_source == "true"
             and self.labels is None
             and self.mode != "backbone_only"
         ):
@@ -204,10 +199,6 @@ class RunConfig:
             )
         if self.per_edge_negatives is not None and self.per_edge_negatives < 1:
             raise ConfigurationError("per_edge_negatives must be >= 1")
-        if len(self.bench_sizes) < 2 or any(s < 1 for s in self.bench_sizes):
-            raise ConfigurationError(
-                f"bench_sizes needs >= 2 positive sizes, got {self.bench_sizes}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +317,6 @@ _COERCERS = {
     "katz_length": _as_int,
     "eval_split": _as_lower,
     "per_edge_negatives": _as_opt_int,
-    "bench_sizes": _as_int_tuple,
 }
 
 
@@ -383,7 +373,6 @@ STAGE_KEYS: dict[str, tuple[str, ...]] = {
     "heatmap": _LABEL_KEYS,
     "train": _TRAIN_KEYS,
     "evaluate": _EVAL_KEYS,
-    "bench": ("seed", "bench_sizes"),
 }
 
 

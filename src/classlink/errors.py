@@ -15,7 +15,7 @@ class ClasslinkError(Exception):
 
 
 class ParseError(ClasslinkError):
-    """An input file is malformed (bad token, wrong column count, ...)."""
+    """An input file or artifact is malformed (bad token, missing field, old version, ...)."""
 
     category = "parse"
 

@@ -12,13 +12,13 @@ value, seed, config digest, ranks), while wall-clock timings go to a separate
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigurationError, NumericError
 from .graph import EdgeSplit, Graph, sample_negative_pools
 from .heuristics import Scorer
@@ -232,27 +232,25 @@ def save_report(
     mapping a label to (pairs, values) score columns.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    payload = {
-        "version": 1,
-        "kind": "report",
-        "metric": report.metric,
-        "value": report.value,
-        "n_positives": int(report.ranks.size),
-        "n_negatives": report.n_negatives,
-        "seed": report.seed,
-        "config_digest": config_digest,
+    paths = {
+        "report": artifacts.write(
+            out / "report.json",
+            "report",
+            {
+                "metric": report.metric,
+                "value": report.value,
+                "n_positives": int(report.ranks.size),
+                "n_negatives": report.n_negatives,
+                "seed": report.seed,
+                "config_digest": config_digest,
+            },
+        )
     }
-    paths["report"] = out / "report.json"
-    paths["report"].write_text(json.dumps(payload, sort_keys=True) + "\n")
 
     ranks = report.ranks.astype(str)
     if positives is not None:
         ranks = _csv_join(positives[:, 0].astype(str), positives[:, 1].astype(str), ranks)
-    paths["ranks"] = out / "ranks.csv"
-    paths["ranks"].write_text("\n".join(ranks.tolist()) + "\n")
+    paths["ranks"] = artifacts.write_text(out / "ranks.csv", "\n".join(ranks.tolist()) + "\n")
 
     if scores is not None:
         rows = [
@@ -264,14 +262,10 @@ def save_report(
             )
             for label, (pairs, vals) in scores.items()
         ]
-        paths["scores"] = out / "scores.csv"
         lines = np.concatenate(rows).tolist() if rows else []
-        paths["scores"].write_text("\n".join(lines) + "\n")
+        paths["scores"] = artifacts.write_text(out / "scores.csv", "\n".join(lines) + "\n")
 
-    paths["timings"] = out / "timings.json"
-    paths["timings"].write_text(
-        json.dumps({"kind": "timings", **report.timings}, sort_keys=True) + "\n"
-    )
+    paths["timings"] = artifacts.write(out / "timings.json", "timings", report.timings)
     return paths
 
 
@@ -337,14 +331,3 @@ def bench_prior_runtime(
         "intercept": float(intercept),
         "r_squared": float(r2),
     }
-
-
-def save_bench_csv(result: dict, path: str | Path) -> None:
-    """Write ``edges,seconds`` rows plus a trailing fit comment."""
-    lines = [f"{count},{format(sec, '.6g')}" for count, sec in result["rows"]]
-    lines.append(
-        f"# fit: slope={result['slope']:.6g} intercept={result['intercept']:.6g} "
-        f"r2={result['r_squared']:.6g}"
-    )
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")

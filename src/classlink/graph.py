@@ -17,13 +17,13 @@ features or labels, which downstream leakage checks rely on.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -31,8 +31,6 @@ from .errors import (
     ParseError,
 )
 from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
-
-ARTIFACT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,59 +367,76 @@ def _read_lines(path: str | Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON artifacts
+# Graph artifacts
 # ---------------------------------------------------------------------------
 
 
 def save_graph_json(g: Graph, path: str | Path) -> None:
-    """Serialize a graph (losslessly, floats round-trip exactly)."""
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": "graph",
-        "seed": None,
-        "n_nodes": g.n_nodes,
-        "node_ids": list(g.node_ids),
-        "edges": g.undirected_edges().tolist(),
-        "features": g.features.tolist() if g.features.shape[1] else None,
-        "labels": g.labels.tolist() if g.labels is not None else None,
-        "class_ids": list(g.class_ids) if g.labels is not None else None,
-    }
-    _write_json(payload, path)
-
-
-def load_graph_json(path: str | Path) -> Graph:
-    payload = _read_json(path, expected_kind="graph")
-    n = int(payload["n_nodes"])
-    features = payload.get("features")
-    labels = payload.get("labels")
-    return build_graph(
-        n,
-        np.array(payload["edges"], dtype=np.int64).reshape(-1, 2),
-        features=np.array(features, dtype=np.float64) if features is not None else None,
-        labels=np.array(labels, dtype=np.int64) if labels is not None else None,
-        node_ids=tuple(payload["node_ids"]),
-        class_ids=tuple(payload.get("class_ids") or ()),
+    """Serialize a graph losslessly: edges, labels and CSR feature blobs."""
+    feats = np.ascontiguousarray(g.features, dtype=np.float64)
+    stored = feats.view(np.int64) != 0  # nonzero bit patterns, so -0.0 is kept too
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    artifacts.write(
+        path,
+        "graph",
+        {
+            "n_nodes": g.n_nodes,
+            "n_features": feats.shape[1],
+            "node_ids": list(g.node_ids),
+            "class_ids": list(g.class_ids),
+        },
+        {
+            "edges": g.undirected_edges(),
+            "labels": g.labels,
+            "features_indptr": indptr,
+            "features_indices": cols,
+            "features_data": feats[rows, cols],
+        },
     )
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _read_json(path: str | Path, expected_kind: str) -> dict:
+def load_graph_json(path: str | Path) -> Graph:
+    p = artifacts.read(
+        path,
+        "graph",
+        fields={"n_nodes": int, "n_features": int, "node_ids": list, "class_ids": list},
+        arrays={
+            "edges": (artifacts.INT, (None, 2)),
+            "features_indptr": (artifacts.INT, (None,)),
+            "features_indices": (artifacts.INT, (None,)),
+            "features_data": (artifacts.FLOAT, (None,)),
+            "labels": (artifacts.INT, (None,)),
+        },
+        optional=("labels",),
+    )
+    n, width = p["n_nodes"], p["n_features"]
+    indptr, indices, data = p["features_indptr"], p["features_indices"], p["features_data"]
+    counts = np.diff(indptr)
+    if (
+        n < 1
+        or width < 0
+        or indptr.size != n + 1
+        or indptr[0] != 0
+        or (counts < 0).any()
+        or indptr[-1] != indices.size
+        or data.size != indices.size
+        or (indices.size and (indices.min() < 0 or indices.max() >= width))
+    ):
+        raise ParseError(f"{path}: features are not a CSR matrix of {n} x {width}")
+    features = np.zeros((n, width))
+    features[np.repeat(np.arange(n), counts), indices] = data
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if payload.get("kind") != expected_kind:
-        raise ParseError(
-            f"{path}: expected artifact kind '{expected_kind}', "
-            f"found '{payload.get('kind')}'"
+        return build_graph(
+            n,
+            p["edges"],
+            features=features,
+            labels=p["labels"],
+            node_ids=tuple(p["node_ids"]),
+            class_ids=tuple(p["class_ids"]),
         )
-    return payload
+    except DimensionError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -631,34 +646,33 @@ def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 # Split artifacts
 # ---------------------------------------------------------------------------
 
+_SPLIT_ARRAYS = (
+    "train_edges", "valid_edges", "test_edges", "valid_negatives", "test_negatives"
+)
+
 
 def save_split_json(split: EdgeSplit, path: str | Path) -> None:
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": "split",
-        "seed": split.seed,
-        "n_nodes": split.n_nodes,
-        "train_edges": split.train_edges.tolist(),
-        "valid_edges": split.valid_edges.tolist(),
-        "test_edges": split.test_edges.tolist(),
-        "valid_negatives": split.valid_negatives.tolist(),
-        "test_negatives": split.test_negatives.tolist(),
-    }
-    _write_json(payload, path)
+    artifacts.write(
+        path,
+        "split",
+        {"n_nodes": split.n_nodes, "seed": split.seed},
+        {name: getattr(split, name) for name in _SPLIT_ARRAYS},
+    )
 
 
 def load_split_json(path: str | Path) -> EdgeSplit:
-    payload = _read_json(path, expected_kind="split")
-
-    def arr(name: str) -> np.ndarray:
-        return _freeze(np.array(payload[name], dtype=np.int64).reshape(-1, 2))
-
+    p = artifacts.read(
+        path,
+        "split",
+        fields={"n_nodes": int, "seed": int},
+        arrays={name: (artifacts.INT, (None, 2)) for name in _SPLIT_ARRAYS},
+    )
+    n = p["n_nodes"]
+    for name in _SPLIT_ARRAYS:
+        if p[name].size and (p[name].min() < 0 or p[name].max() >= n):
+            raise ParseError(f"{path}: {name} has a node id outside [0, {n})")
     return EdgeSplit(
-        n_nodes=int(payload["n_nodes"]),
-        train_edges=arr("train_edges"),
-        valid_edges=arr("valid_edges"),
-        test_edges=arr("test_edges"),
-        valid_negatives=arr("valid_negatives"),
-        test_negatives=arr("test_negatives"),
-        seed=int(payload["seed"]),
+        n_nodes=n,
+        seed=p["seed"],
+        **{name: _freeze(p[name]) for name in _SPLIT_ARRAYS},
     )

@@ -11,15 +11,13 @@ an endpoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigurationError, MissingLabelError, ParseError
-
-ARTIFACT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -118,24 +116,14 @@ def export_heatmap(
     if prior.probs is None:
         raise ConfigurationError("prior matrix has not been normalized yet")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = [",".join(format(v, ".17g") for v in row) for row in prior.probs]
-    path.write_text("\n".join(rows) + "\n")
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "version": ARTIFACT_VERSION,
-                "kind": "heatmap-meta",
-                "n_classes": prior.n_classes,
-                "class_ids": list(class_ids or ()),
-                "row_totals": prior.row_totals.tolist(),
-            },
-            sort_keys=True,
-        )
-        + "\n"
+    artifacts.write_text(path, "\n".join(rows) + "\n")
+    return artifacts.write(
+        path.with_name(path.name + ".meta.json"),
+        "heatmap-meta",
+        {"n_classes": prior.n_classes, "class_ids": list(class_ids or ())},
+        {"row_totals": prior.row_totals},
     )
-    return sidecar
 
 
 def save_prior_json(
@@ -146,31 +134,25 @@ def save_prior_json(
     label_source: str = "true",
 ) -> None:
     """Persist integer counts (probabilities are recomputed on load)."""
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": "prior",
-        "seed": seed,
-        "label_source": label_source,
-        "n_classes": prior.n_classes,
-        "joint_counts": prior.joint_counts.tolist(),
-    }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    artifacts.write(
+        path,
+        "prior",
+        {"seed": seed, "label_source": label_source, "n_classes": prior.n_classes},
+        {"joint_counts": prior.joint_counts},
+    )
 
 
 def load_prior_json(path: str | Path) -> ClassPriorMatrix:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if payload.get("kind") != "prior":
-        raise ParseError(f"{path}: not a prior artifact")
-    counts = np.array(payload["joint_counts"], dtype=np.int64)
-    counted = ClassPriorMatrix(
-        n_classes=int(payload["n_classes"]),
-        joint_counts=counts,
-        row_totals=counts.sum(axis=1),
+    p = artifacts.read(
+        path,
+        "prior",
+        fields={"seed": int, "label_source": str, "n_classes": int},
+        arrays={"joint_counts": (artifacts.INT, (None, None))},
+        optional=("seed",),
     )
-    return build_prior_matrix(counted)
+    n, counts = p["n_classes"], p["joint_counts"]
+    if n < 1 or counts.shape != (n, n):
+        raise ParseError(
+            f"{path}: joint_counts has shape {counts.shape} for n_classes={n}"
+        )
+    return build_prior_matrix(ClassPriorMatrix(n, counts, counts.sum(axis=1)))

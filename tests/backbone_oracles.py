@@ -2,15 +2,18 @@
 
 Each function works on one pair (or, for propagation, on dense matrices) by
 brute force, independently of the sparse link-incidence code in
-``classlink.backbone``.
+``classlink.backbone``; :func:`gradient_check` compares the hand-derived
+gradients with central finite differences.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 from scipy.special import expit
 
-from classlink.backbone import BackboneParams
+from classlink.backbone import BackboneParams, LinkBatch, backward, forward_loss
 from classlink.errors import ConfigurationError, DimensionError, NumericError
 from classlink.graph import Graph
 from classlink.heuristics import Scorer
@@ -89,3 +92,48 @@ def fuse_and_predict(
     act = np.maximum(z @ params.wh + params.bh, 0.0)
     logit = float(act @ params.wo + params.bo)
     return float(np.clip(expit(logit), 1e-12, 1.0 - 1e-12))
+
+
+def gradient_check(
+    params: BackboneParams, batch: LinkBatch, epsilon: float = 1e-5
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Relative error uses ``|a - n| / max(1e-6, |a| + |n|)`` so that entries
+    where both gradients vanish (dead ReLU units) compare at absolute scale.
+    """
+    if epsilon <= 0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    _, cache = forward_loss(params, batch)
+    grads = backward(params, batch, cache)
+
+    worst = 0.0
+
+    def fd(get: Callable[[], float], put: Callable[[float], None]) -> float:
+        orig = get()
+        put(orig + epsilon)
+        up, _ = forward_loss(params, batch)
+        put(orig - epsilon)
+        down, _ = forward_loss(params, batch)
+        put(orig)
+        return (up - down) / (2.0 * epsilon)
+
+    for name, arr in params.arrays().items():
+        ga = np.asarray(grads[name])
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            numeric = fd(
+                lambda: float(flat[i]),
+                lambda v: flat.__setitem__(i, v),
+            )
+            analytic = float(ga.reshape(-1)[i])
+            denom = max(1e-6, abs(analytic) + abs(numeric))
+            worst = max(worst, abs(analytic - numeric) / denom)
+
+    numeric = fd(
+        lambda: float(params.bo),
+        lambda v: setattr(params, "bo", v),
+    )
+    denom = max(1e-6, abs(float(grads["bo"])) + abs(numeric))
+    worst = max(worst, abs(float(grads["bo"]) - numeric) / denom)
+    return worst

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from classlink.backbone import TrainConfig, gradient_check, init_params, make_scorer, train
+from classlink.backbone import TrainConfig, init_params, make_scorer, train
 from classlink.backbone import BatchBuilder
 from classlink.clustering import aggregate_features, elbow_select, kmeans, louvain
 from classlink.evaluation import bench_prior_runtime, evaluate_split
@@ -32,6 +32,7 @@ from classlink.priors import (
     save_prior_json,
 )
 
+from backbone_oracles import gradient_check
 from conftest import CITATION_DIR, citation_files, planted_two_class, random_edges
 
 RATIOS = (0.85, 0.05, 0.10)

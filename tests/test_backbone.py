@@ -12,7 +12,6 @@ from classlink.backbone import (
     BatchBuilder,
     TrainConfig,
     TrainedModel,
-    gradient_check,
     init_params,
     load_checkpoint,
     make_scorer,
@@ -32,6 +31,7 @@ from backbone_oracles import (
     cnc_probability,
     common_neighbor_set,
     fuse_and_predict,
+    gradient_check,
     mpnn_forward,
     ncn_embed,
     ncnc_embed,

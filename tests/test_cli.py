@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from classlink.artifacts import encode_array
 from classlink.cli import main
 
 
@@ -132,40 +133,6 @@ class TestRunAll:
                 }
             )
         assert digests[0] == digests[1]
-
-    def test_run_all_parses_the_graph_artifact_once(self, dataset, monkeypatch):
-        import classlink.cli as cli
-
-        calls = []
-        real = cli.load_graph_json
-
-        def counting(path):
-            calls.append(path)
-            return real(path)
-
-        monkeypatch.setattr(cli, "load_graph_json", counting)
-        tmp, _ = dataset
-        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out")
-        assert main(["run-all", "--config", str(cfg)]) == 0
-        assert len(calls) == 1
-        # a stage run on its own reads the file each time
-        assert main(["evaluate", "--config", str(cfg)]) == 0
-        assert main(["evaluate", "--config", str(cfg)]) == 0
-        assert len(calls) == 3
-
-    def test_graph_cache_rereads_a_changed_file(self, dataset):
-        from classlink.cli import GraphCache
-        from classlink.graph import build_graph, save_graph_json
-
-        tmp, _ = dataset
-        path = tmp / "graph.json"
-        save_graph_json(build_graph(3, np.array([[0, 1]])), path)
-        cache = GraphCache()
-        first = cache.load(path)
-        assert cache.load(path) is first
-        save_graph_json(build_graph(3, np.array([[0, 1], [1, 2]])), path)
-        second = cache.load(path)
-        assert second is not first and second.n_edges == 2
 
     def test_manual_sequence_equals_run_all(self, dataset):
         tmp, _ = dataset
@@ -314,19 +281,6 @@ class TestEvaluateAndBench:
         report = json.loads((tmp / "out" / "eval" / "report.json").read_text())
         assert report["metric"] == "hr@10"
 
-    def test_bench_writes_fit_to_csv_and_manifest(self, tmp_path, capsys):
-        cfg = tmp_path / "b.yaml"
-        cfg.write_text(
-            f"out: {tmp_path}/bench\nseed: 5\nbench_sizes: [500, 1000, 2000]\n"
-        )
-        assert main(["bench", "--config", str(cfg)]) == 0
-        csv_text = (tmp_path / "bench" / "bench.csv").read_text()
-        assert csv_text.count("\n") == 4  # three rows + fit comment
-        assert "# fit: slope=" in csv_text
-        manifest = json.loads((tmp_path / "bench" / "manifest.json").read_text())
-        assert "slope" in manifest["stages"]["bench"]
-        assert "r_squared" in manifest["stages"]["bench"]
-
     def test_heatmap_command_reexports(self, dataset):
         tmp, _ = dataset
         cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
@@ -373,7 +327,7 @@ class TestCorruptLabeling:
         "corrupt",
         [
             lambda p: {k: v for k, v in p.items() if k != "k"},
-            lambda p: {**p, "labels": [p["k"]] * len(p["labels"])},
+            lambda p: {**p, "labels": encode_array(np.full(p["labels"]["shape"], p["k"]))},
             lambda p: [p],
         ],
         ids=["missing-k", "label-out-of-range", "not-an-object"],
@@ -392,3 +346,38 @@ class TestCorruptLabeling:
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:")
         assert "labeling.json" in err
+
+
+class TestCorruptArtifacts:
+    def run_twice(self, tmp, capsys, corrupt, name, command="run-all", **extra):
+        """Run the pipeline, corrupt one artifact, run ``command`` again."""
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out", **extra)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        path = tmp / "out" / name
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:")
+        assert name in err
+        return err
+
+    def test_prior_without_joint_counts(self, dataset, capsys):
+        tmp, _ = dataset
+        self.run_twice(
+            tmp, capsys,
+            lambda p: {k: v for k, v in p.items() if k != "joint_counts"},
+            "prior.json", label_source="louvain", scorer="hc",
+        )
+
+    def test_manifest_holding_a_list(self, dataset, capsys):
+        tmp, _ = dataset
+        self.run_twice(tmp, capsys, lambda p: [p], "manifest.json")
+
+    @pytest.mark.parametrize(
+        "name, command", [("graph.json", "evaluate"), ("manifest.json", "run-all")]
+    )
+    def test_version_one_artifact(self, dataset, capsys, name, command):
+        tmp, _ = dataset
+        err = self.run_twice(tmp, capsys, lambda p: {**p, "version": 1}, name, command)
+        assert "rebuild the run directory" in err

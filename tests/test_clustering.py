@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from classlink import clustering
+from classlink.artifacts import encode_array
 from classlink.clustering import (
     _aggregate,
     _kmeans_full,
@@ -494,11 +496,11 @@ class TestLabelingJsonErrors:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("labels", [0, 1, 3, 0, 1, 2]),
-            ("labels", [0, -1, 2, 0, 1, 2]),
-            ("labels", [[0, 1], [2, 0]]),
-            ("labels", [0, 1, "a"]),
-            ("labels", [0.0, 1.5, 2.0]),
+            ("labels", encode_array(np.array([0, 1, 3, 0, 1, 2]))),
+            ("labels", encode_array(np.array([0, -1, 2, 0, 1, 2]))),
+            ("labels", encode_array(np.array([[0, 1], [2, 0]]))),
+            ("labels", {**encode_array(np.zeros(3, dtype=np.int64)), "dtype": "<U1"}),
+            ("labels", encode_array(np.array([0.0, 1.5, 2.0]))),
             ("labels", 7),
             ("k", "3"),
             ("k", 0),
@@ -518,5 +520,6 @@ class TestLabelingJsonErrors:
     def test_well_formed_payload_still_loads(self, tmp_path):
         payload = self.saved(tmp_path)
         back = self.load(tmp_path, payload)
-        assert back.labels.tolist() == payload["labels"]
+        blob = payload["labels"]
+        assert back.labels.tolist() == np.frombuffer(base64.b64decode(blob["data"]), "<i8").tolist()
         assert back.k == 3 and back.method == "kmeans" and back.seed == 1

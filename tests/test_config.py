@@ -85,7 +85,6 @@ class TestValidate:
         cfg = RunConfig.from_mapping({})
         with pytest.raises(ConfigurationError, match="'edges'"):
             cfg.validate()
-        cfg.validate(pipeline=False)  # bench-style commands skip data checks
 
     def test_check_paths_requires_existing_files(self, tmp_path):
         edge_file = tmp_path / "edges.txt"
@@ -147,10 +146,6 @@ class TestValidate:
             make_config(lr=-0.1).validate()
         with pytest.raises(ConfigurationError):
             make_config(epochs=0).validate()
-
-    def test_bench_sizes_need_two_entries(self):
-        with pytest.raises(ConfigurationError, match="bench_sizes"):
-            make_config(bench_sizes=[1000]).validate()
 
     def test_per_edge_negatives_positive(self):
         with pytest.raises(ConfigurationError, match="per_edge_negatives"):

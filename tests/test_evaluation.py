@@ -17,7 +17,6 @@ from classlink.evaluation import (
     mrr,
     parse_metric,
     rank_positive,
-    save_bench_csv,
     save_report,
 )
 from classlink.graph import build_graph, sample_negatives, split_edges
@@ -307,14 +306,11 @@ class TestReportArtifacts:
 
 
 class TestBench:
-    def test_linear_fit_fields(self, tmp_path):
+    def test_linear_fit_fields(self):
         result = bench_prior_runtime([1000, 2000, 4000], seed=0, repeats=1)
         assert [r[0] for r in result["rows"]] == [1000, 2000, 4000]
         assert all(sec >= 0 for _, sec in result["rows"])
         assert -1.0 <= result["r_squared"] <= 1.0
-        save_bench_csv(result, tmp_path / "bench.csv")
-        lines = (tmp_path / "bench.csv").read_text().splitlines()
-        assert len(lines) == 4 and lines[-1].startswith("# fit:")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

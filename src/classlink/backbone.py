@@ -471,7 +471,7 @@ def train(
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         negatives = sample_negatives(
-            g, len(positives), (config.seed, STREAM_TRAIN_NEG, epoch)
+            g_train, len(positives), (config.seed, STREAM_TRAIN_NEG, epoch)
         )
         neg_batch = builder.build(negatives, np.zeros(len(negatives)))
         batch = _concat_batches(pos_batch, neg_batch)
@@ -612,7 +612,11 @@ def _params_from_payload(path: str | Path, payload: dict | None) -> BackbonePara
 def save_checkpoint(
     model: TrainedModel, path: str | Path, *, config_digest: str = ""
 ) -> None:
-    """Checkpoint with float64 little-endian base64 weight blobs."""
+    """Checkpoint with float64 little-endian base64 weight blobs.
+
+    Only the weights are stored; the prior and labels stay in the run's
+    ``prior.json`` and label source.
+    """
     artifacts.write(
         path,
         "checkpoint",
@@ -622,33 +626,26 @@ def save_checkpoint(
             "params": _params_payload(model.params),
             "completion": _params_payload(model.completion),
         },
-        {
-            "prior_counts": model.prior.joint_counts if model.prior is not None else None,
-            "labels": model.labels,
-        },
     )
 
 
 def load_checkpoint(path: str | Path) -> tuple[TrainedModel, str]:
-    """Returns the model and the config digest it was trained under."""
+    """Returns the model and the config digest it was trained under.
+
+    The model's ``prior`` and ``labels`` are ``None``; a model that uses
+    priors scores only once the run's prior and labels are attached.
+    """
     p = artifacts.read(
         path,
         "checkpoint",
         fields={"config_digest": str, "mode": str, "params": dict, "completion": dict},
-        arrays={
-            "prior_counts": (artifacts.INT, (None, None)),
-            "labels": (artifacts.INT, (None,)),
-        },
-        optional=("completion", "prior_counts", "labels"),
+        optional=("completion",),
     )
-    counts, prior = p["prior_counts"], None
-    if counts is not None:
-        prior = build_prior_matrix(ClassPriorMatrix(len(counts), counts, counts.sum(axis=1)))
     model = TrainedModel(
         params=_params_from_payload(path, p["params"]),
         mode=p["mode"],
-        prior=prior,
-        labels=p["labels"],
+        prior=None,
+        labels=None,
         completion=_params_from_payload(path, p["completion"]),
     )
     return model, p["config_digest"]

@@ -313,6 +313,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
     g_train = split.train_graph(g)
+    model = None
     if cfg.scorer == "model":
         model, digest = load_checkpoint(_require_stage(cfg, "train"))
         if digest != stage_digest(cfg, "train"):
@@ -320,19 +321,21 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
                 "checkpoint was trained under a different configuration; "
                 "re-run `classlink train`"
             )
-        return make_scorer(model, g_train, g.features)
-    if cfg.scorer == "hc":
+    prior = labels = None
+    if cfg.scorer == "hc" or (model is not None and cfg.mode != "backbone_only"):
         prior = load_prior_json(_require_stage(cfg, "prior"))
         labels, _, _ = _resolve_labels(cfg, g)
-        return make_heuristic_scorer(
-            "hc",
-            g_train,
-            katz=cfg.katz_config(),
-            prior=prior,
-            labels=labels,
-            base=cfg.hc_base,
-        )
-    return make_heuristic_scorer(cfg.scorer, g_train, katz=cfg.katz_config())
+    if model is not None:
+        model.prior, model.labels = prior, labels
+        return make_scorer(model, g_train, g.features)
+    return make_heuristic_scorer(
+        cfg.scorer,
+        g_train,
+        katz=cfg.katz_config(),
+        prior=prior,
+        labels=labels,
+        base=cfg.hc_base,
+    )
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
@@ -348,10 +351,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         per_edge_negatives=cfg.per_edge_negatives,
         graph=g,
     )
-    if cfg.eval_split == "test":
-        positives, pool = split.test_edges, split.test_negatives
-    else:
-        positives, pool = split.valid_edges, split.valid_negatives
+    positives, pool = split.part(cfg.eval_split)
     scores = {"positive": (positives, report.positive_scores)}
     if report.negative_scores is not None:
         scores["negative"] = (pool, report.negative_scores)

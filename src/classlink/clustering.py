@@ -290,19 +290,6 @@ def _extend_centroids(points: _Points, centroids: np.ndarray, k: int) -> np.ndar
     return np.array(cents[:k])
 
 
-def elbow_select(
-    features: np.ndarray,
-    k_candidates: list[int],
-    seed: int,
-    *,
-    max_iters: int = 100,
-    normalize_rows: bool = False,
-) -> tuple[int, list[tuple[int, float]]]:
-    """Choose k by the elbow rule; returns ``(best_k, ssd_curve)``."""
-    curve, _ = _elbow_runs(features, k_candidates, seed, max_iters, normalize_rows)
-    return knee_point(curve), curve
-
-
 def elbow_kmeans(
     features: np.ndarray,
     k_candidates: list[int],

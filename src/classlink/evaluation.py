@@ -136,12 +136,7 @@ def evaluate_split(
     for the shared pool), ``scoring_s`` and ``ranking_s``.
     """
     parse_metric(metric_spec)
-    if which == "test":
-        positives, pool = split.test_edges, split.test_negatives
-    elif which == "valid":
-        positives, pool = split.valid_edges, split.valid_negatives
-    else:
-        raise ConfigurationError(f"unknown split part '{which}'")
+    positives, pool = split.part(which)
     if len(positives) == 0:
         raise ConfigurationError(f"split has no {which} positives to evaluate")
 

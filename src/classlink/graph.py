@@ -134,6 +134,14 @@ class EdgeSplit:
         offsets, targets = _csr_from_edges(self.train_edges, self.n_nodes)
         return replace(g, csr_offsets=offsets, csr_targets=targets)
 
+    def part(self, which: str) -> tuple[np.ndarray, np.ndarray]:
+        """Positive edges and shared negative pool of the ``test`` or ``valid`` part."""
+        if which == "test":
+            return self.test_edges, self.test_negatives
+        if which == "valid":
+            return self.valid_edges, self.valid_negatives
+        raise ConfigurationError(f"unknown split part '{which}'")
+
 
 # ---------------------------------------------------------------------------
 # Construction

@@ -31,9 +31,8 @@ per-node weights once per scorer.
   prior rows and columns of the two endpoint classes.
 
 Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay small.
-Node ids are checked once per batch.  The single-pair functions
-(:func:`cn_score`, :func:`katz_score`, :func:`z_normalizer`, ...) are one-pair
-calls into the same kernels.
+Node ids are checked once per batch.  :func:`make_heuristic_scorer` is the
+only way to score; one pair is a ``(1, 2)`` batch.
 """
 
 from __future__ import annotations
@@ -264,75 +263,6 @@ class _ClassBonus:
         fwd, rev = lookup_prior_batch(self.prior, self.labels, pairs).T
         p = self.params
         return structural + p.beta * (p.alpha1 * fwd + p.alpha2 * rev) / z
-
-
-# ---------------------------------------------------------------------------
-# Single pairs
-# ---------------------------------------------------------------------------
-
-
-def _score_one(g: Graph, kernel: Callable, x: int, y: int) -> float:
-    return float(kernel(_node_pairs(g, np.array([[x, y]])))[0])
-
-
-def cn_score(g: Graph, x: int, y: int) -> float:
-    """Number of common neighbors."""
-    return _score_one(g, _structural_kernel("cn", g), x, y)
-
-
-def aa_score(g: Graph, x: int, y: int) -> float:
-    """Adamic-Adar: down-weight common neighbors by 1/ln(degree).
-
-    Degree-1 common neighbors are impossible (such a node touches both
-    endpoints), so ln d(z) >= ln 2 and the sum is well defined.
-    """
-    return _score_one(g, _structural_kernel("aa", g), x, y)
-
-
-def ra_score(g: Graph, x: int, y: int) -> float:
-    """Resource allocation: down-weight common neighbors by 1/degree."""
-    return _score_one(g, _structural_kernel("ra", g), x, y)
-
-
-def katz_score(
-    g: Graph, x: int, y: int, cfg: GammaDecayConfig = GammaDecayConfig()
-) -> float:
-    """Truncated Katz index: decayed walk counts up to ``cfg.max_length``."""
-    return _score_one(g, _structural_kernel("katz", g, cfg), x, y)
-
-
-def z_normalizer(
-    g: Graph,
-    prior: ClassPriorMatrix,
-    labels: np.ndarray,
-    x: int,
-    y: int,
-    params: ClassHeuristicParams,
-) -> float:
-    """Local normalizer over the joint neighborhood of ``x`` and ``y``.
-
-    Returns 1.0 when ``params.normalize_locally`` is off.  Raises
-    :class:`DegenerateNormalizerError` when the sum evaluates to zero (for
-    instance when both endpoints are isolated), since the bonus would be
-    undefined.
-    """
-    if not params.normalize_locally:
-        return 1.0
-    return _score_one(g, _ClassBonus(g, prior, labels, params).normalizer, x, y)
-
-
-def class_heuristic_score(
-    g: Graph,
-    prior: ClassPriorMatrix,
-    labels: np.ndarray,
-    x: int,
-    y: int,
-    structural: float,
-    params: ClassHeuristicParams = ClassHeuristicParams(),
-) -> float:
-    """Add the (optionally normalized) class-prior bonus to a structural score."""
-    bonus = _ClassBonus(g, prior, labels, params)
-    return _score_one(g, lambda pairs: bonus(pairs, np.array([structural])), x, y)
 
 
 # ---------------------------------------------------------------------------

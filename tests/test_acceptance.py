@@ -15,16 +15,10 @@ import pytest
 
 from classlink.backbone import TrainConfig, init_params, make_scorer, train
 from classlink.backbone import BatchBuilder
-from classlink.clustering import aggregate_features, elbow_select, kmeans, louvain
+from classlink.clustering import aggregate_features, elbow_kmeans, kmeans, louvain
 from classlink.evaluation import bench_prior_runtime, evaluate_split
 from classlink.graph import build_graph, load_graph, split_edges
-from classlink.heuristics import (
-    GammaDecayConfig,
-    aa_score,
-    cn_score,
-    katz_score,
-    ra_score,
-)
+from classlink.heuristics import GammaDecayConfig, make_heuristic_scorer
 from classlink.priors import (
     build_prior_matrix,
     count_class_links,
@@ -146,18 +140,23 @@ def test_criterion_03_heuristics_match_enumeration_oracles():
     for trial in range(10):
         n = int(rng.integers(8, 15))
         g = build_graph(n, random_edges(rng, n, 0.35))
+        score = {
+            name: make_heuristic_scorer(name, g, katz=cfg)
+            for name in ("cn", "aa", "ra", "katz")
+        }
         for _ in range(10):
             u, v = rng.choice(n, size=2, replace=False)
             u, v = int(u), int(v)
+            pair = np.array([[u, v]])
             cn, aa, ra = oracle_cn_aa_ra(g, u, v)
-            assert abs(cn_score(g, u, v) - cn) <= 1e-10
-            assert abs(aa_score(g, u, v) - aa) <= 1e-10
-            assert abs(ra_score(g, u, v) - ra) <= 1e-10
+            assert abs(score["cn"](pair)[0] - cn) <= 1e-10
+            assert abs(score["aa"](pair)[0] - aa) <= 1e-10
+            assert abs(score["ra"](pair)[0] - ra) <= 1e-10
             katz_oracle = sum(
                 cfg.gamma**length * oracle_walk_count(g, u, v, length)
                 for length in range(1, cfg.max_length + 1)
             )
-            assert abs(katz_score(g, u, v, cfg) - katz_oracle) <= 1e-10
+            assert abs(score["katz"](pair)[0] - katz_oracle) <= 1e-10
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"criterion 3 exceeded 1 min ({elapsed:.1f}s)"
@@ -267,7 +266,7 @@ def test_criterion_06_elbow_recovers_three_blobs():
         points = np.concatenate(
             [c + 0.1 * rng.standard_normal((100, 2)) for c in centers]
         )
-        best_k, _ = elbow_select(points, [1, 2, 3, 5, 8, 10], seed)
+        best_k = elbow_kmeans(points, [1, 2, 3, 5, 8, 10], seed).k
         chosen.append(best_k)
         hits += best_k == 3
     assert hits >= 9, f"elbow chose k=3 in only {hits}/10 seeds (choices {chosen})"

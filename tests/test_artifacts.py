@@ -171,7 +171,9 @@ WRONG_SHAPE = {
     "split": lambda p: {**p, "valid_edges": encode_array(np.zeros(4, dtype=int))},
     "prior": lambda p: {**p, "joint_counts": encode_array(np.zeros(9, dtype=int))},
     "labeling": lambda p: {**p, "labels": encode_array(np.zeros((5, 2), dtype=int))},
-    "checkpoint": lambda p: {**p, "labels": encode_array(np.zeros((12, 1), dtype=int))},
+    "checkpoint": lambda p: {
+        **p, "params": {**p["params"], "bh": encode_array(np.zeros((2, 1)))}
+    },
     "manifest": lambda p: {**p, "stages": {"ingest": {"digest": "d"}}},
 }
 

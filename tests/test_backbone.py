@@ -3,6 +3,7 @@ embedding semantics, training behavior, and checkpoints."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -511,10 +512,42 @@ class TestArtifacts:
         assert digest == "abc123"
         for name, arr in model.params.arrays().items():
             assert arr.tobytes() == loaded.params.arrays()[name].tobytes()
+        # the run's prior and labels are attached as `classlink evaluate` does
+        loaded.prior = build_prior_matrix(count_class_links(split.train_edges, g.labels, 2))
+        loaded.labels = g.labels
         g_train = split.train_graph(g)
         s1 = make_scorer(model, g_train, g.features)(split.test_edges)
         s2 = make_scorer(loaded, g_train, g.features)(split.test_edges)
         assert s1.tobytes() == s2.tobytes()
+
+    def test_checkpoint_holds_weights_only(self, tmp_path):
+        rng = np.random.default_rng(1205)
+        g = planted_two_class(rng, n_per_class=30)
+        split = split_edges(g, (0.7, 0.15, 0.15), seed=2, negatives=50)
+        model, _ = train(g, split, g.labels, "ncnc", quick_config(epochs=3))
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        assert "prior_counts" not in payload and "labels" not in payload
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
+        assert loaded.prior is None and loaded.labels is None
+        scorer = make_scorer(loaded, split.train_graph(g), g.features)
+        with pytest.raises(ConfigurationError, match="lacks prior features"):
+            scorer(split.test_edges)
+
+    @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
+    def test_heldout_edges_do_not_shape_the_checkpoint(self, tmp_path, mode):
+        """Training on a graph stripped of its valid/test edges writes the
+        same bytes: no held-out edge reaches training, negatives included."""
+        g = planted_two_class(np.random.default_rng(1010))
+        split = split_edges(g, (0.85, 0.05, 0.10), seed=5)
+        stripped = build_graph(
+            g.n_nodes, split.train_edges, features=g.features, labels=g.labels
+        )
+        for name, graph in (("full", g), ("stripped", stripped)):
+            model, _ = train(graph, split, graph.labels, mode, quick_config(epochs=6))
+            save_checkpoint(model, tmp_path / f"{name}.json")
+        full = (tmp_path / "full.json").read_bytes()
+        assert full == (tmp_path / "stripped.json").read_bytes()
 
     def test_training_log_csv(self, tmp_path):
         log = [

@@ -381,3 +381,63 @@ class TestCorruptArtifacts:
         tmp, _ = dataset
         err = self.run_twice(tmp, capsys, lambda p: {**p, "version": 1}, name, command)
         assert "rebuild the run directory" in err
+
+
+class TestModelScorerInputs:
+    """`evaluate` with a prior-using model reads the run's `prior.json` and
+    labels, not copies inside the checkpoint."""
+
+    def run_all(self, tmp, **extra):
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out", **extra)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        return cfg
+
+    def test_labeling_of_the_wrong_node_count(self, dataset, capsys):
+        tmp, _ = dataset
+        cfg = self.run_all(tmp, label_source="louvain")
+        path = tmp / "out" / "labeling.json"
+        payload = json.loads(path.read_text())
+        payload["labels"] = encode_array(np.zeros(3, dtype=int))
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[pipeline]:")
+        assert "re-run `classlink cluster`" in err
+
+    def test_missing_prior_stage_names_the_command(self, dataset, capsys):
+        tmp, _ = dataset
+        cfg = self.run_all(tmp)
+        path = tmp / "out" / "manifest.json"
+        payload = json.loads(path.read_text())
+        del payload["stages"]["prior"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[pipeline]:")
+        assert "run `classlink prior` first" in err
+
+    def test_backbone_only_model_needs_no_prior(self, dataset):
+        tmp, _ = dataset
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out", mode="backbone_only")
+        for command in ("ingest", "split", "train", "evaluate"):
+            assert main([command, "--config", str(cfg)]) == 0
+        assert not (tmp / "out" / "prior.json").exists()
+
+    @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
+    def test_checkpoint_with_old_prior_and_label_copies(self, dataset, mode):
+        tmp, _ = dataset
+        cfg = self.run_all(tmp, label_source="louvain", mode=mode)
+        out = tmp / "out"
+        report, scores = (out / "eval/report.json").read_bytes(), sha(out / "eval/scores.csv")
+        prior = json.loads((out / "prior.json").read_text())
+        labeling = json.loads((out / "labeling.json").read_text())
+        path = out / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        assert "prior_counts" not in payload and "labels" not in payload
+        payload.update(prior_counts=prior["joint_counts"], labels=labeling["labels"])
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert (out / "eval/report.json").read_bytes() == report
+        assert sha(out / "eval/scores.csv") == scores

@@ -18,7 +18,6 @@ from classlink.clustering import (
     _renumber,
     aggregate_features,
     elbow_kmeans,
-    elbow_select,
     kmeans,
     knee_point,
     load_labeling_json,
@@ -166,16 +165,16 @@ class TestElbow:
     def test_three_blobs_yield_three(self):
         rng = np.random.default_rng(1008)
         pts, _ = make_blobs(rng)
-        best_k, curve = elbow_select(pts, [1, 2, 3, 5, 8, 10], seed=0)
-        assert best_k == 3
-        ks = [k for k, _ in curve]
+        labeling = elbow_kmeans(pts, [1, 2, 3, 5, 8, 10], seed=0)
+        assert labeling.k == 3
+        ks = [k for k, _ in labeling.ssd_curve]
         assert ks == [1, 2, 3, 5, 8, 10]
 
     def test_curve_nonincreasing(self):
         rng = np.random.default_rng(1009)
         for trial in range(5):
             pts = rng.standard_normal((80, 3))
-            _, curve = elbow_select(pts, [1, 2, 3, 5, 8, 10], seed=trial)
+            curve = elbow_kmeans(pts, [1, 2, 3, 5, 8, 10], seed=trial).ssd_curve
             ssds = [s for _, s in curve]
             assert all(a >= b - 1e-9 for a, b in zip(ssds, ssds[1:])), curve
 
@@ -192,13 +191,13 @@ class TestElbow:
     def test_candidate_validation(self):
         pts = np.zeros((10, 2))
         with pytest.raises(ConfigurationError, match="at least 3"):
-            elbow_select(pts, [1, 2], seed=0)
+            elbow_kmeans(pts, [1, 2], seed=0)
         with pytest.raises(ConfigurationError, match="increasing"):
-            elbow_select(pts, [3, 2, 1], seed=0)
+            elbow_kmeans(pts, [3, 2, 1], seed=0)
         with pytest.raises(ConfigurationError, match="increasing"):
-            elbow_select(pts, [1, 2, 2, 3], seed=0)
+            elbow_kmeans(pts, [1, 2, 2, 3], seed=0)
         with pytest.raises(ConfigurationError):
-            elbow_select(pts, [1, 2, 11], seed=0)
+            elbow_kmeans(pts, [1, 2, 11], seed=0)
 
 
 def oracle_modularity(edges, labels, n):

@@ -17,13 +17,7 @@ from classlink.graph import build_graph
 from classlink.heuristics import (
     ClassHeuristicParams,
     GammaDecayConfig,
-    aa_score,
-    class_heuristic_score,
-    cn_score,
-    katz_score,
     make_heuristic_scorer,
-    ra_score,
-    z_normalizer,
 )
 from classlink.priors import build_prior_matrix, count_class_links
 
@@ -88,6 +82,11 @@ def oracle_z(adj, labels, probs, x, y, omega):
     return z
 
 
+def score_one(name, g, x, y, **kwargs):
+    """One pair through the batch scorer ``make_heuristic_scorer(name, g, ...)``."""
+    return float(make_heuristic_scorer(name, g, **kwargs)(np.array([[x, y]]))[0])
+
+
 def awkward_pairs(rng, edges, n, m):
     """Random pairs plus duplicates, reversed (x > y) pairs and edges."""
     pairs = rng.integers(0, n, size=(m, 2))
@@ -100,25 +99,24 @@ def awkward_pairs(rng, edges, n, m):
 class TestFrozenValues:
     def test_path_aa_ra(self, path3):
         # single common neighbor of degree 2
-        assert cn_score(path3, 0, 2) == 1.0
-        assert aa_score(path3, 0, 2) == pytest.approx(1.0 / math.log(2.0))
-        assert ra_score(path3, 0, 2) == pytest.approx(0.5)
+        assert score_one("cn", path3, 0, 2) == 1.0
+        assert score_one("aa", path3, 0, 2) == pytest.approx(1.0 / math.log(2.0))
+        assert score_one("ra", path3, 0, 2) == pytest.approx(0.5)
 
     def test_katz_single_edge(self):
         g = build_graph(2, np.array([[0, 1]]))
         cfg = GammaDecayConfig(gamma=0.5, max_length=1)
-        assert katz_score(g, 0, 1, cfg) == pytest.approx(0.5)
+        assert score_one("katz", g, 0, 1, katz=cfg) == pytest.approx(0.5)
 
     def test_katz_two_step_path(self, path3):
         cfg = GammaDecayConfig(gamma=0.5, max_length=2)
         # only walk of length 2 from 0 to 2
-        assert katz_score(path3, 0, 2, cfg) == pytest.approx(0.25)
+        assert score_one("katz", path3, 0, 2, katz=cfg) == pytest.approx(0.25)
 
     def test_isolated_pair_scores_zero(self):
         g = build_graph(4, np.array([[0, 1]]))
-        for fn in (cn_score, aa_score, ra_score):
-            assert fn(g, 2, 3) == 0.0
-        assert katz_score(g, 2, 3) == 0.0
+        for name in ("cn", "aa", "ra", "katz"):
+            assert score_one(name, g, 2, 3) == 0.0
 
 
 class TestAgainstOracles:
@@ -131,11 +129,11 @@ class TestAgainstOracles:
             adj = brute_adjacency(edges, n)
             for _ in range(15):
                 x, y = (int(v) for v in rng.integers(0, n, size=2))
-                assert cn_score(g, x, y) == oracle_cn(adj, x, y)
-                assert aa_score(g, x, y) == pytest.approx(
+                assert score_one("cn", g, x, y) == oracle_cn(adj, x, y)
+                assert score_one("aa", g, x, y) == pytest.approx(
                     oracle_aa(adj, x, y), abs=1e-10
                 )
-                assert ra_score(g, x, y) == pytest.approx(
+                assert score_one("ra", g, x, y) == pytest.approx(
                     oracle_ra(adj, x, y), abs=1e-10
                 )
 
@@ -150,12 +148,16 @@ class TestAgainstOracles:
             for _ in range(10):
                 x, y = (int(v) for v in rng.integers(0, n, size=2))
                 expect = oracle_katz(adj, x, y, cfg.gamma, cfg.max_length)
-                assert katz_score(g, x, y, cfg) == pytest.approx(expect, abs=1e-10)
+                assert score_one("katz", g, x, y, katz=cfg) == pytest.approx(
+                    expect, abs=1e-10
+                )
 
     def test_katz_eta_scales_linearly(self, path3):
-        base = katz_score(path3, 0, 2, GammaDecayConfig(gamma=0.3, max_length=3))
-        scaled = katz_score(
-            path3, 0, 2, GammaDecayConfig(gamma=0.3, eta=2.5, max_length=3)
+        base = score_one(
+            "katz", path3, 0, 2, katz=GammaDecayConfig(gamma=0.3, max_length=3)
+        )
+        scaled = score_one(
+            "katz", path3, 0, 2, katz=GammaDecayConfig(gamma=0.3, eta=2.5, max_length=3)
         )
         assert scaled == pytest.approx(2.5 * base)
 
@@ -189,34 +191,39 @@ def two_class_prior():
     return g, prior, labels
 
 
+def hc_one(g, prior, labels, x, y, params=None, base="cn"):
+    """One pair through the ``hc`` batch scorer."""
+    return score_one("hc", g, x, y, prior=prior, labels=labels, params=params, base=base)
+
+
 class TestClassIntegration:
     def test_worked_example(self):
         g, prior, labels = two_class_prior()
+        adj = brute_adjacency(g.undirected_edges(), 3)
         # pair (1, 2): classes (0, 1) -> priors (1/3, 1); unnormalized
-        score = class_heuristic_score(g, prior, labels, 1, 2, structural=2.0)
-        assert score == pytest.approx(2.0 + (1.0 / 3.0 + 1.0))
+        for base, oracle in (("cn", oracle_cn), ("ra", oracle_ra)):
+            score = hc_one(g, prior, labels, 1, 2, base=base)
+            assert score == pytest.approx(oracle(adj, 1, 2) + (1.0 / 3.0 + 1.0))
+        # pair (0, 2): one common neighbour, classes (0, 1)
+        assert hc_one(g, prior, labels, 0, 2) == pytest.approx(1.0 + (1.0 / 3.0 + 1.0))
 
     def test_zero_beta_rejected_positive_beta_scales(self):
         g, prior, labels = two_class_prior()
-        s1 = class_heuristic_score(
-            g, prior, labels, 1, 2, 0.0, ClassHeuristicParams(beta=2.0)
-        )
+        s1 = hc_one(g, prior, labels, 1, 2, ClassHeuristicParams(beta=2.0))
         assert s1 == pytest.approx(2.0 * (1.0 / 3.0 + 1.0))
 
     def test_alpha_weights_select_directions(self):
         g, prior, labels = two_class_prior()
-        fwd_only = class_heuristic_score(
-            g, prior, labels, 1, 2, 0.0, ClassHeuristicParams(alpha2=0.0)
-        )
-        rev_only = class_heuristic_score(
-            g, prior, labels, 1, 2, 0.0, ClassHeuristicParams(alpha1=0.0)
-        )
+        fwd_only = hc_one(g, prior, labels, 1, 2, ClassHeuristicParams(alpha2=0.0))
+        rev_only = hc_one(g, prior, labels, 1, 2, ClassHeuristicParams(alpha1=0.0))
         assert fwd_only == pytest.approx(1.0 / 3.0)
         assert rev_only == pytest.approx(1.0)
 
     def test_z_is_one_when_normalization_off(self):
         g, prior, labels = two_class_prior()
-        assert z_normalizer(g, prior, labels, 0, 2, ClassHeuristicParams()) == 1.0
+        # pair (0, 2): CN 1, classes (0, 1), the bonus undivided
+        score = hc_one(g, prior, labels, 0, 2, ClassHeuristicParams())
+        assert score == 1.0 + (1.0 / 3.0 + 1.0)
 
     def test_z_mono_label_star(self):
         """Single class, unit omegas: Z = 4 * |N(x) ∪ N(y)|."""
@@ -227,11 +234,14 @@ class TestClassIntegration:
             count_class_links(star.undirected_edges(), star.labels, 1)
         )
         params = ClassHeuristicParams(normalize_locally=True)
-        # N(1) ∪ N(2) = {0} -> Z = 4
-        assert z_normalizer(star, prior, star.labels, 1, 2, params) == pytest.approx(4.0)
-        # N(0) ∪ N(1) = {0,1,2,3,4} minus... N(0)={1,2,3,4}, N(1)={0} -> union 5 nodes
-        assert z_normalizer(star, prior, star.labels, 0, 1, params) == pytest.approx(
-            20.0
+        # every prior is 1, so the bonus is (1 + 1) / Z on top of CN
+        # N(1) ∪ N(2) = {0} -> Z = 4; CN(1, 2) = 1
+        assert hc_one(star, prior, star.labels, 1, 2, params) == pytest.approx(
+            1.0 + 2.0 / 4.0
+        )
+        # N(0) = {1,2,3,4}, N(1) = {0} -> union of 5 nodes, Z = 20; CN(0, 1) = 0
+        assert hc_one(star, prior, star.labels, 0, 1, params) == pytest.approx(
+            2.0 / 20.0
         )
 
     def test_z_matches_direct_sum_on_random_graphs(self):
@@ -258,8 +268,10 @@ class TestClassIntegration:
                 expect += w2x * prior.probs[labels[x], cv]
                 expect += w1y * prior.probs[cv, labels[y]]
                 expect += w2y * prior.probs[labels[y], cv]
-            got = z_normalizer(g, prior, labels, x, y, params)
-            assert got == pytest.approx(expect, abs=1e-12)
+            adj = brute_adjacency(edges, n)
+            fwd, rev = prior.probs[labels[x], labels[y]], prior.probs[labels[y], labels[x]]
+            got = hc_one(g, prior, labels, x, y, params)
+            assert got == pytest.approx(oracle_cn(adj, x, y) + (fwd + rev) / expect, abs=1e-12)
 
     def test_isolated_pair_degenerate_normalizer(self):
         g = build_graph(4, np.array([[0, 1]]), labels=np.zeros(4, int))
@@ -268,13 +280,13 @@ class TestClassIntegration:
         )
         params = ClassHeuristicParams(normalize_locally=True)
         with pytest.raises(DegenerateNormalizerError):
-            z_normalizer(g, prior, g.labels, 2, 3, params)
+            hc_one(g, prior, g.labels, 2, 3, params)
 
     def test_missing_label_raises(self):
         g = build_graph(3, np.array([[0, 1], [1, 2]]), labels=np.array([0, 0, -1]))
         prior = build_prior_matrix(count_class_links(np.array([[0, 1]]), g.labels, 1))
         with pytest.raises(MissingLabelError):
-            class_heuristic_score(g, prior, g.labels, 1, 2, 1.0)
+            hc_one(g, prior, g.labels, 1, 2)
 
 
 class TestBatchScorers:
@@ -386,8 +398,6 @@ class TestBatchKernels:
             for bad in ([[0, 3]], [[-1, 1]], [[0, 1], [5, 0]]):
                 with pytest.raises(ConfigurationError, match="out of range"):
                     scorer(np.array(bad))
-        with pytest.raises(ConfigurationError, match="out of range"):
-            cn_score(path3, 0, 3)
 
 
 class TestBatchClassScorer:

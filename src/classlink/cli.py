@@ -311,6 +311,11 @@ def cmd_train(cfg: RunConfig) -> None:
     )
 
 
+def _scorer_reads_prior(cfg: RunConfig) -> bool:
+    """``hc`` and a model outside ``backbone_only`` look up the class prior."""
+    return cfg.scorer == "hc" or (cfg.scorer == "model" and cfg.mode != "backbone_only")
+
+
 def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
     g_train = split.train_graph(g)
     model = None
@@ -322,7 +327,7 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
                 "re-run `classlink train`"
             )
     prior = labels = None
-    if cfg.scorer == "hc" or (model is not None and cfg.mode != "backbone_only"):
+    if _scorer_reads_prior(cfg):
         prior = load_prior_json(_require_stage(cfg, "prior"))
         labels, _, _ = _resolve_labels(cfg, g)
     if model is not None:
@@ -375,8 +380,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 def cmd_run_all(cfg: RunConfig) -> None:
     cmd_ingest(cfg)
     cmd_split(cfg)
-    needs_prior = cfg.mode != "backbone_only" or cfg.scorer == "hc"
-    if needs_prior:
+    if _scorer_reads_prior(cfg):
         if cfg.label_source != "true":
             cmd_cluster(cfg)
         cmd_prior(cfg)

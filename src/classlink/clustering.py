@@ -3,11 +3,14 @@
 When true class labels are unavailable, downstream priors can be computed
 over *pseudo-labels* instead.  Three generators are provided:
 
-* ``kmeans`` over one-hop aggregated features ``H1 = (A + I) X``, with the
-  number of clusters either fixed or chosen by the elbow rule (largest
-  perpendicular distance to the chord of the min-max-normalized SSD curve);
-  the squared row norms are computed once per run, and every ``n × d``
-  temporary of a run is written into one scratch array;
+* ``kmeans`` over one-hop aggregated features ``H1 = (A + I) X``, kept as a
+  CSR matrix, with the number of clusters either fixed or chosen by the
+  elbow rule (largest perpendicular distance to the chord of the
+  min-max-normalized SSD curve).  Each centroid is kept as the sum of its
+  members and their count, so distances come from one sparse product per
+  iteration and no dense ``n × d`` array is built; on the integer points of
+  ``H1`` every distance is an exact rational rounded once, and the labels do
+  not depend on BLAS;
 * ``louvain`` greedy modularity maximization (Blondel et al., 2008) over the
   training adjacency as a CSR matrix: degrees and modularity are array
   reductions and each level's supernode graph is the sparse product
@@ -23,6 +26,7 @@ All routines are deterministic given their seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,10 +60,13 @@ class PseudoLabeling:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_features(g: Graph, features: np.ndarray | None = None) -> np.ndarray:
+def aggregate_features(
+    g: Graph, features: np.ndarray | None = None
+) -> sp.csr_matrix:
     """One-hop sum aggregation ``H1[v] = X[v] + Σ_{u ∈ N(v)} X[u]``.
 
-    Computed as a single sparse-dense product with ``A + I``.
+    Computed as one sparse product ``(A + I) X`` with ``X`` in CSR form, so
+    the result is CSR and no dense ``n × d`` array is built.
     """
     x = g.features if features is None else np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n_nodes:
@@ -69,135 +76,226 @@ def aggregate_features(g: Graph, features: np.ndarray | None = None) -> np.ndarr
     if x.shape[1] == 0:
         raise ConfigurationError("cannot aggregate an empty feature matrix")
     hat = adjacency_matrix(g) + sp.identity(g.n_nodes, format="csr")
-    return hat @ x
+    return (hat @ sp.csr_matrix(x)).tocsr()
 
 
 # ---------------------------------------------------------------------------
 # k-means (Lloyd's algorithm with k-means++ seeding)
 # ---------------------------------------------------------------------------
+#
+# The points are a CSR matrix, and centroid ``j`` is kept as the sum ``S_j``
+# of its members and their count ``n_j``, never as a mean.  A squared distance
+# is ``(n_j² ‖x‖² - 2 n_j x·S_j + ‖S_j‖²) / n_j²``, with every ``x·S_j`` from
+# one sparse product ``X Sᵀ``, and a cluster's SSD is
+# ``(n_j Σ_{i∈j} ‖x_i‖² - ‖S_j‖²) / n_j``.  On integer points, such as one-hop
+# sums of 0/1 features, each numerator is an integer sum that is exact in any
+# order, so every distance and every per-cluster SSD is the exact rational
+# rounded once: exact ties stay ties and go to the lowest index, and the labels
+# depend on the data alone, not on BLAS or its thread count.  Float points
+# (``normalize_rows``) take the same path.
 
 
 @dataclass(frozen=True)
 class _Points:
-    """C-contiguous points, their squared row norms, and one scratch array.
+    """CSR points with sorted indices and no explicit zeros, their squared
+    row norms, and the row of each stored entry."""
 
-    ``scratch`` has the shape of ``xy`` and holds every ``n × d`` temporary of
-    a k-means or elbow run in turn, so no step allocates one of its own.
-    """
-
-    xy: np.ndarray
+    x: sp.csr_matrix
     sq_norms: np.ndarray
-    scratch: np.ndarray
+    entry_rows: np.ndarray
+
+    def row(self, i: int) -> np.ndarray:
+        out = np.zeros(self.x.shape[1])
+        lo, hi = self.x.indptr[i], self.x.indptr[i + 1]
+        out[self.x.indices[lo:hi]] = self.x.data[lo:hi]
+        return out
 
 
-def _sq_dists_to(points: _Points, row: np.ndarray) -> np.ndarray:
-    """``((xy - row) ** 2).sum(axis=1)``, computed in the scratch array."""
-    np.subtract(points.xy, row, out=points.scratch)
-    np.square(points.scratch, out=points.scratch)
-    return points.scratch.sum(axis=1)
+@dataclass(frozen=True)
+class _Centroids:
+    """Centroid ``j`` is ``sums[j] / counts[j]``; ``sq_sums[j] = ‖sums[j]‖²``."""
+
+    sums: np.ndarray
+    sq_sums: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def at(points: _Points, idx: list[int]) -> _Centroids:
+        """One centroid on each point of ``idx``."""
+        return _Centroids(
+            sums=points.x[idx].toarray(),
+            sq_sums=points.sq_norms[idx],
+            counts=np.ones(len(idx)),
+        )
+
+    def moved(self, points: _Points, onto: dict[int, int]) -> _Centroids:
+        """A copy with centroid ``j`` placed on point ``onto[j]``."""
+        js, at = list(onto), _Centroids.at(points, list(onto.values()))
+        sums, sq_sums, counts = self.sums.copy(), self.sq_sums.copy(), self.counts.copy()
+        sums[js], sq_sums[js], counts[js] = at.sums, at.sq_sums, at.counts
+        return _Centroids(sums, sq_sums, counts)
+
+    def then(self, other: _Centroids) -> _Centroids:
+        return _Centroids(
+            sums=np.concatenate([self.sums, other.sums]),
+            sq_sums=np.concatenate([self.sq_sums, other.sq_sums]),
+            counts=np.concatenate([self.counts, other.counts]),
+        )
 
 
-def _pairwise_sq_dists(points: _Points, centroids: np.ndarray) -> np.ndarray:
-    twice = np.multiply(2.0, points.xy, out=points.scratch)
-    d2 = (
-        points.sq_norms[:, None]
-        - twice @ centroids.T
-        + (centroids**2).sum(axis=1)[None, :]
-    )
+def _row_sq_norms(m: sp.csr_matrix) -> np.ndarray:
+    """Squared row norms, summed in stored order as ``m @ v`` sums a row, so
+    that a point's squared distance to itself is exactly 0, float or not."""
+    squares = sp.csr_matrix((m.data * m.data, m.indices, m.indptr), shape=m.shape)
+    return squares @ np.ones(m.shape[1])
+
+
+def _sq_dists_to(points: _Points, i: int) -> np.ndarray:
+    """Squared distances of every point to point ``i``; exactly 0 at ``i``."""
+    d2 = points.sq_norms + points.sq_norms[i] - 2.0 * (points.x @ points.row(i))
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp_init(points: _Points, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.xy.shape[0]
-    centroids = np.empty((k, points.xy.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = points.xy[first]
-    d2 = _sq_dists_to(points, centroids[0])
-    for j in range(1, k):
+def _pairwise_sq_dists(points: _Points, cents: _Centroids) -> np.ndarray:
+    """``(n, k)`` squared distances, each numerator divided once by ``n_j²``."""
+    n_sq = cents.counts**2
+    scaled = np.ascontiguousarray((cents.sums * (-2.0 * cents.counts)[:, None]).T)
+    d2 = points.x @ scaled
+    d2 += cents.sq_sums
+    d2 += points.sq_norms[:, None] * n_sq
+    d2 /= n_sq
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _kmeanspp_init(points: _Points, k: int, rng: np.random.Generator) -> _Centroids:
+    n = points.x.shape[0]
+    idx = [int(rng.integers(n))]
+    d2 = _sq_dists_to(points, idx[0])
+    while len(idx) < k:
         total = d2.sum()
         if total <= 0.0:
-            idx = int(rng.integers(n))  # all points coincide with a centroid
+            idx.append(int(rng.integers(n)))  # all points coincide with a centroid
         else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points.xy[idx]
-        d2 = np.minimum(d2, _sq_dists_to(points, centroids[j]))
-    return centroids
+            idx.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, _sq_dists_to(points, idx[-1]))
+    return _Centroids.at(points, idx)
+
+
+def _update(
+    points: _Points, assign: np.ndarray, cents: _Centroids
+) -> tuple[_Centroids, float]:
+    """Member sums and counts of ``assign``, and its SSD.
+
+    A cluster without members keeps its centroid.  The SSD sums the
+    per-cluster terms with ``math.fsum``, so it depends on the partition
+    alone, not on the order of the clusters.
+    """
+    k, d = cents.sums.shape
+    counts = np.bincount(assign, minlength=k).astype(np.float64)
+    x = points.x
+    sums = np.bincount(
+        assign[points.entry_rows] * d + x.indices, weights=x.data, minlength=k * d
+    ).reshape(k, d)
+    # summed in column order like _row_sq_norms: a one-member SSD is exactly 0
+    sq_sums = np.cumsum(sums * sums, axis=1)[:, -1] if d else np.zeros(k)
+    inner = np.bincount(assign, weights=points.sq_norms, minlength=k)
+    full = counts > 0
+    per_cluster = (inner[full] * counts[full] - sq_sums[full]) / counts[full]
+    ssd = math.fsum(np.maximum(per_cluster, 0.0).tolist())
+    return (
+        _Centroids(
+            sums=np.where(full[:, None], sums, cents.sums),
+            sq_sums=np.where(full, sq_sums, cents.sq_sums),
+            counts=np.where(full, counts, cents.counts),
+        ),
+        ssd,
+    )
 
 
 def _lloyd(
-    points: _Points, centroids: np.ndarray, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    points: _Points, cents: _Centroids, max_iters: int
+) -> tuple[np.ndarray, _Centroids, list[float]]:
     """Iterate assignment/update steps; returns (labels, centroids, SSD history).
 
     The history records the objective after each full iteration and is
     nonincreasing; assignment ties go to the lowest centroid index; an empty
     cluster is re-seeded from the point farthest from its assigned centroid.
     """
-    xy, scratch = points.xy, points.scratch
-    n, k = xy.shape[0], centroids.shape[0]
-    centroids = centroids.copy()
+    n, k = points.x.shape[0], cents.counts.size
     prev_assign: np.ndarray | None = None
     history: list[float] = []
     for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(points, centroids)
+        d2 = _pairwise_sq_dists(points, cents)
         assign = d2.argmin(axis=1)
-        cost = d2[np.arange(n), assign]
-        for j in range(k):
-            if not np.any(assign == j):
-                far = int(np.argmax(cost))
-                centroids[j] = xy[far]
-                assign[far] = j
-                cost[far] = 0.0
-        for j in range(k):
-            members = xy[assign == j]
-            if members.size:
-                centroids[j] = members.mean(axis=0)
-        # every index is in range; "clip" skips the buffered copy of "raise"
-        np.take(centroids, assign, axis=0, out=scratch, mode="clip")
-        np.subtract(xy, scratch, out=scratch)
-        np.square(scratch, out=scratch)
-        history.append(float(scratch.sum()))
+        sizes = np.bincount(assign, minlength=k)
+        if not sizes.all():
+            cost = d2[np.arange(n), assign]
+            moved: dict[int, int] = {}
+            for j in range(k):
+                if sizes[j] == 0:
+                    far = int(np.argmax(cost))
+                    sizes[assign[far]] -= 1
+                    sizes[j] += 1
+                    assign[far] = j
+                    cost[far] = 0.0
+                    moved[j] = far
+            # a re-seeded cluster emptied again keeps the point as its centroid
+            cents = cents.moved(points, moved)
+        cents, ssd = _update(points, assign, cents)
+        history.append(ssd)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-    return assign.astype(np.int64), centroids, history
+    return assign.astype(np.int64), cents, history
 
 
-def _prepare_points(features: np.ndarray, normalize_rows: bool) -> _Points:
-    xy = np.ascontiguousarray(features, dtype=np.float64)
-    if xy.ndim != 2:
-        raise DimensionError(f"expected a 2-D feature matrix, got shape {xy.shape}")
+def _prepare_points(features: np.ndarray | sp.spmatrix, normalize_rows: bool) -> _Points:
+    """Canonical float CSR points (dense or sparse input give the same ones)."""
+    if sp.issparse(features):
+        x = sp.csr_matrix(features, dtype=np.float64, copy=True)
+    else:
+        dense = np.asarray(features, dtype=np.float64)
+        if dense.ndim != 2:
+            raise DimensionError(
+                f"expected a 2-D feature matrix, got shape {dense.shape}"
+            )
+        x = sp.csr_matrix(dense)
+    x.sum_duplicates()
+    x.eliminate_zeros()
+    entry_rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    sq_norms = _row_sq_norms(x)
     if normalize_rows:
-        norms = np.linalg.norm(xy, axis=1, keepdims=True)
-        xy = np.divide(xy, norms, out=np.zeros_like(xy), where=norms > 0)
-    scratch = np.empty_like(xy)
-    np.square(xy, out=scratch)
-    return _Points(xy=xy, sq_norms=scratch.sum(axis=1), scratch=scratch)
+        x.data /= np.sqrt(sq_norms)[entry_rows]
+        sq_norms = _row_sq_norms(x)
+    return _Points(x=x, sq_norms=sq_norms, entry_rows=entry_rows)
 
 
 def _kmeans_full(
-    features: np.ndarray,
+    features: np.ndarray | sp.spmatrix,
     k: int,
     rng: np.random.Generator,
     max_iters: int = 100,
     normalize_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Labels, centroid means and SSD history of one seeded k-means run."""
     points = _prepare_points(features, normalize_rows)
-    n = points.xy.shape[0]
+    n = points.x.shape[0]
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
-    return _lloyd(points, _kmeanspp_init(points, k, rng), max_iters)
+    labels, cents, history = _lloyd(points, _kmeanspp_init(points, k, rng), max_iters)
+    return labels, cents.sums / cents.counts[:, None], history
 
 
 def kmeans(
-    features: np.ndarray,
+    features: np.ndarray | sp.spmatrix,
     k: int,
     seed: int,
     *,
     max_iters: int = 100,
     normalize_rows: bool = False,
 ) -> PseudoLabeling:
-    """Cluster rows of ``features`` into ``k`` groups (squared Euclidean)."""
+    """Cluster rows of ``features``, dense or sparse, into ``k`` groups (squared
+    Euclidean)."""
     labels, _, _ = _kmeans_full(
         features, k, make_rng(seed), max_iters, normalize_rows
     )
@@ -233,7 +331,7 @@ def knee_point(curve: list[tuple[int, float]]) -> int:
 
 
 def _elbow_runs(
-    features: np.ndarray,
+    features: np.ndarray | sp.spmatrix,
     k_candidates: list[int],
     seed: int,
     max_iters: int,
@@ -246,7 +344,7 @@ def _elbow_runs(
     the SSD curve is nonincreasing in k.
     """
     points = _prepare_points(features, normalize_rows)
-    n = points.xy.shape[0]
+    n = points.x.shape[0]
     ks = list(k_candidates)
     if len(ks) < 3:
         raise ConfigurationError(
@@ -261,7 +359,7 @@ def _elbow_runs(
 
     curve: list[tuple[int, float]] = []
     labels_by_k: dict[int, np.ndarray] = {}
-    prev_centroids: np.ndarray | None = None
+    prev_centroids: _Centroids | None = None
     for k in ks:
         rng = make_rng(seed, STREAM_CLUSTER, k)
         labels, cents, hist = _lloyd(
@@ -279,19 +377,18 @@ def _elbow_runs(
     return curve, labels_by_k
 
 
-def _extend_centroids(points: _Points, centroids: np.ndarray, k: int) -> np.ndarray:
+def _extend_centroids(points: _Points, cents: _Centroids, k: int) -> _Centroids:
     """Grow a centroid set to size ``k`` with farthest-point additions."""
-    cents = list(centroids)
-    d2 = _pairwise_sq_dists(points, centroids).min(axis=1)
-    while len(cents) < k:
-        far = int(np.argmax(d2))
-        cents.append(points.xy[far])
-        d2 = np.minimum(d2, _sq_dists_to(points, points.xy[far]))
-    return np.array(cents[:k])
+    d2 = _pairwise_sq_dists(points, cents).min(axis=1)
+    idx: list[int] = []
+    while cents.counts.size + len(idx) < k:
+        idx.append(int(np.argmax(d2)))
+        d2 = np.minimum(d2, _sq_dists_to(points, idx[-1]))
+    return cents.then(_Centroids.at(points, idx))
 
 
 def elbow_kmeans(
-    features: np.ndarray,
+    features: np.ndarray | sp.spmatrix,
     k_candidates: list[int],
     seed: int,
     *,

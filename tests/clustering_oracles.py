@@ -1,12 +1,16 @@
 """Reference implementations of Louvain and Lloyd k-means, used as oracles.
 
 Louvain here keeps the graph as a list of ``{neighbour: weight}`` dicts and
-rebuilds every node's community links on every visit; k-means allocates its
-dense temporaries afresh on every step.  Both are independent of the array
-code in ``classlink.clustering`` and must reproduce its results bit for bit.
+rebuilds every node's community links on every visit, and must reproduce the
+array code in ``classlink.clustering`` bit for bit.  k-means comes twice:
+dense float Lloyd with centroid means, whose labels the library must
+reproduce, and an exact Lloyd over ``fractions.Fraction`` for small integer
+point sets, whose labels and ties the library must reproduce label for label.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -234,4 +238,114 @@ def elbow_runs(
         curve.append((k, best[0]))
         labels_by_k[k] = best[1]
         prev_centroids = best[2]
+    return curve, labels_by_k
+
+
+# ---------------------------------------------------------------------------
+# Exact Lloyd k-means and elbow runs over Fractions (integer points only)
+# ---------------------------------------------------------------------------
+#
+# Every distance, mean and SSD is an exact rational.  Ties go to the lowest
+# index, in the assignment, in the farthest-point choices and in the
+# fresh-versus-warm choice.  k-means++ draws from the same float
+# probabilities as the library, which are exact on integer points.
+
+Point = tuple[Fraction, ...]
+
+
+def exact_points(features: np.ndarray) -> list[Point]:
+    pts = np.asarray(features)
+    if not np.array_equal(pts, np.round(pts)):
+        raise ValueError("the exact oracle takes integer points only")
+    return [tuple(Fraction(int(v)) for v in row) for row in pts.tolist()]
+
+
+def exact_sq_dist(a: Point, b: Point) -> Fraction:
+    return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
+
+
+def first_argmin(values: list[Fraction]) -> int:
+    return min(range(len(values)), key=values.__getitem__)
+
+
+def first_argmax(values: list[Fraction]) -> int:
+    return max(range(len(values)), key=values.__getitem__)
+
+
+def exact_kmeanspp_init(points: list[Point], k: int, rng: np.random.Generator) -> list[Point]:
+    n = len(points)
+    first = int(rng.integers(n))
+    cents = [points[first]]
+    d2 = [exact_sq_dist(p, points[first]) for p in points]
+    while len(cents) < k:
+        total = sum(d2)
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=np.array(d2, dtype=float) / float(total)))
+        cents.append(points[idx])
+        d2 = [min(a, exact_sq_dist(p, points[idx])) for a, p in zip(d2, points)]
+    return cents
+
+
+def exact_lloyd(
+    points: list[Point], cents: list[Point], max_iters: int
+) -> tuple[list[int], list[Point], list[Fraction]]:
+    n, k = len(points), len(cents)
+    cents = list(cents)
+    prev: list[int] | None = None
+    history: list[Fraction] = []
+    for _ in range(max_iters):
+        dists = [[exact_sq_dist(p, c) for c in cents] for p in points]
+        assign = [first_argmin(row) for row in dists]
+        cost = [row[a] for row, a in zip(dists, assign)]
+        for j in range(k):
+            if j not in assign:
+                far = first_argmax(cost)
+                cents[j] = points[far]
+                assign[far] = j
+                cost[far] = Fraction(0)
+        for j in range(k):
+            members = [p for p, a in zip(points, assign) if a == j]
+            if members:
+                cents[j] = tuple(Fraction(sum(col), len(members)) for col in zip(*members))
+        history.append(sum(exact_sq_dist(p, cents[a]) for p, a in zip(points, assign)))
+        if prev is not None and assign == prev:
+            break
+        prev = assign
+    return assign, cents, history
+
+
+def exact_extend_centroids(points: list[Point], cents: list[Point], k: int) -> list[Point]:
+    cents = list(cents)
+    d2 = [min(exact_sq_dist(p, c) for c in cents) for p in points]
+    while len(cents) < k:
+        far = first_argmax(d2)
+        cents.append(points[far])
+        d2 = [min(a, exact_sq_dist(p, points[far])) for a, p in zip(d2, points)]
+    return cents
+
+
+def exact_elbow_runs(
+    features: np.ndarray, ks: list[int], seed: int, max_iters: int
+) -> tuple[list[tuple[int, Fraction]], dict[int, list[int]]]:
+    """The exact elbow curve and the labels chosen for each candidate ``k``."""
+    points = exact_points(features)
+    curve: list[tuple[int, Fraction]] = []
+    labels_by_k: dict[int, list[int]] = {}
+    prev: list[Point] | None = None
+    for k in ks:
+        rng = make_rng(seed, STREAM_CLUSTER, k)
+        labels, cents, hist = exact_lloyd(
+            points, exact_kmeanspp_init(points, k, rng), max_iters
+        )
+        best = (hist[-1], labels, cents)
+        if prev is not None:
+            warm = exact_extend_centroids(points, prev, k)
+            w_labels, w_cents, w_hist = exact_lloyd(points, warm, max_iters)
+            if w_hist[-1] < best[0]:
+                best = (w_hist[-1], w_labels, w_cents)
+        curve.append((k, best[0]))
+        labels_by_k[k] = best[1]
+        prev = best[2]
     return curve, labels_by_k

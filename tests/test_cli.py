@@ -153,6 +153,27 @@ class TestRunAll:
             assert sha(tmp / "out_all" / name) == sha(tmp / "out_seq" / name), name
 
 
+    @pytest.mark.parametrize("scorer", ["cn", "aa", "ra", "katz"])
+    def test_scorer_without_prior_skips_cluster_and_prior(self, dataset, capsys, scorer):
+        tmp, _ = dataset
+        extra = {"label_source": "louvain", "scorer": scorer}
+        cfg = write_config(tmp / "all.yaml", tmp / "data", tmp / "out_all", **extra)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out
+        assert "cluster:" not in printed and "prior:" not in printed
+        for name in ("labeling.json", "prior.json"):
+            assert not (tmp / "out_all" / name).exists(), name
+        # the report equals that of a run through the stages run-all used to run
+        cfg_seq = write_config(tmp / "seq.yaml", tmp / "data", tmp / "out_seq", **extra)
+        for command in ("ingest", "split", "cluster", "prior", "evaluate"):
+            assert main([command, "--config", str(cfg_seq)]) == 0
+        assert (tmp / "out_seq" / "prior.json").exists()
+        report = "eval/report.json"
+        assert (tmp / "out_all" / report).read_bytes() == (
+            tmp / "out_seq" / report
+        ).read_bytes()
+
+
 class TestLabelSources:
     def test_kmeans_grid_writes_curve_and_chosen_k(self, dataset):
         tmp, stats = dataset

@@ -4,17 +4,24 @@ from __future__ import annotations
 
 import base64
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from classlink import clustering
 from classlink.artifacts import encode_array
 from classlink.clustering import (
     _aggregate,
+    _Centroids,
+    _elbow_runs,
     _kmeans_full,
+    _lloyd,
     _local_move,
     _modularity,
+    _prepare_points,
     _renumber,
     aggregate_features,
     elbow_kmeans,
@@ -66,15 +73,15 @@ class TestAggregateFeatures:
             for u in range(n):
                 for v in adj[u]:
                     dense[u, v] = 1.0
-            np.testing.assert_allclose(
-                aggregate_features(g), dense @ feats, atol=1e-12
-            )
+            agg = aggregate_features(g)
+            assert sp.isspmatrix_csr(agg)
+            np.testing.assert_allclose(agg.toarray(), dense @ feats, atol=1e-12)
 
     def test_explicit_matrix_overrides_graph_features(self, path3):
         x = np.array([[1.0], [2.0], [4.0]])
         # H1 = (A+I)X: node0: 1+2, node1: 2+1+4, node2: 4+2
         np.testing.assert_allclose(
-            aggregate_features(path3, x), [[3.0], [7.0], [6.0]]
+            aggregate_features(path3, x).toarray(), [[3.0], [7.0], [6.0]]
         )
 
     def test_empty_features_rejected(self, path3):
@@ -304,7 +311,7 @@ class TestLeakage:
 
         h_view = aggregate_features(g_train_view)
         h_only = aggregate_features(g_train_only)
-        assert h_view.tobytes() == h_only.tobytes()
+        assert h_view.toarray().tobytes() == h_only.toarray().tobytes()
 
         km_view = kmeans(h_view, 4, seed=11)
         km_only = kmeans(h_only, 4, seed=11)
@@ -439,35 +446,189 @@ class TestKmeansMatchesOracle:
         n = 150
         feats = (rng.random((n, 40)) < 0.1).astype(np.float64)
         g = build_graph(n, random_edges(rng, n, 0.04), features=feats)
-        return [blobs, aggregate_features(g)]
+        return [blobs, aggregate_features(g).toarray()]
 
     @pytest.mark.parametrize("max_iters", [3, 100])
     @pytest.mark.parametrize("normalize_rows", [False, True])
-    def test_elbow_curve_byte_identical(self, max_iters, normalize_rows, tmp_path):
+    def test_elbow_curve_byte_identical(self, max_iters, normalize_rows):
+        """Labels byte-identical to the float oracle; the SSD curve to 1e-12."""
         ks = [1, 2, 3, 5, 8]
-        for i, feats in enumerate(self.features()):
+        for feats in self.features():
             labeling = elbow_kmeans(
                 feats, ks, seed=9, max_iters=max_iters, normalize_rows=normalize_rows
             )
             curve, labels_by_k = oracle.elbow_runs(feats, ks, 9, max_iters, normalize_rows)
-            assert np.array(labeling.ssd_curve).tobytes() == np.array(curve).tobytes()
+            assert [k for k, _ in labeling.ssd_curve] == [k for k, _ in curve]
+            assert [s for _, s in labeling.ssd_curve] == pytest.approx(
+                [s for _, s in curve], rel=1e-12
+            )
             want = oracle.renumber(labels_by_k[labeling.k])
             assert labeling.labels.tobytes() == want.tobytes()
-            save_ssd_curve_csv(labeling.ssd_curve, tmp_path / f"new{i}.csv")
-            save_ssd_curve_csv(curve, tmp_path / f"old{i}.csv")
-            assert (tmp_path / f"new{i}.csv").read_bytes() == (
-                tmp_path / f"old{i}.csv"
-            ).read_bytes()
 
     @pytest.mark.parametrize("k", [1, 4, 9])
     def test_lloyd_run_byte_identical(self, k):
+        """Labels byte-identical to the float oracle; centroids and history to 1e-12."""
         for feats in self.features():
             labels, cents, hist = _kmeans_full(feats, k, make_rng(k), max_iters=50)
             rng = make_rng(k)
             want = oracle.lloyd(feats, oracle.kmeanspp_init(feats, k, rng), 50)
             assert labels.tobytes() == want[0].tobytes()
-            assert cents.tobytes() == want[1].tobytes()
-            assert np.array(hist).tobytes() == np.array(want[2]).tobytes()
+            np.testing.assert_allclose(cents, want[1], rtol=1e-12, atol=0)
+            assert hist == pytest.approx(want[2], rel=1e-12)
+
+
+def integer_point_sets():
+    """Small integer point sets, dense with duplicate points and exact ties."""
+    rng = np.random.default_rng(1020)
+    sets = []
+    for _ in range(40):
+        n, d, top = (int(rng.integers(lo, hi)) for lo, hi in ((4, 20), (1, 4), (2, 5)))
+        sets.append(rng.integers(0, top, size=(n, d)).astype(np.float64))
+    return sets
+
+
+class TestKmeansMatchesExactOracle:
+    """On integer points every distance and SSD is an exact rational rounded
+    once, so the labels equal those of Lloyd over Fractions label for label."""
+
+    def check_lloyd(self, pts, k, seed):
+        labels, cents, hist = _kmeans_full(pts, k, make_rng(seed), max_iters=20)
+        exact = oracle.exact_points(pts)
+        init = oracle.exact_kmeanspp_init(exact, k, make_rng(seed))
+        want, want_cents, want_hist = oracle.exact_lloyd(exact, init, 20)
+        assert labels.tolist() == want
+        # a centroid is its integer member sum over its count, rounded once
+        assert cents.tolist() == [[float(v) for v in c] for c in want_cents]
+        assert hist == pytest.approx([float(h) for h in want_hist], rel=1e-15)
+
+    def check_elbow(self, pts, ks, seed):
+        curve, labels_by_k = _elbow_runs(pts, ks, seed, 20, False)
+        want_curve, want_labels = oracle.exact_elbow_runs(pts, ks, seed, 20)
+        assert {k: labels.tolist() for k, labels in labels_by_k.items()} == want_labels
+        assert [s for _, s in curve] == pytest.approx(
+            [float(s) for _, s in want_curve], rel=1e-15
+        )
+        labeling = elbow_kmeans(pts, ks, seed=seed, max_iters=20)
+        assert labeling.k == knee_point([(k, float(s)) for k, s in want_curve])
+        want = oracle.renumber(np.array(want_labels[labeling.k]))
+        assert labeling.labels.tobytes() == want.tobytes()
+
+    def test_lloyd_runs(self):
+        for seed, pts in enumerate(integer_point_sets()):
+            for k in range(1, min(len(pts), 6) + 1):
+                self.check_lloyd(pts, k, seed)
+
+    def test_elbow_runs(self):
+        ks = [1, 2, 3, 4, 6]
+        for seed, pts in enumerate(integer_point_sets()):
+            if len(pts) >= ks[-1]:
+                self.check_elbow(pts, ks, seed)
+
+    def test_point_equidistant_from_two_means_goes_to_the_lower_index(self):
+        # From centroids on points 0 and 7, Lloyd converges to the mean
+        # (4/3, 2/3, 5/6) of six points and the mean (0, 0, 1/2) of two;
+        # point 1 lies at squared distance 5/4 from both.
+        pts = np.array(
+            [[2, 0, 1], [1, 0, 0], [0, 0, 0], [2, 1, 0],
+             [1, 0, 1], [1, 1, 2], [1, 2, 1], [0, 0, 1]],
+            dtype=np.float64,
+        )
+        exact = oracle.exact_points(pts)
+        want, cents, _ = oracle.exact_lloyd(exact, [exact[0], exact[7]], 20)
+        assert cents == [
+            (Fraction(4, 3), Fraction(2, 3), Fraction(5, 6)),
+            (Fraction(0), Fraction(0), Fraction(1, 2)),
+        ]
+        tie = [oracle.exact_sq_dist(exact[1], c) for c in cents]
+        assert tie == [Fraction(5, 4), Fraction(5, 4)]
+        assert want == [0, 0, 1, 0, 0, 0, 0, 1]
+        points = _prepare_points(pts, normalize_rows=False)
+        labels, _, _ = _lloyd(points, _Centroids.at(points, [0, 7]), 20)
+        assert labels.tolist() == want
+
+    def test_fresh_and_warm_runs_ending_in_one_partition_keep_the_fresh_labels(self):
+        # At k = 4 the fresh and the warm run end in the same partition with
+        # its clusters numbered differently; their SSDs must be equal floats,
+        # whatever the cluster order, so that the fresh run is kept.
+        pts = np.array(
+            [[2, 3], [0, 1], [3, 1], [2, 1], [3, 1], [2, 3], [1, 3], [3, 2], [3, 3],
+             [1, 1], [3, 2], [2, 1], [0, 1], [2, 0], [3, 0], [1, 0], [3, 3], [0, 2],
+             [2, 3], [1, 0], [1, 3], [0, 1], [0, 1], [0, 3], [1, 3], [3, 0], [1, 0],
+             [1, 1], [2, 1], [0, 3], [1, 3], [2, 1], [2, 2], [3, 1]],
+            dtype=np.float64,
+        )
+        self.check_elbow(pts, [1, 2, 3, 4, 6], seed=195)
+
+    def test_duplicate_points(self):
+        """Seeding draws from all-zero distances once every distinct point is
+        a centroid, and a cluster re-seeded onto a point that a later empty
+        cluster takes again keeps that point as its centroid."""
+        pts = np.array([[0, 0]] * 3 + [[1, 1]] * 2 + [[3, 0]] * 2, dtype=np.float64)
+        for seed in range(6):
+            for k in range(1, len(pts) + 1):
+                self.check_lloyd(pts, k, seed)
+            self.check_elbow(pts, [1, 2, 3, 5, 7], seed)
+
+
+class TestSparseInput:
+    @pytest.mark.parametrize("normalize_rows", [False, True])
+    def test_dense_and_sparse_input_agree_byte_for_byte(self, normalize_rows):
+        rng = np.random.default_rng(1021)
+        n = 150
+        feats = (rng.random((n, 40)) < 0.1).astype(np.float64)
+        agg = aggregate_features(
+            build_graph(n, random_edges(rng, n, 0.04), features=feats)
+        )
+        # shuffled COO entries with explicit zeros: the same points
+        coo = agg.tocoo()
+        order = np.random.default_rng(1022).permutation(coo.nnz)
+        messy = sp.coo_matrix(
+            (
+                np.concatenate([coo.data[order], np.zeros(5)]),
+                (
+                    np.concatenate([coo.row[order], np.arange(5)]),
+                    np.concatenate([coo.col[order], np.arange(5)]),
+                ),
+            ),
+            shape=agg.shape,
+        )
+        ks = [1, 2, 3, 5, 8]
+        runs = [
+            elbow_kmeans(x, ks, seed=4, max_iters=30, normalize_rows=normalize_rows)
+            for x in (agg.toarray(), agg, messy)
+        ]
+        fixed = [
+            kmeans(x, 6, seed=4, normalize_rows=normalize_rows)
+            for x in (agg.toarray(), agg, messy)
+        ]
+        for other, other_fixed in zip(runs[1:], fixed[1:]):
+            assert other.labels.tobytes() == runs[0].labels.tobytes()
+            assert np.array(other.ssd_curve).tobytes() == np.array(
+                runs[0].ssd_curve
+            ).tobytes()
+            assert other_fixed.labels.tobytes() == fixed[0].labels.tobytes()
+
+    def test_points_without_columns(self):
+        # all points coincide: ties send them to centroid 0, and the empty
+        # centroid 1 takes point 0, the first farthest one
+        labels = kmeans(np.zeros((5, 0)), 2, seed=0).labels
+        assert labels.tolist() == [0, 1, 1, 1, 1]
+
+    def test_elbow_peak_memory_below_a_quarter_of_one_dense_copy(self):
+        n, d = 3000, 4000
+        rng = np.random.default_rng(1023)
+        nnz = n * d // 100
+        x = sp.csr_matrix(
+            (np.ones(nnz), (rng.integers(0, n, nnz), rng.integers(0, d, nnz))),
+            shape=(n, d),
+        )
+        tracemalloc.start()
+        try:
+            elbow_kmeans(x, [2, 3, 5, 8], seed=0, max_iters=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestLabelingJsonErrors:

@@ -28,8 +28,9 @@ All gradients are derived and implemented by hand (no autodiff):
   ``dH = Pxᵀ (dE1 ⊙ H[ys]) + Pyᵀ (dE1 ⊙ H[xs]) + Mᵀ dE2``, so the same matrix
   drives the forward aggregation and the gradient scatter.
 
-``S X`` is computed once per training graph and reused by the forward pass
-and the ``W1`` gradient.  Propagation is separate from the edge head, so a
+``S X``, the product of ``S`` and the graph's CSR features, is computed once
+per training graph as a dense array and reused by the forward pass and the
+``W1`` gradient.  Propagation is separate from the edge head, so a
 frozen model propagates once: :func:`make_scorer` caches its ``H``, and
 training propagates once per epoch for both validation batches.
 """
@@ -48,13 +49,8 @@ from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import EdgeSplit, Graph, sample_negatives
-from .heuristics import Scorer, adjacency_matrix
-from .priors import (
-    ClassPriorMatrix,
-    build_prior_matrix,
-    count_class_links,
-    lookup_prior_batch,
-)
+from .heuristics import Scorer
+from .priors import ClassPriorMatrix, lookup_prior_batch
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
 
 N_PRIOR_FEATURES = 2  # (P(c_y|c_x), P(c_x|c_y)) appended to the embedding
@@ -173,7 +169,7 @@ def normalized_operator(g: Graph) -> sp.csr_matrix:
     """Symmetric normalized adjacency with self-loops over a graph."""
     deg_hat = g.degrees().astype(np.float64) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg_hat)
-    hat = adjacency_matrix(g) + sp.identity(g.n_nodes, format="csr")
+    hat = g.adj + sp.identity(g.n_nodes, format="csr")
     scale = sp.diags(inv_sqrt)
     return (scale @ hat @ scale).tocsr()
 
@@ -324,7 +320,6 @@ class BatchBuilder:
     def create(
         cls,
         g_train: Graph,
-        features: np.ndarray,
         mode: str,
         prior: ClassPriorMatrix | None,
         labels: np.ndarray | None,
@@ -334,18 +329,13 @@ class BatchBuilder:
             raise ConfigurationError(f"unknown mode '{mode}' (expected {MODES})")
         if mode == "ncnc" and completion_scorer is None:
             raise ConfigurationError("ncnc batches need a completion scorer")
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != g_train.n_nodes:
-            raise DimensionError(
-                f"feature matrix shape {x.shape} does not match {g_train.n_nodes} nodes"
-            )
-        if x.shape[1] == 0:
+        if g_train.features.shape[1] == 0:
             raise ConfigurationError("backbone needs node features")
         sym = normalized_operator(g_train)
         return cls(
-            adj=adjacency_matrix(g_train),
+            adj=g_train.adj,
             sym=sym,
-            sx=sym @ x,
+            sx=(sym @ g_train.features).toarray(),
             mode=mode,
             prior=prior,
             labels=labels,
@@ -409,23 +399,28 @@ class BatchBuilder:
 def train(
     g: Graph,
     split: EdgeSplit,
+    prior: ClassPriorMatrix | None,
     labels: np.ndarray | None,
     mode: str,
     config: TrainConfig = TrainConfig(),
 ) -> tuple[TrainedModel, list[dict]]:
     """Full-batch gradient descent with momentum and early stopping.
 
-    Uses training edges for propagation, link supervision, and the class
-    prior; validation MRR (shared negative pool) drives early stopping with
-    the best parameters kept.  ``mode='ncnc'`` first trains and freezes an
-    ``ncn`` completion scorer on a derived seed, then trains the final model
-    on completion-weighted neighborhoods.  Deterministic given ``config.seed``.
+    Uses training edges for propagation and link supervision; ``prior`` is
+    the class prior counted on the training edges, looked up through
+    ``labels`` (both unused in ``backbone_only``).  Validation MRR (shared
+    negative pool) drives early stopping with the best parameters kept.
+    ``mode='ncnc'`` first trains and freezes an ``ncn`` completion scorer on
+    a derived seed, then trains the final model on completion-weighted
+    neighborhoods.  Deterministic given ``config.seed``.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode '{mode}' (expected {MODES})")
     use_priors = mode != "backbone_only"
-    if use_priors and labels is None:
-        raise ConfigurationError(f"mode '{mode}' needs a label source for priors")
+    if use_priors and (prior is None or labels is None):
+        raise ConfigurationError(
+            f"mode '{mode}' needs a class prior and the labels of its label source"
+        )
     if g.features.shape[1] == 0:
         raise ConfigurationError("backbone needs node features")
     if len(split.valid_edges) == 0 or len(split.valid_negatives) == 0:
@@ -434,26 +429,20 @@ def train(
         )
 
     g_train = split.train_graph(g)
-    prior = None
-    label_arr = None
     if use_priors:
-        label_arr = np.asarray(labels, dtype=np.int64)
-        n_classes = int(label_arr.max()) + 1
-        prior = build_prior_matrix(
-            count_class_links(split.train_edges, label_arr, n_classes)
-        )
+        labels = np.asarray(labels, dtype=np.int64)
+    else:
+        prior = labels = None
 
     completion_params: BackboneParams | None = None
     completion_scorer: Scorer | None = None
     if mode == "ncnc":
         stage1_cfg = replace(config, seed=derive_seed(config.seed, STREAM_INIT))
-        stage1_model, _ = train(g, split, labels, "ncn", stage1_cfg)
+        stage1_model, _ = train(g, split, prior, labels, "ncn", stage1_cfg)
         completion_params = stage1_model.params
-        completion_scorer = make_scorer(stage1_model, g_train, g.features)
+        completion_scorer = make_scorer(stage1_model, g_train)
 
-    builder = BatchBuilder.create(
-        g_train, g.features, mode, prior, label_arr, completion_scorer
-    )
+    builder = BatchBuilder.create(g_train, mode, prior, labels, completion_scorer)
     params = init_params(g.features.shape[1], config, use_priors)
 
     positives = split.train_edges
@@ -516,7 +505,7 @@ def train(
         params=best_params,
         mode=mode,
         prior=prior,
-        labels=label_arr,
+        labels=labels,
         completion=completion_params,
     )
     return model, log
@@ -536,9 +525,7 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
     )
 
 
-def make_scorer(
-    model: TrainedModel, g_train: Graph, features: np.ndarray
-) -> Scorer:
+def make_scorer(model: TrainedModel, g_train: Graph) -> Scorer:
     """Batch scorer closing over a trained model and its training graph.
 
     The model's node embeddings are computed once, here, so the parameters
@@ -554,10 +541,9 @@ def make_scorer(
             prior=model.prior,
             labels=model.labels,
         )
-        completion_scorer = make_scorer(stage1, g_train, features)
+        completion_scorer = make_scorer(stage1, g_train)
     builder = BatchBuilder.create(
         g_train,
-        features,
         model.mode,
         model.prior if model.params.use_priors else None,
         model.labels if model.params.use_priors else None,

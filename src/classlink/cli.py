@@ -54,13 +54,7 @@ from .graph import (
     split_edges,
 )
 from .heuristics import make_heuristic_scorer
-from .priors import (
-    build_prior_matrix,
-    count_class_links,
-    export_heatmap,
-    load_prior_json,
-    save_prior_json,
-)
+from .priors import count_class_links, export_heatmap, load_prior_json, save_prior_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -263,7 +257,7 @@ def cmd_prior(cfg: RunConfig) -> None:
     g = _load_pipeline_graph(cfg)
     split = _load_pipeline_split(cfg)
     labels, n_classes, class_ids = _resolve_labels(cfg, g)
-    prior = build_prior_matrix(count_class_links(split.train_edges, labels, n_classes))
+    prior = count_class_links(split.train_edges, labels, n_classes)
     out = Path(cfg.out)
     path = out / ARTIFACT_NAMES["prior"]
     save_prior_json(prior, path, seed=cfg.seed, label_source=cfg.label_source)
@@ -295,11 +289,11 @@ def cmd_train(cfg: RunConfig) -> None:
         return
     g = _load_pipeline_graph(cfg)
     split = _load_pipeline_split(cfg)
-    labels: np.ndarray | None = None
+    prior = labels = None
     if cfg.mode != "backbone_only":
-        _require_stage(cfg, "prior")
         labels, _, _ = _resolve_labels(cfg, g)
-    model, log = train(g, split, labels, cfg.mode, cfg.train_config())
+        prior = load_prior_json(_require_stage(cfg, "prior"))
+    model, log = train(g, split, prior, labels, cfg.mode, cfg.train_config())
     out = Path(cfg.out)
     path = out / ARTIFACT_NAMES["train"]
     save_checkpoint(model, path, config_digest=stage_digest(cfg, "train"))
@@ -309,11 +303,6 @@ def cmd_train(cfg: RunConfig) -> None:
     print(
         f"train: mode={cfg.mode} epochs={len(log)} best_val_mrr={best_val:.6f} -> {path}"
     )
-
-
-def _scorer_reads_prior(cfg: RunConfig) -> bool:
-    """``hc`` and a model outside ``backbone_only`` look up the class prior."""
-    return cfg.scorer == "hc" or (cfg.scorer == "model" and cfg.mode != "backbone_only")
 
 
 def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
@@ -327,12 +316,12 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
                 "re-run `classlink train`"
             )
     prior = labels = None
-    if _scorer_reads_prior(cfg):
+    if cfg.reads_prior:
         prior = load_prior_json(_require_stage(cfg, "prior"))
         labels, _, _ = _resolve_labels(cfg, g)
     if model is not None:
         model.prior, model.labels = prior, labels
-        return make_scorer(model, g_train, g.features)
+        return make_scorer(model, g_train)
     return make_heuristic_scorer(
         cfg.scorer,
         g_train,
@@ -380,7 +369,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 def cmd_run_all(cfg: RunConfig) -> None:
     cmd_ingest(cfg)
     cmd_split(cfg)
-    if _scorer_reads_prior(cfg):
+    if cfg.reads_prior:
         if cfg.label_source != "true":
             cmd_cluster(cfg)
         cmd_prior(cfg)

@@ -36,7 +36,6 @@ import scipy.sparse as sp
 from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError
 from .graph import Graph
-from .heuristics import adjacency_matrix
 from .rand import STREAM_CLUSTER, make_rng
 
 
@@ -60,23 +59,17 @@ class PseudoLabeling:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_features(
-    g: Graph, features: np.ndarray | None = None
-) -> sp.csr_matrix:
+def aggregate_features(g: Graph) -> sp.csr_matrix:
     """One-hop sum aggregation ``H1[v] = X[v] + Σ_{u ∈ N(v)} X[u]``.
 
-    Computed as one sparse product ``(A + I) X`` with ``X`` in CSR form, so
-    the result is CSR and no dense ``n × d`` array is built.
+    Computed as one sparse product ``(A + I) X`` of the graph's CSR
+    adjacency and features, so the result is CSR and no dense ``n × d``
+    array is built.
     """
-    x = g.features if features is None else np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.n_nodes:
-        raise DimensionError(
-            f"feature matrix shape {x.shape} does not match {g.n_nodes} nodes"
-        )
-    if x.shape[1] == 0:
+    if g.features.shape[1] == 0:
         raise ConfigurationError("cannot aggregate an empty feature matrix")
-    hat = adjacency_matrix(g) + sp.identity(g.n_nodes, format="csr")
-    return (hat @ sp.csr_matrix(x)).tocsr()
+    hat = g.adj + sp.identity(g.n_nodes, format="csr")
+    return (hat @ g.features).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +429,7 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
     if g.n_edges == 0:
         raise ConfigurationError("modularity is undefined on an edgeless graph")
     rng = make_rng(seed)
-    adj = adjacency_matrix(g)
+    adj = g.adj
     membership = np.arange(g.n_nodes)
     q_prev = _modularity(adj, np.arange(g.n_nodes))
     while True:

@@ -117,6 +117,14 @@ class RunConfig:
     def katz_config(self) -> GammaDecayConfig:
         return GammaDecayConfig(gamma=self.gamma, max_length=self.katz_length)
 
+    @property
+    def reads_prior(self) -> bool:
+        """Whether the scorer looks up the class prior, and so needs labels:
+        ``hc`` does, and so does a model outside ``backbone_only``."""
+        return self.scorer == "hc" or (
+            self.scorer == "model" and self.mode != "backbone_only"
+        )
+
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -168,11 +176,7 @@ class RunConfig:
             raise ConfigurationError(
                 "'k'/'k_grid' only apply when label_source is 'kmeans'"
             )
-        if (
-            self.label_source == "true"
-            and self.labels is None
-            and self.mode != "backbone_only"
-        ):
+        if self.label_source == "true" and self.labels is None and self.reads_prior:
             raise ConfigurationError(
                 "label source 'true' needs a labels file (or use a pseudo-label source)"
             )

@@ -1,12 +1,15 @@
 """Graph container, file ingestion, edge splitting, negative sampling.
 
-The in-memory representation is a compressed sparse row (CSR) adjacency over
-dense integer node ids: ``csr_offsets`` (length ``n_nodes + 1``) and
-``csr_targets`` (length ``2 * n_edges``).  Neighbor lists are sorted and
-strictly increasing, the structure is symmetric, and there are no self-loops
-or parallel edges — construction canonicalizes arbitrary edge lists into this
+A :class:`Graph` holds two scipy CSR matrices that every layer reads
+directly: ``adj``, the ``n × n`` 0/1 float adjacency over dense integer node
+ids, and ``features``, the ``n × F`` node features.  ``adj`` is symmetric,
+with sorted, strictly increasing neighbour lists and no self-loops or
+parallel edges; construction canonicalizes arbitrary edge lists into this
 form, so two input files describing the same edge set (in any order, with
-duplicates either way around) produce bit-identical graphs.
+duplicates either way around) produce bit-identical graphs.  ``features``
+stores every entry whose bit pattern is nonzero (so ``-0.0`` is kept and
+``0.0`` is not), with sorted column indices; no dense ``n × F`` copy is ever
+built, neither at ingestion nor when ``graph.json`` is read.
 
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
@@ -17,11 +20,12 @@ features or labels, which downstream leakage checks rely on.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import artifacts
 from .errors import (
@@ -40,18 +44,17 @@ from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with optional node features and class labels.
+    """Undirected graph with node features and optional class labels.
 
     Attributes
     ----------
-    n_nodes : int
-        Number of nodes (dense ids ``0 .. n_nodes - 1``).
-    csr_offsets, csr_targets : np.ndarray
-        CSR adjacency; ``csr_targets[csr_offsets[u]:csr_offsets[u+1]]`` is the
-        sorted neighbor list of ``u``.
-    features : np.ndarray
-        Dense ``(n_nodes, F)`` float matrix; ``F == 0`` when no features were
-        supplied.
+    adj : scipy.sparse.csr_matrix
+        ``(n_nodes, n_nodes)`` 0/1 float adjacency; row ``u`` holds the
+        sorted neighbour ids of ``u`` in ``adj.indices``.
+    features : scipy.sparse.csr_matrix
+        ``(n_nodes, F)`` float features, every entry with a nonzero bit
+        pattern stored, column indices sorted; ``F == 0`` when no features
+        were supplied.
     labels : np.ndarray | None
         ``(n_nodes,)`` int class ids, ``-1`` marking unlabeled nodes, or
         ``None`` when no label source was supplied.
@@ -61,18 +64,21 @@ class Graph:
         Dense class id -> original label string (empty when unlabeled).
     """
 
-    n_nodes: int
-    csr_offsets: np.ndarray
-    csr_targets: np.ndarray
-    features: np.ndarray
+    adj: sp.csr_matrix
+    features: sp.csr_matrix
     labels: np.ndarray | None
     node_ids: tuple[str, ...]
     class_ids: tuple[str, ...]
 
     @property
+    def n_nodes(self) -> int:
+        """Number of nodes (dense ids ``0 .. n_nodes - 1``)."""
+        return self.adj.shape[0]
+
+    @property
     def n_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self.csr_targets.size) // 2
+        return self.adj.nnz // 2
 
     @property
     def n_classes(self) -> int:
@@ -80,16 +86,16 @@ class Graph:
 
     def degree(self, u: int) -> int:
         self._check_node(u)
-        return int(self.csr_offsets[u + 1] - self.csr_offsets[u])
+        return int(self.adj.indptr[u + 1] - self.adj.indptr[u])
 
     def degrees(self) -> np.ndarray:
         """All node degrees as an int64 array."""
-        return np.diff(self.csr_offsets)
+        return np.diff(self.adj.indptr).astype(np.int64)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of ``u`` (read-only view)."""
         self._check_node(u)
-        return self.csr_targets[self.csr_offsets[u] : self.csr_offsets[u + 1]]
+        return self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -101,8 +107,9 @@ class Graph:
     def undirected_edges(self) -> np.ndarray:
         """All edges as a canonical ``(m, 2)`` array with ``u < v``, lex-sorted."""
         src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees())
-        mask = src < self.csr_targets
-        return np.column_stack([src[mask], self.csr_targets[mask]])
+        dst = self.adj.indices.astype(np.int64)
+        mask = src < dst
+        return np.column_stack([src[mask], dst[mask]])
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n_nodes:
@@ -131,8 +138,7 @@ class EdgeSplit:
 
     def train_graph(self, g: Graph) -> Graph:
         """Graph restricted to training edges (features/labels carried over)."""
-        offsets, targets = _csr_from_edges(self.train_edges, self.n_nodes)
-        return replace(g, csr_offsets=offsets, csr_targets=targets)
+        return replace(g, adj=_csr_from_edges(self.train_edges, self.n_nodes))
 
     def part(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """Positive edges and shared negative pool of the ``test`` or ``valid`` part."""
@@ -153,6 +159,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _freeze_csr(m: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (m.data, m.indices, m.indptr):
+        _freeze(arr)
+    return m
+
+
 def _canonical_undirected(edges: np.ndarray) -> np.ndarray:
     """Dedup + drop self-loops + orient u < v + lex-sort an edge array."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -164,7 +176,8 @@ def _canonical_undirected(edges: np.ndarray) -> np.ndarray:
     return np.unique(np.column_stack([lo, hi]), axis=0)
 
 
-def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """The symmetric 0/1 adjacency of an edge list, with sorted rows."""
     und = _canonical_undirected(edges)
     if und.size and (und.min() < 0 or und.max() >= n_nodes):
         raise DimensionError(
@@ -173,16 +186,38 @@ def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.nda
     src = np.concatenate([und[:, 0], und[:, 1]])
     dst = np.concatenate([und[:, 1], und[:, 0]])
     order = np.lexsort((dst, src))
-    targets = dst[order]
-    counts = np.bincount(src, minlength=n_nodes)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return _freeze(offsets), _freeze(targets.astype(np.int64))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_nodes))])
+    adj = sp.csr_matrix(
+        (np.ones(dst.size), dst[order], offsets), shape=(n_nodes, n_nodes)
+    )
+    return _freeze_csr(adj)
+
+
+def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_matrix:
+    """Dense or sparse features as CSR with sorted columns, duplicates summed,
+    and every entry whose bit pattern is nonzero kept (``-0.0`` too)."""
+    shape = features.shape if sp.issparse(features) else np.shape(features)
+    if len(shape) != 2 or shape[0] != n_nodes:
+        raise DimensionError(
+            f"feature matrix shape {shape} does not match {n_nodes} nodes"
+        )
+    if sp.issparse(features):
+        coo = sp.coo_matrix(features, dtype=np.float64, copy=True)
+        coo.sum_duplicates()
+        rows, cols, vals = coo.row, coo.col, coo.data
+    else:
+        dense = np.ascontiguousarray(features, dtype=np.float64)
+        rows, cols = np.nonzero(dense.view(np.int64))
+        vals = dense[rows, cols]
+    stored = vals.view(np.int64) != 0
+    x = sp.csr_matrix((vals[stored], (rows[stored], cols[stored])), shape=shape)
+    return _freeze_csr(x)
 
 
 def build_graph(
     n_nodes: int,
     edges: np.ndarray,
-    features: np.ndarray | None = None,
+    features: np.ndarray | sp.spmatrix | None = None,
     labels: np.ndarray | None = None,
     node_ids: tuple[str, ...] | None = None,
     class_ids: tuple[str, ...] | None = None,
@@ -190,21 +225,15 @@ def build_graph(
     """Build a canonical :class:`Graph` from raw arrays.
 
     ``edges`` may be in any order, contain duplicates (either orientation) and
-    self-loops; the result is canonical.  ``labels`` uses ``-1`` for unlabeled
-    nodes.
+    self-loops; the result is canonical.  ``features`` may be a dense array
+    or any scipy sparse matrix; both give the same CSR.  ``labels`` uses
+    ``-1`` for unlabeled nodes.
     """
     if n_nodes < 1:
         raise ConfigurationError(f"graph needs at least one node, got {n_nodes}")
-    offsets, targets = _csr_from_edges(np.asarray(edges), n_nodes)
-
+    adj = _csr_from_edges(np.asarray(edges), n_nodes)
     if features is None:
-        feats = np.zeros((n_nodes, 0), dtype=np.float64)
-    else:
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != n_nodes:
-            raise DimensionError(
-                f"feature matrix shape {feats.shape} does not match {n_nodes} nodes"
-            )
+        features = sp.csr_matrix((n_nodes, 0))
 
     labs: np.ndarray | None = None
     if labels is not None:
@@ -224,10 +253,8 @@ def build_graph(
         raise DimensionError("node_ids length does not match n_nodes")
 
     return Graph(
-        n_nodes=n_nodes,
-        csr_offsets=offsets,
-        csr_targets=targets,
-        features=_freeze(feats.copy()),
+        adj=adj,
+        features=_feature_csr(features, n_nodes),
         labels=labs,
         node_ids=tuple(node_ids),
         class_ids=tuple(class_ids or ()),
@@ -268,7 +295,9 @@ def load_graph(
         return index[token]
 
     # Feature and label files are interned before edges; see module docstring.
-    feature_rows: dict[int, list[float]] = {}
+    # Feature rows are kept as the columns and values of their stored entries.
+    feature_cols: list[np.ndarray] = []
+    feature_vals: list[np.ndarray] = []
     n_feature_cols: int | None = None
     if feature_path is not None:
         for lineno, raw in enumerate(_read_lines(feature_path), start=1):
@@ -289,17 +318,23 @@ def load_graph(
                     f"columns, expected {n_feature_cols}"
                 )
             node = intern(cells[0].strip())
-            if node in feature_rows:
+            if node < len(feature_cols):  # feature rows get ids 0, 1, ... in order
                 raise ParseError(
                     f"{feature_path}:{lineno}: duplicate feature row for node "
                     f"'{cells[0].strip()}'"
                 )
+            values = cells[1:]
+            # a "0" cell is +0.0, which is never stored, so only the rest is parsed
+            cols = [j for j, c in enumerate(values) if c != "0"]
             try:
-                feature_rows[node] = [float(c) for c in cells[1:]]
+                vals = np.array([float(values[j]) for j in cols], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(
                     f"{feature_path}:{lineno}: non-numeric feature value ({exc})"
                 ) from exc
+            stored = vals.view(np.int64) != 0
+            feature_cols.append(np.array(cols, dtype=np.int64)[stored])
+            feature_vals.append(vals[stored])
 
     label_rows: dict[int, int] = {}
     class_index: dict[str, int] = {}
@@ -344,9 +379,14 @@ def load_graph(
 
     features = None
     if feature_path is not None:
-        features = np.zeros((n_nodes, n_feature_cols or 0), dtype=np.float64)
-        for node, row in feature_rows.items():
-            features[node] = row
+        rows = np.repeat(np.arange(len(feature_cols)), [c.size for c in feature_cols])
+        features = sp.coo_matrix(
+            (
+                np.concatenate([np.zeros(0), *feature_vals]),
+                (rows, np.concatenate([np.zeros(0, dtype=np.int64), *feature_cols])),
+            ),
+            shape=(n_nodes, n_feature_cols or 0),
+        )
 
     labels = None
     class_ids: tuple[str, ...] = ()
@@ -367,9 +407,11 @@ def load_graph(
     )
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a text file, read one at a time."""
     try:
-        return Path(path).read_text().splitlines()
+        with open(path) as fh:
+            yield from fh
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -380,26 +422,23 @@ def _read_lines(path: str | Path) -> list[str]:
 
 
 def save_graph_json(g: Graph, path: str | Path) -> None:
-    """Serialize a graph losslessly: edges, labels and CSR feature blobs."""
-    feats = np.ascontiguousarray(g.features, dtype=np.float64)
-    stored = feats.view(np.int64) != 0  # nonzero bit patterns, so -0.0 is kept too
-    rows, cols = np.nonzero(stored)
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    """Serialize a graph losslessly: edges, labels and the feature CSR arrays."""
+    x = g.features
     artifacts.write(
         path,
         "graph",
         {
             "n_nodes": g.n_nodes,
-            "n_features": feats.shape[1],
+            "n_features": x.shape[1],
             "node_ids": list(g.node_ids),
             "class_ids": list(g.class_ids),
         },
         {
             "edges": g.undirected_edges(),
             "labels": g.labels,
-            "features_indptr": indptr,
-            "features_indices": cols,
-            "features_data": feats[rows, cols],
+            "features_indptr": x.indptr,
+            "features_indices": x.indices,
+            "features_data": x.data,
         },
     )
 
@@ -420,20 +459,20 @@ def load_graph_json(path: str | Path) -> Graph:
     )
     n, width = p["n_nodes"], p["n_features"]
     indptr, indices, data = p["features_indptr"], p["features_indices"], p["features_data"]
-    counts = np.diff(indptr)
     if (
         n < 1
         or width < 0
         or indptr.size != n + 1
         or indptr[0] != 0
-        or (counts < 0).any()
+        or (np.diff(indptr) < 0).any()
         or indptr[-1] != indices.size
         or data.size != indices.size
         or (indices.size and (indices.min() < 0 or indices.max() >= width))
     ):
         raise ParseError(f"{path}: features are not a CSR matrix of {n} x {width}")
-    features = np.zeros((n, width))
-    features[np.repeat(np.arange(n), counts), indices] = data
+    features = sp.csr_matrix((data, indices, indptr), shape=(n, width))
+    if not features.has_canonical_format:
+        raise ParseError(f"{path}: feature columns do not strictly increase in a row")
     try:
         return build_graph(
             n,

@@ -16,8 +16,8 @@ where ``Z`` is 1, or (when local normalization is on) the neighborhood sum
 ``Σ_{v ∈ N(x) ∪ N(y)} Σ_{i ∈ {x,y}} ω_1i · P(c_i|c_v) + ω_2i · P(c_v|c_i)``.
 
 Every score is computed for a whole ``(m, 2)`` pair batch at once, from sparse
-row blocks of ``A``; :func:`make_heuristic_scorer` builds ``A`` and the
-per-node weights once per scorer.
+row blocks of the graph's adjacency ``A = g.adj``; :func:`make_heuristic_scorer`
+builds the per-node weights once per scorer.
 
 * CN/AA/RA are ``A[xs].multiply(A[ys]) @ w``: the pair × node matrix of
   common neighbours against ``w = 1``, ``1 / ln d`` or ``1 / d``.
@@ -110,18 +110,6 @@ _CHUNK = 4096
 _STRUCTURAL = ("cn", "aa", "ra", "katz")
 
 
-def adjacency_matrix(g: Graph) -> sp.csr_matrix:
-    """Sparse 0/1 adjacency view of a graph's CSR arrays."""
-    return sp.csr_matrix(
-        (
-            np.ones(g.csr_targets.size, dtype=np.float64),
-            g.csr_targets,
-            g.csr_offsets,
-        ),
-        shape=(g.n_nodes, g.n_nodes),
-    )
-
-
 def _node_pairs(g: Graph, pairs: np.ndarray) -> np.ndarray:
     """``pairs`` as an ``(m, 2)`` int64 array with every node id checked."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -179,9 +167,8 @@ def _structural_kernel(
     name: str, g: Graph, katz: GammaDecayConfig | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batch kernel of one structural score over checked ``(m, 2)`` pairs."""
-    adj = adjacency_matrix(g)
     if name == "katz":
-        kernel = partial(_katz_sum, adj, katz or GammaDecayConfig())
+        kernel = partial(_katz_sum, g.adj, katz or GammaDecayConfig())
     else:
         degrees = g.degrees().astype(np.float64)
         # nodes of degree 0 or 1 are common neighbours of no pair x != y
@@ -192,7 +179,7 @@ def _structural_kernel(
                 weights = 1.0 / np.log(degrees)
             else:
                 weights = 1.0 / degrees
-        kernel = partial(_common_neighbor_sum, adj, weights)
+        kernel = partial(_common_neighbor_sum, g.adj, weights)
     return partial(_by_chunks, kernel)
 
 
@@ -212,7 +199,7 @@ class _ClassBonus:
         if params.normalize_locally:
             self.usable = (self.labels >= 0) & (self.labels < prior.n_classes)
             nodes = np.flatnonzero(self.usable)
-            self.adj = adjacency_matrix(g)
+            self.adj = g.adj
             self.onehot = sp.csr_matrix(
                 (np.ones(nodes.size), (nodes, self.labels[nodes])),
                 shape=(g.n_nodes, prior.n_classes),
@@ -223,8 +210,6 @@ class _ClassBonus:
         """``Z`` per pair; 1.0 when local normalization is off."""
         if not self.params.normalize_locally:
             return 1.0
-        if self.prior.probs is None:
-            raise ConfigurationError("prior matrix has not been normalized yet")
         return _by_chunks(self._local_normalizer, pairs)
 
     def _local_normalizer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

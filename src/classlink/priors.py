@@ -11,7 +11,7 @@ an endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,22 +22,30 @@ from .errors import ConfigurationError, MissingLabelError, ParseError
 
 @dataclass(frozen=True)
 class ClassPriorMatrix:
-    """Joint class-pair counts and the row-normalized conditional matrix.
-
-    ``probs`` is ``None`` until :func:`build_prior_matrix` fills it in;
-    rows with ``row_totals == 0`` normalize to all-zero rows.
-    """
+    """Joint class-pair counts and the row-normalized conditional matrix;
+    rows with ``row_totals == 0`` normalize to all-zero rows."""
 
     n_classes: int
     joint_counts: np.ndarray  # (C, C) int64, symmetric
     row_totals: np.ndarray  # (C,) int64
-    probs: np.ndarray | None = None
+    probs: np.ndarray  # (C, C) float64
+
+
+def _from_counts(counts: np.ndarray) -> ClassPriorMatrix:
+    """The prior of a joint count matrix, its rows normalized."""
+    row_totals = counts.sum(axis=1)
+    totals = row_totals.astype(np.float64)
+    safe = np.where(totals == 0, 1.0, totals)
+    probs = counts / safe[:, None]
+    probs[totals == 0] = 0.0
+    return ClassPriorMatrix(counts.shape[0], counts, row_totals, probs)
 
 
 def count_class_links(
     train_edges: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> ClassPriorMatrix:
-    """Count class co-occurrences over training edges (one per direction).
+    """Count class co-occurrences over training edges (one per direction) and
+    normalize the rows.
 
     Every endpoint must carry a label in ``[0, n_classes)``; an unlabeled
     endpoint (label ``-1``) raises :class:`MissingLabelError` naming the node.
@@ -59,21 +67,7 @@ def count_class_links(
     cu, cv = endpoint_labels[:, 0], endpoint_labels[:, 1]
     flat = np.bincount(cu * n_classes + cv, minlength=n_classes * n_classes)
     flat += np.bincount(cv * n_classes + cu, minlength=n_classes * n_classes)
-    counts = flat.reshape(n_classes, n_classes).astype(np.int64)
-    return ClassPriorMatrix(
-        n_classes=n_classes,
-        joint_counts=counts,
-        row_totals=counts.sum(axis=1),
-    )
-
-
-def build_prior_matrix(counted: ClassPriorMatrix) -> ClassPriorMatrix:
-    """Row-normalize joint counts into conditional probabilities."""
-    totals = counted.row_totals.astype(np.float64)
-    safe = np.where(totals == 0, 1.0, totals)
-    probs = counted.joint_counts / safe[:, None]
-    probs[totals == 0] = 0.0
-    return replace(counted, probs=probs)
+    return _from_counts(flat.reshape(n_classes, n_classes).astype(np.int64))
 
 
 def lookup_prior_batch(
@@ -85,8 +79,6 @@ def lookup_prior_batch(
     An endpoint without a label in ``[0, n_classes)`` raises
     :class:`MissingLabelError` naming the first such node in pair order.
     """
-    if prior.probs is None:
-        raise ConfigurationError("prior matrix has not been normalized yet")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     cls = np.asarray(labels, dtype=np.int64)[pairs]
     bad = np.nonzero((cls < 0) | (cls >= prior.n_classes))
@@ -113,8 +105,6 @@ def export_heatmap(
     The CSV stores probabilities with 17 significant digits so values
     round-trip exactly; the sidecar records class ids and row totals.
     """
-    if prior.probs is None:
-        raise ConfigurationError("prior matrix has not been normalized yet")
     path = Path(path)
     rows = [",".join(format(v, ".17g") for v in row) for row in prior.probs]
     artifacts.write_text(path, "\n".join(rows) + "\n")
@@ -155,4 +145,4 @@ def load_prior_json(path: str | Path) -> ClassPriorMatrix:
         raise ParseError(
             f"{path}: joint_counts has shape {counts.shape} for n_classes={n}"
         )
-    return build_prior_matrix(ClassPriorMatrix(n, counts, counts.sum(axis=1)))
+    return _from_counts(counts)

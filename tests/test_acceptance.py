@@ -20,7 +20,6 @@ from classlink.evaluation import bench_prior_runtime, evaluate_split
 from classlink.graph import build_graph, load_graph, split_edges
 from classlink.heuristics import GammaDecayConfig, make_heuristic_scorer
 from classlink.priors import (
-    build_prior_matrix,
     count_class_links,
     lookup_prior_batch,
     save_prior_json,
@@ -76,7 +75,7 @@ def test_criterion_01_prior_matches_brute_force_on_1000_graphs():
         edges = np.unique(np.sort(raw, axis=1), axis=0) if len(raw) else raw.reshape(0, 2)
         labels = rng.integers(0, n_classes, size=n)
 
-        prior = build_prior_matrix(count_class_links(edges, labels, n_classes))
+        prior = count_class_links(edges, labels, n_classes)
         assert prior.joint_counts.tolist() == brute_force_counts(edges, labels, n_classes)
         sums = prior.probs.sum(axis=1)
         nonzero = prior.row_totals > 0
@@ -175,8 +174,8 @@ def gradient_instance(seed: int, edge_prob: float):
     feats = rng.standard_normal((n, n_feats))
     labels = rng.integers(0, 3, size=n)
     g = build_graph(n, edges, features=feats, labels=labels)
-    prior = build_prior_matrix(count_class_links(edges, labels, 3))
-    builder = BatchBuilder.create(g, feats, "ncn", prior, labels)
+    prior = count_class_links(edges, labels, 3)
+    builder = BatchBuilder.create(g, "ncn", prior, labels)
     raw = rng.integers(0, n, size=(8, 2))
     pairs = raw[raw[:, 0] != raw[:, 1]]
     targets = rng.integers(0, 2, size=len(pairs)).astype(float)
@@ -285,7 +284,7 @@ def load_citation_graph():
 
 
 def hr100_of(model, g, split, seed):
-    scorer = make_scorer(model, split.train_graph(g), g.features)
+    scorer = make_scorer(model, split.train_graph(g))
     return 100.0 * evaluate_split(scorer, split, "hr@100", seed).value
 
 
@@ -296,8 +295,9 @@ def test_criterion_07_class_priors_lift_ncn_by_three_points():
     for seed in EVAL_SEEDS:
         split = split_edges(g, RATIOS, seed)
         cfg = TrainConfig(seed=seed)
-        fused, _ = train(g, split, g.labels, "ncn", cfg)
-        backbone, _ = train(g, split, None, "backbone_only", cfg)
+        prior = count_class_links(split.train_edges, g.labels, g.n_classes)
+        fused, _ = train(g, split, prior, g.labels, "ncn", cfg)
+        backbone, _ = train(g, split, None, None, "backbone_only", cfg)
         with_prior.append(hr100_of(fused, g, split, seed))
         without_prior.append(hr100_of(backbone, g, split, seed))
     gap = float(np.mean(with_prior) - np.mean(without_prior))
@@ -333,14 +333,14 @@ def test_criterion_09_mono_labels_collapse_to_backbone():
     diffs = []
     for seed in EVAL_SEEDS:
         split = split_edges(g, RATIOS, seed)
-        prior = build_prior_matrix(count_class_links(split.train_edges, mono, 1))
+        prior = count_class_links(split.train_edges, mono, 1)
         prior_features = lookup_prior_batch(prior, mono, split.test_edges)
         assert np.all(prior_features == 1.0), (
             "mono prior features must equal 1.0 exactly for every pair"
         )
         cfg = TrainConfig(seed=seed)
-        fused, _ = train(g, split, mono, "ncn", cfg)
-        backbone, _ = train(g, split, None, "backbone_only", cfg)
+        fused, _ = train(g, split, prior, mono, "ncn", cfg)
+        backbone, _ = train(g, split, None, None, "backbone_only", cfg)
         diffs.append(hr100_of(fused, g, split, seed) - hr100_of(backbone, g, split, seed))
     mean_diff = float(np.mean(diffs))
     assert abs(mean_diff) <= 1.5, (
@@ -363,10 +363,8 @@ def test_criterion_10_removing_heldout_edges_changes_nothing(tmp_path):
     )
 
     # priors: byte-identical artifacts
-    standard = build_prior_matrix(count_class_links(split.train_edges, g.labels, 2))
-    removed = build_prior_matrix(
-        count_class_links(stripped.undirected_edges(), stripped.labels, 2)
-    )
+    standard = count_class_links(split.train_edges, g.labels, 2)
+    removed = count_class_links(stripped.undirected_edges(), stripped.labels, 2)
     a, b = tmp_path / "std.json", tmp_path / "rm.json"
     save_prior_json(standard, a, seed=5)
     save_prior_json(removed, b, seed=5)

@@ -29,12 +29,7 @@ from classlink.graph import (
     save_split_json,
     split_edges,
 )
-from classlink.priors import (
-    build_prior_matrix,
-    count_class_links,
-    load_prior_json,
-    save_prior_json,
-)
+from classlink.priors import count_class_links, load_prior_json, save_prior_json
 
 from conftest import random_edges
 
@@ -68,7 +63,7 @@ def save(kind: str, tmp_path):
     if kind == "split":
         save_split_json(split_edges(g, (0.6, 0.2, 0.2), seed=1, negatives=5), path)
         return path, load_split_json
-    prior = build_prior_matrix(count_class_links(g.undirected_edges(), g.labels, 3))
+    prior = count_class_links(g.undirected_edges(), g.labels, 3)
     if kind == "prior":
         save_prior_json(prior, path, seed=2, label_source="true")
         return path, load_prior_json
@@ -118,8 +113,10 @@ class TestRoundTrip:
             save_graph_json(g, tmp_path / "g.json")
             back = load_graph_json(tmp_path / "g.json")
             assert back.features.shape == g.features.shape
-            assert back.features.tobytes() == g.features.tobytes()
-            assert back.csr_targets.tobytes() == g.csr_targets.tobytes()
+            for name in ("features", "adj"):
+                for part in ("indptr", "indices", "data"):
+                    got = getattr(getattr(back, name), part)
+                    assert got.tobytes() == getattr(getattr(g, name), part).tobytes()
             assert (back.labels is None) == (g.labels is None)
             assert back.class_ids == g.class_ids and back.node_ids == g.node_ids
 
@@ -127,7 +124,7 @@ class TestRoundTrip:
         g = small_graph()
         save_graph_json(g, tmp_path / "g.json")
         payload = json.loads((tmp_path / "g.json").read_text())
-        stored = np.count_nonzero(g.features) + 1  # -0.0 is stored, 0.0 is not
+        stored = np.count_nonzero(g.features.toarray()) + 1  # -0.0 is stored, 0.0 is not
         assert payload["features_data"]["shape"] == [stored]
         assert payload["version"] == artifacts.ARTIFACT_VERSION == 2
 
@@ -176,6 +173,23 @@ WRONG_SHAPE = {
     },
     "manifest": lambda p: {**p, "stages": {"ingest": {"digest": "d"}}},
 }
+
+
+def edit_feature_row(p, edit):
+    """``p`` with the first two column indices of its first feature row that
+    stores two entries or more replaced by ``edit`` of them."""
+    blobs = artifacts.decode(
+        "graph.json",
+        p,
+        arrays={
+            "features_indptr": (artifacts.INT, (None,)),
+            "features_indices": (artifacts.INT, (None,)),
+        },
+    )
+    indptr, cols = blobs["features_indptr"], blobs["features_indices"]
+    lo = int(indptr[np.flatnonzero(np.diff(indptr) >= 2)[0]])
+    cols[lo : lo + 2] = edit(cols[lo : lo + 2].copy())
+    return {**p, "features_indices": encode_array(cols)}
 
 
 class TestMalformedPayload:
@@ -269,8 +283,13 @@ class TestMalformedPayload:
             lambda p: {**p, "features_indptr": encode_array(np.zeros(13, dtype=int))},
             lambda p: {**p, "edges": encode_array(np.array([[0, 12]]))},
             lambda p: {**p, "node_ids": ["a"]},
+            lambda p: edit_feature_row(p, lambda cols: cols[::-1]),
+            lambda p: edit_feature_row(p, lambda cols: cols[:1].repeat(2)),
         ],
-        ids=["narrow-features", "fewer-nodes", "indptr-short", "edge-out-of-range", "node-ids"],
+        ids=[
+            "narrow-features", "fewer-nodes", "indptr-short", "edge-out-of-range", "node-ids",
+            "unsorted-columns", "duplicate-columns",
+        ],
     )
     def test_graph_arrays_disagree(self, tmp_path, change):
         path, _ = save("graph", tmp_path)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from classlink.backbone import (
     BatchBuilder,
@@ -26,7 +27,7 @@ from classlink.backbone import (
 from classlink.errors import ConfigurationError, DimensionError
 from classlink.evaluation import evaluate_split, mrr
 from classlink.graph import build_graph, split_edges
-from classlink.priors import build_prior_matrix, count_class_links, lookup_prior_batch
+from classlink.priors import count_class_links, lookup_prior_batch
 
 from backbone_oracles import (
     cnc_probability,
@@ -52,6 +53,17 @@ def dense_operator(edges, n):
     return d_inv_sqrt @ a_hat @ d_inv_sqrt
 
 
+def with_features(g, feats):
+    """``g`` with ``feats`` as its node features."""
+    return build_graph(g.n_nodes, g.undirected_edges(), features=feats, labels=g.labels)
+
+
+def train_prior(g, split):
+    """The class prior of ``g``'s labels on the training edges, as the
+    ``prior`` stage counts it."""
+    return count_class_links(split.train_edges, g.labels, g.n_classes)
+
+
 def small_instance(seed, use_priors=True, edge_prob=0.35, n=12, n_feats=5):
     """A tiny labeled graph plus a mixed positive/negative pair batch."""
     rng = np.random.default_rng(seed)
@@ -59,10 +71,8 @@ def small_instance(seed, use_priors=True, edge_prob=0.35, n=12, n_feats=5):
     feats = rng.standard_normal((n, n_feats))
     labels = rng.integers(0, 3, size=n)
     g = build_graph(n, edges, features=feats, labels=labels)
-    prior = build_prior_matrix(count_class_links(edges, labels, 3)) if use_priors else None
-    builder = BatchBuilder.create(
-        g, feats, "ncn", prior, labels if use_priors else None
-    )
+    prior = count_class_links(edges, labels, 3) if use_priors else None
+    builder = BatchBuilder.create(g, "ncn", prior, labels if use_priors else None)
     raw = rng.integers(0, n, size=(8, 2))
     pairs = raw[raw[:, 0] != raw[:, 1]]
     targets = rng.integers(0, 2, size=len(pairs)).astype(float)
@@ -88,7 +98,7 @@ class TestPropagation:
             params = init_params(6, TrainConfig(dim=5, hidden=4, seed=trial), False)
             s = dense_operator(edges, n)
             expect = s @ np.maximum(s @ feats @ params.w1, 0.0) @ params.w2
-            builder = BatchBuilder.create(g, feats, "backbone_only", None, None)
+            builder = BatchBuilder.create(g, "backbone_only", None, None)
             np.testing.assert_allclose(
                 propagate(params, builder.sym, builder.sx)["h"], expect, atol=1e-10
             )
@@ -105,11 +115,13 @@ class TestPropagation:
 
     def test_feature_width_mismatch(self, path3):
         params = init_params(3, TrainConfig(dim=2, hidden=2, seed=0), False)
-        builder = BatchBuilder.create(path3, np.ones((3, 7)), "backbone_only", None, None)
+        builder = BatchBuilder.create(
+            with_features(path3, np.ones((3, 7))), "backbone_only", None, None
+        )
         with pytest.raises(DimensionError):
             propagate(params, builder.sym, builder.sx)
         with pytest.raises(DimensionError):
-            BatchBuilder.create(path3, np.ones((4, 3)), "backbone_only", None, None)
+            with_features(path3, np.ones((4, 3)))
 
 
 class TestGradients:
@@ -137,15 +149,15 @@ class TestGradients:
         feats = rng.standard_normal((n, 5))
         labels = rng.integers(0, 3, size=n)
         g = build_graph(n, edges, features=feats, labels=labels)
-        prior = build_prior_matrix(count_class_links(edges, labels, 3))
+        prior = count_class_links(edges, labels, 3)
         frozen = init_params(5, TrainConfig(dim=4, hidden=3, seed=99), True)
-        frozen_builder = BatchBuilder.create(g, feats, "ncn", prior, labels)
+        frozen_builder = BatchBuilder.create(g, "ncn", prior, labels)
 
         def frozen_scorer(pairs):
             return predict_batch(frozen, frozen_builder.build(pairs))
 
         builder = BatchBuilder.create(
-            g, feats, "ncnc", prior, labels, completion_scorer=frozen_scorer
+            g, "ncnc", prior, labels, completion_scorer=frozen_scorer
         )
         raw = rng.integers(0, n, size=(6, 2))
         pairs = raw[raw[:, 0] != raw[:, 1]]
@@ -252,8 +264,8 @@ def fixed_scorer(pairs):
 class TestLinkIncidence:
     def test_ncn_incidence_equals_common_neighbors(self):
         for seed in range(8):
-            g, feats, _, pairs = incidence_instance(seed)
-            inc = BatchBuilder.create(g, feats, "ncn", None, None).build(pairs).incidence
+            g, _, _, pairs = incidence_instance(seed)
+            inc = BatchBuilder.create(g, "ncn", None, None).build(pairs).incidence
             assert inc.shape == (len(pairs), g.n_nodes)
             for i, (x, y) in enumerate(pairs.tolist()):
                 row = slice(inc.indptr[i], inc.indptr[i + 1])
@@ -262,9 +274,9 @@ class TestLinkIncidence:
 
     def test_ncnc_incidence_matches_cnc_probability(self):
         for seed in range(8):
-            g, feats, _, pairs = incidence_instance(seed)
+            g, _, _, pairs = incidence_instance(seed)
             builder = BatchBuilder.create(
-                g, feats, "ncnc", None, None, completion_scorer=fixed_scorer
+                g, "ncnc", None, None, completion_scorer=fixed_scorer
             )
             inc = builder.build(pairs).incidence
             assert inc.has_sorted_indices
@@ -277,16 +289,14 @@ class TestLinkIncidence:
             np.testing.assert_array_equal(inc.toarray(), expect)
 
     def test_ncnc_requests_missing_links_in_pair_then_node_order(self):
-        g, feats, _, pairs = incidence_instance(3)
+        g, _, _, pairs = incidence_instance(3)
         calls = []
 
         def recording(missing):
             calls.append(np.asarray(missing).tolist())
             return fixed_scorer(missing)
 
-        BatchBuilder.create(
-            g, feats, "ncnc", None, None, completion_scorer=recording
-        ).build(pairs)
+        BatchBuilder.create(g, "ncnc", None, None, completion_scorer=recording).build(pairs)
         expect = []
         for x, y in pairs.tolist():
             nx, ny = set(g.neighbors(x).tolist()), set(g.neighbors(y).tolist())
@@ -298,19 +308,25 @@ class TestLinkIncidence:
         assert calls == [expect]
 
     def test_fully_observed_union_never_calls_the_scorer(self):
-        g = build_graph(4, np.array([[i, j] for i in range(4) for j in range(i + 1, 4)]))
+        g = build_graph(
+            4,
+            np.array([[i, j] for i in range(4) for j in range(i + 1, 4)]),
+            features=np.ones((4, 2)),
+        )
 
         def never_called(pairs):  # pragma: no cover - must not be needed
             raise AssertionError("no missing links to complete")
 
         builder = BatchBuilder.create(
-            g, np.ones((4, 2)), "ncnc", None, None, completion_scorer=never_called
+            g, "ncnc", None, None, completion_scorer=never_called
         )
         inc = builder.build(np.array([[0, 1], [3, 2]])).incidence
         np.testing.assert_array_equal(inc.toarray(), [[0, 0, 1, 1], [1, 1, 0, 0]])
 
     def test_out_of_range_pairs_rejected(self, path3):
-        builder = BatchBuilder.create(path3, np.ones((3, 2)), "ncn", None, None)
+        builder = BatchBuilder.create(
+            with_features(path3, np.ones((3, 2))), "ncn", None, None
+        )
         for bad in ([[0, 3]], [[-1, 2]]):
             with pytest.raises(ConfigurationError, match="out of range"):
                 builder.build(np.array(bad))
@@ -320,7 +336,7 @@ class TestLinkIncidence:
             g, feats, labels, pairs = incidence_instance(seed)
             rng = np.random.default_rng(100 + seed)
             use_priors = mode != "backbone_only"
-            prior = build_prior_matrix(count_class_links(g.undirected_edges(), labels, 3))
+            prior = count_class_links(g.undirected_edges(), labels, 3)
             config = TrainConfig(dim=4, hidden=3, seed=seed)
             params = init_params(5, config, use_priors)
             params.bh += 0.1 * rng.standard_normal(params.bh.shape)
@@ -332,18 +348,16 @@ class TestLinkIncidence:
                 labels=labels,
                 completion=completion if mode == "ncnc" else None,
             )
-            scores = make_scorer(model, g, feats)(pairs)
+            scores = make_scorer(model, g)(pairs)
 
             stage1 = None
             if mode == "ncnc":
                 stage1 = make_scorer(
                     TrainedModel(params=completion, mode="ncn", prior=prior, labels=labels),
                     g,
-                    feats,
                 )
             builder = BatchBuilder.create(
                 g,
-                feats,
                 mode,
                 prior if use_priors else None,
                 labels if use_priors else None,
@@ -415,15 +429,16 @@ class TestTraining:
 
     def test_loss_decreases(self):
         g, split = self.setup_planted()
-        _, log = train(g, split, g.labels, "ncn", quick_config())
+        _, log = train(g, split, train_prior(g, split), g.labels, "ncn", quick_config())
         first = np.mean([row["loss"] for row in log[:3]])
         last = np.mean([row["loss"] for row in log[-3:]])
         assert last < first
 
     def test_deterministic(self):
         g, split = self.setup_planted()
-        m1, log1 = train(g, split, g.labels, "ncn", quick_config(epochs=10))
-        m2, log2 = train(g, split, g.labels, "ncn", quick_config(epochs=10))
+        prior = train_prior(g, split)
+        m1, log1 = train(g, split, prior, g.labels, "ncn", quick_config(epochs=10))
+        m2, log2 = train(g, split, prior, g.labels, "ncn", quick_config(epochs=10))
         for name, arr in m1.params.arrays().items():
             assert arr.tobytes() == m2.params.arrays()[name].tobytes()
         assert [r["loss"] for r in log1] == [r["loss"] for r in log2]
@@ -433,7 +448,7 @@ class TestTraining:
         config = TrainConfig(
             dim=4, hidden=4, lr=1e-6, momentum=0.0, epochs=200, patience=3, seed=0
         )
-        _, log = train(g, split, g.labels, "backbone_only", config)
+        _, log = train(g, split, None, None, "backbone_only", config)
         # learning rate too small to improve validation -> stop after patience
         assert len(log) < 200
 
@@ -442,14 +457,14 @@ class TestTraining:
         prior is the dominant signal, so the fused model must score at least
         as well as the structure-only one on validation MRR."""
         g, split = self.setup_planted()
-        fused, _ = train(g, split, g.labels, "ncn", quick_config())
-        plain, _ = train(g, split, g.labels, "backbone_only", quick_config())
+        fused, _ = train(g, split, train_prior(g, split), g.labels, "ncn", quick_config())
+        plain, _ = train(g, split, None, None, "backbone_only", quick_config())
         g_train = split.train_graph(g)
         score_fused = evaluate_split(
-            make_scorer(fused, g_train, g.features), split, "mrr", seed=1, which="valid"
+            make_scorer(fused, g_train), split, "mrr", seed=1, which="valid"
         )
         score_plain = evaluate_split(
-            make_scorer(plain, g_train, g.features), split, "mrr", seed=1, which="valid"
+            make_scorer(plain, g_train), split, "mrr", seed=1, which="valid"
         )
         assert score_fused.value >= score_plain.value
 
@@ -459,36 +474,38 @@ class TestTraining:
 
         g, split = self.setup_planted()
         labels = mono_label(g.n_nodes).labels
-        prior = build_prior_matrix(count_class_links(split.train_edges, labels, 1))
+        prior = count_class_links(split.train_edges, labels, 1)
         pairs = np.concatenate([split.test_edges, split.test_negatives])
         feats = lookup_prior_batch(prior, labels, pairs)
         assert np.all(feats == 1.0)
 
     def test_ncnc_trains_and_carries_completion(self):
         g, split = self.setup_planted()
-        model, log = train(g, split, g.labels, "ncnc", quick_config(epochs=8))
+        model, log = train(
+            g, split, train_prior(g, split), g.labels, "ncnc", quick_config(epochs=8)
+        )
         assert model.completion is not None
         assert model.mode == "ncnc"
-        scorer = make_scorer(model, split.train_graph(g), g.features)
+        scorer = make_scorer(model, split.train_graph(g))
         probs = scorer(split.test_edges[:5])
         assert np.all((probs > 0) & (probs < 1))
 
     def test_unknown_mode_rejected(self):
         g, split = self.setup_planted()
         with pytest.raises(ConfigurationError, match="mode"):
-            train(g, split, g.labels, "gat", quick_config())
+            train(g, split, train_prior(g, split), g.labels, "gat", quick_config())
 
     def test_priors_require_labels(self):
         g, split = self.setup_planted()
         with pytest.raises(ConfigurationError, match="label source"):
-            train(g, split, None, "ncn", quick_config())
+            train(g, split, None, None, "ncn", quick_config())
 
     def test_featureless_graph_rejected(self):
         rng = np.random.default_rng(1204)
         g = build_graph(30, random_edges(rng, 30, 0.3), labels=np.zeros(30, int))
         split = split_edges(g, (0.7, 0.15, 0.15), seed=0, negatives=20)
         with pytest.raises(ConfigurationError, match="features"):
-            train(g, split, g.labels, "ncn", quick_config())
+            train(g, split, train_prior(g, split), g.labels, "ncn", quick_config())
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -506,31 +523,35 @@ class TestArtifacts:
         rng = np.random.default_rng(1205)
         g = planted_two_class(rng, n_per_class=30)
         split = split_edges(g, (0.7, 0.15, 0.15), seed=2, negatives=50)
-        model, _ = train(g, split, g.labels, "ncn", quick_config(epochs=5))
+        model, _ = train(
+            g, split, train_prior(g, split), g.labels, "ncn", quick_config(epochs=5)
+        )
         save_checkpoint(model, tmp_path / "ckpt.json", config_digest="abc123")
         loaded, digest = load_checkpoint(tmp_path / "ckpt.json")
         assert digest == "abc123"
         for name, arr in model.params.arrays().items():
             assert arr.tobytes() == loaded.params.arrays()[name].tobytes()
         # the run's prior and labels are attached as `classlink evaluate` does
-        loaded.prior = build_prior_matrix(count_class_links(split.train_edges, g.labels, 2))
+        loaded.prior = count_class_links(split.train_edges, g.labels, 2)
         loaded.labels = g.labels
         g_train = split.train_graph(g)
-        s1 = make_scorer(model, g_train, g.features)(split.test_edges)
-        s2 = make_scorer(loaded, g_train, g.features)(split.test_edges)
+        s1 = make_scorer(model, g_train)(split.test_edges)
+        s2 = make_scorer(loaded, g_train)(split.test_edges)
         assert s1.tobytes() == s2.tobytes()
 
     def test_checkpoint_holds_weights_only(self, tmp_path):
         rng = np.random.default_rng(1205)
         g = planted_two_class(rng, n_per_class=30)
         split = split_edges(g, (0.7, 0.15, 0.15), seed=2, negatives=50)
-        model, _ = train(g, split, g.labels, "ncnc", quick_config(epochs=3))
+        model, _ = train(
+            g, split, train_prior(g, split), g.labels, "ncnc", quick_config(epochs=3)
+        )
         save_checkpoint(model, tmp_path / "ckpt.json")
         payload = json.loads((tmp_path / "ckpt.json").read_text())
         assert "prior_counts" not in payload and "labels" not in payload
         loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
         assert loaded.prior is None and loaded.labels is None
-        scorer = make_scorer(loaded, split.train_graph(g), g.features)
+        scorer = make_scorer(loaded, split.train_graph(g))
         with pytest.raises(ConfigurationError, match="lacks prior features"):
             scorer(split.test_edges)
 
@@ -544,10 +565,30 @@ class TestArtifacts:
             g.n_nodes, split.train_edges, features=g.features, labels=g.labels
         )
         for name, graph in (("full", g), ("stripped", stripped)):
-            model, _ = train(graph, split, graph.labels, mode, quick_config(epochs=6))
+            prior = train_prior(graph, split)
+            model, _ = train(graph, split, prior, graph.labels, mode, quick_config(epochs=6))
             save_checkpoint(model, tmp_path / f"{name}.json")
         full = (tmp_path / "full.json").read_bytes()
         assert full == (tmp_path / "stripped.json").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
+    def test_dense_and_csr_features_write_the_same_checkpoint(self, tmp_path, mode):
+        g = planted_two_class(np.random.default_rng(1011))
+        dense = g.features.toarray()
+        dense[np.abs(dense) < 0.3] = 0.0
+        split = split_edges(g, (0.85, 0.05, 0.10), seed=5)
+        prior = train_prior(g, split)
+        graphs = {}
+        for name, feats in (("dense", dense), ("csr", sp.csr_matrix(dense))):
+            graphs[name] = graph = with_features(g, feats)
+            model, _ = train(graph, split, prior, graph.labels, mode, quick_config(epochs=6))
+            save_checkpoint(model, tmp_path / f"{name}.json")
+        for name in ("adj", "features"):
+            a, b = getattr(graphs["dense"], name), getattr(graphs["csr"], name)
+            for part in ("indptr", "indices", "data"):
+                assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+        dense_bytes = (tmp_path / "dense.json").read_bytes()
+        assert dense_bytes == (tmp_path / "csr.json").read_bytes()
 
     def test_training_log_csv(self, tmp_path):
         log = [

@@ -16,7 +16,7 @@ from classlink.cli import main
 from classlink.evaluation import evaluate_split
 from classlink.graph import load_graph, split_edges
 from classlink.heuristics import make_heuristic_scorer
-from classlink.priors import build_prior_matrix, count_class_links
+from classlink.priors import count_class_links
 
 from conftest import citation_files
 
@@ -50,7 +50,7 @@ class TestPublishedShape:
     def test_true_label_prior_is_seven_by_seven(self, citation_graph):
         g = citation_graph
         split = split_edges(g, (0.85, 0.05, 0.10), seed=0)
-        prior = build_prior_matrix(count_class_links(split.train_edges, g.labels, 7))
+        prior = count_class_links(split.train_edges, g.labels, 7)
         assert prior.probs.shape == (7, 7)
         nonzero = prior.row_totals > 0
         np.testing.assert_allclose(prior.probs[nonzero].sum(axis=1), 1.0, atol=1e-9)

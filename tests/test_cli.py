@@ -152,6 +152,20 @@ class TestRunAll:
         ):
             assert sha(tmp / "out_all" / name) == sha(tmp / "out_seq" / name), name
 
+    def test_structural_scorer_runs_without_a_labels_file(self, dataset, capsys):
+        tmp, _ = dataset
+        labelled = write_config(tmp / "l.yaml", tmp / "data", tmp / "out_l", scorer="cn")
+        assert main(["run-all", "--config", str(labelled)]) == 0
+        cfg = write_config(tmp / "u.yaml", tmp / "data", tmp / "out_u", scorer="cn")
+        lines = cfg.read_text().splitlines(keepends=True)
+        cfg.write_text("".join(line for line in lines if not line.startswith("labels:")))
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        ranks = "eval/ranks.csv"
+        assert (tmp / "out_u" / ranks).read_bytes() == (tmp / "out_l" / ranks).read_bytes()
+        # training an ncn model by hand still needs the labels, and says so
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "labels file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scorer", ["cn", "aa", "ra", "katz"])
     def test_scorer_without_prior_skips_cluster_and_prior(self, dataset, capsys, scorer):

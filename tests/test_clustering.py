@@ -36,7 +36,6 @@ from classlink.clustering import (
 )
 from classlink.errors import ConfigurationError, DimensionError, ParseError
 from classlink.graph import build_graph, split_edges
-from classlink.heuristics import adjacency_matrix
 from classlink.rand import make_rng
 
 import clustering_oracles as oracle
@@ -77,20 +76,17 @@ class TestAggregateFeatures:
             assert sp.isspmatrix_csr(agg)
             np.testing.assert_allclose(agg.toarray(), dense @ feats, atol=1e-12)
 
-    def test_explicit_matrix_overrides_graph_features(self, path3):
+    def test_path_hand_value(self, path3):
         x = np.array([[1.0], [2.0], [4.0]])
+        g = build_graph(3, path3.undirected_edges(), features=x)
         # H1 = (A+I)X: node0: 1+2, node1: 2+1+4, node2: 4+2
         np.testing.assert_allclose(
-            aggregate_features(path3, x).toarray(), [[3.0], [7.0], [6.0]]
+            aggregate_features(g).toarray(), [[3.0], [7.0], [6.0]]
         )
 
     def test_empty_features_rejected(self, path3):
         with pytest.raises(ConfigurationError):
             aggregate_features(path3)
-
-    def test_shape_mismatch_rejected(self, path3):
-        with pytest.raises(DimensionError):
-            aggregate_features(path3, np.ones((5, 2)))
 
 
 class TestKmeans:
@@ -402,7 +398,7 @@ class TestLouvainMatchesOracle:
     def test_each_level_matches_dict_code(self, seed):
         """Local moves, modularity and aggregation agree level by level."""
         for g in louvain_graphs():
-            adj = adjacency_matrix(g)
+            adj = g.adj
             adj_dict = oracle.dict_adjacency(g)
             rng, rng_dict = make_rng(seed), make_rng(seed)
             while True:
@@ -421,7 +417,7 @@ class TestLouvainMatchesOracle:
     def test_modularity_of_random_partitions(self):
         rng = np.random.default_rng(1017)
         for g in louvain_graphs():
-            adj, adj_dict = adjacency_matrix(g), oracle.dict_adjacency(g)
+            adj, adj_dict = g.adj, oracle.dict_adjacency(g)
             for n_comm in (1, 3, g.n_nodes):
                 comm = rng.integers(0, n_comm, size=g.n_nodes)
                 assert _modularity(adj, comm) == oracle.modularity(

@@ -119,11 +119,17 @@ class TestValidate:
             make_config(label_source="louvain", k=3).validate()
 
     def test_true_labels_need_a_label_file(self):
-        cfg = RunConfig.from_mapping({"edges": "e"})
-        with pytest.raises(ConfigurationError, match="labels file"):
+        # exactly the configs whose scorer reads the class prior need labels
+        for extra in ({}, {"scorer": "hc", "mode": "backbone_only"}):
+            cfg = RunConfig.from_mapping({"edges": "e", **extra})
+            assert cfg.reads_prior
+            with pytest.raises(ConfigurationError, match="labels file"):
+                cfg.validate()
+        # a label-free backbone and a structural scorer do not touch priors
+        for extra in ({"mode": "backbone_only"}, {"scorer": "cn"}):
+            cfg = RunConfig.from_mapping({"edges": "e", **extra})
+            assert not cfg.reads_prior
             cfg.validate()
-        # a label-free backbone does not touch priors
-        RunConfig.from_mapping({"edges": "e", "mode": "backbone_only"}).validate()
 
     def test_bad_enum_values_rejected(self):
         for kwargs, fragment in [

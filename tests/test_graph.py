@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from classlink.errors import (
     CapacityError,
@@ -97,8 +100,8 @@ class TestConstruction:
         noisy = noisy[rng.permutation(len(noisy))]
         g1 = build_graph(20, edges)
         g2 = build_graph(20, noisy)
-        np.testing.assert_array_equal(g1.csr_offsets, g2.csr_offsets)
-        np.testing.assert_array_equal(g1.csr_targets, g2.csr_targets)
+        np.testing.assert_array_equal(g1.adj.indptr, g2.adj.indptr)
+        np.testing.assert_array_equal(g1.adj.indices, g2.adj.indices)
 
     def test_has_edge_and_degree(self, triangle):
         assert triangle.has_edge(0, 1) and triangle.has_edge(1, 0)
@@ -178,7 +181,7 @@ class TestIngestion:
         labels = self.write(tmp_path, "labels.csv", "a,red\nb,blue\nc,red\n")
         g = load_graph(edges, feats, labels)
         np.testing.assert_array_equal(
-            g.features, [[1.0, 2.0], [0.5, -1.5], [0.0, 3.25]]
+            g.features.toarray(), [[1.0, 2.0], [0.5, -1.5], [0.0, 3.25]]
         )
         np.testing.assert_array_equal(g.labels, [0, 1, 0])
         assert g.class_ids == ("red", "blue")
@@ -191,7 +194,7 @@ class TestIngestion:
         g = load_graph(edges, feats)
         assert g.node_ids == ("a", "b", "c", "z")
         # node 'z' has no feature row -> zeros
-        np.testing.assert_array_equal(g.features[:, 0], [1, 2, 3, 0])
+        np.testing.assert_array_equal(g.features.toarray()[:, 0], [1, 2, 3, 0])
 
     def test_removing_edges_keeps_node_ids_stable(self, tmp_path):
         """Dropping edge lines must not renumber feature/label nodes."""
@@ -203,7 +206,9 @@ class TestIngestion:
         g_pruned = load_graph(pruned, feats, labels)
         assert g_full.node_ids == g_pruned.node_ids
         np.testing.assert_array_equal(g_full.labels, g_pruned.labels)
-        np.testing.assert_array_equal(g_full.features, g_pruned.features)
+        np.testing.assert_array_equal(
+            g_full.features.toarray(), g_pruned.features.toarray()
+        )
 
     def test_ragged_feature_rows_rejected(self, tmp_path):
         edges = self.write(tmp_path, "edges.txt", "a b\n")
@@ -232,6 +237,62 @@ class TestIngestion:
         assert g.class_ids == ("17", "900")
 
 
+class TestFeatureStorage:
+    def test_dense_and_sparse_features_give_the_same_arrays(self):
+        rng = np.random.default_rng(705)
+        n, width = 30, 12
+        dense = np.where(rng.random((n, width)) < 0.2, rng.standard_normal((n, width)), 0.0)
+        dense[0, 0], dense[1, 1] = -0.0, np.nan
+        rows, cols = np.nonzero((dense != 0) | np.signbit(dense))
+        vals = dense[rows, cols]
+        # shuffled COO entries plus explicit zeros, one of them repeated
+        zeros = np.nonzero((dense == 0) & ~np.signbit(dense))
+        extra_r, extra_c = zeros[0][[0, 0, 1]], zeros[1][[0, 0, 1]]
+        order = rng.permutation(rows.size + 3)
+        messy_rows = np.concatenate([rows, extra_r])[order]
+        messy_cols = np.concatenate([cols, extra_c])[order]
+        messy = sp.coo_matrix(
+            (np.concatenate([vals, np.zeros(3)])[order], (messy_rows, messy_cols)),
+            shape=dense.shape,
+        )
+        edges = random_edges(rng, n, 0.2)
+        graphs = [
+            build_graph(n, edges, features=x)
+            for x in (dense, sp.csr_matrix((vals, (rows, cols)), shape=dense.shape), messy)
+        ]
+        first = graphs[0]
+        x = first.features
+        assert x.nnz == rows.size
+        assert x.indices[0] == 0 and np.signbit(x.data[0])  # -0.0 is stored
+        for g in graphs[1:]:
+            for name in ("adj", "features"):
+                a, b = getattr(first, name), getattr(g, name)
+                assert a.shape == b.shape
+                for part in ("indptr", "indices", "data"):
+                    assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+
+    def test_feature_file_is_read_without_a_dense_copy(self, tmp_path):
+        """``load_graph`` on a 1000 x 3000 feature CSV at 1% density peaks
+        below a quarter of one dense float64 copy of the features."""
+        rng = np.random.default_rng(706)
+        n, width = 1000, 3000
+        stored = rng.random((n, width)) < 0.01
+        with open(tmp_path / "features.csv", "w") as fh:
+            for i in range(n):
+                fh.write(f"{i}," + ",".join(np.where(stored[i], "1", "0")) + "\n")
+        edges = random_edges(rng, n, 0.005)
+        (tmp_path / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in edges))
+        tracemalloc.start()
+        try:
+            g = load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * width * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+        assert g.features.shape == (n, width)
+        assert g.features.nnz == stored.sum()
+
+
 class TestJsonRoundTrip:
     def test_graph_roundtrip_identity(self, tmp_path):
         rng = np.random.default_rng(704)
@@ -242,9 +303,9 @@ class TestJsonRoundTrip:
         path = tmp_path / "graph.json"
         save_graph_json(g, path)
         g2 = load_graph_json(path)
-        np.testing.assert_array_equal(g.csr_offsets, g2.csr_offsets)
-        np.testing.assert_array_equal(g.csr_targets, g2.csr_targets)
-        np.testing.assert_array_equal(g.features, g2.features)
+        np.testing.assert_array_equal(g.adj.indptr, g2.adj.indptr)
+        np.testing.assert_array_equal(g.adj.indices, g2.adj.indices)
+        np.testing.assert_array_equal(g.features.toarray(), g2.features.toarray())
         np.testing.assert_array_equal(g.labels, g2.labels)
         assert g.node_ids == g2.node_ids
         # serialize -> load -> serialize is byte-stable

@@ -19,7 +19,7 @@ from classlink.heuristics import (
     GammaDecayConfig,
     make_heuristic_scorer,
 )
-from classlink.priors import build_prior_matrix, count_class_links
+from classlink.priors import count_class_links
 
 from conftest import random_edges
 from test_graph import brute_adjacency
@@ -186,7 +186,7 @@ def two_class_prior():
     """Edges (0,1),(1,2) with labels [0,0,1]: probs [[2/3,1/3],[1,0]]."""
     edges = np.array([[0, 1], [1, 2]])
     labels = np.array([0, 0, 1])
-    prior = build_prior_matrix(count_class_links(edges, labels, 2))
+    prior = count_class_links(edges, labels, 2)
     g = build_graph(3, edges, labels=labels)
     return g, prior, labels
 
@@ -230,9 +230,7 @@ class TestClassIntegration:
         star = build_graph(
             5, np.array([[0, 1], [0, 2], [0, 3], [0, 4]]), labels=np.zeros(5, int)
         )
-        prior = build_prior_matrix(
-            count_class_links(star.undirected_edges(), star.labels, 1)
-        )
+        prior = count_class_links(star.undirected_edges(), star.labels, 1)
         params = ClassHeuristicParams(normalize_locally=True)
         # every prior is 1, so the bonus is (1 + 1) / Z on top of CN
         # N(1) ∪ N(2) = {0} -> Z = 4; CN(1, 2) = 1
@@ -253,7 +251,7 @@ class TestClassIntegration:
                 continue
             labels = rng.integers(0, 3, size=n)
             g = build_graph(n, edges, labels=labels)
-            prior = build_prior_matrix(count_class_links(edges, labels, 3))
+            prior = count_class_links(edges, labels, 3)
             omega = tuple(float(w) for w in rng.uniform(0.1, 2.0, size=4))
             params = ClassHeuristicParams(omega=omega, normalize_locally=True)
             x, y = (int(v) for v in rng.integers(0, n, size=2))
@@ -275,16 +273,14 @@ class TestClassIntegration:
 
     def test_isolated_pair_degenerate_normalizer(self):
         g = build_graph(4, np.array([[0, 1]]), labels=np.zeros(4, int))
-        prior = build_prior_matrix(
-            count_class_links(g.undirected_edges(), g.labels, 1)
-        )
+        prior = count_class_links(g.undirected_edges(), g.labels, 1)
         params = ClassHeuristicParams(normalize_locally=True)
         with pytest.raises(DegenerateNormalizerError):
             hc_one(g, prior, g.labels, 2, 3, params)
 
     def test_missing_label_raises(self):
         g = build_graph(3, np.array([[0, 1], [1, 2]]), labels=np.array([0, 0, -1]))
-        prior = build_prior_matrix(count_class_links(np.array([[0, 1]]), g.labels, 1))
+        prior = count_class_links(np.array([[0, 1]]), g.labels, 1)
         with pytest.raises(MissingLabelError):
             hc_one(g, prior, g.labels, 1, 2)
 
@@ -297,7 +293,7 @@ class TestBatchScorers:
         labels = rng.integers(0, 3, size=25)
         g = build_graph(25, edges, labels=labels)
         adj = brute_adjacency(edges, 25)
-        prior = build_prior_matrix(count_class_links(edges, labels, 3))
+        prior = count_class_links(edges, labels, 3)
         pairs = rng.integers(0, 25, size=(30, 2))
         for name, oracle in (("cn", oracle_cn), ("aa", oracle_aa), ("ra", oracle_ra)):
             scorer = make_heuristic_scorer(name, g)
@@ -373,7 +369,7 @@ class TestBatchKernels:
         rng, g, adj, edges = next(self.graphs(907, count=1))
         pairs = awkward_pairs(rng, edges, g.n_nodes, 200)
         labels = rng.integers(0, 2, size=g.n_nodes)
-        prior = build_prior_matrix(count_class_links(edges, labels, 2))
+        prior = count_class_links(edges, labels, 2)
         params = ClassHeuristicParams(normalize_locally=True)
         pairs = pairs[np.isin(pairs, np.flatnonzero(g.degrees())).all(axis=1)]
         scorers = {name: make_heuristic_scorer(name, g) for name in ("cn", "ra", "katz")}
@@ -391,7 +387,7 @@ class TestBatchKernels:
 
     def test_out_of_range_ids_rejected(self, path3):
         labels = np.array([0, 0, 1])
-        prior = build_prior_matrix(count_class_links(path3.undirected_edges(), labels, 2))
+        prior = count_class_links(path3.undirected_edges(), labels, 2)
         scorers = [make_heuristic_scorer(name, path3) for name in ("cn", "aa", "ra", "katz")]
         scorers.append(make_heuristic_scorer("hc", path3, prior=prior, labels=labels))
         for scorer in scorers:
@@ -411,7 +407,7 @@ class TestBatchClassScorer:
             labels = rng.integers(0, 3, size=n + 2)
             g = build_graph(n + 2, edges, labels=labels)  # two isolated nodes
             adj = brute_adjacency(edges, n + 2)
-            prior = build_prior_matrix(count_class_links(edges, labels, 3))
+            prior = count_class_links(edges, labels, 3)
             omega = tuple(float(w) for w in rng.uniform(0.1, 2.0, size=4))
             params = ClassHeuristicParams(
                 alpha1=float(rng.uniform(0, 2)),
@@ -439,7 +435,7 @@ class TestBatchClassScorer:
         """Path 0-1-2-3-4, node 3 unlabeled, isolated labeled nodes 5 and 6."""
         labels = np.array([0, 1, 0, -1, 1, 0, 1])
         g = build_graph(7, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]), labels=labels)
-        prior = build_prior_matrix(count_class_links(np.array([[0, 1], [1, 2]]), labels, 2))
+        prior = count_class_links(np.array([[0, 1], [1, 2]]), labels, 2)
         return g, prior, labels
 
     def test_degenerate_normalizer_names_first_pair(self):

@@ -8,7 +8,6 @@ import pytest
 from classlink.errors import ConfigurationError, MissingLabelError
 from classlink.graph import build_graph, split_edges
 from classlink.priors import (
-    build_prior_matrix,
     count_class_links,
     export_heatmap,
     load_prior_json,
@@ -41,8 +40,7 @@ class TestCounting:
         # 0-0 edges: (0,1),(0,3) -> 2 each direction = 4; 0-1 edge: (1,2)
         np.testing.assert_array_equal(cpm.joint_counts, [[4, 1], [1, 0]])
         np.testing.assert_array_equal(cpm.row_totals, [5, 1])
-        p = build_prior_matrix(cpm)
-        np.testing.assert_allclose(p.probs, [[0.8, 0.2], [1.0, 0.0]])
+        np.testing.assert_allclose(cpm.probs, [[0.8, 0.2], [1.0, 0.0]])
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(801)
@@ -53,7 +51,7 @@ class TestCounting:
             if len(edges) == 0:
                 continue
             labels = rng.integers(0, n_classes, size=n)
-            cpm = build_prior_matrix(count_class_links(edges, labels, n_classes))
+            cpm = count_class_links(edges, labels, n_classes)
             counts, probs = brute_force_prior(edges, labels, n_classes)
             np.testing.assert_array_equal(cpm.joint_counts, counts)
             np.testing.assert_allclose(cpm.probs, probs, atol=1e-12)
@@ -66,7 +64,7 @@ class TestCounting:
             if len(edges) == 0:
                 continue
             labels = rng.integers(0, 4, size=n)
-            p = build_prior_matrix(count_class_links(edges, labels, 4))
+            p = count_class_links(edges, labels, 4)
             np.testing.assert_array_equal(p.joint_counts, p.joint_counts.T)
             sums = p.probs.sum(axis=1)
             nonzero = p.row_totals > 0
@@ -83,10 +81,8 @@ class TestCounting:
         rng = np.random.default_rng(803)
         edges = random_edges(rng, 20, 0.3)
         labels = rng.integers(0, 3, size=20)
-        p1 = build_prior_matrix(count_class_links(edges, labels, 3))
-        p3 = build_prior_matrix(
-            count_class_links(np.repeat(edges, 3, axis=0), labels, 3)
-        )
+        p1 = count_class_links(edges, labels, 3)
+        p3 = count_class_links(np.repeat(edges, 3, axis=0), labels, 3)
         np.testing.assert_allclose(p1.probs, p3.probs)
 
     def test_permutation_equivariance(self):
@@ -95,8 +91,8 @@ class TestCounting:
         edges = random_edges(rng, 25, 0.3)
         labels = rng.integers(0, 5, size=25)
         pi = rng.permutation(5)
-        p1 = build_prior_matrix(count_class_links(edges, labels, 5))
-        p2 = build_prior_matrix(count_class_links(edges, pi[labels], 5))
+        p1 = count_class_links(edges, labels, 5)
+        p2 = count_class_links(edges, pi[labels], 5)
         for i in range(5):
             for j in range(5):
                 assert p2.probs[pi[i], pi[j]] == pytest.approx(p1.probs[i, j])
@@ -107,9 +103,7 @@ class TestCounting:
             count_class_links(np.array([[0, 1]]), labels, 2)
 
     def test_empty_edge_list_gives_zero_matrix(self):
-        p = build_prior_matrix(
-            count_class_links(np.empty((0, 2), dtype=int), np.array([0, 1]), 2)
-        )
+        p = count_class_links(np.empty((0, 2), dtype=int), np.array([0, 1]), 2)
         np.testing.assert_array_equal(p.probs, np.zeros((2, 2)))
 
     def test_bad_class_count_rejected(self):
@@ -121,7 +115,7 @@ class TestLookup:
     def test_directional_lookup(self):
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         labels = np.array([0, 0, 1, 0])
-        p = build_prior_matrix(count_class_links(edges, labels, 2))
+        p = count_class_links(edges, labels, 2)
         (fwd, rev), swapped = lookup_prior_batch(p, labels, np.array([[1, 2], [2, 1]]))
         assert fwd == pytest.approx(0.2)  # P(c=1 | c=0)
         assert rev == pytest.approx(1.0)  # P(c=0 | c=1)
@@ -132,22 +126,15 @@ class TestLookup:
         rng = np.random.default_rng(805)
         edges = random_edges(rng, 30, 0.3)
         labels = rng.integers(0, 4, size=30)
-        p = build_prior_matrix(count_class_links(edges, labels, 4))
+        p = count_class_links(edges, labels, 4)
         pairs = rng.integers(0, 30, size=(40, 2))
         batch = lookup_prior_batch(p, labels, pairs)
         for i, (x, y) in enumerate(pairs.tolist()):
             expect = (p.probs[labels[x], labels[y]], p.probs[labels[y], labels[x]])
             assert tuple(batch[i]) == expect
 
-    def test_unnormalized_lookup_rejected(self):
-        cpm = count_class_links(np.array([[0, 1]]), np.array([0, 1]), 2)
-        with pytest.raises(ConfigurationError):
-            lookup_prior_batch(cpm, np.array([0, 1]), np.array([[0, 1]]))
-
     def test_missing_label_in_lookup(self):
-        p = build_prior_matrix(
-            count_class_links(np.array([[0, 1]]), np.array([0, 1, -1]), 2)
-        )
+        p = count_class_links(np.array([[0, 1]]), np.array([0, 1, -1]), 2)
         with pytest.raises(MissingLabelError, match="node 2"):
             lookup_prior_batch(p, np.array([0, 1, -1]), np.array([[0, 1], [0, 2]]))
 
@@ -161,14 +148,10 @@ class TestLeakage:
         g_full = build_graph(40, edges, labels=labels)
         split = split_edges(g_full, (0.6, 0.2, 0.2), seed=17, negatives=10)
 
-        p_full = build_prior_matrix(
-            count_class_links(split.train_edges, labels, 3)
-        )
+        p_full = count_class_links(split.train_edges, labels, 3)
         # rebuild the graph with valid/test edges physically removed
         g_train_only = build_graph(40, split.train_edges, labels=labels)
-        p_pruned = build_prior_matrix(
-            count_class_links(g_train_only.undirected_edges(), labels, 3)
-        )
+        p_pruned = count_class_links(g_train_only.undirected_edges(), labels, 3)
         np.testing.assert_array_equal(p_full.joint_counts, p_pruned.joint_counts)
         assert p_full.probs.tobytes() == p_pruned.probs.tobytes()
 
@@ -178,7 +161,7 @@ class TestArtifacts:
         rng = np.random.default_rng(807)
         edges = random_edges(rng, 20, 0.3)
         labels = rng.integers(0, 3, size=20)
-        p = build_prior_matrix(count_class_links(edges, labels, 3))
+        p = count_class_links(edges, labels, 3)
         save_prior_json(p, tmp_path / "prior.json", seed=7, label_source="true")
         p2 = load_prior_json(tmp_path / "prior.json")
         np.testing.assert_array_equal(p.joint_counts, p2.joint_counts)
@@ -188,7 +171,7 @@ class TestArtifacts:
         rng = np.random.default_rng(808)
         edges = random_edges(rng, 25, 0.3)
         labels = rng.integers(0, 4, size=25)
-        p = build_prior_matrix(count_class_links(edges, labels, 4))
+        p = count_class_links(edges, labels, 4)
         csv_path = tmp_path / "heatmap.csv"
         sidecar = export_heatmap(p, csv_path, class_ids=("a", "b", "c", "d"))
         assert sidecar.exists()

@@ -88,6 +88,16 @@ class TestAggregateFeatures:
         with pytest.raises(ConfigurationError):
             aggregate_features(path3)
 
+    def test_shape_mismatch_rejected(self, path3):
+        # aggregate_features reads g.features, so a feature matrix of the
+        # wrong height is stopped where the graph is built, before any product.
+        with pytest.raises(DimensionError):
+            build_graph(3, path3.undirected_edges(), features=np.ones((5, 2)))
+        with pytest.raises(DimensionError):
+            build_graph(
+                3, path3.undirected_edges(), features=sp.csr_matrix(np.ones((5, 2)))
+            )
+
 
 class TestKmeans:
     def test_k1_ssd_is_total_scatter(self):

@@ -28,11 +28,13 @@ All gradients are derived and implemented by hand (no autodiff):
   ``dH = Pxᵀ (dE1 ⊙ H[ys]) + Pyᵀ (dE1 ⊙ H[xs]) + Mᵀ dE2``, so the same matrix
   drives the forward aggregation and the gradient scatter.
 
-``S X``, the product of ``S`` and the graph's CSR features, is computed once
-per training graph as a dense array and reused by the forward pass and the
-``W1`` gradient.  Propagation is separate from the edge head, so a
-frozen model propagates once: :func:`make_scorer` caches its ``H``, and
-training propagates once per epoch for both validation batches.
+The first layer runs on the training graph's own CSR features ``X`` in the
+usual GCN order, ``S (X W1)`` forward and ``W1``'s gradient
+``Xᵀ (S dZ1)``, so no layer holds a dense ``n × F`` array and each product
+costs the stored entries of ``X`` or ``S`` times ``d``.  Propagation is
+separate from the edge head, so a frozen model propagates once:
+:func:`make_scorer` caches its ``H``, and training propagates once per epoch
+for both validation batches.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
@@ -175,15 +176,15 @@ def normalized_operator(g: Graph) -> sp.csr_matrix:
 
 
 def propagate(
-    params: BackboneParams, sym: sp.csr_matrix, sx: np.ndarray
+    params: BackboneParams, sym: sp.csr_matrix, x: sp.csr_matrix
 ) -> dict[str, np.ndarray]:
     """Node embeddings ``h = S · relu(S X W1) · W2`` plus the intermediates
     the backward pass reuses (``z1``, ``h1``, ``q = S h1``)."""
-    if sx.shape[1] != params.w1.shape[0]:
+    if x.shape[1] != params.w1.shape[0]:
         raise DimensionError(
-            f"feature width {sx.shape[1]} does not match W1 fan-in {params.w1.shape[0]}"
+            f"feature width {x.shape[1]} does not match W1 fan-in {params.w1.shape[0]}"
         )
-    z1 = sx @ params.w1
+    z1 = sym @ (x @ params.w1)
     h1 = np.maximum(z1, 0.0)
     q = sym @ h1
     return {"z1": z1, "h1": h1, "q": q, "h": q @ params.w2}
@@ -199,7 +200,7 @@ class LinkBatch:
     """Everything one forward/backward pass needs, with a fixed incidence."""
 
     sym: sp.csr_matrix  # (n, n) normalized operator over training edges
-    sx: np.ndarray  # (n, F) = sym @ X, shared by forward and the W1 gradient
+    x: sp.csr_matrix  # (n, F) the training graph's CSR features, not a copy
     pairs: np.ndarray  # (m, 2)
     targets: np.ndarray  # (m,) in {0, 1}
     incidence: sp.csr_matrix  # (m, n): weight of node u in pair i's aggregation
@@ -213,6 +214,12 @@ class LinkBatch:
         view = self.incidence.indices.view()
         view.flags.writeable = False
         return view
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that cannot overflow: ``exp`` only sees ``-|x|``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _head(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> dict:
@@ -231,7 +238,7 @@ def _head(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> dict:
 
 def forward_loss(params: BackboneParams, batch: LinkBatch) -> tuple[float, dict]:
     """Mean BCE over the batch; returns the cache the backward pass reuses."""
-    cache = propagate(params, batch.sym, batch.sx)
+    cache = propagate(params, batch.sym, batch.x)
     cache.update(_head(params, batch, cache["h"]))
     logits = cache["logits"]
     # BCE in softplus form: softplus(logit) - target * logit
@@ -248,8 +255,8 @@ def predict_batch(
     already propagated; otherwise it is computed here.
     """
     if h is None:
-        h = propagate(params, batch.sym, batch.sx)["h"]
-    probs = expit(_head(params, batch, h)["logits"])
+        h = propagate(params, batch.sym, batch.x)["h"]
+    probs = _sigmoid(_head(params, batch, h)["logits"])
     return np.clip(probs, 1e-12, 1.0 - 1e-12)
 
 
@@ -269,7 +276,7 @@ def backward(
     xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
     h = cache["h"]
 
-    dlogits = (expit(cache["logits"]) - batch.targets) / m
+    dlogits = (_sigmoid(cache["logits"]) - batch.targets) / m
     dwo = cache["act"].T @ dlogits
     dbo = float(dlogits.sum())
     dact = np.outer(dlogits, params.wo)
@@ -294,7 +301,7 @@ def backward(
     dq = dh @ params.w2.T
     dh1 = batch.sym @ dq  # sym is symmetric, so S^T = S
     dz1 = dh1 * (cache["z1"] > 0.0)
-    dw1 = batch.sx.T @ dz1
+    dw1 = batch.x.T @ (batch.sym @ dz1)
 
     return {"w1": dw1, "w2": dw2, "wh": dwh, "bh": dbh, "wo": dwo, "bo": dbo}
 
@@ -310,7 +317,7 @@ class BatchBuilder:
 
     adj: sp.csr_matrix  # (n, n) 0/1 adjacency over training edges
     sym: sp.csr_matrix
-    sx: np.ndarray
+    x: sp.csr_matrix  # (n, F) the training graph's CSR features, not a copy
     mode: str
     prior: ClassPriorMatrix | None
     labels: np.ndarray | None
@@ -331,11 +338,10 @@ class BatchBuilder:
             raise ConfigurationError("ncnc batches need a completion scorer")
         if g_train.features.shape[1] == 0:
             raise ConfigurationError("backbone needs node features")
-        sym = normalized_operator(g_train)
         return cls(
             adj=g_train.adj,
-            sym=sym,
-            sx=(sym @ g_train.features).toarray(),
+            sym=normalized_operator(g_train),
+            x=g_train.features,
             mode=mode,
             prior=prior,
             labels=labels,
@@ -359,7 +365,7 @@ class BatchBuilder:
             priors = lookup_prior_batch(self.prior, self.labels, pairs)
         return LinkBatch(
             sym=self.sym,
-            sx=self.sx,
+            x=self.x,
             pairs=pairs,
             targets=np.asarray(targets, dtype=np.float64),
             incidence=incidence,
@@ -479,7 +485,7 @@ def train(
         velocity_bo = config.momentum * velocity_bo - config.lr * float(grads["bo"])
         params.bo = float(params.bo) + velocity_bo
 
-        h = propagate(params, builder.sym, builder.sx)["h"]
+        h = propagate(params, builder.sym, builder.x)["h"]
         val_pos = predict_batch(params, valid_batch, h)
         val_neg = predict_batch(params, valid_pool_batch, h)
         val_mrr = mrr(rank_positive(val_pos, val_neg))
@@ -517,7 +523,7 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
         priors = np.concatenate([a.priors, b.priors])
     return LinkBatch(
         sym=a.sym,
-        sx=a.sx,
+        x=a.x,
         pairs=np.concatenate([a.pairs, b.pairs]),
         targets=np.concatenate([a.targets, b.targets]),
         incidence=sp.vstack([a.incidence, b.incidence], format="csr"),
@@ -549,7 +555,7 @@ def make_scorer(model: TrainedModel, g_train: Graph) -> Scorer:
         model.labels if model.params.use_priors else None,
         completion_scorer,
     )
-    h = propagate(model.params, builder.sym, builder.sx)["h"]
+    h = propagate(model.params, builder.sym, builder.x)["h"]
 
     def score(pairs: np.ndarray) -> np.ndarray:
         return predict_batch(model.params, builder.build(pairs), h)

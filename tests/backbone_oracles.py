@@ -2,8 +2,10 @@
 
 Each function works on one pair (or, for propagation, on dense matrices) by
 brute force, independently of the sparse link-incidence code in
-``classlink.backbone``; :func:`gradient_check` compares the hand-derived
-gradients with central finite differences.
+``classlink.backbone``; :func:`dense_pass` redoes one forward/backward pass
+with dense matrices and the first layer in its ``(S X) W1`` order;
+:func:`gradient_check` compares the hand-derived gradients with central
+finite differences.
 """
 
 from __future__ import annotations
@@ -27,6 +29,33 @@ def mpnn_forward(g: Graph, features: np.ndarray, params: BackboneParams) -> np.n
     d_inv_sqrt = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
     sym = d_inv_sqrt @ a_hat @ d_inv_sqrt
     return sym @ np.maximum(sym @ features @ params.w1, 0.0) @ params.w2
+
+
+def dense_pass(params: BackboneParams, batch: LinkBatch) -> dict[str, np.ndarray]:
+    """``z1``, ``h`` and the ``W1`` gradient of the batch's mean BCE, with
+    every matrix dense and ``S X`` formed first: ``z1 = (S X) W1`` and
+    ``dW1 = (S X)ᵀ dZ1``."""
+    s = batch.sym.toarray()
+    sx = s @ batch.x.toarray()
+    z1 = sx @ params.w1
+    h = s @ np.maximum(z1, 0.0) @ params.w2
+
+    xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
+    incidence = batch.incidence.toarray()
+    z = np.concatenate([h[xs] * h[ys], incidence @ h], axis=1)
+    if params.use_priors:
+        z = np.concatenate([z, batch.priors], axis=1)
+    pre_h = z @ params.wh + params.bh
+    logits = np.maximum(pre_h, 0.0) @ params.wo + params.bo
+
+    dlogits = (expit(logits) - batch.targets) / len(logits)
+    dz = (np.outer(dlogits, params.wo) * (pre_h > 0.0)) @ params.wh.T
+    d = params.dim
+    de1, de2 = dz[:, :d], dz[:, d : 2 * d]
+    eye = np.eye(h.shape[0])
+    dh = eye[xs].T @ (de1 * h[ys]) + eye[ys].T @ (de1 * h[xs]) + incidence.T @ de2
+    dz1 = (s.T @ dh @ params.w2.T) * (z1 > 0.0)
+    return {"z1": z1, "h": h, "w1": sx.T @ dz1}
 
 
 def cnc_probability(g: Graph, scorer: Scorer, x: int, y: int, u: int) -> float:

@@ -4,16 +4,26 @@ embedding semantics, training behavior, and checkpoints."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import classlink
 from classlink.backbone import (
+    MODES,
     BatchBuilder,
     TrainConfig,
     TrainedModel,
+    _sigmoid,
+    backward,
+    forward_loss,
     init_params,
     load_checkpoint,
     make_scorer,
@@ -32,6 +42,7 @@ from classlink.priors import count_class_links, lookup_prior_batch
 from backbone_oracles import (
     cnc_probability,
     common_neighbor_set,
+    dense_pass,
     fuse_and_predict,
     gradient_check,
     mpnn_forward,
@@ -87,6 +98,26 @@ def small_instance(seed, use_priors=True, edge_prob=0.35, n=12, n_feats=5):
     return g, params, builder.build(pairs, targets)
 
 
+@pytest.fixture
+def awkward_features():
+    """A labeled graph whose CSR features hold an empty row (node 4), an
+    all-zero column (6) and a stored ``-0.0`` (node 2, column 3)."""
+    rng = np.random.default_rng(1213)
+    n, width = 14, 9
+    feats = np.where(rng.random((n, width)) < 0.4, rng.standard_normal((n, width)), 0.0)
+    feats[4] = 0.0
+    feats[:, 6] = 0.0
+    feats[2, 3] = -0.0
+    g = build_graph(
+        n, random_edges(rng, n, 0.3), features=feats, labels=rng.integers(0, 3, size=n)
+    )
+    x = g.features
+    assert x.indptr[4] == x.indptr[5] and 6 not in x.indices
+    zeros = x.data[x.data == 0.0]
+    assert zeros.size == 1 and np.signbit(zeros[0])
+    return g
+
+
 class TestPropagation:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1201)
@@ -100,11 +131,44 @@ class TestPropagation:
             expect = s @ np.maximum(s @ feats @ params.w1, 0.0) @ params.w2
             builder = BatchBuilder.create(g, "backbone_only", None, None)
             np.testing.assert_allclose(
-                propagate(params, builder.sym, builder.sx)["h"], expect, atol=1e-10
+                propagate(params, builder.sym, builder.x)["h"], expect, atol=1e-10
             )
             np.testing.assert_allclose(
                 mpnn_forward(g, feats, params), expect, atol=1e-10
             )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_first_layer_matches_dense_s_x_order(self, awkward_features, mode):
+        """``S (X W1)`` and ``Xᵀ (S dZ1)`` on the CSR features agree with
+        ``(S X) W1`` and ``(S X)ᵀ dZ1`` on a dense ``S X``."""
+        g = awkward_features
+        use_priors = mode != "backbone_only"
+        prior = count_class_links(g.undirected_edges(), g.labels, 3) if use_priors else None
+        labels = g.labels if use_priors else None
+        completion = None
+        if mode == "ncnc":
+            frozen = init_params(9, TrainConfig(dim=4, hidden=3, seed=99), True)
+            frozen_builder = BatchBuilder.create(g, "ncn", prior, labels)
+
+            def completion(pairs):
+                return predict_batch(frozen, frozen_builder.build(pairs))
+
+        builder = BatchBuilder.create(g, mode, prior, labels, completion)
+        assert builder.x is g.features
+        rng = np.random.default_rng(1214)
+        raw = rng.integers(0, g.n_nodes, size=(20, 2))
+        pairs = raw[raw[:, 0] != raw[:, 1]]
+        batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
+        params = init_params(9, TrainConfig(dim=4, hidden=3, seed=7), use_priors)
+
+        expect = dense_pass(params, batch)
+        _, cache = forward_loss(params, batch)  # z1 and h come from propagate
+        got = dict(z1=cache["z1"], h=cache["h"], w1=backward(params, batch, cache)["w1"])
+        for name, want in expect.items():
+            np.testing.assert_allclose(
+                got[name], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name
+            )
+        assert not got["w1"][6].any()
 
     def test_operator_row_behavior(self, path3):
         s = normalized_operator(path3).toarray()
@@ -119,7 +183,7 @@ class TestPropagation:
             with_features(path3, np.ones((3, 7))), "backbone_only", None, None
         )
         with pytest.raises(DimensionError):
-            propagate(params, builder.sym, builder.sx)
+            propagate(params, builder.sym, builder.x)
         with pytest.raises(DimensionError):
             with_features(path3, np.ones((4, 3)))
 
@@ -507,6 +571,34 @@ class TestTraining:
         with pytest.raises(ConfigurationError, match="features"):
             train(g, split, train_prior(g, split), g.labels, "ncn", quick_config())
 
+    def test_training_holds_no_dense_feature_matrix(self):
+        """1000 nodes, 10 000 features, about 10 stored entries per row: a
+        dense ``S X`` alone would take 80 MB.  ``hidden`` is small too, so the
+        per-pair fusion arrays stay far below the bound."""
+        rng = np.random.default_rng(1216)
+        n, width = 1000, 10_000
+        rows = np.repeat(np.arange(n), 10)
+        feats = sp.csr_matrix(
+            (np.ones(rows.size), (rows, rng.integers(0, width, size=rows.size))),
+            shape=(n, width),
+        )
+        g = build_graph(
+            n,
+            rng.integers(0, n, size=(4000, 2)),
+            features=feats,
+            labels=rng.integers(0, 4, size=n),
+        )
+        split = split_edges(g, (0.8, 0.1, 0.1), seed=0, negatives=200)
+        prior = train_prior(g, split)
+        tracemalloc.start()
+        try:
+            config = TrainConfig(dim=8, hidden=8, epochs=2, seed=0)
+            train(g, split, prior, g.labels, "ncn", config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(lr=0.0)
@@ -516,6 +608,42 @@ class TestTraining:
             TrainConfig(dim=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
+
+
+class TestSigmoid:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(1217)
+        scaled = [scale * rng.standard_normal(20_000) for scale in (1.0, 30.0, 1e3)]
+        return np.concatenate(scaled + [np.array([np.inf, -np.inf, 0.0, -0.0])])
+
+    def test_matches_scipy_expit(self):
+        from scipy.special import expit
+
+        x = self.inputs()
+        assert np.abs(_sigmoid(x) - expit(x)).max() <= np.finfo(np.float64).eps
+        np.testing.assert_array_equal(_sigmoid(np.array([np.inf, -np.inf])), [1.0, 0.0])
+
+    def test_raises_no_floating_point_error(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            probs = _sigmoid(self.inputs())
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+    def test_cli_import_leaves_scipy_special_out(self):
+        src = str(Path(classlink.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, classlink.cli; sys.exit('scipy.special' in sys.modules)",
+            ],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr or "classlink.cli imported scipy.special"
 
 
 class TestArtifacts:

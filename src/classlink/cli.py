@@ -10,6 +10,7 @@ stage whose inputs have not changed reuses the cached artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -120,26 +121,26 @@ def _require_stage(cfg: RunConfig, stage: str) -> Path:
     return path
 
 
-def _cached(cfg: RunConfig, stage: str) -> Path | None:
-    """Artifact path when this stage is already up to date, else None."""
-    entry = _load_manifest(cfg).get(stage)
-    if entry is None or entry.get("digest") != stage_digest(cfg, stage):
-        return None
-    path = Path(cfg.out) / entry["path"]
-    return path if path.exists() else None
+def _up_to_date(stage: str):
+    """Skip the decorated command while ``stage``'s artifact is up to date."""
+
+    def wrap(cmd):
+        @functools.wraps(cmd)
+        def run(cfg: RunConfig) -> None:
+            try:
+                path = _require_stage(cfg, stage)
+            except (DependencyError, StaleArtifactError):
+                return cmd(cfg)
+            print(f"{stage}: up to date ({path})")
+
+        return run
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # Shared loading helpers
 # ---------------------------------------------------------------------------
-
-
-def _load_pipeline_graph(cfg: RunConfig) -> Graph:
-    return load_graph_json(_require_stage(cfg, "ingest"))
-
-
-def _load_pipeline_split(cfg: RunConfig) -> EdgeSplit:
-    return load_split_json(_require_stage(cfg, "split"))
 
 
 def _resolve_labels(
@@ -166,11 +167,8 @@ def _resolve_labels(
 # ---------------------------------------------------------------------------
 
 
+@_up_to_date("ingest")
 def cmd_ingest(cfg: RunConfig) -> None:
-    cached = _cached(cfg, "ingest")
-    if cached is not None:
-        print(f"ingest: up to date ({cached})")
-        return
     g = load_graph(cfg.edges, cfg.features, cfg.labels)
     path = Path(cfg.out) / ARTIFACT_NAMES["ingest"]
     save_graph_json(g, path)
@@ -178,12 +176,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"ingest: n_nodes={g.n_nodes} n_edges={g.n_edges} -> {path}")
 
 
+@_up_to_date("split")
 def cmd_split(cfg: RunConfig) -> None:
-    cached = _cached(cfg, "split")
-    if cached is not None:
-        print(f"split: up to date ({cached})")
-        return
-    g = _load_pipeline_graph(cfg)
+    g = load_graph_json(_require_stage(cfg, "ingest"))
     split = split_edges(g, cfg.ratios, cfg.seed, negatives=cfg.negatives)
     path = Path(cfg.out) / ARTIFACT_NAMES["split"]
     save_split_json(split, path)
@@ -227,17 +222,14 @@ def _cluster_labeling(cfg: RunConfig, g: Graph, split: EdgeSplit) -> PseudoLabel
     )
 
 
+@_up_to_date("cluster")
 def cmd_cluster(cfg: RunConfig) -> None:
     if cfg.label_source == "true":
         raise ConfigurationError(
             "label source 'true' reads the labels file; nothing to cluster"
         )
-    cached = _cached(cfg, "cluster")
-    if cached is not None:
-        print(f"cluster: up to date ({cached})")
-        return
-    g = _load_pipeline_graph(cfg)
-    split = _load_pipeline_split(cfg)
+    g = load_graph_json(_require_stage(cfg, "ingest"))
+    split = load_split_json(_require_stage(cfg, "split"))
     labeling = _cluster_labeling(cfg, g, split)
     out = Path(cfg.out)
     path = out / ARTIFACT_NAMES["cluster"]
@@ -249,13 +241,10 @@ def cmd_cluster(cfg: RunConfig) -> None:
     print(f"cluster: method={labeling.method} k={labeling.k} -> {path}")
 
 
+@_up_to_date("prior")
 def cmd_prior(cfg: RunConfig) -> None:
-    cached = _cached(cfg, "prior")
-    if cached is not None:
-        print(f"prior: up to date ({cached})")
-        return
-    g = _load_pipeline_graph(cfg)
-    split = _load_pipeline_split(cfg)
+    g = load_graph_json(_require_stage(cfg, "ingest"))
+    split = load_split_json(_require_stage(cfg, "split"))
     labels, n_classes, class_ids = _resolve_labels(cfg, g)
     prior = count_class_links(split.train_edges, labels, n_classes)
     out = Path(cfg.out)
@@ -271,7 +260,7 @@ def cmd_prior(cfg: RunConfig) -> None:
 
 def cmd_heatmap(cfg: RunConfig) -> None:
     prior = load_prior_json(_require_stage(cfg, "prior"))
-    g = _load_pipeline_graph(cfg)
+    g = load_graph_json(_require_stage(cfg, "ingest"))
     if cfg.label_source == "true" and g.labels is not None:
         class_ids = g.class_ids
     else:
@@ -282,13 +271,10 @@ def cmd_heatmap(cfg: RunConfig) -> None:
     print(f"heatmap: {prior.n_classes}x{prior.n_classes} -> {path}")
 
 
+@_up_to_date("train")
 def cmd_train(cfg: RunConfig) -> None:
-    cached = _cached(cfg, "train")
-    if cached is not None:
-        print(f"train: up to date ({cached})")
-        return
-    g = _load_pipeline_graph(cfg)
-    split = _load_pipeline_split(cfg)
+    g = load_graph_json(_require_stage(cfg, "ingest"))
+    split = load_split_json(_require_stage(cfg, "split"))
     prior = labels = None
     if cfg.mode != "backbone_only":
         labels, _, _ = _resolve_labels(cfg, g)
@@ -333,8 +319,8 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    g = _load_pipeline_graph(cfg)
-    split = _load_pipeline_split(cfg)
+    g = load_graph_json(_require_stage(cfg, "ingest"))
+    split = load_split_json(_require_stage(cfg, "split"))
     scorer = _build_scorer(cfg, g, split)
     report = evaluate_split(
         scorer,

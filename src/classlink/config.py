@@ -1,17 +1,20 @@
 """Run configuration: one YAML document driving every pipeline stage.
 
-A :class:`RunConfig` is the single source of truth for a run.  Stages are
-keyed by digests over the subset of fields they depend on (cumulative, so a
-seed change invalidates everything downstream while an evaluation-only tweak
-leaves checkpoints valid).  The output directory is deliberately excluded
-from digests — moving artifacts does not make them stale.
+A :class:`RunConfig` is the single source of truth for a run.  Each key is
+declared once, as a field carrying its default, its coercer and the first
+stage whose digest covers it; fields run in pipeline order, and
+:data:`STAGE_KEYS` follows that order.  Stages are keyed by digests over
+the subset of fields they depend on (cumulative, so a seed change
+invalidates everything downstream while an evaluation-only tweak leaves
+checkpoints valid).  The output directory is deliberately excluded from
+digests — moving artifacts does not make them stale.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -27,41 +30,129 @@ HC_BASES = ("cn", "aa", "ra", "katz")
 EVAL_SPLITS = ("test", "valid")
 
 
+# ---------------------------------------------------------------------------
+# Coercion (YAML is friendly but loosely typed)
+# ---------------------------------------------------------------------------
+
+
+def _fail(key: str, value, expected: str) -> ConfigurationError:
+    return ConfigurationError(f"config key '{key}' expects {expected}, got {value!r}")
+
+
+def _as_int(key: str, value) -> int:
+    if isinstance(value, bool):
+        raise _fail(key, value, "an integer")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            as_float = float(value)
+        except ValueError as exc:
+            raise _fail(key, value, "an integer") from exc
+        if as_float.is_integer():
+            return int(as_float)
+    raise _fail(key, value, "an integer")
+
+
+def _as_float(key: str, value) -> float:
+    if isinstance(value, bool):
+        raise _fail(key, value, "a real number")
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError as exc:
+            raise _fail(key, value, "a real number") from exc
+    raise _fail(key, value, "a real number")
+
+
+def _as_str(key: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise _fail(key, value, "a string")
+
+
+def _as_bool(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _fail(key, value, "a boolean")
+
+
+def _as_label_source(key: str, value) -> str:
+    # YAML parses a bare `true` as a boolean; that spelling means the
+    # ground-truth label source here.
+    if value is True:
+        return "true"
+    if isinstance(value, str):
+        return value.lower()
+    raise _fail(key, value, f"one of {LABEL_SOURCES}")
+
+
+def _as_ratios(key: str, value) -> tuple[float, float, float]:
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        return tuple(_as_float(key, v) for v in value)  # type: ignore[return-value]
+    raise _fail(key, value, "a list of three reals")
+
+
+def _as_int_tuple(key: str, value) -> tuple[int, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_int(key, v) for v in value)
+    raise _fail(key, value, "a list of integers")
+
+
+def _as_lower(key: str, value) -> str:
+    return _as_str(key, value).lower()
+
+
+def _optional(coerce):
+    """``coerce`` that also lets ``None`` (an unset optional key) through."""
+    return lambda key, value: None if value is None else coerce(key, value)
+
+
+def _key(default, coerce, stage: str | None):
+    """A config key: its default, its coercer, and the first pipeline stage
+    whose digest covers it (``None``: no digest does)."""
+    return field(default=default, metadata={"coerce": coerce, "stage": stage})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated settings for the whole pipeline (flat key/value document)."""
 
     # input/output paths
-    edges: str = ""
-    features: str | None = None
-    labels: str | None = None
-    out: str = "artifacts"
+    edges: str = _key("", _as_str, "ingest")
+    features: str | None = _key(None, _optional(_as_str), "ingest")
+    labels: str | None = _key(None, _optional(_as_str), "ingest")
+    out: str = _key("artifacts", _as_str, None)
     # split
-    seed: int = 0
-    ratios: tuple[float, float, float] = (0.85, 0.05, 0.10)
-    negatives: int = 500
+    seed: int = _key(0, _as_int, "split")
+    ratios: tuple[float, float, float] = _key((0.85, 0.05, 0.10), _as_ratios, "split")
+    negatives: int = _key(500, _as_int, "split")
     # label source (exactly one; k/k_grid only meaningful for kmeans)
-    label_source: str = "true"
-    k: int | None = None
-    k_grid: tuple[int, ...] | None = None
-    normalize_rows: bool = False
-    max_iters: int = 100
+    label_source: str = _key("true", _as_label_source, "cluster")
+    k: int | None = _key(None, _optional(_as_int), "cluster")
+    k_grid: tuple[int, ...] | None = _key(None, _optional(_as_int_tuple), "cluster")
+    normalize_rows: bool = _key(False, _as_bool, "cluster")
+    max_iters: int = _key(100, _as_int, "cluster")
     # backbone training
-    mode: str = "ncn"
-    dim: int = 64
-    hidden: int = 64
-    lr: float = 0.1
-    momentum: float = 0.9
-    epochs: int = 200
-    patience: int = 20
+    mode: str = _key("ncn", _as_lower, "train")
+    dim: int = _key(TrainConfig.dim, _as_int, "train")
+    hidden: int = _key(TrainConfig.hidden, _as_int, "train")
+    lr: float = _key(TrainConfig.lr, _as_float, "train")
+    momentum: float = _key(TrainConfig.momentum, _as_float, "train")
+    epochs: int = _key(TrainConfig.epochs, _as_int, "train")
+    patience: int = _key(TrainConfig.patience, _as_int, "train")
     # evaluation
-    metric: str = "mrr"
-    scorer: str = "model"
-    hc_base: str = "cn"
-    gamma: float = 0.05
-    katz_length: int = 4
-    eval_split: str = "test"
-    per_edge_negatives: int | None = None
+    metric: str = _key("mrr", _as_lower, "evaluate")
+    scorer: str = _key("model", _as_lower, "evaluate")
+    hc_base: str = _key("cn", _as_lower, "evaluate")
+    gamma: float = _key(GammaDecayConfig.gamma, _as_float, "evaluate")
+    katz_length: int = _key(GammaDecayConfig.max_length, _as_int, "evaluate")
+    eval_split: str = _key("test", _as_lower, "evaluate")
+    per_edge_negatives: int | None = _key(None, _optional(_as_int), "evaluate")
 
     # ------------------------------------------------------------------
     # Construction
@@ -80,14 +171,13 @@ class RunConfig:
         for source in (mapping or {}), (overrides or {}):
             for key, value in source.items():
                 merged[str(key).replace("-", "_")] = value
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(merged) - known)
+        coercers = {f.name: f.metadata["coerce"] for f in fields(cls)}
+        unknown = sorted(set(merged) - set(coercers))
         if unknown:
             raise ConfigurationError(
                 f"unknown config key(s): {', '.join(unknown)}"
             )
-        coerced = {key: _coerce(key, value) for key, value in merged.items()}
-        return cls(**coerced)
+        return cls(**{key: coercers[key](key, value) for key, value in merged.items()})
 
     # ------------------------------------------------------------------
     # Views
@@ -104,15 +194,7 @@ class RunConfig:
         return out
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim,
-            hidden=self.hidden,
-            lr=self.lr,
-            momentum=self.momentum,
-            epochs=self.epochs,
-            patience=self.patience,
-            seed=self.seed,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def katz_config(self) -> GammaDecayConfig:
         return GammaDecayConfig(gamma=self.gamma, max_length=self.katz_length)
@@ -142,13 +224,14 @@ class RunConfig:
                 if value is not None and value != "" and not Path(value).exists():
                     raise ConfigurationError(f"{name} file not found: {value}")
 
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
+        if type(self.seed) is not int or self.seed < 0:  # bool is not a seed
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # written so that a NaN ratio fails both checks
+        if len(self.ratios) != 3 or any(not r > 0 for r in self.ratios):
             raise ConfigurationError(
                 f"ratios must be three positive reals, got {self.ratios}"
             )
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
+        if not abs(sum(self.ratios) - 1.0) <= 1e-9:
             raise ConfigurationError(f"ratios must sum to 1, got {sum(self.ratios)!r}")
         if self.negatives < 1:
             raise ConfigurationError("negatives must be >= 1")
@@ -205,129 +288,6 @@ class RunConfig:
             raise ConfigurationError("per_edge_negatives must be >= 1")
 
 
-# ---------------------------------------------------------------------------
-# Coercion (YAML is friendly but loosely typed)
-# ---------------------------------------------------------------------------
-
-
-def _fail(key: str, value, expected: str) -> ConfigurationError:
-    return ConfigurationError(f"config key '{key}' expects {expected}, got {value!r}")
-
-
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool):
-        raise _fail(key, value, "an integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            as_float = float(value)
-        except ValueError as exc:
-            raise _fail(key, value, "an integer") from exc
-        if as_float.is_integer():
-            return int(as_float)
-    raise _fail(key, value, "an integer")
-
-
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool):
-        raise _fail(key, value, "a real number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise _fail(key, value, "a real number") from exc
-    raise _fail(key, value, "a real number")
-
-
-def _as_str(key: str, value) -> str:
-    if isinstance(value, str):
-        return value
-    raise _fail(key, value, "a string")
-
-
-def _as_opt_path(key: str, value):
-    if value is None:
-        return None
-    return _as_str(key, value)
-
-
-def _as_bool(key: str, value) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise _fail(key, value, "a boolean")
-
-
-def _as_label_source(key: str, value) -> str:
-    # YAML parses a bare `true` as a boolean; that spelling means the
-    # ground-truth label source here.
-    if value is True:
-        return "true"
-    if isinstance(value, str):
-        return value.lower()
-    raise _fail(key, value, f"one of {LABEL_SOURCES}")
-
-
-def _as_ratios(key: str, value) -> tuple[float, float, float]:
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        return tuple(_as_float(key, v) for v in value)  # type: ignore[return-value]
-    raise _fail(key, value, "a list of three reals")
-
-
-def _as_int_tuple(key: str, value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_int(key, v) for v in value)
-    raise _fail(key, value, "a list of integers")
-
-
-def _as_opt_int(key: str, value):
-    if value is None:
-        return None
-    return _as_int(key, value)
-
-
-def _as_lower(key: str, value) -> str:
-    return _as_str(key, value).lower()
-
-
-_COERCERS = {
-    "edges": _as_str,
-    "features": _as_opt_path,
-    "labels": _as_opt_path,
-    "out": _as_str,
-    "seed": _as_int,
-    "ratios": _as_ratios,
-    "negatives": _as_int,
-    "label_source": _as_label_source,
-    "k": _as_opt_int,
-    "k_grid": lambda k, v: None if v is None else _as_int_tuple(k, v),
-    "normalize_rows": _as_bool,
-    "max_iters": _as_int,
-    "mode": _as_lower,
-    "dim": _as_int,
-    "hidden": _as_int,
-    "lr": _as_float,
-    "momentum": _as_float,
-    "epochs": _as_int,
-    "patience": _as_int,
-    "metric": _as_lower,
-    "scorer": _as_lower,
-    "hc_base": _as_lower,
-    "gamma": _as_float,
-    "katz_length": _as_int,
-    "eval_split": _as_lower,
-    "per_edge_negatives": _as_opt_int,
-}
-
-
-def _coerce(key: str, value):
-    return _COERCERS[key](key, value)
-
-
 def load_config_file(path: str | Path) -> dict:
     """Parse a YAML config document into a plain mapping."""
     try:
@@ -349,35 +309,19 @@ def load_config_file(path: str | Path) -> dict:
 # Digests
 # ---------------------------------------------------------------------------
 
-_INGEST_KEYS = ("edges", "features", "labels")
-_SPLIT_KEYS = _INGEST_KEYS + ("seed", "ratios", "negatives")
-_LABEL_KEYS = _SPLIT_KEYS + (
-    "label_source",
-    "k",
-    "k_grid",
-    "normalize_rows",
-    "max_iters",
-)
-_TRAIN_KEYS = _LABEL_KEYS + ("mode", "dim", "hidden", "lr", "momentum", "epochs", "patience")
-_EVAL_KEYS = _TRAIN_KEYS + (
-    "metric",
-    "scorer",
-    "hc_base",
-    "gamma",
-    "katz_length",
-    "eval_split",
-    "per_edge_negatives",
-)
 
-STAGE_KEYS: dict[str, tuple[str, ...]] = {
-    "ingest": _INGEST_KEYS,
-    "split": _SPLIT_KEYS,
-    "cluster": _LABEL_KEYS,
-    "prior": _LABEL_KEYS,
-    "heatmap": _LABEL_KEYS,
-    "train": _TRAIN_KEYS,
-    "evaluate": _EVAL_KEYS,
-}
+def _stage_keys() -> dict[str, tuple[str, ...]]:
+    keys: tuple[str, ...] = ()
+    out: dict[str, tuple[str, ...]] = {}
+    for stage in ("ingest", "split", "cluster", "train", "evaluate"):
+        keys += tuple(f.name for f in fields(RunConfig) if f.metadata["stage"] == stage)
+        out[stage] = keys
+        if stage == "cluster":  # the prior and its heatmap count the labels
+            out["prior"] = out["heatmap"] = keys
+    return out
+
+
+STAGE_KEYS: dict[str, tuple[str, ...]] = _stage_keys()
 
 
 def _digest_of(payload: dict) -> str:

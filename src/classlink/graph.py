@@ -508,9 +508,9 @@ def split_edges(
     non-edges).  Deterministic given ``seed``.
     """
     r = tuple(float(x) for x in ratios)
-    if len(r) != 3 or any(x <= 0 for x in r):
+    if len(r) != 3 or any(not x > 0 for x in r):  # NaN fails both checks
         raise ConfigurationError(f"ratios must be three positive reals, got {ratios}")
-    if abs(sum(r) - 1.0) > 1e-9:
+    if not abs(sum(r) - 1.0) <= 1e-9:
         raise ConfigurationError(f"ratios must sum to 1, got {sum(r)!r}")
     edges = g.undirected_edges()
     m = edges.shape[0]

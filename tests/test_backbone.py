@@ -599,6 +599,35 @@ class TestTraining:
             tracemalloc.stop()
         assert peak < 20e6, peak
 
+    def test_epoch_intermediates_do_not_outlive_their_epoch(self):
+        """Peak memory of ncnc training does not grow with the epoch count:
+        one epoch's forward cache and gradients are gone before the next
+        epoch builds its negative batch."""
+        rng = np.random.default_rng(1218)
+        n = 200
+        g = build_graph(
+            n,
+            rng.integers(0, n, size=(1600, 2)),
+            features=rng.standard_normal((n, 20)),
+            labels=rng.integers(0, 4, size=n),
+        )
+        split = split_edges(g, (0.8, 0.1, 0.1), seed=0, negatives=100)
+        prior = train_prior(g, split)
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                config = TrainConfig(epochs=epochs, patience=epochs, seed=0)
+                _, log = train(g, split, prior, g.labels, "ncnc", config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(log) == epochs
+            return peak
+
+        one, three = peak(1), peak(3)
+        assert three <= 1.05 * one, (one, three)
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(lr=0.0)

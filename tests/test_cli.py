@@ -285,6 +285,21 @@ class TestDependenciesAndStaleness:
         assert err.startswith("error[config]:")
         assert "absent.txt" in err
 
+    @pytest.mark.parametrize(
+        "extra, flags, fragment",
+        [({}, ["--seed", "-1"], "seed"), ({"ratios": "[.nan, 0.5, 0.5]"}, [], "ratios")],
+        ids=["negative-seed", "nan-ratio"],
+    )
+    def test_out_of_domain_value_is_a_config_error(
+        self, dataset, capsys, extra, flags, fragment
+    ):
+        tmp, _ = dataset
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out", **extra)
+        assert main(["run-all", "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:")
+        assert fragment in err
+
 
 class TestEvaluateAndBench:
     def test_heuristic_scorer_needs_no_checkpoint(self, dataset, capsys):
@@ -416,6 +431,18 @@ class TestCorruptArtifacts:
         tmp, _ = dataset
         err = self.run_twice(tmp, capsys, lambda p: {**p, "version": 1}, name, command)
         assert "rebuild the run directory" in err
+
+    @pytest.mark.parametrize(
+        "mode, corrupt",
+        [
+            ("ncn", lambda p: {**p, "mode": "gcn"}),
+            ("ncnc", lambda p: {**p, "completion": None}),
+        ],
+        ids=["unknown-mode", "ncnc-without-completion"],
+    )
+    def test_checkpoint_of_an_impossible_model(self, dataset, capsys, mode, corrupt):
+        tmp, _ = dataset
+        self.run_twice(tmp, capsys, corrupt, "checkpoint.json", mode=mode)
 
 
 class TestModelScorerInputs:

@@ -1,5 +1,9 @@
 """Config parsing, validation, and digest behavior."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from classlink.config import (
@@ -223,3 +227,59 @@ class TestDigests:
         d = config_digest(make_config())
         assert len(d) == 64 and set(d) <= set("0123456789abcdef")
         assert d == config_digest(make_config())
+
+    def test_digests_are_pinned(self):
+        """Fixed hex values: a key's name, default, stage or encoding that
+        drifts would make every existing run directory stale."""
+        kmeans_hc = RunConfig.from_mapping(
+            {
+                "edges": "edges.txt",
+                "features": "features.csv",
+                "label_source": "kmeans",
+                "k_grid": [2, 3, 4],
+                "scorer": "hc",
+                "hc_base": "katz",
+                "per_edge_negatives": 30,
+                "seed": 1,
+            }
+        )
+        golden = [
+            (
+                make_config(),
+                "6ca876ff32dcb5eb0857e6cc4a6c4adae7a4327ff213ce6615b26dd772f623f5",
+                "0f38854d7a466ada13918718acdb55209e5dfedf4dfc47c128dca8e833a60da0",
+                "5e2a0a3f0f77d24ad3a959a661b17984a6e52eeb276169aeef5774817947397d",
+                "9f33ffb8bd221b045a513d3f2157f93a1ccb042f76cc08fa817851cfad5b2ad4",
+                "ac64d5290e6ef1adc6b1c6614f098e5cb602063ad8112ec78b59ac57277d1ddb",
+            ),
+            (
+                kmeans_hc,
+                "dc5260bddd87deab2ff851448aa3b03770534434be9b61c9f172516af982adb0",
+                "b10cd169f06865a36089c130d09f35246bfffe0b83fa8ba6c6442caa7c1abf95",
+                "993a3887432d1527902c90803d4ff666e0971b89e44f00dd4036b5328b7965eb",
+                "5a359673d2180eb71d96419e3ba039ee8030d8d12e286fa2bd43d38d57418438",
+                "02f73bac494f84db81fbafac575e9adb4321024bd62e014253d963e9bc75d84d",
+            ),
+        ]
+        for cfg, ingest, split, labels, train, evaluate in golden:
+            expected = {
+                "ingest": ingest,
+                "split": split,
+                "cluster": labels,
+                "prior": labels,
+                "heatmap": labels,
+                "train": train,
+                "evaluate": evaluate,
+            }
+            assert {stage: stage_digest(cfg, stage) for stage in STAGE_KEYS} == expected
+            # every key but the output directory is digested at evaluation
+            assert config_digest(cfg) == evaluate
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    documented = set()
+    for row in table.splitlines()[2:]:  # below the header and its rule
+        documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert documented == {f.name for f in fields(RunConfig)}

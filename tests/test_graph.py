@@ -387,6 +387,8 @@ class TestSplitEdges:
             split_edges(g, (0.8, 0.1, 0.2), seed=1)
         with pytest.raises(ConfigurationError):
             split_edges(g, (1.0, 0.0, 0.0), seed=1)
+        with pytest.raises(ConfigurationError):
+            split_edges(g, (np.nan, 0.5, 0.5), seed=1)
 
     def test_too_few_edges_rejected(self):
         g = self.make_graph(9)

@@ -50,7 +50,7 @@ from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import EdgeSplit, Graph, sample_negatives
-from .heuristics import Scorer
+from .heuristics import Scorer, _indicator_rows
 from .priors import ClassPriorMatrix, lookup_prior_batch
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
 
@@ -120,6 +120,8 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -260,14 +262,6 @@ def predict_batch(
     return np.clip(probs, 1e-12, 1.0 - 1e-12)
 
 
-def _selector(nodes: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """One-hot rows: row ``i`` picks node ``nodes[i]``."""
-    m = nodes.size
-    return sp.csr_matrix(
-        (np.ones(m), nodes, np.arange(m + 1)), shape=(m, n_nodes)
-    )
-
-
 def backward(
     params: BackboneParams, batch: LinkBatch, cache: dict
 ) -> dict[str, np.ndarray | float]:
@@ -293,7 +287,8 @@ def backward(
     # over the stacked rows so each node sums its terms in batch order.
     n = h.shape[0]
     scatter = sp.vstack(
-        [_selector(xs, n), _selector(ys, n), batch.incidence], format="csr"
+        [_indicator_rows(xs, n), _indicator_rows(ys, n), batch.incidence],
+        format="csr",
     )
     dh = scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
 

@@ -546,15 +546,14 @@ def sample_negatives(
     g: Graph,
     count: int,
     seed: int | tuple[int, ...],
-    exclude: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample ``count`` distinct non-edges uniformly, without replacement.
 
-    Pairs are canonical ``(u, v)`` with ``u < v``.  ``exclude`` (an optional
-    ``(k, 2)`` array) removes further pairs from the population.  Raises
-    :class:`CapacityError` when the population is smaller than ``count``.
+    Pairs are canonical ``(u, v)`` with ``u < v``; whether a pair is an edge
+    is read from ``g.adj``.  Raises :class:`CapacityError` when fewer than
+    ``count`` non-edges exist.
     """
-    return sample_negative_pools(g, count, [seed], exclude)[0]
+    return sample_negative_pools(g, count, [seed])[0]
 
 
 # Candidates a generator draws per batch at least; part of the reproducibility
@@ -568,48 +567,43 @@ def sample_negative_pools(
     g: Graph,
     count: int,
     seeds: Sequence[int | tuple[int, ...]] | np.ndarray,
-    exclude: np.ndarray | None = None,
 ) -> np.ndarray:
     """One pool of ``count`` distinct non-edges per seed, ``(len(seeds), count, 2)``.
 
     Each seed is an int or a tuple of ints (a row of a 2-D int array works
     too) and gets its own generator.  Pool ``i`` is what sampling on
     ``seeds[i]`` alone gives: the generator draws batches of
-    ``max(1024, 2 * missing)`` candidates, all ``u`` then all ``v``; self-pairs,
-    edges and ``exclude`` pairs are rejected and new pairs are kept in order
-    of first occurrence.  The sorted key array of the excluded population is
-    built once for all seeds, and each batch is first filtered on a prefix
+    ``max(1024, 2 * missing)`` candidates, all ``u`` then all ``v``; self-pairs
+    and edges are rejected and new pairs are kept in order of first
+    occurrence.  Whether a candidate is an edge is looked up in its own
+    sorted row of ``g.adj``.  Each batch is first filtered on a prefix
     just long enough to fill a pool, falling back to the whole batch only for
     the pools that prefix leaves short.
     """
     if count < 0:
         raise ConfigurationError(f"negative sample count must be >= 0, got {count}")
     n = g.n_nodes
-    edge_keys = _pair_keys(g.undirected_edges(), n)
-    if exclude is not None and len(exclude):
-        excl = _canonical_undirected(np.asarray(exclude))
-        edge_keys = np.union1d(edge_keys, _pair_keys(excl, n))
-    capacity = n * (n - 1) // 2 - edge_keys.size
+    capacity = n * (n - 1) // 2 - g.n_edges
     if count > capacity:
         raise CapacityError(
             f"requested {count} negatives but only {capacity} non-edges exist"
         )
 
-    rngs = [
-        make_rng(s) if isinstance(s, (int, np.integer)) else make_rng(*s)
-        for s in seeds
-    ]
-    pools = np.zeros((len(rngs), count), dtype=np.int64)
-    for start in range(0, len(rngs), _SEED_CHUNK):
-        chunk = rngs[start : start + _SEED_CHUNK]
-        pools[start : start + len(chunk)] = _draw_pools(chunk, count, n, edge_keys)
+    pools = np.zeros((len(seeds), count), dtype=np.int64)
+    for start in range(0, len(seeds), _SEED_CHUNK):
+        rngs = [
+            make_rng(s) if isinstance(s, (int, np.integer)) else make_rng(*s)
+            for s in seeds[start : start + _SEED_CHUNK]
+        ]
+        pools[start : start + len(rngs)] = _draw_pools(rngs, count, g.adj)
     return np.stack([pools // n, pools % n], axis=-1)
 
 
 def _draw_pools(
-    rngs: list[np.random.Generator], count: int, n: int, edge_keys: np.ndarray
+    rngs: list[np.random.Generator], count: int, adj: sp.csr_matrix
 ) -> np.ndarray:
-    """Pair keys of one pool per generator, ``(len(rngs), count)``."""
+    """Pair keys ``u * n + v`` of one pool per generator, ``(len(rngs), count)``."""
+    n = adj.shape[0]
     keys = np.zeros((len(rngs), count), dtype=np.int64)
     have = np.zeros(len(rngs), dtype=np.int64)
     pending = np.flatnonzero(have < count)
@@ -631,12 +625,12 @@ def _draw_pools(
         for stop in ((prefix, u.shape[1]) if prefix < u.shape[1] else (u.shape[1],)):
             last = stop == u.shape[1]
             block_lo, block_hi = lo[rows, :stop], hi[rows, :stop]
-            block = block_lo * n + block_hi
-            fresh = (block_lo != block_hi) & ~_in_sorted(block, edge_keys)
+            is_edge = np.asarray(adj[block_lo.ravel(), block_hi.ravel()]) != 0
+            fresh = (block_lo != block_hi) & ~is_edge.reshape(block_lo.shape)
             sel = pending[rows]
             kept = np.arange(count) < have[sel, None]
             got, found = _first_distinct(
-                np.concatenate([keys[sel], block], axis=1),
+                np.concatenate([keys[sel], block_lo * n + block_hi], axis=1),
                 np.concatenate([kept, fresh], axis=1),
                 count,
             )
@@ -673,20 +667,6 @@ def _first_distinct(
     got = np.zeros((cand.shape[0], count), dtype=np.int64)
     got[rows, rank[rows, cols] - 1] = cand[rows, cols]
     return got, np.minimum(rank[:, -1], count)
-
-
-def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    if len(pairs) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
-
-
-def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    if sorted_keys.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_keys, values)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    return sorted_keys[pos] == values
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # Fixed stream ids, one per pipeline stage that consumes randomness.
 STREAM_SPLIT = 1
 STREAM_VALID_NEG = 2
@@ -32,7 +34,8 @@ def make_rng(*seed_parts: int | Sequence[int]) -> np.random.Generator:
     """Return a PCG64 generator derived from the given seed parts.
 
     ``make_rng(7)`` and ``make_rng(7, STREAM_SPLIT)`` are independent
-    streams; the same parts always reproduce the same stream.
+    streams; the same parts always reproduce the same stream.  A negative
+    part raises :class:`ConfigurationError`.
     """
     flat: list[int] = []
     for part in seed_parts:
@@ -42,6 +45,8 @@ def make_rng(*seed_parts: int | Sequence[int]) -> np.random.Generator:
             flat.append(int(part))
     if not flat:
         raise ValueError("make_rng needs at least one seed part")
+    if min(flat) < 0:
+        raise ConfigurationError(f"seed parts must be >= 0, got {tuple(flat)}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(flat)))
 
 

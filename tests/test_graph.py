@@ -42,7 +42,7 @@ def brute_adjacency(edges: np.ndarray, n: int) -> list[set[int]]:
     return adj
 
 
-def oracle_sample_negatives(g, count, seed, exclude=None, stats=None):
+def oracle_sample_negatives(g, count, seed, stats=None):
     """Reference sampler: one seed, Python sets, one candidate at a time.
 
     Draws batches of ``max(1024, 2 * missing)`` candidates (all ``u``, then all
@@ -51,8 +51,6 @@ def oracle_sample_negatives(g, count, seed, exclude=None, stats=None):
     """
     n = g.n_nodes
     taken = {u * n + v for u, v in g.undirected_edges().tolist()}
-    if exclude is not None:
-        taken |= {min(u, v) * n + max(u, v) for u, v in np.asarray(exclude).tolist() if u != v}
     capacity = n * (n - 1) // 2 - len(taken)
     if count > capacity:
         raise CapacityError(f"requested {count} negatives, {capacity} exist")
@@ -435,16 +433,27 @@ class TestSampleNegatives:
         for u, v in neg.tolist():
             assert u < v and v not in adj[u]
 
-    def test_exclude_respected(self, path3):
-        with pytest.raises(CapacityError):
-            sample_negatives(path3, 1, seed=0, exclude=np.array([[0, 2]]))
-
     def test_deterministic(self):
         rng = np.random.default_rng(708)
         g = build_graph(30, random_edges(rng, 30, 0.2))
         a = sample_negatives(g, 25, seed=12)
         b = sample_negatives(g, 25, seed=12)
         np.testing.assert_array_equal(a, b)
+
+    def test_one_pool_allocates_nothing_edge_sized(self):
+        """One pool of 10 on a graph of about 200k edges peaks under 1 MB,
+        below a single int64 per edge (1.6 MB)."""
+        rng = np.random.default_rng(715)
+        g = build_graph(50_000, rng.integers(0, 50_000, size=(200_000, 2)))
+        assert g.n_edges > 199_000
+        tracemalloc.start()
+        try:
+            pool = sample_negatives(g, 10, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+        np.testing.assert_array_equal(pool, oracle_sample_negatives(g, 10, 3))
 
 
 class TestSampleNegativePools:
@@ -454,39 +463,31 @@ class TestSampleNegativePools:
         for trial in range(16):
             n = int(rng.integers(5, 60))
             g = build_graph(n, random_edges(rng, n, float(rng.uniform(0.05, 0.6))))
-            exclude = None if trial % 2 else rng.integers(0, n, size=(8, 2))
             seeds = [(trial, 7, i) for i in range(20)] + [trial, 10_000 + trial]
-            capacity = n * (n - 1) // 2 - g.n_edges - 8
+            capacity = n * (n - 1) // 2 - g.n_edges
             count = int(rng.integers(1, max(2, min(capacity, 60))))
-            pools = sample_negative_pools(g, count, seeds, exclude)
+            pools = sample_negative_pools(g, count, seeds)
             assert pools.shape == (len(seeds), count, 2)
             for seed, pool in zip(seeds, pools):
-                expect = oracle_sample_negatives(g, count, seed, exclude)
+                expect = oracle_sample_negatives(g, count, seed)
                 np.testing.assert_array_equal(pool, expect)
 
     def test_every_count_up_to_capacity_on_a_tiny_graph(self):
         rng = np.random.default_rng(710)
         g = build_graph(30, random_edges(rng, 30, 0.1))
-        exclude = np.array([[0, 1], [5, 3], [7, 7]])
-        for excl in (None, exclude):
-            capacity = 30 * 29 // 2 - g.n_edges
-            if excl is not None:
-                capacity -= len(
-                    {(min(u, v), max(u, v)) for u, v in excl.tolist() if u != v}
-                    - {tuple(e) for e in g.undirected_edges().tolist()}
-                )
-            most_batches = 0
-            for count in range(1, capacity + 1):
-                seeds = [(count, 1), (count, 2)]
-                pools = sample_negative_pools(g, count, seeds, excl)
-                for seed, pool in zip(seeds, pools):
-                    stats: dict = {}
-                    expect = oracle_sample_negatives(g, count, seed, excl, stats)
-                    np.testing.assert_array_equal(pool, expect)
-                    most_batches = max(most_batches, stats["batches"])
-            assert most_batches > 1  # the largest pools need several batches
-            with pytest.raises(CapacityError):
-                sample_negative_pools(g, capacity + 1, [0, 1], excl)
+        capacity = 30 * 29 // 2 - g.n_edges
+        most_batches = 0
+        for count in range(1, capacity + 1):
+            seeds = [(count, 1), (count, 2)]
+            pools = sample_negative_pools(g, count, seeds)
+            for seed, pool in zip(seeds, pools):
+                stats: dict = {}
+                expect = oracle_sample_negatives(g, count, seed, stats)
+                np.testing.assert_array_equal(pool, expect)
+                most_batches = max(most_batches, stats["batches"])
+        assert most_batches > 1  # the largest pools need several batches
+        with pytest.raises(CapacityError):
+            sample_negative_pools(g, capacity + 1, [0, 1])
 
     def test_large_pools_draw_twice_the_missing_count(self):
         rng = np.random.default_rng(714)

@@ -35,11 +35,22 @@ costs the stored entries of ``X`` or ``S`` times ``d``.  Propagation is
 separate from the edge head, so a frozen model propagates once:
 :func:`make_scorer` caches its ``H``, and training propagates once per epoch
 for both validation batches.
+
+The edge head runs over fixed-size chunks of ``HEAD_CHUNK`` pairs, forward
+and backward.  The forward cache keeps only the node-sized propagation
+arrays and the pairs' logits; the backward pass recomputes each chunk's
+``z``, ``pre_h`` and ``act`` from ``H`` and sums the head gradients and
+``dH`` over the chunks.  The head's working memory is therefore
+O(chunk × (2d + 2 + hidden)) plus the node-sized arrays and a few
+pair-length vectors, whatever the number of pairs.  Each pair's row of the
+head is independent, so chunking leaves every prediction bit-identical; it
+only reorders the gradient sums, which move in their last bits.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,11 +63,17 @@ from .evaluation import mrr, rank_positive
 from .graph import EdgeSplit, Graph, sample_negatives
 from .heuristics import Scorer, _indicator_rows
 from .priors import ClassPriorMatrix, lookup_prior_batch
-from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
+from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, is_seed, make_rng
 
 N_PRIOR_FEATURES = 2  # (P(c_y|c_x), P(c_x|c_y)) appended to the embedding
 
 MODES = ("ncn", "ncnc", "backbone_only")
+
+# Pairs per head chunk: the fusion head's pair-sized arrays never hold more
+# rows than this, whatever the batch size.  A power of two, so that chunk
+# boundaries never split the small row blocks that BLAS kernels work in, and
+# every logit keeps the bits of an unchunked pass.
+HEAD_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +137,10 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not is_seed(self.seed):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
 
 
 @dataclass
@@ -224,8 +243,33 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _chunks(batch: LinkBatch) -> Iterator[tuple[slice, LinkBatch]]:
+    """Consecutive row slices of ``batch``, ``HEAD_CHUNK`` pairs each, with
+    their pairs, targets, incidence rows and priors.
+
+    The last chunk takes the rest, and a one-pair rest joins the chunk before
+    it: numpy multiplies a single row through gemv rather than gemm, which
+    sums in another order, so a one-row chunk would not give the bits of an
+    unchunked pass.
+    """
+    m = len(batch.pairs)
+    start = 0
+    for stop in [*range(HEAD_CHUNK, m - 1, HEAD_CHUNK), m]:
+        rows = slice(start, stop)
+        yield rows, LinkBatch(
+            sym=batch.sym,
+            x=batch.x,
+            pairs=batch.pairs[rows],
+            targets=batch.targets[rows],
+            incidence=batch.incidence[rows],
+            priors=None if batch.priors is None else batch.priors[rows],
+        )
+        start = stop
+
+
 def _head(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> dict:
-    """Edge embeddings and fusion MLP on precomputed node embeddings."""
+    """Edge embeddings and fusion MLP of one chunk on precomputed node
+    embeddings."""
     xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
     z = np.concatenate([h[xs] * h[ys], batch.incidence @ h], axis=1)
     if params.use_priors:
@@ -238,11 +282,19 @@ def _head(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> dict:
     return {"z": z, "pre_h": pre_h, "act": act, "logits": logits}
 
 
+def _logits(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np.ndarray:
+    """The head's logit of every pair, one chunk at a time."""
+    logits = np.empty(len(batch.pairs))
+    for rows, chunk in _chunks(batch):
+        logits[rows] = _head(params, chunk, h)["logits"]
+    return logits
+
+
 def forward_loss(params: BackboneParams, batch: LinkBatch) -> tuple[float, dict]:
-    """Mean BCE over the batch; returns the cache the backward pass reuses."""
+    """Mean BCE over the batch; returns the cache the backward pass reuses:
+    the node-sized propagation arrays and the pairs' logits."""
     cache = propagate(params, batch.sym, batch.x)
-    cache.update(_head(params, batch, cache["h"]))
-    logits = cache["logits"]
+    logits = cache["logits"] = _logits(params, batch, cache["h"])
     # BCE in softplus form: softplus(logit) - target * logit
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
     return loss, cache
@@ -258,39 +310,41 @@ def predict_batch(
     """
     if h is None:
         h = propagate(params, batch.sym, batch.x)["h"]
-    probs = _sigmoid(_head(params, batch, h)["logits"])
+    probs = _sigmoid(_logits(params, batch, h))
     return np.clip(probs, 1e-12, 1.0 - 1e-12)
 
 
 def backward(
     params: BackboneParams, batch: LinkBatch, cache: dict
 ) -> dict[str, np.ndarray | float]:
-    """Hand-derived gradients of the mean BCE w.r.t. every parameter."""
-    m = batch.pairs.shape[0]
-    xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
+    """Hand-derived gradients of the mean BCE w.r.t. every parameter.
+
+    The head's intermediates are recomputed chunk by chunk from ``h``, and
+    the head gradients and ``dH`` are summed over the chunks.
+    """
     h = cache["h"]
+    n, d = h.shape
+    dlogits = (_sigmoid(cache["logits"]) - batch.targets) / len(batch.pairs)
+    dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
+    dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
+    for rows, chunk in _chunks(batch):
+        fwd = _head(params, chunk, h)
+        dwo += fwd["act"].T @ dlogits[rows]
+        dpre_h = np.outer(dlogits[rows], params.wo) * (fwd["pre_h"] > 0.0)
+        dwh += fwd["z"].T @ dpre_h
+        dbh += dpre_h.sum(axis=0)
+        dz = dpre_h @ params.wh.T
+        de1 = dz[:, :d]
+        de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
 
-    dlogits = (_sigmoid(cache["logits"]) - batch.targets) / m
-    dwo = cache["act"].T @ dlogits
-    dbo = float(dlogits.sum())
-    dact = np.outer(dlogits, params.wo)
-    dpre_h = dact * (cache["pre_h"] > 0.0)
-    dwh = cache["z"].T @ dpre_h
-    dbh = dpre_h.sum(axis=0)
-    dz = dpre_h @ params.wh.T
-
-    d = params.dim
-    de1 = dz[:, :d]
-    de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
-
-    # dH = Px^T (de1 ⊙ H[ys]) + Py^T (de1 ⊙ H[xs]) + M^T de2, as one product
-    # over the stacked rows so each node sums its terms in batch order.
-    n = h.shape[0]
-    scatter = sp.vstack(
-        [_indicator_rows(xs, n), _indicator_rows(ys, n), batch.incidence],
-        format="csr",
-    )
-    dh = scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
+        # dH = Px^T (de1 ⊙ H[ys]) + Py^T (de1 ⊙ H[xs]) + M^T de2, as one
+        # product over the chunk's stacked rows.
+        xs, ys = chunk.pairs[:, 0], chunk.pairs[:, 1]
+        scatter = sp.vstack(
+            [_indicator_rows(xs, n), _indicator_rows(ys, n), chunk.incidence],
+            format="csr",
+        )
+        dh += scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
 
     dw2 = cache["q"].T @ dh
     dq = dh @ params.w2.T
@@ -298,6 +352,7 @@ def backward(
     dz1 = dh1 * (cache["z1"] > 0.0)
     dw1 = batch.x.T @ (batch.sym @ dz1)
 
+    dbo = float(dlogits.sum())
     return {"w1": dw1, "w2": dw2, "wh": dwh, "bh": dbh, "wo": dwo, "bo": dbo}
 
 
@@ -484,10 +539,8 @@ def train(
         val_pos = predict_batch(params, valid_batch, h)
         val_neg = predict_batch(params, valid_pool_batch, h)
         val_mrr = mrr(rank_positive(val_pos, val_neg))
-        # One epoch's intermediates must not live through the next epoch's
-        # batch build.  Freed before validation instead, their pages went
-        # back to the OS and were faulted in again: more minor page faults
-        # and slower training.
+        # The cache (node-sized propagation arrays and the pairs' logits) and
+        # the gradients do not live through the next epoch's batch build.
         del cache, grads
 
         log.append(

@@ -34,20 +34,28 @@ def make_rng(*seed_parts: int | Sequence[int]) -> np.random.Generator:
     """Return a PCG64 generator derived from the given seed parts.
 
     ``make_rng(7)`` and ``make_rng(7, STREAM_SPLIT)`` are independent
-    streams; the same parts always reproduce the same stream.  A negative
-    part raises :class:`ConfigurationError`.
+    streams; the same parts always reproduce the same stream.  A part that is
+    negative or not an integer (a float, even ``2.0``, a bool or a string)
+    raises :class:`ConfigurationError`.
     """
-    flat: list[int] = []
+    flat: list = []
     for part in seed_parts:
-        if isinstance(part, (list, tuple)):
-            flat.extend(int(p) for p in part)
-        else:
-            flat.append(int(part))
+        flat.extend(part if isinstance(part, (list, tuple)) else [part])
     if not flat:
         raise ValueError("make_rng needs at least one seed part")
-    if min(flat) < 0:
-        raise ConfigurationError(f"seed parts must be >= 0, got {tuple(flat)}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(flat)))
+    if not all(is_seed(p) for p in flat):
+        raise ConfigurationError(
+            f"seed parts must be non-negative integers, got {tuple(flat)!r}"
+        )
+    state = np.random.SeedSequence([int(p) for p in flat])
+    return np.random.Generator(np.random.PCG64(state))
+
+
+def is_seed(value: object) -> bool:
+    """Whether ``value`` is a non-negative ``int`` or numpy integer (bool is
+    not a seed, though Python counts it as an ``int``)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and value >= 0
 
 
 def derive_seed(root_seed: int, stream_id: int) -> int:

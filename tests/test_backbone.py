@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import classlink
+from classlink import backbone
 from classlink.backbone import (
     MODES,
     BatchBuilder,
@@ -118,6 +119,30 @@ def awkward_features():
     return g
 
 
+@pytest.fixture
+def ragged_chunks(monkeypatch):
+    """Shrinks the head chunk for a batch of ``m`` pairs so that the batch
+    spans several chunks and ends in a shorter one: the smallest size from 2
+    up whose rest holds at least two pairs (a one-pair rest would join the
+    chunk before it)."""
+
+    def apply(m):
+        size = next(c for c in range(2, m) if m % c >= 2)
+        monkeypatch.setattr(backbone, "HEAD_CHUNK", size)
+
+    return apply
+
+
+def peak_rise(fn):
+    """Peak traced allocation of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPropagation:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1201)
@@ -138,9 +163,12 @@ class TestPropagation:
             )
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_first_layer_matches_dense_s_x_order(self, awkward_features, mode):
+    def test_first_layer_matches_dense_s_x_order(
+        self, awkward_features, ragged_chunks, mode
+    ):
         """``S (X W1)`` and ``Xᵀ (S dZ1)`` on the CSR features agree with
-        ``(S X) W1`` and ``(S X)ᵀ dZ1`` on a dense ``S X``."""
+        ``(S X) W1`` and ``(S X)ᵀ dZ1`` on a dense ``S X``, with the head run
+        in several chunks."""
         g = awkward_features
         use_priors = mode != "backbone_only"
         prior = count_class_links(g.undirected_edges(), g.labels, 3) if use_priors else None
@@ -158,6 +186,7 @@ class TestPropagation:
         rng = np.random.default_rng(1214)
         raw = rng.integers(0, g.n_nodes, size=(20, 2))
         pairs = raw[raw[:, 0] != raw[:, 1]]
+        ragged_chunks(len(pairs))
         batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
         params = init_params(9, TrainConfig(dim=4, hidden=3, seed=7), use_priors)
 
@@ -189,24 +218,30 @@ class TestPropagation:
 
 
 class TestGradients:
-    def test_hand_gradients_match_finite_differences(self):
+    """Finite-difference checks, each batch run through the head in several
+    chunks."""
+
+    def test_hand_gradients_match_finite_differences(self, ragged_chunks):
         worst = 0.0
         for seed in range(6):
             _, params, batch = small_instance(seed)
+            ragged_chunks(len(batch.pairs))
             worst = max(worst, gradient_check(params, batch))
         assert worst <= 1e-4, worst
 
-    def test_gradients_without_priors(self):
+    def test_gradients_without_priors(self, ragged_chunks):
         for seed in (20, 21):
             _, params, batch = small_instance(seed, use_priors=False)
+            ragged_chunks(len(batch.pairs))
             assert gradient_check(params, batch) <= 1e-4
 
-    def test_gradients_on_sparse_graph_empty_aggregations(self):
+    def test_gradients_on_sparse_graph_empty_aggregations(self, ragged_chunks):
         # few edges -> most pairs have no common neighbor (dead branch)
         _, params, batch = small_instance(33, edge_prob=0.08)
+        ragged_chunks(len(batch.pairs))
         assert gradient_check(params, batch) <= 1e-4
 
-    def test_gradients_in_completion_mode(self):
+    def test_gradients_in_completion_mode(self, ragged_chunks):
         rng = np.random.default_rng(1234)
         n = 12
         edges = random_edges(rng, n, 0.35)
@@ -225,6 +260,7 @@ class TestGradients:
         )
         raw = rng.integers(0, n, size=(6, 2))
         pairs = raw[raw[:, 0] != raw[:, 1]]
+        ragged_chunks(len(pairs))
         batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
         params = init_params(5, TrainConfig(dim=4, hidden=3, seed=7), True)
         assert gradient_check(params, batch) <= 1e-4
@@ -444,6 +480,73 @@ class TestLinkIncidence:
                 assert scores[i] == pytest.approx(expect, rel=0, abs=1e-10)
 
 
+class TestChunkedHead:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_predictions_are_bit_identical_in_one_chunk_and_several(
+        self, monkeypatch, mode
+    ):
+        """Chunk sizes are powers of two, as ``HEAD_CHUNK`` is.  The batches
+        end in a ragged chunk and in a one-pair rest."""
+        g, _, labels, pairs = incidence_instance(40 + MODES.index(mode), n_pairs=300)
+        use_priors = mode != "backbone_only"
+        prior = count_class_links(g.undirected_edges(), labels, 3)
+        frozen = init_params(5, TrainConfig(dim=4, hidden=3, seed=99), True)
+        frozen_builder = BatchBuilder.create(g, "ncn", prior, labels)
+
+        def completion(missing):
+            return predict_batch(frozen, frozen_builder.build(missing))
+
+        builder = BatchBuilder.create(
+            g,
+            mode,
+            prior if use_priors else None,
+            labels if use_priors else None,
+            completion if mode == "ncnc" else None,
+        )
+        params = init_params(5, TrainConfig(dim=8, hidden=16, seed=3), use_priors)
+        params.bh += 0.1 * np.random.default_rng(1220).standard_normal(params.bh.shape)
+        assert len(pairs) % 64 > 1
+        for m in (len(pairs), 257):
+            batch = builder.build(pairs[:m])
+            monkeypatch.setattr(backbone, "HEAD_CHUNK", m)
+            one = predict_batch(params, batch)
+            for size in (64, 128):
+                monkeypatch.setattr(backbone, "HEAD_CHUNK", size)
+                assert predict_batch(params, batch).tobytes() == one.tobytes(), (m, size)
+
+    def test_head_memory_does_not_grow_with_the_pair_count(self):
+        """From 4 to 8 chunks of pairs, the peak memory that
+        ``forward_loss`` + ``backward`` and ``predict_batch`` add grows by no
+        more than three float64 vectors of the added pairs (the logits,
+        ``dlogits`` and a temporary) and 4 KiB for the chunk loop's Python
+        objects, not by their head intermediates."""
+        rng = np.random.default_rng(1219)
+        n = 300
+        g = build_graph(
+            n,
+            rng.integers(0, n, size=(2400, 2)),
+            features=rng.standard_normal((n, 20)),
+            labels=rng.integers(0, 4, size=n),
+        )
+        prior = count_class_links(g.undirected_edges(), g.labels, 4)
+        builder = BatchBuilder.create(g, "ncn", prior, g.labels)
+        params = init_params(20, TrainConfig(dim=16, hidden=16, seed=0), True)
+
+        def rises(n_chunks):
+            pairs = rng.integers(0, n, size=(n_chunks * backbone.HEAD_CHUNK, 2))
+            batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
+
+            def fit():
+                backward(params, batch, forward_loss(params, batch)[1])
+
+            return peak_rise(fit), peak_rise(lambda: predict_batch(params, batch))
+
+        (fit4, predict4), (fit8, predict8) = rises(4), rises(8)
+        allowance = 3 * 8 * 4 * backbone.HEAD_CHUNK + 4096
+        assert fit8 - fit4 <= allowance, (fit4, fit8)
+        assert predict8 - predict4 <= allowance, (predict4, predict8)
+
+
 class TestFusion:
     def test_zero_params_give_half(self):
         params = init_params(3, TrainConfig(dim=2, hidden=2, seed=0), False)
@@ -637,6 +740,14 @@ class TestTraining:
             TrainConfig(dim=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            TrainConfig(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert TrainConfig(seed=np.int64(3)).seed == 3
 
 
 class TestSigmoid:

@@ -36,15 +36,15 @@ separate from the edge head, so a frozen model propagates once:
 :func:`make_scorer` caches its ``H``, and training propagates once per epoch
 for both validation batches.
 
-The edge head runs over fixed-size chunks of ``HEAD_CHUNK`` pairs, forward
-and backward.  The forward cache keeps only the node-sized propagation
-arrays and the pairs' logits; the backward pass recomputes each chunk's
-``z``, ``pre_h`` and ``act`` from ``H`` and sums the head gradients and
-``dH`` over the chunks.  The head's working memory is therefore
-O(chunk × (2d + 2 + hidden)) plus the node-sized arrays and a few
-pair-length vectors, whatever the number of pairs.  Each pair's row of the
-head is independent, so chunking leaves every prediction bit-identical; it
-only reorders the gradient sums, which move in their last bits.
+The edge head runs over fixed-size chunks of ``HEAD_CHUNK`` pairs.  A
+training step (:func:`loss_and_grads`) runs the head once per chunk and
+takes that chunk's share of the head gradients and ``dH`` from the same
+forward, so nothing of the head is kept or recomputed between chunks.  The
+head's working memory is therefore O(chunk × (2d + 2 + hidden)) plus the
+node-sized arrays and a few pair-length vectors, whatever the number of
+pairs.  Each pair's row of the head is independent, so chunking leaves every
+prediction bit-identical; it only reorders the gradient sums, which move in
+their last bits.
 """
 
 from __future__ import annotations
@@ -97,18 +97,7 @@ class BackboneParams:
     seed: int
 
     def copy(self) -> "BackboneParams":
-        return BackboneParams(
-            w1=self.w1.copy(),
-            w2=self.w2.copy(),
-            wh=self.wh.copy(),
-            bh=self.bh.copy(),
-            wo=self.wo.copy(),
-            bo=float(self.bo),
-            use_priors=self.use_priors,
-            dim=self.dim,
-            hidden=self.hidden,
-            seed=self.seed,
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.arrays().items()})
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "w2": self.w2, "wh": self.wh, "bh": self.bh, "wo": self.wo}
@@ -129,8 +118,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.hidden < 1:
             raise ConfigurationError("dim and hidden must be >= 1")
-        if self.lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:  # NaN fails both comparisons
+            raise ConfigurationError(
+                f"learning rate must be positive and finite, got {self.lr}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1:
@@ -145,12 +136,11 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """A trained backbone plus everything a scorer needs to reproduce it."""
+    """A trained backbone's weights and mode; :func:`make_scorer` takes the
+    class prior and labels that a prior-using model scores with."""
 
     params: BackboneParams
     mode: str
-    prior: ClassPriorMatrix | None
-    labels: np.ndarray | None
     completion: BackboneParams | None = None  # frozen stage-1 scorer (ncnc)
 
 
@@ -243,95 +233,68 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _chunks(batch: LinkBatch) -> Iterator[tuple[slice, LinkBatch]]:
-    """Consecutive row slices of ``batch``, ``HEAD_CHUNK`` pairs each, with
-    their pairs, targets, incidence rows and priors.
+def _chunks(m: int) -> Iterator[slice]:
+    """Consecutive row slices of ``m`` pairs, ``HEAD_CHUNK`` rows each.
 
-    The last chunk takes the rest, and a one-pair rest joins the chunk before
+    The last slice takes the rest, and a one-pair rest joins the slice before
     it: numpy multiplies a single row through gemv rather than gemm, which
     sums in another order, so a one-row chunk would not give the bits of an
     unchunked pass.
     """
-    m = len(batch.pairs)
     start = 0
     for stop in [*range(HEAD_CHUNK, m - 1, HEAD_CHUNK), m]:
-        rows = slice(start, stop)
-        yield rows, LinkBatch(
-            sym=batch.sym,
-            x=batch.x,
-            pairs=batch.pairs[rows],
-            targets=batch.targets[rows],
-            incidence=batch.incidence[rows],
-            priors=None if batch.priors is None else batch.priors[rows],
-        )
+        yield slice(start, stop)
         start = stop
 
 
-def _head(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> dict:
-    """Edge embeddings and fusion MLP of one chunk on precomputed node
-    embeddings."""
-    xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
-    z = np.concatenate([h[xs] * h[ys], batch.incidence @ h], axis=1)
+def _head(
+    params: BackboneParams, batch: LinkBatch, rows: slice, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge embeddings ``z``, pre-activations, activations and logits of the
+    pairs in ``rows``, on precomputed node embeddings."""
+    xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
+    z = np.concatenate([h[xs] * h[ys], batch.incidence[rows] @ h], axis=1)
     if params.use_priors:
         if batch.priors is None:
             raise ConfigurationError("batch lacks prior features but use_priors is on")
-        z = np.concatenate([z, batch.priors], axis=1)
+        z = np.concatenate([z, batch.priors[rows]], axis=1)
     pre_h = z @ params.wh + params.bh
     act = np.maximum(pre_h, 0.0)
-    logits = act @ params.wo + params.bo
-    return {"z": z, "pre_h": pre_h, "act": act, "logits": logits}
+    return z, pre_h, act, act @ params.wo + params.bo
 
 
-def _logits(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np.ndarray:
-    """The head's logit of every pair, one chunk at a time."""
+def predict_batch(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np.ndarray:
+    """Link probabilities for a batch, strictly inside (0, 1), on the node
+    embeddings ``h`` that ``params`` propagate to."""
     logits = np.empty(len(batch.pairs))
-    for rows, chunk in _chunks(batch):
-        logits[rows] = _head(params, chunk, h)["logits"]
-    return logits
+    for rows in _chunks(len(logits)):
+        logits[rows] = _head(params, batch, rows, h)[3]
+    return np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
 
 
-def forward_loss(params: BackboneParams, batch: LinkBatch) -> tuple[float, dict]:
-    """Mean BCE over the batch; returns the cache the backward pass reuses:
-    the node-sized propagation arrays and the pairs' logits."""
-    cache = propagate(params, batch.sym, batch.x)
-    logits = cache["logits"] = _logits(params, batch, cache["h"])
-    # BCE in softplus form: softplus(logit) - target * logit
-    loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
-    return loss, cache
+def loss_and_grads(
+    params: BackboneParams, batch: LinkBatch
+) -> tuple[float, dict[str, np.ndarray | float]]:
+    """Mean BCE over the batch and its hand-derived gradient w.r.t. every
+    parameter.
 
-
-def predict_batch(
-    params: BackboneParams, batch: LinkBatch, h: np.ndarray | None = None
-) -> np.ndarray:
-    """Link probabilities for a batch, strictly inside (0, 1).
-
-    ``h`` is the node embedding matrix of ``params`` when the caller has
-    already propagated; otherwise it is computed here.
+    Each chunk's head runs once; its logits go into the batch's logit vector
+    and its share of the head gradients and ``dH`` comes from that same
+    forward.  Propagation is then backpropagated once.
     """
-    if h is None:
-        h = propagate(params, batch.sym, batch.x)["h"]
-    probs = _sigmoid(_logits(params, batch, h))
-    return np.clip(probs, 1e-12, 1.0 - 1e-12)
-
-
-def backward(
-    params: BackboneParams, batch: LinkBatch, cache: dict
-) -> dict[str, np.ndarray | float]:
-    """Hand-derived gradients of the mean BCE w.r.t. every parameter.
-
-    The head's intermediates are recomputed chunk by chunk from ``h``, and
-    the head gradients and ``dH`` are summed over the chunks.
-    """
-    h = cache["h"]
+    fwd = propagate(params, batch.sym, batch.x)
+    h = fwd["h"]
     n, d = h.shape
-    dlogits = (_sigmoid(cache["logits"]) - batch.targets) / len(batch.pairs)
+    m = len(batch.pairs)
+    logits, dlogits = np.empty(m), np.empty(m)
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
-    for rows, chunk in _chunks(batch):
-        fwd = _head(params, chunk, h)
-        dwo += fwd["act"].T @ dlogits[rows]
-        dpre_h = np.outer(dlogits[rows], params.wo) * (fwd["pre_h"] > 0.0)
-        dwh += fwd["z"].T @ dpre_h
+    for rows in _chunks(m):
+        z, pre_h, act, logits[rows] = _head(params, batch, rows, h)
+        dlogits[rows] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
+        dwo += act.T @ dlogits[rows]
+        dpre_h = np.outer(dlogits[rows], params.wo) * (pre_h > 0.0)
+        dwh += z.T @ dpre_h
         dbh += dpre_h.sum(axis=0)
         dz = dpre_h @ params.wh.T
         de1 = dz[:, :d]
@@ -339,21 +302,23 @@ def backward(
 
         # dH = Px^T (de1 ⊙ H[ys]) + Py^T (de1 ⊙ H[xs]) + M^T de2, as one
         # product over the chunk's stacked rows.
-        xs, ys = chunk.pairs[:, 0], chunk.pairs[:, 1]
+        xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
         scatter = sp.vstack(
-            [_indicator_rows(xs, n), _indicator_rows(ys, n), chunk.incidence],
+            [_indicator_rows(xs, n), _indicator_rows(ys, n), batch.incidence[rows]],
             format="csr",
         )
         dh += scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
+    # BCE in softplus form: softplus(logit) - target * logit
+    loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
-    dw2 = cache["q"].T @ dh
+    dw2 = fwd["q"].T @ dh
     dq = dh @ params.w2.T
     dh1 = batch.sym @ dq  # sym is symmetric, so S^T = S
-    dz1 = dh1 * (cache["z1"] > 0.0)
+    dz1 = dh1 * (fwd["z1"] > 0.0)
     dw1 = batch.x.T @ (batch.sym @ dz1)
 
     dbo = float(dlogits.sum())
-    return {"w1": dw1, "w2": dw2, "wh": dwh, "bh": dbh, "wo": dwo, "bo": dbo}
+    return loss, {"w1": dw1, "w2": dw2, "wh": dwh, "bh": dbh, "wo": dwo, "bo": dbo}
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +461,7 @@ def train(
         stage1_cfg = replace(config, seed=derive_seed(config.seed, STREAM_INIT))
         stage1_model, _ = train(g, split, prior, labels, "ncn", stage1_cfg)
         completion_params = stage1_model.params
-        completion_scorer = make_scorer(stage1_model, g_train)
+        completion_scorer = make_scorer(stage1_model, g_train, prior, labels)
 
     builder = BatchBuilder.create(g_train, mode, prior, labels, completion_scorer)
     params = init_params(g.features.shape[1], config, use_priors)
@@ -521,12 +486,11 @@ def train(
         neg_batch = builder.build(negatives, np.zeros(len(negatives)))
         batch = _concat_batches(pos_batch, neg_batch)
 
-        loss, cache = forward_loss(params, batch)
+        loss, grads = loss_and_grads(params, batch)
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at epoch {epoch}; try a smaller learning rate"
             )
-        grads = backward(params, batch, cache)
         for name, arr in params.arrays().items():
             velocity[name] = config.momentum * velocity[name] - config.lr * np.asarray(
                 grads[name]
@@ -539,9 +503,8 @@ def train(
         val_pos = predict_batch(params, valid_batch, h)
         val_neg = predict_batch(params, valid_pool_batch, h)
         val_mrr = mrr(rank_positive(val_pos, val_neg))
-        # The cache (node-sized propagation arrays and the pairs' logits) and
-        # the gradients do not live through the next epoch's batch build.
-        del cache, grads
+        # The gradients do not live through the next epoch's batch build.
+        del grads
 
         log.append(
             {
@@ -560,14 +523,7 @@ def train(
             if patience_left == 0:
                 break
 
-    model = TrainedModel(
-        params=best_params,
-        mode=mode,
-        prior=prior,
-        labels=labels,
-        completion=completion_params,
-    )
-    return model, log
+    return TrainedModel(best_params, mode, completion_params), log
 
 
 def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
@@ -584,30 +540,33 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
     )
 
 
-def make_scorer(model: TrainedModel, g_train: Graph) -> Scorer:
+def make_scorer(
+    model: TrainedModel,
+    g_train: Graph,
+    prior: ClassPriorMatrix | None = None,
+    labels: np.ndarray | None = None,
+) -> Scorer:
     """Batch scorer closing over a trained model and its training graph.
 
-    The model's node embeddings are computed once, here, so the parameters
-    are taken as they are at this call.
+    A model outside ``backbone_only`` scores with the class prior it was
+    trained with and the labels it was counted from.  The model's node
+    embeddings are computed once, here, so the parameters are taken as they
+    are at this call.
     """
+    if not model.params.use_priors:
+        prior = labels = None
+    elif prior is None or labels is None:
+        raise ConfigurationError(
+            f"a model in mode '{model.mode}' scores with the class prior it was "
+            "trained with and the labels it was counted from"
+        )
     completion_scorer = None
     if model.mode == "ncnc":
         if model.completion is None:
             raise ConfigurationError("ncnc model is missing its completion scorer")
-        stage1 = TrainedModel(
-            params=model.completion,
-            mode="ncn",
-            prior=model.prior,
-            labels=model.labels,
-        )
-        completion_scorer = make_scorer(stage1, g_train)
-    builder = BatchBuilder.create(
-        g_train,
-        model.mode,
-        model.prior if model.params.use_priors else None,
-        model.labels if model.params.use_priors else None,
-        completion_scorer,
-    )
+        stage1 = TrainedModel(model.completion, "ncn")
+        completion_scorer = make_scorer(stage1, g_train, prior, labels)
+    builder = BatchBuilder.create(g_train, model.mode, prior, labels, completion_scorer)
     h = propagate(model.params, builder.sym, builder.x)["h"]
 
     def score(pairs: np.ndarray) -> np.ndarray:
@@ -677,8 +636,8 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[TrainedModel, str]:
     """Returns the model and the config digest it was trained under.
 
-    The model's ``prior`` and ``labels`` are ``None``; a model that uses
-    priors scores only once the run's prior and labels are attached.
+    A model that uses priors scores with the run's prior and labels, which
+    :func:`make_scorer` takes.
     """
     p = artifacts.read(
         path,
@@ -695,10 +654,15 @@ def load_checkpoint(path: str | Path) -> tuple[TrainedModel, str]:
     model = TrainedModel(
         params=_params_from_payload(path, p["params"]),
         mode=p["mode"],
-        prior=None,
-        labels=None,
         completion=_params_from_payload(path, p["completion"]),
     )
+    # completion weights exist only in ncnc checkpoints, so they use priors too
+    weights = (model.params, model.completion or model.params)
+    if any(w.use_priors != (model.mode != "backbone_only") for w in weights):
+        raise ParseError(
+            f"{path}: use_priors must be on exactly when the mode is not "
+            f"backbone_only (mode {model.mode!r})"
+        )
     return model, p["config_digest"]
 
 

@@ -306,8 +306,7 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
         prior = load_prior_json(_require_stage(cfg, "prior"))
         labels, _, _ = _resolve_labels(cfg, g)
     if model is not None:
-        model.prior, model.labels = prior, labels
-        return make_scorer(model, g_train)
+        return make_scorer(model, g_train, prior, labels)
     return make_heuristic_scorer(
         cfg.scorer,
         g_train,

@@ -22,11 +22,10 @@ import yaml
 from .backbone import MODES, TrainConfig
 from .errors import ConfigurationError
 from .evaluation import parse_metric
-from .heuristics import GammaDecayConfig
+from .heuristics import STRUCTURAL as HC_BASES, GammaDecayConfig
 
 LABEL_SOURCES = ("true", "kmeans", "louvain", "mono")
-SCORERS = ("model", "cn", "aa", "ra", "katz", "hc")
-HC_BASES = ("cn", "aa", "ra", "katz")
+SCORERS = ("model", *HC_BASES, "hc")
 EVAL_SPLITS = ("test", "valid")
 
 

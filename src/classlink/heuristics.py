@@ -67,8 +67,8 @@ class GammaDecayConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ConfigurationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.eta <= 0.0:
-            raise ConfigurationError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < np.inf:  # NaN fails both comparisons
+            raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
         if self.max_length < 1:
             raise ConfigurationError(
                 f"max_length must be >= 1, got {self.max_length}"
@@ -107,7 +107,8 @@ class ClassHeuristicParams:
 _CHUNK = 4096
 """Pairs per block of sparse rows; bounds the memory one batch takes."""
 
-_STRUCTURAL = ("cn", "aa", "ra", "katz")
+STRUCTURAL = ("cn", "aa", "ra", "katz")
+"""Structural scorer names, each also a base that ``hc`` can layer on."""
 
 
 def _node_pairs(g: Graph, pairs: np.ndarray) -> np.ndarray:
@@ -271,7 +272,7 @@ def make_heuristic_scorer(
     it requires ``prior`` and ``labels``.
     """
     name = name.lower()
-    if name in _STRUCTURAL:
+    if name in STRUCTURAL:
         kernel = _structural_kernel(name, g, katz)
 
         def score(pairs: np.ndarray) -> np.ndarray:
@@ -283,7 +284,7 @@ def make_heuristic_scorer(
             raise ConfigurationError(
                 "class-integrated scorer needs a prior matrix and labels"
             )
-        if base not in _STRUCTURAL:
+        if base not in STRUCTURAL:
             raise ConfigurationError(f"unknown structural base '{base}'")
         structural = _structural_kernel(base, g, katz)
         bonus = _ClassBonus(g, prior, labels, params or ClassHeuristicParams())

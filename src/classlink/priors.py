@@ -145,4 +145,6 @@ def load_prior_json(path: str | Path) -> ClassPriorMatrix:
         raise ParseError(
             f"{path}: joint_counts has shape {counts.shape} for n_classes={n}"
         )
+    if (counts < 0).any() or (counts != counts.T).any():
+        raise ParseError(f"{path}: joint_counts must be symmetric and non-negative")
     return _from_counts(counts)

@@ -5,7 +5,7 @@ brute force, independently of the sparse link-incidence code in
 ``classlink.backbone``; :func:`dense_pass` redoes one forward/backward pass
 with dense matrices and the first layer in its ``(S X) W1`` order;
 :func:`gradient_check` compares the hand-derived gradients with central
-finite differences.
+finite differences of a forward-only loss.
 """
 
 from __future__ import annotations
@@ -15,7 +15,15 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from classlink.backbone import BackboneParams, LinkBatch, backward, forward_loss
+from classlink.backbone import (
+    BackboneParams,
+    LinkBatch,
+    _chunks,
+    _head,
+    loss_and_grads,
+    predict_batch,
+    propagate,
+)
 from classlink.errors import ConfigurationError, DimensionError, NumericError
 from classlink.graph import Graph
 from classlink.heuristics import Scorer
@@ -56,6 +64,21 @@ def dense_pass(params: BackboneParams, batch: LinkBatch) -> dict[str, np.ndarray
     dh = eye[xs].T @ (de1 * h[ys]) + eye[ys].T @ (de1 * h[xs]) + incidence.T @ de2
     dz1 = (s.T @ dh @ params.w2.T) * (z1 > 0.0)
     return {"z1": z1, "h": h, "w1": sx.T @ dz1}
+
+
+def predict(params: BackboneParams, batch: LinkBatch) -> np.ndarray:
+    """:func:`predict_batch` on the node embeddings ``params`` propagate to."""
+    return predict_batch(params, batch, propagate(params, batch.sym, batch.x)["h"])
+
+
+def forward_loss(params: BackboneParams, batch: LinkBatch) -> float:
+    """Mean BCE of the batch from a forward-only pass: propagation, then the
+    head's logits chunk by chunk, with no gradient computed."""
+    h = propagate(params, batch.sym, batch.x)["h"]
+    logits = np.concatenate(
+        [_head(params, batch, rows, h)[3] for rows in _chunks(len(batch.pairs))]
+    )
+    return float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
 
 def cnc_probability(g: Graph, scorer: Scorer, x: int, y: int, u: int) -> float:
@@ -133,17 +156,16 @@ def gradient_check(
     """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    _, cache = forward_loss(params, batch)
-    grads = backward(params, batch, cache)
+    _, grads = loss_and_grads(params, batch)
 
     worst = 0.0
 
     def fd(get: Callable[[], float], put: Callable[[float], None]) -> float:
         orig = get()
         put(orig + epsilon)
-        up, _ = forward_loss(params, batch)
+        up = forward_loss(params, batch)
         put(orig - epsilon)
-        down, _ = forward_loss(params, batch)
+        down = forward_loss(params, batch)
         put(orig)
         return (up - down) / (2.0 * epsilon)
 

@@ -283,8 +283,8 @@ def load_citation_graph():
     return g
 
 
-def hr100_of(model, g, split, seed):
-    scorer = make_scorer(model, split.train_graph(g))
+def hr100_of(model, g, split, seed, prior=None, labels=None):
+    scorer = make_scorer(model, split.train_graph(g), prior, labels)
     return 100.0 * evaluate_split(scorer, split, "hr@100", seed).value
 
 
@@ -298,7 +298,7 @@ def test_criterion_07_class_priors_lift_ncn_by_three_points():
         prior = count_class_links(split.train_edges, g.labels, g.n_classes)
         fused, _ = train(g, split, prior, g.labels, "ncn", cfg)
         backbone, _ = train(g, split, None, None, "backbone_only", cfg)
-        with_prior.append(hr100_of(fused, g, split, seed))
+        with_prior.append(hr100_of(fused, g, split, seed, prior, g.labels))
         without_prior.append(hr100_of(backbone, g, split, seed))
     gap = float(np.mean(with_prior) - np.mean(without_prior))
     elapsed = time.perf_counter() - t0
@@ -341,7 +341,9 @@ def test_criterion_09_mono_labels_collapse_to_backbone():
         cfg = TrainConfig(seed=seed)
         fused, _ = train(g, split, prior, mono, "ncn", cfg)
         backbone, _ = train(g, split, None, None, "backbone_only", cfg)
-        diffs.append(hr100_of(fused, g, split, seed) - hr100_of(backbone, g, split, seed))
+        diffs.append(
+            hr100_of(fused, g, split, seed, prior, mono) - hr100_of(backbone, g, split, seed)
+        )
     mean_diff = float(np.mean(diffs))
     assert abs(mean_diff) <= 1.5, (
         f"mono-label run drifted {mean_diff:.2f} points from backbone (limit 1.5)"

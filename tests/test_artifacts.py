@@ -72,7 +72,7 @@ def save(kind: str, tmp_path):
         return path, load_labeling_json
     if kind == "checkpoint":
         params = init_params(5, TrainConfig(dim=3, hidden=2, seed=4), use_priors=True)
-        model = TrainedModel(params, "ncnc", prior, g.labels, completion=params.copy())
+        model = TrainedModel(params, "ncnc", completion=params.copy())
         save_checkpoint(model, path, config_digest="d")
         return path, load_checkpoint
     path = tmp_path / cli.MANIFEST_NAME
@@ -269,6 +269,17 @@ class TestMalformedPayload:
         with pytest.raises(ParseError, match="train_edges"):
             load_split_json(path)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([[2, -5], [-5, 4]]), np.array([[2, 1], [3, 4]])],
+        ids=["negative", "asymmetric"],
+    )
+    def test_prior_counts_must_be_symmetric_and_non_negative(self, tmp_path, counts):
+        path, _ = save("prior", tmp_path)
+        rewrite(path, lambda p: {**p, "n_classes": 2, "joint_counts": encode_array(counts)})
+        with pytest.raises(ParseError, match="symmetric and non-negative"):
+            load_prior_json(path)
+
     def test_split_node_out_of_range(self, tmp_path):
         path, _ = save("split", tmp_path)
         rewrite(path, lambda p: {**p, "n_nodes": 3})
@@ -304,12 +315,26 @@ class TestMalformedPayload:
             ({"dim": 4}, "w1, w2, wh do not fit dim=4"),
             ({"use_priors": False}, "wh do not fit"),
             ({"wo": encode_array(np.zeros(3))}, "wo do not fit"),
+            (
+                {"use_priors": False, "wh": encode_array(np.zeros((6, 2)))},
+                "use_priors must be on exactly when",
+            ),
         ],
     )
     def test_checkpoint_params_are_checked(self, tmp_path, change, message):
         path, _ = save("checkpoint", tmp_path)
         rewrite(path, lambda p: {**p, "completion": {**p["completion"], **change}})
         with pytest.raises(ParseError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode, use_priors", [("backbone_only", True), ("ncn", False)])
+    def test_checkpoint_use_priors_follows_the_mode(self, tmp_path, mode, use_priors):
+        """``use_priors`` is on exactly when the mode is not backbone_only; the
+        weights are resized to fit, so only the mode rule can catch it."""
+        path = tmp_path / "checkpoint.json"
+        params = init_params(5, TrainConfig(dim=3, hidden=2, seed=4), use_priors)
+        save_checkpoint(TrainedModel(params, mode), path)
+        with pytest.raises(ParseError, match="use_priors must be on exactly when"):
             load_checkpoint(path)
 
 

@@ -23,13 +23,11 @@ from classlink.backbone import (
     TrainConfig,
     TrainedModel,
     _sigmoid,
-    backward,
-    forward_loss,
     init_params,
     load_checkpoint,
+    loss_and_grads,
     make_scorer,
     normalized_operator,
-    predict_batch,
     propagate,
     save_checkpoint,
     save_training_log,
@@ -49,8 +47,10 @@ from backbone_oracles import (
     mpnn_forward,
     ncn_embed,
     ncnc_embed,
+    predict,
 )
 from conftest import planted_two_class, random_edges
+from test_cli import write_dataset
 from test_graph import brute_adjacency
 
 
@@ -179,7 +179,7 @@ class TestPropagation:
             frozen_builder = BatchBuilder.create(g, "ncn", prior, labels)
 
             def completion(pairs):
-                return predict_batch(frozen, frozen_builder.build(pairs))
+                return predict(frozen, frozen_builder.build(pairs))
 
         builder = BatchBuilder.create(g, mode, prior, labels, completion)
         assert builder.x is g.features
@@ -191,8 +191,8 @@ class TestPropagation:
         params = init_params(9, TrainConfig(dim=4, hidden=3, seed=7), use_priors)
 
         expect = dense_pass(params, batch)
-        _, cache = forward_loss(params, batch)  # z1 and h come from propagate
-        got = dict(z1=cache["z1"], h=cache["h"], w1=backward(params, batch, cache)["w1"])
+        fwd = propagate(params, batch.sym, batch.x)
+        got = dict(z1=fwd["z1"], h=fwd["h"], w1=loss_and_grads(params, batch)[1]["w1"])
         for name, want in expect.items():
             np.testing.assert_allclose(
                 got[name], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name
@@ -253,7 +253,7 @@ class TestGradients:
         frozen_builder = BatchBuilder.create(g, "ncn", prior, labels)
 
         def frozen_scorer(pairs):
-            return predict_batch(frozen, frozen_builder.build(pairs))
+            return predict(frozen, frozen_builder.build(pairs))
 
         builder = BatchBuilder.create(
             g, "ncnc", prior, labels, completion_scorer=frozen_scorer
@@ -264,6 +264,23 @@ class TestGradients:
         batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
         params = init_params(5, TrainConfig(dim=4, hidden=3, seed=7), True)
         assert gradient_check(params, batch) <= 1e-4
+
+    def test_one_head_pass_per_chunk(self, monkeypatch, ragged_chunks):
+        """A training step runs the head once per chunk: the backward half
+        comes from the same forward, not from a recompute."""
+        _, params, batch = small_instance(5)
+        m = len(batch.pairs)
+        ragged_chunks(m)
+        head, calls = backbone._head, []
+
+        def counting(params, batch, rows, h):
+            calls.append(rows)
+            return head(params, batch, rows, h)
+
+        monkeypatch.setattr(backbone, "_head", counting)
+        loss_and_grads(params, batch)
+        assert len(calls) > 1
+        assert calls == list(backbone._chunks(m))
 
     def test_epsilon_validated(self):
         _, params, batch = small_instance(0)
@@ -444,17 +461,14 @@ class TestLinkIncidence:
             model = TrainedModel(
                 params=params,
                 mode=mode,
-                prior=prior,
-                labels=labels,
                 completion=completion if mode == "ncnc" else None,
             )
-            scores = make_scorer(model, g)(pairs)
+            scores = make_scorer(model, g, prior, labels)(pairs)
 
             stage1 = None
             if mode == "ncnc":
                 stage1 = make_scorer(
-                    TrainedModel(params=completion, mode="ncn", prior=prior, labels=labels),
-                    g,
+                    TrainedModel(params=completion, mode="ncn"), g, prior, labels
                 )
             builder = BatchBuilder.create(
                 g,
@@ -464,7 +478,7 @@ class TestLinkIncidence:
                 completion_scorer=stage1,
             )
             np.testing.assert_allclose(
-                scores, predict_batch(params, builder.build(pairs)), rtol=0, atol=1e-12
+                scores, predict(params, builder.build(pairs)), rtol=0, atol=1e-12
             )
 
             h = mpnn_forward(g, feats, params)
@@ -494,7 +508,7 @@ class TestChunkedHead:
         frozen_builder = BatchBuilder.create(g, "ncn", prior, labels)
 
         def completion(missing):
-            return predict_batch(frozen, frozen_builder.build(missing))
+            return predict(frozen, frozen_builder.build(missing))
 
         builder = BatchBuilder.create(
             g,
@@ -509,14 +523,14 @@ class TestChunkedHead:
         for m in (len(pairs), 257):
             batch = builder.build(pairs[:m])
             monkeypatch.setattr(backbone, "HEAD_CHUNK", m)
-            one = predict_batch(params, batch)
+            one = predict(params, batch)
             for size in (64, 128):
                 monkeypatch.setattr(backbone, "HEAD_CHUNK", size)
-                assert predict_batch(params, batch).tobytes() == one.tobytes(), (m, size)
+                assert predict(params, batch).tobytes() == one.tobytes(), (m, size)
 
     def test_head_memory_does_not_grow_with_the_pair_count(self):
         """From 4 to 8 chunks of pairs, the peak memory that
-        ``forward_loss`` + ``backward`` and ``predict_batch`` add grows by no
+        ``loss_and_grads`` and ``predict_batch`` add grows by no
         more than three float64 vectors of the added pairs (the logits,
         ``dlogits`` and a temporary) and 4 KiB for the chunk loop's Python
         objects, not by their head intermediates."""
@@ -536,10 +550,10 @@ class TestChunkedHead:
             pairs = rng.integers(0, n, size=(n_chunks * backbone.HEAD_CHUNK, 2))
             batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
 
-            def fit():
-                backward(params, batch, forward_loss(params, batch)[1])
-
-            return peak_rise(fit), peak_rise(lambda: predict_batch(params, batch))
+            return (
+                peak_rise(lambda: loss_and_grads(params, batch)),
+                peak_rise(lambda: predict(params, batch)),
+            )
 
         (fit4, predict4), (fit8, predict8) = rises(4), rises(8)
         allowance = 3 * 8 * 4 * backbone.HEAD_CHUNK + 4096
@@ -624,12 +638,12 @@ class TestTraining:
         prior is the dominant signal, so the fused model must score at least
         as well as the structure-only one on validation MRR."""
         g, split = self.setup_planted()
-        fused, _ = train(g, split, train_prior(g, split), g.labels, "ncn", quick_config())
+        prior = train_prior(g, split)
+        fused, _ = train(g, split, prior, g.labels, "ncn", quick_config())
         plain, _ = train(g, split, None, None, "backbone_only", quick_config())
         g_train = split.train_graph(g)
-        score_fused = evaluate_split(
-            make_scorer(fused, g_train), split, "mrr", seed=1, which="valid"
-        )
+        fused_scorer = make_scorer(fused, g_train, prior, g.labels)
+        score_fused = evaluate_split(fused_scorer, split, "mrr", seed=1, which="valid")
         score_plain = evaluate_split(
             make_scorer(plain, g_train), split, "mrr", seed=1, which="valid"
         )
@@ -648,12 +662,11 @@ class TestTraining:
 
     def test_ncnc_trains_and_carries_completion(self):
         g, split = self.setup_planted()
-        model, log = train(
-            g, split, train_prior(g, split), g.labels, "ncnc", quick_config(epochs=8)
-        )
+        prior = train_prior(g, split)
+        model, log = train(g, split, prior, g.labels, "ncnc", quick_config(epochs=8))
         assert model.completion is not None
         assert model.mode == "ncnc"
-        scorer = make_scorer(model, split.train_graph(g))
+        scorer = make_scorer(model, split.train_graph(g), prior, g.labels)
         probs = scorer(split.test_edges[:5])
         assert np.all((probs > 0) & (probs < 1))
 
@@ -732,8 +745,9 @@ class TestTraining:
         assert three <= 1.05 * one, (one, three)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(lr=0.0)
+        for lr in (0.0, float("nan"), float("inf")):  # NaN passes `lr <= 0`
+            with pytest.raises(ConfigurationError, match="learning rate"):
+                TrainConfig(lr=lr)
         with pytest.raises(ConfigurationError):
             TrainConfig(momentum=1.0)
         with pytest.raises(ConfigurationError):
@@ -799,12 +813,11 @@ class TestArtifacts:
         assert digest == "abc123"
         for name, arr in model.params.arrays().items():
             assert arr.tobytes() == loaded.params.arrays()[name].tobytes()
-        # the run's prior and labels are attached as `classlink evaluate` does
-        loaded.prior = count_class_links(split.train_edges, g.labels, 2)
-        loaded.labels = g.labels
+        # the run's prior and labels are passed as `classlink evaluate` does
+        prior = count_class_links(split.train_edges, g.labels, 2)
         g_train = split.train_graph(g)
-        s1 = make_scorer(model, g_train)(split.test_edges)
-        s2 = make_scorer(loaded, g_train)(split.test_edges)
+        s1 = make_scorer(model, g_train, prior, g.labels)(split.test_edges)
+        s2 = make_scorer(loaded, g_train, prior, g.labels)(split.test_edges)
         assert s1.tobytes() == s2.tobytes()
 
     def test_checkpoint_holds_weights_only(self, tmp_path):
@@ -818,10 +831,9 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "ckpt.json").read_text())
         assert "prior_counts" not in payload and "labels" not in payload
         loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
-        assert loaded.prior is None and loaded.labels is None
-        scorer = make_scorer(loaded, split.train_graph(g))
-        with pytest.raises(ConfigurationError, match="lacks prior features"):
-            scorer(split.test_edges)
+        assert not hasattr(loaded, "prior") and not hasattr(loaded, "labels")
+        with pytest.raises(ConfigurationError, match="class prior"):
+            make_scorer(loaded, split.train_graph(g))
 
     @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
     def test_heldout_edges_do_not_shape_the_checkpoint(self, tmp_path, mode):
@@ -867,3 +879,15 @@ class TestArtifacts:
         lines = (tmp_path / "log.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss,val_mrr"
         assert lines[1] == "0,0.75,0.5"
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written on a small written graph."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    write_dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    metric, value = capsys.readouterr().out.splitlines()[0].split()
+    assert metric == "hr@100" and 0.0 <= float(value) <= 1.0

@@ -152,8 +152,9 @@ class TestValidate:
             make_config(metric="auc").validate()
 
     def test_training_hyperparameters_checked(self):
-        with pytest.raises(ConfigurationError):
-            make_config(lr=-0.1).validate()
+        for lr in (-0.1, float("nan"), float("inf")):  # NaN passes `lr <= 0`
+            with pytest.raises(ConfigurationError, match="learning rate"):
+                make_config(lr=lr).validate()
         with pytest.raises(ConfigurationError):
             make_config(epochs=0).validate()
 

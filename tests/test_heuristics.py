@@ -170,8 +170,9 @@ class TestConfigValidation:
             GammaDecayConfig(gamma=1.0)
         with pytest.raises(ConfigurationError):
             GammaDecayConfig(max_length=0)
-        with pytest.raises(ConfigurationError):
-            GammaDecayConfig(eta=-1.0)
+        for eta in (-1.0, float("nan"), float("inf")):  # NaN passes `eta <= 0`
+            with pytest.raises(ConfigurationError, match="eta"):
+                GammaDecayConfig(eta=eta)
 
     def test_heuristic_params_domain(self):
         with pytest.raises(ConfigurationError):

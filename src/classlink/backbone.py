@@ -551,7 +551,9 @@ def make_scorer(
     A model outside ``backbone_only`` scores with the class prior it was
     trained with and the labels it was counted from.  The model's node
     embeddings are computed once, here, so the parameters are taken as they
-    are at this call.
+    are at this call.  The scorer builds the incidence of one head chunk of
+    pairs at a time, so its memory is set by the chunk, not by the number of
+    pairs, and every probability keeps the bits of a one-batch pass.
     """
     if not model.params.use_priors:
         prior = labels = None
@@ -570,7 +572,11 @@ def make_scorer(
     h = propagate(model.params, builder.sym, builder.x)["h"]
 
     def score(pairs: np.ndarray) -> np.ndarray:
-        return predict_batch(model.params, builder.build(pairs), h)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        probs = np.empty(len(pairs))
+        for rows in _chunks(len(pairs)):
+            probs[rows] = predict_batch(model.params, builder.build(pairs[rows]), h)
+        return probs
 
     return score
 

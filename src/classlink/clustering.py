@@ -14,11 +14,15 @@ over *pseudo-labels* instead.  Three generators are provided:
 * ``louvain`` greedy modularity maximization (Blondel et al., 2008) over the
   training adjacency as a CSR matrix: degrees and modularity are array
   reductions and each level's supernode graph is the sparse product
-  ``CᵀAC``.  The local-move sweep is the one node loop left, because every
-  visit depends on the moves before it; it keeps each node's community links
-  in a dict that changes only when a neighbour moves.  All weights are
-  integers, so every sum is exact in any order, and the labels equal those
-  of a per-visit recount bit for bit;
+  ``CᵀAC``.  Local moves run as colour-class batches (parallel Louvain with
+  distance-1 colouring, Lu, Halappanavar & Kalyanaraman, 2015): each level's
+  graph is coloured by Jones–Plassmann random-priority independent sets, and
+  a whole class moves at once on its link matrix ``A[S] @ onehot(comm)``.
+  The nodes of a class share no edge, so their links are exact, but they
+  read the community totals from before the class moves; the labels are
+  therefore not those of a sequential sweep, whose modularity the tests
+  bound instead.  All weights are integers, so every sum is exact in any
+  order and the labels depend on the seed alone;
 * ``mono`` a single-label fallback that makes every prior lookup equal 1.
 
 All routines are deterministic given their seed.
@@ -243,7 +247,8 @@ def _lloyd(
 
 
 def _prepare_points(features: np.ndarray | sp.spmatrix, normalize_rows: bool) -> _Points:
-    """Canonical float CSR points (dense or sparse input give the same ones)."""
+    """Canonical float CSR points (dense or sparse input give the same ones);
+    a non-finite point is a ``ConfigurationError``."""
     if sp.issparse(features):
         x = sp.csr_matrix(features, dtype=np.float64, copy=True)
     else:
@@ -255,6 +260,8 @@ def _prepare_points(features: np.ndarray | sp.spmatrix, normalize_rows: bool) ->
         x = sp.csr_matrix(dense)
     x.sum_duplicates()
     x.eliminate_zeros()
+    if not np.isfinite(x.data).all():
+        raise ConfigurationError("k-means points must be finite, found nan or inf")
     entry_rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
     sq_norms = _row_sq_norms(x)
     if normalize_rows:
@@ -410,9 +417,8 @@ def elbow_kmeans(
 # sums weights.  Sums of integers are exact in float64 in any order, so the
 # degrees, community links, ``sigma_tot`` and ``sigma_in`` below are exact
 # however they are accumulated, and every modularity gain is the same float
-# whichever way its terms were summed.  That is what lets the incremental
-# community links of the local move and the sparse aggregation reproduce the
-# labels of a per-visit recount over a dict of dicts bit for bit.
+# whichever way its terms were summed: the labels depend on the seed, not on
+# the summation order of a sparse product.
 #
 # A level's graph is a symmetric CSR matrix whose diagonal holds each
 # supernode's internal weight, counting every internal edge once; a node's
@@ -420,15 +426,17 @@ def elbow_kmeans(
 
 
 def louvain(g: Graph, seed: int) -> PseudoLabeling:
-    """Greedy modularity maximization with seeded node visitation.
+    """Greedy modularity maximization with batched local moves.
 
-    Local moves sweep nodes in a seeded shuffled order until no move improves
-    modularity, then communities are aggregated into supernodes; phases repeat
-    until the modularity gain drops below 1e-7.
+    Each level colours its graph with priorities drawn from the cluster
+    stream of ``seed`` and moves one colour class at a time until the
+    modularity gain of a sweep drops below 1e-7; communities are then
+    aggregated into supernodes, and levels repeat until a level's gain
+    drops below 1e-7.
     """
     if g.n_edges == 0:
         raise ConfigurationError("modularity is undefined on an edgeless graph")
-    rng = make_rng(seed)
+    rng = make_rng(seed, STREAM_CLUSTER)
     adj = g.adj
     membership = np.arange(g.n_nodes)
     q_prev = _modularity(adj, np.arange(g.n_nodes))
@@ -459,71 +467,149 @@ def _degrees(adj: sp.csr_matrix) -> np.ndarray:
 def _local_move(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
     """One level of local moves; returns each node's community id.
 
-    Nodes are visited in one seeded permutation, sweep after sweep, until a
-    sweep moves nothing.  A visit takes the node out of its community and puts
-    it into the candidate of largest gain, scanning candidates in ascending id
-    and switching only on a gain larger by more than 1e-12.  That scan can
-    only ever switch to a candidate beating the stay gain by more than 1e-12,
-    and it meets one if any exists, so an unsorted pass first asks whether
-    one does; most visits end there.  ``links[v]`` maps each community
-    adjacent to ``v`` to its link weight and changes only when a neighbour
-    moves; an entry that drops to exactly 0.0 is deleted, so the candidates
-    are exactly the communities of ``v``'s current neighbours.
+    The off-diagonal graph is coloured once (:func:`_colour_classes`), and a
+    sweep moves one colour class at a time (:func:`_class_moves`).  Sweeps
+    repeat until one moves nothing or raises modularity by less than 1e-7; a
+    sweep that lowers modularity is undone, and the level ends there.
+
+    Modularity is kept as ``(2m)² Q = 2m Σ_c in_c - Σ_c tot_c²``, where
+    ``Σ_c in_c`` is the weight inside communities (each internal edge and
+    self-loop twice).  On integer weights this is an exact integer while
+    ``(2m)²`` stays below 2⁵³, so every comparison between sweeps is exact.
     """
     n = adj.shape[0]
     deg = _degrees(adj)
     m2 = float(deg.sum())
-    deg = deg.tolist()
-    sigma_tot = list(deg)
-    comm = list(range(n))
-    order = rng.permutation(n).tolist()
-    offsets = adj.indptr.tolist()
-    targets = adj.indices.tolist()
-    weights = adj.data.tolist()
-    rows: list[list[tuple[int, float]]] = []
-    links: list[dict[int, float]] = []
-    for v in range(n):
-        lo, hi = offsets[v], offsets[v + 1]
-        row = [(u, w) for u, w in zip(targets[lo:hi], weights[lo:hi]) if u != v]
-        rows.append(row)
-        links.append(dict(row))  # every node starts in its own community
-    improved = True
-    while improved:
-        improved = False
-        for v in order:
-            cv = comm[v]
-            lv = links[v]
-            if not lv or (len(lv) == 1 and cv in lv):
-                continue  # no other community is adjacent
-            kv = deg[v]
-            stay = sigma_tot[cv] - kv
-            best_gain = lv.get(cv, 0.0) - stay * kv / m2
-            bar = best_gain + 1e-12
-            for c, l in lv.items():
-                if c != cv and l - sigma_tot[c] * kv / m2 > bar:
-                    break
-            else:
-                continue  # no candidate beats staying, in any scan order
-            best_c = cv
-            for c in sorted(lv):
-                if c == cv:
-                    continue
-                gain = lv[c] - sigma_tot[c] * kv / m2
-                if gain > best_gain + 1e-12:
-                    best_c, best_gain = c, gain
-            sigma_tot[cv] = stay
-            sigma_tot[best_c] += kv
-            comm[v] = best_c
-            improved = True
-            for u, w in rows[v]:
-                lu = links[u]
-                left = lu[cv] - w
-                if left == 0.0:
-                    del lu[cv]
-                else:
-                    lu[cv] = left
-                lu[best_c] = lu.get(best_c, 0.0) + w
-    return np.array(comm, dtype=np.int64)
+    loops = adj.diagonal()
+    off = sp.csr_matrix(adj - sp.diags(loops))
+    off.eliminate_zeros()
+    order, bounds = _colour_classes(off, rng)
+    classes = [
+        (order[lo:hi], off[order[lo:hi]])
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+    comm = np.arange(n)
+    sigma_tot = deg.copy()
+    inside = 2.0 * float(loops.sum())
+    score = inside * m2 - float(sigma_tot @ sigma_tot)
+    while True:
+        before, moved = comm.copy(), False
+        for nodes, rows in classes:
+            movers, targets, gained = _class_moves(rows, nodes, comm, sigma_tot, deg, m2)
+            if movers.size:
+                np.subtract.at(sigma_tot, comm[movers], deg[movers])
+                np.add.at(sigma_tot, targets, deg[movers])
+                comm[movers] = targets
+                inside += 2.0 * float(gained.sum())
+                moved = True
+        if not moved:
+            return comm
+        new_score = inside * m2 - float(sigma_tot @ sigma_tot)
+        if new_score < score:
+            return before
+        if new_score - score < 1e-7 * m2 * m2:
+            return comm
+        score = new_score
+
+
+def _class_moves(
+    rows: sp.csr_matrix,
+    nodes: np.ndarray,
+    comm: np.ndarray,
+    sigma_tot: np.ndarray,
+    deg: np.ndarray,
+    m2: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moves of one colour class: its movers, their target communities,
+    and for each the link weight gained, ``L[v, target] - L[v, own]``.
+
+    ``nodes`` share no edge and ``rows`` are their off-diagonal adjacency
+    rows, so ``L = rows @ onehot(comm)`` holds each node's exact link weight
+    to every adjacent community.  The gains ``L - k_v Σ_tot / 2m`` read
+    ``sigma_tot`` as it is before the class moves.  A node takes the largest
+    gain when it beats staying by more than 1e-12, exact ties going to the
+    lowest community id.
+    """
+    n = comm.size
+    onehot = sp.csr_matrix((np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
+    link = rows @ onehot
+    if not link.nnz:
+        return nodes[:0], nodes[:0], np.zeros(0)
+    sizes = np.diff(link.indptr)
+    row = np.repeat(np.arange(nodes.size), sizes)
+    cand = link.indices
+    kv, cv = deg[nodes], comm[nodes]
+    own = cand == cv[row]
+    own_link = np.zeros(nodes.size)
+    own_link[row[own]] = link.data[own]
+    stay = own_link - (sigma_tot[cv] - kv) * kv / m2
+    gain = link.data - sigma_tot[cand] * kv[row] / m2
+    gain[own] = -np.inf
+    starts = link.indptr[:-1][sizes > 0]
+    top = np.full(nodes.size, -np.inf)
+    top[row[starts]] = np.maximum.reduceat(gain, starts)
+    go = top > stay + 1e-12
+    target = np.full(nodes.size, n)
+    if go.any():
+        tied = np.where((gain == top[row]) & go[row], cand, n)
+        target[row[starts]] = np.minimum.reduceat(tied, starts)
+    taken = cand == target[row]  # one entry per mover, in row order
+    movers = np.flatnonzero(go)
+    return nodes[movers], target[movers], link.data[taken] - own_link[movers]
+
+
+def _colour_classes(
+    off: sp.csr_matrix, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distance-1 colouring of the symmetric graph ``off`` (no diagonal) by
+    Jones–Plassmann random-priority independent sets.
+
+    Each round takes the uncoloured nodes whose priority beats that of every
+    uncoloured neighbour; they share no edge, and each takes the smallest
+    colour that none of its coloured neighbours has.  Returns the nodes
+    sorted by (colour, id) and the bounds of each colour's block in them.
+    """
+    n = off.shape[0]
+    prio = rng.permutation(n)
+    colour = np.full(n, -1, dtype=np.int64)
+    # the edges leaving uncoloured nodes, in row order
+    src = np.repeat(np.arange(n), np.diff(off.indptr))
+    dst = off.indices.astype(np.int64)
+    waiting = np.arange(n)
+    while waiting.size:
+        open_dst = colour[dst] < 0
+        top = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(top, src[open_dst], prio[dst[open_dst]])
+        chosen = waiting[prio[waiting] > top[waiting]]
+        is_chosen = np.zeros(n, dtype=bool)
+        is_chosen[chosen] = True
+        near = is_chosen[src] & ~open_dst  # edges from a chosen to a coloured node
+        colour[chosen] = _smallest_free_colour(src[near], colour[dst[near]], n)[chosen]
+        keep = colour[src] < 0
+        src, dst = src[keep], dst[keep]
+        waiting = waiting[colour[waiting] < 0]
+    order = np.argsort(colour, kind="stable")
+    bounds = np.searchsorted(colour[order], np.arange(int(colour.max()) + 2))
+    return order, bounds
+
+
+def _smallest_free_colour(node: np.ndarray, taken: np.ndarray, n: int) -> np.ndarray:
+    """Per node of ``0..n-1``, the smallest colour ``>= 0`` absent from the
+    ``taken`` colours listed against it in ``node``."""
+    free = np.zeros(n, dtype=np.int64)
+    keys = np.unique(node * n + taken)  # a colour is below n
+    if not keys.size:
+        return free
+    node, taken = np.divmod(keys, n)
+    first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    size = np.diff(np.r_[first, keys.size])
+    rank = np.arange(keys.size) - np.repeat(first, size)
+    free[node[first]] = size  # a node holding colours 0..j-1 gets j
+    gap = np.flatnonzero(taken != rank)
+    if gap.size:
+        gap = gap[np.r_[True, node[gap[1:]] != node[gap[:-1]]]]
+        free[node[gap]] = rank[gap]
+    return free
 
 
 def _modularity(adj: sp.csr_matrix, comm: np.ndarray) -> float:

@@ -282,7 +282,7 @@ def load_graph(
 
     Edge file: one ``u v`` pair per line, whitespace separated; ``#`` starts a
     comment; blank lines are ignored.  Feature CSV: ``node_id,f1,f2,...`` with
-    a fixed number of real-valued columns.  Label CSV: ``node_id,label``.
+    a fixed number of finite real-valued columns.  Label CSV: ``node_id,label``.
     Labels are re-mapped to contiguous dense ids in first-seen order; nodes
     missing from the label file get ``-1``; nodes missing from the feature
     file get zero rows.
@@ -298,6 +298,7 @@ def load_graph(
     # Feature rows are kept as the columns and values of their stored entries.
     feature_cols: list[np.ndarray] = []
     feature_vals: list[np.ndarray] = []
+    feature_lines: list[int] = []
     n_feature_cols: int | None = None
     if feature_path is not None:
         for lineno, raw in enumerate(_read_lines(feature_path), start=1):
@@ -335,6 +336,7 @@ def load_graph(
             stored = vals.view(np.int64) != 0
             feature_cols.append(np.array(cols, dtype=np.int64)[stored])
             feature_vals.append(vals[stored])
+            feature_lines.append(lineno)
 
     label_rows: dict[int, int] = {}
     class_index: dict[str, int] = {}
@@ -380,11 +382,15 @@ def load_graph(
     features = None
     if feature_path is not None:
         rows = np.repeat(np.arange(len(feature_cols)), [c.size for c in feature_cols])
+        values = np.concatenate([np.zeros(0), *feature_vals])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParseError(
+                f"{feature_path}:{feature_lines[rows[bad[0]]]}: non-finite feature "
+                f"value {values[bad[0]]}"
+            )
         features = sp.coo_matrix(
-            (
-                np.concatenate([np.zeros(0), *feature_vals]),
-                (rows, np.concatenate([np.zeros(0, dtype=np.int64), *feature_cols])),
-            ),
+            (values, (rows, np.concatenate([np.zeros(0, dtype=np.int64), *feature_cols]))),
             shape=(n_nodes, n_feature_cols or 0),
         )
 

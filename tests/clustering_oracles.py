@@ -1,8 +1,10 @@
 """Reference implementations of Louvain and Lloyd k-means, used as oracles.
 
 Louvain here keeps the graph as a list of ``{neighbour: weight}`` dicts and
-rebuilds every node's community links on every visit, and must reproduce the
-array code in ``classlink.clustering`` bit for bit.  k-means comes twice:
+sweeps the nodes one at a time, rebuilding every node's community links on
+every visit.  It is the quality oracle of the batched local moves in
+``classlink.clustering``, whose modularity it bounds, and its modularity and
+aggregation must equal the array code's bit for bit.  k-means comes twice:
 dense float Lloyd with centroid means, whose labels the library must
 reproduce, and an exact Lloyd over ``fractions.Fraction`` for small integer
 point sets, whose labels and ties the library must reproduce label for label.

@@ -561,6 +561,37 @@ class TestChunkedHead:
         assert predict8 - predict4 <= allowance, (predict4, predict8)
 
 
+    @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
+    def test_scorer_memory_does_not_grow_with_the_pair_count(self, mode):
+        """From 4 to 8 chunks of pairs, the peak memory that a model's scorer
+        adds grows by no more than its output vector of the added pairs and
+        64 KiB: the incidence (and, in ncnc, the completion pairs) of one head
+        chunk is built at a time.  The eight chunks are the four twice, so
+        that the largest chunk is the same in both runs; the slack covers
+        the peak's drift between runs of the same chunks (up to about 50 KiB
+        in ncnc), against the megabytes that a whole-batch incidence adds."""
+        rng = np.random.default_rng(1222)
+        n = 300
+        g = build_graph(
+            n,
+            rng.integers(0, n, size=(2400, 2)),
+            features=rng.standard_normal((n, 20)),
+            labels=rng.integers(0, 4, size=n),
+        )
+        prior = count_class_links(g.undirected_edges(), g.labels, 4)
+        config = TrainConfig(dim=16, hidden=16, seed=0)
+        stage1 = init_params(20, replace(config, seed=1), True)
+        model = TrainedModel(
+            init_params(20, config, True), mode, stage1 if mode == "ncnc" else None
+        )
+        score = make_scorer(model, g, prior, g.labels)
+
+        pairs = rng.integers(0, n, size=(4 * backbone.HEAD_CHUNK, 2))
+        twice = np.concatenate([pairs, pairs])
+        four, eight = peak_rise(lambda: score(pairs)), peak_rise(lambda: score(twice))
+        assert eight - four <= 8 * 4 * backbone.HEAD_CHUNK + 65536, (four, eight)
+
+
 class TestFusion:
     def test_zero_params_give_half(self):
         params = init_params(3, TrainConfig(dim=2, hidden=2, seed=0), False)

@@ -372,6 +372,23 @@ class TestProcessInterface:
         assert "unknown config key" in capsys.readouterr().err
 
 
+class TestNonFiniteFeatures:
+    def test_ingest_reports_the_cell_as_a_parse_error(self, dataset, capsys):
+        tmp, _ = dataset
+        path = tmp / "data" / "features.csv"
+        rows = path.read_text().splitlines()
+        rows[4] = rows[4].split(",")[0] + ",nan,1"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp / "km.yaml", tmp / "data", tmp / "out",
+            label_source="kmeans", k=4, scorer="hc",
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:")
+        assert "features.csv:5: non-finite feature value nan" in err
+
+
 class TestCorruptLabeling:
     @pytest.mark.parametrize(
         "corrupt",

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from classlink import clustering
 from classlink.artifacts import encode_array
 from classlink.clustering import (
     _aggregate,
     _Centroids,
+    _colour_classes,
     _elbow_runs,
     _kmeans_full,
     _lloyd,
@@ -36,7 +36,7 @@ from classlink.clustering import (
 )
 from classlink.errors import ConfigurationError, DimensionError, ParseError
 from classlink.graph import build_graph, split_edges
-from classlink.rand import make_rng
+from classlink.rand import STREAM_CLUSTER, make_rng
 
 import clustering_oracles as oracle
 from conftest import random_edges
@@ -153,6 +153,18 @@ class TestKmeans:
         with pytest.raises(ConfigurationError):
             kmeans(pts, 6, seed=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_points_rejected(self, value, sparse):
+        pts, _ = make_blobs(np.random.default_rng(1021), n_per_blob=10)
+        pts[7, 1] = value
+        if sparse:
+            pts = sp.csr_matrix(pts)
+        with pytest.raises(ConfigurationError, match="finite"):
+            kmeans(pts, 3, seed=0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            elbow_kmeans(pts, [1, 2, 3], seed=0)
+
     def test_normalize_rows_changes_geometry(self):
         # two directions, very different magnitudes
         pts = np.array([[10.0, 0.0], [0.1, 0.0], [0.0, 10.0], [0.0, 0.1]])
@@ -254,6 +266,17 @@ class TestLouvain:
         labeling = louvain(g, seed=1)
         assert labeling.k == 1
 
+    def test_four_bridged_cliques_recovered(self):
+        """Four 8-cliques in a ring, each joined to the next by one edge."""
+        edges = []
+        for base in range(0, 32, 8):
+            edges += [(base + i, base + j) for i in range(8) for j in range(i + 1, 8)]
+            edges.append((base + 7, (base + 8) % 32))
+        g = build_graph(32, np.array(edges))
+        for seed in (0, 1, 2, 3):
+            labeling = louvain(g, seed)
+            np.testing.assert_array_equal(labeling.labels, np.repeat(np.arange(4), 8))
+
     def test_modularity_at_least_mono(self):
         """Result never scores below the single-community partition (Q=0)."""
         rng = np.random.default_rng(1011)
@@ -287,6 +310,42 @@ class TestLouvain:
         labeling = louvain(g, seed=2)
         labs = sorted(set(labeling.labels.tolist()))
         assert labs == list(range(labeling.k))
+
+
+class TestColourClasses:
+    def graphs(self):
+        rng = np.random.default_rng(1020)
+        yield from louvain_graphs()
+        for n, p in ((1, 0.0), (2, 1.0), (50, 0.5), (300, 0.02)):
+            yield build_graph(n, random_edges(rng, n, p))
+
+    def test_classes_are_independent_sets_partitioning_the_nodes(self):
+        for g in self.graphs():
+            order, bounds = _colour_classes(g.adj, make_rng(3))
+            assert sorted(order.tolist()) == list(range(g.n_nodes))
+            assert bounds[0] == 0 and bounds[-1] == g.n_nodes
+            assert np.all(np.diff(bounds) > 0)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                members = order[lo:hi]
+                assert np.all(np.diff(members) > 0)  # ascending ids
+                assert g.adj[members][:, members].nnz == 0
+
+    def test_each_colour_is_the_smallest_free_one(self):
+        """A node of colour c has a neighbour of every colour below c."""
+        for g in self.graphs():
+            order, bounds = _colour_classes(g.adj, make_rng(4))
+            colour = np.empty(g.n_nodes, dtype=np.int64)
+            colour[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+            for v in range(g.n_nodes):
+                below = set(colour[g.neighbors(v)].tolist())
+                assert set(range(colour[v])) <= below
+
+    def test_deterministic_given_seed(self):
+        for g in self.graphs():
+            a = _colour_classes(g.adj, make_rng(5))
+            b = _colour_classes(g.adj, make_rng(5))
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1].tobytes() == b[1].tobytes()
 
 
 class TestMonoLabel:
@@ -387,36 +446,45 @@ def dense(adj: list[dict[int, float]]) -> np.ndarray:
 
 
 class TestLouvainMatchesOracle:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
-    def test_labels_and_levels_bit_identical(self, seed, monkeypatch):
-        levels = []
+    """The sequential dict Louvain is the quality oracle of the batched one.
 
-        def counted(adj, rng):
-            levels.append(adj.shape[0])
-            return _local_move(adj, rng)
+    Batched moves read ``sigma_tot`` as it was before their colour class, so
+    labels differ from a sequential sweep; the gates bound the modularity
+    instead.  On these small graphs the oracle's own seeds differ by up to
+    0.035 in modularity, so the gates compare means over seeds, not pairs.
+    """
 
-        monkeypatch.setattr(clustering, "_local_move", counted)
+    SEEDS = (0, 1, 5, 7, 11, 123)
+
+    def test_modularity_gates_against_the_sequential_oracle(self):
+        diffs = []
         for g in louvain_graphs():
-            levels.clear()
-            labeling = louvain(g, seed)
-            want, want_levels = oracle.louvain_levels(g, seed)
-            assert labeling.labels.tobytes() == want.tobytes()
-            assert len(levels) == want_levels
-            assert labeling.k == int(want.max()) + 1
+            q_batched, q_oracle = [], []
+            for seed in self.SEEDS:
+                labeling = louvain(g, seed)
+                assert labeling.k == int(labeling.labels.max()) + 1
+                want, _ = oracle.louvain_levels(g, seed)
+                q_batched.append(_modularity(g.adj, labeling.labels))
+                q_oracle.append(_modularity(g.adj, want))
+            assert min(q_batched) >= 0.0
+            assert np.mean(q_batched) >= min(q_oracle) - 0.02
+            diffs += [b - o for b, o in zip(q_batched, q_oracle)]
+        assert np.mean(diffs) >= -2e-3
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_each_level_matches_dict_code(self, seed):
-        """Local moves, modularity and aggregation agree level by level."""
+        """Modularity and aggregation agree with the dict code level by level,
+        on the partitions of the batched local moves."""
         for g in louvain_graphs():
             adj = g.adj
             adj_dict = oracle.dict_adjacency(g)
-            rng, rng_dict = make_rng(seed), make_rng(seed)
+            rng = make_rng(seed, STREAM_CLUSTER)
             while True:
                 np.testing.assert_array_equal(adj.toarray(), dense(adj_dict))
                 comm = _local_move(adj, rng)
-                want = oracle.local_move(adj_dict, rng_dict)
-                assert comm.tolist() == want
-                assert _modularity(adj, comm) == oracle.modularity(adj_dict, want)
+                assert _modularity(adj, comm) == oracle.modularity(
+                    adj_dict, comm.tolist()
+                )
                 comm = _renumber(comm)
                 if int(comm.max()) + 1 == adj.shape[0]:
                     break

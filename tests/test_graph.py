@@ -220,6 +220,13 @@ class TestIngestion:
         with pytest.raises(ParseError, match="non-numeric"):
             load_graph(edges, feats)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_feature_rejected_with_its_line(self, tmp_path, cell):
+        edges = self.write(tmp_path, "edges.txt", "a b\nb c\n")
+        feats = self.write(tmp_path, "features.csv", f"a,1,0\n\nb,0,2\nc,{cell},3\n")
+        with pytest.raises(ParseError, match=r"features\.csv:4: non-finite"):
+            load_graph(edges, feats)
+
     def test_unlabeled_nodes_get_minus_one(self, tmp_path):
         edges = self.write(tmp_path, "edges.txt", "a b\nb c\n")
         labels = self.write(tmp_path, "labels.csv", "a,red\n")

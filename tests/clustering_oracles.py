@@ -1,10 +1,11 @@
 """Reference implementations of Louvain and Lloyd k-means, used as oracles.
 
 Louvain here keeps the graph as a list of ``{neighbour: weight}`` dicts and
-sweeps the nodes one at a time, rebuilding every node's community links on
-every visit.  It is the quality oracle of the batched local moves in
-``classlink.clustering``, whose modularity it bounds, and its modularity and
-aggregation must equal the array code's bit for bit.  k-means comes twice:
+rebuilds every node's community links on every visit.  It comes twice: a
+sequential sweep, one node at a time, which is the quality oracle of the
+batched local moves in ``classlink.clustering`` and bounds their modularity;
+and the same colour-class batched moves, whose labels and level count the
+array code must reproduce bit for bit, as its modularity and aggregation.  k-means comes twice:
 dense float Lloyd with centroid means, whose labels the library must
 reproduce, and an exact Lloyd over ``fractions.Fraction`` for small integer
 point sets, whose labels and ties the library must reproduce label for label.
@@ -54,6 +55,102 @@ def louvain_levels(g: Graph, seed: int) -> tuple[np.ndarray, int]:
         adj = aggregate(adj, comm)
         q_prev = q_new
     return renumber(membership), levels
+
+
+def batched_louvain_levels(g: Graph, seed: int) -> tuple[np.ndarray, int]:
+    """Labels and level count of Louvain with colour-class batched moves."""
+    if g.n_edges == 0:
+        raise ConfigurationError("modularity is undefined on an edgeless graph")
+    rng = make_rng(seed, STREAM_CLUSTER)
+    adj = dict_adjacency(g)
+    membership = np.arange(g.n_nodes)
+    q_prev = modularity(adj, list(range(len(adj))))
+    levels = 0
+    while True:
+        comm = batched_local_move(adj, rng)
+        levels += 1
+        q_new = modularity(adj, comm)
+        comm = renumber(np.asarray(comm))
+        membership = comm[membership]
+        if q_new - q_prev < 1e-7 or len(set(comm.tolist())) == len(adj):
+            break
+        adj = aggregate(adj, comm)
+        q_prev = q_new
+    return renumber(membership), levels
+
+
+def colour_classes(adj: list[dict[int, float]], rng: np.random.Generator) -> list[list[int]]:
+    """Jones-Plassmann colouring, one round at a time: the uncoloured nodes
+    whose priority beats every uncoloured neighbour's take the smallest colour
+    free among their neighbours.  Returns each colour's nodes, ascending."""
+    n = len(adj)
+    prio = rng.permutation(n).tolist()
+    nbrs = [[u for u in row if u != v] for v, row in enumerate(adj)]
+    colour = [-1] * n
+    while -1 in colour:
+        chosen = [
+            v
+            for v in range(n)
+            if colour[v] < 0
+            and all(prio[v] > prio[u] for u in nbrs[v] if colour[u] < 0)
+        ]
+        for v in chosen:
+            taken = {colour[u] for u in nbrs[v]}
+            c = 0
+            while c in taken:
+                c += 1
+            colour[v] = c
+    return [
+        [v for v in range(n) if colour[v] == c] for c in range(max(colour) + 1)
+    ]
+
+
+def batched_local_move(
+    adj: list[dict[int, float]], rng: np.random.Generator
+) -> list[int]:
+    """One level of local moves, one colour class at a time: every node of a
+    class reads ``sigma_tot`` as it was before the class moved.  A sweep that
+    lowers ``(2m)² Q`` is undone; sweeps stop when one moves nothing or gains
+    less than ``1e-7 (2m)²``."""
+    n = len(adj)
+    k = degrees(adj)
+    m2 = float(k.sum())
+    comm = list(range(n))
+    sigma_tot = k.tolist()
+    inside = 2.0 * sum(row.get(v, 0.0) for v, row in enumerate(adj))
+    score = inside * m2 - sum(s * s for s in sigma_tot)
+    classes = colour_classes(adj, rng)
+    while True:
+        before, moved = list(comm), False
+        for nodes in classes:
+            moves = []
+            for v in nodes:
+                links: dict[int, float] = {}
+                for u, w in adj[v].items():
+                    if u != v:
+                        links[comm[u]] = links.get(comm[u], 0.0) + w
+                cv = comm[v]
+                own = links.get(cv, 0.0)
+                stay = own - (sigma_tot[cv] - k[v]) * k[v] / m2
+                gains = {c: links[c] - sigma_tot[c] * k[v] / m2 for c in links if c != cv}
+                if gains and max(gains.values()) > stay + 1e-12:
+                    best = max(gains.values())
+                    target = min(c for c, gain in gains.items() if gain == best)
+                    moves.append((v, target, links[target] - own))
+            for v, target, gained in moves:
+                sigma_tot[comm[v]] -= k[v]
+                sigma_tot[target] += k[v]
+                comm[v] = target
+                inside += 2.0 * gained
+                moved = True
+        if not moved:
+            return comm
+        new_score = inside * m2 - sum(s * s for s in sigma_tot)
+        if new_score < score:
+            return before
+        if new_score - score < 1e-7 * m2 * m2:
+            return comm
+        score = new_score
 
 
 def degrees(adj: list[dict[int, float]]) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from classlink import clustering
 from classlink.artifacts import encode_array
 from classlink.clustering import (
     _aggregate,
@@ -446,7 +447,8 @@ def dense(adj: list[dict[int, float]]) -> np.ndarray:
 
 
 class TestLouvainMatchesOracle:
-    """The sequential dict Louvain is the quality oracle of the batched one.
+    """The dict code's batched moves fix the labels bit for bit; its
+    sequential sweep is the quality oracle of the batched one.
 
     Batched moves read ``sigma_tot`` as it was before their colour class, so
     labels differ from a sequential sweep; the gates bound the modularity
@@ -455,6 +457,24 @@ class TestLouvainMatchesOracle:
     """
 
     SEEDS = (0, 1, 5, 7, 11, 123)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_labels_and_levels_bit_identical(self, seed, monkeypatch):
+        """Labels and level count equal the dict code's batched moves."""
+        levels = []
+
+        def counted(adj, rng):
+            levels.append(adj.shape[0])
+            return _local_move(adj, rng)
+
+        monkeypatch.setattr(clustering, "_local_move", counted)
+        for g in louvain_graphs():
+            levels.clear()
+            labeling = louvain(g, seed)
+            want, want_levels = oracle.batched_louvain_levels(g, seed)
+            assert labeling.labels.tobytes() == want.tobytes()
+            assert len(levels) == want_levels
+            assert labeling.k == int(want.max()) + 1
 
     def test_modularity_gates_against_the_sequential_oracle(self):
         diffs = []
@@ -473,18 +493,19 @@ class TestLouvainMatchesOracle:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_each_level_matches_dict_code(self, seed):
-        """Modularity and aggregation agree with the dict code level by level,
-        on the partitions of the batched local moves."""
+        """Batched local moves, modularity and aggregation agree with the
+        dict code level by level."""
         for g in louvain_graphs():
             adj = g.adj
             adj_dict = oracle.dict_adjacency(g)
             rng = make_rng(seed, STREAM_CLUSTER)
+            rng_dict = make_rng(seed, STREAM_CLUSTER)
             while True:
                 np.testing.assert_array_equal(adj.toarray(), dense(adj_dict))
                 comm = _local_move(adj, rng)
-                assert _modularity(adj, comm) == oracle.modularity(
-                    adj_dict, comm.tolist()
-                )
+                want = oracle.batched_local_move(adj_dict, rng_dict)
+                assert comm.tolist() == want
+                assert _modularity(adj, comm) == oracle.modularity(adj_dict, want)
                 comm = _renumber(comm)
                 if int(comm.max()) + 1 == adj.shape[0]:
                     break

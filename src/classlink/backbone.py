@@ -39,12 +39,19 @@ for both validation batches.
 The edge head runs over fixed-size chunks of ``HEAD_CHUNK`` pairs.  A
 training step (:func:`loss_and_grads`) runs the head once per chunk and
 takes that chunk's share of the head gradients and ``dH`` from the same
-forward, so nothing of the head is kept or recomputed between chunks.  The
-head's working memory is therefore O(chunk × (2d + 2 + hidden)) plus the
-node-sized arrays and a few pair-length vectors, whatever the number of
-pairs.  Each pair's row of the head is independent, so chunking leaves every
+forward, so nothing of the head is kept or recomputed between chunks.  A
+chunk allocates its working set once: one ``z`` that is overwritten by
+``dz``, one hidden array that holds the pre-activations, the activations
+and then ``dpre_h`` and is freed once ``dz`` is formed, and the
+``3·chunk × d`` values of the ``dH`` scatter.  The scatter runs over the
+nodes the chunk touches, so no chunk allocates anything n-sized: beyond the
+node-sized arrays and a few pair-length vectors, the head's memory is
+O(chunk × (2d + hidden)) and a step takes time linear in pairs plus nodes.
+Each pair's row of the head is independent, so chunking leaves every
 prediction bit-identical; it only reorders the gradient sums, which move in
-their last bits.
+their last bits.  Computing in place changes no bits at all, nor does the
+touched-row scatter: each node's terms are summed in the same order as over
+all n columns.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import EdgeSplit, Graph, sample_negatives
-from .heuristics import Scorer, _indicator_rows
+from .heuristics import Scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, is_seed, make_rng
 
@@ -249,18 +256,26 @@ def _chunks(m: int) -> Iterator[slice]:
 
 def _head(
     params: BackboneParams, batch: LinkBatch, rows: slice, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Edge embeddings ``z``, pre-activations, activations and logits of the
-    pairs in ``rows``, on precomputed node embeddings."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fusion input ``z``, hidden activations and logits of the pairs in
+    ``rows``, on precomputed node embeddings.
+
+    ``z`` is filled in place, block by block, and bias and ReLU are applied
+    in place, so the chunk allocates each of its arrays once.
+    """
     xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
-    z = np.concatenate([h[xs] * h[ys], batch.incidence[rows] @ h], axis=1)
+    d = h.shape[1]
+    z = np.empty((len(xs), 2 * d + (N_PRIOR_FEATURES if params.use_priors else 0)))
+    np.multiply(h[xs], h[ys], out=z[:, :d])
+    z[:, d : 2 * d] = batch.incidence[rows] @ h
     if params.use_priors:
         if batch.priors is None:
             raise ConfigurationError("batch lacks prior features but use_priors is on")
-        z = np.concatenate([z, batch.priors[rows]], axis=1)
-    pre_h = z @ params.wh + params.bh
-    act = np.maximum(pre_h, 0.0)
-    return z, pre_h, act, act @ params.wo + params.bo
+        z[:, 2 * d :] = batch.priors[rows]
+    act = z @ params.wh
+    act += params.bh
+    np.maximum(act, 0.0, out=act)
+    return z, act, act @ params.wo + params.bo
 
 
 def predict_batch(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np.ndarray:
@@ -268,46 +283,81 @@ def predict_batch(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np
     embeddings ``h`` that ``params`` propagate to."""
     logits = np.empty(len(batch.pairs))
     for rows in _chunks(len(logits)):
-        logits[rows] = _head(params, batch, rows, h)[3]
+        logits[rows] = _head(params, batch, rows, h)[2]
     return np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
+
+
+def _head_grads(
+    params: BackboneParams, batch: LinkBatch, h: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray | float], np.ndarray]:
+    """Logits of the batch, the gradients of its mean BCE w.r.t. the head's
+    parameters (``wh``, ``bh``, ``wo``, ``bo``), and ``dH``, its gradient
+    w.r.t. the node embeddings.
+
+    Each chunk's head runs once, and its share of the gradients comes from
+    that same forward: ``dpre_h`` is written over the activations once
+    ``dwo`` and the ReLU mask are taken, and ``dz`` over ``z`` once ``dwh``
+    is formed.  The chunk's ``dH`` terms,
+    ``Pxᵀ (dE1 ⊙ H[ys]) + Pyᵀ (dE1 ⊙ H[xs]) + Mᵀ dE2``, are one product over
+    the stacked rows ``[Px; Py; M]`` restricted to the nodes the chunk
+    touches, so no chunk allocates anything n-sized.  ``H[xs]`` and
+    ``H[ys]`` are gathered again for it rather than kept from the forward:
+    one gather at a time takes half the memory of the pair that the
+    forward would have to keep alive.
+    """
+    d = h.shape[1]
+    m = len(batch.pairs)
+    logits, dlogits = np.empty(m), np.empty(m)
+    dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
+    dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
+    for rows in _chunks(m):
+        z, act, logits[rows] = _head(params, batch, rows, h)
+        dl = dlogits[rows]
+        dl[:] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
+        dwo += act.T @ dl
+        alive = act > 0.0
+        dpre_h = np.multiply(dl[:, None], params.wo, out=act)
+        dpre_h *= alive
+        dwh += z.T @ dpre_h
+        dbh += dpre_h.sum(axis=0)
+        dz = np.matmul(dpre_h, params.wh.T, out=z)
+        del act, alive, dpre_h  # the scatter values take their place
+        de1 = dz[:, :d]
+        de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
+
+        # Columns of the stacked rows are renumbered to the touched nodes in
+        # node order, so each node's terms are summed in the same order as
+        # over all n columns.
+        xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
+        c = len(xs)
+        inc = batch.incidence[rows]
+        nodes = np.concatenate([xs, ys, inc.indices])
+        touched = np.unique(nodes)
+        scatter = sp.csr_matrix(
+            (
+                np.concatenate([np.ones(2 * c), inc.data]),
+                np.searchsorted(touched, nodes),
+                np.concatenate([np.arange(2 * c), 2 * c + inc.indptr]),
+            ),
+            shape=(3 * c, touched.size),
+        )
+        del nodes, inc
+        vals = np.empty((3 * c, d))
+        np.multiply(de1, h[ys], out=vals[:c])
+        np.multiply(de1, h[xs], out=vals[c : 2 * c])
+        vals[2 * c :] = de2
+        dh[touched] += scatter.T @ vals
+    return logits, {"wh": dwh, "bh": dbh, "wo": dwo, "bo": float(dlogits.sum())}, dh
 
 
 def loss_and_grads(
     params: BackboneParams, batch: LinkBatch
 ) -> tuple[float, dict[str, np.ndarray | float]]:
     """Mean BCE over the batch and its hand-derived gradient w.r.t. every
-    parameter.
-
-    Each chunk's head runs once; its logits go into the batch's logit vector
-    and its share of the head gradients and ``dH`` comes from that same
-    forward.  Propagation is then backpropagated once.
-    """
+    parameter: the head's chunk loop (:func:`_head_grads`), then one
+    backpropagation of ``dH`` through propagation."""
     fwd = propagate(params, batch.sym, batch.x)
-    h = fwd["h"]
-    n, d = h.shape
-    m = len(batch.pairs)
-    logits, dlogits = np.empty(m), np.empty(m)
-    dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
-    dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
-    for rows in _chunks(m):
-        z, pre_h, act, logits[rows] = _head(params, batch, rows, h)
-        dlogits[rows] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
-        dwo += act.T @ dlogits[rows]
-        dpre_h = np.outer(dlogits[rows], params.wo) * (pre_h > 0.0)
-        dwh += z.T @ dpre_h
-        dbh += dpre_h.sum(axis=0)
-        dz = dpre_h @ params.wh.T
-        de1 = dz[:, :d]
-        de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
-
-        # dH = Px^T (de1 ⊙ H[ys]) + Py^T (de1 ⊙ H[xs]) + M^T de2, as one
-        # product over the chunk's stacked rows.
-        xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
-        scatter = sp.vstack(
-            [_indicator_rows(xs, n), _indicator_rows(ys, n), batch.incidence[rows]],
-            format="csr",
-        )
-        dh += scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
+    logits, head_grads, dh = _head_grads(params, batch, fwd["h"])
     # BCE in softplus form: softplus(logit) - target * logit
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
@@ -316,9 +366,7 @@ def loss_and_grads(
     dh1 = batch.sym @ dq  # sym is symmetric, so S^T = S
     dz1 = dh1 * (fwd["z1"] > 0.0)
     dw1 = batch.x.T @ (batch.sym @ dz1)
-
-    dbo = float(dlogits.sum())
-    return loss, {"w1": dw1, "w2": dw2, "wh": dwh, "bh": dbh, "wo": dwo, "bo": dbo}
+    return loss, {"w1": dw1, "w2": dw2, **head_grads}
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +539,14 @@ def train(
             raise TrainingError(
                 f"non-finite loss at epoch {epoch}; try a smaller learning rate"
             )
+        # v <- momentum * v - lr * grad and the step, in place; the
+        # gradients are this step's own arrays, so they take the lr factor
         for name, arr in params.arrays().items():
-            velocity[name] = config.momentum * velocity[name] - config.lr * np.asarray(
-                grads[name]
-            )
-            arr += velocity[name]
+            step, grad = velocity[name], grads[name]
+            step *= config.momentum
+            grad *= config.lr
+            step -= grad
+            arr += step
         velocity_bo = config.momentum * velocity_bo - config.lr * float(grads["bo"])
         params.bo = float(params.bo) + velocity_bo
 
@@ -503,8 +554,9 @@ def train(
         val_pos = predict_batch(params, valid_batch, h)
         val_neg = predict_batch(params, valid_pool_batch, h)
         val_mrr = mrr(rank_positive(val_pos, val_neg))
-        # The gradients do not live through the next epoch's batch build.
-        del grads
+        # Nothing of this epoch's step or validation lives through the next
+        # epoch's batch build.
+        del grads, negatives, neg_batch, batch, h, val_pos, val_neg
 
         log.append(
             {
@@ -516,7 +568,9 @@ def train(
         )
         if val_mrr > best_val:
             best_val = val_mrr
-            best_params = params.copy()
+            for best, arr in zip(best_params.arrays().values(), params.arrays().values()):
+                best[...] = arr
+            best_params.bo = params.bo
             patience_left = config.patience
         else:
             patience_left -= 1

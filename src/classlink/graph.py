@@ -622,15 +622,16 @@ def _draw_pools(
         for row, (r, size) in enumerate(zip(pending.tolist(), sizes.tolist())):
             u[row, :size] = rngs[r].integers(0, n, size=size)
             v[row, :size] = rngs[r].integers(0, n, size=size)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
 
         # on a sparse graph nearly every candidate is fresh, so a prefix of
-        # twice the missing count almost always fills the pool
+        # twice the missing count almost always fills the pool, and only the
+        # block examined is ordered into (lo, hi)
         rows = np.arange(pending.size)
         prefix = 2 * int(missing.max()) + 32
         for stop in ((prefix, u.shape[1]) if prefix < u.shape[1] else (u.shape[1],)):
             last = stop == u.shape[1]
-            block_lo, block_hi = lo[rows, :stop], hi[rows, :stop]
+            block_u, block_v = u[rows, :stop], v[rows, :stop]
+            block_lo, block_hi = np.minimum(block_u, block_v), np.maximum(block_u, block_v)
             is_edge = np.asarray(adj[block_lo.ravel(), block_hi.ravel()]) != 0
             fresh = (block_lo != block_hi) & ~is_edge.reshape(block_lo.shape)
             sel = pending[rows]

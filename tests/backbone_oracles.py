@@ -4,8 +4,10 @@ Each function works on one pair (or, for propagation, on dense matrices) by
 brute force, independently of the sparse link-incidence code in
 ``classlink.backbone``; :func:`dense_pass` redoes one forward/backward pass
 with dense matrices and the first layer in its ``(S X) W1`` order;
-:func:`gradient_check` compares the hand-derived gradients with central
-finite differences of a forward-only loss.
+:func:`stacked_step` redoes a training step with a freshly allocated head
+and an n-wide ``dH`` scatter per chunk; :func:`gradient_check` compares the
+hand-derived gradients with central finite differences of a forward-only
+loss.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from classlink.backbone import (
@@ -20,6 +23,7 @@ from classlink.backbone import (
     LinkBatch,
     _chunks,
     _head,
+    _sigmoid,
     loss_and_grads,
     predict_batch,
     propagate,
@@ -66,6 +70,63 @@ def dense_pass(params: BackboneParams, batch: LinkBatch) -> dict[str, np.ndarray
     return {"z1": z1, "h": h, "w1": sx.T @ dz1}
 
 
+def _indicator_rows(nodes: np.ndarray, n: int) -> sp.csr_matrix:
+    """One row ``e_v`` per node ``v``."""
+    return sp.csr_matrix(
+        (np.ones(nodes.size), nodes, np.arange(nodes.size + 1)), shape=(nodes.size, n)
+    )
+
+
+def stacked_step(
+    params: BackboneParams, batch: LinkBatch
+) -> tuple[float, dict[str, np.ndarray | float], np.ndarray]:
+    """Loss, gradients and ``dH`` of the batch's mean BCE, with the head run
+    chunk by chunk as ``loss_and_grads`` splits it but every array of the
+    head allocated afresh: ``z`` by concatenation, and each chunk's ``dH``
+    terms as one product ``scatter.T @ vals`` over all n columns of the
+    stacked rows ``[Px; Py; M]``."""
+    fwd = propagate(params, batch.sym, batch.x)
+    h = fwd["h"]
+    n, d = h.shape
+    m = len(batch.pairs)
+    logits, dlogits = np.empty(m), np.empty(m)
+    dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
+    dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
+    for rows in _chunks(m):
+        xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
+        z = np.concatenate([h[xs] * h[ys], batch.incidence[rows] @ h], axis=1)
+        if params.use_priors:
+            z = np.concatenate([z, batch.priors[rows]], axis=1)
+        pre_h = z @ params.wh + params.bh
+        act = np.maximum(pre_h, 0.0)
+        logits[rows] = act @ params.wo + params.bo
+
+        dlogits[rows] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
+        dwo += act.T @ dlogits[rows]
+        dpre_h = np.outer(dlogits[rows], params.wo) * (pre_h > 0.0)
+        dwh += z.T @ dpre_h
+        dbh += dpre_h.sum(axis=0)
+        dz = dpre_h @ params.wh.T
+        de1, de2 = dz[:, :d], dz[:, d : 2 * d]
+        scatter = sp.vstack(
+            [_indicator_rows(xs, n), _indicator_rows(ys, n), batch.incidence[rows]],
+            format="csr",
+        )
+        dh += scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
+    loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
+
+    dz1 = (batch.sym @ (dh @ params.w2.T)) * (fwd["z1"] > 0.0)
+    grads = {
+        "w1": batch.x.T @ (batch.sym @ dz1),
+        "w2": fwd["q"].T @ dh,
+        "wh": dwh,
+        "bh": dbh,
+        "wo": dwo,
+        "bo": float(dlogits.sum()),
+    }
+    return loss, grads, dh
+
+
 def predict(params: BackboneParams, batch: LinkBatch) -> np.ndarray:
     """:func:`predict_batch` on the node embeddings ``params`` propagate to."""
     return predict_batch(params, batch, propagate(params, batch.sym, batch.x)["h"])
@@ -76,7 +137,7 @@ def forward_loss(params: BackboneParams, batch: LinkBatch) -> float:
     head's logits chunk by chunk, with no gradient computed."""
     h = propagate(params, batch.sym, batch.x)["h"]
     logits = np.concatenate(
-        [_head(params, batch, rows, h)[3] for rows in _chunks(len(batch.pairs))]
+        [_head(params, batch, rows, h)[2] for rows in _chunks(len(batch.pairs))]
     )
     return float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 

@@ -16,7 +16,7 @@ import pytest
 from classlink.backbone import TrainConfig, init_params, make_scorer, train
 from classlink.backbone import BatchBuilder
 from classlink.clustering import aggregate_features, elbow_kmeans, kmeans, louvain
-from classlink.evaluation import bench_prior_runtime, evaluate_split
+from classlink.evaluation import evaluate_split
 from classlink.graph import build_graph, load_graph, split_edges
 from classlink.heuristics import GammaDecayConfig, make_heuristic_scorer
 from classlink.priors import (
@@ -27,6 +27,7 @@ from classlink.priors import (
 
 from backbone_oracles import gradient_check
 from conftest import CITATION_DIR, citation_files, planted_two_class, random_edges
+from prior_bench import bench_prior_runtime
 
 RATIOS = (0.85, 0.05, 0.10)
 EVAL_SEEDS = (0, 1, 2, 3, 4)

@@ -48,6 +48,7 @@ from backbone_oracles import (
     ncn_embed,
     ncnc_embed,
     predict,
+    stacked_step,
 )
 from conftest import planted_two_class, random_edges
 from test_cli import write_dataset
@@ -560,6 +561,80 @@ class TestChunkedHead:
         assert fit8 - fit4 <= allowance, (fit4, fit8)
         assert predict8 - predict4 <= allowance, (predict4, predict8)
 
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_is_bit_identical_to_the_stacked_scatter(
+        self, monkeypatch, ragged_chunks, mode
+    ):
+        """The in-place head and the touched-row ``dH`` scatter give the loss,
+        ``dH`` and every gradient of a step whose head allocates afresh and
+        scatters each chunk over all n nodes, bit for bit: on graphs with
+        isolated nodes, with duplicate and x > y pairs, in ragged chunks and
+        in chunks of 64."""
+        use_priors = mode != "backbone_only"
+        for seed in range(4):
+            g, _, labels, pairs = incidence_instance(60 + seed, n_pairs=150)
+            prior = count_class_links(g.undirected_edges(), labels, 3)
+            builder = BatchBuilder.create(
+                g,
+                mode,
+                prior if use_priors else None,
+                labels if use_priors else None,
+                fixed_scorer if mode == "ncnc" else None,
+            )
+            rng = np.random.default_rng(1224 + seed)
+            batch = builder.build(pairs, rng.integers(0, 2, size=len(pairs)).astype(float))
+            params = init_params(5, TrainConfig(dim=8, hidden=16, seed=seed), use_priors)
+            params.bh += 0.1 * rng.standard_normal(params.bh.shape)
+            h = propagate(params, batch.sym, batch.x)["h"]
+            assert len(pairs) > 64 and len(pairs) % 64 > 1
+            for chunk in ("ragged", 64):
+                if chunk == "ragged":
+                    ragged_chunks(len(pairs))
+                else:
+                    monkeypatch.setattr(backbone, "HEAD_CHUNK", chunk)
+                want_loss, want_grads, want_dh = stacked_step(params, batch)
+                loss, grads = loss_and_grads(params, batch)
+                assert loss == want_loss, (seed, chunk)
+                np.testing.assert_array_equal(
+                    backbone._head_grads(params, batch, h)[2], want_dh
+                )
+                assert grads.keys() == want_grads.keys()
+                for name, want in want_grads.items():
+                    np.testing.assert_array_equal(
+                        grads[name], want, err_msg=f"{name}, seed {seed}, chunk {chunk}"
+                    )
+
+    def test_step_allocates_nothing_node_sized_per_chunk(self):
+        """With the pairs fixed and n doubled by isolated nodes, the peak
+        memory of the head's chunk loop above its n × d input and output does
+        not grow: each chunk scatters ``dH`` over the nodes it touches, not
+        over all n.  The slack covers Python objects, against the 384 KiB
+        that an n × d array per chunk adds."""
+        rng = np.random.default_rng(1225)
+        core, d = 300, 16
+        edges = rng.integers(0, core, size=(2400, 2))
+        feats = rng.standard_normal((core, 20))
+        labels = rng.integers(0, 4, size=core)
+        pairs = rng.integers(0, core, size=(4 * backbone.HEAD_CHUNK, 2))
+        targets = rng.integers(0, 2, size=len(pairs)).astype(float)
+        params = init_params(20, TrainConfig(dim=d, hidden=16, seed=0), True)
+
+        def rise(n):
+            pad = n - core
+            g = build_graph(
+                n,
+                edges,
+                features=np.vstack([feats, np.ones((pad, 20))]),
+                labels=np.concatenate([labels, np.zeros(pad, dtype=np.int64)]),
+            )
+            prior = count_class_links(g.undirected_edges(), g.labels, 4)
+            batch = BatchBuilder.create(g, "ncn", prior, g.labels).build(pairs, targets)
+            h = propagate(params, batch.sym, batch.x)["h"]
+            return peak_rise(lambda: backbone._head_grads(params, batch, h)) - h.nbytes
+
+        small, large = rise(3000), rise(6000)
+        assert large - small <= 16384, (small, large)
 
     @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
     def test_scorer_memory_does_not_grow_with_the_pair_count(self, mode):

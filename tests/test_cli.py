@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
+import ctypes
+import importlib
 import json
 import hashlib
 import subprocess
@@ -520,3 +522,49 @@ class TestModelScorerInputs:
         assert main(["evaluate", "--config", str(cfg)]) == 0
         assert (out / "eval/report.json").read_bytes() == report
         assert sha(out / "eval/scores.csv") == scores
+
+
+class TestProcessEntry:
+    """``python -m classlink`` and the ``classlink`` script set glibc's heap
+    top pad and mmap threshold; importing the package and an in-process
+    ``cli.main`` leave the allocator as it is."""
+
+    class Libc:
+        def __init__(self, calls):
+            self.calls = calls
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_heap_setting_only_at_process_entry(self, tmp_path, monkeypatch, capsys):
+        import classlink
+
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: self.Libc(calls))
+        importlib.reload(classlink)
+        entry = importlib.reload(importlib.import_module("classlink.__main__"))
+        assert calls == []
+
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(f"edges: {tmp_path}/absent.txt\nmode: backbone_only\n")
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        assert calls == []
+        assert entry.main(["ingest", "--config", str(cfg)]) == 1
+        assert calls == [(-2, 64 << 20), (-3, 32 << 20)]  # M_TOP_PAD, M_MMAP_THRESHOLD
+        assert capsys.readouterr().err.count("error[config]:") == 2
+
+    def test_console_script_enters_through_the_heap_setting(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert project["project"]["scripts"]["classlink"] == "classlink.__main__:main"
+
+    def test_heap_setting_is_a_no_op_without_mallopt(self, monkeypatch):
+        from classlink.__main__ import keep_heap
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        for cdll in (lambda name: object(), no_library):
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            assert keep_heap() is None

@@ -10,7 +10,6 @@ import pytest
 from classlink.errors import ConfigurationError, NumericError
 from classlink.evaluation import (
     EvalReport,
-    bench_prior_runtime,
     compute_metric,
     evaluate_split,
     hr_at_k,
@@ -24,6 +23,7 @@ from classlink.heuristics import make_heuristic_scorer
 from classlink.rand import STREAM_EVAL
 
 from conftest import random_edges
+from prior_bench import bench_prior_runtime
 from test_graph import oracle_sample_negatives
 
 

@@ -22,7 +22,7 @@ from . import artifacts
 from .errors import ConfigurationError, NumericError
 from .graph import EdgeSplit, Graph, sample_negative_pools
 from .heuristics import Scorer
-from .rand import STREAM_EVAL, make_rng
+from .rand import STREAM_EVAL
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,14 @@ def evaluate_split(
         if per_edge_negatives < 1:
             raise ConfigurationError("per-edge negative count must be >= 1")
         n_negatives = int(per_edge_negatives)
-        # positive i draws its pool on the stream (seed, STREAM_EVAL, i)
-        index = np.arange(len(positives))
+        # positive i draws its pool on the stream (seed, STREAM_EVAL, i); an
+        # object column holds a root seed of any size
         seeds = np.column_stack(
-            [np.full_like(index, seed), np.full_like(index, STREAM_EVAL), index]
+            [
+                np.full(len(positives), seed, dtype=object),
+                np.full(len(positives), STREAM_EVAL),
+                np.arange(len(positives)),
+            ]
         )
         t1 = time.perf_counter()
         per_edge_pools = sample_negative_pools(graph, n_negatives, seeds)

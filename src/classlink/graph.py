@@ -6,7 +6,12 @@ ids, and ``features``, the ``n × F`` node features.  ``adj`` is symmetric,
 with sorted, strictly increasing neighbour lists and no self-loops or
 parallel edges; construction canonicalizes arbitrary edge lists into this
 form, so two input files describing the same edge set (in any order, with
-duplicates either way around) produce bit-identical graphs.  ``features``
+duplicates either way around) produce bit-identical graphs.  Construction
+works on 1-D pair keys: every non-loop edge ``(u, v)`` gives the keys
+``u * n + v`` and ``v * n + u``, and one in-place sort and dedup of those
+keys lists the stored entries row by row, so the CSR's row starts and column
+ids are read straight off them.  The keys are int64, which bounds a graph to
+``n * n - 1 < 2**63``, that is fewer than 3.03e9 nodes.  ``features``
 stores every entry whose bit pattern is nonzero (so ``-0.0`` is kept and
 ``0.0`` is not), with sorted column indices; no dense ``n × F`` copy is ever
 built, neither at ingestion nor when ``graph.json`` is read.
@@ -20,6 +25,7 @@ features or labels, which downstream leakage checks rely on.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,7 +40,7 @@ from .errors import (
     DimensionError,
     ParseError,
 )
-from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
+from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng, make_rngs
 
 
 # ---------------------------------------------------------------------------
@@ -165,42 +171,84 @@ def _freeze_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
-def _canonical_undirected(edges: np.ndarray) -> np.ndarray:
-    """Dedup + drop self-loops + orient u < v + lex-sort an edge array."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if lo.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(np.column_stack([lo, hi]), axis=0)
+# Largest node count whose pair keys ``u * n + v`` fit in int64: n * n - 1 < 2**63.
+_MAX_NODES = 3_037_000_499
 
 
 def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """The symmetric 0/1 adjacency of an edge list, with sorted rows."""
-    und = _canonical_undirected(edges)
-    if und.size and (und.min() < 0 or und.max() >= n_nodes):
-        raise DimensionError(
-            f"edge endpoint {int(und.max())} out of range for {n_nodes} nodes"
+    """The symmetric 0/1 adjacency of an edge list, with sorted rows.
+
+    Self-loops are dropped before the range check.  Every other edge gives
+    the keys ``u * n + v`` and ``v * n + u``; one in-place sort and dedup of
+    those keys lists the stored entries row by row, columns ascending.
+    """
+    if n_nodes > _MAX_NODES:
+        raise ConfigurationError(
+            f"{n_nodes} nodes exceed the {_MAX_NODES} whose pair keys fit in int64"
         )
-    src = np.concatenate([und[:, 0], und[:, 1]])
-    dst = np.concatenate([und[:, 1], und[:, 0]])
-    order = np.lexsort((dst, src))
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_nodes))])
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    loops = u == v
+    if loops.any():
+        u, v = u[~loops], v[~loops]
+    bad_u = (u < 0) | (u >= n_nodes)
+    bad = bad_u | (v < 0) | (v >= n_nodes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        node = int(u[i] if bad_u[i] else v[i])
+        raise DimensionError(f"edge endpoint {node} out of range for {n_nodes} nodes")
+
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n_nodes, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n_nodes, out=keys[m:])
+    keys[m:] += u
+    del u, v, edges
+    keys.sort()
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    del distinct
+
+    index = np.int32 if max(n_nodes, keys.size) <= np.iinfo(np.int32).max else np.int64
+    row_starts = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
+    indptr = np.searchsorted(keys, row_starts).astype(index)
+    keys %= n_nodes
+    indices = keys.astype(index)
+    del keys
     adj = sp.csr_matrix(
-        (np.ones(dst.size), dst[order], offsets), shape=(n_nodes, n_nodes)
+        (np.ones(indices.size), indices, indptr), shape=(n_nodes, n_nodes)
     )
     return _freeze_csr(adj)
 
 
 def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_matrix:
     """Dense or sparse features as CSR with sorted columns, duplicates summed,
-    and every entry whose bit pattern is nonzero kept (``-0.0`` too)."""
+    and every entry whose bit pattern is nonzero kept (``-0.0`` too).
+
+    A canonical float64 CSR keeps its arrays (frozen, and shared with the
+    input) with only its explicit ``+0.0`` entries dropped; anything else
+    goes through COO.
+    """
     shape = features.shape if sp.issparse(features) else np.shape(features)
     if len(shape) != 2 or shape[0] != n_nodes:
         raise DimensionError(
             f"feature matrix shape {shape} does not match {n_nodes} nodes"
         )
+    if (
+        sp.issparse(features)
+        and features.format == "csr"
+        and features.dtype == np.float64
+        and features.has_canonical_format
+    ):
+        data, indices, indptr = features.data, features.indices, features.indptr
+        stored = data.view(np.int64) != 0
+        if not stored.all():
+            indptr = np.concatenate([[0], np.cumsum(stored)])[indptr]
+            data, indices = data[stored], indices[stored]
+        return _freeze_csr(sp.csr_matrix((data, indices, indptr), shape=shape))
     if sp.issparse(features):
         coo = sp.coo_matrix(features, dtype=np.float64, copy=True)
         coo.sum_duplicates()
@@ -226,8 +274,9 @@ def build_graph(
 
     ``edges`` may be in any order, contain duplicates (either orientation) and
     self-loops; the result is canonical.  ``features`` may be a dense array
-    or any scipy sparse matrix; both give the same CSR.  ``labels`` uses
-    ``-1`` for unlabeled nodes.
+    or any scipy sparse matrix; both give the same CSR.  A canonical float64
+    CSR is not copied: the graph shares its arrays and makes them read-only.
+    ``labels`` uses ``-1`` for unlabeled nodes.
     """
     if n_nodes < 1:
         raise ConfigurationError(f"graph needs at least one node, got {n_nodes}")
@@ -381,16 +430,21 @@ def load_graph(
 
     features = None
     if feature_path is not None:
-        rows = np.repeat(np.arange(len(feature_cols)), [c.size for c in feature_cols])
+        # rows 0 .. len(feature_cols) - 1 in order, columns ascending: a
+        # canonical CSR; nodes without a feature row get empty rows
+        sizes = np.zeros(n_nodes, dtype=np.int64)
+        sizes[: len(feature_cols)] = [c.size for c in feature_cols]
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
         values = np.concatenate([np.zeros(0), *feature_vals])
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
+            row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
             raise ParseError(
-                f"{feature_path}:{feature_lines[rows[bad[0]]]}: non-finite feature "
+                f"{feature_path}:{feature_lines[row]}: non-finite feature "
                 f"value {values[bad[0]]}"
             )
-        features = sp.coo_matrix(
-            (values, (rows, np.concatenate([np.zeros(0, dtype=np.int64), *feature_cols]))),
+        features = sp.csr_matrix(
+            (values, np.concatenate([np.zeros(0, dtype=np.int64), *feature_cols]), indptr),
             shape=(n_nodes, n_feature_cols or 0),
         )
 
@@ -576,12 +630,13 @@ def sample_negative_pools(
 ) -> np.ndarray:
     """One pool of ``count`` distinct non-edges per seed, ``(len(seeds), count, 2)``.
 
-    Each seed is an int or a tuple of ints (a row of a 2-D int array works
-    too) and gets its own generator.  Pool ``i`` is what sampling on
-    ``seeds[i]`` alone gives: the generator draws batches of
-    ``max(1024, 2 * missing)`` candidates, all ``u`` then all ``v``; self-pairs
-    and edges are rejected and new pairs are kept in order of first
-    occurrence.  Whether a candidate is an edge is looked up in its own
+    Each seed is an int or a tuple of ints (a row of a 2-D int or object
+    array works too) and gets its own generator from
+    :func:`~classlink.rand.make_rngs`, the one ``make_rng(*seed)`` builds.
+    Pool ``i`` is what sampling on ``seeds[i]`` alone gives: the generator
+    draws batches of ``max(1024, 2 * missing)`` candidates, all ``u`` then
+    all ``v``; self-pairs and edges are rejected and new pairs are kept in
+    order of first occurrence.  Whether a candidate is an edge is looked up in its own
     sorted row of ``g.adj``.  Each batch is first filtered on a prefix
     just long enough to fill a pool, falling back to the whole batch only for
     the pools that prefix leaves short.
@@ -596,11 +651,9 @@ def sample_negative_pools(
         )
 
     pools = np.zeros((len(seeds), count), dtype=np.int64)
+    generators = make_rngs(seeds)
     for start in range(0, len(seeds), _SEED_CHUNK):
-        rngs = [
-            make_rng(s) if isinstance(s, (int, np.integer)) else make_rng(*s)
-            for s in seeds[start : start + _SEED_CHUNK]
-        ]
+        rngs = list(itertools.islice(generators, _SEED_CHUNK))
         pools[start : start + len(rngs)] = _draw_pools(rngs, count, g.adj)
     return np.stack([pools // n, pools % n], axis=-1)
 

@@ -190,6 +190,27 @@ class TestRunAll:
         ).read_bytes()
 
 
+class TestLargeSeed:
+    def test_root_seed_beyond_int64_runs_per_edge_evaluation(self, dataset, capsys):
+        """A root seed of 2**64 + 5 passes config validation; every stage,
+        per-edge evaluation included, runs to the end on it."""
+        tmp, _ = dataset
+        extra = {
+            "label_source": "louvain",
+            "scorer": "hc",
+            "hc_base": "ra",
+            "per_edge_negatives": 30,
+            "metric": "hr@20",
+        }
+        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out", **extra)
+        cfg.write_text(cfg.read_text().replace("seed: 3\n", f"seed: {2**64 + 5}\n"))
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1].startswith("evaluate:") and "vs 30 negatives" in lines[-1]
+        report = json.loads((tmp / "out" / "eval" / "report.json").read_text())
+        assert report["seed"] == 2**64 + 5
+
+
 class TestLabelSources:
     def test_kmeans_grid_writes_curve_and_chosen_k(self, dataset):
         tmp, stats = dataset

@@ -199,6 +199,27 @@ class TestEvaluateSplit:
         )
         np.testing.assert_array_equal(pools, expect)
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64 + 5])
+    def test_per_edge_pools_of_a_root_seed_beyond_int64(self, seed):
+        g, split = make_split(negatives=10)
+        calls = []
+
+        def recording(pairs):
+            calls.append(np.asarray(pairs).copy())
+            return np.zeros(len(pairs))
+
+        report = evaluate_split(
+            recording, split, "mrr", seed=seed, per_edge_negatives=15, graph=g
+        )
+        assert report.seed == seed
+        expect = np.concatenate(
+            [
+                oracle_sample_negatives(g, 15, (seed, STREAM_EVAL, i))
+                for i in range(len(split.test_edges))
+            ]
+        )
+        np.testing.assert_array_equal(calls[1], expect)
+
     def test_shared_pool_samples_nothing(self):
         g, split = make_split()
         report = evaluate_split(make_heuristic_scorer("cn", g), split, "mrr", seed=1)

@@ -16,6 +16,7 @@ from classlink.errors import (
 )
 from classlink import graph as graph_module
 from classlink.graph import (
+    EdgeSplit,
     build_graph,
     load_graph,
     load_graph_json,
@@ -74,6 +75,29 @@ def oracle_sample_negatives(g, count, seed, stats=None):
     return np.array([[k // n, k % n] for k in chosen], dtype=np.int64).reshape(-1, 2)
 
 
+def oracle_csr_from_edges(edges: np.ndarray, n: int) -> sp.csr_matrix:
+    """The earlier canonicaliser: ``np.unique(axis=0)`` over ``(lo, hi)`` rows,
+    then a ``lexsort`` of both directions into a CSR."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    und = np.unique(np.column_stack([lo, hi]), axis=0).reshape(-1, 2)
+    src = np.concatenate([und[:, 0], und[:, 1]])
+    dst = np.concatenate([und[:, 1], und[:, 0]])
+    order = np.lexsort((dst, src))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return sp.csr_matrix((np.ones(dst.size), dst[order], offsets), shape=(n, n))
+
+
+def assert_same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
+    assert a.shape == b.shape
+    for part in ("data", "indices", "indptr"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype, part
+        assert x.tobytes() == y.tobytes(), part
+
+
 class TestConstruction:
     def test_csr_matches_set_oracle_on_random_graphs(self):
         rng = np.random.default_rng(701)
@@ -123,6 +147,95 @@ class TestConstruction:
             triangle.degree(4)
         with pytest.raises(ConfigurationError):
             triangle.neighbors(-1)
+
+
+class TestPairKeys:
+    def test_adjacency_is_bit_identical_to_the_unique_oracle(self):
+        rng = np.random.default_rng(716)
+        for trial in range(60):
+            n = int(rng.integers(1, 80))
+            edges = random_edges(rng, n, float(rng.uniform(0.0, 0.4)))
+            # isolated nodes past the largest endpoint, both orientations,
+            # duplicates, self-loops and shuffled input
+            n_total = n + int(rng.integers(0, 5))
+            loops = np.repeat(rng.integers(0, n_total, size=(int(rng.integers(0, 4)), 1)), 2, 1)
+            noisy = np.concatenate(
+                [edges, edges[:, ::-1], edges[rng.integers(0, max(len(edges), 1), size=len(edges) // 3)], loops]
+            ).reshape(-1, 2)
+            noisy = noisy[rng.permutation(len(noisy))]
+            g = build_graph(n_total, noisy)
+            assert_same_csr(g.adj, oracle_csr_from_edges(noisy, n_total))
+            assert g.adj.indices.dtype == np.int32 and g.adj.indptr.dtype == np.int32
+            split = EdgeSplit(
+                n_total, edges, *(np.empty((0, 2), dtype=np.int64),) * 4, seed=trial
+            )
+            assert_same_csr(split.train_graph(g).adj, oracle_csr_from_edges(edges, n_total))
+        for edges in (np.empty((0, 2), dtype=np.int64), np.array([[2, 2], [0, 0]])):
+            assert_same_csr(build_graph(4, edges).adj, oracle_csr_from_edges(edges, 4))
+
+    @pytest.mark.parametrize(
+        "edges, node",
+        [
+            ([[0, 1], [-2, 3]], -2),
+            ([[0, 1], [3, 9], [-1, 2]], 9),
+            ([[4, 4], [7, 7], [1, 5], [6, 0]], 5),
+            ([[-3, -3], [0, 1], [2, -1]], -1),
+        ],
+    )
+    def test_out_of_range_names_the_first_offending_id(self, edges, node):
+        with pytest.raises(DimensionError, match=f"endpoint {node} out of range for 5 nodes"):
+            build_graph(5, np.array(edges))
+
+    def test_self_loops_are_dropped_before_the_range_check(self):
+        g = build_graph(3, np.array([[-2, -2], [0, 1], [9, 9]]))
+        assert g.undirected_edges().tolist() == [[0, 1]]
+
+    def test_pair_keys_bound_the_node_count(self):
+        bound = graph_module._MAX_NODES
+        assert bound * bound - 1 <= np.iinfo(np.int64).max < (bound + 1) ** 2 - 1
+        with pytest.raises(ConfigurationError, match="pair keys"):
+            graph_module._csr_from_edges(np.empty((0, 2), dtype=np.int64), bound + 1)
+
+
+class TestFeaturePassThrough:
+    @staticmethod
+    def coo_path(x: sp.csr_matrix, n: int) -> sp.csr_matrix:
+        """The COO route every non-canonical input takes."""
+        return graph_module._feature_csr(sp.coo_matrix(x), n)
+
+    def test_canonical_csr_equals_the_coo_path(self):
+        rng = np.random.default_rng(717)
+        for _ in range(30):
+            n, width = int(rng.integers(1, 25)), int(rng.integers(0, 9))
+            dense = np.where(
+                rng.random((n, width)) < 0.3, rng.standard_normal((n, width)), 0.0
+            )
+            x = sp.csr_matrix(dense)
+            # explicit +0.0 and -0.0 entries, and some empty rows
+            if x.nnz:
+                x.data[rng.random(x.nnz) < 0.2] = 0.0
+                x.data[rng.random(x.nnz) < 0.2] = -0.0
+            x.data[x.indptr[0] : x.indptr[min(2, n)]] = 0.0
+            assert x.has_canonical_format
+            got = graph_module._feature_csr(x, n)
+            assert_same_csr(got, self.coo_path(x, n))
+            assert not (got.data.view(np.int64) == 0).any()
+            assert np.signbit(got.data).sum() == np.signbit(x.data).sum()
+
+    def test_arrays_are_kept_as_given(self):
+        x = sp.csr_matrix(np.array([[0.0, 1.5], [0.0, 0.0], [-0.0, 2.0]]))
+        x.data[0] = -0.0  # 1.5 becomes -0.0: every entry still stored
+        got = graph_module._feature_csr(x, 3)
+        assert np.shares_memory(got.data, x.data) and np.shares_memory(got.indices, x.indices)
+        assert_same_csr(got, self.coo_path(x, 3))
+        assert got.nnz == 2 and np.signbit(got.data[0])
+
+    def test_feature_file_gives_the_dense_path_arrays(self, tmp_path):
+        (tmp_path / "features.csv").write_text("a,0,1.5,-0.0\nb,0,0,0\nc,2,0,0.0\n")
+        (tmp_path / "edges.txt").write_text("a b\nc d\n")
+        g = load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
+        dense = np.array([[0, 1.5, -0.0], [0, 0, 0], [2, 0, 0], [0, 0, 0]])
+        assert_same_csr(g.features, build_graph(4, np.empty((0, 2)), features=dense).features)
 
 
 class TestCommonNeighbors:

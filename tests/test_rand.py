@@ -96,3 +96,107 @@ def test_readme_determinism_table_lists_every_stream():
         name: str(value) for name, value in vars(rand).items() if name.startswith("STREAM_")
     }
     assert documented == streams
+
+
+def _flat(seed) -> list:
+    """The parts ``make_rng(*seed)`` hashes, for an int or a tuple seed."""
+    flat: list = []
+    for part in seed if isinstance(seed, (list, tuple)) else [seed]:
+        flat.extend(part if isinstance(part, (list, tuple)) else [part])
+    return flat
+
+
+STAGE1 = rand.derive_seed(3, rand.STREAM_INIT)  # ncnc stage 1's 64-bit root
+
+
+class TestBatchSeeding:
+    # one to four words per part, all in one call
+    SEEDS = [
+        0,
+        2**32 - 1,
+        2**32,
+        2**64 + 5,
+        STAGE1,
+        (STAGE1, rand.STREAM_TRAIN_NEG, 4),
+        (2**64 + 5, rand.STREAM_EVAL, 0),
+        (0, 0),
+        (7, [1, 2**40]),
+        (2**100, 2**32 - 1, 2**32, 1, 2, 3),
+    ]
+
+    def test_words_equal_seed_sequence_state(self):
+        states = rand._seed_states(self.SEEDS)
+        assert states.dtype == np.uint64 and states.shape == (len(self.SEEDS), 4)
+        for seed, row in zip(self.SEEDS, states):
+            expect = np.random.SeedSequence(_flat(seed)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expect)
+
+    def test_random_parts_of_every_size(self):
+        rng = np.random.default_rng(730)
+
+        def part() -> int:  # 0 up to about 2**142: one to five words
+            return int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62)) << int(
+                rng.integers(0, 80)
+            )
+
+        seeds = [tuple(part() for _ in range(int(rng.integers(1, 9)))) for _ in range(300)]
+        for seed, row in zip(seeds, rand._seed_states(seeds)):
+            expect = np.random.SeedSequence(list(seed)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expect)
+
+    def test_int_and_object_arrays_equal_tuples(self):
+        table = np.empty((40, 3), dtype=np.uint64)
+        table[:, 0], table[:, 1], table[:, 2] = STAGE1, 7, np.arange(40) * 2**31
+        assert int(table[0, 0]) == STAGE1
+        tuples = [tuple(int(p) for p in row) for row in table]
+        expect = rand._seed_states(tuples)
+        np.testing.assert_array_equal(rand._seed_states(table), expect)
+        np.testing.assert_array_equal(rand._seed_states(table.astype(object)), expect)
+        signed = table[:, 1:].astype(np.int64)
+        np.testing.assert_array_equal(
+            rand._seed_states(signed), rand._seed_states([tuple(r) for r in signed.tolist()])
+        )
+        np.testing.assert_array_equal(
+            rand._seed_states(np.arange(5)), rand._seed_states([0, 1, 2, 3, 4])
+        )
+        assert rand._seed_states([]).shape == (0, 4)
+
+    def test_streams_equal_make_rng(self):
+        rngs = list(rand.make_rngs(self.SEEDS))
+        assert len(rngs) == len(self.SEEDS)
+        for seed, rng in zip(self.SEEDS, rngs):
+            one = rand.make_rng(*seed) if isinstance(seed, tuple) else rand.make_rng(seed)
+            assert rng.integers(0, 2**63, size=50).tolist() == one.integers(
+                0, 2**63, size=50
+            ).tolist()
+            assert rng.random(5).tolist() == one.random(5).tolist()
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, (3, -1), 2.0, (3, 1.5), True, (1, np.bool_(True)), (4, np.float64(4.0)), "3"],
+    )
+    def test_bad_parts_raise_what_make_rng_raises(self, seed):
+        with pytest.raises(ConfigurationError) as expected:
+            rand.make_rng(*_flat(seed))
+        with pytest.raises(ConfigurationError) as got:
+            rand.make_rngs([5, seed, (1, 2)])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array([[1, 2], [3, -4]]),
+            np.array([[1.0, 2.0]]),
+            np.array([[True, False]]),
+            np.array([[1, 2], [3, 2.5]], dtype=object),
+            np.array([[1, 2], [3, True]], dtype=object),
+        ],
+        ids=["negative", "float", "bool", "object_float", "object_bool"],
+    )
+    def test_bad_array_parts_raise(self, table):
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            rand.make_rngs(table)
+
+    def test_a_seed_needs_a_part(self):
+        with pytest.raises(ValueError, match="at least one seed part"):
+            rand.make_rngs([1, ()])

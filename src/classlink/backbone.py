@@ -36,13 +36,13 @@ separate from the edge head, so a frozen model propagates once:
 :func:`make_scorer` caches its ``H``, and training propagates once per epoch
 for both validation batches.
 
-The edge head runs over fixed-size chunks of ``HEAD_CHUNK`` pairs.  A
-training step (:func:`loss_and_grads`) runs the head once per chunk and
-takes that chunk's share of the head gradients and ``dH`` from the same
-forward, so nothing of the head is kept or recomputed between chunks.  A
-chunk allocates its working set once: one ``z`` that is overwritten by
-``dz``, one hidden array that holds the pre-activations, the activations
-and then ``dpre_h`` and is freed once ``dz`` is formed, and the
+The edge head runs over :func:`~classlink.graph.pair_chunks` of
+``HEAD_CHUNK`` pairs.  A training step (:func:`loss_and_grads`) runs the
+head once per chunk and takes that chunk's share of the head gradients and
+``dH`` from the same forward, so nothing of the head is kept or recomputed
+between chunks.  A chunk allocates its working set once: one ``z`` that is
+overwritten by ``dz``, one hidden array that holds the pre-activations, the
+activations and then ``dpre_h`` and is freed once ``dz`` is formed, and the
 ``3·chunk × d`` values of the ``dH`` scatter.  The scatter runs over the
 nodes the chunk touches, so no chunk allocates anything n-sized: beyond the
 node-sized arrays and a few pair-length vectors, the head's memory is
@@ -57,7 +57,6 @@ all n columns.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -67,8 +66,9 @@ import scipy.sparse as sp
 from . import artifacts
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
-from .graph import EdgeSplit, Graph, sample_negatives
-from .heuristics import Scorer
+from .graph import (
+    EdgeSplit, Graph, Scorer, check_pairs, chunked_scorer, pair_chunks, sample_negatives
+)
 from .priors import ClassPriorMatrix, lookup_prior_batch
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, is_seed, make_rng
 
@@ -240,20 +240,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _chunks(m: int) -> Iterator[slice]:
-    """Consecutive row slices of ``m`` pairs, ``HEAD_CHUNK`` rows each.
-
-    The last slice takes the rest, and a one-pair rest joins the slice before
-    it: numpy multiplies a single row through gemv rather than gemm, which
-    sums in another order, so a one-row chunk would not give the bits of an
-    unchunked pass.
-    """
-    start = 0
-    for stop in [*range(HEAD_CHUNK, m - 1, HEAD_CHUNK), m]:
-        yield slice(start, stop)
-        start = stop
-
-
 def _head(
     params: BackboneParams, batch: LinkBatch, rows: slice, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,7 +268,7 @@ def predict_batch(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np
     """Link probabilities for a batch, strictly inside (0, 1), on the node
     embeddings ``h`` that ``params`` propagate to."""
     logits = np.empty(len(batch.pairs))
-    for rows in _chunks(len(logits)):
+    for rows in pair_chunks(len(logits), HEAD_CHUNK):
         logits[rows] = _head(params, batch, rows, h)[2]
     return np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
 
@@ -310,7 +296,7 @@ def _head_grads(
     logits, dlogits = np.empty(m), np.empty(m)
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
-    for rows in _chunks(m):
+    for rows in pair_chunks(m, HEAD_CHUNK):
         z, act, logits[rows] = _head(params, batch, rows, h)
         dl = dlogits[rows]
         dl[:] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
@@ -412,10 +398,7 @@ class BatchBuilder:
         )
 
     def build(self, pairs: np.ndarray, targets: np.ndarray | None = None) -> LinkBatch:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        n = self.adj.shape[0]
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            raise ConfigurationError(f"pair node id out of range [0, {n})")
+        pairs = check_pairs(pairs, self.adj.shape[0])
         if targets is None:
             targets = np.zeros(len(pairs))
         xs, ys = pairs[:, 0], pairs[:, 1]
@@ -605,9 +588,10 @@ def make_scorer(
     A model outside ``backbone_only`` scores with the class prior it was
     trained with and the labels it was counted from.  The model's node
     embeddings are computed once, here, so the parameters are taken as they
-    are at this call.  The scorer builds the incidence of one head chunk of
-    pairs at a time, so its memory is set by the chunk, not by the number of
-    pairs, and every probability keeps the bits of a one-batch pass.
+    are at this call.  The scorer checks the batch's ids before it builds
+    anything, then the incidence of one head chunk of pairs at a time, so its
+    memory is set by the chunk, not by the number of pairs, and every
+    probability keeps the bits of a one-batch pass.
     """
     if not model.params.use_priors:
         prior = labels = None
@@ -624,15 +608,11 @@ def make_scorer(
         completion_scorer = make_scorer(stage1, g_train, prior, labels)
     builder = BatchBuilder.create(g_train, model.mode, prior, labels, completion_scorer)
     h = propagate(model.params, builder.sym, builder.x)["h"]
-
-    def score(pairs: np.ndarray) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        probs = np.empty(len(pairs))
-        for rows in _chunks(len(pairs)):
-            probs[rows] = predict_batch(model.params, builder.build(pairs[rows]), h)
-        return probs
-
-    return score
+    return chunked_scorer(
+        lambda chunk: predict_batch(model.params, builder.build(chunk), h),
+        g_train.n_nodes,
+        lambda: HEAD_CHUNK,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .errors import ConfigurationError, NumericError
-from .graph import EdgeSplit, Graph, sample_negative_pools
-from .heuristics import Scorer
+from .errors import ClasslinkError, ConfigurationError, NumericError
+from .graph import EdgeSplit, Graph, Scorer, sample_negative_pools
 from .rand import STREAM_EVAL
 
 
@@ -189,14 +188,19 @@ def evaluate_split(
 
 
 def _score_batch(scorer: Scorer, pairs: np.ndarray, context: str) -> np.ndarray:
+    """Scores of ``pairs``; a scorer's :class:`ClasslinkError` keeps its class."""
     try:
         scores = np.asarray(scorer(pairs), dtype=np.float64)
     except Exception as exc:
         first = pairs[0].tolist() if len(pairs) else None
-        raise NumericError(
+        message = (
             f"scorer failed while scoring {context} "
             f"({len(pairs)} pairs, first={first}): {exc}"
-        ) from exc
+        )
+        if isinstance(exc, ClasslinkError):
+            exc.args = (message,)
+            raise
+        raise NumericError(message) from exc
     if scores.shape != (len(pairs),):
         raise NumericError(
             f"scorer returned shape {scores.shape} for {len(pairs)} {context}"

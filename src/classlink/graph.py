@@ -26,7 +26,7 @@ features or labels, which downstream leakage checks rely on.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -153,6 +153,59 @@ class EdgeSplit:
         if which == "valid":
             return self.valid_edges, self.valid_negatives
         raise ConfigurationError(f"unknown split part '{which}'")
+
+
+Scorer = Callable[[np.ndarray], np.ndarray]
+"""Batch scorer: maps an ``(m, 2)`` pair array to ``(m,)`` float scores."""
+
+
+def check_pairs(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    """``pairs`` as an ``(m, 2)`` int64 array of node ids in ``[0, n_nodes)``.
+
+    An id out of range or not an integer (``0.5``, NaN) raises
+    :class:`ConfigurationError` naming the first such id in pair order; an
+    integral float such as ``2.0`` passes as its integer.
+    """
+    ids = np.asarray(pairs).reshape(-1, 2)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_nodes or ids.dtype.kind == "f"):
+        flat = ids.ravel()
+        bad = ~((flat >= 0) & (flat < n_nodes) & (np.trunc(flat) == flat))
+        if bad.any():
+            node = flat[np.argmax(bad)].item()  # NaN and inf are not integers
+            why = f"out of range [0, {n_nodes})" if node % 1 == 0 else "is not an integer"
+            raise ConfigurationError(f"node id {node!r} {why}")
+    return ids.astype(np.int64, copy=False)
+
+
+def pair_chunks(m: int, size: int) -> Iterator[slice]:
+    """Consecutive row slices that cut ``m`` pairs into chunks of ``size``.
+
+    The last slice takes the rest, and a one-pair rest joins the slice before
+    it: numpy multiplies a single row through gemv rather than gemm, which
+    sums in another order, so a one-row chunk would not give the bits of an
+    unchunked pass.  Only ``m = 1`` gives a one-row slice, and ``m = 0``
+    gives one empty slice.
+    """
+    start = 0
+    for stop in [*range(size, m - 1, size), m]:
+        yield slice(start, stop)
+        start = stop
+
+
+def chunked_scorer(kernel: Scorer, n_nodes: int, chunk_size: Callable[[], int]) -> Scorer:
+    """The scorer that checks a batch's ids once (:func:`check_pairs`), runs
+    ``kernel`` on each ``(c, 2)`` chunk of ``chunk_size()`` pairs (read at
+    every call) that :func:`pair_chunks` cuts, and fills one score vector.
+    """
+
+    def scorer(pairs: np.ndarray) -> np.ndarray:
+        pairs = check_pairs(pairs, n_nodes)
+        scores = np.empty(len(pairs))
+        for rows in pair_chunks(len(pairs), chunk_size()):
+            scores[rows] = kernel(pairs[rows])
+        return scores
+
+    return scorer
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ builds the per-node weights once per scorer.
   ``(A[xs] + A[ys] > 0) @ onehot(labels)``, and weighs the counts with the
   prior rows and columns of the two endpoint classes.
 
-Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay small.
+Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay small;
+``hc`` finishes each chunk (score, ``Z``, prior lookup, bonus) before the next.
 Node ids are checked once per batch.  :func:`make_heuristic_scorer` is the
 only way to score; one pair is a ``(1, 2)`` batch.
 """
@@ -39,21 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    ConfigurationError,
-    DegenerateNormalizerError,
-    MissingLabelError,
-)
-from .graph import Graph
+from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
+from .graph import Graph, Scorer, chunked_scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
-
-Scorer = Callable[[np.ndarray], np.ndarray]
-"""Batch scorer: maps an ``(m, 2)`` pair array to ``(m,)`` float scores."""
 
 
 @dataclass(frozen=True)
@@ -111,30 +104,11 @@ STRUCTURAL = ("cn", "aa", "ra", "katz")
 """Structural scorer names, each also a base that ``hc`` can layer on."""
 
 
-def _node_pairs(g: Graph, pairs: np.ndarray) -> np.ndarray:
-    """``pairs`` as an ``(m, 2)`` int64 array with every node id checked."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    bad = (pairs < 0) | (pairs >= g.n_nodes)
-    if bad.any():
-        node = int(pairs.ravel()[np.argmax(bad.ravel())])
-        raise ConfigurationError(f"node id {node} out of range [0, {g.n_nodes})")
-    return pairs
-
-
-def _by_chunks(kernel: Callable, pairs: np.ndarray) -> np.ndarray:
-    """``kernel(xs, ys)`` over consecutive chunks of checked pairs, concatenated."""
-    parts = [
-        kernel(pairs[i : i + _CHUNK, 0], pairs[i : i + _CHUNK, 1])
-        for i in range(0, len(pairs), _CHUNK)
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def _common_neighbor_sum(
-    adj: sp.csr_matrix, weights: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    adj: sp.csr_matrix, weights: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
     """Per pair, the weights of its common neighbours summed in node order."""
-    return adj[xs].multiply(adj[ys]) @ weights
+    return adj[pairs[:, 0]].multiply(adj[pairs[:, 1]]) @ weights
 
 
 def _indicator_rows(nodes: np.ndarray, n: int) -> sp.csr_matrix:
@@ -145,10 +119,11 @@ def _indicator_rows(nodes: np.ndarray, n: int) -> sp.csr_matrix:
 
 
 def _katz_sum(
-    adj: sp.csr_matrix, cfg: GammaDecayConfig, xs: np.ndarray, ys: np.ndarray
+    adj: sp.csr_matrix, cfg: GammaDecayConfig, pairs: np.ndarray
 ) -> np.ndarray:
     """Truncated Katz by meet-in-the-middle walk counts."""
     n = adj.shape[0]
+    xs, ys = pairs[:, 0], pairs[:, 1]
     from_x = [_indicator_rows(xs, n)]  # from_x[k] = A^k[xs]
     from_y = [_indicator_rows(ys, n)]
     for _ in range((cfg.max_length + 1) // 2):
@@ -166,34 +141,35 @@ def _katz_sum(
 
 def _structural_kernel(
     name: str, g: Graph, katz: GammaDecayConfig | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch kernel of one structural score over checked ``(m, 2)`` pairs."""
+) -> Scorer:
+    """Kernel of one structural score over a checked ``(c, 2)`` pair chunk."""
     if name == "katz":
-        kernel = partial(_katz_sum, g.adj, katz or GammaDecayConfig())
-    else:
-        degrees = g.degrees().astype(np.float64)
-        # nodes of degree 0 or 1 are common neighbours of no pair x != y
-        with np.errstate(divide="ignore"):
-            if name == "cn":
-                weights = np.ones(g.n_nodes)
-            elif name == "aa":
-                weights = 1.0 / np.log(degrees)
-            else:
-                weights = 1.0 / degrees
-        kernel = partial(_common_neighbor_sum, g.adj, weights)
-    return partial(_by_chunks, kernel)
+        return partial(_katz_sum, g.adj, katz or GammaDecayConfig())
+    degrees = g.degrees().astype(np.float64)
+    # nodes of degree 0 or 1 are common neighbours of no pair x != y
+    with np.errstate(divide="ignore"):
+        if name == "cn":
+            weights = np.ones(g.n_nodes)
+        elif name == "aa":
+            weights = 1.0 / np.log(degrees)
+        else:
+            weights = 1.0 / degrees
+    return partial(_common_neighbor_sum, g.adj, weights)
 
 
-class _ClassBonus:
-    """Class-prior bonus ``β (α1 fwd + α2 rev) / Z`` over checked pair batches."""
+class _ClassKernel:
+    """``hc`` over one checked ``(c, 2)`` pair chunk: the structural score
+    plus the class-prior bonus ``β (α1 fwd + α2 rev) / Z``."""
 
     def __init__(
         self,
+        structural: Scorer,
         g: Graph,
         prior: ClassPriorMatrix,
         labels: np.ndarray,
         params: ClassHeuristicParams,
     ) -> None:
+        self.structural = structural
         self.prior = prior
         self.labels = np.asarray(labels, dtype=np.int64)
         self.params = params
@@ -207,13 +183,9 @@ class _ClassBonus:
             )
             self.unusable = (~self.usable).astype(np.float64)
 
-    def normalizer(self, pairs: np.ndarray) -> np.ndarray | float:
-        """``Z`` per pair; 1.0 when local normalization is off."""
-        if not self.params.normalize_locally:
-            return 1.0
-        return _by_chunks(self._local_normalizer, pairs)
-
-    def _local_normalizer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _local_normalizer(self, pairs: np.ndarray) -> np.ndarray:
+        """``Z`` per pair; raises for the first pair with a missing label or Z = 0."""
+        xs, ys = pairs[:, 0], pairs[:, 1]
         union = (self.adj[xs] + self.adj[ys]).sign()
         counts = (union @ self.onehot).toarray()  # classes of N(x) ∪ N(y)
         cx = np.where(self.usable[xs], self.labels[xs], 0)
@@ -227,27 +199,24 @@ class _ClassBonus:
             + w2y * (counts * probs[cy]).sum(axis=1)
         )
         unlabeled = ~self.usable[xs] | ~self.usable[ys] | (union @ self.unusable > 0)
-        first_unlabeled = np.flatnonzero(unlabeled)[:1]
-        first_zero = np.flatnonzero((z == 0.0) & ~unlabeled)[:1]
-        if first_unlabeled.size and (
-            not first_zero.size or first_unlabeled[0] < first_zero[0]
-        ):
-            i = int(first_unlabeled[0])
-            involved = np.concatenate([[xs[i], ys[i]], np.sort(union[i].indices)])
-            bad = int(involved[np.argmin(self.usable[involved])])
-            raise MissingLabelError(f"node {bad} lacks a usable class label")
-        if first_zero.size:
-            i = int(first_zero[0])
+        first = np.flatnonzero(unlabeled | (z == 0.0))[:1]
+        if first.size:
+            i = int(first[0])
+            if unlabeled[i]:
+                involved = np.concatenate([[xs[i], ys[i]], np.sort(union[i].indices)])
+                bad = int(involved[np.argmin(self.usable[involved])])
+                raise MissingLabelError(f"node {bad} lacks a usable class label")
             raise DegenerateNormalizerError(
                 f"local normalizer for pair ({xs[i]}, {ys[i]}) is zero; "
                 "cannot apply class-prior rescoring"
             )
         return z
 
-    def __call__(self, pairs: np.ndarray, structural: np.ndarray) -> np.ndarray:
-        z = self.normalizer(pairs)
-        fwd, rev = lookup_prior_batch(self.prior, self.labels, pairs).T
+    def __call__(self, pairs: np.ndarray) -> np.ndarray:
+        structural = self.structural(pairs)
         p = self.params
+        z = self._local_normalizer(pairs) if p.normalize_locally else 1.0
+        fwd, rev = lookup_prior_batch(self.prior, self.labels, pairs).T
         return structural + p.beta * (p.alpha1 * fwd + p.alpha2 * rev) / z
 
 
@@ -274,24 +243,15 @@ def make_heuristic_scorer(
     name = name.lower()
     if name in STRUCTURAL:
         kernel = _structural_kernel(name, g, katz)
-
-        def score(pairs: np.ndarray) -> np.ndarray:
-            return kernel(_node_pairs(g, pairs))
-
-        return score
-    if name == "hc":
+    elif name == "hc":
         if prior is None or labels is None:
             raise ConfigurationError(
                 "class-integrated scorer needs a prior matrix and labels"
             )
         if base not in STRUCTURAL:
             raise ConfigurationError(f"unknown structural base '{base}'")
-        structural = _structural_kernel(base, g, katz)
-        bonus = _ClassBonus(g, prior, labels, params or ClassHeuristicParams())
-
-        def score(pairs: np.ndarray) -> np.ndarray:
-            pairs = _node_pairs(g, pairs)
-            return bonus(pairs, structural(pairs))
-
-        return score
-    raise ConfigurationError(f"unknown heuristic '{name}'")
+        params = params or ClassHeuristicParams()
+        kernel = _ClassKernel(_structural_kernel(base, g, katz), g, prior, labels, params)
+    else:
+        raise ConfigurationError(f"unknown heuristic '{name}'")
+    return chunked_scorer(kernel, g.n_nodes, lambda: _CHUNK)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import ConfigurationError, MissingLabelError, ParseError
+from .graph import check_pairs
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,15 @@ def lookup_prior_batch(
     """Class priors of a ``(m, 2)`` pair array.
 
     Returns an ``(m, 2)`` float array of ``(P(c_y|c_x), P(c_x|c_y))`` rows.
-    An endpoint without a label in ``[0, n_classes)`` raises
+    Ids are checked against ``labels`` (:func:`~classlink.graph.check_pairs`);
+    an endpoint without a label in ``[0, n_classes)`` raises
     :class:`MissingLabelError` naming the first such node in pair order.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    cls = np.asarray(labels, dtype=np.int64)[pairs]
-    bad = np.nonzero((cls < 0) | (cls >= prior.n_classes))
-    if bad[0].size:
+    labels = np.asarray(labels, dtype=np.int64)
+    pairs = check_pairs(pairs, labels.size)
+    cls = labels[pairs]
+    if cls.size and (cls.min() < 0 or cls.max() >= prior.n_classes):
+        bad = np.nonzero((cls < 0) | (cls >= prior.n_classes))
         node = int(pairs[bad[0][0], bad[1][0]])
         raise MissingLabelError(f"node {node} lacks a usable class label")
     fwd = prior.probs[cls[:, 0], cls[:, 1]]

@@ -18,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from classlink import backbone
 from classlink.backbone import (
     BackboneParams,
     LinkBatch,
-    _chunks,
     _head,
     _sigmoid,
     loss_and_grads,
@@ -29,7 +29,7 @@ from classlink.backbone import (
     propagate,
 )
 from classlink.errors import ConfigurationError, DimensionError, NumericError
-from classlink.graph import Graph
+from classlink.graph import Graph, pair_chunks
 from classlink.heuristics import Scorer
 
 
@@ -92,7 +92,7 @@ def stacked_step(
     logits, dlogits = np.empty(m), np.empty(m)
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
-    for rows in _chunks(m):
+    for rows in pair_chunks(m, backbone.HEAD_CHUNK):
         xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
         z = np.concatenate([h[xs] * h[ys], batch.incidence[rows] @ h], axis=1)
         if params.use_priors:
@@ -136,9 +136,8 @@ def forward_loss(params: BackboneParams, batch: LinkBatch) -> float:
     """Mean BCE of the batch from a forward-only pass: propagation, then the
     head's logits chunk by chunk, with no gradient computed."""
     h = propagate(params, batch.sym, batch.x)["h"]
-    logits = np.concatenate(
-        [_head(params, batch, rows, h)[2] for rows in _chunks(len(batch.pairs))]
-    )
+    chunks = pair_chunks(len(batch.pairs), backbone.HEAD_CHUNK)
+    logits = np.concatenate([_head(params, batch, rows, h)[2] for rows in chunks])
     return float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
 

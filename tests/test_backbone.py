@@ -35,7 +35,7 @@ from classlink.backbone import (
 )
 from classlink.errors import ConfigurationError, DimensionError
 from classlink.evaluation import evaluate_split, mrr
-from classlink.graph import build_graph, split_edges
+from classlink.graph import build_graph, pair_chunks, split_edges
 from classlink.priors import count_class_links, lookup_prior_batch
 
 from backbone_oracles import (
@@ -281,7 +281,7 @@ class TestGradients:
         monkeypatch.setattr(backbone, "_head", counting)
         loss_and_grads(params, batch)
         assert len(calls) > 1
-        assert calls == list(backbone._chunks(m))
+        assert calls == list(pair_chunks(m, backbone.HEAD_CHUNK))
 
     def test_epsilon_validated(self):
         _, params, batch = small_instance(0)

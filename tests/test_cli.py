@@ -211,6 +211,24 @@ class TestLargeSeed:
         assert report["seed"] == 2**64 + 5
 
 
+class TestScorerErrorCategory:
+    def test_missing_label_in_per_edge_pools_is_a_labels_error(self, dataset, capsys):
+        """A node with a feature row but no edges and no label lands in the
+        per-edge negative pools; ``hc`` cannot score it, and the error keeps
+        its ``labels`` category with the scoring context."""
+        tmp, stats = dataset
+        node = stats["n_nodes"]
+        with (tmp / "data" / "features.csv").open("a") as f:
+            f.write(f"{node},0.5,0.5\n")
+        cfg = write_config(
+            tmp / "run.yaml", tmp / "data", tmp / "out", scorer="hc", per_edge_negatives=20
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[labels]: scorer failed while scoring per-edge negative")
+        assert f"node {node} lacks a usable class label" in err
+
+
 class TestLabelSources:
     def test_kmeans_grid_writes_curve_and_chosen_k(self, dataset):
         tmp, stats = dataset

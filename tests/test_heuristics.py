@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,16 @@ from classlink.priors import count_class_links
 
 from conftest import random_edges
 from test_graph import brute_adjacency
+
+
+def peak_rise(fn):
+    """Peak traced allocation of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +476,30 @@ class TestBatchClassScorer:
         assert np.isfinite(plain(np.array([[2, 4], [5, 6]]))).all()
         with pytest.raises(MissingLabelError, match="node 3 "):
             plain(np.array([[0, 1], [1, 3]]))
+
+    @pytest.mark.parametrize("normalize_locally", [False, True])
+    def test_memory_does_not_grow_with_the_chunk_count(
+        self, monkeypatch, normalize_locally
+    ):
+        """From 4 to 16 chunks of pairs, the peak memory an ``hc`` call adds
+        grows by no more than its output vector of the added pairs and
+        64 KiB: the structural score, ``Z``, the prior lookup and the bonus
+        are computed one chunk at a time.  The 16 chunks are the 4 four
+        times, so that the largest chunk is the same in both calls.  The
+        graph is sparse (mean degree 4), so that a chunk's row blocks take
+        less than the whole-batch arrays of a batch of 16 chunks."""
+        rng = np.random.default_rng(909)
+        n = 400
+        labels = rng.integers(0, 4, size=n)
+        g = build_graph(n, rng.integers(0, n, size=(800, 2)), labels=labels)
+        prior = count_class_links(g.undirected_edges(), labels, 4)
+        params = ClassHeuristicParams(normalize_locally=normalize_locally)
+        hc = make_heuristic_scorer(
+            "hc", g, prior=prior, labels=labels, params=params, base="ra"
+        )
+        monkeypatch.setattr(heuristics, "_CHUNK", 512)
+        nodes = np.flatnonzero(g.degrees())
+        pairs = nodes[rng.integers(0, nodes.size, size=(4 * 512, 2))]
+        many = np.tile(pairs, (4, 1))
+        four, sixteen = peak_rise(lambda: hc(pairs)), peak_rise(lambda: hc(many))
+        assert sixteen - four <= 8 * (len(many) - len(pairs)) + 65536, (four, sixteen)

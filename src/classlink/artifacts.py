@@ -33,13 +33,16 @@ FLOAT = "<f8"
 _NATIVE = {INT: np.int64, FLOAT: np.float64}
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Atomically replace ``path`` with ``text``, creating its directory."""
+def write_text(path: str | Path, *parts: str) -> Path:
+    """Atomically replace ``path`` with the text ``parts``, written in order
+    to one handle, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -55,7 +58,7 @@ def encode_array(arr: np.ndarray) -> dict:
     return {
         "dtype": dtype,
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "data": base64.b64encode(arr).decode("ascii"),  # from the array's own buffer
     }
 
 
@@ -69,8 +72,12 @@ def encode(fields: dict, arrays: dict | None = None) -> dict:
 
 def write(path: str | Path, kind: str, fields: dict, arrays: dict | None = None) -> Path:
     """Write one enveloped JSON artifact atomically."""
-    payload = {"kind": kind, "version": ARTIFACT_VERSION, **encode(fields, arrays)}
-    return write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    # the encoded payload is freed once dumped, and the newline goes to the
+    # handle on its own, so the write holds one copy of the text
+    text = json.dumps(
+        {"kind": kind, "version": ARTIFACT_VERSION, **encode(fields, arrays)}, sort_keys=True
+    )
+    return write_text(path, text, "\n")
 
 
 def read(

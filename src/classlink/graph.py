@@ -368,11 +368,11 @@ def build_graph(
 # ---------------------------------------------------------------------------
 
 
-def _strip_comment(line: str) -> str:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
+# Characters of the feature file parsed at a time.  A block ends at a line end,
+# so it runs at most one line past this.  Its transient arrays take about 12
+# bytes per character (18 for text that is not ASCII), about 1 MiB a block
+# whatever the file's size.
+_FEATURE_BLOCK = 1 << 16
 
 
 def load_graph(
@@ -388,144 +388,264 @@ def load_graph(
     Labels are re-mapped to contiguous dense ids in first-seen order; nodes
     missing from the label file get ``-1``; nodes missing from the feature
     file get zero rows.
+
+    Every file is decoded and newline-translated as ``open`` does; one that
+    cannot be read or decoded is a :class:`ParseError` naming it, raised
+    before any line of the text being decoded is checked.  The files are
+    parsed in bulk, not line by line:
+
+    * ``features.csv`` is read in blocks of whole lines of about
+      ``_FEATURE_BLOCK`` characters.  Per line, Python only strips it, finds
+      its first comma, counts its commas and interns its node id; numpy finds
+      the value cells of the whole block in its encoded text.  A ``"0"``
+      cell is +0.0 and never stored, a one-digit cell is its digit, and
+      only the other cells go through ``float``.  Beyond the stored entries,
+      memory stays within one block.
+    * ``labels.csv`` and ``edges.txt`` are read whole.  Edge-file comments
+      are cut with ``partition``, the cells or tokens of every line are
+      counted at once, and node ids are interned in one first-seen pass.
+
+    Errors are those of a line-by-line reading: the first offending line
+    wins, and each line runs its checks in order (cell count, width,
+    duplicate node, non-numeric cell).  Non-finite feature values are
+    checked last, after the edge file.
     """
     index: dict[str, int] = {}
 
-    def intern(token: str) -> int:
-        if token not in index:
-            index[token] = len(index)
-        return index[token]
-
     # Feature and label files are interned before edges; see module docstring.
-    # Feature rows are kept as the columns and values of their stored entries.
-    feature_cols: list[np.ndarray] = []
-    feature_vals: list[np.ndarray] = []
-    feature_lines: list[int] = []
-    n_feature_cols: int | None = None
-    if feature_path is not None:
-        for lineno, raw in enumerate(_read_lines(feature_path), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) < 2:
-                raise ParseError(
-                    f"{feature_path}:{lineno}: expected node id plus at least "
-                    f"one feature column, got {len(cells)} cell(s)"
-                )
-            if n_feature_cols is None:
-                n_feature_cols = len(cells) - 1
-            elif len(cells) - 1 != n_feature_cols:
-                raise DimensionError(
-                    f"{feature_path}:{lineno}: row has {len(cells) - 1} feature "
-                    f"columns, expected {n_feature_cols}"
-                )
-            node = intern(cells[0].strip())
-            if node < len(feature_cols):  # feature rows get ids 0, 1, ... in order
-                raise ParseError(
-                    f"{feature_path}:{lineno}: duplicate feature row for node "
-                    f"'{cells[0].strip()}'"
-                )
-            values = cells[1:]
-            # a "0" cell is +0.0, which is never stored, so only the rest is parsed
-            cols = [j for j, c in enumerate(values) if c != "0"]
-            try:
-                vals = np.array([float(values[j]) for j in cols], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{feature_path}:{lineno}: non-numeric feature value ({exc})"
-                ) from exc
-            stored = vals.view(np.int64) != 0
-            feature_cols.append(np.array(cols, dtype=np.int64)[stored])
-            feature_vals.append(vals[stored])
-            feature_lines.append(lineno)
-
-    label_rows: dict[int, int] = {}
-    class_index: dict[str, int] = {}
-    if label_path is not None:
-        for lineno, raw in enumerate(_read_lines(label_path), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ParseError(
-                    f"{label_path}:{lineno}: expected 'node_id,label', got "
-                    f"{len(cells)} cell(s)"
-                )
-            node = intern(cells[0].strip())
-            if node in label_rows:
-                raise ParseError(
-                    f"{label_path}:{lineno}: duplicate label row for node "
-                    f"'{cells[0].strip()}'"
-                )
-            cls = cells[1].strip()
-            if cls not in class_index:
-                class_index[cls] = len(class_index)
-            label_rows[node] = class_index[cls]
-
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(_read_lines(edge_path), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"{edge_path}:{lineno}: expected two node ids per line, got "
-                f"{len(tokens)} token(s): {line!r}"
-            )
-        edges.append((intern(tokens[0]), intern(tokens[1])))
+    feature_rows = None if feature_path is None else _read_features(feature_path, index)
+    label_rows = None if label_path is None else _read_labels(label_path, index)
+    edges = _read_edges(edge_path, index)
 
     n_nodes = len(index)
     if n_nodes == 0:
         raise ParseError(f"{edge_path}: no nodes found in any input file")
 
     features = None
-    if feature_path is not None:
-        # rows 0 .. len(feature_cols) - 1 in order, columns ascending: a
+    if feature_rows is not None:
+        row_sizes, cols, values, row_lines, width = feature_rows
+        # rows 0 .. row_sizes.size - 1 in order, columns ascending: a
         # canonical CSR; nodes without a feature row get empty rows
         sizes = np.zeros(n_nodes, dtype=np.int64)
-        sizes[: len(feature_cols)] = [c.size for c in feature_cols]
+        sizes[: row_sizes.size] = row_sizes
         indptr = np.concatenate([[0], np.cumsum(sizes)])
-        values = np.concatenate([np.zeros(0), *feature_vals])
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
             raise ParseError(
-                f"{feature_path}:{feature_lines[row]}: non-finite feature "
+                f"{feature_path}:{row_lines[row]}: non-finite feature "
                 f"value {values[bad[0]]}"
             )
-        features = sp.csr_matrix(
-            (values, np.concatenate([np.zeros(0, dtype=np.int64), *feature_cols]), indptr),
-            shape=(n_nodes, n_feature_cols or 0),
-        )
+        features = sp.csr_matrix((values, cols, indptr), shape=(n_nodes, width))
 
     labels = None
     class_ids: tuple[str, ...] = ()
-    if label_path is not None:
+    if label_rows is not None:
+        nodes, classes, class_ids = label_rows
         labels = np.full(n_nodes, -1, dtype=np.int64)
-        for node, cls in label_rows.items():
-            labels[node] = cls
-        class_ids = tuple(class_index)
+        labels[nodes] = classes
 
-    node_ids = tuple(index)
     return build_graph(
         n_nodes,
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        edges,
         features=features,
         labels=labels,
-        node_ids=node_ids,
+        node_ids=tuple(index),
         class_ids=class_ids,
     )
 
 
-def _read_lines(path: str | Path) -> Iterator[str]:
-    """The lines of a text file, read one at a time."""
+def _read_features(
+    path: str | Path, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int]:
+    """The stored entries of a feature CSV, its rows interned in order.
+
+    Returns each row's entry count, the entries' columns and values in row
+    order, each row's line number, and the width (0 for a file of blank lines).
+    """
+    width: int | None = None
+    sizes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    cols: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    values: list[np.ndarray] = [np.zeros(0)]
+    row_lines: list[int] = []
+    first = 1
+    for block in _text_blocks(path, _FEATURE_BLOCK):
+        lines = block.split("\n")  # a block that ends a line ends with an empty piece
+        rows: list[str] = []
+        block_lines: list[int] = []
+        try:
+            for lineno, raw in enumerate(lines, first):
+                line = raw.strip()
+                if not line:
+                    continue
+                comma = line.find(",")
+                if comma < 0:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected node id plus at least "
+                        f"one feature column, got 1 cell(s)"
+                    )
+                n_cols = line.count(",")
+                if width is None:
+                    width = n_cols
+                elif n_cols != width:
+                    raise DimensionError(
+                        f"{path}:{lineno}: row has {n_cols} feature "
+                        f"columns, expected {width}"
+                    )
+                node = line[:comma].strip()
+                if node in index:  # every id interned so far is a feature row's
+                    raise ParseError(
+                        f"{path}:{lineno}: duplicate feature row for node '{node}'"
+                    )
+                index[node] = len(index)
+                rows.append(line[comma + 1 :])
+                block_lines.append(lineno)
+        except (ParseError, DimensionError):
+            if rows:  # a bad cell on an earlier line of the block comes first
+                _stored_cells(path, rows, block_lines, width)
+            raise
+        if rows:
+            cells, vals = _stored_cells(path, rows, block_lines, width)
+            sizes.append(np.bincount(cells // width, minlength=len(rows)))
+            cols.append(cells % width)
+            values.append(vals)
+            row_lines += block_lines
+        first += len(lines) - 1
+    return (
+        np.concatenate(sizes),
+        np.concatenate(cols),
+        np.concatenate(values),
+        row_lines,
+        width or 0,
+    )
+
+
+def _stored_cells(
+    path: str | Path, rows: list[str], lines: list[int], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major cell numbers and values of the stored cells of ``rows``.
+
+    ``rows`` are the value parts of feature lines ``lines``, each ``width``
+    cells.  Joined by commas between two more, every cell lies between two
+    commas of that text.  A cell that is exactly ``"0"`` is +0.0, which is
+    never stored, and one that is a single digit ``1``-``9`` is that digit;
+    only the other cells are cut out and passed to ``float``.  The first
+    cell ``float`` rejects, in row-major order, raises :class:`ParseError`.
+    """
+    text = "," + ",".join(rows) + ","
+    # one array element per character, so positions index ``text`` directly
+    codes = (
+        np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        if text.isascii()
+        else np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    )
+    comma = codes == ord(",")
+    zero = np.zeros_like(comma)  # the character of a "0" cell
+    zero[1:-1] = (codes[1:-1] == ord("0")) & comma[:-2] & comma[2:]
+    opens = np.flatnonzero(comma[:-1] & ~zero[1:])  # the comma before each other cell
+    closes = np.flatnonzero(comma[1:] & ~zero[:-1]) + 1  # and the comma after it
+    if not opens.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    # a cell's number is the count of commas before the one that opens it
+    between = np.add.reduceat(comma, opens, dtype=np.int64)
+    numbers = np.cumsum(between) - between + np.count_nonzero(comma[: opens[0]])
+    # a one-digit cell is its digit, which float would give too
+    lead = codes[opens + 1]
+    digit = (closes - opens == 2) & (lead >= ord("1")) & (lead <= ord("9"))
+    values = np.empty(opens.size)
+    values[digit] = lead[digit] - ord("0")
+    rest = np.flatnonzero(~digit)
+    cells = list(
+        map(text.__getitem__, map(slice, (opens[rest] + 1).tolist(), closes[rest].tolist()))
+    )
+    try:
+        values[rest] = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        for number, cell in zip(numbers[rest].tolist(), cells):
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}:{lines[number // width]}: non-numeric feature value ({exc})"
+                ) from exc
+        raise
+    stored = values.view(np.int64) != 0
+    return numbers[stored], values[stored]
+
+
+def _read_labels(
+    path: str | Path, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The node ids and dense class ids of a label CSV's rows, and the class
+    names in first-seen order; node ids are interned in row order."""
+    lines = list(map(str.strip, _read_text(path).split("\n")))
+    cells = np.fromiter(map(str.count, lines, itertools.repeat(",")), dtype=np.int64) + 1
+    filled = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
+    bad = np.flatnonzero(filled & (cells != 2))
+    stop = int(bad[0]) if bad.size else len(lines)
+    # the rows before the first bad line hold one comma each, so their
+    # cells alternate node, class; a repeated node among them comes first
+    rows = np.flatnonzero(filled[:stop])
+    pairs = ",".join([lines[i] for i in rows.tolist()]).split(",") if rows.size else []
+    names = list(map(str.strip, pairs[0::2]))
+    nodes = _intern(index, names)
+    repeated = np.ones(nodes.size, dtype=bool)
+    repeated[np.unique(nodes, return_index=True)[1]] = False
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise ParseError(
+            f"{path}:{rows[i] + 1}: duplicate label row for node '{names[i]}'"
+        )
+    if bad.size:
+        raise ParseError(
+            f"{path}:{stop + 1}: expected 'node_id,label', got {cells[stop]} cell(s)"
+        )
+    class_index: dict[str, int] = {}
+    classes = _intern(class_index, list(map(str.strip, pairs[1::2])))
+    return nodes, classes, tuple(class_index)
+
+
+def _read_edges(path: str | Path, index: dict[str, int]) -> np.ndarray:
+    """The ``(m, 2)`` dense ids of an edge file's lines, interned in order."""
+    text = _read_text(path)
+    if "#" in text:
+        text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
+    counts = np.fromiter(map(len, map(str.split, text.split("\n"))), dtype=np.int64)
+    bad = np.flatnonzero((counts != 0) & (counts != 2))
+    if bad.size:
+        i = int(bad[0])
+        line = text.split("\n")[i].strip()
+        raise ParseError(
+            f"{path}:{i + 1}: expected two node ids per line, got "
+            f"{counts[i]} token(s): {line!r}"
+        )
+    return _intern(index, text.split()).reshape(-1, 2)
+
+
+def _intern(index: dict[str, int], names: list[str]) -> np.ndarray:
+    """The dense ids of ``names``; each name not yet in ``index`` gets the
+    next id there, in order of first occurrence."""
+    for name in dict.fromkeys(names):
+        index.setdefault(name, len(index))
+    return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+def _read_text(path: str | Path) -> str:
+    """The whole of a text file; see :func:`_text_blocks`."""
+    return "".join(_text_blocks(path, -1))
+
+
+def _text_blocks(path: str | Path, size: int) -> Iterator[str]:
+    """A text file in blocks of ``size`` characters, each extended to its
+    line's end (one block when ``size`` is -1), decoded and newline-translated
+    as ``open`` does."""
     try:
         with open(path) as fh:
-            yield from fh
-    except OSError as exc:
+            while block := fh.read(size):
+                if not block.endswith("\n"):
+                    block += fh.readline()
+                yield block
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -726,8 +846,9 @@ def _draw_pools(
         u = np.zeros((pending.size, int(sizes.max())), dtype=np.int64)
         v = np.zeros_like(u)
         for row, (r, size) in enumerate(zip(pending.tolist(), sizes.tolist())):
-            u[row, :size] = rngs[r].integers(0, n, size=size)
-            v[row, :size] = rngs[r].integers(0, n, size=size)
+            # one call reads the stream as the two draws, u then v, would
+            draws = rngs[r].integers(0, n, size=2 * size)
+            u[row, :size], v[row, :size] = draws[:size], draws[size:]
 
         # on a sparse graph nearly every candidate is fresh, so a prefix of
         # twice the missing count almost always fills the pool, and only the

@@ -48,13 +48,14 @@ def count_class_links(
     """Count class co-occurrences over training edges (one per direction) and
     normalize the rows.
 
+    Ids are checked against ``labels`` (:func:`~classlink.graph.check_pairs`).
     Every endpoint must carry a label in ``[0, n_classes)``; an unlabeled
     endpoint (label ``-1``) raises :class:`MissingLabelError` naming the node.
     """
     if n_classes < 1:
         raise ConfigurationError(f"need at least one class, got {n_classes}")
-    edges = np.asarray(train_edges, dtype=np.int64).reshape(-1, 2)
     labels = np.asarray(labels, dtype=np.int64)
+    edges = check_pairs(train_edges, labels.size)
 
     endpoint_labels = labels[edges]
     bad = np.nonzero((endpoint_labels < 0) | (endpoint_labels >= n_classes))

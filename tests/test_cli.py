@@ -430,6 +430,23 @@ class TestNonFiniteFeatures:
         assert "features.csv:5: non-finite feature value nan" in err
 
 
+class TestUndecodableInput:
+    def test_ingest_names_the_file_as_a_parse_error(self, tmp_path, capsys):
+        """An input file that is not UTF-8 is one ``error[parse]`` line
+        naming the file, not a traceback."""
+        (tmp_path / "edges.txt").write_bytes(b"a b\n\xff c\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"edges: {tmp_path}/edges.txt\nout: {tmp_path}/out\n"
+            "label_source: louvain\nscorer: ra\n"
+        )
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[parse]: cannot read {tmp_path}/edges.txt: ")
+        assert "'utf-8' codec can't decode byte 0xff" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestCorruptLabeling:
     @pytest.mark.parametrize(
         "corrupt",

@@ -652,3 +652,19 @@ class TestSampleNegativePools:
         np.testing.assert_array_equal(
             s.test_negatives, oracle_sample_negatives(g, 50, (6, STREAM_TEST_NEG))
         )
+
+    @pytest.mark.parametrize("n", [2, 3, 3600, 50_000, 2**31 + 1, 3_000_000_000, 2**40 + 3])
+    def test_one_draw_of_both_endpoints_reads_the_stream_as_two(self, n):
+        """A batch's ``u`` and ``v`` come from one ``integers`` call of twice
+        the size: numpy's bounded draw reads the stream in order, also when it
+        rejects half its words (``2**31 + 1``), so the joined draw equals the
+        two draws it replaces, and the stream goes on from the same place."""
+        for size in (1, 7, 1025):
+            split, joined = make_rng(11, n), make_rng(11, n)
+            u = split.integers(0, n, size=size)
+            v = split.integers(0, n, size=size)
+            both = joined.integers(0, n, size=2 * size)
+            np.testing.assert_array_equal(both, np.concatenate([u, v]))
+            np.testing.assert_array_equal(
+                split.integers(0, n, size=5), joined.integers(0, n, size=5)
+            )

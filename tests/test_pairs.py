@@ -84,6 +84,17 @@ class TestLookupPriorBatch:
             lookup_prior_batch(prior, labels, np.array([[0.5, 1]]))
 
 
+class TestCountClassLinks:
+    def test_out_of_range_ids_are_config_errors(self):
+        labels = np.array([0, 1, 0, 1])
+        with pytest.raises(ConfigurationError, match=r"node id -1 out of range \[0, 4\)"):
+            count_class_links(np.array([[-1, 2]]), labels, 2)
+        with pytest.raises(ConfigurationError, match=r"node id 7 out of range \[0, 4\)"):
+            count_class_links(np.array([[0, 1], [0, 7]]), labels, 2)
+        with pytest.raises(ConfigurationError, match="node id 0.5 is not an integer"):
+            count_class_links(np.array([[0.5, 1]]), labels, 2)
+
+
 def eight_scorers(n=12):
     """Every scorer kind over one labeled graph with features: the four
     structural heuristics, ``hc`` with local normalization, and a model of

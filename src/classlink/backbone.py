@@ -64,23 +64,26 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
+from .config import MODES, TrainConfig
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import (
     EdgeSplit, Graph, Scorer, check_pairs, chunked_scorer, pair_chunks, sample_negatives
 )
 from .priors import ClassPriorMatrix, lookup_prior_batch
-from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, is_seed, make_rng
+from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
 
 N_PRIOR_FEATURES = 2  # (P(c_y|c_x), P(c_x|c_y)) appended to the embedding
-
-MODES = ("ncn", "ncnc", "backbone_only")
 
 # Pairs per head chunk: the fusion head's pair-sized arrays never hold more
 # rows than this, whatever the batch size.  A power of two, so that chunk
 # boundaries never split the small row blocks that BLAS kernels work in, and
 # every logit keeps the bits of an unchunked pass.
 HEAD_CHUNK = 1024
+# Head chunks per slice of a model scorer's pairs.  Each slice builds one
+# incidence (and, in ncnc, makes one completion-scorer call), so longer
+# slices mean fewer builds, while the head still runs per HEAD_CHUNK pairs.
+SCORER_CHUNKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -108,37 +111,6 @@ class BackboneParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "w2": self.w2, "wh": self.wh, "bh": self.bh, "wo": self.wo}
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Backbone hyperparameters; ``seed`` drives init and negative sampling."""
-
-    dim: int = 64
-    hidden: int = 64
-    lr: float = 0.1
-    momentum: float = 0.9
-    epochs: int = 200
-    patience: int = 20
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 1 or self.hidden < 1:
-            raise ConfigurationError("dim and hidden must be >= 1")
-        if not 0 < self.lr < np.inf:  # NaN fails both comparisons
-            raise ConfigurationError(
-                f"learning rate must be positive and finite, got {self.lr}"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if not is_seed(self.seed):
-            raise ConfigurationError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
 
 
 @dataclass
@@ -589,9 +561,10 @@ def make_scorer(
     trained with and the labels it was counted from.  The model's node
     embeddings are computed once, here, so the parameters are taken as they
     are at this call.  The scorer checks the batch's ids before it builds
-    anything, then the incidence of one head chunk of pairs at a time, so its
-    memory is set by the chunk, not by the number of pairs, and every
-    probability keeps the bits of a one-batch pass.
+    anything, then the incidence of one slice of ``SCORER_CHUNKS`` head
+    chunks of pairs at a time (read at each call), so its memory is set by
+    the slice, not by the number of pairs, and every probability keeps the
+    bits of a one-batch pass.
     """
     if not model.params.use_priors:
         prior = labels = None
@@ -611,7 +584,7 @@ def make_scorer(
     return chunked_scorer(
         lambda chunk: predict_batch(model.params, builder.build(chunk), h),
         g_train.n_nodes,
-        lambda: HEAD_CHUNK,
+        lambda: SCORER_CHUNKS * HEAD_CHUNK,
     )
 
 

@@ -4,38 +4,26 @@ Each subcommand reads its upstream artifacts out of the run directory,
 verifies (via ``manifest.json``) that they were produced under the same
 configuration, and writes its own artifact plus a manifest entry.  Running
 stages one by one is therefore equivalent to ``run-all``, and re-running a
-stage whose inputs have not changed reuses the cached artifact.
+stage whose inputs have not changed reuses the cached artifact.  The ingest
+entry also records each input file's size and modification time; when a
+file no longer matches, ingest and every later stage are stale.
+
+Each command imports the layer functions it calls in its own body, so
+importing this module loads only numpy, yaml and the package's ``config``,
+``artifacts``, ``errors`` and ``rand``, and ``ingest``, which runs on numpy
+alone, never loads scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import artifacts
-from .backbone import (
-    load_checkpoint,
-    make_scorer,
-    save_checkpoint,
-    save_training_log,
-    train,
-)
-from .clustering import (
-    PseudoLabeling,
-    aggregate_features,
-    elbow_kmeans,
-    kmeans,
-    load_labeling_json,
-    louvain,
-    mono_label,
-    save_labeling_json,
-    save_labels_csv,
-    save_ssd_curve_csv,
-)
 from .config import RunConfig, load_config_file, stage_digest
 from .errors import (
     ClasslinkError,
@@ -43,19 +31,12 @@ from .errors import (
     DependencyError,
     StaleArtifactError,
 )
-from .evaluation import evaluate_split, save_report
-from .graph import (
-    Graph,
-    EdgeSplit,
-    load_graph,
-    load_graph_json,
-    load_split_json,
-    save_graph_json,
-    save_split_json,
-    split_edges,
-)
-from .heuristics import make_heuristic_scorer
-from .priors import count_class_links, export_heatmap, load_prior_json, save_prior_json
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .clustering import PseudoLabeling
+    from .graph import EdgeSplit, Graph, Scorer
 
 MANIFEST_NAME = "manifest.json"
 
@@ -90,8 +71,26 @@ def _load_manifest(cfg: RunConfig) -> dict:
     return stages
 
 
+def _input_files(cfg: RunConfig) -> dict:
+    """``[size, mtime_ns]`` of each configured input file, ``None`` for one
+    that cannot be read."""
+    found = {}
+    for name in ("edges", "features", "labels"):
+        path = getattr(cfg, name)
+        if path is None:
+            continue
+        try:
+            st = os.stat(path)
+        except (OSError, ValueError):
+            found[name] = None
+        else:
+            found[name] = [st.st_size, st.st_mtime_ns]
+    return found
+
+
 def _record_stage(cfg: RunConfig, stage: str, **extra) -> None:
-    stages = _load_manifest(cfg)
+    # a new graph leaves every stage built on the old one behind
+    stages = {} if stage == "ingest" else _load_manifest(cfg)
     stages[stage] = {
         "digest": stage_digest(cfg, stage),
         "path": ARTIFACT_NAMES[stage],
@@ -102,8 +101,10 @@ def _record_stage(cfg: RunConfig, stage: str, **extra) -> None:
 
 
 def _require_stage(cfg: RunConfig, stage: str) -> Path:
-    """Path of an upstream artifact, verified against the current config."""
-    entry = _load_manifest(cfg).get(stage)
+    """Path of an upstream artifact, verified against the current config and
+    the input files that were ingested."""
+    stages = _load_manifest(cfg)
+    entry = stages.get(stage)
     if entry is None:
         raise DependencyError(
             f"missing {stage} artifact; run `classlink {stage}` first"
@@ -117,6 +118,11 @@ def _require_stage(cfg: RunConfig, stage: str) -> Path:
         raise StaleArtifactError(
             f"{stage} artifact was built from a different configuration; "
             f"re-run `classlink {stage}`"
+        )
+    ingest = stages.get("ingest")
+    if ingest is not None and ingest.get("inputs") != _input_files(cfg):
+        raise StaleArtifactError(
+            "the input files changed since they were ingested; re-run `classlink ingest`"
         )
     return path
 
@@ -153,6 +159,8 @@ def _resolve_labels(
                 "label source 'true' needs labels ingested from a labels file"
             )
         return g.labels, g.n_classes, g.class_ids
+    from .clustering import load_labeling_json
+
     labeling = load_labeling_json(_require_stage(cfg, "cluster"))
     if labeling.labels.size != g.n_nodes:
         raise StaleArtifactError(
@@ -169,15 +177,19 @@ def _resolve_labels(
 
 @_up_to_date("ingest")
 def cmd_ingest(cfg: RunConfig) -> None:
-    g = load_graph(cfg.edges, cfg.features, cfg.labels)
+    from .graph import ingest_graph_json
+
+    inputs = _input_files(cfg)  # before reading, so a change while reading shows
     path = Path(cfg.out) / ARTIFACT_NAMES["ingest"]
-    save_graph_json(g, path)
-    _record_stage(cfg, "ingest", n_nodes=g.n_nodes, n_edges=g.n_edges)
-    print(f"ingest: n_nodes={g.n_nodes} n_edges={g.n_edges} -> {path}")
+    n_nodes, n_edges = ingest_graph_json(cfg.edges, cfg.features, cfg.labels, path)
+    _record_stage(cfg, "ingest", n_nodes=n_nodes, n_edges=n_edges, inputs=inputs)
+    print(f"ingest: n_nodes={n_nodes} n_edges={n_edges} -> {path}")
 
 
 @_up_to_date("split")
 def cmd_split(cfg: RunConfig) -> None:
+    from .graph import load_graph_json, save_split_json, split_edges
+
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = split_edges(g, cfg.ratios, cfg.seed, negatives=cfg.negatives)
     path = Path(cfg.out) / ARTIFACT_NAMES["split"]
@@ -196,6 +208,8 @@ def cmd_split(cfg: RunConfig) -> None:
 
 
 def _cluster_labeling(cfg: RunConfig, g: Graph, split: EdgeSplit) -> PseudoLabeling:
+    from .clustering import aggregate_features, elbow_kmeans, kmeans, louvain, mono_label
+
     if cfg.label_source == "mono":
         return mono_label(g.n_nodes)
     g_train = split.train_graph(g)
@@ -224,6 +238,9 @@ def _cluster_labeling(cfg: RunConfig, g: Graph, split: EdgeSplit) -> PseudoLabel
 
 @_up_to_date("cluster")
 def cmd_cluster(cfg: RunConfig) -> None:
+    from .clustering import save_labeling_json, save_labels_csv, save_ssd_curve_csv
+    from .graph import load_graph_json, load_split_json
+
     if cfg.label_source == "true":
         raise ConfigurationError(
             "label source 'true' reads the labels file; nothing to cluster"
@@ -243,6 +260,9 @@ def cmd_cluster(cfg: RunConfig) -> None:
 
 @_up_to_date("prior")
 def cmd_prior(cfg: RunConfig) -> None:
+    from .graph import load_graph_json, load_split_json
+    from .priors import count_class_links, export_heatmap, save_prior_json
+
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = load_split_json(_require_stage(cfg, "split"))
     labels, n_classes, class_ids = _resolve_labels(cfg, g)
@@ -259,6 +279,9 @@ def cmd_prior(cfg: RunConfig) -> None:
 
 
 def cmd_heatmap(cfg: RunConfig) -> None:
+    from .graph import load_graph_json
+    from .priors import export_heatmap, load_prior_json
+
     prior = load_prior_json(_require_stage(cfg, "prior"))
     g = load_graph_json(_require_stage(cfg, "ingest"))
     if cfg.label_source == "true" and g.labels is not None:
@@ -273,6 +296,10 @@ def cmd_heatmap(cfg: RunConfig) -> None:
 
 @_up_to_date("train")
 def cmd_train(cfg: RunConfig) -> None:
+    from .backbone import save_checkpoint, save_training_log, train
+    from .graph import load_graph_json, load_split_json
+    from .priors import load_prior_json
+
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = load_split_json(_require_stage(cfg, "split"))
     prior = labels = None
@@ -291,10 +318,14 @@ def cmd_train(cfg: RunConfig) -> None:
     )
 
 
-def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
+def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit) -> Scorer:
+    from .priors import load_prior_json
+
     g_train = split.train_graph(g)
     model = None
     if cfg.scorer == "model":
+        from .backbone import load_checkpoint, make_scorer
+
         model, digest = load_checkpoint(_require_stage(cfg, "train"))
         if digest != stage_digest(cfg, "train"):
             raise StaleArtifactError(
@@ -307,6 +338,8 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
         labels, _, _ = _resolve_labels(cfg, g)
     if model is not None:
         return make_scorer(model, g_train, prior, labels)
+    from .heuristics import make_heuristic_scorer
+
     return make_heuristic_scorer(
         cfg.scorer,
         g_train,
@@ -318,6 +351,9 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit):
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
+    from .evaluation import evaluate_split, save_report
+    from .graph import load_graph_json, load_split_json
+
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = load_split_json(_require_stage(cfg, "split"))
     scorer = _build_scorer(cfg, g, split)

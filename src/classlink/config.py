@@ -8,25 +8,105 @@ the subset of fields they depend on (cumulative, so a seed change
 invalidates everything downstream while an evaluation-only tweak leaves
 checkpoints valid).  The output directory is deliberately excluded from
 digests — moving artifacts does not make them stale.
+
+This module is a leaf of the package: it imports no pipeline layer, so the
+CLI can read and check a config without loading scipy.  It therefore also
+holds the small names that validation shares with the layers, which import
+them from here: the backbone's :data:`MODES` and :class:`TrainConfig`, the
+heuristics' :data:`STRUCTURAL` and :class:`GammaDecayConfig`, and the
+evaluation's :func:`parse_metric`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .backbone import MODES, TrainConfig
 from .errors import ConfigurationError
-from .evaluation import parse_metric
-from .heuristics import STRUCTURAL as HC_BASES, GammaDecayConfig
+from .rand import is_seed
 
 LABEL_SOURCES = ("true", "kmeans", "louvain", "mono")
-SCORERS = ("model", *HC_BASES, "hc")
+MODES = ("ncn", "ncnc", "backbone_only")
+STRUCTURAL = ("cn", "aa", "ra", "katz")
+"""Structural scorer names, each also a base that ``hc`` can layer on."""
+SCORERS = ("model", *STRUCTURAL, "hc")
 EVAL_SPLITS = ("test", "valid")
+
+
+# ---------------------------------------------------------------------------
+# Layer settings shared with validation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Backbone hyperparameters; ``seed`` drives init and negative sampling."""
+
+    dim: int = 64
+    hidden: int = 64
+    lr: float = 0.1
+    momentum: float = 0.9
+    epochs: int = 200
+    patience: int = 20
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.dim < 1 or self.hidden < 1:
+            raise ConfigurationError("dim and hidden must be >= 1")
+        if not 0 < self.lr < math.inf:  # NaN fails both comparisons
+            raise ConfigurationError(
+                f"learning rate must be positive and finite, got {self.lr}"
+            )
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 1:
+            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
+        if not is_seed(self.seed):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
+
+
+@dataclass(frozen=True)
+class GammaDecayConfig:
+    """Truncated-Katz parameters: decay ``gamma``, scale ``eta``, horizon."""
+
+    gamma: float = 0.05
+    eta: float = 1.0
+    max_length: int = 4
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigurationError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not 0.0 < self.eta < math.inf:  # NaN fails both comparisons
+            raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
+        if self.max_length < 1:
+            raise ConfigurationError(
+                f"max_length must be >= 1, got {self.max_length}"
+            )
+
+
+def parse_metric(spec: str) -> tuple[str, int | None]:
+    """Parse a metric spec: ``mrr`` or ``hr@<K>``."""
+    spec = spec.strip().lower()
+    if spec == "mrr":
+        return "mrr", None
+    if spec.startswith("hr@"):
+        try:
+            k = int(spec[3:])
+        except ValueError as exc:
+            raise ConfigurationError(f"bad metric spec '{spec}'") from exc
+        if k < 1:
+            raise ConfigurationError(f"K must be >= 1 in '{spec}'")
+        return "hr", k
+    raise ConfigurationError(f"unknown metric '{spec}' (expected mrr or hr@K)")
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +354,9 @@ class RunConfig:
             raise ConfigurationError(
                 f"scorer must be one of {SCORERS}, got {self.scorer!r}"
             )
-        if self.hc_base not in HC_BASES:
+        if self.hc_base not in STRUCTURAL:
             raise ConfigurationError(
-                f"hc_base must be one of {HC_BASES}, got {self.hc_base!r}"
+                f"hc_base must be one of {STRUCTURAL}, got {self.hc_base!r}"
             )
         self.katz_config()  # reuses the decay checks
         if self.eval_split not in EVAL_SPLITS:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .config import parse_metric
 from .errors import ClasslinkError, ConfigurationError, NumericError
 from .graph import EdgeSplit, Graph, Scorer, sample_negative_pools
 from .rand import STREAM_EVAL
@@ -86,22 +87,6 @@ def hr_at_k(ranks: np.ndarray, k: int) -> float:
     if ranks.size == 0:
         raise ConfigurationError("cannot compute HR@K of an empty rank list")
     return float(np.mean(ranks <= k))
-
-
-def parse_metric(spec: str) -> tuple[str, int | None]:
-    """Parse a metric spec: ``mrr`` or ``hr@<K>``."""
-    spec = spec.strip().lower()
-    if spec == "mrr":
-        return "mrr", None
-    if spec.startswith("hr@"):
-        try:
-            k = int(spec[3:])
-        except ValueError as exc:
-            raise ConfigurationError(f"bad metric spec '{spec}'") from exc
-        if k < 1:
-            raise ConfigurationError(f"K must be >= 1 in '{spec}'")
-        return "hr", k
-    raise ConfigurationError(f"unknown metric '{spec}' (expected mrr or hr@K)")
 
 
 def compute_metric(spec: str, ranks: np.ndarray) -> float:

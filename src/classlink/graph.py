@@ -16,6 +16,13 @@ stores every entry whose bit pattern is nonzero (so ``-0.0`` is kept and
 ``0.0`` is not), with sorted column indices; no dense ``n × F`` copy is ever
 built, neither at ingestion nor when ``graph.json`` is read.
 
+Both canonical forms are plain numpy: :func:`_adjacency_arrays` sorts and
+dedups the pair keys, and :func:`_stored_entries` drops a feature CSR's
+explicit ``+0.0`` entries.  scipy is imported only inside the functions that
+build a matrix, so :func:`ingest_graph_json`, which goes from the parsed
+files through those two functions straight to ``graph.json``, runs on numpy
+alone.
+
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
 then edge-file endpoints (first seen)*.  Because auxiliary files are interned
@@ -29,9 +36,9 @@ import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import artifacts
 from .errors import (
@@ -41,6 +48,9 @@ from .errors import (
     ParseError,
 )
 from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng, make_rngs
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +122,7 @@ class Graph:
 
     def undirected_edges(self) -> np.ndarray:
         """All edges as a canonical ``(m, 2)`` array with ``u < v``, lex-sorted."""
-        src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees())
-        dst = self.adj.indices.astype(np.int64)
-        mask = src < dst
-        return np.column_stack([src[mask], dst[mask]])
+        return _upper_pairs(self.adj.indptr, self.adj.indices)
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n_nodes:
@@ -228,8 +235,9 @@ def _freeze_csr(m: sp.csr_matrix) -> sp.csr_matrix:
 _MAX_NODES = 3_037_000_499
 
 
-def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """The symmetric 0/1 adjacency of an edge list, with sorted rows.
+def _adjacency_arrays(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` of the symmetric adjacency of an edge list,
+    rows sorted.
 
     Self-loops are dropped before the range check.  Every other edge gives
     the keys ``u * n + v`` and ``v * n + u``; one in-place sort and dedup of
@@ -269,12 +277,40 @@ def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
     row_starts = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
     indptr = np.searchsorted(keys, row_starts).astype(index)
     keys %= n_nodes
-    indices = keys.astype(index)
-    del keys
+    return indptr, keys.astype(index)
+
+
+def _upper_pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The ``(u, v)`` entries with ``u < v`` of a symmetric CSR with sorted
+    rows, as a lex-sorted int64 ``(m, 2)`` array."""
+    src = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    dst = indices.astype(np.int64)
+    mask = src < dst
+    return np.column_stack([src[mask], dst[mask]])
+
+
+def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """The symmetric 0/1 adjacency of an edge list (:func:`_adjacency_arrays`)."""
+    import scipy.sparse as sp
+
+    indptr, indices = _adjacency_arrays(edges, n_nodes)
     adj = sp.csr_matrix(
         (np.ones(indices.size), indices, indptr), shape=(n_nodes, n_nodes)
     )
     return _freeze_csr(adj)
+
+
+def _stored_entries(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of a float64 CSR without its explicit ``+0.0`` entries: every
+    entry whose bit pattern is nonzero stays (``-0.0`` too).  Arrays with
+    nothing to drop are returned as given."""
+    stored = data.view(np.int64) != 0
+    if not stored.all():
+        indptr = np.concatenate([[0], np.cumsum(stored)])[indptr]
+        data, indices = data[stored], indices[stored]
+    return data, indices, indptr
 
 
 def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_matrix:
@@ -282,37 +318,35 @@ def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_mat
     and every entry whose bit pattern is nonzero kept (``-0.0`` too).
 
     A canonical float64 CSR keeps its arrays (frozen, and shared with the
-    input) with only its explicit ``+0.0`` entries dropped; anything else
-    goes through COO.
+    input) with only its explicit ``+0.0`` entries dropped
+    (:func:`_stored_entries`); anything else is first made one through COO.
     """
+    import scipy.sparse as sp
+
     shape = features.shape if sp.issparse(features) else np.shape(features)
     if len(shape) != 2 or shape[0] != n_nodes:
         raise DimensionError(
             f"feature matrix shape {shape} does not match {n_nodes} nodes"
         )
-    if (
+    if not (
         sp.issparse(features)
         and features.format == "csr"
         and features.dtype == np.float64
         and features.has_canonical_format
     ):
-        data, indices, indptr = features.data, features.indices, features.indptr
-        stored = data.view(np.int64) != 0
-        if not stored.all():
-            indptr = np.concatenate([[0], np.cumsum(stored)])[indptr]
-            data, indices = data[stored], indices[stored]
-        return _freeze_csr(sp.csr_matrix((data, indices, indptr), shape=shape))
-    if sp.issparse(features):
-        coo = sp.coo_matrix(features, dtype=np.float64, copy=True)
-        coo.sum_duplicates()
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        dense = np.ascontiguousarray(features, dtype=np.float64)
-        rows, cols = np.nonzero(dense.view(np.int64))
-        vals = dense[rows, cols]
-    stored = vals.view(np.int64) != 0
-    x = sp.csr_matrix((vals[stored], (rows[stored], cols[stored])), shape=shape)
-    return _freeze_csr(x)
+        if sp.issparse(features):
+            coo = sp.coo_matrix(features, dtype=np.float64, copy=True)
+            coo.sum_duplicates()
+            rows, cols, vals = coo.row, coo.col, coo.data
+        else:
+            dense = np.ascontiguousarray(features, dtype=np.float64)
+            rows, cols = np.nonzero(dense.view(np.int64))
+            vals = dense[rows, cols]
+        features = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    data, indices, indptr = _stored_entries(
+        features.data, features.indices, features.indptr
+    )
+    return _freeze_csr(sp.csr_matrix((data, indices, indptr), shape=shape))
 
 
 def build_graph(
@@ -331,6 +365,8 @@ def build_graph(
     CSR is not copied: the graph shares its arrays and makes them read-only.
     ``labels`` uses ``-1`` for unlabeled nodes.
     """
+    import scipy.sparse as sp
+
     if n_nodes < 1:
         raise ConfigurationError(f"graph needs at least one node, got {n_nodes}")
     adj = _csr_from_edges(np.asarray(edges), n_nodes)
@@ -374,6 +410,9 @@ def build_graph(
 # whatever the file's size.
 _FEATURE_BLOCK = 1 << 16
 
+# A feature matrix as its CSR arrays and width: ``(data, indices, indptr, width)``.
+_FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
 
 def load_graph(
     edge_path: str | Path,
@@ -410,6 +449,70 @@ def load_graph(
     duplicate node, non-numeric cell).  Non-finite feature values are
     checked last, after the edge file.
     """
+    import scipy.sparse as sp
+
+    n_nodes, edges, features, labels, node_ids, class_ids = _read_inputs(
+        edge_path, feature_path, label_path
+    )
+    if features is not None:
+        data, indices, indptr, width = features
+        features = sp.csr_matrix((data, indices, indptr), shape=(n_nodes, width))
+    return build_graph(
+        n_nodes,
+        edges,
+        features=features,
+        labels=labels,
+        node_ids=node_ids,
+        class_ids=class_ids,
+    )
+
+
+def ingest_graph_json(
+    edge_path: str | Path,
+    feature_path: str | Path | None,
+    label_path: str | Path | None,
+    path: str | Path,
+) -> tuple[int, int]:
+    """Read the input files as :func:`load_graph` does and write the
+    ``graph.json`` that :func:`save_graph_json` writes for its graph, byte
+    for byte, without building a scipy matrix.  Returns the node and edge
+    counts.
+
+    The adjacency comes from :func:`_adjacency_arrays` and the feature
+    entries pass :func:`_stored_entries`, the steps :func:`build_graph`
+    takes, in its order, so the errors are those of :func:`load_graph` too.
+    """
+    n_nodes, edges, features, labels, node_ids, class_ids = _read_inputs(
+        edge_path, feature_path, label_path
+    )
+    indptr, indices = _adjacency_arrays(edges, n_nodes)
+    del edges
+    if features is None:
+        features = (np.zeros(0), np.zeros(0, np.int64), np.zeros(n_nodes + 1, np.int64), 0)
+    *csr, width = features
+    _write_graph_json(
+        path,
+        n_nodes,
+        node_ids,
+        class_ids,
+        _upper_pairs(indptr, indices),
+        labels,
+        (*_stored_entries(*csr), width),
+    )
+    return n_nodes, indices.size // 2
+
+
+def _read_inputs(
+    edge_path: str | Path,
+    feature_path: str | Path | None,
+    label_path: str | Path | None,
+) -> tuple[
+    int, np.ndarray, _FeatureArrays | None, np.ndarray | None, tuple[str, ...], tuple[str, ...]
+]:
+    """The parsed input files of :func:`load_graph`: the node count, the raw
+    ``(m, 2)`` edges, the features as canonical CSR arrays ``(data, indices,
+    indptr, width)`` or ``None``, the labels or ``None``, and the node and
+    class ids."""
     index: dict[str, int] = {}
 
     # Feature and label files are interned before edges; see module docstring.
@@ -436,7 +539,7 @@ def load_graph(
                 f"{feature_path}:{row_lines[row]}: non-finite feature "
                 f"value {values[bad[0]]}"
             )
-        features = sp.csr_matrix((values, cols, indptr), shape=(n_nodes, width))
+        features = (values, cols, indptr, width)
 
     labels = None
     class_ids: tuple[str, ...] = ()
@@ -444,15 +547,7 @@ def load_graph(
         nodes, classes, class_ids = label_rows
         labels = np.full(n_nodes, -1, dtype=np.int64)
         labels[nodes] = classes
-
-    return build_graph(
-        n_nodes,
-        edges,
-        features=features,
-        labels=labels,
-        node_ids=tuple(index),
-        class_ids=class_ids,
-    )
+    return n_nodes, edges, features, labels, tuple(index), class_ids
 
 
 def _read_features(
@@ -657,21 +752,44 @@ def _text_blocks(path: str | Path, size: int) -> Iterator[str]:
 def save_graph_json(g: Graph, path: str | Path) -> None:
     """Serialize a graph losslessly: edges, labels and the feature CSR arrays."""
     x = g.features
+    _write_graph_json(
+        path,
+        g.n_nodes,
+        g.node_ids,
+        g.class_ids,
+        g.undirected_edges(),
+        g.labels,
+        (x.data, x.indices, x.indptr, x.shape[1]),
+    )
+
+
+def _write_graph_json(
+    path: str | Path,
+    n_nodes: int,
+    node_ids: Sequence[str],
+    class_ids: Sequence[str],
+    edges: np.ndarray,
+    labels: np.ndarray | None,
+    features: _FeatureArrays,
+) -> None:
+    """The one ``graph.json`` writer: canonical ``u < v`` edges, labels, and
+    the feature CSR as ``(data, indices, indptr, width)``."""
+    data, indices, indptr, width = features
     artifacts.write(
         path,
         "graph",
         {
-            "n_nodes": g.n_nodes,
-            "n_features": x.shape[1],
-            "node_ids": list(g.node_ids),
-            "class_ids": list(g.class_ids),
+            "n_nodes": n_nodes,
+            "n_features": width,
+            "node_ids": list(node_ids),
+            "class_ids": list(class_ids),
         },
         {
-            "edges": g.undirected_edges(),
-            "labels": g.labels,
-            "features_indptr": x.indptr,
-            "features_indices": x.indices,
-            "features_data": x.data,
+            "edges": edges,
+            "labels": labels,
+            "features_indptr": indptr,
+            "features_indices": indices,
+            "features_data": data,
         },
     )
 
@@ -703,6 +821,8 @@ def load_graph_json(path: str | Path) -> Graph:
         or (indices.size and (indices.min() < 0 or indices.max() >= width))
     ):
         raise ParseError(f"{path}: features are not a CSR matrix of {n} x {width}")
+    import scipy.sparse as sp
+
     features = sp.csr_matrix((data, indices, indptr), shape=(n, width))
     if not features.has_canonical_format:
         raise ParseError(f"{path}: feature columns do not strictly increase in a row")

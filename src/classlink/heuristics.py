@@ -44,28 +44,10 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
+from .config import STRUCTURAL, GammaDecayConfig
 from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
 from .graph import Graph, Scorer, chunked_scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
-
-
-@dataclass(frozen=True)
-class GammaDecayConfig:
-    """Truncated-Katz parameters: decay ``gamma``, scale ``eta``, horizon."""
-
-    gamma: float = 0.05
-    eta: float = 1.0
-    max_length: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigurationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 < self.eta < np.inf:  # NaN fails both comparisons
-            raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
-        if self.max_length < 1:
-            raise ConfigurationError(
-                f"max_length must be >= 1, got {self.max_length}"
-            )
 
 
 @dataclass(frozen=True)
@@ -99,9 +81,6 @@ class ClassHeuristicParams:
 
 _CHUNK = 4096
 """Pairs per block of sparse rows; bounds the memory one batch takes."""
-
-STRUCTURAL = ("cn", "aa", "ra", "katz")
-"""Structural scorer names, each also a base that ``hc`` can layer on."""
 
 
 def _common_neighbor_sum(

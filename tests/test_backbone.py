@@ -637,14 +637,18 @@ class TestChunkedHead:
         assert large - small <= 16384, (small, large)
 
     @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
-    def test_scorer_memory_does_not_grow_with_the_pair_count(self, mode):
-        """From 4 to 8 chunks of pairs, the peak memory that a model's scorer
+    def test_scorer_memory_does_not_grow_with_the_pair_count(self, monkeypatch, mode):
+        """From 4 to 8 slices of pairs, the peak memory that a model's scorer
         adds grows by no more than its output vector of the added pairs and
-        64 KiB: the incidence (and, in ncnc, the completion pairs) of one head
-        chunk is built at a time.  The eight chunks are the four twice, so
-        that the largest chunk is the same in both runs; the slack covers
-        the peak's drift between runs of the same chunks (up to about 50 KiB
-        in ncnc), against the megabytes that a whole-batch incidence adds."""
+        64 KiB: the incidence (and, in ncnc, the completion pairs) of one
+        slice of ``SCORER_CHUNKS`` head chunks is built at a time.  Head
+        chunks of 64 pairs make a slice 1024 pairs.  The eight slices are the
+        four twice, so that the largest slice is the same in both runs; the
+        slack covers the peak's drift between runs of the same slices (up to
+        about 50 KiB in ncnc), against the megabytes that a whole-batch
+        incidence adds."""
+        monkeypatch.setattr(backbone, "HEAD_CHUNK", 64)
+        size = backbone.SCORER_CHUNKS * backbone.HEAD_CHUNK
         rng = np.random.default_rng(1222)
         n = 300
         g = build_graph(
@@ -661,10 +665,38 @@ class TestChunkedHead:
         )
         score = make_scorer(model, g, prior, g.labels)
 
-        pairs = rng.integers(0, n, size=(4 * backbone.HEAD_CHUNK, 2))
+        pairs = rng.integers(0, n, size=(4 * size, 2))
         twice = np.concatenate([pairs, pairs])
         four, eight = peak_rise(lambda: score(pairs)), peak_rise(lambda: score(twice))
-        assert eight - four <= 8 * 4 * backbone.HEAD_CHUNK + 65536, (four, eight)
+        assert eight - four <= 8 * 4 * size + 65536, (four, eight)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scorer_bits_do_not_depend_on_the_slice(self, monkeypatch, mode):
+        """A model's scorer gives the same bits in its default slices as with
+        the head chunk shrunk to 64 and 16 pairs, which cuts the batch (and,
+        in ncnc, the completion pairs) into more, shorter slices: every pair
+        keeps its incidence row, its completion weights and its logit.  The
+        batch ends in a one-pair rest at each size."""
+        g, _, labels, _ = incidence_instance(70 + MODES.index(mode), n_pairs=10)
+        use_priors = mode != "backbone_only"
+        prior = count_class_links(g.undirected_edges(), labels, 3) if use_priors else None
+        config = TrainConfig(dim=8, hidden=16, seed=5)
+        model = TrainedModel(
+            init_params(5, config, use_priors),
+            mode,
+            init_params(5, replace(config, seed=6), True) if mode == "ncnc" else None,
+        )
+        model.params.bh += 0.1
+        pairs = np.random.default_rng(1226).integers(0, g.n_nodes, size=(3 * 1024 + 1, 2))
+
+        def scores():
+            return make_scorer(model, g, prior, labels if use_priors else None)(pairs)
+
+        want = scores()
+        assert len(pairs) <= backbone.SCORER_CHUNKS * backbone.HEAD_CHUNK
+        for head in (64, 16):
+            monkeypatch.setattr(backbone, "HEAD_CHUNK", head)
+            assert scores().tobytes() == want.tobytes(), head
 
 
 class TestFusion:

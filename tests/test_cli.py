@@ -4,6 +4,7 @@ import ctypes
 import importlib
 import json
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,48 @@ class TestDependenciesAndStaleness:
         assert main(["ingest", "--config", str(cfg), "--seed", "99"]) == 0
         assert "up to date" in capsys.readouterr().out
 
+    def test_changed_input_file_makes_ingest_and_later_stages_stale(
+        self, dataset, capsys
+    ):
+        """The manifest's ingest entry records each input file's size and
+        modification time, not only its path."""
+        tmp, stats = dataset
+        cfg = write_config(
+            tmp / "t.yaml", tmp / "data", tmp / "out", label_source="louvain", scorer="hc"
+        )
+        edges = tmp / "data" / "edges.txt"
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        with open(edges, "a") as fh:
+            fh.write("x y\n")
+        capsys.readouterr()
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "up to date" not in out
+        assert f"n_edges={stats['n_edges'] + 1}" in out
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert manifest["stages"]["ingest"]["n_edges"] == stats["n_edges"] + 1
+
+        # unchanged inputs: every stage is reused
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        for stage in ("ingest", "split", "cluster", "prior"):
+            assert f"{stage}: up to date" in out
+
+        # a later stage run alone names the stage to re-run
+        with open(edges, "a") as fh:
+            fh.write("y z\n")
+        for command in ("split", "cluster", "prior", "evaluate"):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[pipeline]:")
+            assert "re-run `classlink ingest`" in err
+
+        # and run-all reuses none of the stages built on the old graph
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "up to date" not in out
+        assert f"n_edges={stats['n_edges'] + 2}" in out
+
     def test_evaluate_model_without_checkpoint(self, dataset, capsys):
         tmp, _ = dataset
         cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
@@ -411,6 +454,36 @@ class TestProcessInterface:
         bad.write_text("edges: e.txt\nlerning_rate: 0.1\n")
         assert main(["split", "--config", str(bad)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+
+class TestLazyLayers:
+    def test_ingest_loads_no_scipy_and_split_does(self, dataset):
+        """In a fresh interpreter, importing the CLI and running ``ingest``
+        load no scipy module; ``split``, which builds matrices, loads it."""
+        tmp, _ = dataset
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
+        script = (
+            "import json, sys\n"
+            "from classlink import cli\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "seen = {'import': scipy()}\n"
+            "for command in ('ingest', 'split'):\n"
+            "    assert cli.main([command, '--config', sys.argv[1]]) == 0\n"
+            "    seen[command] = scipy()\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cfg)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["import"] == [] and seen["ingest"] == []
+        assert "scipy.sparse" in seen["split"]
 
 
 class TestNonFiniteFeatures:

@@ -284,3 +284,16 @@ def test_readme_config_table_lists_every_key():
     for row in table.splitlines()[2:]:  # below the header and its rule
         documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
     assert documented == {f.name for f in fields(RunConfig)}
+
+
+class TestSharedNames:
+    def test_the_layers_export_the_config_objects(self):
+        """``config`` defines the names that validation shares with the
+        layers; their old import paths give the same objects."""
+        from classlink import backbone, config, evaluation, heuristics
+
+        assert backbone.MODES is config.MODES
+        assert backbone.TrainConfig is config.TrainConfig
+        assert heuristics.STRUCTURAL is config.STRUCTURAL
+        assert heuristics.GammaDecayConfig is config.GammaDecayConfig
+        assert evaluation.parse_metric is config.parse_metric

@@ -3,6 +3,10 @@
 ``load_graph`` must give the graph arrays of ``graph_oracles.load_graph_by_lines``
 on every input, or raise the same exception class with the same message:
 the first offending line wins, and each line runs its checks in order.
+
+``ingest_graph_json``, which writes ``graph.json`` straight from the parsed
+files, must write the bytes of ``save_graph_json(load_graph(...))`` or raise
+its error.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import pytest
 
 from classlink import graph as graph_module
 from classlink.errors import ClasslinkError, ParseError
-from classlink.graph import Graph, load_graph
+from classlink.graph import Graph, ingest_graph_json, load_graph, save_graph_json
 
 from graph_oracles import load_graph_by_lines
 
@@ -261,3 +265,66 @@ class TestCases:
         feats.write_bytes(b"a,1\n\xfe,2\n")
         with pytest.raises(ParseError, match=r"cannot read .*features\.csv"):
             load_graph(tmp_path / "missing.txt", feats)
+
+
+def graph_json_outcome(tmp_path, how: str, *paths) -> tuple:
+    """``("bytes", b)`` of the ``graph.json`` that ``how`` writes, or
+    ``("error", exception class, message)``."""
+    out = tmp_path / f"{how}.json"
+    try:
+        if how == "ingest":
+            ingest_graph_json(*paths, out)
+        else:
+            save_graph_json(load_graph(*paths), out)
+    except ClasslinkError as exc:
+        return ("error", type(exc), str(exc))
+    return ("bytes", out.read_bytes())
+
+
+def assert_same_graph_json(tmp_path, *paths) -> str:
+    paths = (*paths, None, None)[:3]
+    want = graph_json_outcome(tmp_path, "load", *paths)
+    assert graph_json_outcome(tmp_path, "ingest", *paths) == want
+    return want[0]
+
+
+class TestIngestWriter:
+    def test_seeded_files_give_the_bytes_or_error_of_a_loaded_graph(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(2001)
+        kinds = {"bytes": 0, "error": 0}
+        for _ in range(300):
+            paths = random_case(rng, tmp_path)
+            block = pick(rng, (*SMALL_BLOCKS, 1 << 16))
+            monkeypatch.setattr(graph_module, "_FEATURE_BLOCK", block)
+            kinds[assert_same_graph_json(tmp_path, *paths)] += 1
+        assert min(kinds.values()) > 60, kinds
+
+    def test_loops_duplicates_reversed_edges_and_signed_zero_cells(self, tmp_path):
+        edges = write(
+            tmp_path / "edges.txt",
+            ["a b", "b a", "a b", "c c", "c d", "d c", "b b", "e a", "a e", "d b"],
+        )
+        feats = write(
+            tmp_path / "features.csv",
+            ["a,0.0,-0.0,1", "b,0,0,0", "c,-0,0.0,+0", "d,2.5,00,-0.0"],
+        )
+        labels = write(tmp_path / "labels.csv", ["a,x", "c,y", "d,x"])
+        for paths in ((edges, feats, labels), (edges, feats), (edges, None, labels), (edges,)):
+            assert assert_same_graph_json(tmp_path, *paths) == "bytes", paths
+        n_nodes, n_edges = ingest_graph_json(edges, feats, labels, tmp_path / "g.json")
+        g = load_graph(edges, feats, labels)
+        assert (n_nodes, n_edges) == (g.n_nodes, g.n_edges) == (5, 4)
+
+    def test_files_with_nothing_to_store(self, tmp_path):
+        """Only self-loops, blank feature and label files, all-zero cells."""
+        edges = write(tmp_path / "edges.txt", ["a a", "b b"])
+        for feats in ([""], ["a,0,0", "b,0.0,0"]):
+            for labels in ([""], ["a,x"]):
+                paths = (
+                    edges,
+                    write(tmp_path / "features.csv", feats),
+                    write(tmp_path / "labels.csv", labels),
+                )
+                assert assert_same_graph_json(tmp_path, *paths) == "bytes", (feats, labels)

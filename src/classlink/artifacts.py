@@ -20,6 +20,7 @@ import base64
 import json
 import math
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +34,21 @@ FLOAT = "<f8"
 _NATIVE = {INT: np.int64, FLOAT: np.float64}
 
 
-def write_text(path: str | Path, *parts: str) -> Path:
+def write_text(path: str | Path, *parts: str | bytes) -> Path:
     """Atomically replace ``path`` with the text ``parts``, written in order
-    to one handle, creating its directory."""
+    to one handle, creating its directory.  A ``bytes`` part is ASCII text
+    that goes to the file as it is, so no encoded copy of it is made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
             for part in parts:
-                fh.write(part)
+                if isinstance(part, bytes):
+                    fh.flush()
+                    fh.buffer.write(part)
+                else:
+                    fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -50,34 +56,56 @@ def write_text(path: str | Path, *parts: str) -> Path:
     return path
 
 
+def _blob_array(arr) -> np.ndarray:
+    """``arr`` as the contiguous ``<f8`` (float) or ``<i8`` (integer or
+    boolean) array whose bytes a blob holds."""
+    arr = np.asarray(arr)
+    return np.ascontiguousarray(arr, dtype=FLOAT if arr.dtype.kind == "f" else INT)
+
+
 def encode_array(arr: np.ndarray) -> dict:
     """Blob of a float (``<f8``) or integer/boolean (``<i8``) array."""
-    arr = np.asarray(arr)
-    dtype = FLOAT if arr.dtype.kind == "f" else INT
-    arr = np.ascontiguousarray(arr, dtype=dtype)
+    arr = _blob_array(arr)
     return {
-        "dtype": dtype,
+        "dtype": arr.dtype.str,
         "shape": list(arr.shape),
         "data": base64.b64encode(arr).decode("ascii"),  # from the array's own buffer
     }
 
 
-def encode(fields: dict, arrays: dict | None = None) -> dict:
-    """``fields`` plus each array as a blob (``None`` stays ``null``)."""
-    out = dict(fields)
-    for name, arr in (arrays or {}).items():
-        out[name] = None if arr is None else encode_array(arr)
-    return out
+def _json_parts(obj) -> Iterator[str | bytes]:
+    """The text of ``json.dumps(obj, sort_keys=True)`` in parts, where each
+    numpy array, at any depth of objects, is a blob whose base64 data is a
+    ``bytes`` part of its own.  Base64 needs no JSON escaping, so the escaped
+    copy and the joined text that ``json.dumps`` would make of it are never
+    made."""
+    if isinstance(obj, np.ndarray):
+        arr = _blob_array(obj)
+        yield '{"data": "'
+        yield base64.b64encode(arr)
+        yield f'", "dtype": "{arr.dtype.str}", "shape": {json.dumps(list(arr.shape))}}}'
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_parts(obj[key])
+        yield "}"
+    else:
+        yield json.dumps(obj, sort_keys=True)
 
 
 def write(path: str | Path, kind: str, fields: dict, arrays: dict | None = None) -> Path:
-    """Write one enveloped JSON artifact atomically."""
-    # the encoded payload is freed once dumped, and the newline goes to the
-    # handle on its own, so the write holds one copy of the text
-    text = json.dumps(
-        {"kind": kind, "version": ARTIFACT_VERSION, **encode(fields, arrays)}, sort_keys=True
-    )
-    return write_text(path, text, "\n")
+    """Write one enveloped JSON artifact atomically.
+
+    Each of ``arrays`` (``None`` stays ``null``), and each numpy array inside
+    ``fields``, is stored as a blob.  The text is serialised in full before
+    the file is opened, so a value JSON cannot hold leaves the old file.
+    """
+    blobs = {
+        name: None if arr is None else np.asarray(arr) for name, arr in (arrays or {}).items()
+    }
+    payload = {"kind": kind, "version": ARTIFACT_VERSION, **fields, **blobs}
+    return write_text(path, *_json_parts(payload), "\n")
 
 
 def read(

@@ -606,9 +606,7 @@ _PARAM_ARRAYS = {
 def _params_payload(params: BackboneParams | None) -> dict | None:
     if params is None:
         return None
-    return artifacts.encode(
-        {name: getattr(params, name) for name in _PARAM_FIELDS}, params.arrays()
-    )
+    return {**{name: getattr(params, name) for name in _PARAM_FIELDS}, **params.arrays()}
 
 
 def _params_from_payload(path: str | Path, payload: dict | None) -> BackboneParams | None:

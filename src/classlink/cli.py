@@ -425,17 +425,21 @@ _OVERRIDE_FLAGS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, COMMANDS))
     parser = argparse.ArgumentParser(
         prog="classlink",
         description="Seeded link-prediction pipeline with class-conditioned priors.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<{width}}  {help_text}" for name, (_, help_text) in COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="YAML config file", default=None)
-        for flag, dest, typ, help_str in _OVERRIDE_FLAGS:
-            sp.add_argument(flag, dest=dest, type=typ, help=help_str, default=None)
-        sp.set_defaults(func=fn)
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", help="YAML config file", default=None)
+    for flag, dest, typ, help_str in _OVERRIDE_FLAGS:
+        parser.add_argument(flag, dest=dest, type=typ, help=help_str, default=None)
     return parser
 
 
@@ -450,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         cfg = RunConfig.from_mapping(mapping, overrides=overrides)
         cfg.validate(check_paths=args.command in ("ingest", "run-all"))
-        args.func(cfg)
+        COMMANDS[args.command][0](cfg)
     except ClasslinkError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,3 +381,36 @@ class TestAtomicWrite:
         artifacts.write_text(path, "new\n")
         assert path.read_text() == "new\n"
         assert os.listdir(path.parent) == [path.name]
+
+
+class TestWriter:
+    def test_text_is_json_dumps_of_the_encoded_payload(self, tmp_path):
+        fields = {
+            "z": {"w": np.arange(6).reshape(2, 3), "deep": {"x": np.array([0.5, -0.0])}},
+            "a": [1, 2.5, None, "\u00e9\"\\"],
+            "empty": {},
+            "numbered": {1: "one", 2: "two"},
+            "none": None,
+        }
+        artifacts.write(tmp_path / "a.json", "test", fields, {"b": np.array([True]), "c": None})
+        encoded = {
+            **fields,
+            "z": {
+                "w": encode_array(fields["z"]["w"]),
+                "deep": {"x": encode_array(fields["z"]["deep"]["x"])},
+            },
+        }
+        payload = {"kind": "test", "version": 2, **encoded, "b": encode_array([1]), "c": None}
+        expected = json.dumps(payload, sort_keys=True) + "\n"
+        assert (tmp_path / "a.json").read_text() == expected
+
+    def test_peak_memory_stays_under_twice_the_file_size(self, tmp_path):
+        arr = np.random.default_rng(0).random(1_000_000)
+        path = tmp_path / "a.json"
+        tracemalloc.start()
+        try:
+            artifacts.write(path, "test", {}, {"a": arr})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * path.stat().st_size

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import atexit
 import ctypes
+import gc
 import importlib
 import json
 import hashlib
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from classlink import cli
 from classlink.artifacts import encode_array
 from classlink.cli import main
 
@@ -448,6 +451,27 @@ class TestProcessInterface:
         assert bad.returncode == 1
         assert bad.stderr.startswith("error[pipeline]:")
 
+    def test_help_lists_every_command_and_a_bad_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (_, help_text) in cli.COMMANDS.items():
+            assert f"  {name}".ljust(10) + f"  {help_text}" in lines
+        for argv in ([], ["bogus"], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as done:
+                main(argv)
+            assert done.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_dispatch_reads_the_command_table_at_call_time(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(f"edges: {tmp_path}/absent.txt\nmode: backbone_only\nseed: 4\n")
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "heatmap", (seen.append, "traced"))
+        assert main(["--config", str(cfg), "heatmap", "--seed", "5"]) == 0
+        assert [c.seed for c in seen] == [5]
+
     def test_unknown_config_key_fails_fast(self, dataset, capsys):
         tmp, _ = dataset
         bad = tmp / "bad.yaml"
@@ -682,6 +706,37 @@ class TestProcessEntry:
         assert entry.main(["ingest", "--config", str(cfg)]) == 1
         assert calls == [(-2, 64 << 20), (-3, 32 << 20)]  # M_TOP_PAD, M_MMAP_THRESHOLD
         assert capsys.readouterr().err.count("error[config]:") == 2
+
+    @pytest.mark.parametrize(
+        "module, freezes", [("classlink.__main__", True), ("classlink.cli", False)]
+    )
+    def test_only_the_process_entry_freezes_the_heap_at_exit(self, dataset, module, freezes):
+        # exit handlers run last in, first out: this check runs after main's
+        tmp, _ = dataset
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"from {module} import main\n"
+            f"sys.exit(main(['ingest', '--config', {str(cfg)!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.splitlines()[-1].split()
+        assert last[0] == "frozen" and (int(last[1]) > 0) == freezes
+
+    def test_in_process_entry_leaves_the_collector_as_it_is(self, tmp_path, capsys):
+        from classlink.__main__ import main as entry_main
+
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(f"edges: {tmp_path}/absent.txt\nmode: backbone_only\n")
+        before = gc.get_freeze_count()
+        try:
+            assert entry_main(["ingest", "--config", str(cfg)]) == 1
+            assert gc.get_freeze_count() == before
+        finally:
+            atexit.unregister(gc.freeze)
+        assert "error[config]:" in capsys.readouterr().err
 
     def test_console_script_enters_through_the_heap_setting(self):
         tomllib = pytest.importorskip("tomllib")

@@ -17,10 +17,11 @@ version, each field's type and each array's dtype and shape, and raises
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,12 @@ def write_text(path: str | Path, *parts: str | bytes) -> Path:
     """Atomically replace ``path`` with the text ``parts``, written in order
     to one handle, creating its directory.  A ``bytes`` part is ASCII text
     that goes to the file as it is, so no encoded copy of it is made."""
-    path = Path(path)
+    return _write_parts(Path(path), parts)
+
+
+def _write_parts(path: Path, parts: Iterable[str | bytes]) -> Path:
+    """:func:`write_text` of parts taken one at a time from an iterable; if
+    taking one fails, the temporary file goes and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -63,26 +69,25 @@ def _blob_array(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=FLOAT if arr.dtype.kind == "f" else INT)
 
 
-def encode_array(arr: np.ndarray) -> dict:
-    """Blob of a float (``<f8``) or integer/boolean (``<i8``) array."""
-    arr = _blob_array(arr)
-    return {
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr).decode("ascii"),  # from the array's own buffer
-    }
+# Raw bytes base64-encoded per call (192 KiB): a multiple of 3, so the slices'
+# texts join into the text of the whole.  The encoder's transient buffer and
+# the part just written stay small against a large array's text.
+_B64_SLICE = 3 << 16
 
 
 def _json_parts(obj) -> Iterator[str | bytes]:
     """The text of ``json.dumps(obj, sort_keys=True)`` in parts, where each
-    numpy array, at any depth of objects, is a blob whose base64 data is a
-    ``bytes`` part of its own.  Base64 needs no JSON escaping, so the escaped
+    numpy array, at any depth of objects, is a blob whose base64 data is
+    ``bytes`` parts of its own.  Base64 needs no JSON escaping, so the escaped
     copy and the joined text that ``json.dumps`` would make of it are never
-    made."""
+    made.  Each part encodes :data:`_B64_SLICE` raw bytes, a view of the
+    array's own buffer, so no encoded copy of a whole array is made."""
     if isinstance(obj, np.ndarray):
         arr = _blob_array(obj)
+        raw = memoryview(arr.reshape(-1)).cast("B")
         yield '{"data": "'
-        yield base64.b64encode(arr)
+        for start in range(0, len(raw), _B64_SLICE):
+            yield base64.b64encode(raw[start : start + _B64_SLICE])
         yield f'", "dtype": "{arr.dtype.str}", "shape": {json.dumps(list(arr.shape))}}}'
     elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
@@ -98,14 +103,15 @@ def write(path: str | Path, kind: str, fields: dict, arrays: dict | None = None)
     """Write one enveloped JSON artifact atomically.
 
     Each of ``arrays`` (``None`` stays ``null``), and each numpy array inside
-    ``fields``, is stored as a blob.  The text is serialised in full before
-    the file is opened, so a value JSON cannot hold leaves the old file.
+    ``fields``, is stored as a blob.  The text is serialised part by part
+    into the temporary file, so a value JSON cannot hold fails the write and
+    leaves the old file.
     """
     blobs = {
         name: None if arr is None else np.asarray(arr) for name, arr in (arrays or {}).items()
     }
     payload = {"kind": kind, "version": ARTIFACT_VERSION, **fields, **blobs}
-    return write_text(path, *_json_parts(payload), "\n")
+    return _write_parts(Path(path), itertools.chain(_json_parts(payload), ("\n",)))
 
 
 def read(

@@ -64,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
-from .config import MODES, TrainConfig
+from .config import MODES, TrainConfig, check_mode
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import (
@@ -353,8 +353,7 @@ class BatchBuilder:
         labels: np.ndarray | None,
         completion_scorer: Scorer | None = None,
     ) -> "BatchBuilder":
-        if mode not in MODES:
-            raise ConfigurationError(f"unknown mode '{mode}' (expected {MODES})")
+        check_mode(mode)
         if mode == "ncnc" and completion_scorer is None:
             raise ConfigurationError("ncnc batches need a completion scorer")
         if g_train.features.shape[1] == 0:
@@ -438,8 +437,7 @@ def train(
     a derived seed, then trains the final model on completion-weighted
     neighborhoods.  Deterministic given ``config.seed``.
     """
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown mode '{mode}' (expected {MODES})")
+    check_mode(mode)
     use_priors = mode != "backbone_only"
     if use_priors and (prior is None or labels is None):
         raise ConfigurationError(

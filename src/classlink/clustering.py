@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
+from .config import check_k_grid, check_max_iters
 from .errors import ConfigurationError, DimensionError, ParseError
 from .graph import Graph
 from .rand import STREAM_CLUSTER, make_rng
@@ -218,6 +219,7 @@ def _lloyd(
     nonincreasing; assignment ties go to the lowest centroid index; an empty
     cluster is re-seeded from the point farthest from its assigned centroid.
     """
+    check_max_iters(max_iters)
     n, k = points.x.shape[0], cents.counts.size
     prev_assign: np.ndarray | None = None
     history: list[float] = []
@@ -343,19 +345,11 @@ def _elbow_runs(
     extends the previous centroids with greedily chosen farthest points, so
     the SSD curve is nonincreasing in k.
     """
+    ks = check_k_grid(k_candidates)
     points = _prepare_points(features, normalize_rows)
     n = points.x.shape[0]
-    ks = list(k_candidates)
-    if len(ks) < 3:
-        raise ConfigurationError(
-            f"elbow selection needs at least 3 candidates, got {len(ks)}"
-        )
-    if ks != sorted(set(ks)):
-        raise ConfigurationError(
-            f"candidates must be strictly increasing, got {k_candidates}"
-        )
-    if ks[0] < 1 or ks[-1] > n:
-        raise ConfigurationError(f"candidates must lie in [1, {n}], got {k_candidates}")
+    if ks[-1] > n:
+        raise ConfigurationError(f"k_grid values must lie in [1, {n}], got {ks}")
 
     curve: list[tuple[int, float]] = []
     labels_by_k: dict[int, np.ndarray] = {}

@@ -11,10 +11,14 @@ digests — moving artifacts does not make them stale.
 
 This module is a leaf of the package: it imports no pipeline layer, so the
 CLI can read and check a config without loading scipy.  It therefore also
-holds the small names that validation shares with the layers, which import
-them from here: the backbone's :data:`MODES` and :class:`TrainConfig`, the
-heuristics' :data:`STRUCTURAL` and :class:`GammaDecayConfig`, and the
-evaluation's :func:`parse_metric`.
+holds what validation shares with the layers, which import it from here: the
+backbone's :data:`MODES` and :class:`TrainConfig`, the heuristics'
+:data:`STRUCTURAL` and :class:`GammaDecayConfig`, the evaluation's
+:func:`parse_metric`, and one ``check_*`` function per rule on a run value
+that a layer also checks (split ratios, elbow grid, k-means iteration cap,
+backbone mode, per-edge negative count, ``hc`` base).  :meth:`RunConfig.validate`
+and the layer that takes the value call the same function, so a value that
+passes validation never fails the same rule inside a stage.
 """
 
 from __future__ import annotations
@@ -91,6 +95,58 @@ class GammaDecayConfig:
             raise ConfigurationError(
                 f"max_length must be >= 1, got {self.max_length}"
             )
+
+
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """``ratios`` as three positive reals summing to 1 (train, valid, test)."""
+    r = tuple(float(x) for x in ratios)
+    if len(r) != 3 or any(not x > 0 for x in r):  # NaN fails both checks
+        raise ConfigurationError(f"ratios must be three positive reals, got {r}")
+    if not abs(sum(r) - 1.0) <= 1e-9:
+        raise ConfigurationError(f"ratios must sum to 1, got {sum(r)!r}")
+    return r  # type: ignore[return-value]
+
+
+def check_k_grid(k_grid) -> list[int]:
+    """``k_grid`` as a list of at least 3 strictly increasing candidates >= 1.
+    Their bound by the node count needs the graph, so the clustering checks it."""
+    ks = list(k_grid)
+    if len(ks) < 3:
+        raise ConfigurationError(
+            f"k_grid needs at least 3 candidates for the elbow rule, got {ks}"
+        )
+    if ks != sorted(set(ks)):
+        raise ConfigurationError(f"k_grid must be strictly increasing, got {ks}")
+    if ks[0] < 1:
+        raise ConfigurationError(f"k_grid values must be >= 1, got {ks}")
+    return ks
+
+
+def check_max_iters(max_iters: int) -> None:
+    """The k-means iteration cap is at least 1."""
+    if max_iters < 1:
+        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
+
+
+def _one_of(key: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ConfigurationError(f"{key} must be one of {choices}, got {value!r}")
+
+
+def check_mode(mode: str) -> None:
+    """``mode`` names a backbone mode."""
+    _one_of("mode", mode, MODES)
+
+
+def check_per_edge_negatives(count: int | None) -> None:
+    """The per-edge negative count is unset or at least 1."""
+    if count is not None and count < 1:
+        raise ConfigurationError(f"per_edge_negatives must be >= 1, got {count}")
+
+
+def check_hc_base(base: str) -> None:
+    """``base`` names a structural scorer that ``hc`` can layer on."""
+    _one_of("hc_base", base, STRUCTURAL)
 
 
 def parse_metric(spec: str) -> tuple[str, int | None]:
@@ -303,23 +359,11 @@ class RunConfig:
                 if value is not None and value != "" and not Path(value).exists():
                     raise ConfigurationError(f"{name} file not found: {value}")
 
-        if type(self.seed) is not int or self.seed < 0:  # bool is not a seed
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        # written so that a NaN ratio fails both checks
-        if len(self.ratios) != 3 or any(not r > 0 for r in self.ratios):
-            raise ConfigurationError(
-                f"ratios must be three positive reals, got {self.ratios}"
-            )
-        if not abs(sum(self.ratios) - 1.0) <= 1e-9:
-            raise ConfigurationError(f"ratios must sum to 1, got {sum(self.ratios)!r}")
+        check_ratios(self.ratios)
         if self.negatives < 1:
             raise ConfigurationError("negatives must be >= 1")
 
-        if self.label_source not in LABEL_SOURCES:
-            raise ConfigurationError(
-                f"label source must be one of {LABEL_SOURCES}, got "
-                f"{self.label_source!r}"
-            )
+        _one_of("label source", self.label_source, LABEL_SOURCES)
         if self.label_source == "kmeans":
             if (self.k is None) == (self.k_grid is None):
                 raise ConfigurationError(
@@ -328,12 +372,7 @@ class RunConfig:
             if self.k is not None and self.k < 1:
                 raise ConfigurationError(f"k must be >= 1, got {self.k}")
             if self.k_grid is not None:
-                if len(self.k_grid) < 3:
-                    raise ConfigurationError(
-                        "k_grid needs at least 3 candidates for the elbow rule"
-                    )
-                if any(k < 1 for k in self.k_grid):
-                    raise ConfigurationError(f"k_grid values must be >= 1: {self.k_grid}")
+                check_k_grid(self.k_grid)
         elif self.k is not None or self.k_grid is not None:
             raise ConfigurationError(
                 "'k'/'k_grid' only apply when label_source is 'kmeans'"
@@ -342,29 +381,17 @@ class RunConfig:
             raise ConfigurationError(
                 "label source 'true' needs a labels file (or use a pseudo-label source)"
             )
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1")
+        check_max_iters(self.max_iters)
 
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode '{self.mode}' (expected {MODES})")
-        self.train_config()  # reuses the training-hyperparameter checks
+        check_mode(self.mode)
+        self.train_config()  # reuses the training-hyperparameter and seed checks
 
         parse_metric(self.metric)
-        if self.scorer not in SCORERS:
-            raise ConfigurationError(
-                f"scorer must be one of {SCORERS}, got {self.scorer!r}"
-            )
-        if self.hc_base not in STRUCTURAL:
-            raise ConfigurationError(
-                f"hc_base must be one of {STRUCTURAL}, got {self.hc_base!r}"
-            )
+        _one_of("scorer", self.scorer, SCORERS)
+        check_hc_base(self.hc_base)
         self.katz_config()  # reuses the decay checks
-        if self.eval_split not in EVAL_SPLITS:
-            raise ConfigurationError(
-                f"eval_split must be one of {EVAL_SPLITS}, got {self.eval_split!r}"
-            )
-        if self.per_edge_negatives is not None and self.per_edge_negatives < 1:
-            raise ConfigurationError("per_edge_negatives must be >= 1")
+        _one_of("eval_split", self.eval_split, EVAL_SPLITS)
+        check_per_edge_negatives(self.per_edge_negatives)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -406,13 +433,6 @@ STAGE_KEYS: dict[str, tuple[str, ...]] = _stage_keys()
 def _digest_of(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def config_digest(cfg: RunConfig) -> str:
-    """Digest of the full configuration (output dir excluded)."""
-    mapping = cfg.to_mapping()
-    mapping.pop("out")
-    return _digest_of(mapping)
 
 
 def stage_digest(cfg: RunConfig, stage: str) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .config import parse_metric
+from .config import check_per_edge_negatives, parse_metric
 from .errors import ClasslinkError, ConfigurationError, NumericError
 from .graph import EdgeSplit, Graph, Scorer, sample_negative_pools
 from .rand import STREAM_EVAL
@@ -119,6 +119,7 @@ def evaluate_split(
     for the shared pool), ``scoring_s`` and ``ranking_s``.
     """
     parse_metric(metric_spec)
+    check_per_edge_negatives(per_edge_negatives)
     positives, pool = split.part(which)
     if len(positives) == 0:
         raise ConfigurationError(f"split has no {which} positives to evaluate")
@@ -136,8 +137,6 @@ def evaluate_split(
             raise ConfigurationError(
                 "per-edge negative sampling needs the graph to draw non-edges"
             )
-        if per_edge_negatives < 1:
-            raise ConfigurationError("per-edge negative count must be >= 1")
         n_negatives = int(per_edge_negatives)
         # positive i draws its pool on the stream (seed, STREAM_EVAL, i); an
         # object column holds a root seed of any size

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import artifacts
+from .config import check_ratios
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -363,7 +364,9 @@ def build_graph(
     self-loops; the result is canonical.  ``features`` may be a dense array
     or any scipy sparse matrix; both give the same CSR.  A canonical float64
     CSR is not copied: the graph shares its arrays and makes them read-only.
-    ``labels`` uses ``-1`` for unlabeled nodes.
+    ``labels`` uses ``-1`` for unlabeled nodes; any other label indexes
+    ``class_ids`` (by default ``0..max``), and one outside it is a
+    :class:`DimensionError`.
     """
     import scipy.sparse as sp
 
@@ -383,6 +386,12 @@ def build_graph(
         if class_ids is None:
             top = int(labs.max()) if labs.size else -1
             class_ids = tuple(str(c) for c in range(top + 1))
+        bad = np.flatnonzero((labs < -1) | (labs >= len(class_ids)))[:1]
+        if bad.size:
+            raise DimensionError(
+                f"node {bad[0]} has label {labs[bad[0]]}, outside "
+                f"[-1, {len(class_ids)}) for {len(class_ids)} class ids"
+            )
         labs = _freeze(labs.copy())
 
     if node_ids is None:
@@ -860,11 +869,7 @@ def split_edges(
     sampled for each of valid and test (clamped to the number of available
     non-edges).  Deterministic given ``seed``.
     """
-    r = tuple(float(x) for x in ratios)
-    if len(r) != 3 or any(not x > 0 for x in r):  # NaN fails both checks
-        raise ConfigurationError(f"ratios must be three positive reals, got {ratios}")
-    if not abs(sum(r) - 1.0) <= 1e-9:
-        raise ConfigurationError(f"ratios must sum to 1, got {sum(r)!r}")
+    r = check_ratios(ratios)
     edges = g.undirected_edges()
     m = edges.shape[0]
     if m < 10:

@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .config import STRUCTURAL, GammaDecayConfig
+from .config import STRUCTURAL, GammaDecayConfig, check_hc_base
 from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
 from .graph import Graph, Scorer, chunked_scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
@@ -227,8 +227,7 @@ def make_heuristic_scorer(
             raise ConfigurationError(
                 "class-integrated scorer needs a prior matrix and labels"
             )
-        if base not in STRUCTURAL:
-            raise ConfigurationError(f"unknown structural base '{base}'")
+        check_hc_base(base)
         params = params or ClassHeuristicParams()
         kernel = _ClassKernel(_structural_kernel(base, g, katz), g, prior, labels, params)
     else:

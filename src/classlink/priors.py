@@ -42,6 +42,27 @@ def _from_counts(counts: np.ndarray) -> ClassPriorMatrix:
     return ClassPriorMatrix(counts.shape[0], counts, row_totals, probs)
 
 
+def _endpoint_classes(pairs: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """The ``(m, 2)`` class labels of a pair batch's endpoints.
+
+    Ids are checked against ``labels`` (:func:`~classlink.graph.check_pairs`).
+    An endpoint without a label in ``[0, n_classes)`` (``-1`` marks an
+    unlabeled node) raises :class:`MissingLabelError` naming the first such
+    node in pair order; the min/max test keeps the clean case to two sweeps.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    pairs = check_pairs(pairs, labels.size)
+    cls = labels[pairs]
+    if cls.size and (cls.min() < 0 or cls.max() >= n_classes):
+        bad = np.nonzero((cls < 0) | (cls >= n_classes))
+        node = int(pairs[bad[0][0], bad[1][0]])
+        raise MissingLabelError(
+            f"node {node} lacks a usable class label "
+            f"(label={int(labels[node])}, n_classes={n_classes})"
+        )
+    return cls
+
+
 def count_class_links(
     train_edges: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> ClassPriorMatrix:
@@ -54,18 +75,7 @@ def count_class_links(
     """
     if n_classes < 1:
         raise ConfigurationError(f"need at least one class, got {n_classes}")
-    labels = np.asarray(labels, dtype=np.int64)
-    edges = check_pairs(train_edges, labels.size)
-
-    endpoint_labels = labels[edges]
-    bad = np.nonzero((endpoint_labels < 0) | (endpoint_labels >= n_classes))
-    if bad[0].size:
-        node = int(edges[bad[0][0], bad[1][0]])
-        raise MissingLabelError(
-            f"node {node} lacks a usable class label "
-            f"(label={int(labels[node])}, n_classes={n_classes})"
-        )
-
+    endpoint_labels = _endpoint_classes(train_edges, labels, n_classes)
     cu, cv = endpoint_labels[:, 0], endpoint_labels[:, 1]
     flat = np.bincount(cu * n_classes + cv, minlength=n_classes * n_classes)
     flat += np.bincount(cv * n_classes + cu, minlength=n_classes * n_classes)
@@ -82,13 +92,7 @@ def lookup_prior_batch(
     an endpoint without a label in ``[0, n_classes)`` raises
     :class:`MissingLabelError` naming the first such node in pair order.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    pairs = check_pairs(pairs, labels.size)
-    cls = labels[pairs]
-    if cls.size and (cls.min() < 0 or cls.max() >= prior.n_classes):
-        bad = np.nonzero((cls < 0) | (cls >= prior.n_classes))
-        node = int(pairs[bad[0][0], bad[1][0]])
-        raise MissingLabelError(f"node {node} lacks a usable class label")
+    cls = _endpoint_classes(pairs, labels, prior.n_classes)
     fwd = prior.probs[cls[:, 0], cls[:, 1]]
     rev = prior.probs[cls[:, 1], cls[:, 0]]
     return np.column_stack([fwd, rev])

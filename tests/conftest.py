@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,18 @@ def citation_files() -> dict[str, Path] | None:
     if all(p.is_file() for p in files.values()):
         return files
     return None
+
+
+def encode_blob(arr) -> dict:
+    """The blob an artifact stores for ``arr``: the base64 of its little-endian
+    ``<f8`` (float) or ``<i8`` (integer, boolean) bytes, with dtype and shape."""
+    arr = np.asarray(arr)
+    arr = np.ascontiguousarray(arr, dtype="<f8" if arr.dtype.kind == "f" else "<i8")
+    return {
+        "dtype": arr.dtype.str,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
 
 
 def random_edges(rng: np.random.Generator, n: int, p: float) -> np.ndarray:

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from classlink import cli
-from classlink.artifacts import encode_array
 from classlink.cli import main
+
+from conftest import encode_blob
 
 
 def write_dataset(root: Path, seed=7, n_per_class=18) -> dict:
@@ -232,8 +233,36 @@ class TestScorerErrorCategory:
         assert err.startswith("error[labels]: scorer failed while scoring per-edge negative")
         assert f"node {node} lacks a usable class label" in err
 
+    def test_graph_label_outside_the_class_ids_is_a_parse_error(self, dataset, capsys):
+        """A hand-edited ``graph.json`` whose label indexes no class id fails
+        where it is read, naming the file, not later as a missing label."""
+        tmp, _ = dataset
+        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out", scorer="hc")
+        for stage in ("ingest", "split"):
+            assert main([stage, "--config", str(cfg)]) == 0
+        path = tmp / "out" / "graph.json"
+        payload = json.loads(path.read_text())
+        labels = np.zeros(payload["n_nodes"], dtype=int)
+        labels[5] = -3
+        path.write_text(json.dumps({**payload, "labels": encode_blob(labels)}))
+        capsys.readouterr()
+        assert main(["prior", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[parse]: {path}: node 5 has label -3, ")
+
 
 class TestLabelSources:
+    def test_unordered_k_grid_fails_before_any_stage(self, dataset, capsys):
+        tmp, _ = dataset
+        cfg = write_config(
+            tmp / "km.yaml", tmp / "data", tmp / "out", label_source="kmeans", k_grid="[5, 3, 4]"
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error[config]: k_grid must be strictly increasing, got [5, 3, 4]\n"
+        )
+        assert not (tmp / "out" / "graph.json").exists()
+
     def test_kmeans_grid_writes_curve_and_chosen_k(self, dataset):
         tmp, stats = dataset
         cfg = write_config(
@@ -549,7 +578,7 @@ class TestCorruptLabeling:
         "corrupt",
         [
             lambda p: {k: v for k, v in p.items() if k != "k"},
-            lambda p: {**p, "labels": encode_array(np.full(p["labels"]["shape"], p["k"]))},
+            lambda p: {**p, "labels": encode_blob(np.full(p["labels"]["shape"], p["k"]))},
             lambda p: [p],
         ],
         ids=["missing-k", "label-out-of-range", "not-an-object"],
@@ -631,7 +660,7 @@ class TestModelScorerInputs:
         cfg = self.run_all(tmp, label_source="louvain")
         path = tmp / "out" / "labeling.json"
         payload = json.loads(path.read_text())
-        payload["labels"] = encode_array(np.zeros(3, dtype=int))
+        payload["labels"] = encode_blob(np.zeros(3, dtype=int))
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg)]) == 1

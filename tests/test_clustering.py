@@ -12,7 +12,6 @@ import pytest
 import scipy.sparse as sp
 
 from classlink import clustering
-from classlink.artifacts import encode_array
 from classlink.clustering import (
     _aggregate,
     _Centroids,
@@ -40,7 +39,7 @@ from classlink.graph import build_graph, split_edges
 from classlink.rand import STREAM_CLUSTER, make_rng
 
 import clustering_oracles as oracle
-from conftest import random_edges
+from conftest import encode_blob, random_edges
 from test_graph import brute_adjacency
 
 
@@ -165,6 +164,14 @@ class TestKmeans:
             kmeans(pts, 3, seed=0)
         with pytest.raises(ConfigurationError, match="finite"):
             elbow_kmeans(pts, [1, 2, 3], seed=0)
+
+    def test_iteration_cap_below_one_rejected(self):
+        """A cap of 0 runs no Lloyd step, so no clustering exists to return."""
+        pts, _ = make_blobs(np.random.default_rng(1022), n_per_blob=10)
+        with pytest.raises(ConfigurationError, match="max_iters must be >= 1, got 0"):
+            kmeans(pts, 2, 0, max_iters=0)
+        with pytest.raises(ConfigurationError, match="max_iters must be >= 1, got 0"):
+            elbow_kmeans(pts, [1, 2, 3], 0, max_iters=0)
 
     def test_normalize_rows_changes_geometry(self):
         # two directions, very different magnitudes
@@ -751,11 +758,11 @@ class TestLabelingJsonErrors:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("labels", encode_array(np.array([0, 1, 3, 0, 1, 2]))),
-            ("labels", encode_array(np.array([0, -1, 2, 0, 1, 2]))),
-            ("labels", encode_array(np.array([[0, 1], [2, 0]]))),
-            ("labels", {**encode_array(np.zeros(3, dtype=np.int64)), "dtype": "<U1"}),
-            ("labels", encode_array(np.array([0.0, 1.5, 2.0]))),
+            ("labels", encode_blob(np.array([0, 1, 3, 0, 1, 2]))),
+            ("labels", encode_blob(np.array([0, -1, 2, 0, 1, 2]))),
+            ("labels", encode_blob(np.array([[0, 1], [2, 0]]))),
+            ("labels", {**encode_blob(np.zeros(3, dtype=np.int64)), "dtype": "<U1"}),
+            ("labels", encode_blob(np.array([0.0, 1.5, 2.0]))),
             ("labels", 7),
             ("k", "3"),
             ("k", 0),

@@ -4,16 +4,24 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from classlink.backbone import BatchBuilder, train
+from classlink.clustering import elbow_kmeans, kmeans
 from classlink.config import (
     RunConfig,
     STAGE_KEYS,
-    config_digest,
     load_config_file,
     stage_digest,
 )
-from classlink.errors import ConfigurationError
+from classlink.errors import ClasslinkError, ConfigurationError
+from classlink.evaluation import evaluate_split
+from classlink.graph import split_edges
+from classlink.heuristics import make_heuristic_scorer
+from classlink.priors import count_class_links
+
+from conftest import planted_two_class
 
 
 def make_config(**kwargs) -> RunConfig:
@@ -199,7 +207,6 @@ class TestDigests:
     def test_output_dir_never_affects_digests(self):
         a = make_config(out="runs/a")
         b = make_config(out="runs/b")
-        assert config_digest(a) == config_digest(b)
         for stage in STAGE_KEYS:
             assert stage_digest(a, stage) == stage_digest(b, stage)
 
@@ -225,9 +232,9 @@ class TestDigests:
             stage_digest(make_config(), "deploy")
 
     def test_digest_is_stable_hex(self):
-        d = config_digest(make_config())
+        d = stage_digest(make_config(), "evaluate")
         assert len(d) == 64 and set(d) <= set("0123456789abcdef")
-        assert d == config_digest(make_config())
+        assert d == stage_digest(make_config(), "evaluate")
 
     def test_digests_are_pinned(self):
         """Fixed hex values: a key's name, default, stage or encoding that
@@ -273,8 +280,8 @@ class TestDigests:
                 "evaluate": evaluate,
             }
             assert {stage: stage_digest(cfg, stage) for stage in STAGE_KEYS} == expected
-            # every key but the output directory is digested at evaluation
-            assert config_digest(cfg) == evaluate
+        # every key but the output directory is digested at evaluation
+        assert set(STAGE_KEYS["evaluate"]) == {f.name for f in fields(RunConfig)} - {"out"}
 
 
 def test_readme_config_table_lists_every_key():
@@ -297,3 +304,62 @@ class TestSharedNames:
         assert heuristics.STRUCTURAL is config.STRUCTURAL
         assert heuristics.GammaDecayConfig is config.GammaDecayConfig
         assert evaluation.parse_metric is config.parse_metric
+
+
+# ---------------------------------------------------------------------------
+# One rule path: validation and the layer that takes a value share its check
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def planted():
+    g = planted_two_class(np.random.default_rng(5), n_per_class=10)
+    split = split_edges(g, (0.7, 0.15, 0.15), 0, negatives=10)
+    return g, split, count_class_links(split.train_edges, g.labels, g.n_classes)
+
+
+# each layer entry that checks a rule, called with the rule's value
+LAYER_ENTRIES = {
+    "split_edges": lambda g, split, prior, v: split_edges(g, v, 0),
+    "elbow_kmeans": lambda g, split, prior, v: elbow_kmeans(g.features, v, 0),
+    "kmeans max_iters": lambda g, split, prior, v: kmeans(g.features, 2, 0, max_iters=v),
+    "elbow_kmeans max_iters": lambda g, split, prior, v: elbow_kmeans(
+        g.features, [1, 2, 3], 0, max_iters=v
+    ),
+    "train": lambda g, split, prior, v: train(g, split, prior, g.labels, v),
+    "BatchBuilder.create": lambda g, split, prior, v: BatchBuilder.create(g, v, prior, g.labels),
+    "evaluate_split": lambda g, split, prior, v: evaluate_split(
+        lambda pairs: np.zeros(len(pairs)), split, "mrr", 0, per_edge_negatives=v, graph=g
+    ),
+    "make_heuristic_scorer": lambda g, split, prior, v: make_heuristic_scorer(
+        "hc", g, prior=prior, labels=g.labels, base=v
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, entry",
+    [
+        ("ratios", (0.8, 0.1, 0.2), "split_edges"),
+        ("ratios", (0.9, 0.1, 0.0), "split_edges"),
+        ("k_grid", (5, 3, 4), "elbow_kmeans"),
+        ("k_grid", (1, 2), "elbow_kmeans"),
+        ("k_grid", (0, 1, 2), "elbow_kmeans"),
+        ("max_iters", 0, "kmeans max_iters"),
+        ("max_iters", 0, "elbow_kmeans max_iters"),
+        ("mode", "gat", "train"),
+        ("mode", "gat", "BatchBuilder.create"),
+        ("per_edge_negatives", 0, "evaluate_split"),
+        ("hc_base", "hc", "make_heuristic_scorer"),
+    ],
+)
+def test_validation_and_the_layer_give_one_error(planted, key, value, entry):
+    """A bad value fails ``validate`` and the layer entry with the same
+    category and message, because both call the one check in ``config``."""
+    label_source = {"label_source": "kmeans"} if key == "k_grid" else {}
+    with pytest.raises(ClasslinkError) as from_config:
+        make_config(**label_source, **{key: value}).validate()
+    with pytest.raises(ClasslinkError) as from_layer:
+        LAYER_ENTRIES[entry](*planted, value)
+    assert from_config.value.category == from_layer.value.category == "config"
+    assert str(from_config.value) == str(from_layer.value)

@@ -142,6 +142,15 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             build_graph(3, np.array([[0, 5]]))
 
+    @pytest.mark.parametrize(
+        "labels, class_ids, node",
+        [([0, -2, 1], None, 1), ([0, 1, 0], ("a",), 1), ([0, -1, 2], ("a", "b"), 2)],
+    )
+    def test_label_outside_the_class_ids_rejected(self, labels, class_ids, node):
+        """-1 marks an unlabeled node; any other label indexes ``class_ids``."""
+        with pytest.raises(DimensionError, match=f"node {node} has label {labels[node]}, "):
+            build_graph(3, np.array([[0, 1], [1, 2]]), labels=labels, class_ids=class_ids)
+
     def test_node_id_out_of_range(self, triangle):
         with pytest.raises(ConfigurationError):
             triangle.degree(4)

@@ -63,10 +63,10 @@ def _write_parts(path: Path, parts: Iterable[str | bytes]) -> Path:
 
 
 def _blob_array(arr) -> np.ndarray:
-    """``arr`` as the contiguous ``<f8`` (float) or ``<i8`` (integer or
-    boolean) array whose bytes a blob holds."""
+    """``arr`` as the C-contiguous ``<f8`` (float) or ``<i8`` (integer or
+    boolean) array, of the same shape (0-d included), whose bytes a blob holds."""
     arr = np.asarray(arr)
-    return np.ascontiguousarray(arr, dtype=FLOAT if arr.dtype.kind == "f" else INT)
+    return np.asarray(arr, dtype=FLOAT if arr.dtype.kind == "f" else INT, order="C")
 
 
 # Raw bytes base64-encoded per call (192 KiB): a multiple of 3, so the slices'

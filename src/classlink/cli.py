@@ -8,6 +8,13 @@ stage whose inputs have not changed reuses the cached artifact.  The ingest
 entry also records each input file's size and modification time; when a
 file no longer matches, ingest and every later stage are stale.
 
+Per-edge evaluation keeps its negative pools in ``pools.json`` under a
+manifest entry ``pools``, keyed by the split's config keys plus
+``eval_split`` and ``per_edge_negatives``.  ``evaluate`` reads the pools
+while that entry is up to date and otherwise draws, writes and records
+them, so a scorer or metric switch ranks against the same pools without
+drawing them again.
+
 Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,
 ``artifacts``, ``errors`` and ``rand``, and ``ingest``, which runs on numpy
@@ -20,6 +27,7 @@ import argparse
 import functools
 import os
 import sys
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -47,6 +55,7 @@ ARTIFACT_NAMES = {
     "prior": "prior.json",
     "heatmap": "heatmap.csv",
     "train": "checkpoint.json",
+    "pools": "pools.json",
     "evaluate": "eval/report.json",
 }
 
@@ -350,6 +359,21 @@ def _build_scorer(cfg: RunConfig, g: Graph, split: EdgeSplit) -> Scorer:
     )
 
 
+def _per_edge_pools(cfg: RunConfig, g: Graph, n_positives: int) -> np.ndarray:
+    """The run's per-edge negative pools: read from ``pools.json`` while its
+    manifest entry is up to date, else drawn, written and recorded."""
+    from .evaluation import draw_per_edge_pools, load_pools_json, save_pools_json
+
+    try:
+        path = _require_stage(cfg, "pools")
+    except (DependencyError, StaleArtifactError):
+        pools = draw_per_edge_pools(g, n_positives, cfg.per_edge_negatives, cfg.seed)
+        save_pools_json(pools, Path(cfg.out) / ARTIFACT_NAMES["pools"])
+        _record_stage(cfg, "pools")
+        return pools
+    return load_pools_json(path, n_positives, cfg.per_edge_negatives, g.n_nodes)
+
+
 def cmd_evaluate(cfg: RunConfig) -> None:
     from .evaluation import evaluate_split, save_report
     from .graph import load_graph_json, load_split_json
@@ -357,16 +381,16 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = load_split_json(_require_stage(cfg, "split"))
     scorer = _build_scorer(cfg, g, split)
-    report = evaluate_split(
-        scorer,
-        split,
-        cfg.metric,
-        cfg.seed,
-        which=cfg.eval_split,
-        per_edge_negatives=cfg.per_edge_negatives,
-        graph=g,
-    )
     positives, pool = split.part(cfg.eval_split)
+    t0 = time.perf_counter()
+    pools = None
+    if cfg.per_edge_negatives is not None:
+        pools = _per_edge_pools(cfg, g, len(positives))
+    t_pools = time.perf_counter() - t0
+    report = evaluate_split(
+        scorer, split, cfg.metric, cfg.seed, which=cfg.eval_split, pools=pools
+    )
+    report.timings["sampling_s"] = t_pools
     scores = {"positive": (positives, report.positive_scores)}
     if report.negative_scores is not None:
         scores["negative"] = (pool, report.negative_scores)

@@ -6,8 +6,12 @@ stage whose digest covers it; fields run in pipeline order, and
 :data:`STAGE_KEYS` follows that order.  Stages are keyed by digests over
 the subset of fields they depend on (cumulative, so a seed change
 invalidates everything downstream while an evaluation-only tweak leaves
-checkpoints valid).  The output directory is deliberately excluded from
-digests — moving artifacts does not make them stale.
+checkpoints valid).  Three side entries hang off that chain: ``prior`` and
+``heatmap`` take the cluster keys, and ``pools``, the per-edge negative
+pools of evaluation, takes the split keys plus ``eval_split`` and
+``per_edge_negatives``, so a scorer or metric switch reuses them.  The
+output directory is deliberately excluded from digests — moving artifacts
+does not make them stale.
 
 This module is a leaf of the package: it imports no pipeline layer, so the
 CLI can read and check a config without loading scipy.  It therefore also
@@ -16,9 +20,10 @@ backbone's :data:`MODES` and :class:`TrainConfig`, the heuristics'
 :data:`STRUCTURAL` and :class:`GammaDecayConfig`, the evaluation's
 :func:`parse_metric`, and one ``check_*`` function per rule on a run value
 that a layer also checks (split ratios, elbow grid, k-means iteration cap,
-backbone mode, per-edge negative count, ``hc`` base).  :meth:`RunConfig.validate`
-and the layer that takes the value call the same function, so a value that
-passes validation never fails the same rule inside a stage.
+backbone mode, evaluated split part, per-edge negative count, ``hc``
+base).  :meth:`RunConfig.validate` and the layer that takes the value call
+the same function, so a value that passes validation never fails the same
+rule inside a stage.
 """
 
 from __future__ import annotations
@@ -136,6 +141,11 @@ def _one_of(key: str, value, choices: tuple[str, ...]) -> None:
 def check_mode(mode: str) -> None:
     """``mode`` names a backbone mode."""
     _one_of("mode", mode, MODES)
+
+
+def check_eval_split(which: str) -> None:
+    """``which`` names a split part that evaluation ranks."""
+    _one_of("eval_split", which, EVAL_SPLITS)
 
 
 def check_per_edge_negatives(count: int | None) -> None:
@@ -390,7 +400,7 @@ class RunConfig:
         _one_of("scorer", self.scorer, SCORERS)
         check_hc_base(self.hc_base)
         self.katz_config()  # reuses the decay checks
-        _one_of("eval_split", self.eval_split, EVAL_SPLITS)
+        check_eval_split(self.eval_split)
         check_per_edge_negatives(self.per_edge_negatives)
 
 
@@ -422,6 +432,8 @@ def _stage_keys() -> dict[str, tuple[str, ...]]:
     for stage in ("ingest", "split", "cluster", "train", "evaluate"):
         keys += tuple(f.name for f in fields(RunConfig) if f.metadata["stage"] == stage)
         out[stage] = keys
+        if stage == "split":  # per-edge pools draw on the graph and the split's positives
+            out["pools"] = keys + ("eval_split", "per_edge_negatives")
         if stage == "cluster":  # the prior and its heatmap count the labels
             out["prior"] = out["heatmap"] = keys
     return out

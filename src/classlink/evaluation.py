@@ -1,4 +1,4 @@
-"""Ranking metrics, split evaluation and reports.
+"""Ranking metrics, per-edge negative pools, split evaluation and reports.
 
 A positive pair is ranked against a pool of negative scores with midpoint tie
 handling: ``rank = 1 + |{s_neg > s_pos}| + floor(|{s_neg == s_pos}| / 2)``.
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import artifacts
 from .config import check_per_edge_negatives, parse_metric
-from .errors import ClasslinkError, ConfigurationError, NumericError
+from .errors import ClasslinkError, ConfigurationError, NumericError, ParseError
 from .graph import EdgeSplit, Graph, Scorer, sample_negative_pools
 from .rand import STREAM_EVAL
 
@@ -99,6 +99,40 @@ def compute_metric(spec: str, ranks: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def draw_per_edge_pools(g: Graph, n_positives: int, count: int, seed: int) -> np.ndarray:
+    """Per-edge negative pools of ``n_positives`` positives, ``(n_positives,
+    count, 2)``: positive ``i`` draws ``count`` non-edges of ``g`` on the
+    stream ``(seed, STREAM_EVAL, i)``, all pools in one call."""
+    check_per_edge_negatives(count)
+    # an object column holds a root seed of any size
+    seeds = np.column_stack(
+        [
+            np.full(n_positives, seed, dtype=object),
+            np.full(n_positives, STREAM_EVAL),
+            np.arange(n_positives),
+        ]
+    )
+    return sample_negative_pools(g, count, seeds)
+
+
+def save_pools_json(pools: np.ndarray, path: str | Path) -> None:
+    """Write per-edge negative pools as one int blob."""
+    artifacts.write(path, "pools", {}, {"pools": pools})
+
+
+def load_pools_json(
+    path: str | Path, n_positives: int, count: int, n_nodes: int
+) -> np.ndarray:
+    """Per-edge negative pools written by :func:`save_pools_json`, checked to
+    be ``(n_positives, count, 2)`` node ids in ``[0, n_nodes)``."""
+    pools = artifacts.read(
+        path, "pools", arrays={"pools": (artifacts.INT, (n_positives, count, 2))}
+    )["pools"]
+    if pools.size and (pools.min() < 0 or pools.max() >= n_nodes):
+        raise ParseError(f"{path}: pools has a node id outside [0, {n_nodes})")
+    return pools
+
+
 def evaluate_split(
     scorer: Scorer,
     split: EdgeSplit,
@@ -106,54 +140,43 @@ def evaluate_split(
     seed: int,
     *,
     which: str = "test",
-    per_edge_negatives: int | None = None,
-    graph: Graph | None = None,
+    pools: np.ndarray | None = None,
 ) -> EvalReport:
-    """Rank each positive edge of a split against sampled negatives.
+    """Rank each positive edge of a split against negatives.
 
     By default every positive shares the split's negative pool.  With
-    ``per_edge_negatives=n`` (requires ``graph``), an independent pool of
-    ``n`` non-edges is drawn per positive on a seed derived from ``seed`` and
-    the positive's index; all pools are drawn in one call and scored in one
-    scorer call.  ``timings`` holds ``sampling_s`` (drawing those pools, 0
-    for the shared pool), ``scoring_s`` and ``ranking_s``.
+    ``pools``, an ``(n_positives, count, 2)`` array such as
+    :func:`draw_per_edge_pools` gives, positive ``i`` is ranked against row
+    ``i`` alone; all pools are scored in one scorer call.  ``timings`` holds
+    ``sampling_s`` (0 here, as nothing is drawn; a caller that draws or
+    reads the pools records that time in it), ``scoring_s`` and
+    ``ranking_s``.
     """
     parse_metric(metric_spec)
-    check_per_edge_negatives(per_edge_negatives)
     positives, pool = split.part(which)
     if len(positives) == 0:
         raise ConfigurationError(f"split has no {which} positives to evaluate")
+    if pools is not None:
+        if pools.ndim != 3 or pools.shape[0] != len(positives) or pools.shape[2] != 2:
+            raise ConfigurationError(
+                f"per-edge pools of shape {list(pools.shape)} do not hold "
+                f"(count, 2) pairs for each of {len(positives)} {which} positives"
+            )
+        check_per_edge_negatives(pools.shape[1])
 
     t0 = time.perf_counter()
-    t_sample = 0.0
     pos_scores = _score_batch(scorer, positives, f"{which} positives")
-    if per_edge_negatives is None:
+    if pools is None:
         if len(pool) == 0:
             raise ConfigurationError(f"split has no {which} negatives to rank against")
         neg_scores = _score_batch(scorer, pool, f"{which} negative pool")
         n_negatives = int(len(pool))
     else:
-        if graph is None:
-            raise ConfigurationError(
-                "per-edge negative sampling needs the graph to draw non-edges"
-            )
-        n_negatives = int(per_edge_negatives)
-        # positive i draws its pool on the stream (seed, STREAM_EVAL, i); an
-        # object column holds a root seed of any size
-        seeds = np.column_stack(
-            [
-                np.full(len(positives), seed, dtype=object),
-                np.full(len(positives), STREAM_EVAL),
-                np.arange(len(positives)),
-            ]
-        )
-        t1 = time.perf_counter()
-        per_edge_pools = sample_negative_pools(graph, n_negatives, seeds)
-        t_sample = time.perf_counter() - t1
+        n_negatives = int(pools.shape[1])
         neg_scores = _score_batch(
-            scorer, per_edge_pools.reshape(-1, 2), "per-edge negative pools"
+            scorer, pools.reshape(-1, 2), "per-edge negative pools"
         ).reshape(len(positives), n_negatives)
-    t_score = time.perf_counter() - t0 - t_sample
+    t_score = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ranks = np.asarray(rank_positive(pos_scores, neg_scores), dtype=np.int64)
@@ -165,9 +188,9 @@ def evaluate_split(
         ranks=ranks,
         n_negatives=n_negatives,
         seed=int(seed),
-        timings={"sampling_s": t_sample, "scoring_s": t_score, "ranking_s": t_rank},
+        timings={"sampling_s": 0.0, "scoring_s": t_score, "ranking_s": t_rank},
         positive_scores=pos_scores,
-        negative_scores=neg_scores if per_edge_negatives is None else None,
+        negative_scores=neg_scores if pools is None else None,
     )
 
 

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import artifacts
-from .config import check_ratios
+from .config import check_eval_split, check_ratios
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -156,11 +156,10 @@ class EdgeSplit:
 
     def part(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """Positive edges and shared negative pool of the ``test`` or ``valid`` part."""
+        check_eval_split(which)
         if which == "test":
             return self.test_edges, self.test_negatives
-        if which == "valid":
-            return self.valid_edges, self.valid_negatives
-        raise ConfigurationError(f"unknown split part '{which}'")
+        return self.valid_edges, self.valid_negatives
 
 
 Scorer = Callable[[np.ndarray], np.ndarray]

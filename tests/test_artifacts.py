@@ -21,6 +21,7 @@ from classlink.backbone import (
 from classlink.clustering import load_labeling_json, save_labeling_json, kmeans
 from classlink.config import RunConfig
 from classlink.errors import ParseError
+from classlink.evaluation import draw_per_edge_pools, load_pools_json, save_pools_json
 from classlink.graph import (
     build_graph,
     load_graph_json,
@@ -33,7 +34,7 @@ from classlink.priors import count_class_links, load_prior_json, save_prior_json
 
 from conftest import encode_blob, random_edges
 
-KINDS = ("graph", "split", "prior", "labeling", "checkpoint", "manifest")
+KINDS = ("graph", "split", "prior", "labeling", "checkpoint", "manifest", "pools")
 
 
 def small_graph(labels=True) -> object:
@@ -63,6 +64,9 @@ def save(kind: str, tmp_path):
     if kind == "split":
         save_split_json(split_edges(g, (0.6, 0.2, 0.2), seed=1, negatives=5), path)
         return path, load_split_json
+    if kind == "pools":
+        save_pools_json(draw_per_edge_pools(g, 4, 3, seed=5), path)
+        return path, lambda p: load_pools_json(p, 4, 3, g.n_nodes)
     prior = count_class_links(g.undirected_edges(), g.labels, 3)
     if kind == "prior":
         save_prior_json(prior, path, seed=2, label_source="true")
@@ -97,6 +101,7 @@ class TestRoundTrip:
             np.array([0.1, -0.0, np.nan, np.inf, 5e-324]),
             np.zeros((0, 2), dtype=np.int64),
             np.array([True, False]),
+            np.array(2.5),
         ],
     )
     def test_blob_is_bit_exact(self, tmp_path, arr):
@@ -145,6 +150,7 @@ MISSING = {
     "labeling": "labels",
     "checkpoint": "params",
     "manifest": "stages",
+    "pools": "pools",
 }
 
 
@@ -161,6 +167,7 @@ WRONG_DTYPE = {
         **p, "params": {**p["params"], "w1": encode_blob(np.zeros((5, 3), int))}
     },
     "manifest": lambda p: {**p, "stages": [p["stages"]]},
+    "pools": lambda p: float_blob(p, "pools"),
 }
 
 WRONG_SHAPE = {
@@ -172,6 +179,7 @@ WRONG_SHAPE = {
         **p, "params": {**p["params"], "bh": encode_blob(np.zeros((2, 1)))}
     },
     "manifest": lambda p: {**p, "stages": {"ingest": {"digest": "d"}}},
+    "pools": lambda p: {**p, "pools": encode_blob(np.zeros((4, 2, 2), dtype=int))},
 }
 
 
@@ -285,6 +293,15 @@ class TestMalformedPayload:
         rewrite(path, lambda p: {**p, "n_nodes": 3})
         with pytest.raises(ParseError, match=r"outside \[0, 3\)"):
             load_split_json(path)
+
+    @pytest.mark.parametrize("node", [-1, 12])
+    def test_pools_node_out_of_range(self, tmp_path, node):
+        path, load = save("pools", tmp_path)
+        pools = np.zeros((4, 3, 2), dtype=int)
+        pools[2, 1, 0] = node
+        rewrite(path, lambda p: {**p, "pools": encode_blob(pools)})
+        with pytest.raises(ParseError, match=r"pools.json: pools has a node id outside \[0, 12\)"):
+            load(path)
 
     @pytest.mark.parametrize(
         "change",

@@ -251,6 +251,131 @@ class TestScorerErrorCategory:
         assert err.startswith(f"error[parse]: {path}: node 5 has label -3, ")
 
 
+PER_EDGE = {"scorer": "cn", "per_edge_negatives": 20}
+REPORT_FILES = ("eval/report.json", "eval/ranks.csv", "eval/scores.csv")
+
+
+class TestPerEdgePools:
+    """``pools.json`` holds the per-edge pools; ``evaluate`` draws them only
+    when its manifest entry is missing or stale."""
+
+    def test_warm_run_all_draws_nothing(self, dataset, monkeypatch):
+        from classlink import evaluation
+
+        tmp, _ = dataset
+        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out", **PER_EDGE)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        out = tmp / "out"
+        cold = {name: sha(out / name) for name in (*REPORT_FILES, "pools.json")}
+        timings = json.loads((out / "eval" / "timings.json").read_text())
+        assert timings["sampling_s"] > 0.0
+
+        def refuse(*args):
+            raise AssertionError("a warm evaluate drew the pools again")
+
+        monkeypatch.setattr(evaluation, "draw_per_edge_pools", refuse)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        assert {name: sha(out / name) for name in cold} == cold
+        timings = json.loads((out / "eval" / "timings.json").read_text())
+        assert timings["sampling_s"] > 0.0  # reading the pools
+
+    @pytest.mark.parametrize(
+        "change, redraws",
+        [
+            ({"scorer": "ra"}, False),
+            ({"metric": "hr@10"}, False),
+            ({"seed": 4}, True),
+            ({"eval_split": "valid"}, True),
+            ({"per_edge_negatives": 25}, True),
+            ({}, True),  # the edge list edited, so ingest runs again
+        ],
+        ids=["scorer", "metric", "seed", "eval_split", "per_edge_negatives", "input-edit"],
+    )
+    def test_pools_are_drawn_again_only_for_their_keys(
+        self, dataset, monkeypatch, change, redraws
+    ):
+        from classlink import evaluation
+
+        tmp, _ = dataset
+        cfg = write_config(tmp / "a.yaml", tmp / "data", tmp / "out", **PER_EDGE)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        path = tmp / "out" / "pools.json"
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        if not change:
+            with open(tmp / "data" / "edges.txt", "a") as fh:
+                fh.write("# edited\n")
+        cfg = write_config(tmp / "b.yaml", tmp / "data", tmp / "out", **{**PER_EDGE, **change})
+        if "seed" in change:
+            cfg.write_text(cfg.read_text().replace("seed: 3\n", "", 1))
+        calls = []
+        draw = evaluation.draw_per_edge_pools
+        monkeypatch.setattr(
+            evaluation, "draw_per_edge_pools", lambda *args: calls.append(args) or draw(*args)
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        assert len(calls) == int(redraws)
+        if not redraws:
+            assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        # a redraw is recorded, so the next evaluate reads it
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert len(calls) == int(redraws)
+
+    @pytest.mark.parametrize("seed", [3, 2**64 + 5])
+    def test_pools_file_holds_the_eval_stream_draws(self, dataset, seed):
+        from classlink.evaluation import load_pools_json
+        from classlink.graph import load_graph_json, load_split_json, sample_negative_pools
+        from classlink.rand import STREAM_EVAL
+
+        tmp, _ = dataset
+        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out", **PER_EDGE)
+        cfg.write_text(cfg.read_text().replace("seed: 3\n", f"seed: {seed}\n"))
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        out = tmp / "out"
+        g = load_graph_json(out / "graph.json")
+        n = len(load_split_json(out / "split.json").test_edges)
+        expect = sample_negative_pools(g, 20, [(seed, STREAM_EVAL, i) for i in range(n)])
+        got = load_pools_json(out / "pools.json", n, 20, g.n_nodes)
+        np.testing.assert_array_equal(got, expect)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["pools"]["path"] == "pools.json"
+        assert manifest["stages"]["pools"]["seed"] == seed
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text, n: text[: len(text) // 2],
+            lambda text, n: json.dumps(
+                {**json.loads(text), "pools": encode_blob(np.zeros((1, 20, 2), dtype=int))}
+            ),
+            lambda text, n: json.dumps(
+                {**json.loads(text), "pools": encode_blob(pools_with_id(text, n))}
+            ),
+        ],
+        ids=["truncated", "wrong-shape", "id-out-of-range"],
+    )
+    def test_corrupt_pools_file_is_a_parse_error(self, dataset, capsys, corrupt):
+        tmp, stats = dataset
+        cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out", **PER_EDGE)
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        path = tmp / "out" / "pools.json"
+        path.write_text(corrupt(path.read_text(), stats["n_nodes"]))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[parse]: {path}: ")
+
+
+def pools_with_id(text: str, node: int) -> np.ndarray:
+    """The pools of a ``pools.json`` text with their last id set to ``node``."""
+    from classlink import artifacts
+
+    pools = artifacts.decode(
+        "pools.json", json.loads(text), arrays={"pools": (artifacts.INT, (None, None, 2))}
+    )["pools"]
+    pools[-1, -1, -1] = node
+    return pools
+
+
 class TestLabelSources:
     def test_unordered_k_grid_fails_before_any_stage(self, dataset, capsys):
         tmp, _ = dataset

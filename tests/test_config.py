@@ -16,7 +16,7 @@ from classlink.config import (
     stage_digest,
 )
 from classlink.errors import ClasslinkError, ConfigurationError
-from classlink.evaluation import evaluate_split
+from classlink.evaluation import draw_per_edge_pools, evaluate_split
 from classlink.graph import split_edges
 from classlink.heuristics import make_heuristic_scorer
 from classlink.priors import count_class_links
@@ -213,12 +213,12 @@ class TestDigests:
     def test_seed_invalidates_everything_downstream_of_split(self):
         a, b = make_config(seed=1), make_config(seed=2)
         assert stage_digest(a, "ingest") == stage_digest(b, "ingest")
-        for stage in ("split", "cluster", "prior", "train", "evaluate"):
+        for stage in ("split", "pools", "cluster", "prior", "train", "evaluate"):
             assert stage_digest(a, stage) != stage_digest(b, stage)
 
     def test_evaluation_keys_leave_train_artifacts_valid(self):
         a, b = make_config(metric="mrr"), make_config(metric="hr@20")
-        for stage in ("ingest", "split", "cluster", "prior", "train"):
+        for stage in ("ingest", "split", "pools", "cluster", "prior", "train"):
             assert stage_digest(a, stage) == stage_digest(b, stage)
         assert stage_digest(a, "evaluate") != stage_digest(b, "evaluate")
 
@@ -256,6 +256,7 @@ class TestDigests:
                 make_config(),
                 "6ca876ff32dcb5eb0857e6cc4a6c4adae7a4327ff213ce6615b26dd772f623f5",
                 "0f38854d7a466ada13918718acdb55209e5dfedf4dfc47c128dca8e833a60da0",
+                "7bdc8f2c0c7d37bef71c332f83da0cccef66411920c696814f4a627dddd40069",
                 "5e2a0a3f0f77d24ad3a959a661b17984a6e52eeb276169aeef5774817947397d",
                 "9f33ffb8bd221b045a513d3f2157f93a1ccb042f76cc08fa817851cfad5b2ad4",
                 "ac64d5290e6ef1adc6b1c6614f098e5cb602063ad8112ec78b59ac57277d1ddb",
@@ -264,15 +265,17 @@ class TestDigests:
                 kmeans_hc,
                 "dc5260bddd87deab2ff851448aa3b03770534434be9b61c9f172516af982adb0",
                 "b10cd169f06865a36089c130d09f35246bfffe0b83fa8ba6c6442caa7c1abf95",
+                "33e6ffbc94f28147b0ebe43987741c7757d34d080f853646bf61ed51dbfd0a75",
                 "993a3887432d1527902c90803d4ff666e0971b89e44f00dd4036b5328b7965eb",
                 "5a359673d2180eb71d96419e3ba039ee8030d8d12e286fa2bd43d38d57418438",
                 "02f73bac494f84db81fbafac575e9adb4321024bd62e014253d963e9bc75d84d",
             ),
         ]
-        for cfg, ingest, split, labels, train, evaluate in golden:
+        for cfg, ingest, split, pools, labels, train, evaluate in golden:
             expected = {
                 "ingest": ingest,
                 "split": split,
+                "pools": pools,
                 "cluster": labels,
                 "prior": labels,
                 "heatmap": labels,
@@ -329,7 +332,16 @@ LAYER_ENTRIES = {
     "train": lambda g, split, prior, v: train(g, split, prior, g.labels, v),
     "BatchBuilder.create": lambda g, split, prior, v: BatchBuilder.create(g, v, prior, g.labels),
     "evaluate_split": lambda g, split, prior, v: evaluate_split(
-        lambda pairs: np.zeros(len(pairs)), split, "mrr", 0, per_edge_negatives=v, graph=g
+        lambda pairs: np.zeros(len(pairs)),
+        split,
+        "mrr",
+        0,
+        pools=np.zeros((len(split.test_edges), v, 2), dtype=np.int64),
+    ),
+    "draw_per_edge_pools": lambda g, split, prior, v: draw_per_edge_pools(g, 3, v, 0),
+    "EdgeSplit.part": lambda g, split, prior, v: split.part(v),
+    "evaluate_split which": lambda g, split, prior, v: evaluate_split(
+        lambda pairs: np.zeros(len(pairs)), split, "mrr", 0, which=v
     ),
     "make_heuristic_scorer": lambda g, split, prior, v: make_heuristic_scorer(
         "hc", g, prior=prior, labels=g.labels, base=v
@@ -350,6 +362,9 @@ LAYER_ENTRIES = {
         ("mode", "gat", "train"),
         ("mode", "gat", "BatchBuilder.create"),
         ("per_edge_negatives", 0, "evaluate_split"),
+        ("per_edge_negatives", 0, "draw_per_edge_pools"),
+        ("eval_split", "train", "EdgeSplit.part"),
+        ("eval_split", "train", "evaluate_split which"),
         ("hc_base", "hc", "make_heuristic_scorer"),
     ],
 )

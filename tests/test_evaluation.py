@@ -11,6 +11,7 @@ from classlink.errors import ConfigurationError, NumericError
 from classlink.evaluation import (
     EvalReport,
     compute_metric,
+    draw_per_edge_pools,
     evaluate_split,
     hr_at_k,
     mrr,
@@ -157,11 +158,11 @@ class TestEvaluateSplit:
     def test_per_edge_negatives(self):
         g, split = make_split(negatives=10)
         scorer = make_heuristic_scorer("cn", split.train_graph(g))
-        a = evaluate_split(
-            scorer, split, "mrr", seed=3, per_edge_negatives=15, graph=g
-        )
+        pools = draw_per_edge_pools(g, len(split.test_edges), 15, 3)
+        a = evaluate_split(scorer, split, "mrr", seed=3, pools=pools)
         b = evaluate_split(
-            scorer, split, "mrr", seed=3, per_edge_negatives=15, graph=g
+            scorer, split, "mrr", seed=3,
+            pools=draw_per_edge_pools(g, len(split.test_edges), 15, 3),
         )
         assert a.n_negatives == 15
         np.testing.assert_array_equal(a.ranks, b.ranks)
@@ -176,9 +177,9 @@ class TestEvaluateSplit:
         assert a.ranks.tolist() == expect
         assert a.positive_scores.tolist() == pos_scores.tolist()
         assert a.negative_scores is None
-        assert a.timings["sampling_s"] > 0.0
-        with pytest.raises(ConfigurationError, match="graph"):
-            evaluate_split(scorer, split, "mrr", seed=3, per_edge_negatives=15)
+        # one pool per positive, or the pools belong to another part
+        with pytest.raises(ConfigurationError, match="per-edge pools"):
+            evaluate_split(scorer, split, "mrr", seed=3, pools=pools[:-1])
 
     def test_per_edge_pools_equal_per_positive_oracle_pools(self):
         g, split = make_split(negatives=10)
@@ -188,7 +189,8 @@ class TestEvaluateSplit:
             calls.append(np.asarray(pairs).copy())
             return np.zeros(len(pairs))
 
-        evaluate_split(recording, split, "mrr", seed=3, per_edge_negatives=15, graph=g)
+        drawn = draw_per_edge_pools(g, len(split.test_edges), 15, 3)
+        evaluate_split(recording, split, "mrr", seed=3, pools=drawn)
         positives, pools = calls
         np.testing.assert_array_equal(positives, split.test_edges)
         expect = np.concatenate(
@@ -208,9 +210,8 @@ class TestEvaluateSplit:
             calls.append(np.asarray(pairs).copy())
             return np.zeros(len(pairs))
 
-        report = evaluate_split(
-            recording, split, "mrr", seed=seed, per_edge_negatives=15, graph=g
-        )
+        pools = draw_per_edge_pools(g, len(split.test_edges), 15, seed)
+        report = evaluate_split(recording, split, "mrr", seed=seed, pools=pools)
         assert report.seed == seed
         expect = np.concatenate(
             [

@@ -356,7 +356,7 @@ class BatchBuilder:
         check_mode(mode)
         if mode == "ncnc" and completion_scorer is None:
             raise ConfigurationError("ncnc batches need a completion scorer")
-        if g_train.features.shape[1] == 0:
+        if g_train.n_features == 0:
             raise ConfigurationError("backbone needs node features")
         return cls(
             adj=g_train.adj,
@@ -443,7 +443,7 @@ def train(
         raise ConfigurationError(
             f"mode '{mode}' needs a class prior and the labels of its label source"
         )
-    if g.features.shape[1] == 0:
+    if g.n_features == 0:
         raise ConfigurationError("backbone needs node features")
     if len(split.valid_edges) == 0 or len(split.valid_negatives) == 0:
         raise ConfigurationError(
@@ -465,7 +465,7 @@ def train(
         completion_scorer = make_scorer(stage1_model, g_train, prior, labels)
 
     builder = BatchBuilder.create(g_train, mode, prior, labels, completion_scorer)
-    params = init_params(g.features.shape[1], config, use_priors)
+    params = init_params(g.n_features, config, use_priors)
 
     positives = split.train_edges
     pos_batch = builder.build(positives, np.ones(len(positives)))

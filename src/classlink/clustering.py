@@ -25,7 +25,9 @@ over *pseudo-labels* instead.  Three generators are provided:
   order and the labels depend on the seed alone;
 * ``mono`` a single-label fallback that makes every prior lookup equal 1.
 
-All routines are deterministic given their seed.
+All routines are deterministic given their seed.  scipy is imported inside
+the functions that build matrices, so reading or writing a labeling needs
+none.
 """
 
 from __future__ import annotations
@@ -33,15 +35,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import artifacts
 from .config import check_k_grid, check_max_iters
 from .errors import ConfigurationError, DimensionError, ParseError
 from .graph import Graph
 from .rand import STREAM_CLUSTER, make_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,9 @@ def aggregate_features(g: Graph) -> sp.csr_matrix:
     adjacency and features, so the result is CSR and no dense ``n × d``
     array is built.
     """
-    if g.features.shape[1] == 0:
+    import scipy.sparse as sp
+
+    if g.n_features == 0:
         raise ConfigurationError("cannot aggregate an empty feature matrix")
     hat = g.adj + sp.identity(g.n_nodes, format="csr")
     return (hat @ g.features).tocsr()
@@ -144,6 +151,8 @@ class _Centroids:
 def _row_sq_norms(m: sp.csr_matrix) -> np.ndarray:
     """Squared row norms, summed in stored order as ``m @ v`` sums a row, so
     that a point's squared distance to itself is exactly 0, float or not."""
+    import scipy.sparse as sp
+
     squares = sp.csr_matrix((m.data * m.data, m.indices, m.indptr), shape=m.shape)
     return squares @ np.ones(m.shape[1])
 
@@ -251,6 +260,8 @@ def _lloyd(
 def _prepare_points(features: np.ndarray | sp.spmatrix, normalize_rows: bool) -> _Points:
     """Canonical float CSR points (dense or sparse input give the same ones);
     a non-finite point is a ``ConfigurationError``."""
+    import scipy.sparse as sp
+
     if sp.issparse(features):
         x = sp.csr_matrix(features, dtype=np.float64, copy=True)
     else:
@@ -471,6 +482,8 @@ def _local_move(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
     self-loop twice).  On integer weights this is an exact integer while
     ``(2m)²`` stays below 2⁵³, so every comparison between sweeps is exact.
     """
+    import scipy.sparse as sp
+
     n = adj.shape[0]
     deg = _degrees(adj)
     m2 = float(deg.sum())
@@ -524,6 +537,8 @@ def _class_moves(
     gain when it beats staying by more than 1e-12, exact ties going to the
     lowest community id.
     """
+    import scipy.sparse as sp
+
     n = comm.size
     onehot = sp.csr_matrix((np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
     link = rows @ onehot
@@ -625,6 +640,8 @@ def _aggregate(adj: sp.csr_matrix, comm: np.ndarray) -> sp.csr_matrix:
     self-loops once; the diagonal is reset to ``(diag(CᵀAC) + Cᵀ diag(A)) / 2``
     so that every internal edge and self-loop counts once.
     """
+    import scipy.sparse as sp
+
     n = adj.shape[0]
     member = sp.csr_matrix(
         (np.ones(n), (np.arange(n), comm)), shape=(n, int(comm.max()) + 1)

@@ -1,27 +1,31 @@
 """Graph container, file ingestion, edge splitting, negative sampling.
 
-A :class:`Graph` holds two scipy CSR matrices that every layer reads
-directly: ``adj``, the ``n × n`` 0/1 float adjacency over dense integer node
-ids, and ``features``, the ``n × F`` node features.  ``adj`` is symmetric,
-with sorted, strictly increasing neighbour lists and no self-loops or
-parallel edges; construction canonicalizes arbitrary edge lists into this
-form, so two input files describing the same edge set (in any order, with
-duplicates either way around) produce bit-identical graphs.  Construction
-works on 1-D pair keys: every non-loop edge ``(u, v)`` gives the keys
-``u * n + v`` and ``v * n + u``, and one in-place sort and dedup of those
-keys lists the stored entries row by row, so the CSR's row starts and column
-ids are read straight off them.  The keys are int64, which bounds a graph to
-``n * n - 1 < 2**63``, that is fewer than 3.03e9 nodes.  ``features``
-stores every entry whose bit pattern is nonzero (so ``-0.0`` is kept and
-``0.0`` is not), with sorted column indices; no dense ``n × F`` copy is ever
-built, neither at ingestion nor when ``graph.json`` is read.
+A :class:`Graph` holds the numpy arrays of two CSR matrices: the ``n × n``
+0/1 float adjacency over dense integer node ids (``adj_indptr``,
+``adj_indices``, ``adj_data``) and the ``n × F`` node features
+(``feature_indptr``, ``feature_indices``, ``feature_data``).  The adjacency
+is symmetric, with sorted, strictly increasing neighbour lists and no
+self-loops or parallel edges; construction canonicalizes arbitrary edge
+lists into this form, so two input files describing the same edge set (in
+any order, with duplicates either way around) produce bit-identical graphs.
+Construction works on 1-D pair keys: every non-loop edge ``(u, v)`` gives
+the keys ``u * n + v`` and ``v * n + u``, and one in-place sort and dedup of
+those keys lists the stored entries row by row, so the CSR's row starts and
+column ids are read straight off them.  The keys are int64, which bounds a
+graph to ``n * n - 1 < 2**63``, that is fewer than 3.03e9 nodes.  The
+features store every entry whose bit pattern is nonzero (so ``-0.0`` is
+kept and ``0.0`` is not), with sorted column indices; no dense ``n × F``
+copy is ever built, neither at ingestion nor when ``graph.json`` is read.
 
-Both canonical forms are plain numpy: :func:`_adjacency_arrays` sorts and
+Layers that multiply matrices read ``g.adj`` and ``g.features``: scipy CSR
+views of those arrays, made on first access and kept, which share the
+arrays rather than copy them.  Everything else, building a graph from
+arrays or files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph` and
+the graph's own queries, is plain numpy: :func:`_adjacency_arrays` sorts and
 dedups the pair keys, and :func:`_stored_entries` drops a feature CSR's
-explicit ``+0.0`` entries.  scipy is imported only inside the functions that
-build a matrix, so :func:`ingest_graph_json`, which goes from the parsed
-files through those two functions straight to ``graph.json``, runs on numpy
-alone.
+explicit ``+0.0`` entries.  scipy is imported only where a matrix is built
+from something other than those arrays (dense or sparse features given to
+:func:`build_graph`) and by the two views.
 
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -65,13 +70,16 @@ class Graph:
 
     Attributes
     ----------
-    adj : scipy.sparse.csr_matrix
-        ``(n_nodes, n_nodes)`` 0/1 float adjacency; row ``u`` holds the
-        sorted neighbour ids of ``u`` in ``adj.indices``.
-    features : scipy.sparse.csr_matrix
-        ``(n_nodes, F)`` float features, every entry with a nonzero bit
-        pattern stored, column indices sorted; ``F == 0`` when no features
-        were supplied.
+    adj_indptr, adj_indices, adj_data : np.ndarray
+        CSR arrays of the ``(n_nodes, n_nodes)`` 0/1 float adjacency: row
+        ``u`` holds the sorted neighbour ids of ``u`` in
+        ``adj_indices[adj_indptr[u]:adj_indptr[u + 1]]``, and ``adj_data``
+        is all 1.0.
+    feature_indptr, feature_indices, feature_data : np.ndarray
+        CSR arrays of the ``(n_nodes, n_features)`` float features, every
+        entry with a nonzero bit pattern stored, column indices sorted.
+    n_features : int
+        Feature width; 0 when no features were supplied.
     labels : np.ndarray | None
         ``(n_nodes,)`` int class ids, ``-1`` marking unlabeled nodes, or
         ``None`` when no label source was supplied.
@@ -79,23 +87,50 @@ class Graph:
         Dense id -> original id, persisted with the graph.
     class_ids : tuple[str, ...]
         Dense class id -> original label string (empty when unlabeled).
+
+    Every array is read-only, and index arrays are int32 while the sizes
+    fit.  :attr:`adj` and :attr:`features` are scipy CSR views of the
+    arrays.
     """
 
-    adj: sp.csr_matrix
-    features: sp.csr_matrix
+    adj_indptr: np.ndarray
+    adj_indices: np.ndarray
+    adj_data: np.ndarray
+    feature_indptr: np.ndarray
+    feature_indices: np.ndarray
+    feature_data: np.ndarray
+    n_features: int
     labels: np.ndarray | None
     node_ids: tuple[str, ...]
     class_ids: tuple[str, ...]
 
+    @cached_property
+    def adj(self) -> sp.csr_matrix:
+        """The adjacency as a scipy CSR matrix over the graph's arrays."""
+        import scipy.sparse as sp
+
+        n = self.n_nodes
+        return sp.csr_matrix((self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n))
+
+    @cached_property
+    def features(self) -> sp.csr_matrix:
+        """The features as a scipy CSR matrix over the graph's arrays."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(
+            (self.feature_data, self.feature_indices, self.feature_indptr),
+            shape=(self.n_nodes, self.n_features),
+        )
+
     @property
     def n_nodes(self) -> int:
         """Number of nodes (dense ids ``0 .. n_nodes - 1``)."""
-        return self.adj.shape[0]
+        return self.adj_indptr.size - 1
 
     @property
     def n_edges(self) -> int:
         """Number of undirected edges."""
-        return self.adj.nnz // 2
+        return self.adj_indices.size // 2
 
     @property
     def n_classes(self) -> int:
@@ -103,16 +138,16 @@ class Graph:
 
     def degree(self, u: int) -> int:
         self._check_node(u)
-        return int(self.adj.indptr[u + 1] - self.adj.indptr[u])
+        return int(self.adj_indptr[u + 1] - self.adj_indptr[u])
 
     def degrees(self) -> np.ndarray:
         """All node degrees as an int64 array."""
-        return np.diff(self.adj.indptr).astype(np.int64)
+        return np.diff(self.adj_indptr).astype(np.int64)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of ``u`` (read-only view)."""
         self._check_node(u)
-        return self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
+        return self.adj_indices[self.adj_indptr[u] : self.adj_indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -123,7 +158,7 @@ class Graph:
 
     def undirected_edges(self) -> np.ndarray:
         """All edges as a canonical ``(m, 2)`` array with ``u < v``, lex-sorted."""
-        return _upper_pairs(self.adj.indptr, self.adj.indices)
+        return _upper_pairs(self.adj_indptr, self.adj_indices)
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n_nodes:
@@ -152,7 +187,7 @@ class EdgeSplit:
 
     def train_graph(self, g: Graph) -> Graph:
         """Graph restricted to training edges (features/labels carried over)."""
-        return replace(g, adj=_csr_from_edges(self.train_edges, self.n_nodes))
+        return replace(g, **_adjacency_fields(self.train_edges, self.n_nodes))
 
     def part(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """Positive edges and shared negative pool of the ``test`` or ``valid`` part."""
@@ -220,15 +255,19 @@ def chunked_scorer(kernel: Scorer, n_nodes: int, chunk_size: Callable[[], int]) 
 # ---------------------------------------------------------------------------
 
 
+# A feature matrix as its CSR arrays and width: ``(data, indices, indptr, width)``.
+_FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _freeze_csr(m: sp.csr_matrix) -> sp.csr_matrix:
-    for arr in (m.data, m.indices, m.indptr):
-        _freeze(arr)
-    return m
+def _index_dtype(*sizes: int) -> type[np.integer]:
+    """int32 while every size fits in it, else int64: the index dtype scipy
+    keeps for a CSR matrix of these sizes, so a view shares the arrays."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 # Largest node count whose pair keys ``u * n + v`` fit in int64: n * n - 1 < 2**63.
@@ -273,11 +312,22 @@ def _adjacency_arrays(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.n
     keys = keys[distinct]
     del distinct
 
-    index = np.int32 if max(n_nodes, keys.size) <= np.iinfo(np.int32).max else np.int64
+    index = _index_dtype(n_nodes, keys.size)
     row_starts = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
     indptr = np.searchsorted(keys, row_starts).astype(index)
     keys %= n_nodes
     return indptr, keys.astype(index)
+
+
+def _adjacency_fields(edges: np.ndarray, n_nodes: int) -> dict[str, np.ndarray]:
+    """The read-only adjacency fields of a :class:`Graph` over an edge list
+    (:func:`_adjacency_arrays`)."""
+    indptr, indices = _adjacency_arrays(edges, n_nodes)
+    return {
+        "adj_indptr": _freeze(indptr),
+        "adj_indices": _freeze(indices),
+        "adj_data": _freeze(np.ones(indices.size)),
+    }
 
 
 def _upper_pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -287,17 +337,6 @@ def _upper_pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     dst = indices.astype(np.int64)
     mask = src < dst
     return np.column_stack([src[mask], dst[mask]])
-
-
-def _csr_from_edges(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """The symmetric 0/1 adjacency of an edge list (:func:`_adjacency_arrays`)."""
-    import scipy.sparse as sp
-
-    indptr, indices = _adjacency_arrays(edges, n_nodes)
-    adj = sp.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(n_nodes, n_nodes)
-    )
-    return _freeze_csr(adj)
 
 
 def _stored_entries(
@@ -311,6 +350,28 @@ def _stored_entries(
         indptr = np.concatenate([[0], np.cumsum(stored)])[indptr]
         data, indices = data[stored], indices[stored]
     return data, indices, indptr
+
+
+def _feature_fields(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, width: int
+) -> dict[str, np.ndarray | int]:
+    """The read-only feature fields of a :class:`Graph` over the arrays of a
+    canonical float64 CSR: its stored entries (:func:`_stored_entries`), index
+    arrays in :func:`_index_dtype`.  Arrays that need no change are kept,
+    shared with the caller."""
+    data, indices, indptr = _stored_entries(data, indices, indptr)
+    index = _index_dtype(indptr.size - 1, width, indices.size)
+    return {
+        "feature_indptr": _freeze(indptr.astype(index, copy=False)),
+        "feature_indices": _freeze(indices.astype(index, copy=False)),
+        "feature_data": _freeze(data),
+        "n_features": int(width),
+    }
+
+
+def _no_features(n_nodes: int) -> _FeatureArrays:
+    """The CSR arrays of an ``n_nodes × 0`` feature matrix."""
+    return np.zeros(0), np.zeros(0, np.int32), np.zeros(n_nodes + 1, np.int32), 0
 
 
 def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_matrix:
@@ -343,10 +404,8 @@ def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_mat
             rows, cols = np.nonzero(dense.view(np.int64))
             vals = dense[rows, cols]
         features = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    data, indices, indptr = _stored_entries(
-        features.data, features.indices, features.indptr
-    )
-    return _freeze_csr(sp.csr_matrix((data, indices, indptr), shape=shape))
+    arrays = _stored_entries(features.data, features.indices, features.indptr)
+    return sp.csr_matrix(tuple(map(_freeze, arrays)), shape=shape)
 
 
 def build_graph(
@@ -365,15 +424,11 @@ def build_graph(
     CSR is not copied: the graph shares its arrays and makes them read-only.
     ``labels`` uses ``-1`` for unlabeled nodes; any other label indexes
     ``class_ids`` (by default ``0..max``), and one outside it is a
-    :class:`DimensionError`.
+    :class:`DimensionError`.  Only features import scipy.
     """
-    import scipy.sparse as sp
-
     if n_nodes < 1:
         raise ConfigurationError(f"graph needs at least one node, got {n_nodes}")
-    adj = _csr_from_edges(np.asarray(edges), n_nodes)
-    if features is None:
-        features = sp.csr_matrix((n_nodes, 0))
+    adjacency = _adjacency_fields(np.asarray(edges), n_nodes)
 
     labs: np.ndarray | None = None
     if labels is not None:
@@ -398,9 +453,14 @@ def build_graph(
     if len(node_ids) != n_nodes:
         raise DimensionError("node_ids length does not match n_nodes")
 
+    if features is None:
+        features = _no_features(n_nodes)
+    else:
+        x = _feature_csr(features, n_nodes)
+        features = (x.data, x.indices, x.indptr, x.shape[1])
     return Graph(
-        adj=adj,
-        features=_feature_csr(features, n_nodes),
+        **adjacency,
+        **_feature_fields(*features),
         labels=labs,
         node_ids=tuple(node_ids),
         class_ids=tuple(class_ids or ()),
@@ -417,9 +477,6 @@ def build_graph(
 # bytes per character (18 for text that is not ASCII), about 1 MiB a block
 # whatever the file's size.
 _FEATURE_BLOCK = 1 << 16
-
-# A feature matrix as its CSR arrays and width: ``(data, indices, indptr, width)``.
-_FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def load_graph(
@@ -457,22 +514,11 @@ def load_graph(
     duplicate node, non-numeric cell).  Non-finite feature values are
     checked last, after the edge file.
     """
-    import scipy.sparse as sp
-
     n_nodes, edges, features, labels, node_ids, class_ids = _read_inputs(
         edge_path, feature_path, label_path
     )
-    if features is not None:
-        data, indices, indptr, width = features
-        features = sp.csr_matrix((data, indices, indptr), shape=(n_nodes, width))
-    return build_graph(
-        n_nodes,
-        edges,
-        features=features,
-        labels=labels,
-        node_ids=node_ids,
-        class_ids=class_ids,
-    )
+    g = build_graph(n_nodes, edges, labels=labels, node_ids=node_ids, class_ids=class_ids)
+    return g if features is None else replace(g, **_feature_fields(*features))
 
 
 def ingest_graph_json(
@@ -483,8 +529,7 @@ def ingest_graph_json(
 ) -> tuple[int, int]:
     """Read the input files as :func:`load_graph` does and write the
     ``graph.json`` that :func:`save_graph_json` writes for its graph, byte
-    for byte, without building a scipy matrix.  Returns the node and edge
-    counts.
+    for byte, without building the graph.  Returns the node and edge counts.
 
     The adjacency comes from :func:`_adjacency_arrays` and the feature
     entries pass :func:`_stored_entries`, the steps :func:`build_graph`
@@ -495,9 +540,7 @@ def ingest_graph_json(
     )
     indptr, indices = _adjacency_arrays(edges, n_nodes)
     del edges
-    if features is None:
-        features = (np.zeros(0), np.zeros(0, np.int64), np.zeros(n_nodes + 1, np.int64), 0)
-    *csr, width = features
+    *csr, width = _no_features(n_nodes) if features is None else features
     _write_graph_json(
         path,
         n_nodes,
@@ -759,7 +802,6 @@ def _text_blocks(path: str | Path, size: int) -> Iterator[str]:
 
 def save_graph_json(g: Graph, path: str | Path) -> None:
     """Serialize a graph losslessly: edges, labels and the feature CSR arrays."""
-    x = g.features
     _write_graph_json(
         path,
         g.n_nodes,
@@ -767,7 +809,7 @@ def save_graph_json(g: Graph, path: str | Path) -> None:
         g.class_ids,
         g.undirected_edges(),
         g.labels,
-        (x.data, x.indices, x.indptr, x.shape[1]),
+        (g.feature_data, g.feature_indices, g.feature_indptr, g.n_features),
     )
 
 
@@ -803,6 +845,8 @@ def _write_graph_json(
 
 
 def load_graph_json(path: str | Path) -> Graph:
+    """The graph that :func:`save_graph_json` wrote, checked as it is read;
+    a file that is not one is a :class:`ParseError` naming it."""
     p = artifacts.read(
         path,
         "graph",
@@ -829,22 +873,24 @@ def load_graph_json(path: str | Path) -> Graph:
         or (indices.size and (indices.min() < 0 or indices.max() >= width))
     ):
         raise ParseError(f"{path}: features are not a CSR matrix of {n} x {width}")
-    import scipy.sparse as sp
-
-    features = sp.csr_matrix((data, indices, indptr), shape=(n, width))
-    if not features.has_canonical_format:
+    # columns strictly increase between neighbouring entries, except across
+    # the start of a row
+    rising = np.diff(indices) > 0
+    row_starts = indptr[1:-1]
+    rising[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = True
+    if not rising.all():
         raise ParseError(f"{path}: feature columns do not strictly increase in a row")
     try:
-        return build_graph(
+        g = build_graph(
             n,
             p["edges"],
-            features=features,
             labels=p["labels"],
             node_ids=tuple(p["node_ids"]),
             class_ids=tuple(p["class_ids"]),
         )
     except DimensionError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return replace(g, **_feature_fields(data, indices, indptr, width))
 
 
 # ---------------------------------------------------------------------------

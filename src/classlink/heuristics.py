@@ -15,12 +15,18 @@ structural score:
 where ``Z`` is 1, or (when local normalization is on) the neighborhood sum
 ``Σ_{v ∈ N(x) ∪ N(y)} Σ_{i ∈ {x,y}} ω_1i · P(c_i|c_v) + ω_2i · P(c_v|c_i)``.
 
-Every score is computed for a whole ``(m, 2)`` pair batch at once, from sparse
-row blocks of the graph's adjacency ``A = g.adj``; :func:`make_heuristic_scorer`
-builds the per-node weights once per scorer.
+Every score is computed for a whole ``(m, 2)`` pair batch at once, from the
+graph's adjacency ``A``; :func:`make_heuristic_scorer` builds the per-node
+weights once per scorer.
 
-* CN/AA/RA are ``A[xs].multiply(A[ys]) @ w``: the pair × node matrix of
-  common neighbours against ``w = 1``, ``1 / ln d`` or ``1 / d``.
+* CN/AA/RA sum ``w = 1``, ``1 / ln d`` or ``1 / d`` over each pair's common
+  neighbours in node order, on the graph's CSR arrays alone.  Chunk pair
+  ``i``'s endpoint rows become the keys ``i · n + v`` of their neighbours
+  ``v``; after one sort of all keys, the two copies of each common neighbour
+  sit side by side, pair by pair, neighbours ascending, and
+  ``np.bincount`` adds their weights in that order from 0.0.  That is the
+  float sequence of scipy's ``A[xs].multiply(A[ys]) @ w``, so the bits are
+  its bits.
 * Katz meets in the middle: ``walks_l(x, y) = ⟨e_x A^⌈l/2⌉, e_y A^⌊l/2⌋⟩``,
   so horizon ``L`` needs the row blocks ``A^k[xs]`` for ``k ≤ ⌈L/2⌉`` and
   ``A^k[ys]`` for ``k ≤ ⌊L/2⌋`` instead of ``L`` mat-vecs over the whole graph
@@ -30,7 +36,10 @@ builds the per-node weights once per scorer.
   ``(A[xs] + A[ys] > 0) @ onehot(labels)``, and weighs the counts with the
   prior rows and columns of the two endpoint classes.
 
-Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay small;
+Katz and ``Z`` multiply scipy matrices (``g.adj``) and import scipy where
+they build them; CN/AA/RA, and ``hc`` over them without local
+normalization, never load it.  Batches are scored in chunks of ``_CHUNK``
+pairs so the row blocks stay small;
 ``hc`` finishes each chunk (score, ``Z``, prior lookup, bonus) before the next.
 Node ids are checked once per batch.  :func:`make_heuristic_scorer` is the
 only way to score; one pair is a ``(1, 2)`` batch.
@@ -40,14 +49,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import STRUCTURAL, GammaDecayConfig, check_hc_base
 from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
 from .graph import Graph, Scorer, chunked_scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -84,14 +96,36 @@ _CHUNK = 4096
 
 
 def _common_neighbor_sum(
-    adj: sp.csr_matrix, weights: np.ndarray, pairs: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
-    """Per pair, the weights of its common neighbours summed in node order."""
-    return adj[pairs[:, 0]].multiply(adj[pairs[:, 1]]) @ weights
+    """Per pair, the weights of its common neighbours summed in node order.
+
+    Keys ``i · n + v`` of both endpoint rows of chunk pair ``i``, x rows
+    first: each row's keys ascend, so equal keys, one per side, are the
+    common neighbours, and sorting puts them next to each other.  The keys
+    are int32 while ``c · n`` fits.
+    """
+    n, c = indptr.size - 1, len(pairs)
+    key = np.int32 if c * n <= np.iinfo(np.int32).max else np.int64
+    rows = pairs.T.ravel()
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    ends = np.cumsum(sizes)
+    at = np.repeat(starts - (ends - sizes), sizes)  # entry of row k's j-th key, minus j
+    at += np.arange(at.size, dtype=at.dtype)
+    keys = indices[at].astype(key, copy=False)
+    pair_base = np.arange(0, c * n, n, dtype=key)
+    keys += np.repeat(np.concatenate([pair_base, pair_base]), sizes)
+    keys.sort()
+    common = keys[1:][keys[1:] == keys[:-1]]
+    pair = common // n
+    return np.bincount(pair, weights=weights[common - pair * n], minlength=c)
 
 
 def _indicator_rows(nodes: np.ndarray, n: int) -> sp.csr_matrix:
     """One row ``e_v`` per node ``v``."""
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         (np.ones(nodes.size), nodes, np.arange(nodes.size + 1)), shape=(nodes.size, n)
     )
@@ -133,7 +167,7 @@ def _structural_kernel(
             weights = 1.0 / np.log(degrees)
         else:
             weights = 1.0 / degrees
-    return partial(_common_neighbor_sum, g.adj, weights)
+    return partial(_common_neighbor_sum, g.adj_indptr, g.adj_indices, weights)
 
 
 class _ClassKernel:
@@ -153,6 +187,8 @@ class _ClassKernel:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.params = params
         if params.normalize_locally:
+            import scipy.sparse as sp
+
             self.usable = (self.labels >= 0) & (self.labels < prior.n_classes)
             nodes = np.flatnonzero(self.usable)
             self.adj = g.adj

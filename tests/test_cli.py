@@ -634,34 +634,64 @@ class TestProcessInterface:
         assert "unknown config key" in capsys.readouterr().err
 
 
+def scipy_modules_seen(cfg: Path, commands: tuple[str, ...]) -> dict[str, list[str]]:
+    """The scipy modules loaded in a fresh interpreter after importing the
+    CLI (``"import"``) and after each of ``commands`` run on ``cfg``."""
+    script = (
+        "import json, sys\n"
+        "from classlink import cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = {'import': scipy()}\n"
+        "for command in sys.argv[2:]:\n"
+        "    assert cli.main([command, '--config', sys.argv[1]]) == 0\n"
+        "    seen[command] = scipy()\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), *commands],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 class TestLazyLayers:
     def test_ingest_loads_no_scipy_and_split_does(self, dataset):
         """In a fresh interpreter, importing the CLI and running ``ingest``
         load no scipy module; ``split``, which builds matrices, loads it."""
         tmp, _ = dataset
         cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
-        script = (
-            "import json, sys\n"
-            "from classlink import cli\n"
-            "def scipy():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "seen = {'import': scipy()}\n"
-            "for command in ('ingest', 'split'):\n"
-            "    assert cli.main([command, '--config', sys.argv[1]]) == 0\n"
-            "    seen[command] = scipy()\n"
-            "print(json.dumps(seen))\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(cfg)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        seen = scipy_modules_seen(cfg, ("ingest", "split"))
         assert seen["import"] == [] and seen["ingest"] == []
         assert "scipy.sparse" in seen["split"]
+
+    @pytest.mark.parametrize(
+        "extra, loads_scipy",
+        [
+            ({"label_source": "louvain", "scorer": "hc", "hc_base": "ra"}, False),
+            ({"scorer": "ra"}, False),
+            ({"label_source": "louvain", "scorer": "hc", "hc_base": "katz"}, True),
+        ],
+        ids=["hc-over-ra", "ra", "hc-over-katz"],
+    )
+    def test_warm_evaluate_loads_scipy_only_to_multiply(self, dataset, extra, loads_scipy):
+        """After a cold ``run-all``, ``evaluate`` in a fresh interpreter reads
+        its artifacts and scores CN-family pairs on numpy alone; Katz, which
+        multiplies matrices, loads scipy."""
+        tmp, _ = dataset
+        cfg = write_config(
+            tmp / "t.yaml", tmp / "data", tmp / "out", per_edge_negatives=5, **extra
+        )
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        seen = scipy_modules_seen(cfg, ("evaluate",))
+        assert seen["import"] == []
+        assert ("scipy.sparse" in seen["evaluate"]) == loads_scipy
+        if not loads_scipy:
+            assert seen["evaluate"] == []
 
 
 class TestNonFiniteFeatures:

@@ -203,7 +203,7 @@ class TestPairKeys:
         bound = graph_module._MAX_NODES
         assert bound * bound - 1 <= np.iinfo(np.int64).max < (bound + 1) ** 2 - 1
         with pytest.raises(ConfigurationError, match="pair keys"):
-            graph_module._csr_from_edges(np.empty((0, 2), dtype=np.int64), bound + 1)
+            graph_module._adjacency_arrays(np.empty((0, 2), dtype=np.int64), bound + 1)
 
 
 class TestFeaturePassThrough:
@@ -245,6 +245,54 @@ class TestFeaturePassThrough:
         g = load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
         dense = np.array([[0, 1.5, -0.0], [0, 0, 0], [2, 0, 0], [0, 0, 0]])
         assert_same_csr(g.features, build_graph(4, np.empty((0, 2)), features=dense).features)
+
+
+class TestArrayViews:
+    """``adj`` and ``features`` are scipy views of the graph's own arrays."""
+
+    @staticmethod
+    def graphs(tmp_path):
+        """``{how: (graph, its edges, its dense features)}`` for a graph from
+        ``build_graph``, the same graph read back, and its train graph."""
+        rng = np.random.default_rng(718)
+        edges = random_edges(rng, 40, 0.2)
+        feats = np.where(rng.random((43, 6)) < 0.3, rng.standard_normal((43, 6)), 0.0)
+        g = build_graph(43, edges, features=feats, labels=rng.integers(0, 3, size=43))
+        save_graph_json(g, tmp_path / "graph.json")
+        empty = np.empty((0, 2), dtype=np.int64)
+        split = EdgeSplit(43, edges[::2], empty, empty, empty, empty, seed=1)
+        return {
+            "build_graph": (g, edges, feats),
+            "load_graph_json": (load_graph_json(tmp_path / "graph.json"), edges, feats),
+            "train_graph": (split.train_graph(g), edges[::2], feats),
+        }
+
+    def test_views_share_the_arrays_and_are_made_once(self, tmp_path):
+        for how, (g, _, _) in self.graphs(tmp_path).items():
+            adj, x = g.adj, g.features
+            assert g.adj is adj and g.features is x, how
+            for view, prefix in ((adj, "adj_"), (x, "feature_")):
+                for part in ("data", "indices", "indptr"):
+                    mine = getattr(g, prefix + part)
+                    assert np.shares_memory(getattr(view, part), mine), (how, part)
+                    assert not mine.flags.writeable, (how, part)
+
+    def test_views_equal_the_oracles(self, tmp_path):
+        for how, (g, edges, feats) in self.graphs(tmp_path).items():
+            assert_same_csr(g.adj, oracle_csr_from_edges(edges, g.n_nodes))
+            assert_same_csr(g.features, sp.csr_matrix(feats))
+            assert g.n_features == feats.shape[1], how
+
+    def test_json_columns_may_fall_across_a_row_boundary(self, tmp_path):
+        """A row's first column may be at or below the last column of the
+        stored row before it, with empty rows between them."""
+        feats = np.zeros((6, 6))
+        feats[0, [3, 5]] = 1.0
+        feats[3, [0, 5]] = 2.0  # rows 1 and 2 are empty; 5 -> 0 across the boundary
+        feats[4, 5] = 3.0  # 5 -> 5 across the boundary
+        feats[5, 1] = 4.0
+        save_graph_json(build_graph(6, np.array([[0, 1]]), features=feats), tmp_path / "g.json")
+        assert_same_csr(load_graph_json(tmp_path / "g.json").features, sp.csr_matrix(feats))
 
 
 class TestCommonNeighbors:

@@ -408,6 +408,66 @@ class TestBatchKernels:
                     scorer(np.array(bad))
 
 
+def scipy_common_neighbor_sum(g, name, pairs):
+    """CN/AA/RA as the pair × node matrix of common neighbours times the
+    node weights, ``A[xs].multiply(A[ys]) @ w`` in scipy: the oracle of the
+    numpy kernel's bits."""
+    degrees = np.diff(g.adj.indptr).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        weights = {"cn": np.ones(g.n_nodes), "aa": 1.0 / np.log(degrees), "ra": 1.0 / degrees}
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return g.adj[pairs[:, 0]].multiply(g.adj[pairs[:, 1]]) @ weights[name]
+
+
+class TestCommonNeighborBits:
+    """CN/AA/RA give the bits of the scipy product, pair for pair."""
+
+    def assert_same_bits(self, g, pairs):
+        for name in ("cn", "aa", "ra"):
+            got = make_heuristic_scorer(name, g)(pairs)
+            want = scipy_common_neighbor_sum(g, name, pairs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_random_graphs_with_isolated_nodes_and_self_pairs(self):
+        rng = np.random.default_rng(911)
+        for _ in range(12):
+            n = int(rng.integers(6, 40))
+            edges = random_edges(rng, n, float(rng.uniform(0.1, 0.6)))
+            g = build_graph(n + 4, edges)  # four isolated nodes
+            pairs = awkward_pairs(rng, edges, g.n_nodes, 60)
+            nodes = rng.integers(0, g.n_nodes, size=10)
+            self.assert_same_bits(g, np.concatenate([pairs, np.column_stack([nodes, nodes])]))
+
+    def test_dense_neighbourhoods(self):
+        """Many common neighbours per pair, so the float sums round."""
+        rng = np.random.default_rng(912)
+        g = build_graph(300, random_edges(rng, 300, 0.2))
+        self.assert_same_bits(g, rng.integers(0, 300, size=(3000, 2)))
+
+    def test_empty_batch(self, path3):
+        self.assert_same_bits(path3, np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_small_chunks(self, monkeypatch, chunk):
+        rng = np.random.default_rng(913)
+        edges = random_edges(rng, 30, 0.3)
+        g = build_graph(33, edges)
+        pairs = awkward_pairs(rng, edges, g.n_nodes, 40)
+        monkeypatch.setattr(heuristics, "_CHUNK", chunk)
+        self.assert_same_bits(g, pairs)
+
+    def test_keys_past_int32(self):
+        """At 600,000 nodes a 4096-pair chunk's keys ``i · n + v`` pass
+        2**31, so they are int64."""
+        rng = np.random.default_rng(914)
+        n = 600_000
+        hubs = rng.integers(0, n, size=60)
+        edges = hubs[rng.integers(0, 60, size=(900, 2))]
+        g = build_graph(n, edges)
+        assert heuristics._CHUNK * n > np.iinfo(np.int32).max
+        self.assert_same_bits(g, hubs[rng.integers(0, 60, size=(5000, 2))])
+
+
 class TestBatchClassScorer:
     """The ``hc`` batch scorer with local normalization."""
 

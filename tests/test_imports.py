@@ -1,10 +1,12 @@
 """Import hygiene of the ``classlink`` package, read from its source with ``ast``.
 
-Two rules, one test each per module:
+Three rules, one test each per module:
 
 * every name a module imports is used in that module (annotations count);
 * no module imports a ``_private`` name from another classlink module: what
-  two modules share is public.
+  two modules share is public;
+* only ``backbone.py`` imports scipy when the module is imported; the others
+  import it inside the functions that build matrices, or for type checking.
 """
 
 from __future__ import annotations
@@ -54,3 +56,44 @@ def test_no_private_name_is_imported_from_another_module(path):
         and name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names {private}"
+
+
+def module_level_imports(node: ast.AST) -> list[str]:
+    """Modules imported by the code under ``node`` that runs when the module
+    is imported: everything but function bodies and ``if TYPE_CHECKING:``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+            child = ast.Module(body=child.orelse, type_ignores=[])
+        elif isinstance(child, ast.Import):
+            found += [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            found.append(child.module or "")
+        found += module_level_imports(child)
+    return found
+
+
+def test_the_guard_sees_top_level_and_skips_type_checking():
+    tree = ast.parse(
+        "import scipy.sparse as sp\n"
+        "from scipy import linalg\n"
+        "if TYPE_CHECKING:\n    import scipy.stats\n"
+        "else:\n    import scipy.signal\n"
+        "try:\n    import scipy.io\nexcept ImportError:\n    pass\n"
+        "def f():\n    import scipy.optimize\n"
+        "class C:\n    import scipy.special\n"
+    )
+    assert module_level_imports(tree) == [
+        "scipy.sparse", "scipy", "scipy.signal", "scipy.io", "scipy.special"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "backbone.py"], ids=lambda p: p.name
+)
+def test_only_the_backbone_imports_scipy_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scipy = [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"]
+    assert not scipy, f"{path.name} imports {scipy} when it is imported"

@@ -19,8 +19,8 @@ Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,
 ``artifacts``, ``errors`` and ``rand``.  The layers load scipy only to
 multiply or index a sparse matrix, so ``ingest``, ``prior``, ``heatmap`` and
-an ``evaluate`` that reads its pools and scores with CN/AA/RA, or ``hc``
-over them, never load it.
+an ``evaluate`` that reads its pools and scores with a heuristic (CN/AA/RA,
+Katz, or ``hc`` over them) never load it.
 """
 
 from __future__ import annotations
@@ -385,9 +385,6 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     from .evaluation import evaluate_split, save_report
     from .graph import load_graph_json, load_split_json
 
-    if "katz" in (cfg.scorer, cfg.hc_base if cfg.scorer == "hc" else None):
-        # Katz multiplies scipy matrices; imported first, as in cmd_split.
-        importlib.import_module("scipy.sparse")
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = load_split_json(_require_stage(cfg, "split"))
     scorer = _build_scorer(cfg, g, split)

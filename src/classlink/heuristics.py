@@ -15,41 +15,48 @@ structural score:
 where ``Z`` is 1, or (when local normalization is on) the neighborhood sum
 ``Σ_{v ∈ N(x) ∪ N(y)} Σ_{i ∈ {x,y}} ω_1i · P(c_i|c_v) + ω_2i · P(c_v|c_i)``.
 
-Every score is computed for a whole ``(m, 2)`` pair batch at once, from the
-graph's adjacency ``A``; :func:`make_heuristic_scorer` builds the per-node
-weights once per scorer.
+Every score is computed for a whole ``(m, 2)`` pair batch at once, on the
+graph's CSR arrays ``g.adj_indptr`` and ``g.adj_indices`` alone: no kernel
+loads scipy.  Chunk pair ``i``'s rows become the keys ``i · n + v`` of their
+nodes ``v`` (int32 while ``c · n`` fits), which sort pair by pair, nodes
+ascending.  :func:`make_heuristic_scorer` builds the per-node weights once
+per scorer.
 
 * CN/AA/RA sum ``w = 1``, ``1 / ln d`` or ``1 / d`` over each pair's common
-  neighbours in node order, on the graph's CSR arrays alone.  Chunk pair
-  ``i``'s endpoint rows become the keys ``i · n + v`` of their neighbours
-  ``v``; after one sort of all keys, the two copies of each common neighbour
-  sit side by side, pair by pair, neighbours ascending, and
+  neighbours in node order.  After one sort of the keys of both endpoint
+  rows, the two copies of each common neighbour sit side by side, and
   ``np.bincount`` adds their weights in that order from 0.0.  That is the
   float sequence of scipy's ``A[xs].multiply(A[ys]) @ w``, so the bits are
   its bits.
 * Katz meets in the middle: ``walks_l(x, y) = ⟨e_x A^⌈l/2⌉, e_y A^⌊l/2⌋⟩``,
   so horizon ``L`` needs the row blocks ``A^k[xs]`` for ``k ≤ ⌈L/2⌉`` and
   ``A^k[ys]`` for ``k ≤ ⌊L/2⌋`` instead of ``L`` mat-vecs over the whole graph
-  per pair.  Walk counts are exact integers, and the decayed sum is
-  accumulated as ``decay *= γ; total += decay · walks_l``.
-* ``Z`` counts the classes in each pair's neighbourhood union,
-  ``(A[xs] + A[ys] > 0) @ onehot(labels)``, and weighs the counts with the
-  prior rows and columns of the two endpoint classes.
+  per pair.  A block is its sorted unique keys with their walk counts:
+  ``A^1`` is the endpoint's CSR row, and ``A^(k+1)`` repeats every key over
+  its node's neighbours, sorts and run-length counts.  A chunk is cut into
+  runs of pairs whose steps list at most ``_EXPANSION`` entries, bounded
+  per node from walk counts before anything is listed, so that clique-heavy
+  neighbourhoods do not blow up.  The meet is one stable sort of the two
+  key runs, and ``np.bincount`` sums ``cx · cy`` over adjacent equal keys.
+  Walk counts are exact integers below 2^53, so every summation order gives
+  scipy's float, and the decayed sum is accumulated as
+  ``decay *= γ; total += decay · walks_l``.
+* ``Z`` counts the classes in each pair's neighbourhood union (the unique
+  keys of both endpoint rows, ``np.bincount(pair · C + label)``), and
+  weighs the counts with the prior rows and columns of the two endpoint
+  classes.
 
-Katz and ``Z`` multiply scipy matrices (``g.adj``) and import scipy where
-they build them; CN/AA/RA, and ``hc`` over them without local
-normalization, never load it.  Batches are scored in chunks of ``_CHUNK``
-pairs so the row blocks stay small;
-``hc`` finishes each chunk (score, ``Z``, prior lookup, bonus) before the next.
-Node ids are checked once per batch.  :func:`make_heuristic_scorer` is the
-only way to score; one pair is a ``(1, 2)`` batch.
+Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay
+small; ``hc`` finishes each chunk (score, ``Z``, prior lookup, bonus) before
+the next.  Node ids are checked once per batch.
+:func:`make_heuristic_scorer` is the only way to score; one pair is a
+``(1, 2)`` batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,9 +64,6 @@ from .config import STRUCTURAL, GammaDecayConfig, check_hc_base
 from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
 from .graph import Graph, Scorer, chunked_scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,33 @@ class ClassHeuristicParams:
 _CHUNK = 4096
 """Pairs per block of sparse rows; bounds the memory one batch takes."""
 
+_EXPANSION = 1 << 17
+"""Entries the Katz steps ``A^k → A^(k+1)`` of one run of pairs list before
+equal keys merge.  It bounds the memory of clique-heavy neighbourhoods, and
+runs this small sort in cache."""
+
+
+def _pair_bases(c: int, n: int) -> np.ndarray:
+    """``i · n`` for chunk pairs ``i < c``: int32 while ``c · n`` fits."""
+    key = np.int32 if c * n <= np.iinfo(np.int32).max else np.int64
+    return np.arange(0, c * n, n, dtype=key)
+
+
+def _neighbor_keys(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``bases[j] + u`` of the neighbours ``u`` of ``nodes[j]``, row
+    after row, in the dtype of ``bases``, and the row sizes.  Each row's keys
+    ascend, as its CSR row does."""
+    starts = indptr[nodes]
+    sizes = indptr[nodes + 1] - starts
+    ends = np.cumsum(sizes)
+    at = np.repeat(starts - (ends - sizes), sizes)  # entry of row j's t-th key, minus t
+    at += np.arange(at.size, dtype=at.dtype)
+    keys = indices[at].astype(bases.dtype, copy=False)
+    keys += np.repeat(bases, sizes)
+    return keys, sizes
+
 
 def _common_neighbor_sum(
     indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, pairs: np.ndarray
@@ -102,53 +133,116 @@ def _common_neighbor_sum(
 
     Keys ``i · n + v`` of both endpoint rows of chunk pair ``i``, x rows
     first: each row's keys ascend, so equal keys, one per side, are the
-    common neighbours, and sorting puts them next to each other.  The keys
-    are int32 while ``c · n`` fits.
+    common neighbours, and sorting puts them next to each other.
     """
     n, c = indptr.size - 1, len(pairs)
-    key = np.int32 if c * n <= np.iinfo(np.int32).max else np.int64
-    rows = pairs.T.ravel()
-    starts = indptr[rows]
-    sizes = indptr[rows + 1] - starts
-    ends = np.cumsum(sizes)
-    at = np.repeat(starts - (ends - sizes), sizes)  # entry of row k's j-th key, minus j
-    at += np.arange(at.size, dtype=at.dtype)
-    keys = indices[at].astype(key, copy=False)
-    pair_base = np.arange(0, c * n, n, dtype=key)
-    keys += np.repeat(np.concatenate([pair_base, pair_base]), sizes)
+    bases = _pair_bases(c, n)
+    keys, _ = _neighbor_keys(indptr, indices, pairs.T.ravel(), np.tile(bases, 2))
     keys.sort()
     common = keys[1:][keys[1:] == keys[:-1]]
     pair = common // n
     return np.bincount(pair, weights=weights[common - pair * n], minlength=c)
 
 
-def _indicator_rows(nodes: np.ndarray, n: int) -> sp.csr_matrix:
-    """One row ``e_v`` per node ``v``."""
-    import scipy.sparse as sp
+# A row block ``A^k[rows]``: its sorted unique keys ``i · n + v`` and their
+# walk counts, ``None`` where every count is 1 (``k ≤ 1``).
+_Block = tuple[np.ndarray, "np.ndarray | None"]
 
-    return sp.csr_matrix(
-        (np.ones(nodes.size), nodes, np.arange(nodes.size + 1)), shape=(nodes.size, n)
-    )
+
+def _next_power(indptr: np.ndarray, indices: np.ndarray, n: int, block: _Block) -> _Block:
+    """``A^(k+1)[rows]`` from ``A^k[rows]`` for ``k ≥ 1``: every key repeated
+    over its node's neighbours, sorted and run-length counted."""
+    keys, counts = block
+    nodes = keys % n
+    listed, sizes = _neighbor_keys(indptr, indices, nodes, keys - nodes)
+    if counts is None:
+        listed.sort()
+    else:
+        counts = np.repeat(counts, sizes)
+        if listed.dtype == np.int32 and counts.max(initial=0) < 1 << 32:
+            # one sort of (key, count) packed in int64 is twice as fast as argsort
+            packed = np.sort((listed.astype(np.int64) << 32) | counts)
+            listed, counts = (packed >> 32).astype(np.int32), packed & 0xFFFFFFFF
+        else:
+            order = np.argsort(listed)
+            listed, counts = listed[order], counts[order]
+    starts = np.ones(listed.size, dtype=bool)
+    starts[1:] = listed[1:] != listed[:-1]
+    first = np.flatnonzero(starts)
+    if counts is None:
+        return listed[first], np.diff(first, append=listed.size)
+    return listed[first], np.add.reduceat(counts, first)
+
+
+def _walks(x: _Block, y: _Block, n: int, c: int) -> np.ndarray:
+    """Per pair ``i``, ``⟨x[i], y[i]⟩``.  ``np.intersect1d`` of two unique
+    key arrays is one stable sort of their concatenation, a linear merge of
+    two sorted runs, after which each match sits next to its partner."""
+    common, at_x, at_y = np.intersect1d(x[0], y[0], assume_unique=True, return_indices=True)
+    weights = None
+    for counts, at in ((x[1], at_x), (y[1], at_y)):
+        if counts is not None:
+            weights = counts[at] if weights is None else weights * counts[at]
+    return np.bincount(common // n, weights=weights, minlength=c)
+
+
+def _listed_sizes(indptr: np.ndarray, indices: np.ndarray, top: int) -> np.ndarray:
+    """Per node ``v``, ``Σ_{k=2..top} walks_k(v)``: a bound on the entries the
+    steps up to ``A^top[v]`` list, exact for ``top ≤ 2``.  The step
+    ``A^k → A^(k+1)`` lists ``Σ_{u ∈ supp A^k[v]} d(u) ≤ (A^(k+1) 1)[v]``."""
+    walks = np.diff(indptr).astype(np.float64)
+    total = np.zeros(walks.size)
+    for _ in range(top - 1):
+        below = np.concatenate([[0.0], np.cumsum(walks[indices])])
+        walks = below[indptr[1:]] - below[indptr[:-1]]
+        total += walks
+    return total
+
+
+def _katz_run(
+    indptr: np.ndarray, indices: np.ndarray, cfg: GammaDecayConfig, pairs: np.ndarray
+) -> np.ndarray:
+    """``Σ_l γ^l walks_l`` of one run of pairs, from its row blocks."""
+    n, c = indptr.size - 1, len(pairs)
+    bases = _pair_bases(c, n)
+
+    def powers(nodes: np.ndarray, top: int) -> list[_Block]:
+        """``[A^0[nodes], ..., A^top[nodes]]``"""
+        blocks: list[_Block] = [(bases + nodes.astype(bases.dtype), None)]
+        if top >= 1:
+            blocks.append((_neighbor_keys(indptr, indices, nodes, bases)[0], None))
+        while len(blocks) <= top:
+            blocks.append(_next_power(indptr, indices, n, blocks[-1]))
+        return blocks
+
+    from_x = powers(pairs[:, 0], (cfg.max_length + 1) // 2)
+    from_y = powers(pairs[:, 1], cfg.max_length // 2)
+    total = np.zeros(c)
+    decay = 1.0
+    for length in range(1, cfg.max_length + 1):
+        decay *= cfg.gamma
+        total += decay * _walks(from_x[(length + 1) // 2], from_y[length // 2], n, c)
+    return total
 
 
 def _katz_sum(
-    adj: sp.csr_matrix, cfg: GammaDecayConfig, pairs: np.ndarray
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    listed: tuple[np.ndarray, np.ndarray],
+    cfg: GammaDecayConfig,
+    pairs: np.ndarray,
 ) -> np.ndarray:
-    """Truncated Katz by meet-in-the-middle walk counts."""
-    n = adj.shape[0]
-    xs, ys = pairs[:, 0], pairs[:, 1]
-    from_x = [_indicator_rows(xs, n)]  # from_x[k] = A^k[xs]
-    from_y = [_indicator_rows(ys, n)]
-    for _ in range((cfg.max_length + 1) // 2):
-        from_x.append(from_x[-1] @ adj)
-    for _ in range(cfg.max_length // 2):
-        from_y.append(from_y[-1] @ adj)
-    total = np.zeros(xs.size)
-    decay = 1.0
-    for length in range(1, cfg.max_length + 1):
-        meet = from_x[(length + 1) // 2].multiply(from_y[length // 2])
-        decay *= cfg.gamma
-        total += decay * np.asarray(meet.sum(axis=1)).ravel()
+    """Truncated Katz by meet-in-the-middle walk counts, over runs of pairs
+    whose steps list at most ``_EXPANSION`` entries by the bounds ``listed``
+    of the x and y sides (a larger pair is a run of its own)."""
+    ends = np.cumsum(listed[0][pairs[:, 0]] + listed[1][pairs[:, 1]])
+    total = np.empty(len(pairs))
+    lo = 0
+    while lo < len(pairs):
+        done = ends[lo - 1] if lo else 0.0
+        hi = max(int(np.searchsorted(ends, done + _EXPANSION, "right")), lo + 1)
+        total[lo:hi] = _katz_run(indptr, indices, cfg, pairs[lo:hi])
+        lo = hi
     return cfg.eta * total
 
 
@@ -157,7 +251,10 @@ def _structural_kernel(
 ) -> Scorer:
     """Kernel of one structural score over a checked ``(c, 2)`` pair chunk."""
     if name == "katz":
-        return partial(_katz_sum, g.adj, katz or GammaDecayConfig())
+        cfg = katz or GammaDecayConfig()
+        tops = ((cfg.max_length + 1) // 2, cfg.max_length // 2)
+        listed = tuple(_listed_sizes(g.adj_indptr, g.adj_indices, top) for top in tops)
+        return partial(_katz_sum, g.adj_indptr, g.adj_indices, listed, cfg)
     degrees = g.degrees().astype(np.float64)
     # nodes of degree 0 or 1 are common neighbours of no pair x != y
     with np.errstate(divide="ignore"):
@@ -186,23 +283,22 @@ class _ClassKernel:
         self.prior = prior
         self.labels = np.asarray(labels, dtype=np.int64)
         self.params = params
-        if params.normalize_locally:
-            import scipy.sparse as sp
-
-            self.usable = (self.labels >= 0) & (self.labels < prior.n_classes)
-            nodes = np.flatnonzero(self.usable)
-            self.adj = g.adj
-            self.onehot = sp.csr_matrix(
-                (np.ones(nodes.size), (nodes, self.labels[nodes])),
-                shape=(g.n_nodes, prior.n_classes),
-            )
-            self.unusable = (~self.usable).astype(np.float64)
+        self.indptr, self.indices = g.adj_indptr, g.adj_indices
+        self.usable = (self.labels >= 0) & (self.labels < prior.n_classes)
 
     def _local_normalizer(self, pairs: np.ndarray) -> np.ndarray:
         """``Z`` per pair; raises for the first pair with a missing label or Z = 0."""
+        n, c, n_classes = self.indptr.size - 1, len(pairs), self.prior.n_classes
         xs, ys = pairs[:, 0], pairs[:, 1]
-        union = (self.adj[xs] + self.adj[ys]).sign()
-        counts = (union @ self.onehot).toarray()  # classes of N(x) ∪ N(y)
+        bases = _pair_bases(c, n)
+        keys, _ = _neighbor_keys(self.indptr, self.indices, pairs.T.ravel(), np.tile(bases, 2))
+        keys = np.unique(keys)  # the keys of N(x) ∪ N(y), pair by pair
+        pair = keys // n
+        node = keys - pair * n
+        usable = self.usable[node]
+        counts = np.bincount(  # classes of N(x) ∪ N(y)
+            pair[usable] * n_classes + self.labels[node[usable]], minlength=c * n_classes
+        ).reshape(c, n_classes)
         cx = np.where(self.usable[xs], self.labels[xs], 0)
         cy = np.where(self.usable[ys], self.labels[ys], 0)
         probs = self.prior.probs
@@ -213,12 +309,13 @@ class _ClassKernel:
             + w1y * (counts * probs.T[cy]).sum(axis=1)
             + w2y * (counts * probs[cy]).sum(axis=1)
         )
-        unlabeled = ~self.usable[xs] | ~self.usable[ys] | (union @ self.unusable > 0)
+        unlabeled = ~self.usable[xs] | ~self.usable[ys]
+        unlabeled[pair[~usable]] = True
         first = np.flatnonzero(unlabeled | (z == 0.0))[:1]
         if first.size:
             i = int(first[0])
             if unlabeled[i]:
-                involved = np.concatenate([[xs[i], ys[i]], np.sort(union[i].indices)])
+                involved = np.concatenate([[xs[i], ys[i]], node[pair == i]])
                 bad = int(involved[np.argmin(self.usable[involved])])
                 raise MissingLabelError(f"node {bad} lacks a usable class label")
             raise DegenerateNormalizerError(

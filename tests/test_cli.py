@@ -674,14 +674,17 @@ class TestLazyLayers:
         [
             ({"label_source": "louvain", "scorer": "hc", "hc_base": "ra"}, False),
             ({"scorer": "ra"}, False),
-            ({"label_source": "louvain", "scorer": "hc", "hc_base": "katz"}, True),
+            ({"label_source": "louvain", "scorer": "hc", "hc_base": "katz"}, False),
+            ({"scorer": "katz"}, False),
+            ({}, True),
         ],
-        ids=["hc-over-ra", "ra", "hc-over-katz"],
+        ids=["hc-over-ra", "ra", "hc-over-katz", "katz", "model"],
     )
     def test_warm_evaluate_loads_scipy_only_to_multiply(self, dataset, extra, loads_scipy):
         """After a cold ``run-all``, ``evaluate`` in a fresh interpreter reads
-        its artifacts and scores CN-family pairs on numpy alone; Katz, which
-        multiplies matrices, loads scipy."""
+        its artifacts and scores with any heuristic (CN/AA/RA, Katz, or ``hc``
+        over them) on numpy alone; the model scorer, which multiplies
+        matrices, loads scipy."""
         tmp, _ = dataset
         cfg = write_config(
             tmp / "t.yaml", tmp / "data", tmp / "out", per_edge_negatives=5, **extra

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from classlink.errors import (
     ConfigurationError,
@@ -20,7 +21,7 @@ from classlink.heuristics import (
     GammaDecayConfig,
     make_heuristic_scorer,
 )
-from classlink.priors import count_class_links
+from classlink.priors import count_class_links, lookup_prior_batch
 
 from conftest import random_edges
 from test_graph import brute_adjacency
@@ -466,6 +467,225 @@ class TestCommonNeighborBits:
         g = build_graph(n, edges)
         assert heuristics._CHUNK * n > np.iinfo(np.int32).max
         self.assert_same_bits(g, hubs[rng.integers(0, 60, size=(5000, 2))])
+
+
+def scipy_katz_sum(g, cfg, pairs):
+    """Truncated Katz from scipy row blocks ``A^k[xs]`` and ``A^k[ys]``
+    (indicator rows times ``A``), met by ``multiply`` and summed per row:
+    the oracle of the numpy kernel's bits."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    xs, ys = pairs[:, 0], pairs[:, 1]
+
+    def indicator_rows(nodes):
+        return sp.csr_matrix(
+            (np.ones(nodes.size), nodes, np.arange(nodes.size + 1)),
+            shape=(nodes.size, g.n_nodes),
+        )
+
+    from_x, from_y = [indicator_rows(xs)], [indicator_rows(ys)]
+    for _ in range((cfg.max_length + 1) // 2):
+        from_x.append(from_x[-1] @ g.adj)
+    for _ in range(cfg.max_length // 2):
+        from_y.append(from_y[-1] @ g.adj)
+    total = np.zeros(xs.size)
+    decay = 1.0
+    for length in range(1, cfg.max_length + 1):
+        meet = from_x[(length + 1) // 2].multiply(from_y[length // 2])
+        decay *= cfg.gamma
+        total += decay * np.asarray(meet.sum(axis=1)).ravel()
+    return cfg.eta * total
+
+
+def clique_graph(size, count):
+    """``count`` disjoint cliques of ``size`` nodes: a pair's 2-hop rows list
+    about ``size²`` entries that merge into ``size``."""
+    upper = np.triu_indices(size, 1)
+    edges = np.concatenate(
+        [np.column_stack(upper) + k * size for k in range(count)]
+    )
+    return build_graph(size * count, edges)
+
+
+class TestKatzBits:
+    """Katz gives the bits of the scipy row-block products, pair for pair."""
+
+    def assert_same_bits(self, g, pairs, lengths=range(1, 7)):
+        for max_length in lengths:
+            cfg = GammaDecayConfig(gamma=0.3, eta=1.7, max_length=max_length)
+            got = make_heuristic_scorer("katz", g, katz=cfg)(pairs)
+            want = scipy_katz_sum(g, cfg, pairs)
+            assert got.dtype == want.dtype, max_length
+            assert got.tobytes() == want.tobytes(), max_length
+
+    def awkward_graphs(self, seed, count):
+        """Random graphs with three isolated nodes, and batches with
+        duplicate, reversed, edge and self-pairs."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(4, 40))
+            edges = random_edges(rng, n, float(rng.uniform(0.05, 0.6)))
+            g = build_graph(n + 3, edges)
+            pairs = awkward_pairs(rng, edges, g.n_nodes, 40)
+            nodes = rng.integers(0, g.n_nodes, size=8)
+            yield g, np.concatenate([pairs, np.column_stack([nodes, nodes])])
+
+    def test_random_graphs_with_isolated_nodes_and_self_pairs(self):
+        for g, pairs in self.awkward_graphs(921, 12):
+            self.assert_same_bits(g, pairs)
+
+    def test_empty_batch(self, path3):
+        self.assert_same_bits(path3, np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(heuristics, "_CHUNK", chunk)
+        for g, pairs in self.awkward_graphs(922, 4):
+            self.assert_same_bits(g, pairs)
+
+    @pytest.mark.parametrize("budget", [1, 40, 300])
+    def test_small_runs(self, monkeypatch, budget):
+        """Runs of one pair, and pairs that list more than the budget alone."""
+        monkeypatch.setattr(heuristics, "_EXPANSION", budget)
+        for g, pairs in self.awkward_graphs(923, 4):
+            self.assert_same_bits(g, pairs)
+
+    def test_keys_past_int32(self, monkeypatch):
+        """At 600,000 nodes, a run of more than 3,579 pairs has keys
+        ``i · n + v`` past 2**31, so they are int64.  Pairs of isolated
+        nodes list nothing, so their runs are that long."""
+        rng = np.random.default_rng(924)
+        n = 600_000
+        hubs = rng.integers(0, n, size=60)
+        g = build_graph(n, hubs[rng.integers(0, 60, size=(900, 2))])
+        pairs = np.concatenate(
+            [hubs[rng.integers(0, 60, size=(300, 2))], rng.integers(0, n, size=(5000, 2))]
+        )
+        dtypes = set()
+        bases = heuristics._pair_bases
+        monkeypatch.setattr(
+            heuristics, "_pair_bases", lambda c, n: dtypes.add(bases(c, n).dtype) or bases(c, n)
+        )
+        self.assert_same_bits(g, pairs, lengths=(1, 2, 4, 5))
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+
+    def test_memory_stays_below_the_scipy_products_on_cliques(self):
+        """On 30 cliques of 48 nodes, each pair's 2-hop rows list about 2,200
+        entries that merge into 48: 1,024 pairs list about 4.5M entries, or
+        39 MB of arrays when a chunk is listed at once.  Listing runs of at
+        most ``_EXPANSION`` entries keeps the kernel's traced peak below
+        the scipy oracle's (1.1 against 3.6 MB when measured)."""
+        g = clique_graph(48, 30)
+        pairs = np.random.default_rng(925).integers(0, g.n_nodes, size=(1024, 2))
+        cfg = GammaDecayConfig()
+        scorer = make_heuristic_scorer("katz", g, katz=cfg)
+        kernel = peak_rise(lambda: scorer(pairs))
+        oracle = peak_rise(lambda: scipy_katz_sum(g, cfg, pairs))
+        assert kernel <= oracle, (kernel, oracle)
+
+
+def scipy_local_normalizer(g, prior, labels, omega, pairs):
+    """``Z`` from the classes of ``N(x) ∪ N(y)`` counted as
+    ``sign(A[xs] + A[ys]) @ onehot(labels)`` in scipy, with the first pair
+    that has an unusable label or ``Z = 0`` raising: the oracle of the
+    kernel's bits and of its two errors."""
+    labels = np.asarray(labels, dtype=np.int64)
+    usable = (labels >= 0) & (labels < prior.n_classes)
+    nodes = np.flatnonzero(usable)
+    onehot = sp.csr_matrix(
+        (np.ones(nodes.size), (nodes, labels[nodes])), shape=(g.n_nodes, prior.n_classes)
+    )
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    union = (g.adj[xs] + g.adj[ys]).sign()
+    counts = (union @ onehot).toarray()
+    cx = np.where(usable[xs], labels[xs], 0)
+    cy = np.where(usable[ys], labels[ys], 0)
+    probs = prior.probs
+    w1x, w2x, w1y, w2y = omega
+    z = (
+        w1x * (counts * probs.T[cx]).sum(axis=1)
+        + w2x * (counts * probs[cx]).sum(axis=1)
+        + w1y * (counts * probs.T[cy]).sum(axis=1)
+        + w2y * (counts * probs[cy]).sum(axis=1)
+    )
+    unlabeled = ~usable[xs] | ~usable[ys] | (union @ (~usable).astype(np.float64) > 0)
+    first = np.flatnonzero(unlabeled | (z == 0.0))[:1]
+    if first.size:
+        i = int(first[0])
+        if unlabeled[i]:
+            involved = np.concatenate([[xs[i], ys[i]], np.sort(union[i].indices)])
+            bad = int(involved[np.argmin(usable[involved])])
+            raise MissingLabelError(f"node {bad} lacks a usable class label")
+        raise DegenerateNormalizerError(
+            f"local normalizer for pair ({xs[i]}, {ys[i]}) is zero; "
+            "cannot apply class-prior rescoring"
+        )
+    return z
+
+
+class TestNormalizerBits:
+    """``hc`` with local normalization gives the bits of the scipy ``Z``,
+    and raises its errors with its messages."""
+
+    def outcome(self, fn):
+        """``fn()``'s scores as bytes, or its error type and message."""
+        try:
+            return fn().tobytes()
+        except (MissingLabelError, DegenerateNormalizerError) as exc:
+            return type(exc), str(exc)
+
+    def check(self, g, prior, labels, params, pairs, base="ra"):
+        hc = make_heuristic_scorer(
+            "hc", g, prior=prior, labels=labels, params=params, base=base
+        )
+
+        def want():
+            z = scipy_local_normalizer(g, prior, labels, params.omega, pairs)
+            fwd, rev = lookup_prior_batch(prior, labels, pairs).T
+            bonus = params.beta * (params.alpha1 * fwd + params.alpha2 * rev) / z
+            return make_heuristic_scorer(base, g)(pairs) + bonus
+
+        got = self.outcome(lambda: hc(pairs))
+        assert got == self.outcome(want)
+        return got
+
+    def cases(self, seed, count, unusable):
+        """Random labelled graphs with two isolated nodes; with
+        ``unusable``, some labels are -1 or past the class count."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(6, 40))
+            edges = random_edges(rng, n, float(rng.uniform(0.05, 0.5)))
+            labels = rng.integers(0, 3, size=n + 2)
+            if unusable:
+                labels[rng.random(n + 2) < 0.05] = -1
+                labels[rng.random(n + 2) < 0.03] = 3
+            g = build_graph(n + 2, edges, labels=labels)
+            prior = count_class_links(edges, np.clip(labels, 0, 2), 3)
+            params = ClassHeuristicParams(
+                alpha1=float(rng.uniform(0, 2)),
+                beta=float(rng.uniform(0.5, 2)),
+                omega=tuple(float(w) for w in rng.uniform(0.0, 2.0, size=4)),
+                normalize_locally=True,
+            )
+            yield rng, g, prior, labels, params, awkward_pairs(rng, edges, n + 2, 30)
+
+    def test_scores_have_the_scipy_bits(self):
+        scored = 0
+        for rng, g, prior, labels, params, pairs in self.cases(931, 12, False):
+            has_neighbours = (g.degrees()[pairs] > 0).any(axis=1)
+            got = self.check(g, prior, labels, params, pairs[has_neighbours])
+            scored += isinstance(got, bytes)
+        assert scored >= 10
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_errors_name_the_same_node_or_pair(self, monkeypatch, chunk):
+        monkeypatch.setattr(heuristics, "_CHUNK", chunk)
+        seen = set()
+        for rng, g, prior, labels, params, pairs in self.cases(932, 16, True):
+            for batch in (pairs, pairs[::-1], pairs[rng.permutation(len(pairs))[:5]]):
+                got = self.check(g, prior, labels, params, batch)
+                seen.add(got[0] if isinstance(got, tuple) else bytes)
+        assert seen == {MissingLabelError, DegenerateNormalizerError, bytes}
 
 
 class TestBatchClassScorer:

@@ -6,7 +6,8 @@ Three rules, one test each per module:
 * no module imports a ``_private`` name from another classlink module: what
   two modules share is public;
 * only ``backbone.py`` imports scipy when the module is imported; the others
-  import it inside the functions that build matrices, or for type checking.
+  import it inside the functions that build matrices, or for type checking;
+  ``heuristics.py`` imports it nowhere.
 """
 
 from __future__ import annotations
@@ -97,3 +98,16 @@ def test_only_the_backbone_imports_scipy_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     scipy = [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"]
     assert not scipy, f"{path.name} imports {scipy} when it is imported"
+
+
+def test_heuristics_imports_no_scipy_anywhere():
+    """Every heuristic scores on the graph's CSR arrays: no function body or
+    ``TYPE_CHECKING`` block of ``heuristics.py`` imports scipy."""
+    tree = ast.parse((PACKAGE / "heuristics.py").read_text())
+    scipy = [name for _, _, name in imports(tree) if name.split(".")[0] == "scipy"]
+    scipy += [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    ]
+    assert not scipy, f"heuristics.py imports {scipy}"

@@ -38,8 +38,9 @@ per scorer.
   per node from walk counts before anything is listed, so that clique-heavy
   neighbourhoods do not blow up.  The meet is one stable sort of the two
   key runs, and ``np.bincount`` sums ``cx · cy`` over adjacent equal keys.
-  Walk counts are exact integers below 2^53, so every summation order gives
-  scipy's float, and the decayed sum is accumulated as
+  Walk counts are float64, as in scipy's products: exact integers below
+  2^53, where every summation order gives scipy's float, and rounded, never
+  wrapped, above.  The decayed sum is accumulated as
   ``decay *= γ; total += decay · walks_l``.
 * ``Z`` counts the classes in each pair's neighbourhood union (the unique
   keys of both endpoint rows, ``np.bincount(pair · C + label)``), and
@@ -145,7 +146,7 @@ def _common_neighbor_sum(
 
 
 # A row block ``A^k[rows]``: its sorted unique keys ``i · n + v`` and their
-# walk counts, ``None`` where every count is 1 (``k ≤ 1``).
+# walk counts in float64, ``None`` where every count is 1 (``k ≤ 1``).
 _Block = tuple[np.ndarray, "np.ndarray | None"]
 
 
@@ -158,19 +159,13 @@ def _next_power(indptr: np.ndarray, indices: np.ndarray, n: int, block: _Block) 
     if counts is None:
         listed.sort()
     else:
-        counts = np.repeat(counts, sizes)
-        if listed.dtype == np.int32 and counts.max(initial=0) < 1 << 32:
-            # one sort of (key, count) packed in int64 is twice as fast as argsort
-            packed = np.sort((listed.astype(np.int64) << 32) | counts)
-            listed, counts = (packed >> 32).astype(np.int32), packed & 0xFFFFFFFF
-        else:
-            order = np.argsort(listed)
-            listed, counts = listed[order], counts[order]
+        order = np.argsort(listed)
+        listed, counts = listed[order], np.repeat(counts, sizes)[order]
     starts = np.ones(listed.size, dtype=bool)
     starts[1:] = listed[1:] != listed[:-1]
     first = np.flatnonzero(starts)
     if counts is None:
-        return listed[first], np.diff(first, append=listed.size)
+        return listed[first], np.diff(first, append=listed.size).astype(np.float64)
     return listed[first], np.add.reduceat(counts, first)
 
 

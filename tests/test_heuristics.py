@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -567,6 +568,31 @@ class TestKatzBits:
         )
         self.assert_same_bits(g, pairs, lengths=(1, 2, 4, 5))
         assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+
+    def test_long_horizon_counts_round_and_never_wrap(self):
+        """In a 200-clique at ``max_length`` 16 the half-walk counts pass
+        2**53 and their products pass 2**63.  The scores stay within float
+        rounding of the exact Katz sum and of the scipy oracle."""
+        size = 200
+        g = clique_graph(size, 1)
+        pairs = np.array([[0, 1], [5, 5], [199, 3], [7, 150]])
+        cfg = GammaDecayConfig(gamma=0.3, eta=1.7, max_length=16)
+        got = make_heuristic_scorer("katz", g, katz=cfg)(pairs)
+
+        def walks(length, same):
+            """Walks of ``length`` between two nodes of a ``size``-clique."""
+            other = (size - 1) ** length - (-1) ** length
+            return (other + size * (-1) ** length) // size if same else other // size
+
+        gamma = Fraction(cfg.gamma)
+        exact = [
+            Fraction(cfg.eta)
+            * sum(gamma**l * walks(l, x == y) for l in range(1, cfg.max_length + 1))
+            for x, y in pairs
+        ]
+        assert (got > 0).all()
+        np.testing.assert_allclose(got, [float(k) for k in exact], rtol=1e-12)
+        np.testing.assert_allclose(got, scipy_katz_sum(g, cfg, pairs), rtol=1e-12)
 
     def test_memory_stays_below_the_scipy_products_on_cliques(self):
         """On 30 cliques of 48 nodes, each pair's 2-hop rows list about 2,200

@@ -18,16 +18,17 @@ drawing them again.
 Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,
 ``artifacts``, ``errors`` and ``rand``.  The layers load scipy only to
-multiply or index a sparse matrix, so ``ingest``, ``prior``, ``heatmap`` and
-an ``evaluate`` that reads its pools and scores with a heuristic (CN/AA/RA,
-Katz, or ``hc`` over them) never load it.
+multiply a sparse matrix: k-means ``cluster``, ``train`` and an ``evaluate``
+with the model scorer.  ``ingest``, ``split``, Louvain and mono ``cluster``,
+``prior``, ``heatmap`` and an ``evaluate`` that scores with a heuristic
+(CN/AA/RA, Katz, or ``hc`` over them), drawing its per-edge pools or reading
+them, never load it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import os
 import sys
 import time
@@ -202,10 +203,6 @@ def cmd_ingest(cfg: RunConfig) -> None:
 def cmd_split(cfg: RunConfig) -> None:
     from .graph import load_graph_json, save_split_json, split_edges
 
-    # The negative pools look candidates up in g.adj.  Imported before the
-    # artifacts are read rather than on first use, scipy leaves a cold
-    # run-all with about 3k fewer minor page faults.
-    importlib.import_module("scipy.sparse")
     g = load_graph_json(_require_stage(cfg, "ingest"))
     split = split_edges(g, cfg.ratios, cfg.seed, negatives=cfg.negatives)
     path = Path(cfg.out) / ARTIFACT_NAMES["split"]

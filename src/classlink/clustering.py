@@ -12,22 +12,24 @@ over *pseudo-labels* instead.  Three generators are provided:
   ``H1`` every distance is an exact rational rounded once, and the labels do
   not depend on BLAS;
 * ``louvain`` greedy modularity maximization (Blondel et al., 2008) over the
-  training adjacency as a CSR matrix: degrees and modularity are array
-  reductions and each level's supernode graph is the sparse product
-  ``CᵀAC``.  Local moves run as colour-class batches (parallel Louvain with
-  distance-1 colouring, Lu, Halappanavar & Kalyanaraman, 2015): each level's
-  graph is coloured by Jones–Plassmann random-priority independent sets, and
-  a whole class moves at once on its link matrix ``A[S] @ onehot(comm)``.
-  The nodes of a class share no edge, so their links are exact, but they
-  read the community totals from before the class moves; the labels are
-  therefore not those of a sequential sweep, whose modularity the tests
-  bound instead.  All weights are integers, so every sum is exact in any
-  order and the labels depend on the seed alone;
+  training adjacency's CSR arrays, in numpy: degrees and modularity are
+  array reductions and each level's supernode graph ``CᵀAC`` is one sort of
+  the entries' community-pair keys and a sum per run.  Local moves run as
+  colour-class batches (parallel Louvain with distance-1 colouring, Lu,
+  Halappanavar & Kalyanaraman, 2015): each level's graph is coloured by
+  Jones–Plassmann random-priority independent sets, and a whole class moves
+  at once on its links to the adjacent communities, one sort of the keys
+  ``row · n + comm[neighbour]`` per block of its rows.  The nodes of a class
+  share no edge, so their links are exact, but they read the community
+  totals from before the class moves; the labels are therefore not those of
+  a sequential sweep, whose modularity the tests bound instead.  All
+  weights are integers, so every sum is exact in any order and the labels
+  depend on the seed alone;
 * ``mono`` a single-label fallback that makes every prior lookup equal 1.
 
-All routines are deterministic given their seed.  scipy is imported inside
-the functions that build matrices, so reading or writing a labeling needs
-none.
+All routines are deterministic given their seed.  scipy is imported only
+by k-means, inside the functions that build its matrices, so Louvain, mono
+labels and reading or writing a labeling need none.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -423,11 +425,47 @@ def elbow_kmeans(
 # degrees, community links, ``sigma_tot`` and ``sigma_in`` below are exact
 # however they are accumulated, and every modularity gain is the same float
 # whichever way its terms were summed: the labels depend on the seed, not on
-# the summation order of a sparse product.
+# the order in which a sort lists the entries.
 #
-# A level's graph is a symmetric CSR matrix whose diagonal holds each
-# supernode's internal weight, counting every internal edge once; a node's
-# degree is its row sum plus its diagonal.
+# A level's graph is a symmetric canonical CSR (rows sorted, no duplicates, no
+# stored zeros) whose diagonal holds each supernode's internal weight,
+# counting every internal edge once; a node's degree is its row sum plus its
+# diagonal.  It is kept as its numpy arrays in a ``_Level``, whose fields
+# carry scipy's names, so a scipy CSR matrix passes for one.
+
+
+class _Level(NamedTuple):
+    """The CSR arrays of a level's graph."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+class _Block(NamedTuple):
+    """Consecutive rows of one colour class, each with at least one
+    off-diagonal entry, and what every sweep reads of them.
+
+    ``nodes`` and ``deg`` are the rows' nodes and degrees; ``nbr``, ``weight``
+    and ``local`` give each entry's neighbour, weight (``None`` where every
+    weight is 1) and row within the block, in row order; ``base`` is each
+    entry's ``local · n`` in the block's key dtype.
+    """
+
+    nodes: np.ndarray
+    deg: np.ndarray
+    nbr: np.ndarray
+    weight: np.ndarray | None
+    local: np.ndarray
+    base: np.ndarray
+
+
+# A colour class is cut into blocks of whole rows, a new block starting at the
+# first row that begins this many entries past the block before; a block's
+# link sort then stays in cache.  Every block of a class reads ``sigma_tot``
+# as it was before the class moves, so the cut does not change the moves.
+_BLOCK = 1 << 15
 
 
 def louvain(g: Graph, seed: int) -> PseudoLabeling:
@@ -442,9 +480,10 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
     if g.n_edges == 0:
         raise ConfigurationError("modularity is undefined on an edgeless graph")
     rng = make_rng(seed, STREAM_CLUSTER)
-    adj = g.adj
-    membership = np.arange(g.n_nodes)
-    q_prev = _modularity(adj, np.arange(g.n_nodes))
+    n = g.n_nodes
+    adj = _Level(g.adj_indptr, g.adj_indices, g.adj_data, (n, n))
+    membership = np.arange(n)
+    q_prev = _modularity(adj, np.arange(n))
     while True:
         comm = _local_move(adj, rng)
         q_new = _modularity(adj, comm)
@@ -465,34 +504,72 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
     )
 
 
-def _degrees(adj: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(adj.sum(axis=1)).ravel() + adj.diagonal()
+def _rows(adj: _Level) -> np.ndarray:
+    """The row of every stored entry."""
+    return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
 
 
-def _local_move(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
+def _diagonal(adj: _Level) -> np.ndarray:
+    rows = _rows(adj)
+    on = adj.indices == rows
+    out = np.zeros(adj.shape[0])
+    out[rows[on]] = adj.data[on]
+    return out
+
+
+def _degrees(adj: _Level) -> np.ndarray:
+    return np.bincount(_rows(adj), weights=adj.data, minlength=adj.shape[0]) + _diagonal(adj)
+
+
+def _off_diagonal(adj: _Level) -> _Level:
+    """The level without its diagonal."""
+    off = adj.indices != _rows(adj)
+    indptr = np.concatenate([[0], np.cumsum(off)])[adj.indptr]
+    return _Level(indptr, adj.indices[off], adj.data[off], adj.shape)
+
+
+def _summed_runs(
+    keys: np.ndarray, weight: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``keys`` sorted (in place where ``weight`` is None), where each run of
+    equal keys starts in them, and each run's summed weight: its length where
+    ``weight`` is None."""
+    if weight is None:
+        keys.sort()
+    else:
+        order = keys.argsort()
+        keys, weight = keys[order], weight[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    if weight is None:
+        return keys, first, np.diff(np.append(first, keys.size)).astype(np.float64)
+    return keys, first, np.add.reduceat(weight, first)
+
+
+def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
     """One level of local moves; returns each node's community id.
 
     The off-diagonal graph is coloured once (:func:`_colour_classes`), and a
-    sweep moves one colour class at a time (:func:`_class_moves`).  Sweeps
-    repeat until one moves nothing or raises modularity by less than 1e-7; a
-    sweep that lowers modularity is undone, and the level ends there.
+    sweep moves one colour class at a time (:func:`_class_moves` on each of
+    its blocks, :func:`_class_blocks`).  Sweeps repeat until one moves nothing
+    or raises modularity by less than 1e-7; a sweep that lowers modularity is
+    undone, and the level ends there.
 
     Modularity is kept as ``(2m)² Q = 2m Σ_c in_c - Σ_c tot_c²``, where
     ``Σ_c in_c`` is the weight inside communities (each internal edge and
     self-loop twice).  On integer weights this is an exact integer while
     ``(2m)²`` stays below 2⁵³, so every comparison between sweeps is exact.
     """
-    import scipy.sparse as sp
-
     n = adj.shape[0]
     deg = _degrees(adj)
     m2 = float(deg.sum())
-    loops = adj.diagonal()
-    off = sp.csr_matrix(adj - sp.diags(loops))
-    off.eliminate_zeros()
+    loops = _diagonal(adj)
+    off = _off_diagonal(adj)
     order, bounds = _colour_classes(off, rng)
     classes = [
-        (order[lo:hi], off[order[lo:hi]])
+        _class_blocks(off, order[lo:hi], deg)
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     ]
     comm = np.arange(n)
@@ -501,14 +578,16 @@ def _local_move(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
     score = inside * m2 - float(sigma_tot @ sigma_tot)
     while True:
         before, moved = comm.copy(), False
-        for nodes, rows in classes:
-            movers, targets, gained = _class_moves(rows, nodes, comm, sigma_tot, deg, m2)
-            if movers.size:
-                np.subtract.at(sigma_tot, comm[movers], deg[movers])
-                np.add.at(sigma_tot, targets, deg[movers])
-                comm[movers] = targets
-                inside += 2.0 * float(gained.sum())
-                moved = True
+        for blocks in classes:
+            # every block reads comm and sigma_tot before the class moves
+            moves = [_class_moves(block, comm, sigma_tot, m2) for block in blocks]
+            for movers, targets, gained in moves:
+                if movers.size:
+                    np.subtract.at(sigma_tot, comm[movers], deg[movers])
+                    np.add.at(sigma_tot, targets, deg[movers])
+                    comm[movers] = targets
+                    inside += 2.0 * float(gained.sum())
+                    moved = True
         if not moved:
             return comm
         new_score = inside * m2 - float(sigma_tot @ sigma_tot)
@@ -519,56 +598,84 @@ def _local_move(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
         score = new_score
 
 
+def _class_blocks(off: _Level, nodes: np.ndarray, deg: np.ndarray) -> list[_Block]:
+    """The blocks of the colour class ``nodes`` (ascending) in the
+    off-diagonal graph ``off``: its nodes with neighbours, cut at ``_BLOCK``
+    entries.  A node without neighbours never moves, so it is left out."""
+    n = off.shape[0]
+    sizes = off.indptr[nodes + 1] - off.indptr[nodes]
+    nodes, sizes = nodes[sizes > 0], sizes[sizes > 0]
+    if not nodes.size:
+        return []
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    at = np.repeat(off.indptr[nodes] - begins, sizes) + np.arange(ends[-1])
+    nbr, weight = off.indices[at], off.data[at]
+    cuts = [0, *(np.flatnonzero(np.diff(begins // _BLOCK)) + 1).tolist(), nodes.size]
+    blocks = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        entries = slice(begins[lo], ends[hi - 1])
+        local = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        key = np.int32 if (hi - lo) * n <= np.iinfo(np.int32).max else np.int64
+        w = weight[entries]
+        blocks.append(
+            _Block(
+                nodes=nodes[lo:hi],
+                deg=deg[nodes[lo:hi]],
+                nbr=nbr[entries],
+                weight=None if (w == 1.0).all() else w,
+                local=local,
+                base=(local * n).astype(key),
+            )
+        )
+    return blocks
+
+
 def _class_moves(
-    rows: sp.csr_matrix,
-    nodes: np.ndarray,
-    comm: np.ndarray,
-    sigma_tot: np.ndarray,
-    deg: np.ndarray,
-    m2: float,
+    block: _Block, comm: np.ndarray, sigma_tot: np.ndarray, m2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moves of one colour class: its movers, their target communities,
-    and for each the link weight gained, ``L[v, target] - L[v, own]``.
+    """The moves of one block of a colour class: its movers, their target
+    communities, and for each the link weight gained, ``L[v, target] -
+    L[v, own]``.
 
-    ``nodes`` share no edge and ``rows`` are their off-diagonal adjacency
-    rows, so ``L = rows @ onehot(comm)`` holds each node's exact link weight
-    to every adjacent community.  The gains ``L - k_v Σ_tot / 2m`` read
-    ``sigma_tot`` as it is before the class moves.  A node takes the largest
-    gain when it beats staying by more than 1e-12, exact ties going to the
-    lowest community id.
+    The class's nodes share no edge, so the link weights ``L`` of each node
+    to its adjacent communities are exact: one sort of the keys
+    ``local · n + comm[nbr]`` groups each row's entries by community, and a
+    run's summed weight is its link.  Sorting keeps every row's entries in
+    its place, so a run's row is ``local`` at its start.  The gains
+    ``L - k_v Σ_tot / 2m`` read ``sigma_tot`` as it is before the class
+    moves.  A node takes the largest gain when it beats staying by more than
+    1e-12, exact ties going to the lowest community id.
     """
-    import scipy.sparse as sp
-
     n = comm.size
-    onehot = sp.csr_matrix((np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
-    link = rows @ onehot
-    if not link.nnz:
-        return nodes[:0], nodes[:0], np.zeros(0)
-    sizes = np.diff(link.indptr)
-    row = np.repeat(np.arange(nodes.size), sizes)
-    cand = link.indices
-    kv, cv = deg[nodes], comm[nodes]
-    own = cand == cv[row]
-    own_link = np.zeros(nodes.size)
-    own_link[row[own]] = link.data[own]
+    keys = comm[block.nbr].astype(block.base.dtype, copy=False)
+    keys += block.base
+    keys, first, link = _summed_runs(keys, block.weight)
+    keys = keys[first]  # one per run: by row, then by community
+    row = block.local[first]
+    cand = keys - block.base[first]
+    kv, cv = block.deg, comm[block.nodes]
+    row_base = np.arange(kv.size, dtype=keys.dtype) * n
+    starts = np.searchsorted(keys, row_base)
+    at = np.minimum(np.searchsorted(keys, row_base + cv), keys.size - 1)
+    own = keys[at] == row_base + cv
+    own_link = np.where(own, link[at], 0.0)
     stay = own_link - (sigma_tot[cv] - kv) * kv / m2
-    gain = link.data - sigma_tot[cand] * kv[row] / m2
-    gain[own] = -np.inf
-    starts = link.indptr[:-1][sizes > 0]
-    top = np.full(nodes.size, -np.inf)
-    top[row[starts]] = np.maximum.reduceat(gain, starts)
-    go = top > stay + 1e-12
-    target = np.full(nodes.size, n)
-    if go.any():
-        tied = np.where((gain == top[row]) & go[row], cand, n)
-        target[row[starts]] = np.minimum.reduceat(tied, starts)
-    taken = cand == target[row]  # one entry per mover, in row order
-    movers = np.flatnonzero(go)
-    return nodes[movers], target[movers], link.data[taken] - own_link[movers]
+    gain = link - sigma_tot[cand] * kv[row] / m2
+    gain[at[own]] = -np.inf
+    top = np.maximum.reduceat(gain, starts)
+    movers = np.flatnonzero(top > stay + 1e-12)
+    if not movers.size:
+        return block.nodes[:0], movers, link[:0]
+    # a row's first run of the top gain has its lowest community id
+    best = np.flatnonzero(gain == top[row])
+    best = best[np.diff(row[best], prepend=-1) != 0]
+    taken = best[movers]
+    return block.nodes[movers], cand[taken], link[taken] - own_link[movers]
 
 
 def _colour_classes(
-    off: sp.csr_matrix, rng: np.random.Generator
+    off: _Level, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance-1 colouring of the symmetric graph ``off`` (no diagonal) by
     Jones–Plassmann random-priority independent sets.
@@ -621,37 +728,36 @@ def _smallest_free_colour(node: np.ndarray, taken: np.ndarray, n: int) -> np.nda
     return free
 
 
-def _modularity(adj: sp.csr_matrix, comm: np.ndarray) -> float:
+def _modularity(adj: _Level, comm: np.ndarray) -> float:
     deg = _degrees(adj)
     m2 = deg.sum()
     n_comm = int(comm.max()) + 1
-    coo = adj.tocoo()
-    inside = comm[coo.row] == comm[coo.col]
-    w = np.where(coo.row == coo.col, 2.0 * coo.data, coo.data)[inside]
-    sigma_in = np.bincount(comm[coo.row[inside]], weights=w, minlength=n_comm)
+    rows, cols = _rows(adj), adj.indices
+    inside = comm[rows] == comm[cols]
+    w = np.where(rows == cols, 2.0 * adj.data, adj.data)[inside]
+    sigma_in = np.bincount(comm[rows[inside]], weights=w, minlength=n_comm)
     sigma_tot = np.bincount(comm, weights=deg, minlength=n_comm)
     return float(np.sum(sigma_in / m2 - (sigma_tot / m2) ** 2))
 
 
-def _aggregate(adj: sp.csr_matrix, comm: np.ndarray) -> sp.csr_matrix:
+def _aggregate(adj: _Level, comm: np.ndarray) -> _Level:
     """Supernode graph ``CᵀAC`` for the one-hot membership ``C``.
 
-    ``diag(CᵀAC)`` counts a community's internal edges twice and its
-    self-loops once; the diagonal is reset to ``(diag(CᵀAC) + Cᵀ diag(A)) / 2``
-    so that every internal edge and self-loop counts once.
+    Entry ``(comm[i], comm[j])`` sums the weights of the entries ``(i, j)``:
+    one sort of their keys ``comm[i] · k + comm[j]`` and a sum per run.  That
+    diagonal counts a community's internal edges twice and its self-loops
+    once; it is reset to ``(diag(CᵀAC) + Cᵀ diag(A)) / 2`` so that every
+    internal edge and self-loop counts once.  No entry sums to 0, so the
+    result stores no zeros.
     """
-    import scipy.sparse as sp
-
-    n = adj.shape[0]
-    member = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), comm)), shape=(n, int(comm.max()) + 1)
-    )
-    agg = (member.T @ adj @ member).tocsr()
-    twice = agg.diagonal()
-    inner = (twice + member.T @ adj.diagonal()) / 2.0
-    agg = (agg + sp.diags(inner - twice)).tocsr()
-    agg.eliminate_zeros()
-    return agg
+    k = int(comm.max()) + 1
+    keys = comm[_rows(adj)] * k + comm[adj.indices]
+    keys, first, data = _summed_runs(keys, adj.data)
+    rows, cols = np.divmod(keys[first], k)
+    on = rows == cols
+    loops = np.bincount(comm, weights=_diagonal(adj), minlength=k)
+    data[on] = (data[on] + loops[rows[on]]) / 2.0
+    return _Level(np.searchsorted(rows, np.arange(k + 1)), cols, data, (k, k))
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:

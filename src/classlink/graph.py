@@ -20,12 +20,14 @@ copy is ever built, neither at ingestion nor when ``graph.json`` is read.
 Layers that multiply matrices read ``g.adj`` and ``g.features``: scipy CSR
 views of those arrays, made on first access and kept, which share the
 arrays rather than copy them.  Everything else, building a graph from
-arrays or files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph` and
-the graph's own queries, is plain numpy: :func:`_adjacency_arrays` sorts and
-dedups the pair keys, and :func:`_stored_entries` drops a feature CSR's
-explicit ``+0.0`` entries.  scipy is imported only where a matrix is built
-from something other than those arrays (dense or sparse features given to
-:func:`build_graph`) and by the two views.
+arrays or files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph`,
+the graph's own queries, the split and the negative samplers, is plain
+numpy: :func:`_adjacency_arrays` sorts and dedups the pair keys,
+:func:`_stored_entries` drops a feature CSR's explicit ``+0.0`` entries,
+and :class:`_EdgeLookup` tells non-edges from edges on the CSR arrays.
+scipy is imported only where a matrix is built from something other than
+those arrays (dense or sparse features given to :func:`build_graph`) and by
+the two views.
 
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
@@ -90,7 +92,8 @@ class Graph:
 
     Every array is read-only, and index arrays are int32 while the sizes
     fit.  :attr:`adj` and :attr:`features` are scipy CSR views of the
-    arrays.
+    arrays, for the layers that multiply matrices; the graph's queries,
+    the split and the negative samplers read the arrays and need no scipy.
     """
 
     adj_indptr: np.ndarray
@@ -953,8 +956,8 @@ def sample_negatives(
     """Sample ``count`` distinct non-edges uniformly, without replacement.
 
     Pairs are canonical ``(u, v)`` with ``u < v``; whether a pair is an edge
-    is read from ``g.adj``.  Raises :class:`CapacityError` when fewer than
-    ``count`` non-edges exist.
+    is read off the graph's CSR arrays (:func:`sample_negative_pools`).
+    Raises :class:`CapacityError` when fewer than ``count`` non-edges exist.
     """
     return sample_negative_pools(g, count, [seed])[0]
 
@@ -964,6 +967,14 @@ def sample_negatives(
 _MIN_BATCH = 1024
 # Pools drawn together; bounds the candidate arrays to a few MiB.
 _SEED_CHUNK = 128
+# Slots of the non-edge lookup's bit table per edge, at least: about one
+# random candidate in this many hits an edge's slot and is looked up in the
+# CSR.  The table takes 1 to 2 bytes per edge.
+_SLOTS_PER_EDGE = 8
+# Odd 64-bit multiplier of the table's hash (2**64 over the golden ratio).
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+# CSR entries hashed at a time while the table is built.
+_FILL_BLOCK = 1 << 12
 
 
 def sample_negative_pools(
@@ -979,10 +990,10 @@ def sample_negative_pools(
     Pool ``i`` is what sampling on ``seeds[i]`` alone gives: the generator
     draws batches of ``max(1024, 2 * missing)`` candidates, all ``u`` then
     all ``v``; self-pairs and edges are rejected and new pairs are kept in
-    order of first occurrence.  Whether a candidate is an edge is looked up in its own
-    sorted row of ``g.adj``.  Each batch is first filtered on a prefix
-    just long enough to fill a pool, falling back to the whole batch only for
-    the pools that prefix leaves short.
+    order of first occurrence.  Whether a candidate is an edge is read off
+    the graph's CSR arrays by :class:`_EdgeLookup`.  Each batch is first
+    filtered on a prefix just long enough to fill a pool, falling back to
+    the whole batch only for the pools that prefix leaves short.
     """
     if count < 0:
         raise ConfigurationError(f"negative sample count must be >= 0, got {count}")
@@ -994,18 +1005,81 @@ def sample_negative_pools(
         )
 
     pools = np.zeros((len(seeds), count), dtype=np.int64)
+    is_edge = _EdgeLookup(g)
     generators = make_rngs(seeds)
     for start in range(0, len(seeds), _SEED_CHUNK):
         rngs = list(itertools.islice(generators, _SEED_CHUNK))
-        pools[start : start + len(rngs)] = _draw_pools(rngs, count, g.adj)
+        pools[start : start + len(rngs)] = _draw_pools(rngs, count, n, is_edge)
     return np.stack([pools // n, pools % n], axis=-1)
 
 
+class _EdgeLookup:
+    """Exact membership of pair keys ``lo * n + hi`` (``lo <= hi``) in a
+    graph's edge set, without scipy.
+
+    A bit table of ``2**bits`` slots, at least ``_SLOTS_PER_EDGE`` per edge,
+    marks the slot of every edge's key under a multiplicative hash.  A key
+    whose slot is clear is no edge; the few whose slot is set are looked up
+    by bisection in their sorted CSR row.  Beyond the table, building it
+    holds ``_FILL_BLOCK`` entries at a time, so nothing else edge-sized is
+    allocated.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = g.n_nodes
+        self.indptr, self.indices = g.adj_indptr, g.adj_indices
+        bits = max(3, (g.n_edges * _SLOTS_PER_EDGE).bit_length())
+        self.shift = np.uint64(64 - bits)
+        self.table = np.zeros(1 << (bits - 3), dtype=np.uint8)
+        rows = np.searchsorted(self.indptr, np.arange(0, self.indices.size, _FILL_BLOCK))
+        for lo, hi in zip(rows.tolist(), [*rows[1:].tolist(), self.n]):
+            src = np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo : hi + 1]))
+            dst = self.indices[self.indptr[lo] : self.indptr[hi]]
+            upper = src < dst
+            slot = self._slots(src[upper] * self.n + dst[upper])
+            np.bitwise_or.at(self.table, slot >> np.uint64(3), self._bits(slot))
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        slot = keys.astype(np.uint64)
+        slot *= _HASH
+        slot >>= self.shift
+        return slot
+
+    @staticmethod
+    def _bits(slot: np.ndarray) -> np.ndarray:
+        return np.left_shift(1, slot & np.uint64(7), dtype=np.uint8)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        slot = self._slots(keys)
+        hits = np.flatnonzero(self.table[slot >> np.uint64(3)] & self._bits(slot))
+        found = np.zeros(keys.shape, dtype=bool)
+        if hits.size:
+            rows, cols = np.divmod(keys.ravel()[hits], self.n)
+            found.ravel()[hits] = self._stored(rows, cols)
+        return found
+
+    def _stored(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether ``cols[i]`` is in CSR row ``rows[i]``: a lower-bound
+        bisection of every row at once."""
+        lo = self.indptr[rows].astype(np.int64)
+        end = self.indptr[rows + 1].astype(np.int64)
+        hi, last = end.copy(), self.indices.size - 1
+        while (open_ := lo < hi).any():
+            mid = (lo + hi) >> 1
+            right = self.indices[np.minimum(mid, last)] < cols
+            lo = np.where(open_ & right, mid + 1, lo)
+            hi = np.where(open_ & ~right, mid, hi)
+        return (lo < end) & (self.indices[np.minimum(lo, last)] == cols)
+
+
 def _draw_pools(
-    rngs: list[np.random.Generator], count: int, adj: sp.csr_matrix
+    rngs: list[np.random.Generator],
+    count: int,
+    n: int,
+    is_edge: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Pair keys ``u * n + v`` of one pool per generator, ``(len(rngs), count)``."""
-    n = adj.shape[0]
+    """Pair keys ``u * n + v`` of one pool per generator, ``(len(rngs), count)``;
+    ``is_edge`` tells which candidate keys are edges."""
     keys = np.zeros((len(rngs), count), dtype=np.int64)
     have = np.zeros(len(rngs), dtype=np.int64)
     pending = np.flatnonzero(have < count)
@@ -1029,12 +1103,12 @@ def _draw_pools(
             last = stop == u.shape[1]
             block_u, block_v = u[rows, :stop], v[rows, :stop]
             block_lo, block_hi = np.minimum(block_u, block_v), np.maximum(block_u, block_v)
-            is_edge = np.asarray(adj[block_lo.ravel(), block_hi.ravel()]) != 0
-            fresh = (block_lo != block_hi) & ~is_edge.reshape(block_lo.shape)
+            cand = block_lo * n + block_hi
+            fresh = (block_lo != block_hi) & ~is_edge(cand)
             sel = pending[rows]
             kept = np.arange(count) < have[sel, None]
             got, found = _first_distinct(
-                np.concatenate([keys[sel], block_lo * n + block_hi], axis=1),
+                np.concatenate([keys[sel], cand], axis=1),
                 np.concatenate([kept, fresh], axis=1),
                 count,
             )

@@ -5,7 +5,11 @@ rebuilds every node's community links on every visit.  It comes twice: a
 sequential sweep, one node at a time, which is the quality oracle of the
 batched local moves in ``classlink.clustering`` and bounds their modularity;
 and the same colour-class batched moves, whose labels and level count the
-array code must reproduce bit for bit, as its modularity and aggregation.  k-means comes twice:
+array code must reproduce bit for bit, as its modularity and aggregation.
+Two steps of the array code also have scipy oracles, the sparse products
+the library used before it ran Louvain on numpy arrays: a colour class's
+moves from its link matrix ``A[S] @ onehot(comm)``, and a level's supernode
+graph ``CᵀAC``.  k-means comes twice:
 dense float Lloyd with centroid means, whose labels the library must
 reproduce, and an exact Lloyd over ``fractions.Fraction`` for small integer
 point sets, whose labels and ties the library must reproduce label for label.
@@ -16,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from classlink.errors import ConfigurationError
 from classlink.graph import Graph
@@ -226,6 +231,69 @@ def aggregate(adj: list[dict[int, float]], comm: np.ndarray) -> list[dict[int, f
                     new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
                     new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
     return new_adj
+
+
+# ---------------------------------------------------------------------------
+# Louvain steps as scipy sparse products
+# ---------------------------------------------------------------------------
+
+
+def scipy_class_moves(
+    rows: sp.csr_matrix,
+    nodes: np.ndarray,
+    comm: np.ndarray,
+    sigma_tot: np.ndarray,
+    deg: np.ndarray,
+    m2: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moves of the colour class ``nodes``, whose off-diagonal adjacency
+    rows are ``rows``: movers, target communities and link weights gained,
+    from ``L = rows @ onehot(comm)`` and ``sigma_tot`` before the class moves.
+    A node takes the largest gain when it beats staying by more than 1e-12,
+    exact ties going to the lowest community id."""
+    n = comm.size
+    onehot = sp.csr_matrix((np.ones(n), comm, np.arange(n + 1)), shape=(n, n))
+    link = rows @ onehot
+    if not link.nnz:
+        return nodes[:0], nodes[:0], np.zeros(0)
+    sizes = np.diff(link.indptr)
+    row = np.repeat(np.arange(nodes.size), sizes)
+    cand = link.indices
+    kv, cv = deg[nodes], comm[nodes]
+    own = cand == cv[row]
+    own_link = np.zeros(nodes.size)
+    own_link[row[own]] = link.data[own]
+    stay = own_link - (sigma_tot[cv] - kv) * kv / m2
+    gain = link.data - sigma_tot[cand] * kv[row] / m2
+    gain[own] = -np.inf
+    starts = link.indptr[:-1][sizes > 0]
+    top = np.full(nodes.size, -np.inf)
+    top[row[starts]] = np.maximum.reduceat(gain, starts)
+    go = top > stay + 1e-12
+    target = np.full(nodes.size, n)
+    if go.any():
+        tied = np.where((gain == top[row]) & go[row], cand, n)
+        target[row[starts]] = np.minimum.reduceat(tied, starts)
+    taken = cand == target[row]  # one entry per mover, in row order
+    movers = np.flatnonzero(go)
+    return nodes[movers], target[movers], link.data[taken] - own_link[movers]
+
+
+def scipy_aggregate(adj: sp.csr_matrix, comm: np.ndarray) -> sp.csr_matrix:
+    """Supernode graph ``CᵀAC`` for the one-hot membership ``C``, its
+    diagonal reset to ``(diag(CᵀAC) + Cᵀ diag(A)) / 2`` so that every
+    internal edge and self-loop counts once; rows sorted, no stored zeros."""
+    n = adj.shape[0]
+    member = sp.csr_matrix(
+        (np.ones(n), (np.arange(n), comm)), shape=(n, int(comm.max()) + 1)
+    )
+    agg = (member.T @ adj @ member).tocsr()
+    twice = agg.diagonal()
+    inner = (twice + member.T @ adj.diagonal()) / 2.0
+    agg = (agg + sp.diags(inner - twice)).tocsr()
+    agg.eliminate_zeros()
+    agg.sort_indices()
+    return agg
 
 
 def renumber(labels: np.ndarray) -> np.ndarray:

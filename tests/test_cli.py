@@ -660,14 +660,36 @@ def scipy_modules_seen(cfg: Path, commands: tuple[str, ...]) -> dict[str, list[s
 
 
 class TestLazyLayers:
-    def test_ingest_loads_no_scipy_and_split_does(self, dataset):
+    def test_ingest_and_split_load_no_scipy(self, dataset):
         """In a fresh interpreter, importing the CLI and running ``ingest``
-        load no scipy module; ``split``, which builds matrices, loads it."""
+        and ``split`` load no scipy module: the negative pools look
+        candidates up on the graph's CSR arrays."""
         tmp, _ = dataset
         cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
         seen = scipy_modules_seen(cfg, ("ingest", "split"))
-        assert seen["import"] == [] and seen["ingest"] == []
-        assert "scipy.sparse" in seen["split"]
+        assert seen == {"import": [], "ingest": [], "split": []}
+
+    def test_cold_louvain_run_all_with_per_edge_pools_loads_no_scipy(self, dataset):
+        """A cold ``run-all`` with Louvain labels, ``hc`` over RA and per-edge
+        pools runs every stage on numpy alone."""
+        tmp, _ = dataset
+        cfg = write_config(
+            tmp / "t.yaml", tmp / "data", tmp / "out",
+            label_source="louvain", scorer="hc", hc_base="ra", per_edge_negatives=5,
+        )
+        seen = scipy_modules_seen(cfg, ("run-all",))
+        assert seen == {"import": [], "run-all": []}
+        assert (tmp / "out" / "pools.json").exists()
+
+    def test_kmeans_cluster_loads_scipy(self, dataset):
+        """k-means multiplies sparse matrices, so ``cluster`` loads scipy."""
+        tmp, _ = dataset
+        cfg = write_config(
+            tmp / "t.yaml", tmp / "data", tmp / "out", label_source="kmeans", k=3
+        )
+        seen = scipy_modules_seen(cfg, ("ingest", "split", "cluster"))
+        assert seen["split"] == []
+        assert "scipy.sparse" in seen["cluster"]
 
     @pytest.mark.parametrize(
         "extra, loads_scipy",

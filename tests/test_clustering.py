@@ -15,12 +15,16 @@ from classlink import clustering
 from classlink.clustering import (
     _aggregate,
     _Centroids,
+    _class_blocks,
+    _class_moves,
     _colour_classes,
+    _degrees,
     _elbow_runs,
     _kmeans_full,
     _lloyd,
     _local_move,
     _modularity,
+    _off_diagonal,
     _prepare_points,
     _renumber,
     aggregate_features,
@@ -453,6 +457,96 @@ def dense(adj: list[dict[int, float]]) -> np.ndarray:
     return out
 
 
+def csr(level) -> sp.csr_matrix:
+    """A Louvain level's arrays as a scipy CSR matrix."""
+    return sp.csr_matrix((level.data, level.indices, level.indptr), shape=level.shape)
+
+
+def levels_of(g, seed: int) -> list:
+    """The graph's adjacency and every level that aggregating its local moves
+    gives, down to the level whose moves merge nothing."""
+    adj, rng, levels = g.adj, make_rng(seed, STREAM_CLUSTER), []
+    while True:
+        levels.append(adj)
+        comm = _renumber(_local_move(adj, rng))
+        if int(comm.max()) + 1 == adj.shape[0]:
+            return levels
+        adj = _aggregate(adj, comm)
+
+
+class TestLouvainArraysMatchScipy:
+    """The numpy steps of Louvain give the bits of the scipy products they
+    replaced, on 0/1 graphs and on the weighted levels aggregation makes."""
+
+    def graphs(self):
+        rng = np.random.default_rng(1030)
+        yield from louvain_graphs()
+        for n, p in ((12, 0.3), (60, 0.08), (200, 0.03)):
+            yield build_graph(n + 5, random_edges(rng, n, p))  # five isolated nodes
+
+    @pytest.mark.parametrize("block", [1, 7, clustering._BLOCK])
+    def test_class_moves_equal_the_scipy_link_product(self, block, monkeypatch):
+        """Movers, targets and gains of every colour class, against
+        singletons, random partitions and a level's own moves; a small
+        ``_BLOCK`` cuts each class into blocks of rows."""
+        small = block < clustering._BLOCK
+        monkeypatch.setattr(clustering, "_BLOCK", block)
+        rng = np.random.default_rng(1031)
+        moved = cut = 0
+        for g in self.graphs():
+            for level in levels_of(g, 3):
+                n = level.shape[0]
+                deg = _degrees(level)
+                m2 = float(deg.sum())
+                off = _off_diagonal(level)
+                order, bounds = _colour_classes(off, make_rng(4))
+                partitions = (
+                    np.arange(n),
+                    rng.integers(0, max(1, n // 3), size=n),
+                    _local_move(level, make_rng(5)),
+                )
+                for comm in partitions:
+                    sigma_tot = np.bincount(comm, weights=deg, minlength=n)
+                    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                        nodes = order[lo:hi]
+                        blocks = _class_blocks(off, nodes, deg)
+                        cut += len(blocks) > 1
+                        moves = [_class_moves(b, comm, sigma_tot, m2) for b in blocks]
+                        movers, targets, gains = (
+                            np.concatenate([m[i] for m in moves] or [np.zeros(0)])
+                            for i in range(3)
+                        )
+                        want = oracle.scipy_class_moves(
+                            csr(off)[nodes], nodes, comm, sigma_tot, deg, m2
+                        )
+                        assert movers.tolist() == want[0].tolist()
+                        assert targets.tolist() == want[1].tolist()
+                        assert gains.tobytes() == want[2].tobytes()
+                        moved += movers.size
+        assert moved > 1000
+        assert (cut > 0) == small
+
+    def test_aggregate_equals_the_scipy_product(self):
+        """Index pointers, column ids and summed weights of ``CᵀAC``, rows
+        sorted, for a level's own moves, random partitions and one community."""
+        rng = np.random.default_rng(1032)
+        for g in self.graphs():
+            for level in levels_of(g, 6):
+                n = level.shape[0]
+                partitions = (
+                    _renumber(_local_move(level, make_rng(7))),
+                    rng.integers(0, max(1, n // 4), size=n),
+                    np.zeros(n, dtype=np.int64),
+                )
+                for comm in partitions:
+                    got = _aggregate(level, comm)
+                    want = oracle.scipy_aggregate(csr(level), comm)
+                    assert got.shape == want.shape
+                    assert got.indptr.tolist() == want.indptr.tolist()
+                    assert got.indices.tolist() == want.indices.tolist()
+                    assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestLouvainMatchesOracle:
     """The dict code's batched moves fix the labels bit for bit; its
     sequential sweep is the quality oracle of the batched one.
@@ -508,7 +602,7 @@ class TestLouvainMatchesOracle:
             rng = make_rng(seed, STREAM_CLUSTER)
             rng_dict = make_rng(seed, STREAM_CLUSTER)
             while True:
-                np.testing.assert_array_equal(adj.toarray(), dense(adj_dict))
+                np.testing.assert_array_equal(csr(adj).toarray(), dense(adj_dict))
                 comm = _local_move(adj, rng)
                 want = oracle.batched_local_move(adj_dict, rng_dict)
                 assert comm.tolist() == want
@@ -518,7 +612,7 @@ class TestLouvainMatchesOracle:
                     break
                 adj = _aggregate(adj, comm)
                 adj_dict = oracle.aggregate(adj_dict, comm)
-                assert adj.nnz == sum(len(row) for row in adj_dict)
+                assert adj.indices.size == sum(len(row) for row in adj_dict)
 
     def test_modularity_of_random_partitions(self):
         rng = np.random.default_rng(1017)

@@ -28,7 +28,7 @@ from classlink.graph import (
     split_edges,
 )
 from classlink.heuristics import make_heuristic_scorer
-from classlink.rand import STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
+from classlink.rand import STREAM_TEST_NEG, STREAM_TRAIN_NEG, STREAM_VALID_NEG, make_rng
 
 from conftest import random_edges
 
@@ -631,6 +631,89 @@ class TestSampleNegatives:
             tracemalloc.stop()
         assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
         np.testing.assert_array_equal(pool, oracle_sample_negatives(g, 10, 3))
+
+
+def scipy_edge_lookup(g):
+    """The oracle of ``graph._EdgeLookup``: scipy's ``adj[lo, hi]``, read
+    for the keys ``lo * n + hi``."""
+    n = g.n_nodes
+
+    def is_edge(keys: np.ndarray) -> np.ndarray:
+        lo, hi = np.divmod(keys.ravel(), n)
+        return (np.asarray(g.adj[lo, hi]) != 0).reshape(keys.shape)
+
+    return is_edge
+
+
+class TestEdgeLookup:
+    """The non-edge lookup of the samplers gives scipy's membership, also with
+    a table of 8 slots that every edge fills, so that every candidate is
+    looked up in the CSR."""
+
+    def graphs(self, rng):
+        yield build_graph(1, np.empty((0, 2), dtype=int))
+        yield build_graph(6, np.empty((0, 2), dtype=int))
+        for _ in range(12):
+            n = int(rng.integers(2, 70))
+            yield build_graph(n + 3, random_edges(rng, n, float(rng.uniform(0.02, 0.7))))
+
+    @pytest.mark.parametrize("slots", [0, graph_module._SLOTS_PER_EDGE], ids=["tiny", "default"])
+    def test_membership_of_every_pair_equals_scipy(self, slots, monkeypatch):
+        monkeypatch.setattr(graph_module, "_SLOTS_PER_EDGE", slots)
+        monkeypatch.setattr(graph_module, "_FILL_BLOCK", 7)  # many fill blocks
+        rng = np.random.default_rng(716)
+        full = 0
+        for g in self.graphs(rng):
+            n = g.n_nodes
+            lookup = graph_module._EdgeLookup(g)
+            if slots == 0 and g.n_edges >= 64:
+                assert lookup.table.tolist() == [255]
+                full += 1
+            lo, hi = np.triu_indices(n)  # every pair, self-pairs too
+            keys = (lo * n + hi).reshape(-1, 1)
+            got = lookup(keys)
+            assert got.shape == keys.shape
+            assert got.tolist() == scipy_edge_lookup(g)(keys).tolist()
+            assert int(got.sum()) == g.n_edges
+        assert slots or full >= 8  # every candidate hit an edge's slot
+
+    @pytest.mark.parametrize("slots", [0, graph_module._SLOTS_PER_EDGE], ids=["tiny", "default"])
+    def test_pools_split_and_training_negatives_keep_their_bytes(self, slots, monkeypatch):
+        """Per-edge pools for many seeds, the split's shared pools and the
+        training negatives are those of the scipy lookup, byte for byte."""
+        rng = np.random.default_rng(717)
+        for trial in range(8):
+            n = int(rng.integers(12, 90))
+            g = build_graph(n, random_edges(rng, n, float(rng.uniform(0.05, 0.5))))
+            if g.n_edges < 10:
+                continue
+            capacity = n * (n - 1) // 2 - g.n_edges
+            count = int(rng.integers(1, max(2, min(capacity, 40))))
+            seeds = [(trial, 7, i) for i in range(40)]
+
+            def draws():
+                split = split_edges(g, (0.7, 0.1, 0.2), seed=trial, negatives=30)
+                g_train = split.train_graph(g)
+                return [
+                    sample_negative_pools(g, count, seeds),
+                    split.valid_negatives,
+                    split.test_negatives,
+                    *(
+                        sample_negatives(
+                            g_train, len(split.train_edges), (trial, STREAM_TRAIN_NEG, epoch)
+                        )
+                        for epoch in range(3)
+                    ),
+                ]
+
+            monkeypatch.setattr(graph_module, "_SLOTS_PER_EDGE", slots)
+            got = draws()
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_module, "_EdgeLookup", scipy_edge_lookup)
+                want = draws()
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestSampleNegativePools:

@@ -8,11 +8,17 @@ Three rules, one test each per module:
 * only ``backbone.py`` imports scipy when the module is imported; the others
   import it inside the functions that build matrices, or for type checking;
   ``heuristics.py`` imports it nowhere.
+
+One more test runs Louvain and the negative samplers in a fresh interpreter,
+which must load no scipy module on the way.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +117,30 @@ def test_heuristics_imports_no_scipy_anywhere():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
     ]
     assert not scipy, f"heuristics.py imports {scipy}"
+
+
+def test_louvain_and_the_negative_samplers_load_no_scipy():
+    """Louvain, the split's pools, the per-edge pools and the training
+    negatives run on the graph's CSR arrays: in a fresh interpreter they load
+    no scipy module."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from classlink.clustering import louvain\n"
+        "from classlink.evaluation import draw_per_edge_pools\n"
+        "from classlink.graph import build_graph, sample_negatives, split_edges\n"
+        "g = build_graph(80, np.random.default_rng(0).integers(0, 80, size=(300, 2)))\n"
+        "split = split_edges(g, (0.8, 0.1, 0.1), 1, negatives=20)\n"
+        "assert louvain(split.train_graph(g), 1).k > 1\n"
+        "assert draw_per_edge_pools(g, 10, 5, 1).shape == (10, 5, 2)\n"
+        "assert sample_negatives(split.train_graph(g), 50, 3).shape == (50, 2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

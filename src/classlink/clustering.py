@@ -656,9 +656,10 @@ def _class_moves(
     cand = keys - block.base[first]
     kv, cv = block.deg, comm[block.nodes]
     row_base = np.arange(kv.size, dtype=keys.dtype) * n
+    own_key = row_base + cv.astype(keys.dtype)
     starts = np.searchsorted(keys, row_base)
-    at = np.minimum(np.searchsorted(keys, row_base + cv), keys.size - 1)
-    own = keys[at] == row_base + cv
+    at = np.minimum(np.searchsorted(keys, own_key), keys.size - 1)
+    own = keys[at] == own_key
     own_link = np.where(own, link[at], 0.0)
     stay = own_link - (sigma_tot[cv] - kv) * kv / m2
     gain = link - sigma_tot[cand] * kv[row] / m2

@@ -443,14 +443,14 @@ class _Level(NamedTuple):
     shape: tuple[int, int]
 
 
-class _Block(NamedTuple):
-    """Consecutive rows of one colour class, each with at least one
-    off-diagonal entry, and what every sweep reads of them.
+class _ColourClass(NamedTuple):
+    """The rows of one colour class that have an off-diagonal entry, and
+    what every sweep reads of them.
 
     ``nodes`` and ``deg`` are the rows' nodes and degrees; ``nbr``, ``weight``
     and ``local`` give each entry's neighbour, weight (``None`` where every
-    weight is 1) and row within the block, in row order; ``base`` is each
-    entry's ``local · n`` in the block's key dtype.
+    weight is 1) and row within the class, in row order; ``base`` is each
+    entry's ``local · n`` in the class's key dtype.
     """
 
     nodes: np.ndarray
@@ -459,13 +459,6 @@ class _Block(NamedTuple):
     weight: np.ndarray | None
     local: np.ndarray
     base: np.ndarray
-
-
-# A colour class is cut into blocks of whole rows, a new block starting at the
-# first row that begins this many entries past the block before; a block's
-# link sort then stays in cache.  Every block of a class reads ``sigma_tot``
-# as it was before the class moves, so the cut does not change the moves.
-_BLOCK = 1 << 15
 
 
 def louvain(g: Graph, seed: int) -> PseudoLabeling:
@@ -552,8 +545,8 @@ def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
     """One level of local moves; returns each node's community id.
 
     The off-diagonal graph is coloured once (:func:`_colour_classes`), and a
-    sweep moves one colour class at a time (:func:`_class_moves` on each of
-    its blocks, :func:`_class_blocks`).  Sweeps repeat until one moves nothing
+    sweep moves one colour class at a time (:func:`_class_moves` on the
+    class's rows, :func:`_class_rows`).  Sweeps repeat until one moves nothing
     or raises modularity by less than 1e-7; a sweep that lowers modularity is
     undone, and the level ends there.
 
@@ -569,8 +562,9 @@ def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
     off = _off_diagonal(adj)
     order, bounds = _colour_classes(off, rng)
     classes = [
-        _class_blocks(off, order[lo:hi], deg)
+        rows
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        if (rows := _class_rows(off, order[lo:hi], deg)) is not None
     ]
     comm = np.arange(n)
     sigma_tot = deg.copy()
@@ -578,16 +572,14 @@ def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
     score = inside * m2 - float(sigma_tot @ sigma_tot)
     while True:
         before, moved = comm.copy(), False
-        for blocks in classes:
-            # every block reads comm and sigma_tot before the class moves
-            moves = [_class_moves(block, comm, sigma_tot, m2) for block in blocks]
-            for movers, targets, gained in moves:
-                if movers.size:
-                    np.subtract.at(sigma_tot, comm[movers], deg[movers])
-                    np.add.at(sigma_tot, targets, deg[movers])
-                    comm[movers] = targets
-                    inside += 2.0 * float(gained.sum())
-                    moved = True
+        for rows in classes:
+            movers, targets, gained = _class_moves(rows, comm, sigma_tot, m2)
+            if movers.size:
+                np.subtract.at(sigma_tot, comm[movers], deg[movers])
+                np.add.at(sigma_tot, targets, deg[movers])
+                comm[movers] = targets
+                inside += 2.0 * float(gained.sum())
+                moved = True
         if not moved:
             return comm
         new_score = inside * m2 - float(sigma_tot @ sigma_tot)
@@ -598,45 +590,37 @@ def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
         score = new_score
 
 
-def _class_blocks(off: _Level, nodes: np.ndarray, deg: np.ndarray) -> list[_Block]:
-    """The blocks of the colour class ``nodes`` (ascending) in the
-    off-diagonal graph ``off``: its nodes with neighbours, cut at ``_BLOCK``
-    entries.  A node without neighbours never moves, so it is left out."""
+def _class_rows(
+    off: _Level, nodes: np.ndarray, deg: np.ndarray
+) -> _ColourClass | None:
+    """The rows of the colour class ``nodes`` (ascending) in the off-diagonal
+    graph ``off``: its nodes with neighbours, or ``None`` if it has none.  A
+    node without neighbours never moves, so it is left out."""
     n = off.shape[0]
     sizes = off.indptr[nodes + 1] - off.indptr[nodes]
     nodes, sizes = nodes[sizes > 0], sizes[sizes > 0]
     if not nodes.size:
-        return []
+        return None
     ends = np.cumsum(sizes)
-    begins = ends - sizes
-    at = np.repeat(off.indptr[nodes] - begins, sizes) + np.arange(ends[-1])
-    nbr, weight = off.indices[at], off.data[at]
-    cuts = [0, *(np.flatnonzero(np.diff(begins // _BLOCK)) + 1).tolist(), nodes.size]
-    blocks = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        entries = slice(begins[lo], ends[hi - 1])
-        local = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        key = np.int32 if (hi - lo) * n <= np.iinfo(np.int32).max else np.int64
-        w = weight[entries]
-        blocks.append(
-            _Block(
-                nodes=nodes[lo:hi],
-                deg=deg[nodes[lo:hi]],
-                nbr=nbr[entries],
-                weight=None if (w == 1.0).all() else w,
-                local=local,
-                base=(local * n).astype(key),
-            )
-        )
-    return blocks
+    at = np.repeat(off.indptr[nodes] - (ends - sizes), sizes) + np.arange(ends[-1])
+    weight = off.data[at]
+    local = np.repeat(np.arange(nodes.size), sizes)
+    key = np.int32 if nodes.size * n <= np.iinfo(np.int32).max else np.int64
+    return _ColourClass(
+        nodes=nodes,
+        deg=deg[nodes],
+        nbr=off.indices[at],
+        weight=None if (weight == 1.0).all() else weight,
+        local=local,
+        base=(local * n).astype(key),
+    )
 
 
 def _class_moves(
-    block: _Block, comm: np.ndarray, sigma_tot: np.ndarray, m2: float
+    rows: _ColourClass, comm: np.ndarray, sigma_tot: np.ndarray, m2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moves of one block of a colour class: its movers, their target
-    communities, and for each the link weight gained, ``L[v, target] -
-    L[v, own]``.
+    """The moves of one colour class: its movers, their target communities,
+    and for each the link weight gained, ``L[v, target] - L[v, own]``.
 
     The class's nodes share no edge, so the link weights ``L`` of each node
     to its adjacent communities are exact: one sort of the keys
@@ -648,13 +632,13 @@ def _class_moves(
     1e-12, exact ties going to the lowest community id.
     """
     n = comm.size
-    keys = comm[block.nbr].astype(block.base.dtype, copy=False)
-    keys += block.base
-    keys, first, link = _summed_runs(keys, block.weight)
+    keys = comm[rows.nbr].astype(rows.base.dtype, copy=False)
+    keys += rows.base
+    keys, first, link = _summed_runs(keys, rows.weight)
     keys = keys[first]  # one per run: by row, then by community
-    row = block.local[first]
-    cand = keys - block.base[first]
-    kv, cv = block.deg, comm[block.nodes]
+    row = rows.local[first]
+    cand = keys - rows.base[first]
+    kv, cv = rows.deg, comm[rows.nodes]
     row_base = np.arange(kv.size, dtype=keys.dtype) * n
     own_key = row_base + cv.astype(keys.dtype)
     starts = np.searchsorted(keys, row_base)
@@ -667,12 +651,12 @@ def _class_moves(
     top = np.maximum.reduceat(gain, starts)
     movers = np.flatnonzero(top > stay + 1e-12)
     if not movers.size:
-        return block.nodes[:0], movers, link[:0]
+        return rows.nodes[:0], movers, link[:0]
     # a row's first run of the top gain has its lowest community id
     best = np.flatnonzero(gain == top[row])
     best = best[np.diff(row[best], prepend=-1) != 0]
     taken = best[movers]
-    return block.nodes[movers], cand[taken], link[taken] - own_link[movers]
+    return rows.nodes[movers], cand[taken], link[taken] - own_link[movers]
 
 
 def _colour_classes(

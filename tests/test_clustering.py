@@ -15,8 +15,8 @@ from classlink import clustering
 from classlink.clustering import (
     _aggregate,
     _Centroids,
-    _class_blocks,
     _class_moves,
+    _class_rows,
     _colour_classes,
     _degrees,
     _elbow_runs,
@@ -484,15 +484,11 @@ class TestLouvainArraysMatchScipy:
         for n, p in ((12, 0.3), (60, 0.08), (200, 0.03)):
             yield build_graph(n + 5, random_edges(rng, n, p))  # five isolated nodes
 
-    @pytest.mark.parametrize("block", [1, 7, clustering._BLOCK])
-    def test_class_moves_equal_the_scipy_link_product(self, block, monkeypatch):
+    def test_class_moves_equal_the_scipy_link_product(self):
         """Movers, targets and gains of every colour class, against
-        singletons, random partitions and a level's own moves; a small
-        ``_BLOCK`` cuts each class into blocks of rows."""
-        small = block < clustering._BLOCK
-        monkeypatch.setattr(clustering, "_BLOCK", block)
+        singletons, random partitions and a level's own moves."""
         rng = np.random.default_rng(1031)
-        moved = cut = 0
+        moved = 0
         for g in self.graphs():
             for level in levels_of(g, 3):
                 n = level.shape[0]
@@ -509,22 +505,19 @@ class TestLouvainArraysMatchScipy:
                     sigma_tot = np.bincount(comm, weights=deg, minlength=n)
                     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
                         nodes = order[lo:hi]
-                        blocks = _class_blocks(off, nodes, deg)
-                        cut += len(blocks) > 1
-                        moves = [_class_moves(b, comm, sigma_tot, m2) for b in blocks]
-                        movers, targets, gains = (
-                            np.concatenate([m[i] for m in moves] or [np.zeros(0)])
-                            for i in range(3)
-                        )
                         want = oracle.scipy_class_moves(
                             csr(off)[nodes], nodes, comm, sigma_tot, deg, m2
                         )
+                        rows = _class_rows(off, nodes, deg)
+                        if rows is None:
+                            assert want[0].size == 0
+                            continue
+                        movers, targets, gains = _class_moves(rows, comm, sigma_tot, m2)
                         assert movers.tolist() == want[0].tolist()
                         assert targets.tolist() == want[1].tolist()
                         assert gains.tobytes() == want[2].tobytes()
                         moved += movers.size
         assert moved > 1000
-        assert (cut > 0) == small
 
     def test_aggregate_equals_the_scipy_product(self):
         """Index pointers, column ids and summed weights of ``CᵀAC``, rows

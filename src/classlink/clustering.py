@@ -19,7 +19,7 @@ over *pseudo-labels* instead.  Three generators are provided:
   Halappanavar & Kalyanaraman, 2015): each level's graph is coloured by
   Jones–Plassmann random-priority independent sets, and a whole class moves
   at once on its links to the adjacent communities, one sort of the keys
-  ``row · n + comm[neighbour]`` per block of its rows.  The nodes of a class
+  ``row · n + comm[neighbour]`` over all of its rows.  The nodes of a class
   share no edge, so their links are exact, but they read the community
   totals from before the class moves; the labels are therefore not those of
   a sequential sweep, whose modularity the tests bound instead.  All

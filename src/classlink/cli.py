@@ -13,7 +13,10 @@ manifest entry ``pools``, keyed by the split's config keys plus
 ``eval_split`` and ``per_edge_negatives``.  ``evaluate`` reads the pools
 while that entry is up to date and otherwise draws, writes and records
 them, so a scorer or metric switch ranks against the same pools without
-drawing them again.
+drawing them again.  A draw takes every pool from the one stream ``(seed,
+STREAM_EVAL)``; a run directory whose pools were drawn on the earlier
+per-positive streams ``(seed, STREAM_EVAL, i)`` keeps them until the entry
+goes stale.
 
 Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,

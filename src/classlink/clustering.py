@@ -698,9 +698,10 @@ def _smallest_free_colour(node: np.ndarray, taken: np.ndarray, n: int) -> np.nda
     """Per node of ``0..n-1``, the smallest colour ``>= 0`` absent from the
     ``taken`` colours listed against it in ``node``."""
     free = np.zeros(n, dtype=np.int64)
-    keys = np.unique(node * n + taken)  # a colour is below n
+    keys = np.sort(node * n + taken)  # a colour is below n
     if not keys.size:
         return free
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
     node, taken = np.divmod(keys, n)
     first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
     size = np.diff(np.r_[first, keys.size])

@@ -101,18 +101,10 @@ def compute_metric(spec: str, ranks: np.ndarray) -> float:
 
 def draw_per_edge_pools(g: Graph, n_positives: int, count: int, seed: int) -> np.ndarray:
     """Per-edge negative pools of ``n_positives`` positives, ``(n_positives,
-    count, 2)``: positive ``i`` draws ``count`` non-edges of ``g`` on the
-    stream ``(seed, STREAM_EVAL, i)``, all pools in one call."""
+    count, 2)``: ``count`` non-edges of ``g`` per positive, every pool drawn
+    in one call from the stream ``(seed, STREAM_EVAL)``."""
     check_per_edge_negatives(count)
-    # an object column holds a root seed of any size
-    seeds = np.column_stack(
-        [
-            np.full(n_positives, seed, dtype=object),
-            np.full(n_positives, STREAM_EVAL),
-            np.arange(n_positives),
-        ]
-    )
-    return sample_negative_pools(g, count, seeds)
+    return sample_negative_pools(g, count, n_positives, (seed, STREAM_EVAL))
 
 
 def save_pools_json(pools: np.ndarray, path: str | Path) -> None:

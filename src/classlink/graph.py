@@ -55,7 +55,7 @@ from .errors import (
     DimensionError,
     ParseError,
 )
-from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng, make_rngs
+from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -933,9 +933,8 @@ def split_edges(
 
     capacity = g.n_nodes * (g.n_nodes - 1) // 2 - m
     pool = min(int(negatives), capacity)
-    valid_neg, test_neg = sample_negative_pools(
-        g, pool, [(seed, STREAM_VALID_NEG), (seed, STREAM_TEST_NEG)]
-    )
+    valid_neg = sample_negatives(g, pool, (seed, STREAM_VALID_NEG))
+    test_neg = sample_negatives(g, pool, (seed, STREAM_TEST_NEG))
 
     return EdgeSplit(
         n_nodes=g.n_nodes,
@@ -959,14 +958,16 @@ def sample_negatives(
     is read off the graph's CSR arrays (:func:`sample_negative_pools`).
     Raises :class:`CapacityError` when fewer than ``count`` non-edges exist.
     """
-    return sample_negative_pools(g, count, [seed])[0]
+    return sample_negative_pools(g, count, 1, seed)[0]
 
 
-# Candidates a generator draws per batch at least; part of the reproducibility
-# contract, since it fixes how far each stream advances.
+# Candidates a round draws at least, over all its pools; part of the
+# reproducibility contract, since it fixes how far the stream advances.
 _MIN_BATCH = 1024
-# Pools drawn together; bounds the candidate arrays to a few MiB.
-_SEED_CHUNK = 128
+# Pools drawn together, one chunk after another from the call's generator;
+# part of the reproducibility contract too, and it bounds the candidate arrays
+# to a few MiB.
+_POOL_CHUNK = 128
 # Slots of the non-edge lookup's bit table per edge, at least: about one
 # random candidate in this many hits an edge's slot and is looked up in the
 # CSR.  The table takes 1 to 2 bytes per edge.
@@ -980,20 +981,22 @@ _FILL_BLOCK = 1 << 12
 def sample_negative_pools(
     g: Graph,
     count: int,
-    seeds: Sequence[int | tuple[int, ...]] | np.ndarray,
+    n_pools: int,
+    seed: int | tuple[int, ...],
 ) -> np.ndarray:
-    """One pool of ``count`` distinct non-edges per seed, ``(len(seeds), count, 2)``.
+    """``n_pools`` pools of ``count`` distinct non-edges each, ``(n_pools,
+    count, 2)``, all drawn from the one generator ``make_rng(seed)``.
 
-    Each seed is an int or a tuple of ints (a row of a 2-D int or object
-    array works too) and gets its own generator from
-    :func:`~classlink.rand.make_rngs`, the one ``make_rng(*seed)`` builds.
-    Pool ``i`` is what sampling on ``seeds[i]`` alone gives: the generator
-    draws batches of ``max(1024, 2 * missing)`` candidates, all ``u`` then
-    all ``v``; self-pairs and edges are rejected and new pairs are kept in
-    order of first occurrence.  Whether a candidate is an edge is read off
-    the graph's CSR arrays by :class:`_EdgeLookup`.  Each batch is first
-    filtered on a prefix just long enough to fill a pool, falling back to
-    the whole batch only for the pools that prefix leaves short.
+    Pools are drawn ``_POOL_CHUNK`` at a time.  Each round of a chunk draws
+    one ``(2, pending, width)`` block of candidates for the pools still
+    short, all ``u`` then all ``v``, with ``width = max(ceil(1024 / pending),
+    2 * most missing)``; self-pairs and edges are rejected and each pool keeps
+    the new pairs of its own row in order of first occurrence.  A single
+    pool thus reads the stream in batches of ``max(1024, 2 * missing)``.
+    Whether a candidate is an edge is read off the graph's CSR arrays by
+    :class:`_EdgeLookup`.  Each block is first filtered on a prefix just long
+    enough to fill a pool, falling back to the whole block only for the pools
+    that prefix leaves short.
     """
     if count < 0:
         raise ConfigurationError(f"negative sample count must be >= 0, got {count}")
@@ -1004,13 +1007,14 @@ def sample_negative_pools(
             f"requested {count} negatives but only {capacity} non-edges exist"
         )
 
-    pools = np.zeros((len(seeds), count), dtype=np.int64)
+    rng = make_rng(seed)
+    pools = np.empty((n_pools, count, 2), dtype=np.int64)
     is_edge = _EdgeLookup(g)
-    generators = make_rngs(seeds)
-    for start in range(0, len(seeds), _SEED_CHUNK):
-        rngs = list(itertools.islice(generators, _SEED_CHUNK))
-        pools[start : start + len(rngs)] = _draw_pools(rngs, count, n, is_edge)
-    return np.stack([pools // n, pools % n], axis=-1)
+    for start in range(0, n_pools, _POOL_CHUNK):
+        chunk = pools[start : start + _POOL_CHUNK]
+        keys = _draw_pools(rng, len(chunk), count, n, is_edge)
+        np.divmod(keys, n, out=(chunk[..., 0], chunk[..., 1]))
+    return pools
 
 
 class _EdgeLookup:
@@ -1073,34 +1077,29 @@ class _EdgeLookup:
 
 
 def _draw_pools(
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
+    n_pools: int,
     count: int,
     n: int,
     is_edge: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Pair keys ``u * n + v`` of one pool per generator, ``(len(rngs), count)``;
-    ``is_edge`` tells which candidate keys are edges."""
-    keys = np.zeros((len(rngs), count), dtype=np.int64)
-    have = np.zeros(len(rngs), dtype=np.int64)
+    """Pair keys ``u * n + v`` of ``n_pools`` pools drawn from ``rng``,
+    ``(n_pools, count)``; ``is_edge`` tells which candidate keys are edges."""
+    keys = np.zeros((n_pools, count), dtype=np.int64)
+    have = np.zeros(n_pools, dtype=np.int64)
     pending = np.flatnonzero(have < count)
     while pending.size:
         missing = count - have[pending]
-        sizes = np.maximum(_MIN_BATCH, 2 * missing)
-        # padding stays (0, 0), a self-pair, so it is never kept
-        u = np.zeros((pending.size, int(sizes.max())), dtype=np.int64)
-        v = np.zeros_like(u)
-        for row, (r, size) in enumerate(zip(pending.tolist(), sizes.tolist())):
-            # one call reads the stream as the two draws, u then v, would
-            draws = rngs[r].integers(0, n, size=2 * size)
-            u[row, :size], v[row, :size] = draws[:size], draws[size:]
+        width = max(-(-_MIN_BATCH // pending.size), 2 * int(missing.max()))
+        u, v = rng.integers(0, n, size=(2, pending.size, width))
 
         # on a sparse graph nearly every candidate is fresh, so a prefix of
         # twice the missing count almost always fills the pool, and only the
         # block examined is ordered into (lo, hi)
         rows = np.arange(pending.size)
         prefix = 2 * int(missing.max()) + 32
-        for stop in ((prefix, u.shape[1]) if prefix < u.shape[1] else (u.shape[1],)):
-            last = stop == u.shape[1]
+        for stop in ((prefix, width) if prefix < width else (width,)):
+            last = stop == width
             block_u, block_v = u[rows, :stop], v[rows, :stop]
             block_lo, block_hi = np.minimum(block_u, block_v), np.maximum(block_u, block_v)
             cand = block_lo * n + block_hi

@@ -287,7 +287,10 @@ class _ClassKernel:
         xs, ys = pairs[:, 0], pairs[:, 1]
         bases = _pair_bases(c, n)
         keys, _ = _neighbor_keys(self.indptr, self.indices, pairs.T.ravel(), np.tile(bases, 2))
-        keys = np.unique(keys)  # the keys of N(x) ∪ N(y), pair by pair
+        keys.sort()  # the keys of N(x) ∪ N(y), pair by pair
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
         pair = keys // n
         node = keys - pair * n
         usable = self.usable[node]

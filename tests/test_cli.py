@@ -333,7 +333,7 @@ class TestPerEdgePools:
         out = tmp / "out"
         g = load_graph_json(out / "graph.json")
         n = len(load_split_json(out / "split.json").test_edges)
-        expect = sample_negative_pools(g, 20, [(seed, STREAM_EVAL, i) for i in range(n)])
+        expect = sample_negative_pools(g, 20, n, (seed, STREAM_EVAL))
         got = load_pools_json(out / "pools.json", n, 20, g.n_nodes)
         np.testing.assert_array_equal(got, expect)
         manifest = json.loads((out / "manifest.json").read_text())

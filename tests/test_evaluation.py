@@ -19,13 +19,13 @@ from classlink.evaluation import (
     rank_positive,
     save_report,
 )
-from classlink.graph import build_graph, sample_negatives, split_edges
+from classlink.graph import build_graph, split_edges
 from classlink.heuristics import make_heuristic_scorer
 from classlink.rand import STREAM_EVAL
 
 from conftest import random_edges
 from prior_bench import bench_prior_runtime
-from test_graph import oracle_sample_negatives
+from test_graph import oracle_sample_pools
 
 
 def oracle_rank(pos: float, negs) -> int:
@@ -167,12 +167,10 @@ class TestEvaluateSplit:
         assert a.n_negatives == 15
         np.testing.assert_array_equal(a.ranks, b.ranks)
         pos_scores = scorer(split.test_edges)
+        oracle_pools = oracle_sample_pools(g, 15, len(pos_scores), (3, STREAM_EVAL))
         expect = [
-            oracle_rank(
-                float(s),
-                scorer(sample_negatives(g, 15, (3, STREAM_EVAL, i))).tolist(),
-            )
-            for i, s in enumerate(pos_scores)
+            oracle_rank(float(s), scorer(pool).tolist())
+            for s, pool in zip(pos_scores, oracle_pools)
         ]
         assert a.ranks.tolist() == expect
         assert a.positive_scores.tolist() == pos_scores.tolist()
@@ -182,6 +180,8 @@ class TestEvaluateSplit:
             evaluate_split(scorer, split, "mrr", seed=3, pools=pools[:-1])
 
     def test_per_edge_pools_equal_per_positive_oracle_pools(self):
+        """Positive ``i`` is ranked against pool ``i`` of the oracle's draw of
+        every pool from the one stream ``(seed, STREAM_EVAL)``."""
         g, split = make_split(negatives=10)
         calls = []
 
@@ -193,13 +193,8 @@ class TestEvaluateSplit:
         evaluate_split(recording, split, "mrr", seed=3, pools=drawn)
         positives, pools = calls
         np.testing.assert_array_equal(positives, split.test_edges)
-        expect = np.concatenate(
-            [
-                oracle_sample_negatives(g, 15, (3, STREAM_EVAL, i))
-                for i in range(len(split.test_edges))
-            ]
-        )
-        np.testing.assert_array_equal(pools, expect)
+        expect = oracle_sample_pools(g, 15, len(split.test_edges), (3, STREAM_EVAL))
+        np.testing.assert_array_equal(pools, expect.reshape(-1, 2))
 
     @pytest.mark.parametrize("seed", [2**63, 2**64 + 5])
     def test_per_edge_pools_of_a_root_seed_beyond_int64(self, seed):
@@ -213,13 +208,8 @@ class TestEvaluateSplit:
         pools = draw_per_edge_pools(g, len(split.test_edges), 15, seed)
         report = evaluate_split(recording, split, "mrr", seed=seed, pools=pools)
         assert report.seed == seed
-        expect = np.concatenate(
-            [
-                oracle_sample_negatives(g, 15, (seed, STREAM_EVAL, i))
-                for i in range(len(split.test_edges))
-            ]
-        )
-        np.testing.assert_array_equal(calls[1], expect)
+        expect = oracle_sample_pools(g, 15, len(split.test_edges), (seed, STREAM_EVAL))
+        np.testing.assert_array_equal(calls[1], expect.reshape(-1, 2))
 
     def test_shared_pool_samples_nothing(self):
         g, split = make_split()

@@ -9,8 +9,8 @@ Three rules, one test each per module:
   import it inside the functions that build matrices, or for type checking;
   ``heuristics.py`` imports it nowhere.
 
-One more test runs Louvain and the negative samplers in a fresh interpreter,
-which must load no scipy module on the way.
+One more test runs Louvain, ``hc`` over RA and the negative samplers in a
+fresh interpreter, which must load neither scipy nor ``numpy.ma`` on the way.
 """
 
 from __future__ import annotations
@@ -119,22 +119,34 @@ def test_heuristics_imports_no_scipy_anywhere():
     assert not scipy, f"heuristics.py imports {scipy}"
 
 
-def test_louvain_and_the_negative_samplers_load_no_scipy():
-    """Louvain, the split's pools, the per-edge pools and the training
-    negatives run on the graph's CSR arrays: in a fresh interpreter they load
-    no scipy module."""
+def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma():
+    """Louvain, ``hc`` over RA (with and without local normalisation), the
+    split's pools, the per-edge pools and the training negatives run on the
+    graph's CSR arrays with no plain ``np.unique``, which loads ``numpy.ma``:
+    in a fresh interpreter they load neither scipy nor ``numpy.ma``."""
     script = (
         "import sys\n"
         "import numpy as np\n"
         "from classlink.clustering import louvain\n"
         "from classlink.evaluation import draw_per_edge_pools\n"
         "from classlink.graph import build_graph, sample_negatives, split_edges\n"
+        "from classlink.heuristics import ClassHeuristicParams, make_heuristic_scorer\n"
+        "from classlink.priors import count_class_links\n"
         "g = build_graph(80, np.random.default_rng(0).integers(0, 80, size=(300, 2)))\n"
         "split = split_edges(g, (0.8, 0.1, 0.1), 1, negatives=20)\n"
-        "assert louvain(split.train_graph(g), 1).k > 1\n"
-        "assert draw_per_edge_pools(g, 10, 5, 1).shape == (10, 5, 2)\n"
-        "assert sample_negatives(split.train_graph(g), 50, 3).shape == (50, 2)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "train = split.train_graph(g)\n"
+        "labels = louvain(train, 1)\n"
+        "assert labels.k > 1\n"
+        "pools = draw_per_edge_pools(train, len(split.test_edges), 5, 1)\n"
+        "assert pools.shape == (len(split.test_edges), 5, 2)\n"
+        "prior = count_class_links(split.train_edges, labels.labels, labels.k)\n"
+        "for local in (False, True):\n"
+        "    hc = make_heuristic_scorer('hc', train, prior=prior, labels=labels.labels,\n"
+        "        params=ClassHeuristicParams(normalize_locally=local), base='ra')\n"
+        "    assert np.isfinite(hc(pools.reshape(-1, 2))).all()\n"
+        "assert sample_negatives(train, 50, 3).shape == (50, 2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "    or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

@@ -12,9 +12,11 @@ from classlink import rand
 from classlink.backbone import TrainConfig
 from classlink.clustering import kmeans, louvain
 from classlink.errors import ConfigurationError
-from classlink.graph import build_graph, sample_negatives, split_edges
+from classlink import graph as graph_module
+from classlink.graph import build_graph, sample_negative_pools, sample_negatives, split_edges
 
 from conftest import random_edges
+from test_graph import oracle_sample_pools
 
 
 # First three draws of ``integers(0, 2**32)`` on two streams: a change to
@@ -98,19 +100,15 @@ def test_readme_determinism_table_lists_every_stream():
     assert documented == streams
 
 
-def _flat(seed) -> list:
-    """The parts ``make_rng(*seed)`` hashes, for an int or a tuple seed."""
-    flat: list = []
-    for part in seed if isinstance(seed, (list, tuple)) else [seed]:
-        flat.extend(part if isinstance(part, (list, tuple)) else [part])
-    return flat
-
-
 STAGE1 = rand.derive_seed(3, rand.STREAM_INIT)  # ncnc stage 1's 64-bit root
 
 
 class TestBatchSeeding:
-    # one to four words per part, all in one call
+    """A batch of negative pools, one ``sample_negative_pools`` call, is
+    seeded once: every pool comes from the generator ``make_rng(seed)``, and
+    the seed is checked as ``make_rng`` checks it."""
+
+    # one to four words per part
     SEEDS = [
         0,
         2**32 - 1,
@@ -118,18 +116,20 @@ class TestBatchSeeding:
         2**64 + 5,
         STAGE1,
         (STAGE1, rand.STREAM_TRAIN_NEG, 4),
-        (2**64 + 5, rand.STREAM_EVAL, 0),
+        (2**64 + 5, rand.STREAM_EVAL),
         (0, 0),
-        (7, [1, 2**40]),
+        (7, 1, 2**40),
         (2**100, 2**32 - 1, 2**32, 1, 2, 3),
     ]
 
-    def test_words_equal_seed_sequence_state(self):
-        states = rand._seed_states(self.SEEDS)
-        assert states.dtype == np.uint64 and states.shape == (len(self.SEEDS), 4)
-        for seed, row in zip(self.SEEDS, states):
-            expect = np.random.SeedSequence(_flat(seed)).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(row, expect)
+    def test_streams_equal_make_rng(self, monkeypatch):
+        """Every pool of a call, over several chunks, is the oracle's draw
+        from ``make_rng(seed)``."""
+        monkeypatch.setattr(graph_module, "_POOL_CHUNK", 4)
+        g = _graph()
+        for seed in self.SEEDS:
+            pools = sample_negative_pools(g, 6, 10, seed)
+            np.testing.assert_array_equal(pools, oracle_sample_pools(g, 6, 10, seed, chunk=4))
 
     def test_random_parts_of_every_size(self):
         rng = np.random.default_rng(730)
@@ -139,37 +139,30 @@ class TestBatchSeeding:
                 rng.integers(0, 80)
             )
 
-        seeds = [tuple(part() for _ in range(int(rng.integers(1, 9)))) for _ in range(300)]
-        for seed, row in zip(seeds, rand._seed_states(seeds)):
-            expect = np.random.SeedSequence(list(seed)).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(row, expect)
+        g = _graph()
+        for _ in range(100):
+            seed = tuple(part() for _ in range(int(rng.integers(1, 9))))
+            np.testing.assert_array_equal(
+                sample_negative_pools(g, 5, 3, seed), oracle_sample_pools(g, 5, 3, seed)
+            )
 
     def test_int_and_object_arrays_equal_tuples(self):
-        table = np.empty((40, 3), dtype=np.uint64)
-        table[:, 0], table[:, 1], table[:, 2] = STAGE1, 7, np.arange(40) * 2**31
+        """Parts taken from the rows of a uint64, int64 or object array give
+        the pools of the same Python ints."""
+        table = np.empty((6, 3), dtype=np.uint64)
+        table[:, 0], table[:, 1], table[:, 2] = STAGE1, 7, np.arange(6) * 2**31
         assert int(table[0, 0]) == STAGE1
-        tuples = [tuple(int(p) for p in row) for row in table]
-        expect = rand._seed_states(tuples)
-        np.testing.assert_array_equal(rand._seed_states(table), expect)
-        np.testing.assert_array_equal(rand._seed_states(table.astype(object)), expect)
-        signed = table[:, 1:].astype(np.int64)
-        np.testing.assert_array_equal(
-            rand._seed_states(signed), rand._seed_states([tuple(r) for r in signed.tolist()])
-        )
-        np.testing.assert_array_equal(
-            rand._seed_states(np.arange(5)), rand._seed_states([0, 1, 2, 3, 4])
-        )
-        assert rand._seed_states([]).shape == (0, 4)
-
-    def test_streams_equal_make_rng(self):
-        rngs = list(rand.make_rngs(self.SEEDS))
-        assert len(rngs) == len(self.SEEDS)
-        for seed, rng in zip(self.SEEDS, rngs):
-            one = rand.make_rng(*seed) if isinstance(seed, tuple) else rand.make_rng(seed)
-            assert rng.integers(0, 2**63, size=50).tolist() == one.integers(
-                0, 2**63, size=50
-            ).tolist()
-            assert rng.random(5).tolist() == one.random(5).tolist()
+        g = _graph()
+        for row, signed in zip(table, table[:, 1:].astype(np.int64)):
+            expect = sample_negative_pools(g, 4, 3, tuple(int(p) for p in row))
+            for parts in (row, row.astype(object)):
+                np.testing.assert_array_equal(
+                    sample_negative_pools(g, 4, 3, tuple(parts)), expect
+                )
+            np.testing.assert_array_equal(
+                sample_negative_pools(g, 4, 3, tuple(signed)),
+                sample_negative_pools(g, 4, 3, tuple(signed.tolist())),
+            )
 
     @pytest.mark.parametrize(
         "seed",
@@ -177,9 +170,9 @@ class TestBatchSeeding:
     )
     def test_bad_parts_raise_what_make_rng_raises(self, seed):
         with pytest.raises(ConfigurationError) as expected:
-            rand.make_rng(*_flat(seed))
+            rand.make_rng(seed)
         with pytest.raises(ConfigurationError) as got:
-            rand.make_rngs([5, seed, (1, 2)])
+            sample_negative_pools(_graph(), 5, 3, seed)
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
@@ -194,9 +187,10 @@ class TestBatchSeeding:
         ids=["negative", "float", "bool", "object_float", "object_bool"],
     )
     def test_bad_array_parts_raise(self, table):
+        """A seed made of an array row's numpy scalars is checked part by part."""
         with pytest.raises(ConfigurationError, match="non-negative integer"):
-            rand.make_rngs(table)
+            sample_negative_pools(_graph(), 5, 3, tuple(table[-1]))
 
     def test_a_seed_needs_a_part(self):
         with pytest.raises(ValueError, match="at least one seed part"):
-            rand.make_rngs([1, ()])
+            sample_negative_pools(_graph(), 5, 3, ())

@@ -776,6 +776,13 @@ class TestSampleNegativePools:
             expect = oracle_sample_negatives(g, count, (count, 1), stats)
             np.testing.assert_array_equal(sample_negatives(g, count, (count, 1)), expect)
             most_batches = max(most_batches, stats["batches"])
+            s = split_edges(g, (0.6, 0.2, 0.2), seed=count, negatives=count)
+            for pool, stream in [
+                (s.valid_negatives, STREAM_VALID_NEG), (s.test_negatives, STREAM_TEST_NEG)
+            ]:
+                np.testing.assert_array_equal(
+                    pool, oracle_sample_negatives(g, count, (count, stream))
+                )
             np.testing.assert_array_equal(
                 sample_negative_pools(g, count, 3, (count, 2)),
                 oracle_sample_pools(g, count, 3, (count, 2)),

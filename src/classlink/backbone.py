@@ -33,8 +33,25 @@ usual GCN order, ``S (X W1)`` forward and ``W1``'s gradient
 ``Xᵀ (S dZ1)``, so no layer holds a dense ``n × F`` array and each product
 costs the stored entries of ``X`` or ``S`` times ``d``.  Propagation is
 separate from the edge head, so a frozen model propagates once:
-:func:`make_scorer` caches its ``H``, and training propagates once per epoch
-for both validation batches.
+:func:`make_scorer` caches its ``H``.  Training propagates once per epoch:
+the validation forward after a step has the parameters of the next step,
+which reuses it, so a stage propagates ``epochs + 1`` times.
+
+The forward pass runs on numpy.  ``S``, ``X`` and each incidence ``M`` are
+:class:`_Csr` tuples of CSR arrays under scipy's field names, built from
+the graph's arrays: ``S`` by one sort of the keys ``i · n + j`` of its
+entries, diagonal included; ``M`` from the keys ``i · n + u`` of the
+neighbours of pair ``i``'s two endpoints
+(:func:`~classlink.graph.neighbor_keys`), where after one merge a repeated
+key is a common neighbour and a single one codes its side.  Propagation's
+products ``X W1`` and ``S ·`` and a prediction's ``M h`` go through one row
+kernel (:func:`_row_product`) that adds each row's terms in stored order
+to a zeroed row, the float sequence of scipy's CSR product, so every bit
+is scipy's.  Only a training step multiplies with scipy, imported in
+:func:`loss_and_grads` and :func:`_head_grads`: its backward (``S dq``,
+``Xᵀ (S dZ1)`` and the ``dH`` scatter), and its head's ``M h``, for which
+scipy takes a third to a fifth of the kernel's time.  So training loads
+scipy, and a scorer never does.
 
 The edge head runs over :func:`~classlink.graph.pair_chunks` of
 ``HEAD_CHUNK`` pairs.  A training step (:func:`loss_and_grads`) runs the
@@ -57,21 +74,33 @@ all n columns.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import artifacts
 from .config import MODES, TrainConfig, check_mode
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import (
-    EdgeSplit, Graph, Scorer, check_pairs, chunked_scorer, pair_chunks, sample_negatives
+    EdgeSplit,
+    Graph,
+    Scorer,
+    check_pairs,
+    chunked_scorer,
+    neighbor_keys,
+    pair_bases,
+    pair_chunks,
+    sample_negatives,
 )
 from .priors import ClassPriorMatrix, lookup_prior_batch
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 N_PRIOR_FEATURES = 2  # (P(c_y|c_x), P(c_x|c_y)) appended to the embedding
 
@@ -84,6 +113,12 @@ HEAD_CHUNK = 1024
 # incidence (and, in ncnc, makes one completion-scorer call), so longer
 # slices mean fewer builds, while the head still runs per HEAD_CHUNK pairs.
 SCORER_CHUNKS = 16
+# Rows per block of the forward's sparse-dense products: a block's
+# accumulator and gathered terms stay in cache.
+_ROW_BLOCK = 1024
+# Pairs per block of an incidence build: keys ``i · n + u`` stay int32 up to
+# 131,072 nodes, and the build's transient arrays stay small.
+_BUILD_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +191,103 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def normalized_operator(g: Graph) -> sp.csr_matrix:
-    """Symmetric normalized adjacency with self-loops over a graph."""
-    deg_hat = g.degrees().astype(np.float64) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg_hat)
-    hat = g.adj + sp.identity(g.n_nodes, format="csr")
-    scale = sp.diags(inv_sqrt)
-    return (scale @ hat @ scale).tocsr()
+class _Csr(NamedTuple):
+    """A CSR matrix as its numpy arrays, under scipy's field names."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
 
 
-def propagate(
-    params: BackboneParams, sym: sp.csr_matrix, x: sp.csr_matrix
-) -> dict[str, np.ndarray]:
+def _scipy(a: _Csr) -> sp.csr_matrix:
+    """The scipy CSR matrix over ``a``'s arrays, for a training step."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _row_slice(a: _Csr, rows: slice) -> _Csr:
+    """Rows ``rows`` of ``a``: views of its entries, row starts from 0."""
+    indptr = a.indptr[rows.start : rows.stop + 1]
+    lo, hi = indptr[0], indptr[-1]
+    return _Csr(indptr - lo, a.indices[lo:hi], a.data[lo:hi], (indptr.size - 1, a.shape[1]))
+
+
+def _row_product(a: _Csr, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ dense`` with the bits of scipy's CSR product, into ``out``.
+
+    scipy adds each row's terms ``a[i, j] · dense[j]`` in stored order into
+    a zeroed row.  Here rows go in blocks of ``_ROW_BLOCK``, longest first,
+    so step ``k`` adds the ``k``-th term of every row that has one, a prefix
+    of the block.  The first step adds its terms to 0.0 in place, which
+    turns a ``-0.0`` term into ``0.0`` as scipy's zeroed row does, and an
+    empty row is 0.0.  The multiply is skipped where every stored value
+    is 1.
+    """
+    rows, d = a.shape[0], dense.shape[1]
+    if out is None:
+        out = np.empty((rows, d))
+    unit = bool((a.data == 1.0).all())
+    acc = np.empty((min(rows, _ROW_BLOCK), d))
+    terms = np.empty_like(acc)
+    for lo in range(0, rows, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, rows)
+        starts = a.indptr[lo:hi]
+        sizes = a.indptr[lo + 1 : hi + 1] - starts
+        order = np.argsort(-sizes, kind="stable")
+        starts, shorter = starts[order], -sizes[order]  # ascending
+        order += lo
+        steps = np.searchsorted(shorter, -np.arange(-shorter[0]), "left").tolist()
+        filled = steps[0] if steps else 0
+        out[order[filled:]] = 0.0
+        block = acc[:filled]
+        for k, active in enumerate(steps):
+            at = starts[:active] + k
+            step = terms[:active] if k else block
+            np.take(dense, a.indices[at], axis=0, out=step, mode="clip")
+            if not unit:
+                step *= a.data[at, None]
+            if k:
+                block[:active] += step
+            else:
+                block += 0.0
+        out[order[:filled]] = block
+    return out
+
+
+def normalized_operator(g: Graph) -> _Csr:
+    """Symmetric normalized adjacency with self-loops over a graph,
+    ``S = D̂^-1/2 (A + I) D̂^-1/2``, as the arrays scipy's product gives.
+
+    The diagonal joins the stored entries in one sort of their keys
+    ``i · n + j``, so each row's columns ascend, and ``S[i, j]`` is
+    ``inv[i] · inv[j]`` with ``inv = 1 / sqrt(d + 1)``.
+    """
+    n = g.n_nodes
+    degrees = g.degrees()
+    inv_sqrt = 1.0 / np.sqrt(degrees.astype(np.float64) + 1.0)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+    keys += g.adj_indices
+    keys = np.concatenate([keys, np.arange(n, dtype=np.int64) * (n + 1)])
+    keys.sort()
+    rows, cols = np.divmod(keys, n)
+    index = np.int32 if keys.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(degrees + 1, out=indptr[1:])
+    return _Csr(indptr, cols.astype(index), inv_sqrt[rows] * inv_sqrt[cols], (n, n))
+
+
+def propagate(params: BackboneParams, sym: _Csr, x: _Csr) -> dict[str, np.ndarray]:
     """Node embeddings ``h = S · relu(S X W1) · W2`` plus the intermediates
-    the backward pass reuses (``z1``, ``h1``, ``q = S h1``)."""
+    the backward pass reuses (``z1`` and ``q = S relu(z1)``)."""
     if x.shape[1] != params.w1.shape[0]:
         raise DimensionError(
             f"feature width {x.shape[1]} does not match W1 fan-in {params.w1.shape[0]}"
         )
-    z1 = sym @ (x @ params.w1)
-    h1 = np.maximum(z1, 0.0)
-    q = sym @ h1
-    return {"z1": z1, "h1": h1, "q": q, "h": q @ params.w2}
+    z1 = _row_product(sym, _row_product(x, params.w1))
+    q = _row_product(sym, np.maximum(z1, 0.0))
+    return {"z1": z1, "q": q, "h": q @ params.w2}
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +299,11 @@ def propagate(
 class LinkBatch:
     """Everything one forward/backward pass needs, with a fixed incidence."""
 
-    sym: sp.csr_matrix  # (n, n) normalized operator over training edges
-    x: sp.csr_matrix  # (n, F) the training graph's CSR features, not a copy
+    sym: _Csr  # (n, n) normalized operator over training edges
+    x: _Csr  # (n, F) the training graph's CSR feature arrays, not a copy
     pairs: np.ndarray  # (m, 2)
     targets: np.ndarray  # (m,) in {0, 1}
-    incidence: sp.csr_matrix  # (m, n): weight of node u in pair i's aggregation
+    incidence: _Csr  # (m, n): weight of node u in pair i's aggregation
     priors: np.ndarray | None  # (m, 2) prior features or None
 
     @property
@@ -212,20 +322,33 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _scipy_product(a: _Csr, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ dense`` by scipy, into ``out``: the bits of :func:`_row_product`
+    at a fraction of its cost, for the code that loads scipy anyway."""
+    out[...] = _scipy(a) @ dense
+    return out
+
+
 def _head(
-    params: BackboneParams, batch: LinkBatch, rows: slice, h: np.ndarray
+    params: BackboneParams,
+    batch: LinkBatch,
+    rows: slice,
+    h: np.ndarray,
+    product: Callable[[_Csr, np.ndarray, np.ndarray], np.ndarray] = _row_product,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fusion input ``z``, hidden activations and logits of the pairs in
     ``rows``, on precomputed node embeddings.
 
     ``z`` is filled in place, block by block, and bias and ReLU are applied
-    in place, so the chunk allocates each of its arrays once.
+    in place, so the chunk allocates each of its arrays once.  ``product``
+    writes the chunk's aggregation ``M h`` (:func:`_row_product`, or
+    :func:`_scipy_product` in a training step).
     """
     xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
     d = h.shape[1]
     z = np.empty((len(xs), 2 * d + (N_PRIOR_FEATURES if params.use_priors else 0)))
     np.multiply(h[xs], h[ys], out=z[:, :d])
-    z[:, d : 2 * d] = batch.incidence[rows] @ h
+    product(_row_slice(batch.incidence, rows), h, z[:, d : 2 * d])
     if params.use_priors:
         if batch.priors is None:
             raise ConfigurationError("batch lacks prior features but use_priors is on")
@@ -252,8 +375,9 @@ def _head_grads(
     parameters (``wh``, ``bh``, ``wo``, ``bo``), and ``dH``, its gradient
     w.r.t. the node embeddings.
 
-    Each chunk's head runs once, and its share of the gradients comes from
-    that same forward: ``dpre_h`` is written over the activations once
+    Each chunk's head runs once, its ``M h`` by scipy, which the step loads
+    for the scatter anyway, and its share of the gradients comes from that
+    same forward: ``dpre_h`` is written over the activations once
     ``dwo`` and the ReLU mask are taken, and ``dz`` over ``z`` once ``dwh``
     is formed.  The chunk's ``dH`` terms,
     ``Pxᵀ (dE1 ⊙ H[ys]) + Pyᵀ (dE1 ⊙ H[xs]) + Mᵀ dE2``, are one product over
@@ -263,13 +387,15 @@ def _head_grads(
     one gather at a time takes half the memory of the pair that the
     forward would have to keep alive.
     """
+    import scipy.sparse as sp
+
     d = h.shape[1]
     m = len(batch.pairs)
     logits, dlogits = np.empty(m), np.empty(m)
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
     for rows in pair_chunks(m, HEAD_CHUNK):
-        z, act, logits[rows] = _head(params, batch, rows, h)
+        z, act, logits[rows] = _head(params, batch, rows, h, _scipy_product)
         dl = dlogits[rows]
         dl[:] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
         dwo += act.T @ dl
@@ -288,7 +414,7 @@ def _head_grads(
         # over all n columns.
         xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
         c = len(xs)
-        inc = batch.incidence[rows]
+        inc = _row_slice(batch.incidence, rows)
         nodes = np.concatenate([xs, ys, inc.indices])
         touched = np.unique(nodes)
         scatter = sp.csr_matrix(
@@ -309,21 +435,25 @@ def _head_grads(
 
 
 def loss_and_grads(
-    params: BackboneParams, batch: LinkBatch
+    params: BackboneParams, batch: LinkBatch, fwd: dict[str, np.ndarray] | None = None
 ) -> tuple[float, dict[str, np.ndarray | float]]:
     """Mean BCE over the batch and its hand-derived gradient w.r.t. every
     parameter: the head's chunk loop (:func:`_head_grads`), then one
-    backpropagation of ``dH`` through propagation."""
-    fwd = propagate(params, batch.sym, batch.x)
+    backpropagation of ``dH`` through propagation, on scipy's products.
+    ``fwd`` is :func:`propagate`'s output for ``params``, when the caller
+    has it already."""
+    if fwd is None:
+        fwd = propagate(params, batch.sym, batch.x)
     logits, head_grads, dh = _head_grads(params, batch, fwd["h"])
     # BCE in softplus form: softplus(logit) - target * logit
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
+    sym = _scipy(batch.sym)
     dw2 = fwd["q"].T @ dh
     dq = dh @ params.w2.T
-    dh1 = batch.sym @ dq  # sym is symmetric, so S^T = S
+    dh1 = sym @ dq  # sym is symmetric, so S^T = S
     dz1 = dh1 * (fwd["z1"] > 0.0)
-    dw1 = batch.x.T @ (batch.sym @ dz1)
+    dw1 = _scipy(batch.x).T @ (sym @ dz1)
     return loss, {"w1": dw1, "w2": dw2, **head_grads}
 
 
@@ -336,9 +466,9 @@ def loss_and_grads(
 class BatchBuilder:
     """Assembles :class:`LinkBatch` objects for a fixed training graph."""
 
-    adj: sp.csr_matrix  # (n, n) 0/1 adjacency over training edges
-    sym: sp.csr_matrix
-    x: sp.csr_matrix  # (n, F) the training graph's CSR features, not a copy
+    adj: _Csr  # (n, n) 0/1 adjacency over training edges
+    sym: _Csr
+    x: _Csr  # (n, F) the training graph's CSR feature arrays, not a copy
     mode: str
     prior: ClassPriorMatrix | None
     labels: np.ndarray | None
@@ -358,10 +488,11 @@ class BatchBuilder:
             raise ConfigurationError("ncnc batches need a completion scorer")
         if g_train.n_features == 0:
             raise ConfigurationError("backbone needs node features")
+        g, n = g_train, g_train.n_nodes
         return cls(
-            adj=g_train.adj,
-            sym=normalized_operator(g_train),
-            x=g_train.features,
+            adj=_Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)),
+            sym=normalized_operator(g),
+            x=_Csr(g.feature_indptr, g.feature_indices, g.feature_data, (n, g.n_features)),
             mode=mode,
             prior=prior,
             labels=labels,
@@ -372,11 +503,7 @@ class BatchBuilder:
         pairs = check_pairs(pairs, self.adj.shape[0])
         if targets is None:
             targets = np.zeros(len(pairs))
-        xs, ys = pairs[:, 0], pairs[:, 1]
-        if self.mode == "ncnc":
-            incidence = self._completion_incidence(xs, ys)
-        else:  # common neighbors, weight 1
-            incidence = self.adj[xs].multiply(self.adj[ys]).tocsr()
+        incidence = self._incidence(pairs)
         priors = None
         if self.prior is not None and self.labels is not None:
             priors = lookup_prior_batch(self.prior, self.labels, pairs)
@@ -389,29 +516,72 @@ class BatchBuilder:
             priors=priors,
         )
 
-    def _completion_incidence(self, xs: np.ndarray, ys: np.ndarray) -> sp.csr_matrix:
-        """Neighborhood unions with completion weights.
+    def _incidence(self, pairs: np.ndarray) -> _Csr:
+        """The batch's link incidence, built in blocks of ``_BUILD_CHUNK``
+        pairs (:meth:`_members`).
 
-        ``A[xs] + 2 A[ys]`` codes each union member 1 (``N(x)`` only), 2
-        (``N(y)`` only) or 3 (both).  Common neighbors weigh 1; a one-sided
-        member weighs the predicted probability of its missing link, fetched
-        from the completion scorer in one call, in row-major entry order.
+        In ncnc, common neighbors weigh 1 and a one-sided member weighs the
+        predicted probability of its missing link, fetched from the
+        completion scorer in one call per batch, in row-major entry order.
         """
-        code = (self.adj[xs] + 2.0 * self.adj[ys]).tocsr()
-        rows = np.repeat(np.arange(xs.size), np.diff(code.indptr))
-        nodes = code.indices
-        keep = (nodes != xs[rows]) & (nodes != ys[rows])  # endpoints never complete themselves
-        rows, nodes, code_of = rows[keep], nodes[keep], code.data[keep]
-        weights = np.ones(nodes.size)
-        one_sided = code_of != 3.0
-        if one_sided.any():
+        m = len(pairs)
+        sizes, nodes, codes, missing = [], [], [], []
+        for rows in pair_chunks(m, _BUILD_CHUNK):
+            size, node, code, miss = self._members(pairs[rows])
+            sizes.append(size)
+            nodes.append(node)
+            codes.append(code)
+            missing.append(miss)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(sizes), out=indptr[1:])
+        weights = np.ones(int(indptr[-1]))
+        if self.mode == "ncnc":
+            one_sided = np.concatenate(codes) != 3
+            if one_sided.any():
+                weights[one_sided] = np.asarray(self.completion_scorer(np.concatenate(missing)))
+        return _Csr(indptr, np.concatenate(nodes), weights, (m, self.adj.shape[0]))
+
+    def _members(self, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per pair of a block, the size of its incidence row; the rows'
+        nodes, ascending per row; in ncnc also their codes and the missing
+        links of the one-sided ones.
+
+        The keys ``i · n + u`` of the neighbours of pair ``i``'s ``x`` and
+        then of its ``y`` are two ascending runs of distinct keys, so after
+        one stable merge a repeated key is a common neighbour, ``x``'s copy
+        first.  ncn keeps the repeated keys, ``A[xs] ⊙ A[ys]``.  ncnc keeps
+        every key once, coded as ``A[xs] + 2 A[ys]`` codes it: 1 (``N(x)``
+        only), 2 (``N(y)`` only) or 3 (both), and drops the pair's own
+        endpoints.
+        """
+        n, c = self.adj.shape[0], len(pairs)
+        keys, sizes = neighbor_keys(
+            self.adj.indptr, self.adj.indices, pairs.T.ravel(), np.tile(pair_bases(c, n), 2)
+        )
+        code = missing = None
+        if self.mode != "ncnc":
+            keys.sort(kind="stable")
+            keys = keys[1:][keys[1:] == keys[:-1]]
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            repeat = np.zeros(keys.size, dtype=bool)
+            repeat[1:] = keys[1:] == keys[:-1]
+            code = np.where(order < sizes[:c].sum(), np.int8(1), np.int8(2))
+            code[:-1][repeat[1:]] = 3
+            keys, code = keys[~repeat], code[~repeat]
+        pair = keys // n
+        node = keys - pair * n
+        if code is not None:
+            xs, ys = pairs[pair, 0], pairs[pair, 1]
+            keep = (node != xs) & (node != ys)  # endpoints never complete themselves
+            pair, node, code, xs, ys = pair[keep], node[keep], code[keep], xs[keep], ys[keep]
+            one = code != 3
             # u only near x (code 1) misses (y, u); u only near y (code 2) misses (x, u)
-            r = rows[one_sided]
-            anchor = np.where(code_of[one_sided] == 1.0, ys[r], xs[r])
-            missing = np.column_stack([anchor, nodes[one_sided]])
-            weights[one_sided] = np.asarray(self.completion_scorer(missing))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=xs.size))])
-        return sp.csr_matrix((weights, nodes, indptr), shape=code.shape)
+            anchor = np.where(code[one] == 1, ys[one], xs[one])
+            missing = np.column_stack([anchor, node[one]])
+        size = np.bincount(pair, minlength=c)
+        return size, node.astype(self.adj.indices.dtype, copy=False), code, missing
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +649,17 @@ def train(
     patience_left = config.patience
     log: list[dict] = []
 
+    # Each epoch's validation forward is the next epoch's training forward:
+    # both see the parameters after the step, so one propagation serves both.
+    fwd = propagate(params, builder.sym, builder.x)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         negatives = sample_negatives(
             g_train, len(positives), (config.seed, STREAM_TRAIN_NEG, epoch)
         )
-        neg_batch = builder.build(negatives, np.zeros(len(negatives)))
-        batch = _concat_batches(pos_batch, neg_batch)
-
-        loss, grads = loss_and_grads(params, batch)
+        batch = _concat_batches(pos_batch, builder.build(negatives, np.zeros(len(negatives))))
+        loss, grads = loss_and_grads(params, batch, fwd)
+        del negatives, batch, fwd
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at epoch {epoch}; try a smaller learning rate"
@@ -503,13 +675,12 @@ def train(
         velocity_bo = config.momentum * velocity_bo - config.lr * float(grads["bo"])
         params.bo = float(params.bo) + velocity_bo
 
-        h = propagate(params, builder.sym, builder.x)["h"]
-        val_pos = predict_batch(params, valid_batch, h)
-        val_neg = predict_batch(params, valid_pool_batch, h)
+        del grads
+        fwd = propagate(params, builder.sym, builder.x)
+        val_pos = predict_batch(params, valid_batch, fwd["h"])
+        val_neg = predict_batch(params, valid_pool_batch, fwd["h"])
         val_mrr = mrr(rank_positive(val_pos, val_neg))
-        # Nothing of this epoch's step or validation lives through the next
-        # epoch's batch build.
-        del grads, negatives, neg_batch, batch, h, val_pos, val_neg
+        del val_pos, val_neg
 
         log.append(
             {
@@ -537,12 +708,18 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
     priors = None
     if a.priors is not None and b.priors is not None:
         priors = np.concatenate([a.priors, b.priors])
+    ia, ib = a.incidence, b.incidence
     return LinkBatch(
         sym=a.sym,
         x=a.x,
         pairs=np.concatenate([a.pairs, b.pairs]),
         targets=np.concatenate([a.targets, b.targets]),
-        incidence=sp.vstack([a.incidence, b.incidence], format="csr"),
+        incidence=_Csr(
+            np.concatenate([ia.indptr, ia.indptr[-1] + ib.indptr[1:]]),
+            np.concatenate([ia.indices, ib.indices]),
+            np.concatenate([ia.data, ib.data]),
+            (ia.shape[0] + ib.shape[0], ia.shape[1]),
+        ),
         priors=priors,
     )
 

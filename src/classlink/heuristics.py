@@ -63,7 +63,7 @@ import numpy as np
 
 from .config import STRUCTURAL, GammaDecayConfig, check_hc_base
 from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
-from .graph import Graph, Scorer, chunked_scorer
+from .graph import Graph, Scorer, chunked_scorer, neighbor_keys, pair_bases
 from .priors import ClassPriorMatrix, lookup_prior_batch
 
 
@@ -105,28 +105,6 @@ equal keys merge.  It bounds the memory of clique-heavy neighbourhoods, and
 runs this small sort in cache."""
 
 
-def _pair_bases(c: int, n: int) -> np.ndarray:
-    """``i · n`` for chunk pairs ``i < c``: int32 while ``c · n`` fits."""
-    key = np.int32 if c * n <= np.iinfo(np.int32).max else np.int64
-    return np.arange(0, c * n, n, dtype=key)
-
-
-def _neighbor_keys(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ``bases[j] + u`` of the neighbours ``u`` of ``nodes[j]``, row
-    after row, in the dtype of ``bases``, and the row sizes.  Each row's keys
-    ascend, as its CSR row does."""
-    starts = indptr[nodes]
-    sizes = indptr[nodes + 1] - starts
-    ends = np.cumsum(sizes)
-    at = np.repeat(starts - (ends - sizes), sizes)  # entry of row j's t-th key, minus t
-    at += np.arange(at.size, dtype=at.dtype)
-    keys = indices[at].astype(bases.dtype, copy=False)
-    keys += np.repeat(bases, sizes)
-    return keys, sizes
-
-
 def _common_neighbor_sum(
     indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
@@ -137,8 +115,8 @@ def _common_neighbor_sum(
     common neighbours, and sorting puts them next to each other.
     """
     n, c = indptr.size - 1, len(pairs)
-    bases = _pair_bases(c, n)
-    keys, _ = _neighbor_keys(indptr, indices, pairs.T.ravel(), np.tile(bases, 2))
+    bases = pair_bases(c, n)
+    keys, _ = neighbor_keys(indptr, indices, pairs.T.ravel(), np.tile(bases, 2))
     keys.sort()
     common = keys[1:][keys[1:] == keys[:-1]]
     pair = common // n
@@ -155,7 +133,7 @@ def _next_power(indptr: np.ndarray, indices: np.ndarray, n: int, block: _Block) 
     over its node's neighbours, sorted and run-length counted."""
     keys, counts = block
     nodes = keys % n
-    listed, sizes = _neighbor_keys(indptr, indices, nodes, keys - nodes)
+    listed, sizes = neighbor_keys(indptr, indices, nodes, keys - nodes)
     if counts is None:
         listed.sort()
     else:
@@ -199,13 +177,13 @@ def _katz_run(
 ) -> np.ndarray:
     """``Σ_l γ^l walks_l`` of one run of pairs, from its row blocks."""
     n, c = indptr.size - 1, len(pairs)
-    bases = _pair_bases(c, n)
+    bases = pair_bases(c, n)
 
     def powers(nodes: np.ndarray, top: int) -> list[_Block]:
         """``[A^0[nodes], ..., A^top[nodes]]``"""
         blocks: list[_Block] = [(bases + nodes.astype(bases.dtype), None)]
         if top >= 1:
-            blocks.append((_neighbor_keys(indptr, indices, nodes, bases)[0], None))
+            blocks.append((neighbor_keys(indptr, indices, nodes, bases)[0], None))
         while len(blocks) <= top:
             blocks.append(_next_power(indptr, indices, n, blocks[-1]))
         return blocks
@@ -285,8 +263,8 @@ class _ClassKernel:
         """``Z`` per pair; raises for the first pair with a missing label or Z = 0."""
         n, c, n_classes = self.indptr.size - 1, len(pairs), self.prior.n_classes
         xs, ys = pairs[:, 0], pairs[:, 1]
-        bases = _pair_bases(c, n)
-        keys, _ = _neighbor_keys(self.indptr, self.indices, pairs.T.ravel(), np.tile(bases, 2))
+        bases = pair_bases(c, n)
+        keys, _ = neighbor_keys(self.indptr, self.indices, pairs.T.ravel(), np.tile(bases, 2))
         keys.sort()  # the keys of N(x) ∪ N(y), pair by pair
         distinct = np.ones(keys.size, dtype=bool)
         distinct[1:] = keys[1:] != keys[:-1]

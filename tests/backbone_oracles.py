@@ -2,12 +2,14 @@
 
 Each function works on one pair (or, for propagation, on dense matrices) by
 brute force, independently of the sparse link-incidence code in
-``classlink.backbone``; :func:`dense_pass` redoes one forward/backward pass
-with dense matrices and the first layer in its ``(S X) W1`` order;
-:func:`stacked_step` redoes a training step with a freshly allocated head
-and an n-wide ``dH`` scatter per chunk; :func:`gradient_check` compares the
-hand-derived gradients with central finite differences of a forward-only
-loss.
+``classlink.backbone``; :func:`scipy_operator` and :func:`scipy_incidence`
+build the operator and the link incidence from scipy's sparse products,
+whose arrays the backbone's numpy builds must equal; :func:`dense_pass`
+redoes one forward/backward pass with dense matrices and the first layer in
+its ``(S X) W1`` order; :func:`stacked_step` redoes a training step with a
+freshly allocated head and an n-wide ``dH`` scatter per chunk;
+:func:`gradient_check` compares the hand-derived gradients with central
+finite differences of a forward-only loss.
 """
 
 from __future__ import annotations
@@ -33,6 +35,41 @@ from classlink.graph import Graph, pair_chunks
 from classlink.heuristics import Scorer
 
 
+def csr(a) -> sp.csr_matrix:
+    """The scipy CSR matrix over the arrays of one of the backbone's
+    ``(indptr, indices, data, shape)`` tuples."""
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def scipy_operator(g: Graph) -> sp.csr_matrix:
+    """``D̂^-1/2 (A + I) D̂^-1/2`` from scipy's sparse products."""
+    scale = sp.diags(1.0 / np.sqrt(g.degrees().astype(np.float64) + 1.0))
+    return (scale @ (g.adj + sp.identity(g.n_nodes, format="csr")) @ scale).tocsr()
+
+
+def scipy_incidence(
+    g: Graph, pairs: np.ndarray, mode: str, completion: Scorer | None = None
+) -> sp.csr_matrix:
+    """The link incidence from scipy's products: ``A[xs] ⊙ A[ys]``, or in
+    ncnc the coded union ``A[xs] + 2 A[ys]`` without the pair's endpoints,
+    one-sided members weighted by ``completion`` in row-major order."""
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    if mode != "ncnc":
+        return g.adj[xs].multiply(g.adj[ys]).tocsr()
+    code = (g.adj[xs] + 2.0 * g.adj[ys]).tocsr()
+    rows = np.repeat(np.arange(len(xs)), np.diff(code.indptr))
+    keep = (code.indices != xs[rows]) & (code.indices != ys[rows])
+    rows, nodes, codes = rows[keep], code.indices[keep], code.data[keep]
+    weights = np.ones(nodes.size)
+    one_sided = codes != 3.0
+    if one_sided.any():
+        r = rows[one_sided]
+        anchor = np.where(codes[one_sided] == 1.0, ys[r], xs[r])
+        weights[one_sided] = completion(np.column_stack([anchor, nodes[one_sided]]))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(xs)))])
+    return sp.csr_matrix((weights, nodes, indptr), shape=code.shape)
+
+
 def mpnn_forward(g: Graph, features: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Node embeddings ``H = S · relu(S X W1) · W2`` with a dense operator."""
     a_hat = np.eye(g.n_nodes)
@@ -47,13 +84,13 @@ def dense_pass(params: BackboneParams, batch: LinkBatch) -> dict[str, np.ndarray
     """``z1``, ``h`` and the ``W1`` gradient of the batch's mean BCE, with
     every matrix dense and ``S X`` formed first: ``z1 = (S X) W1`` and
     ``dW1 = (S X)ᵀ dZ1``."""
-    s = batch.sym.toarray()
-    sx = s @ batch.x.toarray()
+    s = csr(batch.sym).toarray()
+    sx = s @ csr(batch.x).toarray()
     z1 = sx @ params.w1
     h = s @ np.maximum(z1, 0.0) @ params.w2
 
     xs, ys = batch.pairs[:, 0], batch.pairs[:, 1]
-    incidence = batch.incidence.toarray()
+    incidence = csr(batch.incidence).toarray()
     z = np.concatenate([h[xs] * h[ys], incidence @ h], axis=1)
     if params.use_priors:
         z = np.concatenate([z, batch.priors], axis=1)
@@ -88,13 +125,14 @@ def stacked_step(
     fwd = propagate(params, batch.sym, batch.x)
     h = fwd["h"]
     n, d = h.shape
+    sym, x, incidence = csr(batch.sym), csr(batch.x), csr(batch.incidence)
     m = len(batch.pairs)
     logits, dlogits = np.empty(m), np.empty(m)
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
     for rows in pair_chunks(m, backbone.HEAD_CHUNK):
         xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
-        z = np.concatenate([h[xs] * h[ys], batch.incidence[rows] @ h], axis=1)
+        z = np.concatenate([h[xs] * h[ys], incidence[rows] @ h], axis=1)
         if params.use_priors:
             z = np.concatenate([z, batch.priors[rows]], axis=1)
         pre_h = z @ params.wh + params.bh
@@ -109,15 +147,15 @@ def stacked_step(
         dz = dpre_h @ params.wh.T
         de1, de2 = dz[:, :d], dz[:, d : 2 * d]
         scatter = sp.vstack(
-            [_indicator_rows(xs, n), _indicator_rows(ys, n), batch.incidence[rows]],
+            [_indicator_rows(xs, n), _indicator_rows(ys, n), incidence[rows]],
             format="csr",
         )
         dh += scatter.T @ np.concatenate([de1 * h[ys], de1 * h[xs], de2])
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
-    dz1 = (batch.sym @ (dh @ params.w2.T)) * (fwd["z1"] > 0.0)
+    dz1 = (sym @ (dh @ params.w2.T)) * (fwd["z1"] > 0.0)
     grads = {
-        "w1": batch.x.T @ (batch.sym @ dz1),
+        "w1": x.T @ (sym @ dz1),
         "w2": fwd["q"].T @ dh,
         "wh": dwh,
         "bh": dbh,

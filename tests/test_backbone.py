@@ -22,6 +22,8 @@ from classlink.backbone import (
     BatchBuilder,
     TrainConfig,
     TrainedModel,
+    _Csr,
+    _row_product,
     _sigmoid,
     init_params,
     load_checkpoint,
@@ -41,6 +43,7 @@ from classlink.priors import count_class_links, lookup_prior_batch
 from backbone_oracles import (
     cnc_probability,
     common_neighbor_set,
+    csr,
     dense_pass,
     fuse_and_predict,
     gradient_check,
@@ -48,6 +51,8 @@ from backbone_oracles import (
     ncn_embed,
     ncnc_embed,
     predict,
+    scipy_incidence,
+    scipy_operator,
     stacked_step,
 )
 from conftest import planted_two_class, random_edges
@@ -183,7 +188,7 @@ class TestPropagation:
                 return predict(frozen, frozen_builder.build(pairs))
 
         builder = BatchBuilder.create(g, mode, prior, labels, completion)
-        assert builder.x is g.features
+        assert builder.x.data is g.feature_data and builder.x.indices is g.feature_indices
         rng = np.random.default_rng(1214)
         raw = rng.integers(0, g.n_nodes, size=(20, 2))
         pairs = raw[raw[:, 0] != raw[:, 1]]
@@ -201,7 +206,7 @@ class TestPropagation:
         assert not got["w1"][6].any()
 
     def test_operator_row_behavior(self, path3):
-        s = normalized_operator(path3).toarray()
+        s = csr(normalized_operator(path3)).toarray()
         np.testing.assert_allclose(s, s.T, atol=1e-15)
         # eigenvalues of the normalized operator lie in [-1, 1]
         eig = np.linalg.eigvalsh(s)
@@ -216,6 +221,62 @@ class TestPropagation:
             propagate(params, builder.sym, builder.x)
         with pytest.raises(DimensionError):
             with_features(path3, np.ones((4, 3)))
+
+
+class TestNumpyForward:
+    """The forward pass's numpy builds and products against scipy's, bit for
+    bit."""
+
+    def test_operator_arrays_equal_scipys(self):
+        """On graphs with isolated nodes, and on one with no edge at all."""
+        graphs = [incidence_instance(seed, n=30, n_isolated=5)[0] for seed in range(6)]
+        graphs.append(build_graph(5, np.zeros((0, 2), dtype=np.int64), features=np.ones((5, 2))))
+        for g in graphs:
+            got, want = normalized_operator(g), scipy_operator(g)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @staticmethod
+    def random_rows(rng, sizes, width):
+        """CSR arrays with the given row sizes: unsorted columns, repeats
+        allowed, weights with ``-0.0`` and ``0.0`` among them, and rows of
+        ``-0.0`` terms only."""
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        indices = rng.integers(0, width, size=indptr[-1])
+        data = rng.standard_normal(indices.size)
+        data[rng.random(indices.size) < 0.05] = -0.0
+        data[rng.random(indices.size) < 0.05] = 0.0
+        return indptr, indices.astype(np.int32), data
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_row_product_equals_scipys(self, d):
+        """Empty rows, more rows than a block, a row with more entries than
+        a block has rows, weights other than 1 and ``-0.0`` terms: the
+        product of every block keeps the bits of scipy's ``csr @ dense``,
+        into a fresh array and into a strided view; no rows give none."""
+        rng = np.random.default_rng(1231)
+        block = backbone._ROW_BLOCK
+        sizes = rng.integers(0, 6, size=2 * block + 300)
+        sizes[[0, 7, block]] = 0
+        sizes[block + 5] = block + 300
+        width = 400
+        indptr, indices, data = self.random_rows(rng, sizes, width)
+        data[indptr[9] : indptr[10]] = -0.0  # a row of -0.0 terms only
+        dense = rng.standard_normal((width, d))
+        dense[rng.random(width) < 0.1] = -0.0
+        for values in (data, np.ones(data.size)):
+            want = sp.csr_matrix((values, indices, indptr), shape=(sizes.size, width)) @ dense
+            a = _Csr(indptr, indices, values, (sizes.size, width))
+            assert _row_product(a, dense).tobytes() == want.tobytes()
+            wide = np.full((sizes.size, 3 * d), np.nan)
+            _row_product(a, dense, out=wide[:, d : 2 * d])
+            assert np.ascontiguousarray(wide[:, d : 2 * d]).tobytes() == want.tobytes()
+            assert np.isnan(wide[:, :d]).all() and np.isnan(wide[:, 2 * d :]).all()
+        none = _Csr(np.zeros(1, dtype=np.int64), indices[:0], data[:0], (0, width))
+        assert _row_product(none, dense).shape == (0, d)
 
 
 class TestGradients:
@@ -274,9 +335,9 @@ class TestGradients:
         ragged_chunks(m)
         head, calls = backbone._head, []
 
-        def counting(params, batch, rows, h):
+        def counting(params, batch, rows, h, *product):
             calls.append(rows)
-            return head(params, batch, rows, h)
+            return head(params, batch, rows, h, *product)
 
         monkeypatch.setattr(backbone, "_head", counting)
         loss_and_grads(params, batch)
@@ -396,7 +457,7 @@ class TestLinkIncidence:
             builder = BatchBuilder.create(
                 g, "ncnc", None, None, completion_scorer=fixed_scorer
             )
-            inc = builder.build(pairs).incidence
+            inc = csr(builder.build(pairs).incidence)
             assert inc.has_sorted_indices
             expect = np.zeros((len(pairs), g.n_nodes))
             for i, (x, y) in enumerate(pairs.tolist()):
@@ -406,7 +467,37 @@ class TestLinkIncidence:
             np.testing.assert_array_equal(inc.toarray() != 0, expect != 0)
             np.testing.assert_array_equal(inc.toarray(), expect)
 
-    def test_ncnc_requests_missing_links_in_pair_then_node_order(self):
+    @pytest.mark.parametrize("build_chunk", [None, 7])
+    @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
+    def test_incidence_arrays_equal_the_scipy_products(self, monkeypatch, mode, build_chunk):
+        """The numpy incidence has the arrays of ``A[xs] ⊙ A[ys]`` (ncn) and
+        of the weighted union from ``A[xs] + 2 A[ys]`` (ncnc), built with
+        scipy, also when the batch is built in blocks of 7 pairs.  The last
+        instance has 600,000 nodes, so its keys ``i · n + u`` pass 2**31 and
+        are int64 in blocks of the default size."""
+        if build_chunk is not None:
+            monkeypatch.setattr(backbone, "_BUILD_CHUNK", build_chunk)
+        instances = [incidence_instance(seed)[::3] for seed in range(8)]
+        rng = np.random.default_rng(1232)
+        n = 600_000
+        hubs = rng.integers(0, n, size=60)
+        big = build_graph(n, hubs[rng.integers(0, 60, size=(900, 2))], features=np.ones((n, 1)))
+        pairs = np.concatenate(
+            [hubs[rng.integers(0, 60, size=(300, 2))], rng.integers(0, n, size=(4000, 2))]
+        )
+        instances.append((big, pairs))
+        for g, pairs in instances:
+            builder = BatchBuilder.create(g, mode, None, None, completion_scorer=fixed_scorer)
+            got = builder.build(pairs).incidence
+            want = scipy_incidence(g, pairs, mode, fixed_scorer)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_ncnc_requests_missing_links_in_pair_then_node_order(self, monkeypatch):
+        """One scorer call per batch, also when the batch is built in blocks."""
+        monkeypatch.setattr(backbone, "_BUILD_CHUNK", 5)
         g, _, _, pairs = incidence_instance(3)
         calls = []
 
@@ -438,7 +529,7 @@ class TestLinkIncidence:
         builder = BatchBuilder.create(
             g, "ncnc", None, None, completion_scorer=never_called
         )
-        inc = builder.build(np.array([[0, 1], [3, 2]])).incidence
+        inc = csr(builder.build(np.array([[0, 1], [3, 2]])).incidence)
         np.testing.assert_array_equal(inc.toarray(), [[0, 0, 1, 1], [1, 1, 0, 0]])
 
     def test_out_of_range_pairs_rejected(self, path3):
@@ -753,6 +844,58 @@ class TestTraining:
         last = np.mean([row["loss"] for row in log[-3:]])
         assert last < first
 
+    @pytest.mark.parametrize("epochs, patience", [(6, 6), (40, 2)])
+    def test_a_stage_propagates_once_per_epoch_and_once_more(
+        self, monkeypatch, epochs, patience
+    ):
+        """Each epoch's validation forward is the next epoch's training
+        forward, so a stage propagates once before its first epoch and once
+        per epoch, also when early stopping ends it."""
+        g, split = self.setup_planted()
+        calls = []
+        propagate_once = backbone.propagate
+        monkeypatch.setattr(
+            backbone, "propagate", lambda *args: calls.append(1) or propagate_once(*args)
+        )
+        config = replace(quick_config(epochs=epochs), patience=patience)
+        _, log = train(g, split, train_prior(g, split), g.labels, "ncn", config)
+        assert len(calls) == len(log) + 1
+        if patience < epochs:
+            assert len(log) < epochs
+
+    def test_ncnc_propagates_for_both_stages_and_the_completion_scorer(self, monkeypatch):
+        g, split = self.setup_planted()
+        calls = []
+        propagate_once = backbone.propagate
+        monkeypatch.setattr(
+            backbone, "propagate", lambda *args: calls.append(1) or propagate_once(*args)
+        )
+        config = replace(quick_config(epochs=4), patience=4)
+        train(g, split, train_prior(g, split), g.labels, "ncnc", config)
+        assert len(calls) == 2 * (4 + 1) + 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_shared_forward_keeps_every_bit(self, monkeypatch, tmp_path, mode):
+        """Training that hands each validation forward on to the next step
+        writes the checkpoint and training log bytes of training that
+        propagates afresh for every step."""
+        g, split = self.setup_planted()
+        prior = train_prior(g, split) if mode != "backbone_only" else None
+        labels = g.labels if mode != "backbone_only" else None
+
+        def written(name):
+            model, log = train(g, split, prior, labels, mode, quick_config(epochs=6))
+            save_checkpoint(model, tmp_path / f"{name}.json")
+            save_training_log(log, tmp_path / f"{name}.csv")
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")]
+
+        shared = written("shared")
+        step = backbone.loss_and_grads
+        monkeypatch.setattr(
+            backbone, "loss_and_grads", lambda params, batch, fwd=None: step(params, batch)
+        )
+        assert written("afresh") == shared
+
     def test_deterministic(self):
         g, split = self.setup_planted()
         prior = train_prior(g, split)
@@ -855,8 +998,9 @@ class TestTraining:
 
     def test_epoch_intermediates_do_not_outlive_their_epoch(self):
         """Peak memory of ncnc training does not grow with the epoch count:
-        one epoch's forward cache and gradients are gone before the next
-        epoch builds its negative batch."""
+        one epoch's batch and gradients are gone before the next epoch
+        builds its negative batch, and of its forward pass only the one
+        that the next step reuses is kept."""
         rng = np.random.default_rng(1218)
         n = 200
         g = build_graph(

@@ -692,31 +692,32 @@ class TestLazyLayers:
         assert "scipy.sparse" in seen["cluster"]
 
     @pytest.mark.parametrize(
-        "extra, loads_scipy",
+        "extra",
         [
-            ({"label_source": "louvain", "scorer": "hc", "hc_base": "ra"}, False),
-            ({"scorer": "ra"}, False),
-            ({"label_source": "louvain", "scorer": "hc", "hc_base": "katz"}, False),
-            ({"scorer": "katz"}, False),
-            ({}, True),
+            {"label_source": "louvain", "scorer": "hc", "hc_base": "ra"},
+            {"scorer": "ra"},
+            {"label_source": "louvain", "scorer": "hc", "hc_base": "katz"},
+            {"scorer": "katz"},
+            {},
+            {"mode": "ncnc"},
+            {"mode": "backbone_only"},
         ],
-        ids=["hc-over-ra", "ra", "hc-over-katz", "katz", "model"],
+        ids=["hc-over-ra", "ra", "hc-over-katz", "katz", "model", "ncnc", "backbone_only"],
     )
-    def test_warm_evaluate_loads_scipy_only_to_multiply(self, dataset, extra, loads_scipy):
+    def test_warm_evaluate_loads_scipy_only_to_multiply(self, dataset, extra):
         """After a cold ``run-all``, ``evaluate`` in a fresh interpreter reads
-        its artifacts and scores with any heuristic (CN/AA/RA, Katz, or ``hc``
-        over them) on numpy alone; the model scorer, which multiplies
-        matrices, loads scipy."""
+        its artifacts and scores on numpy alone: with any heuristic (CN/AA/RA,
+        Katz, or ``hc`` over them), and with the model scorer in every mode
+        (``ncn`` is the default), whose forward pass multiplies on the
+        graph's CSR arrays.  Only ``train``'s backward multiplies with
+        scipy."""
         tmp, _ = dataset
         cfg = write_config(
             tmp / "t.yaml", tmp / "data", tmp / "out", per_edge_negatives=5, **extra
         )
         assert main(["run-all", "--config", str(cfg)]) == 0
         seen = scipy_modules_seen(cfg, ("evaluate",))
-        assert seen["import"] == []
-        assert ("scipy.sparse" in seen["evaluate"]) == loads_scipy
-        if not loads_scipy:
-            assert seen["evaluate"] == []
+        assert seen == {"import": [], "evaluate": []}
 
 
 class TestNonFiniteFeatures:

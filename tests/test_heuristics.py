@@ -562,9 +562,9 @@ class TestKatzBits:
             [hubs[rng.integers(0, 60, size=(300, 2))], rng.integers(0, n, size=(5000, 2))]
         )
         dtypes = set()
-        bases = heuristics._pair_bases
+        bases = heuristics.pair_bases
         monkeypatch.setattr(
-            heuristics, "_pair_bases", lambda c, n: dtypes.add(bases(c, n).dtype) or bases(c, n)
+            heuristics, "pair_bases", lambda c, n: dtypes.add(bases(c, n).dtype) or bases(c, n)
         )
         self.assert_same_bits(g, pairs, lengths=(1, 2, 4, 5))
         assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}

@@ -472,12 +472,16 @@ class TestLinkIncidence:
     def test_incidence_arrays_equal_the_scipy_products(self, monkeypatch, mode, build_chunk):
         """The numpy incidence has the arrays of ``A[xs] ⊙ A[ys]`` (ncn) and
         of the weighted union from ``A[xs] + 2 A[ys]`` (ncnc), built with
-        scipy, also when the batch is built in blocks of 7 pairs.  The last
+        scipy, also for a self pair and when the batch is built in blocks of
+        7 pairs.  The last
         instance has 600,000 nodes, so its keys ``i · n + u`` pass 2**31 and
         are int64 in blocks of the default size."""
         if build_chunk is not None:
             monkeypatch.setattr(backbone, "_BUILD_CHUNK", build_chunk)
-        instances = [incidence_instance(seed)[::3] for seed in range(8)]
+        instances = [
+            (g, np.concatenate([pairs, [[2, 2]]]))  # a self pair: both sides are one row
+            for g, pairs in (incidence_instance(seed)[::3] for seed in range(8))
+        ]
         rng = np.random.default_rng(1232)
         n = 600_000
         hubs = rng.integers(0, n, size=60)

@@ -21,8 +21,8 @@ goes stale.
 Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,
 ``artifacts``, ``errors`` and ``rand``.  The layers load scipy only to
-multiply a sparse matrix: k-means ``cluster`` and ``train``, whose backward
-pass multiplies with scipy.  ``ingest``, ``split``, Louvain and mono
+multiply a sparse matrix: k-means ``cluster`` and ``train``, whose training
+steps multiply with scipy.  ``ingest``, ``split``, Louvain and mono
 ``cluster``, ``prior``, ``heatmap`` and every ``evaluate``, with the model
 scorer (its forward pass runs on the graph's CSR arrays) or a heuristic
 (CN/AA/RA, Katz, or ``hc`` over them), drawing its per-edge pools or reading

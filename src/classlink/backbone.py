@@ -47,11 +47,9 @@ key is a common neighbour and a single one codes its side.  Propagation's
 products ``X W1`` and ``S ·`` and a prediction's ``M h`` go through one row
 kernel (:func:`_row_product`) that adds each row's terms in stored order
 to a zeroed row, the float sequence of scipy's CSR product, so every bit
-is scipy's.  Only a training step multiplies with scipy, imported in
-:func:`loss_and_grads` and :func:`_head_grads`: its backward (``S dq``,
-``Xᵀ (S dZ1)`` and the ``dH`` scatter), and its head's ``M h``, for which
-scipy takes a third to a fifth of the kernel's time.  So training loads
-scipy, and a scorer never does.
+is scipy's.  Only the backward multiplies with scipy, imported in
+:func:`loss_and_grads` and :func:`_head_grads`: ``S dq``, ``Xᵀ (S dZ1)``
+and the ``dH`` scatter.  So training loads scipy, and a scorer never does.
 
 The edge head runs over :func:`~classlink.graph.pair_chunks` of
 ``HEAD_CHUNK`` pairs.  A training step (:func:`loss_and_grads`) runs the
@@ -74,7 +72,6 @@ all n columns.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -322,33 +319,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _scipy_product(a: _Csr, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ dense`` by scipy, into ``out``: the bits of :func:`_row_product`
-    at a fraction of its cost, for the code that loads scipy anyway."""
-    out[...] = _scipy(a) @ dense
-    return out
-
-
 def _head(
     params: BackboneParams,
     batch: LinkBatch,
     rows: slice,
     h: np.ndarray,
-    product: Callable[[_Csr, np.ndarray, np.ndarray], np.ndarray] = _row_product,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fusion input ``z``, hidden activations and logits of the pairs in
     ``rows``, on precomputed node embeddings.
 
     ``z`` is filled in place, block by block, and bias and ReLU are applied
-    in place, so the chunk allocates each of its arrays once.  ``product``
-    writes the chunk's aggregation ``M h`` (:func:`_row_product`, or
-    :func:`_scipy_product` in a training step).
+    in place, so the chunk allocates each of its arrays once.
     """
     xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
     d = h.shape[1]
     z = np.empty((len(xs), 2 * d + (N_PRIOR_FEATURES if params.use_priors else 0)))
     np.multiply(h[xs], h[ys], out=z[:, :d])
-    product(_row_slice(batch.incidence, rows), h, z[:, d : 2 * d])
+    _row_product(_row_slice(batch.incidence, rows), h, z[:, d : 2 * d])
     if params.use_priors:
         if batch.priors is None:
             raise ConfigurationError("batch lacks prior features but use_priors is on")
@@ -375,9 +362,8 @@ def _head_grads(
     parameters (``wh``, ``bh``, ``wo``, ``bo``), and ``dH``, its gradient
     w.r.t. the node embeddings.
 
-    Each chunk's head runs once, its ``M h`` by scipy, which the step loads
-    for the scatter anyway, and its share of the gradients comes from that
-    same forward: ``dpre_h`` is written over the activations once
+    Each chunk's head runs once, and its share of the gradients comes from
+    that same forward: ``dpre_h`` is written over the activations once
     ``dwo`` and the ReLU mask are taken, and ``dz`` over ``z`` once ``dwh``
     is formed.  The chunk's ``dH`` terms,
     ``Pxᵀ (dE1 ⊙ H[ys]) + Pyᵀ (dE1 ⊙ H[xs]) + Mᵀ dE2``, are one product over
@@ -395,7 +381,7 @@ def _head_grads(
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
     for rows in pair_chunks(m, HEAD_CHUNK):
-        z, act, logits[rows] = _head(params, batch, rows, h, _scipy_product)
+        z, act, logits[rows] = _head(params, batch, rows, h)
         dl = dlogits[rows]
         dl[:] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
         dwo += act.T @ dl

@@ -335,9 +335,9 @@ class TestGradients:
         ragged_chunks(m)
         head, calls = backbone._head, []
 
-        def counting(params, batch, rows, h, *product):
+        def counting(params, batch, rows, h):
             calls.append(rows)
-            return head(params, batch, rows, h, *product)
+            return head(params, batch, rows, h)
 
         monkeypatch.setattr(backbone, "_head", counting)
         loss_and_grads(params, batch)

@@ -198,7 +198,7 @@ class _Csr(NamedTuple):
 
 
 def _scipy(a: _Csr) -> sp.csr_matrix:
-    """The scipy CSR matrix over ``a``'s arrays, for a training step."""
+    """The scipy CSR matrix over ``a``'s arrays, for the backward."""
     import scipy.sparse as sp
 
     return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)

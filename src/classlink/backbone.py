@@ -37,19 +37,24 @@ separate from the edge head, so a frozen model propagates once:
 the validation forward after a step has the parameters of the next step,
 which reuses it, so a stage propagates ``epochs + 1`` times.
 
-The forward pass runs on numpy.  ``S``, ``X`` and each incidence ``M`` are
-:class:`_Csr` tuples of CSR arrays under scipy's field names, built from
-the graph's arrays: ``S`` by one sort of the keys ``i · n + j`` of its
+Forward and backward run on numpy.  ``S``, ``X`` and each incidence ``M``
+are :class:`_Csr` tuples of CSR arrays under scipy's field names, built
+from the graph's arrays: ``S`` by one sort of the keys ``i · n + j`` of its
 entries, diagonal included; ``M`` from the keys ``i · n + u`` of the
 neighbours of pair ``i``'s two endpoints
 (:func:`~classlink.graph.neighbor_keys`), where after one merge a repeated
-key is a common neighbour and a single one codes its side.  Propagation's
-products ``X W1`` and ``S ·`` and a prediction's ``M h`` go through one row
-kernel (:func:`_row_product`) that adds each row's terms in stored order
-to a zeroed row, the float sequence of scipy's CSR product, so every bit
-is scipy's.  Only the backward multiplies with scipy, imported in
-:func:`loss_and_grads` and :func:`_head_grads`: ``S dq``, ``Xᵀ (S dZ1)``
-and the ``dH`` scatter.  So training loads scipy, and a scorer never does.
+key is a common neighbour and a single one codes its side.  Every sparse
+product goes through one row kernel (:func:`_row_sums`, in row blocks by
+:func:`_row_product`) that adds each row's terms in stored order to a
+zeroed row, the float sequence of scipy's CSR product, so every bit is
+scipy's: propagation's ``X W1`` and ``S ·``, each ``M h``, and the
+backward's ``S dq``, ``S dZ1`` (``S`` is symmetric) and ``Xᵀ (S dZ1)``.
+The rows of a transpose come from one sort of the entries by column that
+keeps each column's rows ascending (:func:`_transpose`), the order in which
+scipy's product with a transpose adds them: ``Xᵀ`` once per
+:class:`BatchBuilder` that trains (a scorer's never makes it), and each
+head chunk's ``dH`` scatter from its stacked node ids.  So ``backbone``
+imports scipy nowhere, and neither training nor a scorer loads it.
 
 The edge head runs over :func:`~classlink.graph.pair_chunks` of
 ``HEAD_CHUNK`` pairs.  A training step (:func:`loss_and_grads`) runs the
@@ -71,10 +76,12 @@ all n columns.
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,9 +102,6 @@ from .graph import (
 )
 from .priors import ClassPriorMatrix, lookup_prior_batch
 from .rand import STREAM_INIT, STREAM_TRAIN_NEG, derive_seed, make_rng
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 N_PRIOR_FEATURES = 2  # (P(c_y|c_x), P(c_x|c_y)) appended to the embedding
 
@@ -197,13 +201,6 @@ class _Csr(NamedTuple):
     shape: tuple[int, int]
 
 
-def _scipy(a: _Csr) -> sp.csr_matrix:
-    """The scipy CSR matrix over ``a``'s arrays, for the backward."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-
-
 def _row_slice(a: _Csr, rows: slice) -> _Csr:
     """Rows ``rows`` of ``a``: views of its entries, row starts from 0."""
     indptr = a.indptr[rows.start : rows.stop + 1]
@@ -211,46 +208,80 @@ def _row_slice(a: _Csr, rows: slice) -> _Csr:
     return _Csr(indptr - lo, a.indices[lo:hi], a.data[lo:hi], (indptr.size - 1, a.shape[1]))
 
 
-def _row_product(a: _Csr, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ dense`` with the bits of scipy's CSR product, into ``out``.
+def _row_sums(a: _Csr, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sums)``: the rows of ``a``, longest first, and the rows of
+    ``a @ dense`` at its non-empty rows in that order, with the bits of
+    scipy's CSR product.
 
     scipy adds each row's terms ``a[i, j] · dense[j]`` in stored order into
-    a zeroed row.  Here rows go in blocks of ``_ROW_BLOCK``, longest first,
-    so step ``k`` adds the ``k``-th term of every row that has one, a prefix
-    of the block.  The first step adds its terms to 0.0 in place, which
-    turns a ``-0.0`` term into ``0.0`` as scipy's zeroed row does, and an
-    empty row is 0.0.  The multiply is skipped where every stored value
-    is 1.
+    a zeroed row.  Here step ``k`` adds the ``k``-th term of every row that
+    has one, a prefix of the rows in this order.  The first step adds its
+    terms to 0.0 in place, which turns a ``-0.0`` term into ``0.0`` as
+    scipy's zeroed row does.  The multiply is skipped where every stored
+    value is 1.  A call makes a few numpy calls per step, however many rows
+    it sums.
     """
-    rows, d = a.shape[0], dense.shape[1]
-    if out is None:
-        out = np.empty((rows, d))
+    starts = a.indptr[:-1]
+    sizes = a.indptr[1:] - starts
+    order = np.argsort(-sizes, kind="stable")
+    starts, shorter = starts[order], -sizes[order]  # ascending
+    steps = np.searchsorted(shorter, -np.arange(sizes.max(initial=0)), "left").tolist()
+    sums = np.empty((steps[0] if steps else 0, dense.shape[1]))
+    terms = np.empty((steps[1] if len(steps) > 1 else 0, dense.shape[1]))
     unit = bool((a.data == 1.0).all())
-    acc = np.empty((min(rows, _ROW_BLOCK), d))
-    terms = np.empty_like(acc)
+    for k, active in enumerate(steps):
+        at = starts[:active] + k
+        step = terms[:active] if k else sums
+        np.take(dense, a.indices[at], axis=0, out=step, mode="clip")
+        if not unit:
+            step *= a.data[at, None]
+        if k:
+            sums[:active] += step
+        else:
+            sums += 0.0
+    return order, sums
+
+
+def _row_product(a: _Csr, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ dense`` with the bits of scipy's CSR product, into ``out``: the
+    row sums (:func:`_row_sums`) of blocks of ``_ROW_BLOCK`` rows, so a
+    block's sums and gathered terms stay in cache.  An empty row is 0.0."""
+    rows = a.shape[0]
+    if out is None:
+        out = np.empty((rows, dense.shape[1]))
     for lo in range(0, rows, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, rows)
-        starts = a.indptr[lo:hi]
-        sizes = a.indptr[lo + 1 : hi + 1] - starts
-        order = np.argsort(-sizes, kind="stable")
-        starts, shorter = starts[order], -sizes[order]  # ascending
+        order, sums = _row_sums(_row_slice(a, slice(lo, min(lo + _ROW_BLOCK, rows))), dense)
         order += lo
-        steps = np.searchsorted(shorter, -np.arange(-shorter[0]), "left").tolist()
-        filled = steps[0] if steps else 0
-        out[order[filled:]] = 0.0
-        block = acc[:filled]
-        for k, active in enumerate(steps):
-            at = starts[:active] + k
-            step = terms[:active] if k else block
-            np.take(dense, a.indices[at], axis=0, out=step, mode="clip")
-            if not unit:
-                step *= a.data[at, None]
-            if k:
-                block[:active] += step
-            else:
-                block += 0.0
-        out[order[:filled]] = block
+        out[order[len(sums) :]] = 0.0
+        out[order[: len(sums)]] = sums
     return out
+
+
+def _transpose(a: _Csr) -> tuple[np.ndarray, _Csr]:
+    """``(cols, t)``: the columns in which ``a`` stores entries, ascending,
+    and the rows of ``aᵀ`` at those columns.
+
+    One sort of the distinct keys ``j · nnz + e`` of the entries orders
+    them by column and, within a column, as stored, so each row of ``t``
+    lists its terms in ascending row of ``a``: the order in which scipy's
+    product with ``aᵀ`` adds them.
+    """
+    nnz = a.indices.size
+    keys = a.indices.astype(np.int64) * nnz
+    keys += np.arange(nnz)
+    keys.sort()
+    cols, entries = np.divmod(keys, max(nnz, 1))
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    t = _Csr(np.append(starts, nnz), rows[entries], a.data[entries], (starts.size, a.shape[0]))
+    return cols[starts], t
+
+
+def _feature_transpose(x: _Csr) -> _Csr:
+    """``Xᵀ`` with a row for every feature: one that no node has is empty."""
+    features, t = _transpose(x)
+    indptr = t.indptr[np.searchsorted(features, np.arange(x.shape[1] + 1))]
+    return _Csr(indptr, t.indices, t.data, (x.shape[1], x.shape[0]))
 
 
 def normalized_operator(g: Graph) -> _Csr:
@@ -298,6 +329,7 @@ class LinkBatch:
 
     sym: _Csr  # (n, n) normalized operator over training edges
     x: _Csr  # (n, F) the training graph's CSR feature arrays, not a copy
+    xt: Callable[[], _Csr]  # the builder's Xᵀ, for W1's gradient
     pairs: np.ndarray  # (m, 2)
     targets: np.ndarray  # (m,) in {0, 1}
     incidence: _Csr  # (m, n): weight of node u in pair i's aggregation
@@ -355,6 +387,31 @@ def predict_batch(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np
     return np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
 
 
+def _node_sums(
+    xs: np.ndarray, ys: np.ndarray, incidence: _Csr, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(nodes, sums)``: the nodes that a chunk's stacked rows
+    ``[Px; Py; M]`` touch, for its pairs ``(xs, ys)`` and incidence ``M``,
+    and their rows of ``[Px; Py; M]ᵀ vals``, with the bits of scipy's
+    product.
+
+    One sort of the stacked node ids (:func:`_transpose`) gives the touched
+    nodes and each one's terms in ascending stacked row, which
+    :func:`_row_sums` adds in that order.  Nothing n-sized is allocated.
+    """
+    c = len(xs)
+    nodes, by_node = _transpose(
+        _Csr(
+            np.concatenate([np.arange(2 * c), 2 * c + incidence.indptr]),
+            np.concatenate([xs, ys, incidence.indices]),
+            np.concatenate([np.ones(2 * c), incidence.data]),
+            (3 * c, incidence.shape[1]),
+        )
+    )
+    order, sums = _row_sums(by_node, vals)
+    return nodes[order], sums
+
+
 def _head_grads(
     params: BackboneParams, batch: LinkBatch, h: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray | float], np.ndarray]:
@@ -373,8 +430,6 @@ def _head_grads(
     one gather at a time takes half the memory of the pair that the
     forward would have to keep alive.
     """
-    import scipy.sparse as sp
-
     d = h.shape[1]
     m = len(batch.pairs)
     logits, dlogits = np.empty(m), np.empty(m)
@@ -395,28 +450,14 @@ def _head_grads(
         de1 = dz[:, :d]
         de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
 
-        # Columns of the stacked rows are renumbered to the touched nodes in
-        # node order, so each node's terms are summed in the same order as
-        # over all n columns.
         xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
         c = len(xs)
-        inc = _row_slice(batch.incidence, rows)
-        nodes = np.concatenate([xs, ys, inc.indices])
-        touched = np.unique(nodes)
-        scatter = sp.csr_matrix(
-            (
-                np.concatenate([np.ones(2 * c), inc.data]),
-                np.searchsorted(touched, nodes),
-                np.concatenate([np.arange(2 * c), 2 * c + inc.indptr]),
-            ),
-            shape=(3 * c, touched.size),
-        )
-        del nodes, inc
         vals = np.empty((3 * c, d))
         np.multiply(de1, h[ys], out=vals[:c])
         np.multiply(de1, h[xs], out=vals[c : 2 * c])
         vals[2 * c :] = de2
-        dh[touched] += scatter.T @ vals
+        nodes, sums = _node_sums(xs, ys, _row_slice(batch.incidence, rows), vals)
+        dh[nodes] += sums
     return logits, {"wh": dwh, "bh": dbh, "wo": dwo, "bo": float(dlogits.sum())}, dh
 
 
@@ -425,7 +466,7 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray | float]]:
     """Mean BCE over the batch and its hand-derived gradient w.r.t. every
     parameter: the head's chunk loop (:func:`_head_grads`), then one
-    backpropagation of ``dH`` through propagation, on scipy's products.
+    backpropagation of ``dH`` through propagation, on the row kernel.
     ``fwd`` is :func:`propagate`'s output for ``params``, when the caller
     has it already."""
     if fwd is None:
@@ -434,12 +475,10 @@ def loss_and_grads(
     # BCE in softplus form: softplus(logit) - target * logit
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
-    sym = _scipy(batch.sym)
     dw2 = fwd["q"].T @ dh
-    dq = dh @ params.w2.T
-    dh1 = sym @ dq  # sym is symmetric, so S^T = S
-    dz1 = dh1 * (fwd["z1"] > 0.0)
-    dw1 = _scipy(batch.x).T @ (sym @ dz1)
+    dz1 = _row_product(batch.sym, dh @ params.w2.T)  # S is symmetric, so Sᵀ = S
+    dz1 *= fwd["z1"] > 0.0
+    dw1 = _row_product(batch.xt(), _row_product(batch.sym, dz1))
     return loss, {"w1": dw1, "w2": dw2, **head_grads}
 
 
@@ -455,6 +494,7 @@ class BatchBuilder:
     adj: _Csr  # (n, n) 0/1 adjacency over training edges
     sym: _Csr
     x: _Csr  # (n, F) the training graph's CSR feature arrays, not a copy
+    xt: Callable[[], _Csr]  # (F, n) Xᵀ, made on the first call and kept
     mode: str
     prior: ClassPriorMatrix | None
     labels: np.ndarray | None
@@ -475,10 +515,12 @@ class BatchBuilder:
         if g_train.n_features == 0:
             raise ConfigurationError("backbone needs node features")
         g, n = g_train, g_train.n_nodes
+        x = _Csr(g.feature_indptr, g.feature_indices, g.feature_data, (n, g.n_features))
         return cls(
             adj=_Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)),
             sym=normalized_operator(g),
-            x=_Csr(g.feature_indptr, g.feature_indices, g.feature_data, (n, g.n_features)),
+            x=x,
+            xt=functools.cache(functools.partial(_feature_transpose, x)),
             mode=mode,
             prior=prior,
             labels=labels,
@@ -496,6 +538,7 @@ class BatchBuilder:
         return LinkBatch(
             sym=self.sym,
             x=self.x,
+            xt=self.xt,
             pairs=pairs,
             targets=np.asarray(targets, dtype=np.float64),
             incidence=incidence,
@@ -621,6 +664,9 @@ def train(
         completion_scorer = make_scorer(stage1_model, g_train, prior, labels)
 
     builder = BatchBuilder.create(g_train, mode, prior, labels, completion_scorer)
+    # Xᵀ lives as long as the builder, so it is made before the batches and
+    # the steps' transient arrays rather than among them on the heap.
+    builder.xt()
     params = init_params(g.n_features, config, use_priors)
 
     positives = split.train_edges
@@ -698,6 +744,7 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
     return LinkBatch(
         sym=a.sym,
         x=a.x,
+        xt=a.xt,
         pairs=np.concatenate([a.pairs, b.pairs]),
         targets=np.concatenate([a.targets, b.targets]),
         incidence=_Csr(

@@ -4,7 +4,9 @@ Each function works on one pair (or, for propagation, on dense matrices) by
 brute force, independently of the sparse link-incidence code in
 ``classlink.backbone``; :func:`scipy_operator` and :func:`scipy_incidence`
 build the operator and the link incidence from scipy's sparse products,
-whose arrays the backbone's numpy builds must equal; :func:`dense_pass`
+whose arrays the backbone's numpy builds must equal, and
+:func:`scipy_node_sums` is a head chunk's ``dH`` scatter as scipy's
+transposed product, whose bits the backbone's must equal; :func:`dense_pass`
 redoes one forward/backward pass with dense matrices and the first layer in
 its ``(S X) W1`` order; :func:`stacked_step` redoes a training step with a
 freshly allocated head and an n-wide ``dH`` scatter per chunk;
@@ -68,6 +70,26 @@ def scipy_incidence(
         weights[one_sided] = completion(np.column_stack([anchor, nodes[one_sided]]))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(xs)))])
     return sp.csr_matrix((weights, nodes, indptr), shape=code.shape)
+
+
+def scipy_node_sums(
+    xs: np.ndarray, ys: np.ndarray, incidence, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes that the stacked rows ``[Px; Py; M]`` touch, ascending
+    (``np.unique``), and ``scatter.T @ vals`` with ``scatter`` the stacked
+    rows over those columns (``searchsorted``), from scipy's constructor."""
+    c = len(xs)
+    nodes = np.concatenate([xs, ys, incidence.indices])
+    touched = np.unique(nodes)
+    scatter = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(2 * c), incidence.data]),
+            np.searchsorted(touched, nodes),
+            np.concatenate([np.arange(2 * c), 2 * c + incidence.indptr]),
+        ),
+        shape=(3 * c, touched.size),
+    )
+    return touched, scatter.T @ vals
 
 
 def mpnn_forward(g: Graph, features: np.ndarray, params: BackboneParams) -> np.ndarray:

@@ -23,6 +23,7 @@ from classlink.backbone import (
     TrainConfig,
     TrainedModel,
     _Csr,
+    _node_sums,
     _row_product,
     _sigmoid,
     init_params,
@@ -52,6 +53,7 @@ from backbone_oracles import (
     ncnc_embed,
     predict,
     scipy_incidence,
+    scipy_node_sums,
     scipy_operator,
     stacked_step,
 )
@@ -224,8 +226,8 @@ class TestPropagation:
 
 
 class TestNumpyForward:
-    """The forward pass's numpy builds and products against scipy's, bit for
-    bit."""
+    """The numpy builds and products of the forward and the backward against
+    scipy's, bit for bit."""
 
     def test_operator_arrays_equal_scipys(self):
         """On graphs with isolated nodes, and on one with no edge at all."""
@@ -277,6 +279,64 @@ class TestNumpyForward:
             assert np.isnan(wide[:, :d]).all() and np.isnan(wide[:, 2 * d :]).all()
         none = _Csr(np.zeros(1, dtype=np.int64), indices[:0], data[:0], (0, width))
         assert _row_product(none, dense).shape == (0, d)
+
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_transposed_feature_product_equals_scipys(self, d):
+        """``Xᵀ D`` on the builder's ``Xᵀ``, made once, keeps the bits of
+        scipy's ``X.T @ D``: with a feature that no node has, a feature held
+        by more nodes than a block has rows, feature values other than 1 and
+        ``-0.0`` terms."""
+        rng = np.random.default_rng(1232)
+        n, f = 1500, 9
+        feats = np.where(rng.random((n, f)) < 0.3, rng.standard_normal((n, f)), 0.0)
+        feats[:, 2] = 0.0  # no node has feature 2
+        feats[:, 5] = rng.uniform(0.5, 2.0, size=n)  # every node has feature 5
+        assert n > backbone._ROW_BLOCK
+        g = build_graph(n, random_edges(rng, n, 0.002), features=feats)
+        builder = BatchBuilder.create(g, "backbone_only", None, None)
+        dense = rng.standard_normal((n, d))
+        dense[rng.random(n) < 0.1] = -0.0
+        want = csr(builder.x).T @ dense
+        got = _row_product(builder.xt(), dense)
+        assert got.tobytes() == want.tobytes()
+        assert builder.xt() is builder.xt()
+        assert not got[2].any()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_chunk_scatter_equals_the_scipy_scatter(self, weighted):
+        """A head chunk's ``dH`` scatter gives the nodes and the bits of
+        scipy's ``scatter.T @ vals``: with nodes that no stacked row touches,
+        a node touched from all three stacked parts by more terms than a
+        block has rows, ``-0.0`` terms, a node whose only term is ``-0.0``,
+        and unit or completion weights."""
+        rng = np.random.default_rng(1233)
+        n, c, d = 3000, 700, 4
+        xs, ys = rng.integers(0, 2000, size=c), rng.integers(0, 2000, size=c)
+        xs[::2] = ys[1::2] = 5  # node 5 in Px and Py, 700 terms
+        rows = [np.unique(rng.integers(0, 2000, size=rng.integers(0, 12))) for _ in range(c)]
+        for i in range(0, c, 2):
+            rows[i] = np.union1d(rows[i], [5])  # and in M, 350 more
+        rows[1] = np.array([2500])  # node 2500 has this one term only
+        indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+        indices = np.concatenate(rows).astype(np.int32)
+        data = np.ones(indices.size)
+        if weighted:
+            data = rng.uniform(0.0, 1.0, size=indices.size)
+            data[rng.random(indices.size) < 0.05] = -0.0
+        vals = rng.standard_normal((3 * c, d))
+        vals[rng.random(3 * c) < 0.05] = -0.0
+        vals[2 * c + 1] = -0.0  # pair 1's M row
+        incidence = _Csr(indptr, indices, data, (c, n))
+
+        nodes, sums = _node_sums(xs, ys, incidence, vals)
+        touched, want = scipy_node_sums(xs, ys, incidence, vals)
+        assert np.count_nonzero(np.concatenate([xs, ys, indices]) == 5) > backbone._ROW_BLOCK
+        assert touched[-1] == 2500 and touched.size < n
+        order = np.argsort(nodes)
+        np.testing.assert_array_equal(nodes[order], touched)
+        assert sums[order].tobytes() == want.tobytes()
+        assert np.signbit(sums[nodes == 2500]).sum() == 0
 
 
 class TestGradients:

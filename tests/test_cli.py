@@ -681,6 +681,17 @@ class TestLazyLayers:
         assert seen == {"import": [], "run-all": []}
         assert (tmp / "out" / "pools.json").exists()
 
+    @pytest.mark.parametrize("mode", ["ncn", "ncnc", "backbone_only"])
+    def test_cold_model_run_all_loads_no_scipy(self, dataset, mode):
+        """A cold ``run-all`` with the model scorer trains and scores on
+        numpy alone in every mode: the backbone's forward pass and its
+        backward run on the graph's CSR arrays."""
+        tmp, _ = dataset
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out", mode=mode)
+        seen = scipy_modules_seen(cfg, ("run-all",))
+        assert seen == {"import": [], "run-all": []}
+        assert (tmp / "out" / "checkpoint.json").exists()
+
     def test_kmeans_cluster_loads_scipy(self, dataset):
         """k-means multiplies sparse matrices, so ``cluster`` loads scipy."""
         tmp, _ = dataset
@@ -709,8 +720,8 @@ class TestLazyLayers:
         its artifacts and scores on numpy alone: with any heuristic (CN/AA/RA,
         Katz, or ``hc`` over them), and with the model scorer in every mode
         (``ncn`` is the default), whose forward pass multiplies on the
-        graph's CSR arrays.  Only ``train``'s backward multiplies with
-        scipy."""
+        graph's CSR arrays.  Among the stages, only k-means ``cluster``
+        multiplies with scipy."""
         tmp, _ = dataset
         cfg = write_config(
             tmp / "t.yaml", tmp / "data", tmp / "out", per_edge_negatives=5, **extra

@@ -7,7 +7,7 @@ Three rules, one test each per module:
   two modules share is public;
 * no module imports scipy when it is imported: they import it inside the
   functions that build or multiply scipy matrices, or for type checking;
-  ``heuristics.py`` imports it nowhere.
+  ``heuristics.py`` and ``backbone.py`` import it nowhere.
 
 One more test runs Louvain, ``hc`` over RA and the negative samplers in a
 fresh interpreter, which must load neither scipy nor ``numpy.ma`` on the way.
@@ -99,25 +99,28 @@ def test_the_guard_sees_top_level_and_skips_type_checking():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_backbone_imports_scipy_at_module_level(path):
-    """No module, ``backbone.py`` included, imports scipy when it is
-    imported: the backbone's forward pass runs on numpy, and only its
-    backward imports scipy, inside the functions that run it."""
+    """No module imports scipy when it is imported: the functions that still
+    use it (k-means' products, a graph's scipy views and its build from
+    dense or scipy features) import it in their bodies."""
     tree = ast.parse(path.read_text(), filename=str(path))
     scipy = [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"]
     assert not scipy, f"{path.name} imports {scipy} when it is imported"
 
 
 def test_heuristics_imports_no_scipy_anywhere():
-    """Every heuristic scores on the graph's CSR arrays: no function body or
-    ``TYPE_CHECKING`` block of ``heuristics.py`` imports scipy."""
-    tree = ast.parse((PACKAGE / "heuristics.py").read_text())
-    scipy = [name for _, _, name in imports(tree) if name.split(".")[0] == "scipy"]
-    scipy += [
-        node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
-    ]
-    assert not scipy, f"heuristics.py imports {scipy}"
+    """Every heuristic scores, and the backbone propagates, predicts and
+    trains, on the graph's CSR arrays: no function body or
+    ``TYPE_CHECKING`` block of ``heuristics.py`` or ``backbone.py`` imports
+    scipy."""
+    for name in ("heuristics.py", "backbone.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        scipy = [imported for _, _, imported in imports(tree) if imported.split(".")[0] == "scipy"]
+        scipy += [
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+        ]
+        assert not scipy, f"{name} imports {scipy}"
 
 
 def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma():

@@ -38,17 +38,17 @@ the validation forward after a step has the parameters of the next step,
 which reuses it, so a stage propagates ``epochs + 1`` times.
 
 Forward and backward run on numpy.  ``S``, ``X`` and each incidence ``M``
-are :class:`_Csr` tuples of CSR arrays under scipy's field names, built
-from the graph's arrays: ``S`` by one sort of the keys ``i · n + j`` of its
-entries, diagonal included; ``M`` from the keys ``i · n + u`` of the
-neighbours of pair ``i``'s two endpoints
-(:func:`~classlink.graph.neighbor_keys`), where after one merge a repeated
-key is a common neighbour and a single one codes its side.  Every sparse
-product goes through one row kernel (:func:`_row_sums`, in row blocks by
-:func:`_row_product`) that adds each row's terms in stored order to a
-zeroed row, the float sequence of scipy's CSR product, so every bit is
-scipy's: propagation's ``X W1`` and ``S ·``, each ``M h``, and the
-backward's ``S dq``, ``S dZ1`` (``S`` is symmetric) and ``Xᵀ (S dZ1)``.
+are :class:`~classlink.csr.Csr` tuples of CSR arrays under scipy's field
+names, built from the graph's arrays: ``S`` from ``A + I`` with its
+diagonal put in place; ``M`` from the keys ``i · n + u`` of the neighbours
+of pair ``i``'s two endpoints (:func:`~classlink.graph.neighbor_keys`),
+where after one merge a repeated key is a common neighbour and a single
+one codes its side.  Every sparse product goes through one row kernel
+(:mod:`classlink.csr`, with a plan per row block made inside each call)
+that adds each row's terms in stored order to a zeroed row, the float
+sequence of scipy's CSR product, so every bit is scipy's: propagation's
+``X W1`` and ``S ·``, each ``M h``, and the backward's ``S dq``, ``S dZ1``
+(``S`` is symmetric) and ``Xᵀ (S dZ1)``.
 The rows of a transpose come from one sort of the entries by column that
 keeps each column's rows ascending (:func:`_transpose`), the order in which
 scipy's product with a transpose adds them: ``Xᵀ`` once per
@@ -81,12 +81,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import artifacts
 from .config import MODES, TrainConfig, check_mode
+from .csr import Csr, plus_identity, row_plan, row_product, row_slice
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import (
@@ -114,9 +114,6 @@ HEAD_CHUNK = 1024
 # incidence (and, in ncnc, makes one completion-scorer call), so longer
 # slices mean fewer builds, while the head still runs per HEAD_CHUNK pairs.
 SCORER_CHUNKS = 16
-# Rows per block of the forward's sparse-dense products: a block's
-# accumulator and gathered terms stay in cache.
-_ROW_BLOCK = 1024
 # Pairs per block of an incidence build: keys ``i · n + u`` stay int32 up to
 # 131,072 nodes, and the build's transient arrays stay small.
 _BUILD_CHUNK = 1 << 14
@@ -192,72 +189,7 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-class _Csr(NamedTuple):
-    """A CSR matrix as its numpy arrays, under scipy's field names."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-
-def _row_slice(a: _Csr, rows: slice) -> _Csr:
-    """Rows ``rows`` of ``a``: views of its entries, row starts from 0."""
-    indptr = a.indptr[rows.start : rows.stop + 1]
-    lo, hi = indptr[0], indptr[-1]
-    return _Csr(indptr - lo, a.indices[lo:hi], a.data[lo:hi], (indptr.size - 1, a.shape[1]))
-
-
-def _row_sums(a: _Csr, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, sums)``: the rows of ``a``, longest first, and the rows of
-    ``a @ dense`` at its non-empty rows in that order, with the bits of
-    scipy's CSR product.
-
-    scipy adds each row's terms ``a[i, j] · dense[j]`` in stored order into
-    a zeroed row.  Here step ``k`` adds the ``k``-th term of every row that
-    has one, a prefix of the rows in this order.  The first step adds its
-    terms to 0.0 in place, which turns a ``-0.0`` term into ``0.0`` as
-    scipy's zeroed row does.  The multiply is skipped where every stored
-    value is 1.  A call makes a few numpy calls per step, however many rows
-    it sums.
-    """
-    starts = a.indptr[:-1]
-    sizes = a.indptr[1:] - starts
-    order = np.argsort(-sizes, kind="stable")
-    starts, shorter = starts[order], -sizes[order]  # ascending
-    steps = np.searchsorted(shorter, -np.arange(sizes.max(initial=0)), "left").tolist()
-    sums = np.empty((steps[0] if steps else 0, dense.shape[1]))
-    terms = np.empty((steps[1] if len(steps) > 1 else 0, dense.shape[1]))
-    unit = bool((a.data == 1.0).all())
-    for k, active in enumerate(steps):
-        at = starts[:active] + k
-        step = terms[:active] if k else sums
-        np.take(dense, a.indices[at], axis=0, out=step, mode="clip")
-        if not unit:
-            step *= a.data[at, None]
-        if k:
-            sums[:active] += step
-        else:
-            sums += 0.0
-    return order, sums
-
-
-def _row_product(a: _Csr, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ dense`` with the bits of scipy's CSR product, into ``out``: the
-    row sums (:func:`_row_sums`) of blocks of ``_ROW_BLOCK`` rows, so a
-    block's sums and gathered terms stay in cache.  An empty row is 0.0."""
-    rows = a.shape[0]
-    if out is None:
-        out = np.empty((rows, dense.shape[1]))
-    for lo in range(0, rows, _ROW_BLOCK):
-        order, sums = _row_sums(_row_slice(a, slice(lo, min(lo + _ROW_BLOCK, rows))), dense)
-        order += lo
-        out[order[len(sums) :]] = 0.0
-        out[order[: len(sums)]] = sums
-    return out
-
-
-def _transpose(a: _Csr) -> tuple[np.ndarray, _Csr]:
+def _transpose(a: Csr) -> tuple[np.ndarray, Csr]:
     """``(cols, t)``: the columns in which ``a`` stores entries, ascending,
     and the rows of ``aᵀ`` at those columns.
 
@@ -273,48 +205,42 @@ def _transpose(a: _Csr) -> tuple[np.ndarray, _Csr]:
     cols, entries = np.divmod(keys, max(nnz, 1))
     starts = np.flatnonzero(np.diff(cols, prepend=-1))
     rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
-    t = _Csr(np.append(starts, nnz), rows[entries], a.data[entries], (starts.size, a.shape[0]))
+    t = Csr(np.append(starts, nnz), rows[entries], a.data[entries], (starts.size, a.shape[0]))
     return cols[starts], t
 
 
-def _feature_transpose(x: _Csr) -> _Csr:
+def _feature_transpose(x: Csr) -> Csr:
     """``Xᵀ`` with a row for every feature: one that no node has is empty."""
     features, t = _transpose(x)
     indptr = t.indptr[np.searchsorted(features, np.arange(x.shape[1] + 1))]
-    return _Csr(indptr, t.indices, t.data, (x.shape[1], x.shape[0]))
+    return Csr(indptr, t.indices, t.data, (x.shape[1], x.shape[0]))
 
 
-def normalized_operator(g: Graph) -> _Csr:
+def normalized_operator(g: Graph) -> Csr:
     """Symmetric normalized adjacency with self-loops over a graph,
     ``S = D̂^-1/2 (A + I) D̂^-1/2``, as the arrays scipy's product gives.
 
-    The diagonal joins the stored entries in one sort of their keys
-    ``i · n + j``, so each row's columns ascend, and ``S[i, j]`` is
-    ``inv[i] · inv[j]`` with ``inv = 1 / sqrt(d + 1)``.
+    ``A + I`` comes from :func:`~classlink.csr.plus_identity`, so each
+    row's columns ascend, and ``S[i, j]`` is ``inv[i] · inv[j]`` with
+    ``inv = 1 / sqrt(d + 1)``.
     """
     n = g.n_nodes
     degrees = g.degrees()
     inv_sqrt = 1.0 / np.sqrt(degrees.astype(np.float64) + 1.0)
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
-    keys += g.adj_indices
-    keys = np.concatenate([keys, np.arange(n, dtype=np.int64) * (n + 1)])
-    keys.sort()
-    rows, cols = np.divmod(keys, n)
-    index = np.int32 if keys.size <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(degrees + 1, out=indptr[1:])
-    return _Csr(indptr, cols.astype(index), inv_sqrt[rows] * inv_sqrt[cols], (n, n))
+    hat = plus_identity(Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)))
+    rows = np.repeat(np.arange(n), degrees + 1)
+    return hat._replace(data=inv_sqrt[rows] * inv_sqrt[hat.indices])
 
 
-def propagate(params: BackboneParams, sym: _Csr, x: _Csr) -> dict[str, np.ndarray]:
+def propagate(params: BackboneParams, sym: Csr, x: Csr) -> dict[str, np.ndarray]:
     """Node embeddings ``h = S · relu(S X W1) · W2`` plus the intermediates
     the backward pass reuses (``z1`` and ``q = S relu(z1)``)."""
     if x.shape[1] != params.w1.shape[0]:
         raise DimensionError(
             f"feature width {x.shape[1]} does not match W1 fan-in {params.w1.shape[0]}"
         )
-    z1 = _row_product(sym, _row_product(x, params.w1))
-    q = _row_product(sym, np.maximum(z1, 0.0))
+    z1 = row_product(sym, row_product(x, params.w1))
+    q = row_product(sym, np.maximum(z1, 0.0))
     return {"z1": z1, "q": q, "h": q @ params.w2}
 
 
@@ -327,12 +253,12 @@ def propagate(params: BackboneParams, sym: _Csr, x: _Csr) -> dict[str, np.ndarra
 class LinkBatch:
     """Everything one forward/backward pass needs, with a fixed incidence."""
 
-    sym: _Csr  # (n, n) normalized operator over training edges
-    x: _Csr  # (n, F) the training graph's CSR feature arrays, not a copy
-    xt: Callable[[], _Csr]  # the builder's Xᵀ, for W1's gradient
+    sym: Csr  # (n, n) normalized operator over training edges
+    x: Csr  # (n, F) the training graph's CSR feature arrays, not a copy
+    xt: Callable[[], Csr]  # the builder's Xᵀ, for W1's gradient
     pairs: np.ndarray  # (m, 2)
     targets: np.ndarray  # (m,) in {0, 1}
-    incidence: _Csr  # (m, n): weight of node u in pair i's aggregation
+    incidence: Csr  # (m, n): weight of node u in pair i's aggregation
     priors: np.ndarray | None  # (m, 2) prior features or None
 
     @property
@@ -367,7 +293,7 @@ def _head(
     d = h.shape[1]
     z = np.empty((len(xs), 2 * d + (N_PRIOR_FEATURES if params.use_priors else 0)))
     np.multiply(h[xs], h[ys], out=z[:, :d])
-    _row_product(_row_slice(batch.incidence, rows), h, z[:, d : 2 * d])
+    row_product(row_slice(batch.incidence, rows), h, z[:, d : 2 * d])
     if params.use_priors:
         if batch.priors is None:
             raise ConfigurationError("batch lacks prior features but use_priors is on")
@@ -388,7 +314,7 @@ def predict_batch(params: BackboneParams, batch: LinkBatch, h: np.ndarray) -> np
 
 
 def _node_sums(
-    xs: np.ndarray, ys: np.ndarray, incidence: _Csr, vals: np.ndarray
+    xs: np.ndarray, ys: np.ndarray, incidence: Csr, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(nodes, sums)``: the nodes that a chunk's stacked rows
     ``[Px; Py; M]`` touch, for its pairs ``(xs, ys)`` and incidence ``M``,
@@ -397,19 +323,20 @@ def _node_sums(
 
     One sort of the stacked node ids (:func:`_transpose`) gives the touched
     nodes and each one's terms in ascending stacked row, which
-    :func:`_row_sums` adds in that order.  Nothing n-sized is allocated.
+    a plan of them (:func:`~classlink.csr.row_plan`) adds in that order.
+    Nothing n-sized is allocated.
     """
     c = len(xs)
     nodes, by_node = _transpose(
-        _Csr(
+        Csr(
             np.concatenate([np.arange(2 * c), 2 * c + incidence.indptr]),
             np.concatenate([xs, ys, incidence.indices]),
             np.concatenate([np.ones(2 * c), incidence.data]),
             (3 * c, incidence.shape[1]),
         )
     )
-    order, sums = _row_sums(by_node, vals)
-    return nodes[order], sums
+    plan = row_plan(by_node)
+    return nodes[plan.order], plan.sums(vals)
 
 
 def _head_grads(
@@ -456,7 +383,7 @@ def _head_grads(
         np.multiply(de1, h[ys], out=vals[:c])
         np.multiply(de1, h[xs], out=vals[c : 2 * c])
         vals[2 * c :] = de2
-        nodes, sums = _node_sums(xs, ys, _row_slice(batch.incidence, rows), vals)
+        nodes, sums = _node_sums(xs, ys, row_slice(batch.incidence, rows), vals)
         dh[nodes] += sums
     return logits, {"wh": dwh, "bh": dbh, "wo": dwo, "bo": float(dlogits.sum())}, dh
 
@@ -476,9 +403,9 @@ def loss_and_grads(
     loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
 
     dw2 = fwd["q"].T @ dh
-    dz1 = _row_product(batch.sym, dh @ params.w2.T)  # S is symmetric, so Sᵀ = S
+    dz1 = row_product(batch.sym, dh @ params.w2.T)  # S is symmetric, so Sᵀ = S
     dz1 *= fwd["z1"] > 0.0
-    dw1 = _row_product(batch.xt(), _row_product(batch.sym, dz1))
+    dw1 = row_product(batch.xt(), row_product(batch.sym, dz1))
     return loss, {"w1": dw1, "w2": dw2, **head_grads}
 
 
@@ -491,10 +418,10 @@ def loss_and_grads(
 class BatchBuilder:
     """Assembles :class:`LinkBatch` objects for a fixed training graph."""
 
-    adj: _Csr  # (n, n) 0/1 adjacency over training edges
-    sym: _Csr
-    x: _Csr  # (n, F) the training graph's CSR feature arrays, not a copy
-    xt: Callable[[], _Csr]  # (F, n) Xᵀ, made on the first call and kept
+    adj: Csr  # (n, n) 0/1 adjacency over training edges
+    sym: Csr
+    x: Csr  # (n, F) the training graph's CSR feature arrays, not a copy
+    xt: Callable[[], Csr]  # (F, n) Xᵀ, made on the first call and kept
     mode: str
     prior: ClassPriorMatrix | None
     labels: np.ndarray | None
@@ -515,9 +442,9 @@ class BatchBuilder:
         if g_train.n_features == 0:
             raise ConfigurationError("backbone needs node features")
         g, n = g_train, g_train.n_nodes
-        x = _Csr(g.feature_indptr, g.feature_indices, g.feature_data, (n, g.n_features))
+        x = Csr(g.feature_indptr, g.feature_indices, g.feature_data, (n, g.n_features))
         return cls(
-            adj=_Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)),
+            adj=Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)),
             sym=normalized_operator(g),
             x=x,
             xt=functools.cache(functools.partial(_feature_transpose, x)),
@@ -545,7 +472,7 @@ class BatchBuilder:
             priors=priors,
         )
 
-    def _incidence(self, pairs: np.ndarray) -> _Csr:
+    def _incidence(self, pairs: np.ndarray) -> Csr:
         """The batch's link incidence, built in blocks of ``_BUILD_CHUNK``
         pairs (:meth:`_members`).
 
@@ -568,7 +495,7 @@ class BatchBuilder:
             one_sided = np.concatenate(codes) != 3
             if one_sided.any():
                 weights[one_sided] = np.asarray(self.completion_scorer(np.concatenate(missing)))
-        return _Csr(indptr, np.concatenate(nodes), weights, (m, self.adj.shape[0]))
+        return Csr(indptr, np.concatenate(nodes), weights, (m, self.adj.shape[0]))
 
     def _members(self, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per pair of a block, the size of its incidence row; the rows'
@@ -747,7 +674,7 @@ def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
         xt=a.xt,
         pairs=np.concatenate([a.pairs, b.pairs]),
         targets=np.concatenate([a.targets, b.targets]),
-        incidence=_Csr(
+        incidence=Csr(
             np.concatenate([ia.indptr, ia.indptr[-1] + ib.indptr[1:]]),
             np.concatenate([ia.indices, ib.indices]),
             np.concatenate([ia.data, ib.data]),

@@ -20,13 +20,13 @@ goes stale.
 
 Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,
-``artifacts``, ``errors`` and ``rand``.  Among the stages, only k-means
-``cluster`` loads scipy, to multiply sparse matrices.  ``ingest``,
-``split``, Louvain and mono ``cluster``, ``prior``, ``heatmap``, ``train``
-(the backbone's forward and backward run on the graph's CSR arrays) and
-every ``evaluate``, with the model scorer or a heuristic (CN/AA/RA, Katz,
-or ``hc`` over them), drawing its per-edge pools or reading them, never
-load it.
+``artifacts``, ``errors`` and ``rand``.  No stage loads scipy: ``ingest``,
+``split``, every ``cluster`` (k-means, Louvain or mono), ``prior``,
+``heatmap``, ``train`` and every ``evaluate``, with the model scorer or a
+heuristic (CN/AA/RA, Katz, or ``hc`` over them), drawing its per-edge
+pools or reading them, run on the graph's CSR arrays.  scipy is imported
+only by :func:`~classlink.graph.build_graph` from dense or scipy features,
+by the graph's ``g.adj`` and ``g.features`` views, and by the tests.
 """
 
 from __future__ import annotations

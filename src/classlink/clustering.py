@@ -3,14 +3,17 @@
 When true class labels are unavailable, downstream priors can be computed
 over *pseudo-labels* instead.  Three generators are provided:
 
-* ``kmeans`` over one-hop aggregated features ``H1 = (A + I) X``, kept as a
-  CSR matrix, with the number of clusters either fixed or chosen by the
-  elbow rule (largest perpendicular distance to the chord of the
+* ``kmeans`` over one-hop aggregated features ``H1 = (A + I) X``, kept as
+  its two CSR factors, ``A + I`` and the graph's own features, and its
+  entries, with the number of clusters either fixed or chosen by the elbow
+  rule (largest perpendicular distance to the chord of the
   min-max-normalized SSD curve).  Each centroid is kept as the sum of its
-  members and their count, so distances come from one sparse product per
-  iteration and no dense ``n × d`` array is built; on the integer points of
-  ``H1`` every distance is an exact rational rounded once, and the labels do
-  not depend on BLAS;
+  members and their count, so distances come from one factored product
+  ``(A + I)(X Sᵀ)`` per iteration on the row kernel of
+  :mod:`classlink.csr`, and no dense ``n × d`` array is built; on the
+  integer points of ``H1`` every distance is an exact rational rounded
+  once, the labels are those of scipy's ``H1 @ Sᵀ``, and they do not depend
+  on BLAS;
 * ``louvain`` greedy modularity maximization (Blondel et al., 2008) over the
   training adjacency's CSR arrays, in numpy: degrees and modularity are
   array reductions and each level's supernode graph ``CᵀAC`` is one sort of
@@ -27,9 +30,8 @@ over *pseudo-labels* instead.  Three generators are provided:
   depend on the seed alone;
 * ``mono`` a single-label fallback that makes every prior lookup equal 1.
 
-All routines are deterministic given their seed.  scipy is imported only
-by k-means, inside the functions that build its matrices, so Louvain, mono
-labels and reading or writing a labeling need none.
+All routines are deterministic given their seed, and none imports scipy:
+k-means takes a scipy sparse matrix too, read through its own methods.
 """
 
 from __future__ import annotations
@@ -37,18 +39,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
 from . import artifacts
 from .config import check_k_grid, check_max_iters
+from .csr import Csr, RowPlan, plus_identity, row_plan, row_product, row_slice
 from .errors import ConfigurationError, DimensionError, ParseError
 from .graph import Graph
 from .rand import STREAM_CLUSTER, make_rng
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -71,51 +71,139 @@ class PseudoLabeling:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_features(g: Graph) -> sp.csr_matrix:
+class _SparseMatrix(Protocol):
+    """A scipy sparse matrix, read through its own methods."""
+
+    def tocsr(self) -> Any: ...
+
+
+class FactoredPoints(NamedTuple):
+    """k-means points ``H = L X`` as two CSR factors and ``H``'s entries.
+
+    ``left`` is ``L``, ``right`` is ``X`` and ``entries`` holds ``H`` with
+    sorted columns and no zeros.  Every product with the points is
+    ``L (X ·)``, and ``entries`` serves their norms and member sums.
+    """
+
+    left: Csr
+    right: Csr
+    entries: Csr
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.entries.shape
+
+    def toarray(self) -> np.ndarray:
+        """``H`` as a dense array."""
+        return _dense_rows(self.entries, np.arange(self.shape[0]))
+
+
+def _dense_rows(m: Csr, idx: np.ndarray | list[int]) -> np.ndarray:
+    """Rows ``idx`` of ``m`` as a dense array."""
+    idx = np.asarray(idx, dtype=np.int64)
+    starts, sizes = m.indptr[idx], m.indptr[idx + 1] - m.indptr[idx]
+    ends = np.cumsum(sizes)
+    at = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1] if ends.size else 0)
+    out = np.zeros((idx.size, m.shape[1]))
+    out[np.repeat(np.arange(idx.size), sizes), m.indices[at]] = m.data[at]
+    return out
+
+
+# Cells of the dense accumulator of a block of _product_entries (2 MiB).
+_ACCUMULATOR = 1 << 18
+
+# What k-means clusters: a dense array, a scipy sparse matrix, or the
+# factored points of aggregate_features.
+Features = np.ndarray | _SparseMatrix | FactoredPoints
+
+
+def aggregate_features(g: Graph) -> FactoredPoints:
     """One-hop sum aggregation ``H1[v] = X[v] + Σ_{u ∈ N(v)} X[u]``.
 
-    Computed as one sparse product ``(A + I) X`` of the graph's CSR
-    adjacency and features, so the result is CSR and no dense ``n × d``
-    array is built.
+    The factors are ``A + I`` and the graph's own feature CSR, shared, not
+    copied; no dense ``n × d`` array is built.
     """
-    import scipy.sparse as sp
-
     if g.n_features == 0:
         raise ConfigurationError("cannot aggregate an empty feature matrix")
-    hat = g.adj + sp.identity(g.n_nodes, format="csr")
-    return (hat @ g.features).tocsr()
+    n = g.n_nodes
+    hat = plus_identity(Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)))
+    x = Csr(g.feature_indptr, g.feature_indices, g.feature_data, (n, g.n_features))
+    return FactoredPoints(hat, x, _product_entries(hat, x))
+
+
+def _product_entries(a: Csr, b: Csr) -> Csr:
+    """The entries of ``a @ b`` with the bits of scipy's sparse product,
+    which adds each entry's terms ``a[i, j] · b[j, f]`` in stored order of
+    ``a``'s row into a zeroed accumulator and keeps the nonzero sums.
+
+    The rows of ``a`` go in blocks whose dense accumulator holds at most
+    ``_ACCUMULATOR`` cells.  A block lists its terms in that order, and
+    ``np.add.at``, which adds one term at a time in the order given, sums
+    them into the zeroed accumulator (``np.add.reduceat`` does not add a
+    segment in sequence).  The block's nonzero cells, row by row, are its
+    entries, with sorted columns; they are zeroed again for the next block.
+    """
+    width = b.shape[1]
+    rows_per_block = max(1, _ACCUMULATOR // max(width, 1))
+    accumulator = np.zeros(min(rows_per_block, a.shape[0]) * width)
+    indptr = [np.zeros(1, dtype=np.int64)]
+    indices, data = [b.indices[:0]], [b.data[:0]]
+    for lo in range(0, a.shape[0], rows_per_block):
+        block = row_slice(a, slice(lo, min(lo + rows_per_block, a.shape[0])))
+        rows, js = block.shape[0], block.indices
+        sizes = b.indptr[js + 1] - b.indptr[js]
+        ends = np.cumsum(sizes)
+        at = np.repeat(b.indptr[js] - (ends - sizes), sizes)
+        at += np.arange(at.size)
+        cells = np.repeat(np.repeat(np.arange(rows) * width, np.diff(block.indptr)), sizes)
+        cells += b.indices[at]
+        acc = accumulator[: rows * width]
+        np.add.at(acc, cells, np.repeat(block.data, sizes) * b.data[at])
+        cells = np.flatnonzero(acc != 0.0)  # a bool scan is faster than a float one
+        indptr.append(indptr[-1][-1] + np.searchsorted(cells, np.arange(1, rows + 1) * width))
+        indices.append((cells % width).astype(b.indices.dtype))
+        data.append(acc[cells])
+        acc[cells] = 0.0
+    return Csr(
+        np.concatenate(indptr), np.concatenate(indices), np.concatenate(data), (a.shape[0], width)
+    )
 
 
 # ---------------------------------------------------------------------------
 # k-means (Lloyd's algorithm with k-means++ seeding)
 # ---------------------------------------------------------------------------
 #
-# The points are a CSR matrix, and centroid ``j`` is kept as the sum ``S_j``
-# of its members and their count ``n_j``, never as a mean.  A squared distance
-# is ``(n_j² ‖x‖² - 2 n_j x·S_j + ‖S_j‖²) / n_j²``, with every ``x·S_j`` from
-# one sparse product ``X Sᵀ``, and a cluster's SSD is
+# The points are ``H = L X`` (:class:`FactoredPoints`), and centroid ``j`` is
+# kept as the sum ``S_j`` of its members and their count ``n_j``, never as a
+# mean.  A squared distance is ``(n_j² ‖x‖² - 2 n_j x·S_j + ‖S_j‖²) / n_j²``,
+# with every ``x·S_j`` from the two products ``L (X Sᵀ)`` on the row kernel,
+# whose plans are made once per run, and a cluster's SSD is
 # ``(n_j Σ_{i∈j} ‖x_i‖² - ‖S_j‖²) / n_j``.  On integer points, such as one-hop
 # sums of 0/1 features, each numerator is an integer sum that is exact in any
 # order, so every distance and every per-cluster SSD is the exact rational
 # rounded once: exact ties stay ties and go to the lowest index, and the labels
 # depend on the data alone, not on BLAS or its thread count.  Float points
-# (``normalize_rows``) take the same path.
+# (``normalize_rows``, which scales the rows of ``L`` and of the entries) take
+# the same path.
 
 
 @dataclass(frozen=True)
 class _Points:
-    """CSR points with sorted indices and no explicit zeros, their squared
-    row norms, and the row of each stored entry."""
+    """The points' entries (sorted columns, no zeros), the plans of their
+    factors, and their squared row norms."""
 
-    x: sp.csr_matrix
+    x: Csr
+    left: RowPlan
+    right: RowPlan
     sq_norms: np.ndarray
-    entry_rows: np.ndarray
 
-    def row(self, i: int) -> np.ndarray:
-        out = np.zeros(self.x.shape[1])
-        lo, hi = self.x.indptr[i], self.x.indptr[i + 1]
-        out[self.x.indices[lo:hi]] = self.x.data[lo:hi]
-        return out
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    def times(self, dense: np.ndarray) -> np.ndarray:
+        """``H @ dense`` as ``L (X dense)``."""
+        return self.left.product(self.right.product(dense))
 
 
 @dataclass(frozen=True)
@@ -130,7 +218,7 @@ class _Centroids:
     def at(points: _Points, idx: list[int]) -> _Centroids:
         """One centroid on each point of ``idx``."""
         return _Centroids(
-            sums=points.x[idx].toarray(),
+            sums=_dense_rows(points.x, idx),
             sq_sums=points.sq_norms[idx],
             counts=np.ones(len(idx)),
         )
@@ -150,18 +238,16 @@ class _Centroids:
         )
 
 
-def _row_sq_norms(m: sp.csr_matrix) -> np.ndarray:
-    """Squared row norms, summed in stored order as ``m @ v`` sums a row, so
-    that a point's squared distance to itself is exactly 0, float or not."""
-    import scipy.sparse as sp
-
-    squares = sp.csr_matrix((m.data * m.data, m.indices, m.indptr), shape=m.shape)
-    return squares @ np.ones(m.shape[1])
+def _row_sq_norms(m: Csr) -> np.ndarray:
+    """Squared row norms, summed in stored order as a product sums a row."""
+    return row_product(m._replace(data=m.data * m.data), np.ones((m.shape[1], 1)))[:, 0]
 
 
 def _sq_dists_to(points: _Points, i: int) -> np.ndarray:
     """Squared distances of every point to point ``i``; exactly 0 at ``i``."""
-    d2 = points.sq_norms + points.sq_norms[i] - 2.0 * (points.x @ points.row(i))
+    row = _dense_rows(points.x, [i]).T
+    d2 = points.sq_norms + points.sq_norms[i] - 2.0 * points.times(row)[:, 0]
+    d2[i] = 0.0
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -169,7 +255,7 @@ def _pairwise_sq_dists(points: _Points, cents: _Centroids) -> np.ndarray:
     """``(n, k)`` squared distances, each numerator divided once by ``n_j²``."""
     n_sq = cents.counts**2
     scaled = np.ascontiguousarray((cents.sums * (-2.0 * cents.counts)[:, None]).T)
-    d2 = points.x @ scaled
+    d2 = points.times(scaled)
     d2 += cents.sq_sums
     d2 += points.sq_norms[:, None] * n_sq
     d2 /= n_sq
@@ -177,7 +263,7 @@ def _pairwise_sq_dists(points: _Points, cents: _Centroids) -> np.ndarray:
 
 
 def _kmeanspp_init(points: _Points, k: int, rng: np.random.Generator) -> _Centroids:
-    n = points.x.shape[0]
+    n = points.n
     idx = [int(rng.integers(n))]
     d2 = _sq_dists_to(points, idx[0])
     while len(idx) < k:
@@ -202,9 +288,10 @@ def _update(
     k, d = cents.sums.shape
     counts = np.bincount(assign, minlength=k).astype(np.float64)
     x = points.x
-    sums = np.bincount(
-        assign[points.entry_rows] * d + x.indices, weights=x.data, minlength=k * d
-    ).reshape(k, d)
+    keys = np.repeat(assign * d, np.diff(x.indptr))
+    keys += x.indices
+    sums = np.bincount(keys, weights=x.data, minlength=k * d).reshape(k, d)
+    del keys
     # summed in column order like _row_sq_norms: a one-member SSD is exactly 0
     sq_sums = np.cumsum(sums * sums, axis=1)[:, -1] if d else np.zeros(k)
     inner = np.bincount(assign, weights=points.sq_norms, minlength=k)
@@ -231,7 +318,7 @@ def _lloyd(
     cluster is re-seeded from the point farthest from its assigned centroid.
     """
     check_max_iters(max_iters)
-    n, k = points.x.shape[0], cents.counts.size
+    n, k = points.n, cents.counts.size
     prev_assign: np.ndarray | None = None
     history: list[float] = []
     for _ in range(max_iters):
@@ -259,34 +346,49 @@ def _lloyd(
     return assign.astype(np.int64), cents, history
 
 
-def _prepare_points(features: np.ndarray | sp.spmatrix, normalize_rows: bool) -> _Points:
-    """Canonical float CSR points (dense or sparse input give the same ones);
-    a non-finite point is a ``ConfigurationError``."""
-    import scipy.sparse as sp
+def _canonical(features: np.ndarray | _SparseMatrix) -> Csr:
+    """Float CSR points with sorted columns and no stored zeros, from a
+    dense array or a scipy sparse matrix; both give the same ones."""
+    if hasattr(features, "tocsr"):
+        x = features.tocsr().astype(np.float64)  # a copy, whatever the input
+        x.sum_duplicates()
+        x.eliminate_zeros()
+        return Csr(x.indptr, x.indices, x.data, x.shape)
+    dense = np.asarray(features, dtype=np.float64)
+    if dense.ndim != 2:
+        raise DimensionError(f"expected a 2-D feature matrix, got shape {dense.shape}")
+    rows, cols = np.nonzero(dense)
+    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:])
+    return Csr(indptr, cols, dense[rows, cols], dense.shape)
 
-    if sp.issparse(features):
-        x = sp.csr_matrix(features, dtype=np.float64, copy=True)
-    else:
-        dense = np.asarray(features, dtype=np.float64)
-        if dense.ndim != 2:
-            raise DimensionError(
-                f"expected a 2-D feature matrix, got shape {dense.shape}"
-            )
-        x = sp.csr_matrix(dense)
-    x.sum_duplicates()
-    x.eliminate_zeros()
+
+def _prepare_points(features: Features, normalize_rows: bool) -> _Points:
+    """The points of a dense array or a scipy sparse matrix (``L`` the
+    identity, ``X`` their canonical CSR) or of :class:`FactoredPoints`; a
+    non-finite point is a ``ConfigurationError``.  ``normalize_rows`` scales
+    each row of ``L`` and of the entries by ``1 / ‖h_i‖`` (a zero row
+    stays 0)."""
+    if not isinstance(features, FactoredPoints):
+        x = _canonical(features)
+        n = x.shape[0]
+        eye = Csr(np.arange(n + 1), np.arange(n), np.ones(n), (n, n))
+        features = FactoredPoints(eye, x, x)
+    left, right, x = features
     if not np.isfinite(x.data).all():
         raise ConfigurationError("k-means points must be finite, found nan or inf")
-    entry_rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
     sq_norms = _row_sq_norms(x)
     if normalize_rows:
-        x.data /= np.sqrt(sq_norms)[entry_rows]
+        norms = np.sqrt(sq_norms)
+        x = x._replace(data=x.data / np.repeat(norms, np.diff(x.indptr)))
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        left = left._replace(data=left.data * np.repeat(scale, np.diff(left.indptr)))
         sq_norms = _row_sq_norms(x)
-    return _Points(x=x, sq_norms=sq_norms, entry_rows=entry_rows)
+    return _Points(x, row_plan(left), row_plan(right), sq_norms)
 
 
 def _kmeans_full(
-    features: np.ndarray | sp.spmatrix,
+    features: Features,
     k: int,
     rng: np.random.Generator,
     max_iters: int = 100,
@@ -294,7 +396,7 @@ def _kmeans_full(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Labels, centroid means and SSD history of one seeded k-means run."""
     points = _prepare_points(features, normalize_rows)
-    n = points.x.shape[0]
+    n = points.n
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
     labels, cents, history = _lloyd(points, _kmeanspp_init(points, k, rng), max_iters)
@@ -302,15 +404,15 @@ def _kmeans_full(
 
 
 def kmeans(
-    features: np.ndarray | sp.spmatrix,
+    features: Features,
     k: int,
     seed: int,
     *,
     max_iters: int = 100,
     normalize_rows: bool = False,
 ) -> PseudoLabeling:
-    """Cluster rows of ``features``, dense or sparse, into ``k`` groups (squared
-    Euclidean)."""
+    """Cluster rows of ``features`` (a dense array, a scipy sparse matrix or
+    :class:`FactoredPoints`) into ``k`` groups (squared Euclidean)."""
     labels, _, _ = _kmeans_full(
         features, k, make_rng(seed), max_iters, normalize_rows
     )
@@ -346,7 +448,7 @@ def knee_point(curve: list[tuple[int, float]]) -> int:
 
 
 def _elbow_runs(
-    features: np.ndarray | sp.spmatrix,
+    features: Features,
     k_candidates: list[int],
     seed: int,
     max_iters: int,
@@ -360,7 +462,7 @@ def _elbow_runs(
     """
     ks = check_k_grid(k_candidates)
     points = _prepare_points(features, normalize_rows)
-    n = points.x.shape[0]
+    n = points.n
     if ks[-1] > n:
         raise ConfigurationError(f"k_grid values must lie in [1, {n}], got {ks}")
 
@@ -395,7 +497,7 @@ def _extend_centroids(points: _Points, cents: _Centroids, k: int) -> _Centroids:
 
 
 def elbow_kmeans(
-    features: np.ndarray | sp.spmatrix,
+    features: Features,
     k_candidates: list[int],
     seed: int,
     *,

@@ -17,19 +17,19 @@ features store every entry whose bit pattern is nonzero (so ``-0.0`` is
 kept and ``0.0`` is not), with sorted column indices; no dense ``n × F``
 copy is ever built, neither at ingestion nor when ``graph.json`` is read.
 
-k-means' feature aggregation reads ``g.adj`` and ``g.features``: scipy CSR
-views of those arrays, made on first access and kept, which share the
-arrays rather than copy them.  Everything else, building a graph from
-arrays or files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph`,
-the graph's own queries, the split and the negative samplers, is plain
-numpy: :func:`_adjacency_arrays` sorts and dedups the pair keys,
+``g.adj`` and ``g.features`` are scipy CSR views of those arrays, made on
+first access and kept, which share the arrays rather than copy them; no
+stage reads them.  Everything else, building a graph from arrays or
+files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph`, the graph's
+own queries, the split and the negative samplers, is plain numpy: :func:`_adjacency_arrays` sorts and dedups the pair keys,
 :func:`_stored_entries` drops a feature CSR's explicit ``+0.0`` entries,
 and :class:`_EdgeLookup` tells non-edges from edges on the CSR arrays.
 :func:`neighbor_keys` lists the keys ``i · n + u`` of the neighbours of a
 chunk's pair endpoints, on which the heuristics and the backbone's link
-incidences build.  scipy is imported only where a matrix is built from
-something other than those arrays (dense or sparse features given to
-:func:`build_graph`) and by the two views.
+incidences build.  In the package, scipy is imported only here: where a
+matrix is built from something other than those arrays (dense or scipy
+features given to :func:`build_graph`) and by the two views; the tests
+import it for their oracles.
 
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
@@ -94,8 +94,8 @@ class Graph:
 
     Every array is read-only, and index arrays are int32 while the sizes
     fit.  :attr:`adj` and :attr:`features` are scipy CSR views of the
-    arrays, for k-means' feature aggregation; every other layer reads the
-    arrays and needs no scipy.
+    arrays, for library callers and the tests; every layer reads the arrays
+    and needs no scipy.
     """
 
     adj_indptr: np.ndarray

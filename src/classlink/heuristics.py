@@ -301,11 +301,12 @@ class _ClassKernel:
         return z
 
     def __call__(self, pairs: np.ndarray) -> np.ndarray:
-        structural = self.structural(pairs)
+        # the label reads run before the structural score's row blocks
+        # push ``labels`` out of cache
         p = self.params
         z = self._local_normalizer(pairs) if p.normalize_locally else 1.0
         fwd, rev = lookup_prior_batch(self.prior, self.labels, pairs).T
-        return structural + p.beta * (p.alpha1 * fwd + p.alpha2 * rev) / z
+        return self.structural(pairs) + p.beta * (p.alpha1 * fwd + p.alpha2 * rev) / z
 
 
 # ---------------------------------------------------------------------------

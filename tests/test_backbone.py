@@ -22,9 +22,7 @@ from classlink.backbone import (
     BatchBuilder,
     TrainConfig,
     TrainedModel,
-    _Csr,
     _node_sums,
-    _row_product,
     _sigmoid,
     init_params,
     load_checkpoint,
@@ -36,6 +34,7 @@ from classlink.backbone import (
     save_training_log,
     train,
 )
+from classlink.csr import ROW_BLOCK, Csr, row_product
 from classlink.errors import ConfigurationError, DimensionError
 from classlink.evaluation import evaluate_split, mrr
 from classlink.graph import build_graph, pair_chunks, split_edges
@@ -260,7 +259,7 @@ class TestNumpyForward:
         product of every block keeps the bits of scipy's ``csr @ dense``,
         into a fresh array and into a strided view; no rows give none."""
         rng = np.random.default_rng(1231)
-        block = backbone._ROW_BLOCK
+        block = ROW_BLOCK
         sizes = rng.integers(0, 6, size=2 * block + 300)
         sizes[[0, 7, block]] = 0
         sizes[block + 5] = block + 300
@@ -271,14 +270,14 @@ class TestNumpyForward:
         dense[rng.random(width) < 0.1] = -0.0
         for values in (data, np.ones(data.size)):
             want = sp.csr_matrix((values, indices, indptr), shape=(sizes.size, width)) @ dense
-            a = _Csr(indptr, indices, values, (sizes.size, width))
-            assert _row_product(a, dense).tobytes() == want.tobytes()
+            a = Csr(indptr, indices, values, (sizes.size, width))
+            assert row_product(a, dense).tobytes() == want.tobytes()
             wide = np.full((sizes.size, 3 * d), np.nan)
-            _row_product(a, dense, out=wide[:, d : 2 * d])
+            row_product(a, dense, out=wide[:, d : 2 * d])
             assert np.ascontiguousarray(wide[:, d : 2 * d]).tobytes() == want.tobytes()
             assert np.isnan(wide[:, :d]).all() and np.isnan(wide[:, 2 * d :]).all()
-        none = _Csr(np.zeros(1, dtype=np.int64), indices[:0], data[:0], (0, width))
-        assert _row_product(none, dense).shape == (0, d)
+        none = Csr(np.zeros(1, dtype=np.int64), indices[:0], data[:0], (0, width))
+        assert row_product(none, dense).shape == (0, d)
 
 
     @pytest.mark.parametrize("d", [1, 5])
@@ -292,13 +291,13 @@ class TestNumpyForward:
         feats = np.where(rng.random((n, f)) < 0.3, rng.standard_normal((n, f)), 0.0)
         feats[:, 2] = 0.0  # no node has feature 2
         feats[:, 5] = rng.uniform(0.5, 2.0, size=n)  # every node has feature 5
-        assert n > backbone._ROW_BLOCK
+        assert n > ROW_BLOCK
         g = build_graph(n, random_edges(rng, n, 0.002), features=feats)
         builder = BatchBuilder.create(g, "backbone_only", None, None)
         dense = rng.standard_normal((n, d))
         dense[rng.random(n) < 0.1] = -0.0
         want = csr(builder.x).T @ dense
-        got = _row_product(builder.xt(), dense)
+        got = row_product(builder.xt(), dense)
         assert got.tobytes() == want.tobytes()
         assert builder.xt() is builder.xt()
         assert not got[2].any()
@@ -327,11 +326,11 @@ class TestNumpyForward:
         vals = rng.standard_normal((3 * c, d))
         vals[rng.random(3 * c) < 0.05] = -0.0
         vals[2 * c + 1] = -0.0  # pair 1's M row
-        incidence = _Csr(indptr, indices, data, (c, n))
+        incidence = Csr(indptr, indices, data, (c, n))
 
         nodes, sums = _node_sums(xs, ys, incidence, vals)
         touched, want = scipy_node_sums(xs, ys, incidence, vals)
-        assert np.count_nonzero(np.concatenate([xs, ys, indices]) == 5) > backbone._ROW_BLOCK
+        assert np.count_nonzero(np.concatenate([xs, ys, indices]) == 5) > ROW_BLOCK
         assert touched[-1] == 2500 and touched.size < n
         order = np.argsort(nodes)
         np.testing.assert_array_equal(nodes[order], touched)

@@ -692,15 +692,34 @@ class TestLazyLayers:
         assert seen == {"import": [], "run-all": []}
         assert (tmp / "out" / "checkpoint.json").exists()
 
-    def test_kmeans_cluster_loads_scipy(self, dataset):
-        """k-means multiplies sparse matrices, so ``cluster`` loads scipy."""
+    @pytest.mark.parametrize("normalize_rows", ["false", "true"], ids=["raw", "unit"])
+    @pytest.mark.parametrize(
+        "labels", [{"k": 3}, {"k_grid": [2, 3, 4, 5]}], ids=["fixed-k", "elbow"]
+    )
+    def test_kmeans_cluster_loads_no_scipy(self, dataset, labels, normalize_rows):
+        """k-means aggregates the features and clusters them on the graph's
+        CSR arrays, so ``cluster`` loads no scipy module: with a fixed ``k``
+        or the elbow rule, with or without row normalisation."""
         tmp, _ = dataset
         cfg = write_config(
-            tmp / "t.yaml", tmp / "data", tmp / "out", label_source="kmeans", k=3
+            tmp / "t.yaml", tmp / "data", tmp / "out",
+            label_source="kmeans", normalize_rows=normalize_rows, **labels,
         )
         seen = scipy_modules_seen(cfg, ("ingest", "split", "cluster"))
-        assert seen["split"] == []
-        assert "scipy.sparse" in seen["cluster"]
+        assert seen == {"import": [], "ingest": [], "split": [], "cluster": []}
+        assert (tmp / "out" / "labeling.json").exists()
+
+    def test_cold_kmeans_run_all_loads_no_scipy(self, dataset):
+        """A cold ``run-all`` with elbow k-means labels and ``hc`` over Katz
+        runs every stage on numpy alone."""
+        tmp, _ = dataset
+        cfg = write_config(
+            tmp / "t.yaml", tmp / "data", tmp / "out",
+            label_source="kmeans", k_grid=[2, 3, 4, 5], scorer="hc", hc_base="katz",
+        )
+        seen = scipy_modules_seen(cfg, ("run-all",))
+        assert seen == {"import": [], "run-all": []}
+        assert (tmp / "out" / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -720,8 +739,7 @@ class TestLazyLayers:
         its artifacts and scores on numpy alone: with any heuristic (CN/AA/RA,
         Katz, or ``hc`` over them), and with the model scorer in every mode
         (``ncn`` is the default), whose forward pass multiplies on the
-        graph's CSR arrays.  Among the stages, only k-means ``cluster``
-        multiplies with scipy."""
+        graph's CSR arrays.  No stage multiplies with scipy."""
         tmp, _ = dataset
         cfg = write_config(
             tmp / "t.yaml", tmp / "data", tmp / "out", per_edge_negatives=5, **extra

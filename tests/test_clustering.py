@@ -25,8 +25,10 @@ from classlink.clustering import (
     _local_move,
     _modularity,
     _off_diagonal,
+    _pairwise_sq_dists,
     _prepare_points,
     _renumber,
+    FactoredPoints,
     aggregate_features,
     elbow_kmeans,
     kmeans,
@@ -77,8 +79,69 @@ class TestAggregateFeatures:
                 for v in adj[u]:
                     dense[u, v] = 1.0
             agg = aggregate_features(g)
-            assert sp.isspmatrix_csr(agg)
+            assert isinstance(agg, FactoredPoints)
             np.testing.assert_allclose(agg.toarray(), dense @ feats, atol=1e-12)
+
+    @pytest.mark.parametrize("cells", [None, 7 * 100], ids=["one-block", "blocks-of-100-rows"])
+    def test_entries_equal_scipys_product(self, cells, monkeypatch):
+        """The numpy entries of ``H1`` keep the bits, columns and row starts
+        of scipy's ``(g.adj + I) @ g.features`` on float features, in one
+        accumulator block and in blocks of 100 rows (the accumulator is
+        reused): with a hub of 1,200 neighbours, ``-0.0`` values, a node
+        without features, and entries that cancel to 0 and are dropped.
+        The factors are the graph's own arrays and ``A + I``."""
+        if cells is not None:
+            monkeypatch.setattr(clustering, "_ACCUMULATOR", cells)
+        rng = np.random.default_rng(1024)
+        n, f = 2348, 7
+        feats = np.where(rng.random((n, f)) < 0.4, rng.standard_normal((n, f)), 0.0)
+        feats[rng.random((n, f)) < 0.03] = -0.0
+        feats[:, 3] = rng.standard_normal(n)  # every node has feature 3
+        feats[10] = 0.0
+        edges = np.concatenate(
+            [random_edges(rng, n, 0.002), np.column_stack([np.full(1200, 5), np.arange(6, 1206)])]
+        )
+        feats[[20, 21], 0] = [1.5, -1.5]  # node 20's and 21's only neighbour is 22
+        feats[22, 0] = 0.0
+        feats[[20, 21, 22], 1:] = 0.0
+        edges = edges[~np.isin(edges, [20, 21, 22]).any(axis=1)]
+        edges = np.concatenate([edges, [[20, 22], [21, 22]]])
+        g = build_graph(n, edges, features=feats)
+        assert g.degree(5) >= 1200
+        agg = aggregate_features(g)
+        want = (g.adj + sp.identity(n, format="csr")) @ g.features
+        want.sort_indices()
+        h = agg.entries
+        np.testing.assert_array_equal(h.indptr, want.indptr)
+        np.testing.assert_array_equal(h.indices, want.indices)
+        assert h.data.tobytes() == want.data.tobytes()
+        assert 0 not in h.indices[h.indptr[22] : h.indptr[23]]  # 1.5 - 1.5 is dropped
+        assert agg.right.data is g.feature_data and agg.right.indices is g.feature_indices
+        left = sp.csr_matrix((agg.left.data, agg.left.indices, agg.left.indptr), shape=(n, n))
+        assert (left != g.adj + sp.identity(n, format="csr")).nnz == 0
+        assert left.has_sorted_indices
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_factored_product_equals_the_product_of_h1(self, k):
+        """On integer points, every distance product ``L (X Sᵀ)`` keeps the
+        bits of scipy's ``H1 @ scaled``, and so do the distances."""
+        rng = np.random.default_rng(1025)
+        n = 1500
+        feats = (rng.random((n, 30)) < 0.15).astype(np.float64)
+        g = build_graph(n, random_edges(rng, n, 0.005), features=feats)
+        h1 = (g.adj + sp.identity(n, format="csr")) @ g.features
+        points = _prepare_points(aggregate_features(g), normalize_rows=False)
+        assign = rng.integers(0, k, size=n)
+        sums = np.zeros((k, feats.shape[1]))
+        np.add.at(sums, assign, h1.toarray())
+        counts = np.bincount(assign, minlength=k).astype(np.float64)
+        scaled = np.ascontiguousarray((sums * (-2.0 * counts)[:, None]).T)
+        assert points.times(scaled).tobytes() == (h1 @ scaled).tobytes()
+        cents = _Centroids(sums, (sums * sums).sum(axis=1), counts)
+        dense = _prepare_points(h1.toarray(), normalize_rows=False)
+        assert _pairwise_sq_dists(points, cents).tobytes() == (
+            _pairwise_sq_dists(dense, cents).tobytes()
+        )
 
     def test_path_hand_value(self, path3):
         x = np.array([[1.0], [2.0], [4.0]])
@@ -765,9 +828,8 @@ class TestSparseInput:
         rng = np.random.default_rng(1021)
         n = 150
         feats = (rng.random((n, 40)) < 0.1).astype(np.float64)
-        agg = aggregate_features(
-            build_graph(n, random_edges(rng, n, 0.04), features=feats)
-        )
+        g = build_graph(n, random_edges(rng, n, 0.04), features=feats)
+        agg = (g.adj + sp.identity(n, format="csr")) @ g.features
         # shuffled COO entries with explicit zeros: the same points
         coo = agg.tocoo()
         order = np.random.default_rng(1022).permutation(coo.nnz)
@@ -796,6 +858,25 @@ class TestSparseInput:
                 runs[0].ssd_curve
             ).tobytes()
             assert other_fixed.labels.tobytes() == fixed[0].labels.tobytes()
+
+    @pytest.mark.parametrize("max_iters", [3, 100])
+    def test_factored_points_keep_the_bits_of_their_dense_copy(self, max_iters):
+        """On integer points, the factored points of ``aggregate_features``
+        give the labels and the SSD curve of their dense copy, byte for
+        byte, elbow and fixed ``k``."""
+        rng = np.random.default_rng(1026)
+        n = 300
+        feats = (rng.random((n, 40)) < 0.1).astype(np.float64)
+        agg = aggregate_features(build_graph(n, random_edges(rng, n, 0.03), features=feats))
+        ks = [1, 2, 3, 5, 8, 10]
+        assert agg.shape == (n, 40)
+        factored, dense = (
+            elbow_kmeans(x, ks, seed=5, max_iters=max_iters) for x in (agg, agg.toarray())
+        )
+        assert factored.labels.tobytes() == dense.labels.tobytes()
+        assert np.array(factored.ssd_curve).tobytes() == np.array(dense.ssd_curve).tobytes()
+        fixed = [kmeans(x, 6, seed=5, max_iters=max_iters) for x in (agg, agg.toarray())]
+        assert fixed[0].labels.tobytes() == fixed[1].labels.tobytes()
 
     def test_points_without_columns(self):
         # all points coincide: ties send them to centroid 0, and the empty

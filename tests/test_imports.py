@@ -5,12 +5,14 @@ Three rules, one test each per module:
 * every name a module imports is used in that module (annotations count);
 * no module imports a ``_private`` name from another classlink module: what
   two modules share is public;
-* no module imports scipy when it is imported: they import it inside the
-  functions that build or multiply scipy matrices, or for type checking;
+* no module imports scipy when it is imported: ``graph.py`` imports it
+  inside the functions that build a graph from dense or scipy features and
+  make its scipy views, or for type checking; ``clustering.py``,
   ``heuristics.py`` and ``backbone.py`` import it nowhere.
 
-One more test runs Louvain, ``hc`` over RA and the negative samplers in a
-fresh interpreter, which must load neither scipy nor ``numpy.ma`` on the way.
+One more test runs feature aggregation, elbow k-means, Louvain, ``hc`` over
+RA and the negative samplers in a fresh interpreter, which must load neither
+scipy nor ``numpy.ma`` on the way.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "classlink"
@@ -100,19 +103,19 @@ def test_the_guard_sees_top_level_and_skips_type_checking():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_backbone_imports_scipy_at_module_level(path):
     """No module imports scipy when it is imported: the functions that still
-    use it (k-means' products, a graph's scipy views and its build from
-    dense or scipy features) import it in their bodies."""
+    use it (a graph's scipy views and its build from dense or scipy
+    features) import it in their bodies."""
     tree = ast.parse(path.read_text(), filename=str(path))
     scipy = [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"]
     assert not scipy, f"{path.name} imports {scipy} when it is imported"
 
 
 def test_heuristics_imports_no_scipy_anywhere():
-    """Every heuristic scores, and the backbone propagates, predicts and
-    trains, on the graph's CSR arrays: no function body or
-    ``TYPE_CHECKING`` block of ``heuristics.py`` or ``backbone.py`` imports
-    scipy."""
-    for name in ("heuristics.py", "backbone.py"):
+    """Every heuristic scores, the backbone propagates, predicts and trains,
+    and k-means aggregates and clusters, on the graph's CSR arrays: no
+    function body or ``TYPE_CHECKING`` block of ``clustering.py``,
+    ``heuristics.py`` or ``backbone.py`` imports scipy."""
+    for name in ("clustering.py", "heuristics.py", "backbone.py"):
         tree = ast.parse((PACKAGE / name).read_text())
         scipy = [imported for _, _, imported in imports(tree) if imported.split(".")[0] == "scipy"]
         scipy += [
@@ -123,22 +126,33 @@ def test_heuristics_imports_no_scipy_anywhere():
         assert not scipy, f"{name} imports {scipy}"
 
 
-def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma():
-    """Louvain, ``hc`` over RA (with and without local normalisation), the
-    split's pools, the per-edge pools and the training negatives run on the
-    graph's CSR arrays with no plain ``np.unique``, which loads ``numpy.ma``:
-    in a fresh interpreter they load neither scipy nor ``numpy.ma``."""
+def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma(tmp_path):
+    """Feature aggregation and elbow k-means (with and without row
+    normalisation), Louvain, ``hc`` over RA (with and without local
+    normalisation), the split's pools, the per-edge pools and the training
+    negatives run on the graph's CSR arrays with no plain ``np.unique``,
+    which loads ``numpy.ma``: in a fresh interpreter they load neither scipy
+    nor ``numpy.ma``."""
+    rng = np.random.default_rng(0)
+    edges, features = tmp_path / "edges.txt", tmp_path / "features.csv"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in rng.integers(0, 80, size=(300, 2))))
+    rows = (rng.random((80, 12)) < 0.2).astype(int)
+    features.write_text("".join(f"{i},{','.join(map(str, r))}\n" for i, r in enumerate(rows)))
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from classlink.clustering import louvain\n"
+        "from classlink.clustering import aggregate_features, elbow_kmeans, louvain\n"
         "from classlink.evaluation import draw_per_edge_pools\n"
-        "from classlink.graph import build_graph, sample_negatives, split_edges\n"
+        "from classlink.graph import load_graph, sample_negatives, split_edges\n"
         "from classlink.heuristics import ClassHeuristicParams, make_heuristic_scorer\n"
         "from classlink.priors import count_class_links\n"
-        "g = build_graph(80, np.random.default_rng(0).integers(0, 80, size=(300, 2)))\n"
+        f"g = load_graph({str(edges)!r}, {str(features)!r})\n"
+        "assert g.n_nodes == 80 and g.n_features == 12\n"
         "split = split_edges(g, (0.8, 0.1, 0.1), 1, negatives=20)\n"
         "train = split.train_graph(g)\n"
+        "for unit in (False, True):\n"
+        "    km = elbow_kmeans(aggregate_features(train), [1, 2, 3, 4], 1, normalize_rows=unit)\n"
+        "    assert km.labels.size == 80 and len(km.ssd_curve) == 4\n"
         "labels = louvain(train, 1)\n"
         "assert labels.k > 1\n"
         "pools = draw_per_edge_pools(train, len(split.test_edges), 5, 1)\n"

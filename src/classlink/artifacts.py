@@ -1,23 +1,27 @@
 """The one read/write path for every file a pipeline run leaves behind.
 
-Every file is written atomically: the text goes to a temporary file in the
+Every file is written atomically: the bytes go to a temporary file in the
 destination directory, which then replaces the destination with
 ``os.replace``, so a reader sees the old file or the new one, never a torn
 write.
 
-JSON artifacts share one envelope: an object holding ``kind``, ``version``
-and the artifact's named fields, with sorted keys.  A numeric array is a
-field holding a blob ``{"dtype": "<i8" | "<f8", "shape": [...], "data":
-<base64>}`` of its little-endian bytes, so floats round-trip bit for bit and
-a large array parses as one string.  :func:`read` checks the kind, the
-version, each field's type and each array's dtype and shape, and raises
-:class:`~classlink.errors.ParseError` naming the file on any mismatch.
+An artifact is its envelope on the first line, a newline, then the raw bytes
+of its arrays.  The envelope is a JSON object with sorted keys holding
+``kind``, ``version`` and the artifact's named fields.  A numeric array, in a
+field at any depth of objects, is a blob ``{"dtype": "<i8" | "<f8", "shape":
+[...], "offset": <int>}``: its little-endian bytes start ``offset`` bytes
+after the newline, the arrays' bytes follow one another in the order the
+envelope lists their blobs, and the blobs tile those bytes exactly, so
+floats round-trip bit for bit and no array is ever text.  An artifact
+without arrays is a one-line JSON document.  :func:`read` checks the kind,
+the version and the blobs' layout and reads each array's bytes straight
+into it; :func:`decode` checks each field's type and each array's dtype and
+shape.  Any mismatch raises :class:`~classlink.errors.ParseError` naming the
+file.
 """
 
 from __future__ import annotations
 
-import base64
-import itertools
 import json
 import math
 import os
@@ -28,33 +32,30 @@ import numpy as np
 
 from .errors import ParseError
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 INT = "<i8"
 FLOAT = "<f8"
 _NATIVE = {INT: np.int64, FLOAT: np.float64}
+_BLOB_KEYS = {"dtype", "shape", "offset"}
 
 
-def write_text(path: str | Path, *parts: str | bytes) -> Path:
-    """Atomically replace ``path`` with the text ``parts``, written in order
-    to one handle, creating its directory.  A ``bytes`` part is ASCII text
-    that goes to the file as it is, so no encoded copy of it is made."""
-    return _write_parts(Path(path), parts)
+def write_text(path: str | Path, *parts: str) -> Path:
+    """Atomically replace ``path`` with the UTF-8 text ``parts``, written in
+    order to one handle, creating its directory."""
+    return _write_parts(Path(path), (part.encode() for part in parts))
 
 
-def _write_parts(path: Path, parts: Iterable[str | bytes]) -> Path:
-    """:func:`write_text` of parts taken one at a time from an iterable; if
-    taking one fails, the temporary file goes and ``path`` is left as it was."""
+def _write_parts(path: Path, parts: Iterable[bytes | memoryview]) -> Path:
+    """Atomically replace ``path`` with byte parts taken one at a time from
+    an iterable; if taking one fails, the temporary file goes and ``path``
+    is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             for part in parts:
-                if isinstance(part, bytes):
-                    fh.flush()
-                    fh.buffer.write(part)
-                else:
-                    fh.write(part)
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -69,49 +70,39 @@ def _blob_array(arr) -> np.ndarray:
     return np.asarray(arr, dtype=FLOAT if arr.dtype.kind == "f" else INT, order="C")
 
 
-# Raw bytes base64-encoded per call (192 KiB): a multiple of 3, so the slices'
-# texts join into the text of the whole.  The encoder's transient buffer and
-# the part just written stay small against a large array's text.
-_B64_SLICE = 3 << 16
-
-
-def _json_parts(obj) -> Iterator[str | bytes]:
-    """The text of ``json.dumps(obj, sort_keys=True)`` in parts, where each
-    numpy array, at any depth of objects, is a blob whose base64 data is
-    ``bytes`` parts of its own.  Base64 needs no JSON escaping, so the escaped
-    copy and the joined text that ``json.dumps`` would make of it are never
-    made.  Each part encodes :data:`_B64_SLICE` raw bytes, a view of the
-    array's own buffer, so no encoded copy of a whole array is made."""
+def _with_blobs(obj, stored: list[np.ndarray]):
+    """``obj`` with each numpy array at any depth of objects replaced by its
+    blob.  Keys are visited in sorted order, as ``json.dumps(...,
+    sort_keys=True)`` lists them, so ``stored`` receives the arrays in the
+    order of their bytes."""
     if isinstance(obj, np.ndarray):
         arr = _blob_array(obj)
-        raw = memoryview(arr.reshape(-1)).cast("B")
-        yield '{"data": "'
-        for start in range(0, len(raw), _B64_SLICE):
-            yield base64.b64encode(raw[start : start + _B64_SLICE])
-        yield f'", "dtype": "{arr.dtype.str}", "shape": {json.dumps(list(arr.shape))}}}'
-    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        yield "{"
-        for i, key in enumerate(sorted(obj)):
-            yield f"{', ' if i else ''}{json.dumps(key)}: "
-            yield from _json_parts(obj[key])
-        yield "}"
-    else:
-        yield json.dumps(obj, sort_keys=True)
+        offset = sum(a.nbytes for a in stored)
+        stored.append(arr)
+        return {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset}
+    if isinstance(obj, dict):
+        return {key: _with_blobs(obj[key], stored) for key in sorted(obj)}
+    return obj
 
 
 def write(path: str | Path, kind: str, fields: dict, arrays: dict | None = None) -> Path:
-    """Write one enveloped JSON artifact atomically.
+    """Write one artifact atomically.
 
     Each of ``arrays`` (``None`` stays ``null``), and each numpy array inside
-    ``fields``, is stored as a blob.  The text is serialised part by part
-    into the temporary file, so a value JSON cannot hold fails the write and
-    leaves the old file.
+    ``fields``, is stored as a blob.  The envelope is serialised before the
+    temporary file is opened, so a value JSON cannot hold fails the write
+    and leaves the old file; each array's bytes are then written from its
+    own buffer.
     """
     blobs = {
         name: None if arr is None else np.asarray(arr) for name, arr in (arrays or {}).items()
     }
-    payload = {"kind": kind, "version": ARTIFACT_VERSION, **fields, **blobs}
-    return _write_parts(Path(path), itertools.chain(_json_parts(payload), ("\n",)))
+    stored: list[np.ndarray] = []
+    envelope = _with_blobs({"kind": kind, "version": ARTIFACT_VERSION, **fields, **blobs}, stored)
+    head = json.dumps(envelope, sort_keys=True) + "\n"
+    return _write_parts(
+        Path(path), [head.encode(), *(memoryview(arr.reshape(-1)).cast("B") for arr in stored)]
+    )
 
 
 def read(
@@ -123,9 +114,19 @@ def read(
 ) -> dict:
     """Read an artifact written by :func:`write` and check it; see :func:`decode`."""
     try:
-        payload = json.loads(Path(path).read_text())
+        with open(path, "rb") as fh:
+            payload = _load(path, fh, kind)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    return decode(path, payload, fields, arrays, optional)
+
+
+def _load(path: str | Path, fh, kind: str) -> dict:
+    """The envelope of the open artifact ``fh``, each blob replaced by its
+    array, whose bytes are read into it from the rest of the file."""
+    head = fh.readline()
+    try:
+        payload = json.loads(head)
     except ValueError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -138,7 +139,56 @@ def read(
             f"classlink reads version {ARTIFACT_VERSION}; rebuild the run directory "
             "(remove it and run the pipeline again)"
         )
-    return decode(path, payload, fields, arrays, optional)
+    blobs = [(*_extent(path, obj, name), obj, name) for obj, name in _blobs(payload)]
+    blobs.sort(key=lambda blob: blob[0])
+    size = os.fstat(fh.fileno()).st_size - len(head)
+    end, before = 0, None
+    for offset, nbytes, _, name in blobs:
+        if offset > end:
+            raise ParseError(f"{path}: a gap of {offset - end} bytes before array {name!r}")
+        if offset < end:
+            raise ParseError(
+                f"{path}: array {name!r} overlaps array {before!r} by {end - offset} bytes"
+            )
+        end, before = end + nbytes, name
+    if end > size:
+        raise ParseError(
+            f"{path}: array {before!r} ends at byte {end} of the array bytes, past the "
+            f"file's end at {size} (the file is cut short)"
+        )
+    if end < size:
+        raise ParseError(f"{path}: {size - end} trailing bytes after the arrays")
+    for _, nbytes, obj, name in blobs:
+        blob = obj[name]
+        arr = np.empty(blob["shape"], dtype=blob["dtype"])
+        if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != nbytes:
+            raise ParseError(f"{path}: the file ends inside array {name!r} (cut short)")
+        obj[name] = arr.astype(_NATIVE[blob["dtype"]], copy=False)
+    return payload
+
+
+def _blobs(obj: dict) -> Iterator[tuple[dict, str]]:
+    """``(object, key)`` of each blob at any depth of objects in ``obj``, in
+    the order the envelope lists them."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            if value.keys() == _BLOB_KEYS:
+                yield obj, key
+            else:
+                yield from _blobs(value)
+
+
+def _extent(path: str | Path, obj: dict, name: str) -> tuple[int, int]:
+    """``(offset, byte count)`` of the blob ``obj[name]``, checked."""
+    where = f"{path}: array {name!r}"
+    dtype, dims, offset = (obj[name][key] for key in ("dtype", "shape", "offset"))
+    if dtype not in (INT, FLOAT):
+        raise ParseError(f"{where} has dtype {dtype!r}, not {INT!r} or {FLOAT!r}")
+    if not isinstance(dims, list) or any(type(d) is not int or d < 0 for d in dims):
+        raise ParseError(f"{where} has shape {dims!r}, not a list of lengths")
+    if type(offset) is not int or offset < 0:
+        raise ParseError(f"{where} has offset {offset!r}, not a byte position")
+    return offset, 8 * math.prod(dims)
 
 
 def decode(
@@ -148,7 +198,8 @@ def decode(
     arrays: dict | None = None,
     optional: tuple[str, ...] = (),
 ) -> dict:
-    """The named fields and decoded arrays of one JSON object.
+    """The named fields and arrays of one object of an envelope that
+    :func:`read` has bound to its arrays.
 
     ``fields`` maps a name to the type (or tuple of types) its value must
     have exactly, so ``True`` is not an ``int``; ``arrays`` maps a name to
@@ -173,32 +224,23 @@ def decode(
             )
         out[name] = value
     for name, (dtype, shape) in arrays.items():
-        blob = obj[name]
+        value = obj[name]
         out[name] = (
             None
-            if blob is None and name in optional
-            else _decode_array(f"{path}: array {name!r}", blob, dtype, shape)
+            if value is None and name in optional
+            else _check_array(f"{path}: array {name!r}", value, dtype, shape)
         )
     return out
 
 
-def _decode_array(where: str, blob, dtype: str, shape: tuple) -> np.ndarray:
-    if not isinstance(blob, dict) or set(blob) != {"dtype", "shape", "data"}:
-        raise ParseError(f"{where} is not a {{dtype, shape, data}} blob")
-    if blob["dtype"] != dtype:
-        raise ParseError(f"{where} has dtype {blob['dtype']!r}, expected {dtype!r}")
-    dims = blob["shape"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != len(shape)
-        or any(type(d) is not int or d < 0 for d in dims)
-        or any(want is not None and d != want for d, want in zip(dims, shape))
+def _check_array(where: str, arr, dtype: str, shape: tuple) -> np.ndarray:
+    if not isinstance(arr, np.ndarray):
+        raise ParseError(f"{where} is not a {{dtype, shape, offset}} blob")
+    if arr.dtype != _NATIVE[dtype]:
+        raise ParseError(f"{where} has dtype {arr.dtype.str!r}, expected {dtype!r}")
+    dims = list(arr.shape)
+    if len(dims) != len(shape) or any(
+        want is not None and d != want for d, want in zip(dims, shape)
     ):
         raise ParseError(f"{where} has shape {dims!r}, expected {list(shape)}")
-    try:
-        raw = base64.b64decode(blob["data"], validate=True)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where} data is not base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(dims):
-        raise ParseError(f"{where} holds {len(raw)} bytes, not {8 * math.prod(dims)}")
-    return np.frombuffer(raw, dtype=dtype).reshape(dims).astype(_NATIVE[dtype])
+    return arr

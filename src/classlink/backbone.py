@@ -762,7 +762,7 @@ def _params_from_payload(path: str | Path, payload: dict | None) -> BackbonePara
 def save_checkpoint(
     model: TrainedModel, path: str | Path, *, config_digest: str = ""
 ) -> None:
-    """Checkpoint with float64 little-endian base64 weight blobs.
+    """Checkpoint with float64 little-endian weight blobs.
 
     Only the weights are stored; the prior and labels stay in the run's
     ``prior.json`` and label source.

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import base64
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from classlink import artifacts
 from classlink.graph import Graph, build_graph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -30,16 +32,30 @@ def citation_files() -> dict[str, Path] | None:
     return None
 
 
-def encode_blob(arr) -> dict:
-    """The blob an artifact stores for ``arr``: the base64 of its little-endian
-    ``<f8`` (float) or ``<i8`` (integer, boolean) bytes, with dtype and shape."""
-    arr = np.asarray(arr)
-    arr = np.ascontiguousarray(arr, dtype="<f8" if arr.dtype.kind == "f" else "<i8")
-    return {
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+def read_envelope(path) -> dict:
+    """The envelope of the artifact at ``path`` with each blob, at any depth
+    of objects, replaced by a copy of the array its bytes hold.  Read apart
+    from ``classlink.artifacts``: the first line is the JSON envelope, and a
+    blob ``{"dtype", "shape", "offset"}`` starts ``offset`` bytes after it."""
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+
+    def bind(obj):
+        if not isinstance(obj, dict):
+            return obj
+        if obj.keys() == {"dtype", "shape", "offset"}:
+            count = math.prod(obj["shape"])
+            arr = np.frombuffer(body, obj["dtype"], count, obj["offset"])
+            return arr.reshape(obj["shape"]).copy()
+        return {key: bind(value) for key, value in obj.items()}
+
+    return bind(json.loads(head))
+
+
+def write_envelope(path, envelope) -> None:
+    """Write ``envelope`` to ``path`` as an artifact through the library's
+    writer: each numpy array becomes a blob, and every other value, a
+    hand-made blob included, is written as it is."""
+    artifacts.write(path, envelope["kind"], envelope)
 
 
 def random_edges(rng: np.random.Generator, n: int, p: float) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""The shared artifact path: atomic writes, the v2 envelope, blob arrays,
-and a ``ParseError`` for every malformed payload of every artifact kind."""
+"""The shared artifact path: atomic writes, the envelope line and the raw
+array bytes after it, and a ``ParseError`` for every malformed payload of
+every artifact kind and every fault of the layout."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import tracemalloc
@@ -23,6 +25,8 @@ from classlink.config import RunConfig
 from classlink.errors import ParseError
 from classlink.evaluation import draw_per_edge_pools, load_pools_json, save_pools_json
 from classlink.graph import (
+    _SPLIT_ARRAYS,
+    EdgeSplit,
     build_graph,
     load_graph_json,
     load_split_json,
@@ -32,7 +36,7 @@ from classlink.graph import (
 )
 from classlink.priors import count_class_links, load_prior_json, save_prior_json
 
-from conftest import encode_blob, random_edges
+from conftest import random_edges, read_envelope, write_envelope
 
 KINDS = ("graph", "split", "prior", "labeling", "checkpoint", "manifest", "pools")
 
@@ -85,7 +89,7 @@ def save(kind: str, tmp_path):
 
 
 def rewrite(path, change):
-    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    write_envelope(path, change(read_envelope(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +132,10 @@ class TestRoundTrip:
     def test_features_are_stored_sparse(self, tmp_path):
         g = small_graph()
         save_graph_json(g, tmp_path / "g.json")
-        payload = json.loads((tmp_path / "g.json").read_text())
+        payload = read_envelope(tmp_path / "g.json")
         stored = np.count_nonzero(g.features.toarray()) + 1  # -0.0 is stored, 0.0 is not
-        assert payload["features_data"]["shape"] == [stored]
-        assert payload["version"] == artifacts.ARTIFACT_VERSION == 2
+        assert payload["features_data"].shape == (stored,)
+        assert payload["version"] == artifacts.ARTIFACT_VERSION == 3
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_loads_back(self, tmp_path, kind):
@@ -155,7 +159,7 @@ MISSING = {
 
 
 def float_blob(p, name):
-    return {**p, name: encode_blob(np.zeros(p[name]["shape"]))}
+    return {**p, name: np.zeros(p[name].shape)}
 
 
 WRONG_DTYPE = {
@@ -164,40 +168,30 @@ WRONG_DTYPE = {
     "prior": lambda p: float_blob(p, "joint_counts"),
     "labeling": lambda p: float_blob(p, "labels"),
     "checkpoint": lambda p: {
-        **p, "params": {**p["params"], "w1": encode_blob(np.zeros((5, 3), int))}
+        **p, "params": {**p["params"], "w1": np.zeros((5, 3), int)}
     },
     "manifest": lambda p: {**p, "stages": [p["stages"]]},
     "pools": lambda p: float_blob(p, "pools"),
 }
 
 WRONG_SHAPE = {
-    "graph": lambda p: {**p, "edges": encode_blob(np.zeros((4, 3), dtype=int))},
-    "split": lambda p: {**p, "valid_edges": encode_blob(np.zeros(4, dtype=int))},
-    "prior": lambda p: {**p, "joint_counts": encode_blob(np.zeros(9, dtype=int))},
-    "labeling": lambda p: {**p, "labels": encode_blob(np.zeros((5, 2), dtype=int))},
-    "checkpoint": lambda p: {
-        **p, "params": {**p["params"], "bh": encode_blob(np.zeros((2, 1)))}
-    },
+    "graph": lambda p: {**p, "edges": np.zeros((4, 3), dtype=int)},
+    "split": lambda p: {**p, "valid_edges": np.zeros(4, dtype=int)},
+    "prior": lambda p: {**p, "joint_counts": np.zeros(9, dtype=int)},
+    "labeling": lambda p: {**p, "labels": np.zeros((5, 2), dtype=int)},
+    "checkpoint": lambda p: {**p, "params": {**p["params"], "bh": np.zeros((2, 1))}},
     "manifest": lambda p: {**p, "stages": {"ingest": {"digest": "d"}}},
-    "pools": lambda p: {**p, "pools": encode_blob(np.zeros((4, 2, 2), dtype=int))},
+    "pools": lambda p: {**p, "pools": np.zeros((4, 2, 2), dtype=int)},
 }
 
 
 def edit_feature_row(p, edit):
     """``p`` with the first two column indices of its first feature row that
     stores two entries or more replaced by ``edit`` of them."""
-    blobs = artifacts.decode(
-        "graph.json",
-        p,
-        arrays={
-            "features_indptr": (artifacts.INT, (None,)),
-            "features_indices": (artifacts.INT, (None,)),
-        },
-    )
-    indptr, cols = blobs["features_indptr"], blobs["features_indices"]
+    indptr, cols = p["features_indptr"], p["features_indices"].copy()
     lo = int(indptr[np.flatnonzero(np.diff(indptr) >= 2)[0]])
     cols[lo : lo + 2] = edit(cols[lo : lo + 2].copy())
-    return {**p, "features_indices": encode_blob(cols)}
+    return {**p, "features_indices": cols}
 
 
 class TestMalformedPayload:
@@ -255,7 +249,7 @@ class TestMalformedPayload:
     def test_prior_classes_disagree_with_counts(self, tmp_path, n_classes, counts):
         path, _ = save("prior", tmp_path)
         rewrite(
-            path, lambda p: {**p, "n_classes": n_classes, "joint_counts": encode_blob(counts)}
+            path, lambda p: {**p, "n_classes": n_classes, "joint_counts": counts}
         )
         with pytest.raises(ParseError, match="joint_counts"):
             load_prior_json(path)
@@ -263,10 +257,10 @@ class TestMalformedPayload:
     @pytest.mark.parametrize(
         "blob",
         [
-            {"dtype": "<i8", "shape": [2, 2], "data": "AAAAAAAAAAA="},  # 8 bytes for 4 entries
-            {"dtype": "<i8", "shape": [1, 2], "data": "not base64!"},
-            {"dtype": "<i8", "shape": [-1, 2], "data": ""},
-            {"dtype": "<i8", "shape": "1x2", "data": ""},
+            {"dtype": "<i8", "shape": [2, 2], "offset": 0},  # the first array's bytes
+            {"dtype": "<i8", "shape": [1, 2], "offset": "0"},
+            {"dtype": "<i8", "shape": [-1, 2], "offset": 0},
+            {"dtype": "<i8", "shape": "1x2", "offset": 0},
             {"dtype": "<i8", "shape": [0, 2]},
             [[0, 1]],
         ],
@@ -284,7 +278,7 @@ class TestMalformedPayload:
     )
     def test_prior_counts_must_be_symmetric_and_non_negative(self, tmp_path, counts):
         path, _ = save("prior", tmp_path)
-        rewrite(path, lambda p: {**p, "n_classes": 2, "joint_counts": encode_blob(counts)})
+        rewrite(path, lambda p: {**p, "n_classes": 2, "joint_counts": counts})
         with pytest.raises(ParseError, match="symmetric and non-negative"):
             load_prior_json(path)
 
@@ -299,7 +293,7 @@ class TestMalformedPayload:
         path, load = save("pools", tmp_path)
         pools = np.zeros((4, 3, 2), dtype=int)
         pools[2, 1, 0] = node
-        rewrite(path, lambda p: {**p, "pools": encode_blob(pools)})
+        rewrite(path, lambda p: {**p, "pools": pools})
         with pytest.raises(ParseError, match=r"pools.json: pools has a node id outside \[0, 12\)"):
             load(path)
 
@@ -308,12 +302,12 @@ class TestMalformedPayload:
         [
             lambda p: {**p, "n_features": 2},
             lambda p: {**p, "n_nodes": 11},
-            lambda p: {**p, "features_indptr": encode_blob(np.zeros(13, dtype=int))},
-            lambda p: {**p, "edges": encode_blob(np.array([[0, 12]]))},
+            lambda p: {**p, "features_indptr": np.zeros(13, dtype=int)},
+            lambda p: {**p, "edges": np.array([[0, 12]])},
             lambda p: {**p, "node_ids": ["a"]},
             lambda p: edit_feature_row(p, lambda cols: cols[::-1]),
             lambda p: edit_feature_row(p, lambda cols: cols[:1].repeat(2)),
-            lambda p: {**p, "labels": encode_blob(np.full(p["n_nodes"], -3))},
+            lambda p: {**p, "labels": np.full(p["n_nodes"], -3)},
             lambda p: {**p, "class_ids": ["a"]},
         ],
         ids=[
@@ -333,9 +327,9 @@ class TestMalformedPayload:
             ({"dim": "3"}, "'dim' must be int"),
             ({"dim": 4}, "w1, w2, wh do not fit dim=4"),
             ({"use_priors": False}, "wh do not fit"),
-            ({"wo": encode_blob(np.zeros(3))}, "wo do not fit"),
+            ({"wo": np.zeros(3)}, "wo do not fit"),
             (
-                {"use_priors": False, "wh": encode_blob(np.zeros((6, 2)))},
+                {"use_priors": False, "wh": np.zeros((6, 2))},
                 "use_priors must be on exactly when",
             ),
         ],
@@ -411,16 +405,22 @@ class TestWriter:
             "none": None,
         }
         artifacts.write(tmp_path / "a.json", "test", fields, {"b": np.array([True]), "c": None})
+        # the envelope lists b, z.deep.x, z.w, and their bytes follow in that order
         encoded = {
             **fields,
             "z": {
-                "w": encode_blob(fields["z"]["w"]),
-                "deep": {"x": encode_blob(fields["z"]["deep"]["x"])},
+                "w": {"dtype": "<i8", "shape": [2, 3], "offset": 24},
+                "deep": {"x": {"dtype": "<f8", "shape": [2], "offset": 8}},
             },
         }
-        payload = {"kind": "test", "version": 2, **encoded, "b": encode_blob([1]), "c": None}
-        expected = json.dumps(payload, sort_keys=True) + "\n"
-        assert (tmp_path / "a.json").read_text() == expected
+        blob = {"dtype": "<i8", "shape": [1], "offset": 0}
+        payload = {"kind": "test", "version": 3, **encoded, "b": blob, "c": None}
+        raw = b"".join(
+            np.asarray(arr, dtype).tobytes()
+            for arr, dtype in ((1, "<i8"), (fields["z"]["deep"]["x"], "<f8"), (fields["z"]["w"], "<i8"))
+        )
+        expected = (json.dumps(payload, sort_keys=True) + "\n").encode() + raw
+        assert (tmp_path / "a.json").read_bytes() == expected
 
     def test_peak_memory_stays_under_the_file_size(self, tmp_path):
         arr = np.random.default_rng(0).random(1_000_000)
@@ -432,3 +432,124 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 1.0 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# The layout: the envelope line, then the arrays' bytes
+# ---------------------------------------------------------------------------
+
+
+def split_parts(tmp_path):
+    """A valid ``split.json``: its path, its envelope and its array bytes."""
+    path, _ = save("split", tmp_path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    return path, json.loads(head), body
+
+
+def put(path, head, body: bytes) -> None:
+    path.write_bytes(json.dumps(head, sort_keys=True).encode() + b"\n" + body)
+
+
+def as_version_2(obj):
+    """A version-2 envelope of ``obj``: each array a base64 ``data`` blob."""
+    if isinstance(obj, np.ndarray):
+        data = base64.b64encode(obj.tobytes()).decode("ascii")
+        return {"dtype": obj.dtype.str, "shape": list(obj.shape), "data": data}
+    if isinstance(obj, dict):
+        return {key: as_version_2(value) for key, value in obj.items()}
+    return obj
+
+
+class TestLayout:
+    def fails(self, path, match):
+        with pytest.raises(ParseError, match=match) as err:
+            load_split_json(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_bytes_cut_short(self, tmp_path):
+        path, head, body = split_parts(tmp_path)
+        put(path, head, body[:-5])
+        self.fails(path, r"array 'valid_negatives' ends at byte \d+ .* past the file's end")
+
+    def test_trailing_bytes(self, tmp_path):
+        path, head, body = split_parts(tmp_path)
+        put(path, head, body + b"\0")
+        self.fails(path, "1 trailing bytes after the arrays")
+
+    def test_trailing_bytes_after_an_array_free_envelope(self, tmp_path):
+        path = tmp_path / cli.MANIFEST_NAME
+        cli._record_stage(RunConfig(out=str(tmp_path)), "ingest", n_nodes=12)
+        path.write_bytes(path.read_bytes() + b"{}")
+        with pytest.raises(ParseError, match="2 trailing bytes") as err:
+            load_manifest(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("after", ["test_edges", "train_edges"])  # first, and one inside
+    def test_gap_between_blobs(self, tmp_path, after):
+        path, head, body = split_parts(tmp_path)
+        start = head[after]["offset"]
+        for name in _SPLIT_ARRAYS:
+            if head[name]["offset"] >= start:
+                head[name]["offset"] += 8
+        put(path, head, body[:start] + bytes(8) + body[start:])
+        self.fails(path, f"a gap of 8 bytes before array '{after}'")
+
+    def test_overlap_between_blobs(self, tmp_path):
+        path, head, body = split_parts(tmp_path)
+        head["train_edges"]["offset"] -= 8
+        put(path, head, body)
+        self.fails(path, "array 'train_edges' overlaps array 'test_negatives' by 8 bytes")
+
+    @pytest.mark.parametrize("rows", [1, 2**40])  # the second fails before any allocation
+    def test_blob_extent_passes_the_end(self, tmp_path, rows):
+        path, head, body = split_parts(tmp_path)
+        head["valid_negatives"]["shape"][0] += rows
+        put(path, head, body)
+        self.fails(path, "array 'valid_negatives' ends at byte .* past the file's end")
+
+    @pytest.mark.parametrize(
+        "first_line", [b"[1, 2]", b'"split"', b"3", b"null", b"\x01\xff\x00binary"]
+    )
+    def test_first_line_not_a_json_object(self, tmp_path, first_line):
+        path, _, body = split_parts(tmp_path)
+        path.write_bytes(first_line + b"\n" + body)
+        self.fails(path, "not a split artifact|invalid JSON")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_version_2_file_says_to_rebuild(self, tmp_path, kind):
+        path, load = save(kind, tmp_path)
+        v2 = {**as_version_2(read_envelope(path)), "version": 2}
+        path.write_text(json.dumps(v2, sort_keys=True) + "\n")
+        with pytest.raises(ParseError, match="version 2, .*rebuild the run directory") as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_arrays_are_aligned_and_own_their_memory(self, tmp_path):
+        """No array is a view of the file's bytes, which follow an envelope
+        line of any length."""
+        path, _ = save("graph", tmp_path)
+        edges = artifacts.read(path, "graph", arrays={"edges": (artifacts.INT, (None, 2))})["edges"]
+        assert edges.flags.aligned and edges.flags.owndata and edges.flags.writeable
+
+
+class TestReader:
+    def test_peak_memory_stays_near_the_array_bytes(self, tmp_path):
+        """Reading ``split.json`` holds each array once: no text, no decoded
+        copy of the file's bytes."""
+        rng = np.random.default_rng(0)
+        parts = {name: rng.integers(0, 10_000, size=(40_000, 2)) for name in _SPLIT_ARRAYS}
+        path = tmp_path / "split.json"
+        save_split_json(EdgeSplit(n_nodes=10_000, seed=1, **parts), path)
+        nbytes = sum(arr.nbytes for arr in parts.values())
+        tracemalloc.start()
+        try:
+            artifacts.read(
+                path,
+                "split",
+                fields={"n_nodes": int, "seed": int},
+                arrays={name: (artifacts.INT, (None, 2)) for name in _SPLIT_ARRAYS},
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * nbytes, f"peak {peak / nbytes:.2f} times the array bytes"

@@ -56,7 +56,7 @@ from backbone_oracles import (
     scipy_operator,
     stacked_step,
 )
-from conftest import planted_two_class, random_edges
+from conftest import planted_two_class, random_edges, read_envelope
 from test_cli import write_dataset
 from test_graph import brute_adjacency
 
@@ -1173,7 +1173,7 @@ class TestArtifacts:
             g, split, train_prior(g, split), g.labels, "ncnc", quick_config(epochs=3)
         )
         save_checkpoint(model, tmp_path / "ckpt.json")
-        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        payload = read_envelope(tmp_path / "ckpt.json")
         assert "prior_counts" not in payload and "labels" not in payload
         loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
         assert not hasattr(loaded, "prior") and not hasattr(loaded, "labels")

@@ -17,7 +17,17 @@ import pytest
 from classlink import cli
 from classlink.cli import main
 
-from conftest import encode_blob
+from conftest import read_envelope, write_envelope
+
+
+def rewrite(path: Path, corrupt) -> None:
+    """Replace the artifact at ``path`` with ``corrupt`` of its envelope; a
+    result that is not an object is written as one line of JSON."""
+    payload = corrupt(read_envelope(path))
+    if isinstance(payload, dict):
+        write_envelope(path, payload)
+    else:
+        path.write_text(json.dumps(payload, default=np.ndarray.tolist))
 
 
 def write_dataset(root: Path, seed=7, n_per_class=18) -> dict:
@@ -241,10 +251,10 @@ class TestScorerErrorCategory:
         for stage in ("ingest", "split"):
             assert main([stage, "--config", str(cfg)]) == 0
         path = tmp / "out" / "graph.json"
-        payload = json.loads(path.read_text())
+        payload = read_envelope(path)
         labels = np.zeros(payload["n_nodes"], dtype=int)
         labels[5] = -3
-        path.write_text(json.dumps({**payload, "labels": encode_blob(labels)}))
+        write_envelope(path, {**payload, "labels": labels})
         capsys.readouterr()
         assert main(["prior", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -343,13 +353,9 @@ class TestPerEdgePools:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda text, n: text[: len(text) // 2],
-            lambda text, n: json.dumps(
-                {**json.loads(text), "pools": encode_blob(np.zeros((1, 20, 2), dtype=int))}
-            ),
-            lambda text, n: json.dumps(
-                {**json.loads(text), "pools": encode_blob(pools_with_id(text, n))}
-            ),
+            lambda path, n: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+            lambda path, n: rewrite(path, lambda p: {**p, "pools": np.zeros((1, 20, 2), int)}),
+            lambda path, n: rewrite(path, lambda p: {**p, "pools": pools_with_id(p, n)}),
         ],
         ids=["truncated", "wrong-shape", "id-out-of-range"],
     )
@@ -358,20 +364,16 @@ class TestPerEdgePools:
         cfg = write_config(tmp / "run.yaml", tmp / "data", tmp / "out", **PER_EDGE)
         assert main(["run-all", "--config", str(cfg)]) == 0
         path = tmp / "out" / "pools.json"
-        path.write_text(corrupt(path.read_text(), stats["n_nodes"]))
+        corrupt(path, stats["n_nodes"])
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[parse]: {path}: ")
 
 
-def pools_with_id(text: str, node: int) -> np.ndarray:
-    """The pools of a ``pools.json`` text with their last id set to ``node``."""
-    from classlink import artifacts
-
-    pools = artifacts.decode(
-        "pools.json", json.loads(text), arrays={"pools": (artifacts.INT, (None, None, 2))}
-    )["pools"]
+def pools_with_id(payload: dict, node: int) -> np.ndarray:
+    """The pools of a ``pools.json`` envelope with their last id set to ``node``."""
+    pools = payload["pools"].copy()
     pools[-1, -1, -1] = node
     return pools
 
@@ -400,7 +402,7 @@ class TestLabelSources:
         assert main(["run-all", "--config", str(cfg)]) == 0
         out = tmp / "out"
         assert (out / "ssd_curve.csv").exists()
-        labeling = json.loads((out / "labeling.json").read_text())
+        labeling = read_envelope(out / "labeling.json")
         assert labeling["k"] == json.loads((out / "manifest.json").read_text())[
             "stages"
         ]["cluster"]["k"]
@@ -415,7 +417,7 @@ class TestLabelSources:
             tmp / "lv.yaml", tmp / "data", tmp / "out", label_source="louvain"
         )
         assert main(["run-all", "--config", str(cfg)]) == 0
-        prior = json.loads((tmp / "out" / "prior.json").read_text())
+        prior = read_envelope(tmp / "out" / "prior.json")
         assert prior["label_source"] == "louvain"
         assert prior["n_classes"] >= 1
 
@@ -582,7 +584,7 @@ class TestEvaluateAndBench:
         heatmap.unlink()
         assert main(["heatmap", "--config", str(cfg)]) == 0
         assert sha(heatmap) == before
-        meta = json.loads((tmp / "out" / "heatmap.csv.meta.json").read_text())
+        meta = read_envelope(tmp / "out" / "heatmap.csv.meta.json")
         assert meta["class_ids"] == ["c0", "c1"]
 
 
@@ -788,7 +790,7 @@ class TestCorruptLabeling:
         "corrupt",
         [
             lambda p: {k: v for k, v in p.items() if k != "k"},
-            lambda p: {**p, "labels": encode_blob(np.full(p["labels"]["shape"], p["k"]))},
+            lambda p: {**p, "labels": np.full(p["labels"].shape, p["k"])},
             lambda p: [p],
         ],
         ids=["missing-k", "label-out-of-range", "not-an-object"],
@@ -801,7 +803,7 @@ class TestCorruptLabeling:
         )
         assert main(["run-all", "--config", str(cfg)]) == 0
         path = tmp / "out" / "labeling.json"
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        rewrite(path, corrupt)
         capsys.readouterr()
         assert main(["run-all", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -815,7 +817,7 @@ class TestCorruptArtifacts:
         cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out", **extra)
         assert main(["run-all", "--config", str(cfg)]) == 0
         path = tmp / "out" / name
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        rewrite(path, corrupt)
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -843,6 +845,20 @@ class TestCorruptArtifacts:
         err = self.run_twice(tmp, capsys, lambda p: {**p, "version": 1}, name, command)
         assert "rebuild the run directory" in err
 
+    def test_graph_cut_inside_its_array_bytes(self, dataset, capsys):
+        tmp, _ = dataset
+        cfg = write_config(tmp / "t.yaml", tmp / "data", tmp / "out")
+        assert main(["run-all", "--config", str(cfg)]) == 0
+        path = tmp / "out" / "graph.json"
+        data = path.read_bytes()
+        start = data.index(b"\n") + 1
+        path.write_bytes(data[: start + (len(data) - start) // 2])
+        capsys.readouterr()
+        assert main(["run-all", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[parse]: {path}: ")
+        assert "cut short" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "mode, corrupt",
         [
@@ -869,9 +885,7 @@ class TestModelScorerInputs:
         tmp, _ = dataset
         cfg = self.run_all(tmp, label_source="louvain")
         path = tmp / "out" / "labeling.json"
-        payload = json.loads(path.read_text())
-        payload["labels"] = encode_blob(np.zeros(3, dtype=int))
-        path.write_text(json.dumps(payload))
+        rewrite(path, lambda p: {**p, "labels": np.zeros(3, dtype=int)})
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -904,13 +918,13 @@ class TestModelScorerInputs:
         cfg = self.run_all(tmp, label_source="louvain", mode=mode)
         out = tmp / "out"
         report, scores = (out / "eval/report.json").read_bytes(), sha(out / "eval/scores.csv")
-        prior = json.loads((out / "prior.json").read_text())
-        labeling = json.loads((out / "labeling.json").read_text())
+        prior = read_envelope(out / "prior.json")
+        labeling = read_envelope(out / "labeling.json")
         path = out / "checkpoint.json"
-        payload = json.loads(path.read_text())
+        payload = read_envelope(path)
         assert "prior_counts" not in payload and "labels" not in payload
         payload.update(prior_counts=prior["joint_counts"], labels=labeling["labels"])
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        write_envelope(path, payload)
         assert main(["evaluate", "--config", str(cfg)]) == 0
         assert (out / "eval/report.json").read_bytes() == report
         assert sha(out / "eval/scores.csv") == scores

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import json
 import tracemalloc
 from fractions import Fraction
@@ -45,7 +44,7 @@ from classlink.graph import build_graph, split_edges
 from classlink.rand import STREAM_CLUSTER, make_rng
 
 import clustering_oracles as oracle
-from conftest import encode_blob, random_edges
+from conftest import random_edges, read_envelope, write_envelope
 from test_graph import brute_adjacency
 
 
@@ -905,11 +904,15 @@ class TestLabelingJsonErrors:
     def saved(self, tmp_path) -> dict:
         labeling = kmeans(np.arange(12.0).reshape(6, 2), 3, seed=1)
         save_labeling_json(labeling, tmp_path / "labeling.json")
-        return json.loads((tmp_path / "labeling.json").read_text())
+        return read_envelope(tmp_path / "labeling.json")
 
     def load(self, tmp_path, payload):
-        (tmp_path / "labeling.json").write_text(json.dumps(payload))
-        return load_labeling_json(tmp_path / "labeling.json")
+        path = tmp_path / "labeling.json"
+        if isinstance(payload, dict):
+            write_envelope(path, payload)
+        else:
+            path.write_text(json.dumps(payload))
+        return load_labeling_json(path)
 
     @pytest.mark.parametrize("key", ["labels", "k", "method", "seed"])
     def test_missing_key(self, tmp_path, key):
@@ -926,11 +929,11 @@ class TestLabelingJsonErrors:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("labels", encode_blob(np.array([0, 1, 3, 0, 1, 2]))),
-            ("labels", encode_blob(np.array([0, -1, 2, 0, 1, 2]))),
-            ("labels", encode_blob(np.array([[0, 1], [2, 0]]))),
-            ("labels", {**encode_blob(np.zeros(3, dtype=np.int64)), "dtype": "<U1"}),
-            ("labels", encode_blob(np.array([0.0, 1.5, 2.0]))),
+            ("labels", np.array([0, 1, 3, 0, 1, 2])),
+            ("labels", np.array([0, -1, 2, 0, 1, 2])),
+            ("labels", np.array([[0, 1], [2, 0]])),
+            ("labels", {"dtype": "<U1", "shape": [3], "offset": 0}),
+            ("labels", np.array([0.0, 1.5, 2.0])),
             ("labels", 7),
             ("k", "3"),
             ("k", 0),
@@ -950,6 +953,5 @@ class TestLabelingJsonErrors:
     def test_well_formed_payload_still_loads(self, tmp_path):
         payload = self.saved(tmp_path)
         back = self.load(tmp_path, payload)
-        blob = payload["labels"]
-        assert back.labels.tolist() == np.frombuffer(base64.b64decode(blob["data"]), "<i8").tolist()
+        assert back.labels.tolist() == payload["labels"].tolist()
         assert back.k == 3 and back.method == "kmeans" and back.seed == 1

@@ -40,10 +40,9 @@ which reuses it, so a stage propagates ``epochs + 1`` times.
 Forward and backward run on numpy.  ``S``, ``X`` and each incidence ``M``
 are :class:`~classlink.csr.Csr` tuples of CSR arrays under scipy's field
 names, built from the graph's arrays: ``S`` from ``A + I`` with its
-diagonal put in place; ``M`` from the keys ``i · n + u`` of the neighbours
-of pair ``i``'s two endpoints (:func:`~classlink.graph.neighbor_keys`),
-where after one merge a repeated key is a common neighbour and a single
-one codes its side.  Every sparse product goes through one row kernel
+diagonal put in place; ``M`` from the members of each pair's neighbourhood
+(:func:`~classlink.csr.pair_members`: ``N(x) ∩ N(y)`` in ncn, the coded
+union in ncnc).  Every sparse product goes through one row kernel
 (:mod:`classlink.csr`, with a plan per row block made inside each call)
 that adds each row's terms in stored order to a zeroed row, the float
 sequence of scipy's CSR product, so every bit is scipy's: propagation's
@@ -86,7 +85,7 @@ import numpy as np
 
 from . import artifacts
 from .config import MODES, TrainConfig, check_mode
-from .csr import Csr, plus_identity, row_plan, row_product, row_slice
+from .csr import Csr, pair_members, plus_identity, row_plan, row_product, row_slice
 from .errors import ConfigurationError, DimensionError, ParseError, TrainingError
 from .evaluation import mrr, rank_positive
 from .graph import (
@@ -95,8 +94,6 @@ from .graph import (
     Scorer,
     check_pairs,
     chunked_scorer,
-    neighbor_keys,
-    pair_bases,
     pair_chunks,
     sample_negatives,
 )
@@ -502,32 +499,14 @@ class BatchBuilder:
         nodes, ascending per row; in ncnc also their codes and the missing
         links of the one-sided ones.
 
-        The keys ``i · n + u`` of the neighbours of pair ``i``'s ``x`` and
-        then of its ``y`` are two ascending runs of distinct keys, so after
-        one stable merge a repeated key is a common neighbour, ``x``'s copy
-        first.  ncn keeps the repeated keys, ``A[xs] ⊙ A[ys]``.  ncnc keeps
-        every key once, coded as ``A[xs] + 2 A[ys]`` codes it: 1 (``N(x)``
-        only), 2 (``N(y)`` only) or 3 (both), and drops the pair's own
+        ncn keeps ``N(x) ∩ N(y)``, ``A[xs] ⊙ A[ys]``.  ncnc keeps the coded
+        union of :func:`~classlink.csr.pair_members` without the pair's own
         endpoints.
         """
-        n, c = self.adj.shape[0], len(pairs)
-        keys, sizes = neighbor_keys(
-            self.adj.indptr, self.adj.indices, pairs.T.ravel(), np.tile(pair_bases(c, n), 2)
+        pair, node, code = pair_members(
+            self.adj.indptr, self.adj.indices, pairs, union=self.mode == "ncnc"
         )
-        code = missing = None
-        if self.mode != "ncnc":
-            keys.sort(kind="stable")
-            keys = keys[1:][keys[1:] == keys[:-1]]
-        else:
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            repeat = np.zeros(keys.size, dtype=bool)
-            repeat[1:] = keys[1:] == keys[:-1]
-            code = np.where(order < sizes[:c].sum(), np.int8(1), np.int8(2))
-            code[:-1][repeat[1:]] = 3
-            keys, code = keys[~repeat], code[~repeat]
-        pair = keys // n
-        node = keys - pair * n
+        missing = None
         if code is not None:
             xs, ys = pairs[pair, 0], pairs[pair, 1]
             keep = (node != xs) & (node != ys)  # endpoints never complete themselves
@@ -536,7 +515,7 @@ class BatchBuilder:
             # u only near x (code 1) misses (y, u); u only near y (code 2) misses (x, u)
             anchor = np.where(code[one] == 1, ys[one], xs[one])
             missing = np.column_stack([anchor, node[one]])
-        size = np.bincount(pair, minlength=c)
+        size = np.bincount(pair, minlength=len(pairs))
         return size, node.astype(self.adj.indices.dtype, copy=False), code, missing
 
 

@@ -45,7 +45,16 @@ import numpy as np
 
 from . import artifacts
 from .config import check_k_grid, check_max_iters
-from .csr import Csr, RowPlan, plus_identity, row_plan, row_product, row_slice
+from .csr import (
+    Csr,
+    RowPlan,
+    plus_identity,
+    row_entries,
+    row_plan,
+    row_product,
+    row_slice,
+    summed_runs,
+)
 from .errors import ConfigurationError, DimensionError, ParseError
 from .graph import Graph
 from .rand import STREAM_CLUSTER, make_rng
@@ -101,9 +110,7 @@ class FactoredPoints(NamedTuple):
 def _dense_rows(m: Csr, idx: np.ndarray | list[int]) -> np.ndarray:
     """Rows ``idx`` of ``m`` as a dense array."""
     idx = np.asarray(idx, dtype=np.int64)
-    starts, sizes = m.indptr[idx], m.indptr[idx + 1] - m.indptr[idx]
-    ends = np.cumsum(sizes)
-    at = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1] if ends.size else 0)
+    at, sizes = row_entries(m.indptr, idx)
     out = np.zeros((idx.size, m.shape[1]))
     out[np.repeat(np.arange(idx.size), sizes), m.indices[at]] = m.data[at]
     return out
@@ -150,11 +157,8 @@ def _product_entries(a: Csr, b: Csr) -> Csr:
     indices, data = [b.indices[:0]], [b.data[:0]]
     for lo in range(0, a.shape[0], rows_per_block):
         block = row_slice(a, slice(lo, min(lo + rows_per_block, a.shape[0])))
-        rows, js = block.shape[0], block.indices
-        sizes = b.indptr[js + 1] - b.indptr[js]
-        ends = np.cumsum(sizes)
-        at = np.repeat(b.indptr[js] - (ends - sizes), sizes)
-        at += np.arange(at.size)
+        rows = block.shape[0]
+        at, sizes = row_entries(b.indptr, block.indices)
         cells = np.repeat(np.repeat(np.arange(rows) * width, np.diff(block.indptr)), sizes)
         cells += b.indices[at]
         acc = accumulator[: rows * width]
@@ -532,17 +536,8 @@ def elbow_kmeans(
 # A level's graph is a symmetric canonical CSR (rows sorted, no duplicates, no
 # stored zeros) whose diagonal holds each supernode's internal weight,
 # counting every internal edge once; a node's degree is its row sum plus its
-# diagonal.  It is kept as its numpy arrays in a ``_Level``, whose fields
-# carry scipy's names, so a scipy CSR matrix passes for one.
-
-
-class _Level(NamedTuple):
-    """The CSR arrays of a level's graph."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
+# diagonal.  It is kept as a :class:`~classlink.csr.Csr` of numpy arrays, so
+# a scipy CSR matrix passes for one.
 
 
 class _ColourClass(NamedTuple):
@@ -576,7 +571,7 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
         raise ConfigurationError("modularity is undefined on an edgeless graph")
     rng = make_rng(seed, STREAM_CLUSTER)
     n = g.n_nodes
-    adj = _Level(g.adj_indptr, g.adj_indices, g.adj_data, (n, n))
+    adj = Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n))
     membership = np.arange(n)
     q_prev = _modularity(adj, np.arange(n))
     while True:
@@ -599,12 +594,12 @@ def louvain(g: Graph, seed: int) -> PseudoLabeling:
     )
 
 
-def _rows(adj: _Level) -> np.ndarray:
+def _rows(adj: Csr) -> np.ndarray:
     """The row of every stored entry."""
     return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
 
 
-def _diagonal(adj: _Level) -> np.ndarray:
+def _diagonal(adj: Csr) -> np.ndarray:
     rows = _rows(adj)
     on = adj.indices == rows
     out = np.zeros(adj.shape[0])
@@ -612,38 +607,18 @@ def _diagonal(adj: _Level) -> np.ndarray:
     return out
 
 
-def _degrees(adj: _Level) -> np.ndarray:
+def _degrees(adj: Csr) -> np.ndarray:
     return np.bincount(_rows(adj), weights=adj.data, minlength=adj.shape[0]) + _diagonal(adj)
 
 
-def _off_diagonal(adj: _Level) -> _Level:
+def _off_diagonal(adj: Csr) -> Csr:
     """The level without its diagonal."""
     off = adj.indices != _rows(adj)
     indptr = np.concatenate([[0], np.cumsum(off)])[adj.indptr]
-    return _Level(indptr, adj.indices[off], adj.data[off], adj.shape)
+    return Csr(indptr, adj.indices[off], adj.data[off], adj.shape)
 
 
-def _summed_runs(
-    keys: np.ndarray, weight: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``keys`` sorted (in place where ``weight`` is None), where each run of
-    equal keys starts in them, and each run's summed weight: its length where
-    ``weight`` is None."""
-    if weight is None:
-        keys.sort()
-    else:
-        order = keys.argsort()
-        keys, weight = keys[order], weight[order]
-    head = np.empty(keys.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    first = np.flatnonzero(head)
-    if weight is None:
-        return keys, first, np.diff(np.append(first, keys.size)).astype(np.float64)
-    return keys, first, np.add.reduceat(weight, first)
-
-
-def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
+def _local_move(adj: Csr, rng: np.random.Generator) -> np.ndarray:
     """One level of local moves; returns each node's community id.
 
     The off-diagonal graph is coloured once (:func:`_colour_classes`), and a
@@ -693,18 +668,16 @@ def _local_move(adj: _Level, rng: np.random.Generator) -> np.ndarray:
 
 
 def _class_rows(
-    off: _Level, nodes: np.ndarray, deg: np.ndarray
+    off: Csr, nodes: np.ndarray, deg: np.ndarray
 ) -> _ColourClass | None:
     """The rows of the colour class ``nodes`` (ascending) in the off-diagonal
     graph ``off``: its nodes with neighbours, or ``None`` if it has none.  A
     node without neighbours never moves, so it is left out."""
     n = off.shape[0]
-    sizes = off.indptr[nodes + 1] - off.indptr[nodes]
+    at, sizes = row_entries(off.indptr, nodes)
     nodes, sizes = nodes[sizes > 0], sizes[sizes > 0]
     if not nodes.size:
         return None
-    ends = np.cumsum(sizes)
-    at = np.repeat(off.indptr[nodes] - (ends - sizes), sizes) + np.arange(ends[-1])
     weight = off.data[at]
     local = np.repeat(np.arange(nodes.size), sizes)
     key = np.int32 if nodes.size * n <= np.iinfo(np.int32).max else np.int64
@@ -736,7 +709,7 @@ def _class_moves(
     n = comm.size
     keys = comm[rows.nbr].astype(rows.base.dtype, copy=False)
     keys += rows.base
-    keys, first, link = _summed_runs(keys, rows.weight)
+    keys, first, link = summed_runs(keys, rows.weight)
     keys = keys[first]  # one per run: by row, then by community
     row = rows.local[first]
     cand = keys - rows.base[first]
@@ -762,7 +735,7 @@ def _class_moves(
 
 
 def _colour_classes(
-    off: _Level, rng: np.random.Generator
+    off: Csr, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance-1 colouring of the symmetric graph ``off`` (no diagonal) by
     Jones–Plassmann random-priority independent sets.
@@ -816,7 +789,7 @@ def _smallest_free_colour(node: np.ndarray, taken: np.ndarray, n: int) -> np.nda
     return free
 
 
-def _modularity(adj: _Level, comm: np.ndarray) -> float:
+def _modularity(adj: Csr, comm: np.ndarray) -> float:
     deg = _degrees(adj)
     m2 = deg.sum()
     n_comm = int(comm.max()) + 1
@@ -828,7 +801,7 @@ def _modularity(adj: _Level, comm: np.ndarray) -> float:
     return float(np.sum(sigma_in / m2 - (sigma_tot / m2) ** 2))
 
 
-def _aggregate(adj: _Level, comm: np.ndarray) -> _Level:
+def _aggregate(adj: Csr, comm: np.ndarray) -> Csr:
     """Supernode graph ``CᵀAC`` for the one-hot membership ``C``.
 
     Entry ``(comm[i], comm[j])`` sums the weights of the entries ``(i, j)``:
@@ -840,12 +813,12 @@ def _aggregate(adj: _Level, comm: np.ndarray) -> _Level:
     """
     k = int(comm.max()) + 1
     keys = comm[_rows(adj)] * k + comm[adj.indices]
-    keys, first, data = _summed_runs(keys, adj.data)
+    keys, first, data = summed_runs(keys, adj.data)
     rows, cols = np.divmod(keys[first], k)
     on = rows == cols
     loops = np.bincount(comm, weights=_diagonal(adj), minlength=k)
     data[on] = (data[on] + loops[rows[on]]) / 2.0
-    return _Level(np.searchsorted(rows, np.arange(k + 1)), cols, data, (k, k))
+    return Csr(np.searchsorted(rows, np.arange(k + 1)), cols, data, (k, k))
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:

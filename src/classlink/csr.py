@@ -1,4 +1,5 @@
-"""CSR matrices as numpy arrays, and the row kernel that multiplies them.
+"""CSR matrices as numpy arrays: the row kernel that multiplies them, and
+the row gathers and pair-key merges that every scorer builds on.
 
 A :class:`Csr` is the four arrays of a CSR matrix under scipy's field
 names, so a scipy CSR matrix passes for one.  :func:`row_product` gives
@@ -14,6 +15,21 @@ few numpy calls per step, however many rows it sums.  A caller that
 multiplies one matrix many times builds its plan once; :func:`row_product`
 builds one per block of ``ROW_BLOCK`` rows inside the call, so a block's
 sums and gathered terms stay in cache.
+
+The other helpers list and merge CSR rows as flat arrays.
+:func:`row_entries` gives the entry ids of a list of rows, row after row,
+which is how a row gather reads ``indices`` and ``data``.  Which nodes feed
+which candidate pair is a set of *pair keys*: chunk pair ``i``'s
+neighbour ``u`` is the key ``i · n + u`` (:func:`pair_bases`; int32 while
+``c · n`` fits, else int64).  :func:`neighbor_keys` lists them; each row's
+keys ascend as its CSR row does, so one side's keys ascend throughout a
+chunk.  :func:`pair_members` merges both sides' keys with one sort, after
+which keys are ordered by pair, then by node, and a key met twice is a
+common neighbour: CN/AA/RA and ncn keep those, the ``Z`` normaliser and
+ncnc keep every key once with the side it came from.
+:func:`summed_runs` sorts keys and sums a weight over each run of equal
+keys, the step of a Katz power, of Louvain's community links and of its
+supernode graph.
 """
 
 from __future__ import annotations
@@ -143,3 +159,84 @@ def row_product(a: Csr, dense: np.ndarray, out: np.ndarray | None = None) -> np.
         hi = min(lo + ROW_BLOCK, rows)
         row_plan(row_slice(a, slice(lo, hi))).product(dense, out[lo:hi])
     return out
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry ids of CSR rows ``rows``, row after row, each row's in
+    stored order, and the rows' sizes."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    ends = np.cumsum(sizes)
+    at = np.repeat(starts - (ends - sizes), sizes)  # entry of row j's t-th id, minus t
+    at += np.arange(at.size, dtype=at.dtype)
+    return at, sizes
+
+
+def pair_bases(c: int, n: int) -> np.ndarray:
+    """``i · n`` for chunk pairs ``i < c``: int32 while ``c · n`` fits."""
+    key = np.int32 if c * n <= np.iinfo(np.int32).max else np.int64
+    return np.arange(0, c * n, n, dtype=key)
+
+
+def neighbor_keys(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``bases[j] + u`` of the neighbours ``u`` of ``nodes[j]`` in the
+    CSR adjacency ``(indptr, indices)``, row after row, in the dtype of
+    ``bases``, and the row sizes."""
+    at, sizes = row_entries(indptr, nodes)
+    keys = indices[at].astype(bases.dtype, copy=False)
+    keys += np.repeat(bases, sizes)
+    return keys, sizes
+
+
+def pair_members(
+    indptr: np.ndarray, indices: np.ndarray, pairs: np.ndarray, union: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The members of each chunk pair's neighbourhood in the CSR adjacency,
+    ordered by pair, then by node: their ``pair`` and ``node`` ids and, with
+    ``union``, their ``code``.
+
+    The keys of the pairs' ``x`` sides come first, then those of their
+    ``y`` sides, and one sort merges them.  Without ``union`` the members
+    are ``N(x) ∩ N(y)``, the keys met twice, and ``code`` is None.  With
+    ``union`` they are ``N(x) ∪ N(y)``, each once, coded as
+    ``A[xs] + 2 A[ys]`` codes it: 1 (``N(x)`` only), 2 (``N(y)`` only) or 3
+    (both).
+    """
+    n, c = indptr.size - 1, len(pairs)
+    keys, sizes = neighbor_keys(indptr, indices, pairs.T.ravel(), np.tile(pair_bases(c, n), 2))
+    code = None
+    if not union:
+        keys.sort()
+        keys = keys[1:][keys[1:] == keys[:-1]]
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[1:] = keys[1:] == keys[:-1]
+        code = np.where(order < sizes[:c].sum(), np.int8(1), np.int8(2))
+        code[:-1][repeat[1:]] = 3
+        keys, code = keys[~repeat], code[~repeat]
+    pair = keys // n
+    return pair, keys - pair * n, code
+
+
+def summed_runs(
+    keys: np.ndarray, weight: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``keys`` sorted (in place where ``weight`` is None), where each run of
+    equal keys starts in them, and each run's summed weight: its length where
+    ``weight`` is None."""
+    if weight is None:
+        keys.sort()
+    else:
+        order = keys.argsort()
+        keys, weight = keys[order], weight[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    if weight is None:
+        return keys, first, np.diff(np.append(first, keys.size)).astype(np.float64)
+    return keys, first, np.add.reduceat(weight, first)

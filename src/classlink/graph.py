@@ -21,15 +21,14 @@ copy is ever built, neither at ingestion nor when ``graph.json`` is read.
 first access and kept, which share the arrays rather than copy them; no
 stage reads them.  Everything else, building a graph from arrays or
 files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph`, the graph's
-own queries, the split and the negative samplers, is plain numpy: :func:`_adjacency_arrays` sorts and dedups the pair keys,
+own queries, the split and the negative samplers, is plain numpy:
+:func:`_adjacency_arrays` sorts and dedups the pair keys,
 :func:`_stored_entries` drops a feature CSR's explicit ``+0.0`` entries,
 and :class:`_EdgeLookup` tells non-edges from edges on the CSR arrays.
-:func:`neighbor_keys` lists the keys ``i · n + u`` of the neighbours of a
-chunk's pair endpoints, on which the heuristics and the backbone's link
-incidences build.  In the package, scipy is imported only here: where a
-matrix is built from something other than those arrays (dense or scipy
-features given to :func:`build_graph`) and by the two views; the tests
-import it for their oracles.
+The scorers read the arrays through :mod:`classlink.csr`.  In the package,
+scipy is imported only here: where a matrix is built from something other
+than those arrays (dense or scipy features given to :func:`build_graph`)
+and by the two views; the tests import it for their oracles.
 
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
@@ -253,30 +252,6 @@ def chunked_scorer(kernel: Scorer, n_nodes: int, chunk_size: Callable[[], int]) 
         return scores
 
     return scorer
-
-
-def pair_bases(c: int, n: int) -> np.ndarray:
-    """``i · n`` for chunk pairs ``i < c``: int32 while ``c · n`` fits."""
-    key = np.int32 if c * n <= np.iinfo(np.int32).max else np.int64
-    return np.arange(0, c * n, n, dtype=key)
-
-
-def neighbor_keys(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ``bases[j] + u`` of the neighbours ``u`` of ``nodes[j]`` in the
-    CSR adjacency ``(indptr, indices)``, row after row, in the dtype of
-    ``bases``, and the row sizes.  Each row's keys ascend, as its CSR row
-    does, so with ascending :func:`pair_bases` the keys of one side of a
-    chunk's pairs ascend throughout."""
-    starts = indptr[nodes]
-    sizes = indptr[nodes + 1] - starts
-    ends = np.cumsum(sizes)
-    at = np.repeat(starts - (ends - sizes), sizes)  # entry of row j's t-th key, minus t
-    at += np.arange(at.size, dtype=at.dtype)
-    keys = indices[at].astype(bases.dtype, copy=False)
-    keys += np.repeat(bases, sizes)
-    return keys, sizes
 
 
 # ---------------------------------------------------------------------------

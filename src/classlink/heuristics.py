@@ -16,36 +16,31 @@ where ``Z`` is 1, or (when local normalization is on) the neighborhood sum
 ``Σ_{v ∈ N(x) ∪ N(y)} Σ_{i ∈ {x,y}} ω_1i · P(c_i|c_v) + ω_2i · P(c_v|c_i)``.
 
 Every score is computed for a whole ``(m, 2)`` pair batch at once, on the
-graph's CSR arrays ``g.adj_indptr`` and ``g.adj_indices`` alone: no kernel
-loads scipy.  Chunk pair ``i``'s rows become the keys ``i · n + v`` of their
-nodes ``v`` (int32 while ``c · n`` fits), which sort pair by pair, nodes
-ascending.  :func:`make_heuristic_scorer` builds the per-node weights once
-per scorer.
+graph's CSR arrays ``g.adj_indptr`` and ``g.adj_indices`` alone, through the
+pair keys of :mod:`classlink.csr`: no kernel loads scipy.
+:func:`make_heuristic_scorer` builds the per-node weights once per scorer.
 
 * CN/AA/RA sum ``w = 1``, ``1 / ln d`` or ``1 / d`` over each pair's common
-  neighbours in node order.  After one sort of the keys of both endpoint
-  rows, the two copies of each common neighbour sit side by side, and
-  ``np.bincount`` adds their weights in that order from 0.0.  That is the
-  float sequence of scipy's ``A[xs].multiply(A[ys]) @ w``, so the bits are
-  its bits.
+  neighbours (:func:`~classlink.csr.pair_members`) in node order: one
+  ``np.bincount`` adds them from 0.0, the float sequence of scipy's
+  ``A[xs].multiply(A[ys]) @ w``, so the bits are its bits.
 * Katz meets in the middle: ``walks_l(x, y) = ⟨e_x A^⌈l/2⌉, e_y A^⌊l/2⌋⟩``,
   so horizon ``L`` needs the row blocks ``A^k[xs]`` for ``k ≤ ⌈L/2⌉`` and
   ``A^k[ys]`` for ``k ≤ ⌊L/2⌋`` instead of ``L`` mat-vecs over the whole graph
-  per pair.  A block is its sorted unique keys with their walk counts:
-  ``A^1`` is the endpoint's CSR row, and ``A^(k+1)`` repeats every key over
-  its node's neighbours, sorts and run-length counts.  A chunk is cut into
-  runs of pairs whose steps list at most ``_EXPANSION`` entries, bounded
-  per node from walk counts before anything is listed, so that clique-heavy
-  neighbourhoods do not blow up.  The meet is one stable sort of the two
+  per pair.  A block is its sorted unique pair keys with their walk
+  counts: ``A^1`` is the endpoint's CSR row, and ``A^(k+1)`` repeats every
+  key over its node's neighbours and sums each run of equal keys.  A chunk
+  is cut into runs of pairs whose steps list at most ``_EXPANSION``
+  entries, bounded per node from walk counts before anything is listed, so
+  that clique-heavy neighbourhoods do not blow up.  The meet is one stable sort of the two
   key runs, and ``np.bincount`` sums ``cx · cy`` over adjacent equal keys.
   Walk counts are float64, as in scipy's products: exact integers below
   2^53, where every summation order gives scipy's float, and rounded, never
   wrapped, above.  The decayed sum is accumulated as
   ``decay *= γ; total += decay · walks_l``.
-* ``Z`` counts the classes in each pair's neighbourhood union (the unique
-  keys of both endpoint rows, ``np.bincount(pair · C + label)``), and
-  weighs the counts with the prior rows and columns of the two endpoint
-  classes.
+* ``Z`` counts the classes in each pair's neighbourhood union
+  (``np.bincount(pair · C + label)`` over its members), and weighs the
+  counts with the prior rows and columns of the two endpoint classes.
 
 Batches are scored in chunks of ``_CHUNK`` pairs so the row blocks stay
 small; ``hc`` finishes each chunk (score, ``Z``, prior lookup, bonus) before
@@ -63,7 +58,8 @@ import numpy as np
 
 from .config import STRUCTURAL, GammaDecayConfig, check_hc_base
 from .errors import ConfigurationError, DegenerateNormalizerError, MissingLabelError
-from .graph import Graph, Scorer, chunked_scorer, neighbor_keys, pair_bases
+from .csr import neighbor_keys, pair_bases, pair_members, summed_runs
+from .graph import Graph, Scorer, chunked_scorer
 from .priors import ClassPriorMatrix, lookup_prior_batch
 
 
@@ -108,19 +104,9 @@ runs this small sort in cache."""
 def _common_neighbor_sum(
     indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
-    """Per pair, the weights of its common neighbours summed in node order.
-
-    Keys ``i · n + v`` of both endpoint rows of chunk pair ``i``, x rows
-    first: each row's keys ascend, so equal keys, one per side, are the
-    common neighbours, and sorting puts them next to each other.
-    """
-    n, c = indptr.size - 1, len(pairs)
-    bases = pair_bases(c, n)
-    keys, _ = neighbor_keys(indptr, indices, pairs.T.ravel(), np.tile(bases, 2))
-    keys.sort()
-    common = keys[1:][keys[1:] == keys[:-1]]
-    pair = common // n
-    return np.bincount(pair, weights=weights[common - pair * n], minlength=c)
+    """Per pair, the weights of its common neighbours summed in node order."""
+    pair, node, _ = pair_members(indptr, indices, pairs)
+    return np.bincount(pair, weights=weights[node], minlength=len(pairs))
 
 
 # A row block ``A^k[rows]``: its sorted unique keys ``i · n + v`` and their
@@ -130,21 +116,13 @@ _Block = tuple[np.ndarray, "np.ndarray | None"]
 
 def _next_power(indptr: np.ndarray, indices: np.ndarray, n: int, block: _Block) -> _Block:
     """``A^(k+1)[rows]`` from ``A^k[rows]`` for ``k ≥ 1``: every key repeated
-    over its node's neighbours, sorted and run-length counted."""
+    over its node's neighbours, and each run of equal keys summed."""
     keys, counts = block
     nodes = keys % n
     listed, sizes = neighbor_keys(indptr, indices, nodes, keys - nodes)
-    if counts is None:
-        listed.sort()
-    else:
-        order = np.argsort(listed)
-        listed, counts = listed[order], np.repeat(counts, sizes)[order]
-    starts = np.ones(listed.size, dtype=bool)
-    starts[1:] = listed[1:] != listed[:-1]
-    first = np.flatnonzero(starts)
-    if counts is None:
-        return listed[first], np.diff(first, append=listed.size).astype(np.float64)
-    return listed[first], np.add.reduceat(counts, first)
+    weight = None if counts is None else np.repeat(counts, sizes)
+    listed, first, counts = summed_runs(listed, weight)
+    return listed[first], counts
 
 
 def _walks(x: _Block, y: _Block, n: int, c: int) -> np.ndarray:
@@ -261,16 +239,9 @@ class _ClassKernel:
 
     def _local_normalizer(self, pairs: np.ndarray) -> np.ndarray:
         """``Z`` per pair; raises for the first pair with a missing label or Z = 0."""
-        n, c, n_classes = self.indptr.size - 1, len(pairs), self.prior.n_classes
+        c, n_classes = len(pairs), self.prior.n_classes
         xs, ys = pairs[:, 0], pairs[:, 1]
-        bases = pair_bases(c, n)
-        keys, _ = neighbor_keys(self.indptr, self.indices, pairs.T.ravel(), np.tile(bases, 2))
-        keys.sort()  # the keys of N(x) ∪ N(y), pair by pair
-        distinct = np.ones(keys.size, dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        keys = keys[distinct]
-        pair = keys // n
-        node = keys - pair * n
+        pair, node, _ = pair_members(self.indptr, self.indices, pairs, union=True)
         usable = self.usable[node]
         counts = np.bincount(  # classes of N(x) ∪ N(y)
             pair[usable] * n_classes + self.labels[node[usable]], minlength=c * n_classes

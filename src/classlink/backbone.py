@@ -12,7 +12,7 @@ neighborhood aggregation.  With ``A`` the 0/1 adjacency of the training graph:
   (``N(x)`` only), 2 (``N(y)`` only) or 3 (both).  The pair's own endpoints
   are dropped, code 3 weighs 1, and a one-sided member ``u`` weighs the
   predicted probability of its missing link, ``(y, u)`` for code 1 and
-  ``(x, u)`` for code 2, from one completion-scorer call per batch.
+  ``(x, u)`` for code 2, from one completion-scorer call per build block.
 
 All gradients are derived and implemented by hand (no autodiff):
 
@@ -63,21 +63,32 @@ between chunks.  A chunk allocates its working set once: one ``z`` that is
 overwritten by ``dz``, one hidden array that holds the pre-activations, the
 activations and then ``dpre_h`` and is freed once ``dz`` is formed, and the
 ``3·chunk × d`` values of the ``dH`` scatter.  The scatter runs over the
-nodes the chunk touches, so no chunk allocates anything n-sized: beyond the
-node-sized arrays and a few pair-length vectors, the head's memory is
-O(chunk × (2d + hidden)) and a step takes time linear in pairs plus nodes.
-Each pair's row of the head is independent, so chunking leaves every
+nodes the chunk touches, so no chunk allocates anything n-sized, and every
+array of a chunk is freed before the next chunk allocates: beyond the
+node-sized arrays and a few pair-length vectors, the head's memory is one
+chunk's O(chunk × (2d + hidden)) and a step takes time linear in pairs plus
+nodes.  Each pair's row of the head is independent, so chunking leaves every
 prediction bit-identical; it only reorders the gradient sums, which move in
 their last bits.  Computing in place changes no bits at all, nor does the
 touched-row scatter: each node's terms are summed in the same order as over
 all n columns.
+
+Training holds one copy of its step batch.  The positive batch is built
+once and each epoch's negatives beside it, and the step reads the two as
+one row range (:func:`_chunk`): a head chunk that spans their boundary
+stacks its two pieces, so chunk composition and every gradient sum are
+those of the concatenated batch, which is never formed.  An incidence is
+built in blocks of ``_BUILD_CHUNK`` pairs, and in ncnc each block makes
+its own completion-scorer call, so the missing links of one block, not of
+the batch, are alive at a time; the blocks' node ids and weights are
+joined once at the end.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -336,12 +347,52 @@ def _node_sums(
     return nodes[plan.order], plan.sums(vals)
 
 
+def _parts(batch: LinkBatch | Sequence[LinkBatch]) -> tuple[LinkBatch, ...]:
+    """A batch, or the parts of one, as a tuple of parts."""
+    return (batch,) if isinstance(batch, LinkBatch) else tuple(batch)
+
+
+def _chunk(parts: Sequence[LinkBatch], rows: slice) -> tuple[LinkBatch, slice]:
+    """Rows ``rows`` of ``parts`` read as one batch, in order, as a batch
+    and its rows that hold them: the one part that holds them all, with its
+    own rows, or else a batch stacked from the parts' pieces, whose arrays
+    are those of the same rows of the concatenated parts."""
+    pieces, start = [], 0
+    for part in parts:
+        lo, hi = max(rows.start - start, 0), min(rows.stop - start, len(part.pairs))
+        if lo < hi:
+            pieces.append((part, slice(lo, hi)))
+        start += len(part.pairs)
+    if len(pieces) <= 1:
+        return pieces[0] if pieces else (parts[0], rows)
+    first, c = pieces[0][0], rows.stop - rows.start
+    incidences = [row_slice(part.incidence, r) for part, r in pieces]
+    starts = np.cumsum([0] + [inc.indptr[-1] for inc in incidences])
+    incidence = Csr(
+        np.concatenate([[0], *(inc.indptr[1:] + at for inc, at in zip(incidences, starts))]),
+        np.concatenate([inc.indices for inc in incidences]),
+        np.concatenate([inc.data for inc in incidences]),
+        (c, first.incidence.shape[1]),
+    )
+    priors = None
+    if first.priors is not None:
+        priors = np.concatenate([part.priors[r] for part, r in pieces])
+    stacked = replace(
+        first,
+        pairs=np.concatenate([part.pairs[r] for part, r in pieces]),
+        targets=np.concatenate([part.targets[r] for part, r in pieces]),
+        incidence=incidence,
+        priors=priors,
+    )
+    return stacked, slice(0, c)
+
+
 def _head_grads(
-    params: BackboneParams, batch: LinkBatch, h: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray | float], np.ndarray]:
-    """Logits of the batch, the gradients of its mean BCE w.r.t. the head's
-    parameters (``wh``, ``bh``, ``wo``, ``bo``), and ``dH``, its gradient
-    w.r.t. the node embeddings.
+    params: BackboneParams, batch: LinkBatch | Sequence[LinkBatch], h: np.ndarray
+) -> tuple[float, dict[str, np.ndarray | float], np.ndarray]:
+    """Mean BCE of the batch (or of its parts read as one batch), the
+    gradients of it w.r.t. the head's parameters (``wh``, ``bh``, ``wo``,
+    ``bo``), and ``dH``, its gradient w.r.t. the node embeddings.
 
     Each chunk's head runs once, and its share of the gradients comes from
     that same forward: ``dpre_h`` is written over the activations once
@@ -352,17 +403,21 @@ def _head_grads(
     touches, so no chunk allocates anything n-sized.  ``H[xs]`` and
     ``H[ys]`` are gathered again for it rather than kept from the forward:
     one gather at a time takes half the memory of the pair that the
-    forward would have to keep alive.
+    forward would have to keep alive.  Every array of a chunk is freed
+    before the next chunk's head allocates.
     """
+    parts = _parts(batch)
     d = h.shape[1]
-    m = len(batch.pairs)
-    logits, dlogits = np.empty(m), np.empty(m)
+    m = sum(len(part.pairs) for part in parts)
+    logits, dlogits, targets = np.empty(m), np.empty(m), np.empty(m)
     dwh, dbh = np.zeros_like(params.wh), np.zeros_like(params.bh)
     dwo, dh = np.zeros_like(params.wo), np.zeros_like(h)
     for rows in pair_chunks(m, HEAD_CHUNK):
-        z, act, logits[rows] = _head(params, batch, rows, h)
+        chunk, local = _chunk(parts, rows)
+        z, act, logits[rows] = _head(params, chunk, local, h)
+        targets[rows] = chunk.targets[local]
         dl = dlogits[rows]
-        dl[:] = (_sigmoid(logits[rows]) - batch.targets[rows]) / m
+        dl[:] = (_sigmoid(logits[rows]) - targets[rows]) / m
         dwo += act.T @ dl
         alive = act > 0.0
         dpre_h = np.multiply(dl[:, None], params.wo, out=act)
@@ -374,35 +429,41 @@ def _head_grads(
         de1 = dz[:, :d]
         de2 = dz[:, d : 2 * d]  # prior columns are inputs; their grads stop here
 
-        xs, ys = batch.pairs[rows, 0], batch.pairs[rows, 1]
+        xs, ys = chunk.pairs[local, 0], chunk.pairs[local, 1]
         c = len(xs)
         vals = np.empty((3 * c, d))
         np.multiply(de1, h[ys], out=vals[:c])
         np.multiply(de1, h[xs], out=vals[c : 2 * c])
         vals[2 * c :] = de2
-        nodes, sums = _node_sums(xs, ys, row_slice(batch.incidence, rows), vals)
+        nodes, sums = _node_sums(xs, ys, row_slice(chunk.incidence, local), vals)
         dh[nodes] += sums
-    return logits, {"wh": dwh, "bh": dbh, "wo": dwo, "bo": float(dlogits.sum())}, dh
+        del chunk, z, dz, de1, de2, xs, ys, vals, nodes, sums  # before the next head
+    # BCE in softplus form: softplus(logit) - target * logit
+    loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
+    return loss, {"wh": dwh, "bh": dbh, "wo": dwo, "bo": float(dlogits.sum())}, dh
 
 
 def loss_and_grads(
-    params: BackboneParams, batch: LinkBatch, fwd: dict[str, np.ndarray] | None = None
+    params: BackboneParams,
+    batch: LinkBatch | Sequence[LinkBatch],
+    fwd: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray | float]]:
     """Mean BCE over the batch and its hand-derived gradient w.r.t. every
     parameter: the head's chunk loop (:func:`_head_grads`), then one
     backpropagation of ``dH`` through propagation, on the row kernel.
+    ``batch`` may be a sequence of batches of one builder, read as the one
+    batch of their rows in order, bit for bit, without being concatenated.
     ``fwd`` is :func:`propagate`'s output for ``params``, when the caller
     has it already."""
+    first = _parts(batch)[0]
     if fwd is None:
-        fwd = propagate(params, batch.sym, batch.x)
-    logits, head_grads, dh = _head_grads(params, batch, fwd["h"])
-    # BCE in softplus form: softplus(logit) - target * logit
-    loss = float(np.mean(np.logaddexp(0.0, logits) - batch.targets * logits))
+        fwd = propagate(params, first.sym, first.x)
+    loss, head_grads, dh = _head_grads(params, batch, fwd["h"])
 
     dw2 = fwd["q"].T @ dh
-    dz1 = row_product(batch.sym, dh @ params.w2.T)  # S is symmetric, so Sᵀ = S
+    dz1 = row_product(first.sym, dh @ params.w2.T)  # S is symmetric, so Sᵀ = S
     dz1 *= fwd["z1"] > 0.0
-    dw1 = row_product(batch.xt(), row_product(batch.sym, dz1))
+    dw1 = row_product(first.xt(), row_product(first.sym, dz1))
     return loss, {"w1": dw1, "w2": dw2, **head_grads}
 
 
@@ -471,52 +532,53 @@ class BatchBuilder:
 
     def _incidence(self, pairs: np.ndarray) -> Csr:
         """The batch's link incidence, built in blocks of ``_BUILD_CHUNK``
-        pairs (:meth:`_members`).
+        pairs (:meth:`_block`) whose node ids and weights are joined at the
+        end.
 
         In ncnc, common neighbors weigh 1 and a one-sided member weighs the
         predicted probability of its missing link, fetched from the
-        completion scorer in one call per batch, in row-major entry order.
+        completion scorer in one call per block, in row-major entry order:
+        no list of a whole batch's missing links is made.
         """
         m = len(pairs)
-        sizes, nodes, codes, missing = [], [], [], []
+        sizes, nodes, weights = [], [], []
         for rows in pair_chunks(m, _BUILD_CHUNK):
-            size, node, code, miss = self._members(pairs[rows])
+            size, node, weight = self._block(pairs[rows])
             sizes.append(size)
             nodes.append(node)
-            codes.append(code)
-            missing.append(miss)
+            weights.append(weight)
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.concatenate(sizes), out=indptr[1:])
-        weights = np.ones(int(indptr[-1]))
-        if self.mode == "ncnc":
-            one_sided = np.concatenate(codes) != 3
-            if one_sided.any():
-                weights[one_sided] = np.asarray(self.completion_scorer(np.concatenate(missing)))
-        return Csr(indptr, np.concatenate(nodes), weights, (m, self.adj.shape[0]))
+        indices = np.concatenate(nodes)
+        del nodes  # the blocks' node ids go before their weights are joined
+        return Csr(indptr, indices, np.concatenate(weights), (m, self.adj.shape[0]))
 
-    def _members(self, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _block(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per pair of a block, the size of its incidence row; the rows'
-        nodes, ascending per row; in ncnc also their codes and the missing
-        links of the one-sided ones.
+        nodes, ascending per row, and their weights.
 
-        ncn keeps ``N(x) ∩ N(y)``, ``A[xs] ⊙ A[ys]``.  ncnc keeps the coded
-        union of :func:`~classlink.csr.pair_members` without the pair's own
-        endpoints.
+        ncn keeps ``N(x) ∩ N(y)``, ``A[xs] ⊙ A[ys]``, with weight 1.  ncnc
+        keeps the coded union of :func:`~classlink.csr.pair_members` without
+        the pair's own endpoints; its one-sided members are weighted by one
+        completion-scorer call on their missing links.
         """
         pair, node, code = pair_members(
             self.adj.indptr, self.adj.indices, pairs, union=self.mode == "ncnc"
         )
-        missing = None
+        weight = np.ones(node.size)
         if code is not None:
             xs, ys = pairs[pair, 0], pairs[pair, 1]
             keep = (node != xs) & (node != ys)  # endpoints never complete themselves
             pair, node, code, xs, ys = pair[keep], node[keep], code[keep], xs[keep], ys[keep]
+            weight = weight[keep]
             one = code != 3
-            # u only near x (code 1) misses (y, u); u only near y (code 2) misses (x, u)
-            anchor = np.where(code[one] == 1, ys[one], xs[one])
-            missing = np.column_stack([anchor, node[one]])
+            if one.any():
+                # u only near x (code 1) misses (y, u); u only near y (code 2) misses (x, u)
+                anchor = np.where(code[one] == 1, ys[one], xs[one])
+                missing = np.column_stack([anchor, node[one]])
+                weight[one] = np.asarray(self.completion_scorer(missing))
         size = np.bincount(pair, minlength=len(pairs))
-        return size, node.astype(self.adj.indices.dtype, copy=False), code, missing
+        return size, node.astype(self.adj.indices.dtype, copy=False), weight
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +603,11 @@ def train(
     ``mode='ncnc'`` first trains and freezes an ``ncn`` completion scorer on
     a derived seed, then trains the final model on completion-weighted
     neighborhoods.  Deterministic given ``config.seed``.
+
+    The positive batch is built once.  Each epoch builds its negative batch
+    beside it, and the step reads the two as one batch of the positive
+    rows, then the negative ones, without concatenating them, so the
+    batches are held once; the negative batch goes before validation.
     """
     check_mode(mode)
     use_priors = mode != "backbone_only"
@@ -595,9 +662,9 @@ def train(
         negatives = sample_negatives(
             g_train, len(positives), (config.seed, STREAM_TRAIN_NEG, epoch)
         )
-        batch = _concat_batches(pos_batch, builder.build(negatives, np.zeros(len(negatives))))
-        loss, grads = loss_and_grads(params, batch, fwd)
-        del negatives, batch, fwd
+        neg_batch = builder.build(negatives, np.zeros(len(negatives)))
+        loss, grads = loss_and_grads(params, (pos_batch, neg_batch), fwd)
+        del negatives, neg_batch, fwd
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at epoch {epoch}; try a smaller learning rate"
@@ -640,27 +707,6 @@ def train(
                 break
 
     return TrainedModel(best_params, mode, completion_params), log
-
-
-def _concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
-    priors = None
-    if a.priors is not None and b.priors is not None:
-        priors = np.concatenate([a.priors, b.priors])
-    ia, ib = a.incidence, b.incidence
-    return LinkBatch(
-        sym=a.sym,
-        x=a.x,
-        xt=a.xt,
-        pairs=np.concatenate([a.pairs, b.pairs]),
-        targets=np.concatenate([a.targets, b.targets]),
-        incidence=Csr(
-            np.concatenate([ia.indptr, ia.indptr[-1] + ib.indptr[1:]]),
-            np.concatenate([ia.indices, ib.indices]),
-            np.concatenate([ia.data, ib.data]),
-            (ia.shape[0] + ib.shape[0], ia.shape[1]),
-        ),
-        priors=priors,
-    )
 
 
 def make_scorer(

@@ -10,6 +10,8 @@ transposed product, whose bits the backbone's must equal; :func:`dense_pass`
 redoes one forward/backward pass with dense matrices and the first layer in
 its ``(S X) W1`` order; :func:`stacked_step` redoes a training step with a
 freshly allocated head and an n-wide ``dH`` scatter per chunk;
+:func:`concat_batches` is the one batch of two batches' rows, which a
+training step reads as one row range without forming it;
 :func:`gradient_check` compares the hand-derived gradients with central
 finite differences of a forward-only loss.
 """
@@ -32,6 +34,7 @@ from classlink.backbone import (
     predict_batch,
     propagate,
 )
+from classlink.csr import Csr
 from classlink.errors import ConfigurationError, DimensionError, NumericError
 from classlink.graph import Graph, pair_chunks
 from classlink.heuristics import Scorer
@@ -185,6 +188,28 @@ def stacked_step(
         "bo": float(dlogits.sum()),
     }
     return loss, grads, dh
+
+
+def concat_batches(a: LinkBatch, b: LinkBatch) -> LinkBatch:
+    """The batch of ``a``'s rows, then ``b``'s, as concatenated arrays."""
+    priors = None
+    if a.priors is not None and b.priors is not None:
+        priors = np.concatenate([a.priors, b.priors])
+    ia, ib = a.incidence, b.incidence
+    return LinkBatch(
+        sym=a.sym,
+        x=a.x,
+        xt=a.xt,
+        pairs=np.concatenate([a.pairs, b.pairs]),
+        targets=np.concatenate([a.targets, b.targets]),
+        incidence=Csr(
+            np.concatenate([ia.indptr, ia.indptr[-1] + ib.indptr[1:]]),
+            np.concatenate([ia.indices, ib.indices]),
+            np.concatenate([ia.data, ib.data]),
+            (ia.shape[0] + ib.shape[0], ia.shape[1]),
+        ),
+        priors=priors,
+    )
 
 
 def predict(params: BackboneParams, batch: LinkBatch) -> np.ndarray:

@@ -43,6 +43,7 @@ from classlink.priors import count_class_links, lookup_prior_batch
 from backbone_oracles import (
     cnc_probability,
     common_neighbor_set,
+    concat_batches,
     csr,
     dense_pass,
     fuse_and_predict,
@@ -559,7 +560,8 @@ class TestLinkIncidence:
             assert got.data.tobytes() == want.data.tobytes()
 
     def test_ncnc_requests_missing_links_in_pair_then_node_order(self, monkeypatch):
-        """One scorer call per batch, also when the batch is built in blocks."""
+        """One scorer call per build block, with the missing links of the
+        block's pairs alone, so no call holds a whole batch's links."""
         monkeypatch.setattr(backbone, "_BUILD_CHUNK", 5)
         g, _, _, pairs = incidence_instance(3)
         calls = []
@@ -570,14 +572,19 @@ class TestLinkIncidence:
 
         BatchBuilder.create(g, "ncnc", None, None, completion_scorer=recording).build(pairs)
         expect = []
-        for x, y in pairs.tolist():
-            nx, ny = set(g.neighbors(x).tolist()), set(g.neighbors(y).tolist())
-            for u in sorted((nx | ny) - {x, y}):
-                if u in nx and u not in ny:
-                    expect.append([y, u])
-                elif u in ny and u not in nx:
-                    expect.append([x, u])
-        assert calls == [expect]
+        for rows in pair_chunks(len(pairs), 5):
+            block = []
+            for x, y in pairs[rows].tolist():
+                nx, ny = set(g.neighbors(x).tolist()), set(g.neighbors(y).tolist())
+                for u in sorted((nx | ny) - {x, y}):
+                    if u in nx and u not in ny:
+                        block.append([y, u])
+                    elif u in ny and u not in nx:
+                        block.append([x, u])
+            if block:
+                expect.append(block)
+        assert len(expect) > 1
+        assert calls == expect
 
     def test_fully_observed_union_never_calls_the_scorer(self):
         g = build_graph(
@@ -715,6 +722,72 @@ class TestChunkedHead:
         assert fit8 - fit4 <= allowance, (fit4, fit8)
         assert predict8 - predict4 <= allowance, (predict4, predict8)
 
+    def test_each_chunk_is_freed_before_the_next_head(self):
+        """Over four chunks of the same pairs, the peak that ``_head_grads``
+        adds is that of one chunk plus three float64 vectors of the added
+        pairs (the logits, ``dlogits`` and the targets) and 16 KiB of slack:
+        a chunk's ``z``/``dz``, scatter values, touched nodes and their sums
+        are gone before the next chunk's head allocates, where keeping them
+        alive would add their 400 KiB or so."""
+        rng = np.random.default_rng(1228)
+        n = 300
+        g = build_graph(
+            n,
+            rng.integers(0, n, size=(2400, 2)),
+            features=rng.standard_normal((n, 20)),
+            labels=rng.integers(0, 4, size=n),
+        )
+        prior = count_class_links(g.undirected_edges(), g.labels, 4)
+        builder = BatchBuilder.create(g, "ncn", prior, g.labels)
+        params = init_params(20, TrainConfig(dim=16, hidden=16, seed=0), True)
+        c = backbone.HEAD_CHUNK
+        pairs = rng.integers(0, n, size=(c, 2))
+        targets = rng.integers(0, 2, size=c).astype(float)
+        h = propagate(params, builder.sym, builder.x)["h"]
+
+        def rise(k):
+            batch = builder.build(np.tile(pairs, (k, 1)), np.tile(targets, k))
+            return peak_rise(lambda: backbone._head_grads(params, batch, h))
+
+        one, four = rise(1), rise(4)
+        assert four - one <= 3 * 8 * 3 * c + 16384, (one, four)
+
+    def test_ncnc_build_memory_grows_with_its_incidence_alone(self, monkeypatch):
+        """From 4 to 8 build blocks of 256 pairs, the peak of an ncnc build
+        grows by no more than twice its returned incidence (the blocks'
+        node ids and weights, then their joined copy), its prior features
+        and targets, and 64 KiB: each block makes its own completion-scorer
+        call, so no batch-sized list of missing links, copy of it or score
+        vector exists.  The completion scorer is a model's, in slices of
+        16 head chunks of 64 pairs."""
+        monkeypatch.setattr(backbone, "_BUILD_CHUNK", 256)
+        monkeypatch.setattr(backbone, "HEAD_CHUNK", 64)
+        rng = np.random.default_rng(1227)
+        n = 300
+        g = build_graph(
+            n,
+            rng.integers(0, n, size=(2400, 2)),
+            features=rng.standard_normal((n, 20)),
+            labels=rng.integers(0, 4, size=n),
+        )
+        prior = count_class_links(g.undirected_edges(), g.labels, 4)
+        stage1 = init_params(20, TrainConfig(dim=16, hidden=16, seed=1), True)
+        completion = make_scorer(TrainedModel(stage1, "ncn"), g, prior, g.labels)
+        builder = BatchBuilder.create(g, "ncnc", prior, g.labels, completion)
+        pairs = rng.integers(0, n, size=(4 * 256, 2))
+        twice = np.concatenate([pairs, pairs])
+
+        def built(p):
+            batch = builder.build(p)
+            inc = batch.incidence
+            rest = batch.priors.nbytes + batch.targets.nbytes
+            return inc.indptr.nbytes + inc.indices.nbytes + inc.data.nbytes, rest
+
+        (inc4, rest4), (inc8, rest8) = built(pairs), built(twice)
+        four = peak_rise(lambda: builder.build(pairs))
+        eight = peak_rise(lambda: builder.build(twice))
+        assert eight - four <= 2 * (inc8 - inc4) + (rest8 - rest4) + 65536, (four, eight)
+
 
     @pytest.mark.parametrize("mode", MODES)
     def test_step_is_bit_identical_to_the_stacked_scatter(
@@ -758,6 +831,52 @@ class TestChunkedHead:
                     np.testing.assert_array_equal(
                         grads[name], want, err_msg=f"{name}, seed {seed}, chunk {chunk}"
                     )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_step_on_two_parts_is_the_step_on_their_concatenation(
+        self, monkeypatch, ragged_chunks, mode
+    ):
+        """A step that reads a positive and a negative batch as one row
+        range gives the loss, ``dH`` and every gradient of the step on the
+        two batches concatenated, bit for bit: with the boundary inside a
+        chunk and on a chunk edge, in ragged chunks and in chunks of 64."""
+        use_priors = mode != "backbone_only"
+        g, _, labels, pairs = incidence_instance(80 + MODES.index(mode), n_pairs=150)
+        prior = count_class_links(g.undirected_edges(), labels, 3)
+        builder = BatchBuilder.create(
+            g,
+            mode,
+            prior if use_priors else None,
+            labels if use_priors else None,
+            fixed_scorer if mode == "ncnc" else None,
+        )
+        rng = np.random.default_rng(1229)
+        targets = rng.integers(0, 2, size=len(pairs)).astype(float)
+        params = init_params(5, TrainConfig(dim=8, hidden=16, seed=2), use_priors)
+        params.bh += 0.1 * rng.standard_normal(params.bh.shape)
+        h = propagate(params, builder.sym, builder.x)["h"]
+        assert len(pairs) > 128
+        for chunk in ("ragged", 64):
+            if chunk == "ragged":
+                ragged_chunks(len(pairs))
+            else:
+                monkeypatch.setattr(backbone, "HEAD_CHUNK", chunk)
+            size = backbone.HEAD_CHUNK
+            for cut in (size + size // 2, 2 * size):  # inside a chunk, on its edge
+                parts = (
+                    builder.build(pairs[:cut], targets[:cut]),
+                    builder.build(pairs[cut:], targets[cut:]),
+                )
+                whole = concat_batches(*parts)
+                loss, grads = loss_and_grads(params, parts)
+                want_loss, want_grads = loss_and_grads(params, whole)
+                assert loss == want_loss, (chunk, cut)
+                assert grads.keys() == want_grads.keys()
+                for name, want in want_grads.items():
+                    got = np.asarray(grads[name]).tobytes()
+                    assert got == np.asarray(want).tobytes(), (name, chunk, cut)
+                dh = backbone._head_grads(params, parts, h)[2]
+                assert dh.tobytes() == backbone._head_grads(params, whole, h)[2].tobytes()
 
     def test_step_allocates_nothing_node_sized_per_chunk(self):
         """With the pairs fixed and n doubled by isolated nodes, the peak

@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     Besides the heap setting, the process skips interpreter shutdown's
     garbage collections: ``gc.freeze`` runs as an exit handler, before those
     collections, which then pass over every object alive at that point (the
-    tens of thousands that numpy, scipy and the layers create).  Modules are
+    tens of thousands that numpy and the layers create).  Modules are
     still torn down, files closed and every other exit handler run.
     """
     keep_heap()

@@ -14,19 +14,12 @@ manifest entry ``pools``, keyed by the split's config keys plus
 while that entry is up to date and otherwise draws, writes and records
 them, so a scorer or metric switch ranks against the same pools without
 drawing them again.  A draw takes every pool from the one stream ``(seed,
-STREAM_EVAL)``; a run directory whose pools were drawn on the earlier
-per-positive streams ``(seed, STREAM_EVAL, i)`` keeps them until the entry
-goes stale.
+STREAM_EVAL)``.
 
 Each command imports the layer functions it calls in its own body, so
 importing this module loads only numpy, yaml and the package's ``config``,
-``artifacts``, ``errors`` and ``rand``.  No stage loads scipy: ``ingest``,
-``split``, every ``cluster`` (k-means, Louvain or mono), ``prior``,
-``heatmap``, ``train`` and every ``evaluate``, with the model scorer or a
-heuristic (CN/AA/RA, Katz, or ``hc`` over them), drawing its per-edge
-pools or reading them, run on the graph's CSR arrays.  scipy is imported
-only by :func:`~classlink.graph.build_graph` from dense or scipy features,
-by the graph's ``g.adj`` and ``g.features`` views, and by the tests.
+``artifacts``, ``errors`` and ``rand``.  The package imports no scipy, so
+no stage loads it.
 """
 
 from __future__ import annotations
@@ -194,13 +187,14 @@ def _resolve_labels(
 
 @_up_to_date("ingest")
 def cmd_ingest(cfg: RunConfig) -> None:
-    from .graph import ingest_graph_json
+    from .graph import load_graph, save_graph_json
 
     inputs = _input_files(cfg)  # before reading, so a change while reading shows
     path = Path(cfg.out) / ARTIFACT_NAMES["ingest"]
-    n_nodes, n_edges = ingest_graph_json(cfg.edges, cfg.features, cfg.labels, path)
-    _record_stage(cfg, "ingest", n_nodes=n_nodes, n_edges=n_edges, inputs=inputs)
-    print(f"ingest: n_nodes={n_nodes} n_edges={n_edges} -> {path}")
+    g = load_graph(cfg.edges, cfg.features, cfg.labels)
+    save_graph_json(g, path)
+    _record_stage(cfg, "ingest", n_nodes=g.n_nodes, n_edges=g.n_edges, inputs=inputs)
+    print(f"ingest: n_nodes={g.n_nodes} n_edges={g.n_edges} -> {path}")
 
 
 @_up_to_date("split")

@@ -30,8 +30,8 @@ over *pseudo-labels* instead.  Three generators are provided:
   depend on the seed alone;
 * ``mono`` a single-label fallback that makes every prior lookup equal 1.
 
-All routines are deterministic given their seed, and none imports scipy:
-k-means takes a scipy sparse matrix too, read through its own methods.
+All routines are deterministic given their seed.  k-means also takes a
+dense array or CSR arrays, read by :func:`~classlink.csr.feature_csr`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .config import check_k_grid, check_max_iters
 from .csr import (
     Csr,
     RowPlan,
+    feature_csr,
     plus_identity,
     row_entries,
     row_plan,
@@ -78,12 +79,6 @@ class PseudoLabeling:
 # ---------------------------------------------------------------------------
 # Feature aggregation
 # ---------------------------------------------------------------------------
-
-
-class _SparseMatrix(Protocol):
-    """A scipy sparse matrix, read through its own methods."""
-
-    def tocsr(self) -> Any: ...
 
 
 class FactoredPoints(NamedTuple):
@@ -119,9 +114,9 @@ def _dense_rows(m: Csr, idx: np.ndarray | list[int]) -> np.ndarray:
 # Cells of the dense accumulator of a block of _product_entries (2 MiB).
 _ACCUMULATOR = 1 << 18
 
-# What k-means clusters: a dense array, a scipy sparse matrix, or the
+# What k-means clusters: a dense array, CSR arrays (feature_csr), or the
 # factored points of aggregate_features.
-Features = np.ndarray | _SparseMatrix | FactoredPoints
+Features = np.ndarray | Csr | FactoredPoints
 
 
 def aggregate_features(g: Graph) -> FactoredPoints:
@@ -193,7 +188,7 @@ def _product_entries(a: Csr, b: Csr) -> Csr:
 
 @dataclass(frozen=True)
 class _Points:
-    """The points' entries (sorted columns, no zeros), the plans of their
+    """The points' entries (sorted columns), the plans of their
     factors, and their squared row norms."""
 
     x: Csr
@@ -350,31 +345,14 @@ def _lloyd(
     return assign.astype(np.int64), cents, history
 
 
-def _canonical(features: np.ndarray | _SparseMatrix) -> Csr:
-    """Float CSR points with sorted columns and no stored zeros, from a
-    dense array or a scipy sparse matrix; both give the same ones."""
-    if hasattr(features, "tocsr"):
-        x = features.tocsr().astype(np.float64)  # a copy, whatever the input
-        x.sum_duplicates()
-        x.eliminate_zeros()
-        return Csr(x.indptr, x.indices, x.data, x.shape)
-    dense = np.asarray(features, dtype=np.float64)
-    if dense.ndim != 2:
-        raise DimensionError(f"expected a 2-D feature matrix, got shape {dense.shape}")
-    rows, cols = np.nonzero(dense)
-    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:])
-    return Csr(indptr, cols, dense[rows, cols], dense.shape)
-
-
 def _prepare_points(features: Features, normalize_rows: bool) -> _Points:
-    """The points of a dense array or a scipy sparse matrix (``L`` the
-    identity, ``X`` their canonical CSR) or of :class:`FactoredPoints`; a
-    non-finite point is a ``ConfigurationError``.  ``normalize_rows`` scales
-    each row of ``L`` and of the entries by ``1 / ‖h_i‖`` (a zero row
-    stays 0)."""
+    """The points of a dense array or CSR arrays (``L`` the identity, ``X``
+    their CSR from :func:`~classlink.csr.feature_csr`) or of
+    :class:`FactoredPoints`; a non-finite point is a ``ConfigurationError``.
+    ``normalize_rows`` scales each row of ``L`` and of the entries by
+    ``1 / ‖h_i‖`` (a zero row stays 0)."""
     if not isinstance(features, FactoredPoints):
-        x = _canonical(features)
+        x = feature_csr(features)
         n = x.shape[0]
         eye = Csr(np.arange(n + 1), np.arange(n), np.ones(n), (n, n))
         features = FactoredPoints(eye, x, x)
@@ -415,7 +393,7 @@ def kmeans(
     max_iters: int = 100,
     normalize_rows: bool = False,
 ) -> PseudoLabeling:
-    """Cluster rows of ``features`` (a dense array, a scipy sparse matrix or
+    """Cluster rows of ``features`` (a dense array, CSR arrays or
     :class:`FactoredPoints`) into ``k`` groups (squared Euclidean)."""
     labels, _, _ = _kmeans_full(
         features, k, make_rng(seed), max_iters, normalize_rows

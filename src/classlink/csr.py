@@ -2,7 +2,9 @@
 the row gathers and pair-key merges that every scorer builds on.
 
 A :class:`Csr` is the four arrays of a CSR matrix under scipy's field
-names, so a scipy CSR matrix passes for one.  :func:`row_product` gives
+names, so a scipy CSR matrix passes for one.  :func:`feature_csr` is the
+one entry of node features and k-means points: it checks CSR arrays and
+converts a dense array.  :func:`row_product` gives
 ``a @ dense`` with the bits of scipy's CSR product: scipy adds each row's
 terms ``a[i, j] · dense[j]`` in stored order into a zeroed row, and so does
 the kernel, a step at a time.
@@ -38,6 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DimensionError
+
 # Rows per block of row_product: a block's accumulator and gathered terms
 # stay in cache.
 ROW_BLOCK = 1024
@@ -50,6 +54,50 @@ class Csr(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
+
+
+def feature_csr(features: np.ndarray | Csr) -> Csr:
+    """Features or k-means points as a float64 CSR matrix whose columns
+    strictly increase in each row.
+
+    CSR arrays are read by their field names, so a canonical scipy CSR
+    matrix passes, and are kept as given once they are checked: ``indptr``
+    rises from 0 to the entry count, ``data`` holds one value per column
+    id, every column lies in ``[0, width)``, and the columns strictly
+    increase in each row.  Anything else is read as a dense 2-D array, and
+    every entry whose bit pattern is nonzero is kept (``-0.0`` too, ``0.0``
+    not).  A matrix that breaks the rule, or is not 2-D, raises
+    :class:`DimensionError`.
+    """
+    if not hasattr(features, "indptr"):
+        dense = np.ascontiguousarray(features, dtype=np.float64)
+        if dense.ndim != 2:
+            raise DimensionError(f"expected a 2-D feature matrix, got shape {dense.shape}")
+        rows, cols = np.nonzero(dense.view(np.int64))
+        indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:])
+        return Csr(indptr, cols, dense[rows, cols], dense.shape)
+    indptr, indices = np.asarray(features.indptr), np.asarray(features.indices)
+    data = np.asarray(features.data, dtype=np.float64)
+    n, width = features.shape
+    if (
+        min(n, width) < 0
+        or indptr.shape != (n + 1,)
+        or indptr[0] != 0
+        or (np.diff(indptr) < 0).any()
+        or indptr[-1] != indices.size
+        or data.shape != indices.shape
+        or (indices.size and (indices.min() < 0 or indices.max() >= width))
+    ):
+        raise DimensionError(f"features are not a CSR matrix of {n} x {width}")
+    # columns strictly increase between neighbouring entries, except across
+    # the start of a row
+    rising = np.diff(indices) > 0
+    row_starts = indptr[1:-1]
+    rising[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = True
+    if not rising.all():
+        raise DimensionError("feature columns do not strictly increase in a row")
+    return Csr(indptr, indices, data, (n, width))
 
 
 def row_slice(a: Csr, rows: slice) -> Csr:

@@ -17,18 +17,14 @@ features store every entry whose bit pattern is nonzero (so ``-0.0`` is
 kept and ``0.0`` is not), with sorted column indices; no dense ``n × F``
 copy is ever built, neither at ingestion nor when ``graph.json`` is read.
 
-``g.adj`` and ``g.features`` are scipy CSR views of those arrays, made on
-first access and kept, which share the arrays rather than copy them; no
-stage reads them.  Everything else, building a graph from arrays or
-files, :func:`load_graph_json`, :meth:`EdgeSplit.train_graph`, the graph's
-own queries, the split and the negative samplers, is plain numpy:
-:func:`_adjacency_arrays` sorts and dedups the pair keys,
-:func:`_stored_entries` drops a feature CSR's explicit ``+0.0`` entries,
-and :class:`_EdgeLookup` tells non-edges from edges on the CSR arrays.
-The scorers read the arrays through :mod:`classlink.csr`.  In the package,
-scipy is imported only here: where a matrix is built from something other
-than those arrays (dense or scipy features given to :func:`build_graph`)
-and by the two views; the tests import it for their oracles.
+Building a graph from arrays or files, :func:`load_graph_json`,
+:meth:`EdgeSplit.train_graph`, the graph's own queries, the split and the
+negative samplers are plain numpy: :func:`_adjacency_arrays` sorts and
+dedups the pair keys, :func:`~classlink.csr.feature_csr` checks or converts
+the features that every graph is built from, :func:`_feature_fields` drops
+a feature CSR's explicit ``+0.0`` entries, and :class:`_EdgeLookup` tells
+non-edges from edges on the CSR arrays.  The scorers read the arrays
+through :mod:`classlink.csr`.
 
 Node interning order is part of the reproducibility contract: original ids
 are assigned dense ids in the order *feature-file rows, then label-file rows,
@@ -40,16 +36,15 @@ features or labels, which downstream leakage checks rely on.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import artifacts
 from .config import check_eval_split, check_ratios
+from .csr import Csr, feature_csr
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -57,9 +52,6 @@ from .errors import (
     ParseError,
 )
 from .rand import STREAM_SPLIT, STREAM_TEST_NEG, STREAM_VALID_NEG, make_rng
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +84,7 @@ class Graph:
         Dense class id -> original label string (empty when unlabeled).
 
     Every array is read-only, and index arrays are int32 while the sizes
-    fit.  :attr:`adj` and :attr:`features` are scipy CSR views of the
-    arrays, for library callers and the tests; every layer reads the arrays
-    and needs no scipy.
+    fit.
     """
 
     adj_indptr: np.ndarray
@@ -107,24 +97,6 @@ class Graph:
     labels: np.ndarray | None
     node_ids: tuple[str, ...]
     class_ids: tuple[str, ...]
-
-    @cached_property
-    def adj(self) -> sp.csr_matrix:
-        """The adjacency as a scipy CSR matrix over the graph's arrays."""
-        import scipy.sparse as sp
-
-        n = self.n_nodes
-        return sp.csr_matrix((self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n))
-
-    @cached_property
-    def features(self) -> sp.csr_matrix:
-        """The features as a scipy CSR matrix over the graph's arrays."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.feature_data, self.feature_indices, self.feature_indptr),
-            shape=(self.n_nodes, self.n_features),
-        )
 
     @property
     def n_nodes(self) -> int:
@@ -161,8 +133,12 @@ class Graph:
         return i < row.size and int(row[i]) == v
 
     def undirected_edges(self) -> np.ndarray:
-        """All edges as a canonical ``(m, 2)`` array with ``u < v``, lex-sorted."""
-        return _upper_pairs(self.adj_indptr, self.adj_indices)
+        """All edges as a canonical ``(m, 2)`` int64 array with ``u < v``,
+        lex-sorted: the entries above the diagonal, row by row."""
+        src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_indptr))
+        dst = self.adj_indices.astype(np.int64)
+        mask = src < dst
+        return np.column_stack([src[mask], dst[mask]])
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n_nodes:
@@ -259,18 +235,14 @@ def chunked_scorer(kernel: Scorer, n_nodes: int, chunk_size: Callable[[], int]) 
 # ---------------------------------------------------------------------------
 
 
-# A feature matrix as its CSR arrays and width: ``(data, indices, indptr, width)``.
-_FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, int]
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
 def _index_dtype(*sizes: int) -> type[np.integer]:
-    """int32 while every size fits in it, else int64: the index dtype scipy
-    keeps for a CSR matrix of these sizes, so a view shares the arrays."""
+    """int32 while every size fits in it, else int64: int32 indices take
+    half the memory."""
     return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
@@ -334,88 +306,30 @@ def _adjacency_fields(edges: np.ndarray, n_nodes: int) -> dict[str, np.ndarray]:
     }
 
 
-def _upper_pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The ``(u, v)`` entries with ``u < v`` of a symmetric CSR with sorted
-    rows, as a lex-sorted int64 ``(m, 2)`` array."""
-    src = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
-    dst = indices.astype(np.int64)
-    mask = src < dst
-    return np.column_stack([src[mask], dst[mask]])
-
-
-def _stored_entries(
-    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of a float64 CSR without its explicit ``+0.0`` entries: every
-    entry whose bit pattern is nonzero stays (``-0.0`` too).  Arrays with
-    nothing to drop are returned as given."""
+def _feature_fields(x: Csr) -> dict[str, np.ndarray | int]:
+    """The read-only feature fields of a :class:`Graph` over a float64 CSR
+    with strictly increasing columns in each row, without its explicit
+    ``+0.0`` entries: every entry whose bit pattern is nonzero stays
+    (``-0.0`` too).  Index arrays are in :func:`_index_dtype`; arrays that
+    need no change are kept, shared with the caller."""
+    data, indices, indptr = x.data, x.indices, x.indptr
     stored = data.view(np.int64) != 0
     if not stored.all():
         indptr = np.concatenate([[0], np.cumsum(stored)])[indptr]
         data, indices = data[stored], indices[stored]
-    return data, indices, indptr
-
-
-def _feature_fields(
-    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, width: int
-) -> dict[str, np.ndarray | int]:
-    """The read-only feature fields of a :class:`Graph` over the arrays of a
-    canonical float64 CSR: its stored entries (:func:`_stored_entries`), index
-    arrays in :func:`_index_dtype`.  Arrays that need no change are kept,
-    shared with the caller."""
-    data, indices, indptr = _stored_entries(data, indices, indptr)
-    index = _index_dtype(indptr.size - 1, width, indices.size)
+    index = _index_dtype(indptr.size - 1, x.shape[1], indices.size)
     return {
         "feature_indptr": _freeze(indptr.astype(index, copy=False)),
         "feature_indices": _freeze(indices.astype(index, copy=False)),
         "feature_data": _freeze(data),
-        "n_features": int(width),
+        "n_features": int(x.shape[1]),
     }
-
-
-def _no_features(n_nodes: int) -> _FeatureArrays:
-    """The CSR arrays of an ``n_nodes × 0`` feature matrix."""
-    return np.zeros(0), np.zeros(0, np.int32), np.zeros(n_nodes + 1, np.int32), 0
-
-
-def _feature_csr(features: np.ndarray | sp.spmatrix, n_nodes: int) -> sp.csr_matrix:
-    """Dense or sparse features as CSR with sorted columns, duplicates summed,
-    and every entry whose bit pattern is nonzero kept (``-0.0`` too).
-
-    A canonical float64 CSR keeps its arrays (frozen, and shared with the
-    input) with only its explicit ``+0.0`` entries dropped
-    (:func:`_stored_entries`); anything else is first made one through COO.
-    """
-    import scipy.sparse as sp
-
-    shape = features.shape if sp.issparse(features) else np.shape(features)
-    if len(shape) != 2 or shape[0] != n_nodes:
-        raise DimensionError(
-            f"feature matrix shape {shape} does not match {n_nodes} nodes"
-        )
-    if not (
-        sp.issparse(features)
-        and features.format == "csr"
-        and features.dtype == np.float64
-        and features.has_canonical_format
-    ):
-        if sp.issparse(features):
-            coo = sp.coo_matrix(features, dtype=np.float64, copy=True)
-            coo.sum_duplicates()
-            rows, cols, vals = coo.row, coo.col, coo.data
-        else:
-            dense = np.ascontiguousarray(features, dtype=np.float64)
-            rows, cols = np.nonzero(dense.view(np.int64))
-            vals = dense[rows, cols]
-        features = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    arrays = _stored_entries(features.data, features.indices, features.indptr)
-    return sp.csr_matrix(tuple(map(_freeze, arrays)), shape=shape)
 
 
 def build_graph(
     n_nodes: int,
     edges: np.ndarray,
-    features: np.ndarray | sp.spmatrix | None = None,
+    features: np.ndarray | Csr | None = None,
     labels: np.ndarray | None = None,
     node_ids: tuple[str, ...] | None = None,
     class_ids: tuple[str, ...] | None = None,
@@ -424,14 +338,19 @@ def build_graph(
 
     ``edges`` may be in any order, contain duplicates (either orientation) and
     self-loops; the result is canonical.  ``features`` may be a dense array
-    or any scipy sparse matrix; both give the same CSR.  A canonical float64
-    CSR is not copied: the graph shares its arrays and makes them read-only.
-    ``labels`` uses ``-1`` for unlabeled nodes; any other label indexes
-    ``class_ids`` (by default ``0..max``), and one outside it is a
-    :class:`DimensionError`.  Only features import scipy.
+    or CSR arrays (a :class:`~classlink.csr.Csr`, or a canonical scipy CSR
+    matrix by its field names), checked or converted by
+    :func:`~classlink.csr.feature_csr`; both give the same CSR.  CSR arrays
+    are not copied where they need no change: the graph shares them and
+    makes them read-only.  ``labels`` uses ``-1`` for unlabeled nodes; any
+    other label indexes ``class_ids`` (by default ``0..max``), and one
+    outside it is a :class:`DimensionError`.
     """
     if n_nodes < 1:
         raise ConfigurationError(f"graph needs at least one node, got {n_nodes}")
+    x = feature_csr(np.zeros((n_nodes, 0)) if features is None else features)
+    if x.shape[0] != n_nodes:
+        raise DimensionError(f"feature matrix shape {x.shape} does not match {n_nodes} nodes")
     adjacency = _adjacency_fields(np.asarray(edges), n_nodes)
 
     labs: np.ndarray | None = None
@@ -457,14 +376,9 @@ def build_graph(
     if len(node_ids) != n_nodes:
         raise DimensionError("node_ids length does not match n_nodes")
 
-    if features is None:
-        features = _no_features(n_nodes)
-    else:
-        x = _feature_csr(features, n_nodes)
-        features = (x.data, x.indices, x.indptr, x.shape[1])
     return Graph(
         **adjacency,
-        **_feature_fields(*features),
+        **_feature_fields(x),
         labels=labs,
         node_ids=tuple(node_ids),
         class_ids=tuple(class_ids or ()),
@@ -518,43 +432,7 @@ def load_graph(
     duplicate node, non-numeric cell).  Non-finite feature values are
     checked last, after the edge file.
     """
-    n_nodes, edges, features, labels, node_ids, class_ids = _read_inputs(
-        edge_path, feature_path, label_path
-    )
-    g = build_graph(n_nodes, edges, labels=labels, node_ids=node_ids, class_ids=class_ids)
-    return g if features is None else replace(g, **_feature_fields(*features))
-
-
-def ingest_graph_json(
-    edge_path: str | Path,
-    feature_path: str | Path | None,
-    label_path: str | Path | None,
-    path: str | Path,
-) -> tuple[int, int]:
-    """Read the input files as :func:`load_graph` does and write the
-    ``graph.json`` that :func:`save_graph_json` writes for its graph, byte
-    for byte, without building the graph.  Returns the node and edge counts.
-
-    The adjacency comes from :func:`_adjacency_arrays` and the feature
-    entries pass :func:`_stored_entries`, the steps :func:`build_graph`
-    takes, in its order, so the errors are those of :func:`load_graph` too.
-    """
-    n_nodes, edges, features, labels, node_ids, class_ids = _read_inputs(
-        edge_path, feature_path, label_path
-    )
-    indptr, indices = _adjacency_arrays(edges, n_nodes)
-    del edges
-    *csr, width = _no_features(n_nodes) if features is None else features
-    _write_graph_json(
-        path,
-        n_nodes,
-        node_ids,
-        class_ids,
-        _upper_pairs(indptr, indices),
-        labels,
-        (*_stored_entries(*csr), width),
-    )
-    return n_nodes, indices.size // 2
+    return build_graph(*_read_inputs(edge_path, feature_path, label_path))
 
 
 def _read_inputs(
@@ -562,12 +440,13 @@ def _read_inputs(
     feature_path: str | Path | None,
     label_path: str | Path | None,
 ) -> tuple[
-    int, np.ndarray, _FeatureArrays | None, np.ndarray | None, tuple[str, ...], tuple[str, ...]
+    int, np.ndarray, Csr | None, np.ndarray | None, tuple[str, ...], tuple[str, ...]
 ]:
-    """The parsed input files of :func:`load_graph`: the node count, the raw
-    ``(m, 2)`` edges, the features as canonical CSR arrays ``(data, indices,
-    indptr, width)`` or ``None``, the labels or ``None``, and the node and
-    class ids."""
+    """The parsed input files of :func:`load_graph`, in the order of
+    :func:`build_graph`'s arguments: the node count, the raw ``(m, 2)``
+    edges, the features as a CSR with strictly increasing columns in each
+    row or ``None``, the labels or ``None``, and the node and class ids.
+    The parse's other arrays are freed before the graph is built."""
     index: dict[str, int] = {}
 
     # Feature and label files are interned before edges; see module docstring.
@@ -594,7 +473,7 @@ def _read_inputs(
                 f"{feature_path}:{row_lines[row]}: non-finite feature "
                 f"value {values[bad[0]]}"
             )
-        features = (values, cols, indptr, width)
+        features = Csr(indptr, cols, values, (n_nodes, width))
 
     labels = None
     class_ids: tuple[str, ...] = ()
@@ -805,45 +684,23 @@ def _text_blocks(path: str | Path, size: int) -> Iterator[str]:
 
 
 def save_graph_json(g: Graph, path: str | Path) -> None:
-    """Serialize a graph losslessly: edges, labels and the feature CSR arrays."""
-    _write_graph_json(
-        path,
-        g.n_nodes,
-        g.node_ids,
-        g.class_ids,
-        g.undirected_edges(),
-        g.labels,
-        (g.feature_data, g.feature_indices, g.feature_indptr, g.n_features),
-    )
-
-
-def _write_graph_json(
-    path: str | Path,
-    n_nodes: int,
-    node_ids: Sequence[str],
-    class_ids: Sequence[str],
-    edges: np.ndarray,
-    labels: np.ndarray | None,
-    features: _FeatureArrays,
-) -> None:
-    """The one ``graph.json`` writer: canonical ``u < v`` edges, labels, and
-    the feature CSR as ``(data, indices, indptr, width)``."""
-    data, indices, indptr, width = features
+    """Serialize a graph losslessly: its canonical ``u < v`` edges, labels
+    and the feature CSR arrays."""
     artifacts.write(
         path,
         "graph",
         {
-            "n_nodes": n_nodes,
-            "n_features": width,
-            "node_ids": list(node_ids),
-            "class_ids": list(class_ids),
+            "n_nodes": g.n_nodes,
+            "n_features": g.n_features,
+            "node_ids": list(g.node_ids),
+            "class_ids": list(g.class_ids),
         },
         {
-            "edges": edges,
-            "labels": labels,
-            "features_indptr": indptr,
-            "features_indices": indices,
-            "features_data": data,
+            "edges": g.undirected_edges(),
+            "labels": g.labels,
+            "features_indptr": g.feature_indptr,
+            "features_indices": g.feature_indices,
+            "features_data": g.feature_data,
         },
     )
 
@@ -864,37 +721,21 @@ def load_graph_json(path: str | Path) -> Graph:
         },
         optional=("labels",),
     )
-    n, width = p["n_nodes"], p["n_features"]
-    indptr, indices, data = p["features_indptr"], p["features_indices"], p["features_data"]
-    if (
-        n < 1
-        or width < 0
-        or indptr.size != n + 1
-        or indptr[0] != 0
-        or (np.diff(indptr) < 0).any()
-        or indptr[-1] != indices.size
-        or data.size != indices.size
-        or (indices.size and (indices.min() < 0 or indices.max() >= width))
-    ):
-        raise ParseError(f"{path}: features are not a CSR matrix of {n} x {width}")
-    # columns strictly increase between neighbouring entries, except across
-    # the start of a row
-    rising = np.diff(indices) > 0
-    row_starts = indptr[1:-1]
-    rising[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = True
-    if not rising.all():
-        raise ParseError(f"{path}: feature columns do not strictly increase in a row")
+    n = p["n_nodes"]
+    features = Csr(
+        p["features_indptr"], p["features_indices"], p["features_data"], (n, p["n_features"])
+    )
     try:
-        g = build_graph(
+        return build_graph(
             n,
             p["edges"],
+            features,
             labels=p["labels"],
             node_ids=tuple(p["node_ids"]),
             class_ids=tuple(p["class_ids"]),
         )
-    except DimensionError as exc:
+    except (ConfigurationError, DimensionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return replace(g, **_feature_fields(data, indices, indptr, width))
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +861,7 @@ def sample_negative_pools(
 
 class _EdgeLookup:
     """Exact membership of pair keys ``lo * n + hi`` (``lo <= hi``) in a
-    graph's edge set, without scipy.
+    graph's edge set.
 
     A bit table of ``2**bits`` slots, at least ``_SLOTS_PER_EDGE`` per edge,
     marks the slot of every edge's key under a multiplicative hash.  A key

@@ -39,6 +39,8 @@ from classlink.errors import ConfigurationError, DimensionError, NumericError
 from classlink.graph import Graph, pair_chunks
 from classlink.heuristics import Scorer
 
+from conftest import scipy_csr
+
 
 def csr(a) -> sp.csr_matrix:
     """The scipy CSR matrix over the arrays of one of the backbone's
@@ -49,7 +51,7 @@ def csr(a) -> sp.csr_matrix:
 def scipy_operator(g: Graph) -> sp.csr_matrix:
     """``D̂^-1/2 (A + I) D̂^-1/2`` from scipy's sparse products."""
     scale = sp.diags(1.0 / np.sqrt(g.degrees().astype(np.float64) + 1.0))
-    return (scale @ (g.adj + sp.identity(g.n_nodes, format="csr")) @ scale).tocsr()
+    return (scale @ (scipy_csr(g) + sp.identity(g.n_nodes, format="csr")) @ scale).tocsr()
 
 
 def scipy_incidence(
@@ -58,10 +60,10 @@ def scipy_incidence(
     """The link incidence from scipy's products: ``A[xs] ⊙ A[ys]``, or in
     ncnc the coded union ``A[xs] + 2 A[ys]`` without the pair's endpoints,
     one-sided members weighted by ``completion`` in row-major order."""
-    xs, ys = pairs[:, 0], pairs[:, 1]
+    xs, ys, adj = pairs[:, 0], pairs[:, 1], scipy_csr(g)
     if mode != "ncnc":
-        return g.adj[xs].multiply(g.adj[ys]).tocsr()
-    code = (g.adj[xs] + 2.0 * g.adj[ys]).tocsr()
+        return adj[xs].multiply(adj[ys]).tocsr()
+    code = (adj[xs] + 2.0 * adj[ys]).tocsr()
     rows = np.repeat(np.arange(len(xs)), np.diff(code.indptr))
     keep = (code.indices != xs[rows]) & (code.indices != ys[rows])
     rows, nodes, codes = rows[keep], code.indices[keep], code.data[keep]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from classlink import artifacts
 from classlink.graph import Graph, build_graph
@@ -56,6 +57,15 @@ def write_envelope(path, envelope) -> None:
     writer: each numpy array becomes a blob, and every other value, a
     hand-made blob included, is written as it is."""
     artifacts.write(path, envelope["kind"], envelope)
+
+
+def scipy_csr(g: Graph, part: str = "adj") -> sp.csr_matrix:
+    """The graph's adjacency (``part="adj"``) or features (``"feature"``) as
+    a scipy CSR matrix over its own arrays, for the oracles that scipy
+    computes."""
+    width = g.n_nodes if part == "adj" else g.n_features
+    arrays = [getattr(g, f"{part}_{name}") for name in ("data", "indices", "indptr")]
+    return sp.csr_matrix(tuple(arrays), shape=(g.n_nodes, width))
 
 
 def random_edges(rng: np.random.Generator, n: int, p: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from classlink.priors import (
 )
 
 from backbone_oracles import gradient_check
-from conftest import CITATION_DIR, citation_files, planted_two_class, random_edges
+from conftest import CITATION_DIR, citation_files, planted_two_class, random_edges, scipy_csr
 from prior_bench import bench_prior_runtime
 
 RATIOS = (0.85, 0.05, 0.10)
@@ -362,7 +362,7 @@ def test_criterion_10_removing_heldout_edges_changes_nothing(tmp_path):
     g = planted_two_class(rng)
     split = split_edges(g, RATIOS, seed=5)
     stripped = build_graph(
-        g.n_nodes, split.train_edges, features=g.features, labels=g.labels
+        g.n_nodes, split.train_edges, features=scipy_csr(g, "feature"), labels=g.labels
     )
 
     # priors: byte-identical artifacts

@@ -36,7 +36,7 @@ from classlink.graph import (
 )
 from classlink.priors import count_class_links, load_prior_json, save_prior_json
 
-from conftest import random_edges, read_envelope, write_envelope
+from conftest import random_edges, read_envelope, scipy_csr, write_envelope
 
 KINDS = ("graph", "split", "prior", "labeling", "checkpoint", "manifest", "pools")
 
@@ -76,7 +76,7 @@ def save(kind: str, tmp_path):
         save_prior_json(prior, path, seed=2, label_source="true")
         return path, load_prior_json
     if kind == "labeling":
-        save_labeling_json(kmeans(g.features[2:], 3, seed=1), path)
+        save_labeling_json(kmeans(scipy_csr(g, "feature")[2:], 3, seed=1), path)
         return path, load_labeling_json
     if kind == "checkpoint":
         params = init_params(5, TrainConfig(dim=3, hidden=2, seed=4), use_priors=True)
@@ -121,11 +121,11 @@ class TestRoundTrip:
         for g in (small_graph(), small_graph(labels=False), build_graph(3, np.array([[0, 1]]))):
             save_graph_json(g, tmp_path / "g.json")
             back = load_graph_json(tmp_path / "g.json")
-            assert back.features.shape == g.features.shape
-            for name in ("features", "adj"):
+            assert back.n_features == g.n_features
+            for name in ("feature", "adj"):
                 for part in ("indptr", "indices", "data"):
-                    got = getattr(getattr(back, name), part)
-                    assert got.tobytes() == getattr(getattr(g, name), part).tobytes()
+                    got = getattr(back, f"{name}_{part}")
+                    assert got.tobytes() == getattr(g, f"{name}_{part}").tobytes()
             assert (back.labels is None) == (g.labels is None)
             assert back.class_ids == g.class_ids and back.node_ids == g.node_ids
 
@@ -133,7 +133,7 @@ class TestRoundTrip:
         g = small_graph()
         save_graph_json(g, tmp_path / "g.json")
         payload = read_envelope(tmp_path / "g.json")
-        stored = np.count_nonzero(g.features.toarray()) + 1  # -0.0 is stored, 0.0 is not
+        stored = np.count_nonzero(g.feature_data) + 1  # -0.0 is stored, 0.0 is not
         assert payload["features_data"].shape == (stored,)
         assert payload["version"] == artifacts.ARTIFACT_VERSION == 3
 

@@ -57,7 +57,7 @@ from backbone_oracles import (
     scipy_operator,
     stacked_step,
 )
-from conftest import planted_two_class, random_edges, read_envelope
+from conftest import planted_two_class, random_edges, read_envelope, scipy_csr
 from test_cli import write_dataset
 from test_graph import brute_adjacency
 
@@ -120,9 +120,8 @@ def awkward_features():
     g = build_graph(
         n, random_edges(rng, n, 0.3), features=feats, labels=rng.integers(0, 3, size=n)
     )
-    x = g.features
-    assert x.indptr[4] == x.indptr[5] and 6 not in x.indices
-    zeros = x.data[x.data == 0.0]
+    assert g.feature_indptr[4] == g.feature_indptr[5] and 6 not in g.feature_indices
+    zeros = g.feature_data[g.feature_data == 0.0]
     assert zeros.size == 1 and np.signbit(zeros[0])
     return g
 
@@ -1306,7 +1305,7 @@ class TestArtifacts:
         g = planted_two_class(np.random.default_rng(1010))
         split = split_edges(g, (0.85, 0.05, 0.10), seed=5)
         stripped = build_graph(
-            g.n_nodes, split.train_edges, features=g.features, labels=g.labels
+            g.n_nodes, split.train_edges, features=scipy_csr(g, "feature"), labels=g.labels
         )
         for name, graph in (("full", g), ("stripped", stripped)):
             prior = train_prior(graph, split)
@@ -1318,7 +1317,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("mode", ["ncn", "ncnc"])
     def test_dense_and_csr_features_write_the_same_checkpoint(self, tmp_path, mode):
         g = planted_two_class(np.random.default_rng(1011))
-        dense = g.features.toarray()
+        dense = scipy_csr(g, "feature").toarray()
         dense[np.abs(dense) < 0.3] = 0.0
         split = split_edges(g, (0.85, 0.05, 0.10), seed=5)
         prior = train_prior(g, split)
@@ -1327,10 +1326,11 @@ class TestArtifacts:
             graphs[name] = graph = with_features(g, feats)
             model, _ = train(graph, split, prior, graph.labels, mode, quick_config(epochs=6))
             save_checkpoint(model, tmp_path / f"{name}.json")
-        for name in ("adj", "features"):
-            a, b = getattr(graphs["dense"], name), getattr(graphs["csr"], name)
+        for name in ("adj", "feature"):
             for part in ("indptr", "indices", "data"):
-                assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+                field = f"{name}_{part}"
+                a, b = getattr(graphs["dense"], field), getattr(graphs["csr"], field)
+                assert a.tobytes() == b.tobytes()
         dense_bytes = (tmp_path / "dense.json").read_bytes()
         assert dense_bytes == (tmp_path / "csr.json").read_bytes()
 

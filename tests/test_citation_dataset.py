@@ -38,7 +38,7 @@ class TestPublishedShape:
         g = citation_graph
         assert g.n_nodes == 2708
         assert g.n_edges == 5278
-        assert g.features.shape == (2708, 1433)
+        assert (g.n_nodes, g.n_features) == (2708, 1433)
         assert g.n_classes == 7
 
     def test_split_sizes_match_published_protocol(self, citation_graph):

@@ -39,12 +39,13 @@ from classlink.clustering import (
     save_labels_csv,
     save_ssd_curve_csv,
 )
+from classlink.csr import Csr
 from classlink.errors import ConfigurationError, DimensionError, ParseError
 from classlink.graph import build_graph, split_edges
 from classlink.rand import STREAM_CLUSTER, make_rng
 
 import clustering_oracles as oracle
-from conftest import random_edges, read_envelope, write_envelope
+from conftest import random_edges, read_envelope, scipy_csr, write_envelope
 from test_graph import brute_adjacency
 
 
@@ -84,10 +85,10 @@ class TestAggregateFeatures:
     @pytest.mark.parametrize("cells", [None, 7 * 100], ids=["one-block", "blocks-of-100-rows"])
     def test_entries_equal_scipys_product(self, cells, monkeypatch):
         """The numpy entries of ``H1`` keep the bits, columns and row starts
-        of scipy's ``(g.adj + I) @ g.features`` on float features, in one
-        accumulator block and in blocks of 100 rows (the accumulator is
-        reused): with a hub of 1,200 neighbours, ``-0.0`` values, a node
-        without features, and entries that cancel to 0 and are dropped.
+        of scipy's ``(A + I) @ X`` on float features, in one accumulator
+        block and in blocks of 100 rows (the accumulator is reused): with
+        a hub of 1,200 neighbours, ``-0.0`` values, a node without
+        features, and entries that cancel to 0 and are dropped.
         The factors are the graph's own arrays and ``A + I``."""
         if cells is not None:
             monkeypatch.setattr(clustering, "_ACCUMULATOR", cells)
@@ -108,7 +109,7 @@ class TestAggregateFeatures:
         g = build_graph(n, edges, features=feats)
         assert g.degree(5) >= 1200
         agg = aggregate_features(g)
-        want = (g.adj + sp.identity(n, format="csr")) @ g.features
+        want = (scipy_csr(g) + sp.identity(n, format="csr")) @ scipy_csr(g, "feature")
         want.sort_indices()
         h = agg.entries
         np.testing.assert_array_equal(h.indptr, want.indptr)
@@ -117,7 +118,7 @@ class TestAggregateFeatures:
         assert 0 not in h.indices[h.indptr[22] : h.indptr[23]]  # 1.5 - 1.5 is dropped
         assert agg.right.data is g.feature_data and agg.right.indices is g.feature_indices
         left = sp.csr_matrix((agg.left.data, agg.left.indices, agg.left.indptr), shape=(n, n))
-        assert (left != g.adj + sp.identity(n, format="csr")).nnz == 0
+        assert (left != scipy_csr(g) + sp.identity(n, format="csr")).nnz == 0
         assert left.has_sorted_indices
 
     @pytest.mark.parametrize("k", [1, 4, 10])
@@ -128,7 +129,7 @@ class TestAggregateFeatures:
         n = 1500
         feats = (rng.random((n, 30)) < 0.15).astype(np.float64)
         g = build_graph(n, random_edges(rng, n, 0.005), features=feats)
-        h1 = (g.adj + sp.identity(n, format="csr")) @ g.features
+        h1 = (scipy_csr(g) + sp.identity(n, format="csr")) @ scipy_csr(g, "feature")
         points = _prepare_points(aggregate_features(g), normalize_rows=False)
         assign = rng.integers(0, k, size=n)
         sums = np.zeros((k, feats.shape[1]))
@@ -155,8 +156,8 @@ class TestAggregateFeatures:
             aggregate_features(path3)
 
     def test_shape_mismatch_rejected(self, path3):
-        # aggregate_features reads g.features, so a feature matrix of the
-        # wrong height is stopped where the graph is built, before any product.
+        # aggregate_features reads the graph's features, so a feature matrix of
+        # the wrong height is stopped where the graph is built, before any product.
         with pytest.raises(DimensionError):
             build_graph(3, path3.undirected_edges(), features=np.ones((5, 2)))
         with pytest.raises(DimensionError):
@@ -395,19 +396,19 @@ class TestColourClasses:
 
     def test_classes_are_independent_sets_partitioning_the_nodes(self):
         for g in self.graphs():
-            order, bounds = _colour_classes(g.adj, make_rng(3))
+            order, bounds = _colour_classes(scipy_csr(g), make_rng(3))
             assert sorted(order.tolist()) == list(range(g.n_nodes))
             assert bounds[0] == 0 and bounds[-1] == g.n_nodes
             assert np.all(np.diff(bounds) > 0)
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 members = order[lo:hi]
                 assert np.all(np.diff(members) > 0)  # ascending ids
-                assert g.adj[members][:, members].nnz == 0
+                assert scipy_csr(g)[members][:, members].nnz == 0
 
     def test_each_colour_is_the_smallest_free_one(self):
         """A node of colour c has a neighbour of every colour below c."""
         for g in self.graphs():
-            order, bounds = _colour_classes(g.adj, make_rng(4))
+            order, bounds = _colour_classes(scipy_csr(g), make_rng(4))
             colour = np.empty(g.n_nodes, dtype=np.int64)
             colour[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
             for v in range(g.n_nodes):
@@ -416,8 +417,8 @@ class TestColourClasses:
 
     def test_deterministic_given_seed(self):
         for g in self.graphs():
-            a = _colour_classes(g.adj, make_rng(5))
-            b = _colour_classes(g.adj, make_rng(5))
+            a = _colour_classes(scipy_csr(g), make_rng(5))
+            b = _colour_classes(scipy_csr(g), make_rng(5))
             assert a[0].tobytes() == b[0].tobytes()
             assert a[1].tobytes() == b[1].tobytes()
 
@@ -527,7 +528,7 @@ def csr(level) -> sp.csr_matrix:
 def levels_of(g, seed: int) -> list:
     """The graph's adjacency and every level that aggregating its local moves
     gives, down to the level whose moves merge nothing."""
-    adj, rng, levels = g.adj, make_rng(seed, STREAM_CLUSTER), []
+    adj, rng, levels = scipy_csr(g), make_rng(seed, STREAM_CLUSTER), []
     while True:
         levels.append(adj)
         comm = _renumber(_local_move(adj, rng))
@@ -640,8 +641,8 @@ class TestLouvainMatchesOracle:
                 labeling = louvain(g, seed)
                 assert labeling.k == int(labeling.labels.max()) + 1
                 want, _ = oracle.louvain_levels(g, seed)
-                q_batched.append(_modularity(g.adj, labeling.labels))
-                q_oracle.append(_modularity(g.adj, want))
+                q_batched.append(_modularity(scipy_csr(g), labeling.labels))
+                q_oracle.append(_modularity(scipy_csr(g), want))
             assert min(q_batched) >= 0.0
             assert np.mean(q_batched) >= min(q_oracle) - 0.02
             diffs += [b - o for b, o in zip(q_batched, q_oracle)]
@@ -652,7 +653,7 @@ class TestLouvainMatchesOracle:
         """Batched local moves, modularity and aggregation agree with the
         dict code level by level."""
         for g in louvain_graphs():
-            adj = g.adj
+            adj = scipy_csr(g)
             adj_dict = oracle.dict_adjacency(g)
             rng = make_rng(seed, STREAM_CLUSTER)
             rng_dict = make_rng(seed, STREAM_CLUSTER)
@@ -672,7 +673,7 @@ class TestLouvainMatchesOracle:
     def test_modularity_of_random_partitions(self):
         rng = np.random.default_rng(1017)
         for g in louvain_graphs():
-            adj, adj_dict = g.adj, oracle.dict_adjacency(g)
+            adj, adj_dict = scipy_csr(g), oracle.dict_adjacency(g)
             for n_comm in (1, 3, g.n_nodes):
                 comm = rng.integers(0, n_comm, size=g.n_nodes)
                 assert _modularity(adj, comm) == oracle.modularity(
@@ -828,8 +829,10 @@ class TestSparseInput:
         n = 150
         feats = (rng.random((n, 40)) < 0.1).astype(np.float64)
         g = build_graph(n, random_edges(rng, n, 0.04), features=feats)
-        agg = (g.adj + sp.identity(n, format="csr")) @ g.features
-        # shuffled COO entries with explicit zeros: the same points
+        agg = (scipy_csr(g) + sp.identity(n, format="csr")) @ scipy_csr(g, "feature")
+        agg.sort_indices()
+        # shuffled COO entries with explicit zeros, made a canonical CSR
+        # that stores them: the same points
         coo = agg.tocoo()
         order = np.random.default_rng(1022).permutation(coo.nnz)
         messy = sp.coo_matrix(
@@ -841,16 +844,16 @@ class TestSparseInput:
                 ),
             ),
             shape=agg.shape,
-        )
+        ).tocsr()
+        assert messy.has_canonical_format and messy.nnz > agg.nnz
         ks = [1, 2, 3, 5, 8]
+        arrays = Csr(messy.indptr, messy.indices, messy.data, messy.shape)
+        inputs = (agg.toarray(), agg, messy, arrays)
         runs = [
             elbow_kmeans(x, ks, seed=4, max_iters=30, normalize_rows=normalize_rows)
-            for x in (agg.toarray(), agg, messy)
+            for x in inputs
         ]
-        fixed = [
-            kmeans(x, 6, seed=4, normalize_rows=normalize_rows)
-            for x in (agg.toarray(), agg, messy)
-        ]
+        fixed = [kmeans(x, 6, seed=4, normalize_rows=normalize_rows) for x in inputs]
         for other, other_fixed in zip(runs[1:], fixed[1:]):
             assert other.labels.tobytes() == runs[0].labels.tobytes()
             assert np.array(other.ssd_curve).tobytes() == np.array(

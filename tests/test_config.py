@@ -21,7 +21,7 @@ from classlink.graph import split_edges
 from classlink.heuristics import make_heuristic_scorer
 from classlink.priors import count_class_links
 
-from conftest import planted_two_class
+from conftest import planted_two_class, scipy_csr
 
 
 def make_config(**kwargs) -> RunConfig:
@@ -324,10 +324,12 @@ def planted():
 # each layer entry that checks a rule, called with the rule's value
 LAYER_ENTRIES = {
     "split_edges": lambda g, split, prior, v: split_edges(g, v, 0),
-    "elbow_kmeans": lambda g, split, prior, v: elbow_kmeans(g.features, v, 0),
-    "kmeans max_iters": lambda g, split, prior, v: kmeans(g.features, 2, 0, max_iters=v),
+    "elbow_kmeans": lambda g, split, prior, v: elbow_kmeans(scipy_csr(g, "feature"), v, 0),
+    "kmeans max_iters": lambda g, split, prior, v: kmeans(
+        scipy_csr(g, "feature"), 2, 0, max_iters=v
+    ),
     "elbow_kmeans max_iters": lambda g, split, prior, v: elbow_kmeans(
-        g.features, [1, 2, 3], 0, max_iters=v
+        scipy_csr(g, "feature"), [1, 2, 3], 0, max_iters=v
     ),
     "train": lambda g, split, prior, v: train(g, split, prior, g.labels, v),
     "BatchBuilder.create": lambda g, split, prior, v: BatchBuilder.create(g, v, prior, g.labels),

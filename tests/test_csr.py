@@ -1,5 +1,6 @@
-"""The row kernel's plans and ``A + I`` against scipy's CSR products, and
-the row gather, pair-member merge and run sums against Python oracles."""
+"""The row kernel's plans and ``A + I`` against scipy's CSR products, the
+row gather, pair-member merge and run sums against Python oracles, and the
+feature entry's check and dense conversion."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from classlink.csr import (
     ROW_BLOCK,
     Csr,
+    feature_csr,
     pair_bases,
     pair_members,
     plus_identity,
@@ -18,9 +20,10 @@ from classlink.csr import (
     row_product,
     summed_runs,
 )
+from classlink.errors import DimensionError
 from classlink.graph import build_graph
 
-from conftest import random_edges
+from conftest import random_edges, scipy_csr
 
 
 def ragged(rng: np.random.Generator, width: int) -> tuple[Csr, sp.csr_matrix]:
@@ -85,7 +88,7 @@ def test_plus_identity_equals_scipys_sum():
     edges = np.concatenate([random_edges(rng, n, 0.01), [[0, 1], [0, 2], [398, 399]]])
     g = build_graph(n, edges)
     got = plus_identity(Csr(g.adj_indptr, g.adj_indices, g.adj_data, (n, n)))
-    want = g.adj + sp.identity(n, format="csr")
+    want = scipy_csr(g) + sp.identity(n, format="csr")
     assert want.has_sorted_indices
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
@@ -180,3 +183,52 @@ def test_summed_runs_of_no_keys():
     for weight in (None, np.zeros(0)):
         keys, first, sums = summed_runs(np.zeros(0, dtype=np.int64), weight)
         assert keys.size == first.size == sums.size == 0
+
+
+def test_dense_features_keep_every_nonzero_bit_pattern():
+    """Entries row by row, columns ascending; ``-0.0`` is stored and ``0.0``
+    is not; integers become float64; an array that is not 2-D is rejected."""
+    dense = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [-1.5, 0.0, -0.0]])
+    for given in (dense, np.asfortranarray(dense), dense.tolist()):
+        x = feature_csr(given)
+        assert x.indptr.tolist() == [0, 2, 2, 4] and x.indices.tolist() == [1, 2, 0, 2]
+        assert x.data.tobytes() == np.array([-0.0, 2.0, -1.5, -0.0]).tobytes()
+        assert x.shape == (3, 3)
+    assert feature_csr(np.eye(2, dtype=int)).data.dtype == np.float64
+    assert feature_csr(np.zeros((4, 0))).indptr.tolist() == [0] * 5
+    with pytest.raises(DimensionError, match=r"expected a 2-D feature matrix, got shape \(3,\)"):
+        feature_csr(np.ones(3))
+
+
+def test_csr_features_are_kept_as_given():
+    """Arrays that pass the check are returned, not copied: a row may start
+    at or below the previous row's last column, and explicit zeros stay."""
+    indptr = np.array([0, 2, 2, 4, 5])
+    indices = np.array([3, 5, 0, 5, 5], dtype=np.int32)
+    data = np.array([1.0, 0.0, -0.0, 2.0, 3.0])
+    for given in (Csr(indptr, indices, data, (4, 6)), sp.csr_matrix((data, indices, indptr))):
+        x = feature_csr(given)
+        assert x.indptr is given.indptr and x.indices is given.indices and x.data is given.data
+        assert x.shape == (4, 6)
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        ([0, 2, 3], [0, 1, 2], None),  # one row short
+        ([1, 2, 3, 3], [0, 1, 2], None),  # does not start at 0
+        ([0, 2, 1, 3], [0, 1, 2], None),  # falls
+        ([0, 1, 2, 2], [0, 1, 2], None),  # ends before the last entry
+        ([0, 1, 2, 3], [0, 1, 4], None),  # a column past the width
+        ([0, 1, 2, 3], [0, -1, 2], None),  # a negative column
+        ([0, 2, 2, 3], [2, 1, 0], "feature columns do not strictly increase in a row"),
+        ([0, 2, 2, 3], [1, 1, 0], "feature columns do not strictly increase in a row"),
+    ],
+    ids=["short", "start", "falls", "end", "wide", "negative", "unsorted", "repeated"],
+)
+def test_csr_features_that_break_the_rule_are_rejected(indptr, indices, message):
+    bad = Csr(np.array(indptr), np.array(indices), np.ones(len(indices)), (3, 3))
+    with pytest.raises(DimensionError, match=message or r"features are not a CSR matrix of 3 x 3"):
+        feature_csr(bad)
+    with pytest.raises(DimensionError, match="not a CSR matrix of 3 x 3"):
+        feature_csr(bad._replace(data=np.ones(len(indices) + 1)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from classlink.csr import Csr
 from classlink.errors import (
     CapacityError,
     ConfigurationError,
@@ -30,7 +31,7 @@ from classlink.graph import (
 from classlink.heuristics import make_heuristic_scorer
 from classlink.rand import STREAM_TEST_NEG, STREAM_TRAIN_NEG, STREAM_VALID_NEG, make_rng
 
-from conftest import random_edges
+from conftest import random_edges, scipy_csr
 
 
 def brute_adjacency(edges: np.ndarray, n: int) -> list[set[int]]:
@@ -158,8 +159,8 @@ class TestConstruction:
         noisy = noisy[rng.permutation(len(noisy))]
         g1 = build_graph(20, edges)
         g2 = build_graph(20, noisy)
-        np.testing.assert_array_equal(g1.adj.indptr, g2.adj.indptr)
-        np.testing.assert_array_equal(g1.adj.indices, g2.adj.indices)
+        np.testing.assert_array_equal(g1.adj_indptr, g2.adj_indptr)
+        np.testing.assert_array_equal(g1.adj_indices, g2.adj_indices)
 
     def test_has_edge_and_degree(self, triangle):
         assert triangle.has_edge(0, 1) and triangle.has_edge(1, 0)
@@ -209,14 +210,15 @@ class TestPairKeys:
             ).reshape(-1, 2)
             noisy = noisy[rng.permutation(len(noisy))]
             g = build_graph(n_total, noisy)
-            assert_same_csr(g.adj, oracle_csr_from_edges(noisy, n_total))
-            assert g.adj.indices.dtype == np.int32 and g.adj.indptr.dtype == np.int32
+            assert_same_csr(scipy_csr(g), oracle_csr_from_edges(noisy, n_total))
+            assert g.adj_indices.dtype == np.int32 and g.adj_indptr.dtype == np.int32
             split = EdgeSplit(
                 n_total, edges, *(np.empty((0, 2), dtype=np.int64),) * 4, seed=trial
             )
-            assert_same_csr(split.train_graph(g).adj, oracle_csr_from_edges(edges, n_total))
+            train = split.train_graph(g)
+            assert_same_csr(scipy_csr(train), oracle_csr_from_edges(edges, n_total))
         for edges in (np.empty((0, 2), dtype=np.int64), np.array([[2, 2], [0, 0]])):
-            assert_same_csr(build_graph(4, edges).adj, oracle_csr_from_edges(edges, 4))
+            assert_same_csr(scipy_csr(build_graph(4, edges)), oracle_csr_from_edges(edges, 4))
 
     @pytest.mark.parametrize(
         "edges, node",
@@ -244,12 +246,15 @@ class TestPairKeys:
 
 class TestFeaturePassThrough:
     @staticmethod
-    def coo_path(x: sp.csr_matrix, n: int) -> sp.csr_matrix:
-        """The COO route every non-canonical input takes."""
-        return graph_module._feature_csr(sp.coo_matrix(x), n)
+    def assert_same_features(got, want) -> None:
+        assert got.n_features == want.n_features
+        for part in ("data", "indices", "indptr"):
+            x, y = getattr(got, f"feature_{part}"), getattr(want, f"feature_{part}")
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
 
-    def test_canonical_csr_equals_the_coo_path(self):
+    def test_canonical_csr_equals_the_dense_path(self):
         rng = np.random.default_rng(717)
+        no_edges = np.empty((0, 2))
         for _ in range(30):
             n, width = int(rng.integers(1, 25)), int(rng.integers(0, 9))
             dense = np.where(
@@ -262,29 +267,44 @@ class TestFeaturePassThrough:
                 x.data[rng.random(x.nnz) < 0.2] = -0.0
             x.data[x.indptr[0] : x.indptr[min(2, n)]] = 0.0
             assert x.has_canonical_format
-            got = graph_module._feature_csr(x, n)
-            assert_same_csr(got, self.coo_path(x, n))
-            assert not (got.data.view(np.int64) == 0).any()
-            assert np.signbit(got.data).sum() == np.signbit(x.data).sum()
+            dense[:] = 0.0
+            dense[np.repeat(np.arange(n), np.diff(x.indptr)), x.indices] = x.data
+            got = build_graph(n, no_edges, features=x)
+            self.assert_same_features(got, build_graph(n, no_edges, features=dense))
+            assert not (got.feature_data.view(np.int64) == 0).any()
+            assert np.signbit(got.feature_data).sum() == np.signbit(x.data).sum()
 
     def test_arrays_are_kept_as_given(self):
-        x = sp.csr_matrix(np.array([[0.0, 1.5], [0.0, 0.0], [-0.0, 2.0]]))
-        x.data[0] = -0.0  # 1.5 becomes -0.0: every entry still stored
-        got = graph_module._feature_csr(x, 3)
-        assert np.shares_memory(got.data, x.data) and np.shares_memory(got.indices, x.indices)
-        assert_same_csr(got, self.coo_path(x, 3))
-        assert got.nnz == 2 and np.signbit(got.data[0])
+        for as_arrays in (False, True):
+            x = sp.csr_matrix(np.array([[0.0, 1.5], [0.0, 0.0], [-0.0, 2.0]]))
+            x.data[0] = -0.0  # 1.5 becomes -0.0: every entry still stored
+            given = Csr(x.indptr, x.indices, x.data, x.shape) if as_arrays else x
+            g = build_graph(3, np.empty((0, 2)), features=given)
+            assert g.feature_data is x.data and g.feature_indices is x.indices
+            assert g.feature_data.size == 2 and np.signbit(g.feature_data[0])
+            assert not x.data.flags.writeable  # frozen in place, not copied
+
+    def test_a_csr_that_breaks_the_rule_is_rejected(self):
+        """A CSR is checked, never repaired: unsorted or repeated columns and
+        a row count that is not the graph's are errors."""
+        x = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        for cols in ([1, 0, 1], [0, 0, 1]):
+            bad = Csr(x.indptr, np.array(cols), x.data, x.shape)
+            with pytest.raises(DimensionError, match="columns do not strictly increase"):
+                build_graph(2, np.empty((0, 2)), features=bad)
+        with pytest.raises(DimensionError, match=r"shape \(2, 2\) does not match 3 nodes"):
+            build_graph(3, np.empty((0, 2)), features=x)
 
     def test_feature_file_gives_the_dense_path_arrays(self, tmp_path):
         (tmp_path / "features.csv").write_text("a,0,1.5,-0.0\nb,0,0,0\nc,2,0,0.0\n")
         (tmp_path / "edges.txt").write_text("a b\nc d\n")
         g = load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
         dense = np.array([[0, 1.5, -0.0], [0, 0, 0], [2, 0, 0], [0, 0, 0]])
-        assert_same_csr(g.features, build_graph(4, np.empty((0, 2)), features=dense).features)
+        self.assert_same_features(g, build_graph(4, np.empty((0, 2)), features=dense))
 
 
 class TestArrayViews:
-    """``adj`` and ``features`` are scipy views of the graph's own arrays."""
+    """The graph's own arrays, and the scipy views the tests make of them."""
 
     @staticmethod
     def graphs(tmp_path):
@@ -303,20 +323,16 @@ class TestArrayViews:
             "train_graph": (split.train_graph(g), edges[::2], feats),
         }
 
-    def test_views_share_the_arrays_and_are_made_once(self, tmp_path):
+    def test_arrays_are_read_only(self, tmp_path):
         for how, (g, _, _) in self.graphs(tmp_path).items():
-            adj, x = g.adj, g.features
-            assert g.adj is adj and g.features is x, how
-            for view, prefix in ((adj, "adj_"), (x, "feature_")):
+            for prefix in ("adj_", "feature_"):
                 for part in ("data", "indices", "indptr"):
-                    mine = getattr(g, prefix + part)
-                    assert np.shares_memory(getattr(view, part), mine), (how, part)
-                    assert not mine.flags.writeable, (how, part)
+                    assert not getattr(g, prefix + part).flags.writeable, (how, part)
 
     def test_views_equal_the_oracles(self, tmp_path):
         for how, (g, edges, feats) in self.graphs(tmp_path).items():
-            assert_same_csr(g.adj, oracle_csr_from_edges(edges, g.n_nodes))
-            assert_same_csr(g.features, sp.csr_matrix(feats))
+            assert_same_csr(scipy_csr(g), oracle_csr_from_edges(edges, g.n_nodes))
+            assert_same_csr(scipy_csr(g, "feature"), sp.csr_matrix(feats))
             assert g.n_features == feats.shape[1], how
 
     def test_json_columns_may_fall_across_a_row_boundary(self, tmp_path):
@@ -328,7 +344,8 @@ class TestArrayViews:
         feats[4, 5] = 3.0  # 5 -> 5 across the boundary
         feats[5, 1] = 4.0
         save_graph_json(build_graph(6, np.array([[0, 1]]), features=feats), tmp_path / "g.json")
-        assert_same_csr(load_graph_json(tmp_path / "g.json").features, sp.csr_matrix(feats))
+        back = load_graph_json(tmp_path / "g.json")
+        assert_same_csr(scipy_csr(back, "feature"), sp.csr_matrix(feats))
 
 
 class TestCommonNeighbors:
@@ -385,7 +402,7 @@ class TestIngestion:
         labels = self.write(tmp_path, "labels.csv", "a,red\nb,blue\nc,red\n")
         g = load_graph(edges, feats, labels)
         np.testing.assert_array_equal(
-            g.features.toarray(), [[1.0, 2.0], [0.5, -1.5], [0.0, 3.25]]
+            scipy_csr(g, "feature").toarray(), [[1.0, 2.0], [0.5, -1.5], [0.0, 3.25]]
         )
         np.testing.assert_array_equal(g.labels, [0, 1, 0])
         assert g.class_ids == ("red", "blue")
@@ -398,7 +415,7 @@ class TestIngestion:
         g = load_graph(edges, feats)
         assert g.node_ids == ("a", "b", "c", "z")
         # node 'z' has no feature row -> zeros
-        np.testing.assert_array_equal(g.features.toarray()[:, 0], [1, 2, 3, 0])
+        np.testing.assert_array_equal(scipy_csr(g, "feature").toarray()[:, 0], [1, 2, 3, 0])
 
     def test_removing_edges_keeps_node_ids_stable(self, tmp_path):
         """Dropping edge lines must not renumber feature/label nodes."""
@@ -411,7 +428,7 @@ class TestIngestion:
         assert g_full.node_ids == g_pruned.node_ids
         np.testing.assert_array_equal(g_full.labels, g_pruned.labels)
         np.testing.assert_array_equal(
-            g_full.features.toarray(), g_pruned.features.toarray()
+            scipy_csr(g_full, "feature").toarray(), scipy_csr(g_pruned, "feature").toarray()
         )
 
     def test_ragged_feature_rows_rejected(self, tmp_path):
@@ -456,7 +473,8 @@ class TestFeatureStorage:
         dense[0, 0], dense[1, 1] = -0.0, np.nan
         rows, cols = np.nonzero((dense != 0) | np.signbit(dense))
         vals = dense[rows, cols]
-        # shuffled COO entries plus explicit zeros, one of them repeated
+        # shuffled COO entries plus explicit zeros, one of them repeated,
+        # made a canonical CSR that stores the zeros
         zeros = np.nonzero((dense == 0) & ~np.signbit(dense))
         extra_r, extra_c = zeros[0][[0, 0, 1]], zeros[1][[0, 0, 1]]
         order = rng.permutation(rows.size + 3)
@@ -465,22 +483,22 @@ class TestFeatureStorage:
         messy = sp.coo_matrix(
             (np.concatenate([vals, np.zeros(3)])[order], (messy_rows, messy_cols)),
             shape=dense.shape,
-        )
+        ).tocsr()
+        assert messy.has_canonical_format and messy.nnz == rows.size + 2
         edges = random_edges(rng, n, 0.2)
         graphs = [
             build_graph(n, edges, features=x)
             for x in (dense, sp.csr_matrix((vals, (rows, cols)), shape=dense.shape), messy)
         ]
         first = graphs[0]
-        x = first.features
-        assert x.nnz == rows.size
-        assert x.indices[0] == 0 and np.signbit(x.data[0])  # -0.0 is stored
+        assert first.feature_data.size == rows.size
+        assert first.feature_indices[0] == 0 and np.signbit(first.feature_data[0])  # -0.0 is stored
         for g in graphs[1:]:
-            for name in ("adj", "features"):
-                a, b = getattr(first, name), getattr(g, name)
-                assert a.shape == b.shape
+            assert g.n_features == first.n_features
+            for name in ("adj", "feature"):
                 for part in ("indptr", "indices", "data"):
-                    assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+                    a, b = getattr(first, f"{name}_{part}"), getattr(g, f"{name}_{part}")
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_feature_file_is_read_without_a_dense_copy(self, tmp_path):
         """``load_graph`` on a 1000 x 3000 feature CSV at 1% density peaks
@@ -500,8 +518,8 @@ class TestFeatureStorage:
         finally:
             tracemalloc.stop()
         assert peak < n * width * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
-        assert g.features.shape == (n, width)
-        assert g.features.nnz == stored.sum()
+        assert g.n_features == width
+        assert g.feature_data.size == stored.sum()
 
 
 class TestJsonRoundTrip:
@@ -514,9 +532,11 @@ class TestJsonRoundTrip:
         path = tmp_path / "graph.json"
         save_graph_json(g, path)
         g2 = load_graph_json(path)
-        np.testing.assert_array_equal(g.adj.indptr, g2.adj.indptr)
-        np.testing.assert_array_equal(g.adj.indices, g2.adj.indices)
-        np.testing.assert_array_equal(g.features.toarray(), g2.features.toarray())
+        np.testing.assert_array_equal(g.adj_indptr, g2.adj_indptr)
+        np.testing.assert_array_equal(g.adj_indices, g2.adj_indices)
+        np.testing.assert_array_equal(
+            scipy_csr(g, "feature").toarray(), scipy_csr(g2, "feature").toarray()
+        )
         np.testing.assert_array_equal(g.labels, g2.labels)
         assert g.node_ids == g2.node_ids
         # serialize -> load -> serialize is byte-stable
@@ -672,11 +692,11 @@ class TestSampleNegatives:
 def scipy_edge_lookup(g):
     """The oracle of ``graph._EdgeLookup``: scipy's ``adj[lo, hi]``, read
     for the keys ``lo * n + hi``."""
-    n = g.n_nodes
+    n, adj = g.n_nodes, scipy_csr(g)
 
     def is_edge(keys: np.ndarray) -> np.ndarray:
         lo, hi = np.divmod(keys.ravel(), n)
-        return (np.asarray(g.adj[lo, hi]) != 0).reshape(keys.shape)
+        return (np.asarray(adj[lo, hi]) != 0).reshape(keys.shape)
 
     return is_edge
 

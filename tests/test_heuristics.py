@@ -24,7 +24,7 @@ from classlink.heuristics import (
 )
 from classlink.priors import count_class_links, lookup_prior_batch
 
-from conftest import random_edges
+from conftest import random_edges, scipy_csr
 from test_graph import brute_adjacency
 
 
@@ -414,11 +414,12 @@ def scipy_common_neighbor_sum(g, name, pairs):
     """CN/AA/RA as the pair × node matrix of common neighbours times the
     node weights, ``A[xs].multiply(A[ys]) @ w`` in scipy: the oracle of the
     numpy kernel's bits."""
-    degrees = np.diff(g.adj.indptr).astype(np.float64)
+    degrees = g.degrees().astype(np.float64)
     with np.errstate(divide="ignore"):
         weights = {"cn": np.ones(g.n_nodes), "aa": 1.0 / np.log(degrees), "ra": 1.0 / degrees}
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return g.adj[pairs[:, 0]].multiply(g.adj[pairs[:, 1]]) @ weights[name]
+    adj = scipy_csr(g)
+    return adj[pairs[:, 0]].multiply(adj[pairs[:, 1]]) @ weights[name]
 
 
 class TestCommonNeighborBits:
@@ -483,11 +484,12 @@ def scipy_katz_sum(g, cfg, pairs):
             shape=(nodes.size, g.n_nodes),
         )
 
+    adj = scipy_csr(g)
     from_x, from_y = [indicator_rows(xs)], [indicator_rows(ys)]
     for _ in range((cfg.max_length + 1) // 2):
-        from_x.append(from_x[-1] @ g.adj)
+        from_x.append(from_x[-1] @ adj)
     for _ in range(cfg.max_length // 2):
-        from_y.append(from_y[-1] @ g.adj)
+        from_y.append(from_y[-1] @ adj)
     total = np.zeros(xs.size)
     decay = 1.0
     for length in range(1, cfg.max_length + 1):
@@ -621,7 +623,8 @@ def scipy_local_normalizer(g, prior, labels, omega, pairs):
         (np.ones(nodes.size), (nodes, labels[nodes])), shape=(g.n_nodes, prior.n_classes)
     )
     xs, ys = pairs[:, 0], pairs[:, 1]
-    union = (g.adj[xs] + g.adj[ys]).sign()
+    adj = scipy_csr(g)
+    union = (adj[xs] + adj[ys]).sign()
     counts = (union @ onehot).toarray()
     cx = np.where(usable[xs], labels[xs], 0)
     cy = np.where(usable[ys], labels[ys], 0)

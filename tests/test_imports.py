@@ -5,14 +5,13 @@ Three rules, one test each per module:
 * every name a module imports is used in that module (annotations count);
 * no module imports a ``_private`` name from another classlink module: what
   two modules share is public;
-* no module imports scipy when it is imported: ``graph.py`` imports it
-  inside the functions that build a graph from dense or scipy features and
-  make its scipy views, or for type checking; ``clustering.py``,
-  ``heuristics.py`` and ``backbone.py`` import it nowhere.
+* no module imports scipy: not when it is imported, not in a function
+  body, not for type checking; the tests alone use it.
 
-One more test runs feature aggregation, elbow k-means, Louvain, ``hc`` over
-RA and the negative samplers in a fresh interpreter, which must load neither
-scipy nor ``numpy.ma`` on the way.
+One more test builds a graph from dense and CSR features, writes and reads
+``graph.json``, and runs k-means, feature aggregation, elbow k-means,
+Louvain, ``hc`` over RA and the negative samplers in a fresh interpreter,
+which must load neither scipy nor ``numpy.ma`` on the way.
 """
 
 from __future__ import annotations
@@ -68,24 +67,17 @@ def test_no_private_name_is_imported_from_another_module(path):
     assert not private, f"{path.name} imports private names {private}"
 
 
-def module_level_imports(node: ast.AST) -> list[str]:
-    """Modules imported by the code under ``node`` that runs when the module
-    is imported: everything but function bodies and ``if TYPE_CHECKING:``."""
-    found = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
-            child = ast.Module(body=child.orelse, type_ignores=[])
-        elif isinstance(child, ast.Import):
-            found += [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom) and child.level == 0:
-            found.append(child.module or "")
-        found += module_level_imports(child)
-    return found
+def scipy_imports(tree: ast.Module) -> list[str]:
+    """The scipy modules imported anywhere in the module: at its top, in a
+    function or class body, under ``if TYPE_CHECKING:`` or in a ``try``."""
+    modules = [
+        imported if isinstance(node, ast.Import) else node.module or ""
+        for node, _, imported in imports(tree)
+    ]
+    return [m for m in modules if m.split(".")[0] == "scipy"]
 
 
-def test_the_guard_sees_top_level_and_skips_type_checking():
+def test_the_guard_sees_every_import():
     tree = ast.parse(
         "import scipy.sparse as sp\n"
         "from scipy import linalg\n"
@@ -93,46 +85,32 @@ def test_the_guard_sees_top_level_and_skips_type_checking():
         "else:\n    import scipy.signal\n"
         "try:\n    import scipy.io\nexcept ImportError:\n    pass\n"
         "def f():\n    import scipy.optimize\n"
-        "class C:\n    import scipy.special\n"
+        "class C:\n    from scipy.special import expit\n"
+        "from . import scipy_like\n"
     )
-    assert module_level_imports(tree) == [
-        "scipy.sparse", "scipy", "scipy.signal", "scipy.io", "scipy.special"
+    assert scipy_imports(tree) == [
+        "scipy.sparse", "scipy", "scipy.stats", "scipy.signal", "scipy.io",
+        "scipy.optimize", "scipy.special",
     ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_only_the_backbone_imports_scipy_at_module_level(path):
-    """No module imports scipy when it is imported: the functions that still
-    use it (a graph's scipy views and its build from dense or scipy
-    features) import it in their bodies."""
+def test_no_module_imports_scipy(path):
+    """Every layer works on numpy arrays alone, so no module of the package
+    imports scipy anywhere."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    scipy = [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"]
-    assert not scipy, f"{path.name} imports {scipy} when it is imported"
-
-
-def test_heuristics_imports_no_scipy_anywhere():
-    """Every heuristic scores, the backbone propagates, predicts and trains,
-    and k-means aggregates and clusters, on the graph's CSR arrays: no
-    function body or ``TYPE_CHECKING`` block of ``clustering.py``,
-    ``heuristics.py`` or ``backbone.py`` imports scipy."""
-    for name in ("clustering.py", "heuristics.py", "backbone.py"):
-        tree = ast.parse((PACKAGE / name).read_text())
-        scipy = [imported for _, _, imported in imports(tree) if imported.split(".")[0] == "scipy"]
-        scipy += [
-            node.module
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
-        ]
-        assert not scipy, f"{name} imports {scipy}"
+    assert not scipy_imports(tree), f"{path.name} imports {scipy_imports(tree)}"
 
 
 def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma(tmp_path):
-    """Feature aggregation and elbow k-means (with and without row
+    """A graph built from dense features and from a ``Csr``, ``graph.json``
+    written and read back, k-means on a dense array and on a ``Csr``,
+    feature aggregation and elbow k-means (with and without row
     normalisation), Louvain, ``hc`` over RA (with and without local
     normalisation), the split's pools, the per-edge pools and the training
-    negatives run on the graph's CSR arrays with no plain ``np.unique``,
-    which loads ``numpy.ma``: in a fresh interpreter they load neither scipy
-    nor ``numpy.ma``."""
+    negatives run on numpy arrays with no plain ``np.unique``, which loads
+    ``numpy.ma``: in a fresh interpreter they load neither scipy nor
+    ``numpy.ma``."""
     rng = np.random.default_rng(0)
     edges, features = tmp_path / "edges.txt", tmp_path / "features.csv"
     edges.write_text("".join(f"{u} {v}\n" for u, v in rng.integers(0, 80, size=(300, 2))))
@@ -141,13 +119,26 @@ def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma(tmp_path
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from classlink.clustering import aggregate_features, elbow_kmeans, louvain\n"
+        "from classlink.clustering import aggregate_features, elbow_kmeans, kmeans, louvain\n"
+        "from classlink.csr import Csr\n"
         "from classlink.evaluation import draw_per_edge_pools\n"
-        "from classlink.graph import load_graph, sample_negatives, split_edges\n"
+        "from classlink.graph import (build_graph, load_graph, load_graph_json,\n"
+        "    sample_negatives, save_graph_json, split_edges)\n"
         "from classlink.heuristics import ClassHeuristicParams, make_heuristic_scorer\n"
         "from classlink.priors import count_class_links\n"
         f"g = load_graph({str(edges)!r}, {str(features)!r})\n"
         "assert g.n_nodes == 80 and g.n_features == 12\n"
+        "x = Csr(g.feature_indptr, g.feature_indices, g.feature_data, (80, 12))\n"
+        "dense = np.zeros((80, 12))\n"
+        "dense[np.repeat(np.arange(80), np.diff(x.indptr)), x.indices] = x.data\n"
+        "edges = g.undirected_edges()\n"
+        "for given in (dense, x):\n"
+        "    built = build_graph(80, edges, features=given)\n"
+        "    assert built.feature_data.tobytes() == g.feature_data.tobytes()\n"
+        "    assert kmeans(given, 3, 1).labels.size == 80\n"
+        f"save_graph_json(g, {str(tmp_path / 'graph.json')!r})\n"
+        f"g = load_graph_json({str(tmp_path / 'graph.json')!r})\n"
+        "assert g.feature_data.tobytes() == x.data.tobytes()\n"
         "split = split_edges(g, (0.8, 0.1, 0.1), 1, negatives=20)\n"
         "train = split.train_graph(g)\n"
         "for unit in (False, True):\n"

@@ -4,9 +4,9 @@
 on every input, or raise the same exception class with the same message:
 the first offending line wins, and each line runs its checks in order.
 
-``ingest_graph_json``, which writes ``graph.json`` straight from the parsed
-files, must write the bytes of ``save_graph_json(load_graph(...))`` or raise
-its error.
+The ``graph.json`` that ``classlink ingest`` writes,
+``save_graph_json(load_graph(...))``, must read back as the graph loaded and
+write the same bytes again.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import pytest
 
 from classlink import graph as graph_module
 from classlink.errors import ClasslinkError, ParseError
-from classlink.graph import Graph, ingest_graph_json, load_graph, save_graph_json
+from classlink.graph import Graph, load_graph, load_graph_json, save_graph_json
 
+from conftest import scipy_csr
 from graph_oracles import load_graph_by_lines
 
 # Feature block sizes, in characters, that put block ends inside and between
@@ -54,11 +55,10 @@ def assert_same_graph(got: Graph, want: Graph) -> None:
     else:
         assert got.labels.dtype == want.labels.dtype
         assert got.labels.tobytes() == want.labels.tobytes()
-    for name in ("adj", "features"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape, name
+    assert got.n_features == want.n_features
+    for name in ("adj", "feature"):
         for part in ("indptr", "indices", "data"):
-            x, y = getattr(a, part), getattr(b, part)
+            x, y = getattr(got, f"{name}_{part}"), getattr(want, f"{name}_{part}")
             assert x.dtype == y.dtype, (name, part)
             assert x.tobytes() == y.tobytes(), (name, part)
 
@@ -222,10 +222,10 @@ class TestCases:
         edges = write(tmp_path / "edges.txt", ["a b"])
         kind, g = assert_same_as_oracle(edges, feats)
         assert kind == "graph"
-        row = g.features.toarray()[0]
+        row = scipy_csr(g, "feature").toarray()[0]
         assert row.tolist() == [-0.0, -0.0, 0, 0, 1000, 10, 0, 0, 0, 3]
         # -0 and -0.0 are stored, every +0.0 is not
-        assert g.features.indices.tolist() == [0, 1, 4, 5, 9]
+        assert g.feature_indices.tolist() == [0, 1, 4, 5, 9]
 
     @pytest.mark.parametrize(
         "features, labels, edges",
@@ -267,28 +267,26 @@ class TestCases:
             load_graph(tmp_path / "missing.txt", feats)
 
 
-def graph_json_outcome(tmp_path, how: str, *paths) -> tuple:
-    """``("bytes", b)`` of the ``graph.json`` that ``how`` writes, or
-    ``("error", exception class, message)``."""
-    out = tmp_path / f"{how}.json"
+def round_trip(tmp_path, *paths) -> str:
+    """``"error"`` when ``load_graph`` rejects the files; otherwise
+    ``"bytes"``, once its ``graph.json`` has read back as the graph loaded and
+    the graph read back has written the same bytes again."""
     try:
-        if how == "ingest":
-            ingest_graph_json(*paths, out)
-        else:
-            save_graph_json(load_graph(*paths), out)
-    except ClasslinkError as exc:
-        return ("error", type(exc), str(exc))
-    return ("bytes", out.read_bytes())
-
-
-def assert_same_graph_json(tmp_path, *paths) -> str:
-    paths = (*paths, None, None)[:3]
-    want = graph_json_outcome(tmp_path, "load", *paths)
-    assert graph_json_outcome(tmp_path, "ingest", *paths) == want
-    return want[0]
+        g = load_graph(*paths)
+    except ClasslinkError:
+        return "error"
+    first, second = tmp_path / "graph.json", tmp_path / "again.json"
+    save_graph_json(g, first)
+    back = load_graph_json(first)
+    assert_same_graph(back, g)
+    save_graph_json(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    return "bytes"
 
 
 class TestIngestWriter:
+    """``load_graph`` → ``save_graph_json`` → ``load_graph_json``."""
+
     def test_seeded_files_give_the_bytes_or_error_of_a_loaded_graph(
         self, tmp_path, monkeypatch
     ):
@@ -298,7 +296,7 @@ class TestIngestWriter:
             paths = random_case(rng, tmp_path)
             block = pick(rng, (*SMALL_BLOCKS, 1 << 16))
             monkeypatch.setattr(graph_module, "_FEATURE_BLOCK", block)
-            kinds[assert_same_graph_json(tmp_path, *paths)] += 1
+            kinds[round_trip(tmp_path, *paths)] += 1
         assert min(kinds.values()) > 60, kinds
 
     def test_loops_duplicates_reversed_edges_and_signed_zero_cells(self, tmp_path):
@@ -312,10 +310,9 @@ class TestIngestWriter:
         )
         labels = write(tmp_path / "labels.csv", ["a,x", "c,y", "d,x"])
         for paths in ((edges, feats, labels), (edges, feats), (edges, None, labels), (edges,)):
-            assert assert_same_graph_json(tmp_path, *paths) == "bytes", paths
-        n_nodes, n_edges = ingest_graph_json(edges, feats, labels, tmp_path / "g.json")
+            assert round_trip(tmp_path, *paths) == "bytes", paths
         g = load_graph(edges, feats, labels)
-        assert (n_nodes, n_edges) == (g.n_nodes, g.n_edges) == (5, 4)
+        assert (g.n_nodes, g.n_edges, g.feature_data.size) == (5, 4, 5)
 
     def test_files_with_nothing_to_store(self, tmp_path):
         """Only self-loops, blank feature and label files, all-zero cells."""
@@ -327,4 +324,4 @@ class TestIngestWriter:
                     write(tmp_path / "features.csv", feats),
                     write(tmp_path / "labels.csv", labels),
                 )
-                assert assert_same_graph_json(tmp_path, *paths) == "bytes", (feats, labels)
+                assert round_trip(tmp_path, *paths) == "bytes", (feats, labels)

@@ -8,7 +8,8 @@ Three rules, one test each per module:
 * no module imports scipy: not when it is imported, not in a function
   body, not for type checking; the tests alone use it.
 
-One more test builds a graph from dense and CSR features, writes and reads
+Two tests run a fresh interpreter. One imports the heuristics, the
+backbone and k-means, which must load no scipy. The other builds a graph from dense and CSR features, writes and reads
 ``graph.json``, and runs k-means, feature aggregation, elbow k-means,
 Louvain, ``hc`` over RA and the negative samplers in a fresh interpreter,
 which must load neither scipy nor ``numpy.ma`` on the way.
@@ -100,6 +101,25 @@ def test_no_module_imports_scipy(path):
     imports scipy anywhere."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not scipy_imports(tree), f"{path.name} imports {scipy_imports(tree)}"
+
+
+def test_heuristics_imports_no_scipy_anywhere():
+    """The source check above sees only the package's own imports; importing
+    the heuristics, the backbone and k-means in a fresh interpreter shows
+    that nothing they pull in loads scipy either."""
+    script = (
+        "import sys\n"
+        "import classlink.backbone, classlink.clustering, classlink.heuristics\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_louvain_hc_and_the_negative_samplers_load_no_scipy_or_numpy_ma(tmp_path):
